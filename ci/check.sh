@@ -1,5 +1,7 @@
 #!/bin/sh
-# Lint gate for the workspace: formatting and clippy, both hard-failing.
+# The workspace gate: formatting and clippy (hard-failing), every test in
+# the workspace once, the named robustness / autotune / TCP gates, and the
+# tracked benchmark's own check.
 # POSIX sh — the bench harness spawns it via `sh` (see harness::prerun_check).
 #
 # Run standalone (`ci/check.sh`) or let the bench harness run it before
@@ -10,6 +12,13 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Everything once: the ~440 crate-level unit tests (frame codec, ARQ
+# window, fabric replay log and handshake, planners, schedules, …) that
+# tier-1 (`cargo test -q`, root package only) does not reach, plus
+# every integration suite. The named gates below rerun the robustness
+# suites under their own caps and hard timeouts.
+timeout 900 cargo test --workspace -q
 
 # Robustness gate: fault injection, the chaos soak, and the
 # sliding-window property suite. Every fault plan is seeded
@@ -70,7 +79,8 @@ cargo build -q --release -p bruck-bench
 ./target/release/bruckctl bench --skew 0,0.5,1.0,1.5 --n 8 --ports 2 \
     --block 256 --reps 4 --samples 2 --out /tmp/bruck-skew-smoke.json
 
-# TCP + scale gate: the event-driven fabric's integration suites (fault
+# TCP + scale gate: the event-driven fabric's integration suites (the
+# faultless invariants — a clean stream carries no ARQ traffic — fault
 # injection over real loopback streams, hierarchical plans at n = 64,
 # the n = 128 thread-multiplexing claim), then a one-rep scale sweep —
 # flat vs two-level over the TCP fabric with the watchdog and deadline
@@ -85,10 +95,12 @@ BRUCK_SCALE_MAX_N="${BRUCK_SCALE_MAX_N:-128}" timeout 300 \
     --out /tmp/bruck-scale-smoke.json
 
 # TCP recovery gate: the connection-healing lifecycle over real
-# loopback streams — mid-collective stream kill → reconnect →
-# byte-identical to the faultless run, budget-exhausted handshake
-# blackhole → consistent node-level eviction, and a 100-seed
-# connection-chaos soak with per-view verdict consistency.
+# loopback streams — mid-collective stream kill → reconnect → replay →
+# byte-identical to the faultless run with zero ARQ retransmissions,
+# resets amid multi-fragment messages, seeded malformed re-handshakes,
+# budget-exhausted handshake blackhole → consistent node-level
+# eviction, and a 100-seed connection-chaos soak with per-view verdict
+# consistency.
 # BRUCK_SCALE_MAX_N caps the eviction matrix (128 here skips the n=256
 # leg); BRUCK_CHAOS_SEED narrows the soak when bisecting. Failing soak
 # iterations persist a minimized TSV reproducer under target/
@@ -101,3 +113,11 @@ BRUCK_SCALE_MAX_N="${BRUCK_SCALE_MAX_N:-128}" timeout 300 \
     cargo test -q --test tcp_recovery
 timeout 120 ./target/release/bruckctl chaos --transport tcp \
     --n 64 --node-size 8 --block 8 --seed 7
+
+# The tracked benchmark's own gate, consumed read-only: it builds the
+# standalone `benchmark/` package against this tree (so a source-
+# incompatible change to anything it calls fails here), unit-tests its
+# statistics, checks BENCHMARK.json against its spec, and runs the smoke
+# matrix with every lap oracle-checked. Nothing under benchmark/ is
+# edited by this script; outputs land in the ignored benchmark/out/.
+sh benchmark/check.sh

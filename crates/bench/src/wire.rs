@@ -2425,8 +2425,8 @@ pub fn run_tcp_recovery(cfg: &TcpRecoveryBenchConfig) -> Result<Vec<TcpRecoveryR
     }
 
     // The reconnect cell: reset the stream between the first two nodes
-    // after round 1; healing must re-handshake and the ARQ re-drive the
-    // preserved outbox, ending bit-correct.
+    // after round 1; healing must re-handshake and replay the
+    // unconfirmed records, ending bit-correct.
     let reset_cfg = base
         .with_faults(FaultPlan::new().with_conn_reset(0, cfg.node_size, 1))
         .with_healing(true);

@@ -17,7 +17,7 @@ use crate::metrics::RunMetrics;
 use crate::pool::BufferPool;
 use crate::reliable::{Reliability, ReliableTransport};
 use crate::trace::Trace;
-use crate::transport::ChannelTransport;
+use crate::transport::{ChannelTransport, Delivery};
 use crate::vbarrier::VBarrier;
 
 /// Configuration for one cluster run.
@@ -35,7 +35,13 @@ pub struct ClusterConfig {
     pub timeout: Duration,
     /// Injected faults.
     pub faults: Arc<FaultPlan>,
-    /// Ack/retransmit reliability sublayer (None = raw wire).
+    /// Ask for "deliver every message or give one consistent verdict"
+    /// (None = raw wire, a lost message is a timeout). Which layer
+    /// provides it follows from the transport's [`Delivery`]: over
+    /// datagram wires (channels, Unix sockets, anything under injected
+    /// wire faults) the ack/retransmit sublayer is stacked with this
+    /// tuning; a clean TCP fabric already delivers reliably and in
+    /// order, heals by per-pair replay, and runs without it.
     pub reliability: Option<Reliability>,
     /// Use the legacy serialized round engine (receives complete in
     /// spec order with sliced polling) instead of the concurrent one.
@@ -71,9 +77,9 @@ pub struct ClusterConfig {
     /// topology.
     pub node_size: Option<usize>,
     /// Override for the TCP fabric's connection-healing machinery
-    /// (reconnect with backoff, outbox preservation, node eviction).
-    /// `None` (the default) arms healing automatically whenever the
-    /// reliability sublayer or socket-level faults are configured;
+    /// (reconnect with backoff, per-pair replay, node eviction).
+    /// `None` (the default) arms healing automatically whenever
+    /// reliable delivery or socket-level faults are configured;
     /// `Some(false)` forces the legacy fail-fast reactor even then
     /// (the lever the recovery A/B bench pulls); `Some(true)` arms it
     /// unconditionally. Only consulted by
@@ -148,8 +154,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable the ack/retransmit reliability sublayer (with the given
-    /// tuning) under every rank's transport.
+    /// Enable reliable delivery (see [`ClusterConfig::reliability`]):
+    /// the ack/retransmit sublayer, with the given tuning, under every
+    /// rank whose transport is datagram-like.
     #[must_use]
     pub fn with_reliability(mut self, reliability: Reliability) -> Self {
         self.reliability = Some(reliability);
@@ -609,7 +616,15 @@ impl Cluster {
                 if let Some((expires, budget)) = shared_expiry {
                     deadline.arm_at(expires, budget);
                 }
-                if let Some(rel) = config.reliability {
+                // The ARQ only has work to do over a wire that can lose,
+                // reorder or damage a message. A transport that already
+                // delivers reliably and in order (a clean TCP fabric)
+                // runs bare: `with_reliability` asks for "deliver or one
+                // consistent verdict", and there the stream provides it.
+                if let Some(rel) = config
+                    .reliability
+                    .filter(|_| transport.delivery() == Delivery::Datagram)
+                {
                     transport = Box::new(
                         ReliableTransport::new(transport, rank, n, rel, Arc::clone(&detector))
                             .with_deadline(deadline.clone()),
@@ -643,7 +658,6 @@ impl Cluster {
         // would exhaust its retries against a peer that merely went quiet.
         let done = AtomicUsize::new(0);
         let done_ref = &done;
-        let linger = config.reliability.is_some();
         let linger_fallback = config.timeout;
         let outcomes: Vec<(Result<T, NetError>, crate::metrics::RankMetrics, f64, u64)> =
             std::thread::scope(|scope| {
@@ -675,11 +689,12 @@ impl Cluster {
                             // tail and get answered, so shutdown waits a
                             // few RTOs instead of a fixed multi-second
                             // constant (the configured timeout stays as
-                            // the upper bound).
-                            let flush_cap = ep
-                                .linger_hint()
-                                .unwrap_or(linger_fallback)
-                                .min(linger_fallback);
+                            // the upper bound). Only an ARQ sublayer has a
+                            // hint — and only an ARQ sublayer has a tail
+                            // to drain or retransmissions to keep acking.
+                            let hint = ep.linger_hint();
+                            let linger = hint.is_some();
+                            let flush_cap = hint.unwrap_or(linger_fallback).min(linger_fallback);
                             // Windowed sends may still have an unacked
                             // tail when the body returns (the collective
                             // only matched the *data*, not the acks).

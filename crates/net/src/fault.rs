@@ -160,6 +160,20 @@ pub enum SocketFault {
         /// Number of consecutive handshakes to fail.
         drops: u32,
     },
+    /// Replace the connecting end's next `count` reconnect handshakes
+    /// with seeded malformed ones, cycling through a short write, a
+    /// foreign pair id, a delivered count beyond anything sent, and
+    /// random bytes. Each must cost exactly one reconnect attempt.
+    HandshakeGarble {
+        /// A rank on one of the two nodes.
+        src: usize,
+        /// A rank on the other node.
+        dst: usize,
+        /// Seed for the malformed bytes.
+        seed: u64,
+        /// Number of consecutive handshakes to malform.
+        count: u32,
+    },
     /// Reset the link at `round` and then again after each of the next
     /// `flaps` successful heals — the flapping-connection generator.
     Flap {
@@ -380,6 +394,25 @@ impl FaultPlan {
     pub fn with_handshake_drops(mut self, src: usize, dst: usize, drops: u32) -> Self {
         self.socket
             .push(SocketFault::HandshakeDrop { src, dst, drops });
+        self
+    }
+
+    /// Malform the `src ↔ dst` pair's next `count` reconnect handshakes
+    /// (see [`SocketFault::HandshakeGarble`]).
+    #[must_use]
+    pub fn with_malformed_handshakes(
+        mut self,
+        src: usize,
+        dst: usize,
+        seed: u64,
+        count: u32,
+    ) -> Self {
+        self.socket.push(SocketFault::HandshakeGarble {
+            src,
+            dst,
+            seed,
+            count,
+        });
         self
     }
 

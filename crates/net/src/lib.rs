@@ -45,7 +45,11 @@
 //!   selective acks, ack piggybacking on reverse-path data,
 //!   exponential-backoff retransmission of only the unacked suffix, and
 //!   duplicate suppression. Past the retry cap a peer is declared dead
-//!   in the cluster-shared [`failure::FailureDetector`].
+//!   in the cluster-shared [`failure::FailureDetector`]. The runners
+//!   stack it only over transports that declare [`Delivery::Datagram`]:
+//!   a clean TCP fabric ([`tcp`]) is already a reliable ordered stream,
+//!   heals a broken connection by per-node-pair replay, and carries no
+//!   per-rank ARQ state at all.
 //! * **Failure agreement + shrink-and-retry** ([`failure`],
 //!   [`cluster`]) — the detector is a monotone dead set every endpoint
 //!   polls while waiting, so one rank's death interrupts every waiter
@@ -138,4 +142,4 @@ pub use tcp::{
     FabricConfig, ScaleOutput, ScaleResilientOutput, TcpFabric, TcpRankTransport, TcpScaleCluster,
 };
 pub use trace::{Trace, TraceEvent};
-pub use transport::{ChannelTransport, Transport};
+pub use transport::{ChannelTransport, Delivery, Transport};

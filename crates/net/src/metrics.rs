@@ -136,9 +136,9 @@ pub struct FabricStats {
     pub injected_stalls: u64,
     /// Injected handshake drops consumed during reconnect attempts.
     pub injected_handshake_drops: u64,
-    /// Bytes dropped by outbox backpressure: the per-stream outbox hit
-    /// its byte cap (dead or wedged peer) and the frame was discarded
-    /// for the ARQ layer to re-drive.
+    /// Bytes dropped at a full outbox. Always `0`: a sender at the
+    /// outbox's high-water mark waits instead (nothing above the fabric
+    /// would re-drive a shed frame). Kept so stored results still parse.
     pub outbox_shed_bytes: u64,
 }
 

@@ -223,7 +223,9 @@ impl TxLink {
 
 /// A [`Transport`] wrapper providing acked, deduplicated, checksummed,
 /// windowed delivery. One per rank, installed by the cluster runner
-/// above the fault-injection layer when reliability is enabled.
+/// above the fault-injection layer when reliability is enabled and the
+/// transport below declares [`Delivery::Datagram`](crate::Delivery) —
+/// a stream that is already reliable is left bare.
 pub struct ReliableTransport {
     inner: Box<dyn Transport>,
     rank: usize,
@@ -661,13 +663,22 @@ impl ReliableTransport {
     }
 
     /// Record that a caller is actively waiting on `from` — the
-    /// watchdog's licence to probe (and escalate) that link.
+    /// watchdog's licence to probe (and escalate) that link. The silence
+    /// clock starts when a link turns from unwatched to watched: silence
+    /// nobody was waiting through says nothing about the peer, and
+    /// counting it made the first wait on every new partner probe at
+    /// once (a probe per message once a run outlived `probe_interval`).
     fn note_watch(&mut self, from: usize) {
-        if from != self.rank {
-            if let Some(w) = self.watch.get_mut(from) {
-                *w = Some(Instant::now());
-            }
+        if from == self.rank || from >= self.watch.len() {
+            return;
         }
+        let now = Instant::now();
+        let watched =
+            self.watch[from].is_some_and(|w| now.saturating_duration_since(w) < WATCH_FRESH);
+        if !watched {
+            self.last_heard[from] = now;
+        }
+        self.watch[from] = Some(now);
     }
 
     fn take_pending(&mut self, from: usize, tag: Tag) -> Option<Message> {
@@ -1287,6 +1298,24 @@ mod tests {
         }
         assert_eq!(a.link_stats().probes_sent, 0);
         assert!(det.snapshot().is_empty());
+    }
+
+    #[test]
+    fn first_watch_starts_the_silence_clock() {
+        // A peer nobody waited on has been "silent" since construction;
+        // the first wait on it must get a full probe interval before the
+        // watchdog spends a probe, not an immediate one.
+        let cfg = Reliability::default().with_probing(Duration::from_millis(40), 3);
+        let (mut a, _b, _det) = pair_with(cfg);
+        silence(&mut a, 1, Duration::from_secs(5));
+        a.note_watch(1);
+        a.pump().unwrap();
+        assert_eq!(a.link_stats().probes_sent, 0, "stale silence was counted");
+        // Watched silence past the interval is still probed.
+        silence(&mut a, 1, Duration::from_secs(5));
+        a.note_watch(1);
+        a.pump().unwrap();
+        assert_eq!(a.link_stats().probes_sent, 1);
     }
 
     #[test]

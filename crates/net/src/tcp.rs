@@ -32,15 +32,37 @@
 //!   `O(workers)`, not `O(n)`, so `n = 1024` runs where 1024 threads
 //!   would not.
 //!
-//! The reliability stack is unchanged: sliding-window ARQ, adaptive
-//! RTO, the heartbeat watchdog, and deadline clamps
-//! ([`crate::reliable`], [`crate::deadline`]) wrap the TCP transport
-//! exactly as they wrap channels and datagram sockets, and fault
-//! injection ([`crate::fault`]) applies to every transmission.
+//! **Who provides reliability.** A TCP stream is already ordered and
+//! reliable, so [`TcpRankTransport`] declares
+//! [`Delivery::ReliableStream`] and a clean fabric carries no
+//! per-rank-pair sequence numbers, acks, RTO timers or probes even when
+//! the caller asked for [`ClusterConfig::with_reliability`]. What a
+//! stream cannot do by itself — survive a broken connection — lives in
+//! the fabric, per *node pair*:
+//!
+//! * each stream end counts the whole records it has delivered and keeps
+//!   the records it has written until the peer confirms them (a 16-byte
+//!   in-band "delivered N" control record every `ACK_EVERY` records
+//!   bounds that log without a timer);
+//! * a reconnect re-handshakes `pair id + delivered count` over the new
+//!   socket in both directions; each end drops the confirmed prefix and
+//!   replays the rest ahead of newer outbox data, so a healed stream
+//!   resumes at a record boundary with nothing lost and nothing doubled;
+//! * failure detection is the connection state machine alone: an I/O
+//!   error or EOF, or a connected pair with output pending that moves no
+//!   byte for [`FabricConfig::handshake_timeout`], tears the pair down;
+//!   an exhausted reconnect budget evicts a node and publishes its ranks
+//!   to the [`FailureDetector`] for one cluster-consistent verdict.
+//!
+//! Injected *wire* faults ([`crate::fault::FaultyTransport`]: loss,
+//! duplication, corruption, cuts) make the stack a datagram wire again,
+//! and then the sliding-window ARQ, adaptive RTO and heartbeat watchdog
+//! of [`crate::reliable`] wrap it exactly as they wrap channels and
+//! datagram sockets. Deadlines ([`crate::deadline`]) apply either way.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,11 +82,29 @@ use crate::membership::{Membership, RecoveryPolicy};
 use crate::message::{payload_checksum, Message, Tag};
 use crate::metrics::{FabricStats, RankMetrics, RunMetrics};
 use crate::reliable::ReliableTransport;
-use crate::transport::Transport;
+use crate::transport::{Delivery, Transport};
 
-/// Stream prefix ahead of every frame: `u32` frame length + `u32`
+/// Stream prefix ahead of every record: `u32` body length + `u32`
 /// destination rank (both little-endian).
 const STREAM_PREFIX: usize = 8;
+
+/// Largest record body a peer may announce: one full fragment frame.
+const MAX_RECORD: usize = HEADER + FRAG_PAYLOAD;
+
+/// The "destination" of a fabric control record — never a rank.
+const CTL_DST: u32 = u32::MAX;
+
+/// A control record: the prefix plus the sender's delivered count.
+const CTL_LEN: usize = STREAM_PREFIX + 8;
+
+/// Data records a stream end delivers between two "delivered N" control
+/// records. Bounds the peer's replay log to this many records (plus
+/// what is in flight) with no timer involved.
+const ACK_EVERY: u64 = 64;
+
+/// The re-handshake either end sends: `u32` pair id + `u64` count of
+/// records that end has delivered (both little-endian).
+const HANDSHAKE_LEN: usize = 4 + 8;
 
 /// Reactor read chunk: one full frame's worth per `read` call.
 const READ_CHUNK: usize = HEADER + FRAG_PAYLOAD;
@@ -87,8 +127,10 @@ const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(20);
 /// attempt.
 const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Default per-stream outbox byte cap: past this, frames are shed (the
-/// ARQ layer re-drives them) so a dead peer cannot OOM the reactor.
+/// Default per-stream outbox high-water mark: a sender that finds its
+/// outbox at or past it waits for the reactor to drain it (or for the
+/// pair to die), so a slow or reconnecting peer bounds memory without
+/// costing a frame.
 const DEFAULT_OUTBOX_CAP: usize = 8 << 20;
 
 /// Healing, fault-injection, and lifecycle knobs for a [`TcpFabric`].
@@ -96,9 +138,9 @@ const DEFAULT_OUTBOX_CAP: usize = 8 << 20;
 /// [`Default`] gives the PR 9 fabric: no healing (the first stream
 /// error fails the run), no injection, 1s drain grace.
 pub struct FabricConfig {
-    /// Heal broken streams instead of failing the fabric. Requires an
-    /// ARQ layer above (the fabric discards in-flight bytes on
-    /// teardown and relies on retransmission for gap repair).
+    /// Heal broken streams instead of failing the fabric. Self-contained:
+    /// the re-handshake exchanges delivered counts and each end replays
+    /// its unconfirmed records, so no layer above has to repair a gap.
     pub heal: bool,
     /// Reconnect attempts per outage before the pair is declared dead.
     pub reconnect_budget: u32,
@@ -106,9 +148,11 @@ pub struct FabricConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Budget for one reconnect handshake.
+    /// Budget for one reconnect handshake — and how long a connected
+    /// pair with output pending may move no byte before it is torn down
+    /// as half-open.
     pub handshake_timeout: Duration,
-    /// Per-stream outbox byte cap (backpressure; sheds past it).
+    /// Per-stream outbox high-water mark (sender backpressure).
     pub outbox_cap: usize,
     /// How long the reactor keeps sweeping after shutdown is requested,
     /// waiting for outboxes to drain (hang backstop only — drained
@@ -187,7 +231,6 @@ struct FabricStatsShared {
     injected_resets: AtomicU64,
     injected_stalls: AtomicU64,
     injected_handshake_drops: AtomicU64,
-    outbox_shed_bytes: AtomicU64,
 }
 
 impl FabricStatsShared {
@@ -201,7 +244,8 @@ impl FabricStatsShared {
             injected_resets: self.injected_resets.load(Ordering::Relaxed),
             injected_stalls: self.injected_stalls.load(Ordering::Relaxed),
             injected_handshake_drops: self.injected_handshake_drops.load(Ordering::Relaxed),
-            outbox_shed_bytes: self.outbox_shed_bytes.load(Ordering::Relaxed),
+            // Outboxes apply backpressure and never shed.
+            outbox_shed_bytes: 0,
         }
     }
 }
@@ -217,12 +261,16 @@ struct FabricShared {
     outboxes: Vec<Mutex<Vec<u8>>>,
     /// Cheap has-data flags so the reactor skips locking idle outboxes.
     dirty: Vec<AtomicBool>,
-    /// First wire error observed by the reactor (or a sender); fails
-    /// every subsequent send so the run aborts instead of hanging.
+    /// First wire error observed by the reactor; fails every subsequent
+    /// send (and every idle wait of the scale executor) so the run
+    /// aborts instead of hanging.
     error: Mutex<Option<String>>,
+    /// Set once `error` is: the lock-free fast path of [`Self::check`].
+    failed: AtomicBool,
     nodes: usize,
-    /// Outbox byte cap: senders shed frames past it (the ARQ layer
-    /// re-drives them) so a dead peer cannot grow an outbox unboundedly.
+    /// Outbox high-water mark: a sender waits while its outbox is at or
+    /// past it, so a slow or reconnecting peer cannot grow one without
+    /// bound.
     outbox_cap: usize,
     /// Per-pair tombstones: reconnect budget exhausted, sends to the
     /// pair are blackholed and the pair no longer gates shutdown.
@@ -250,9 +298,13 @@ impl FabricShared {
         if slot.is_none() {
             *slot = Some(msg);
         }
+        self.failed.store(true, Ordering::Release);
     }
 
     fn check(&self) -> Result<(), NetError> {
+        if !self.failed.load(Ordering::Acquire) {
+            return Ok(());
+        }
         match self.error.lock().expect("fabric error lock").as_ref() {
             Some(e) => Err(NetError::App(format!("tcp fabric: {e}"))),
             None => Ok(()),
@@ -264,28 +316,166 @@ impl FabricShared {
     }
 }
 
-/// One stream end owned by the reactor.
-struct Link {
-    stream: TcpStream,
-    /// The outbox this end transmits.
-    idx: usize,
-    /// Bytes being written (drained from the outbox), and the write
-    /// offset into them.
-    out: Vec<u8>,
-    out_at: usize,
-    /// Inbound bytes not yet parsed into whole frames.
-    rbuf: Vec<u8>,
+/// Total length of the record starting at `at` in a buffer of whole
+/// records.
+fn record_len(buf: &[u8], at: usize) -> usize {
+    STREAM_PREFIX + u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize
 }
 
-impl Link {
+/// The transmit half of a stream end: every record handed to the stream
+/// that the peer has not confirmed yet, and the write cursor over them.
+/// It outlives the socket — after a reconnect the cursor is put back on
+/// the oldest record the peer does not hold ([`TxLog::rewind`]).
+#[derive(Default)]
+struct TxLog {
+    /// Unconfirmed bytes, oldest first. Each chunk is one drained
+    /// outbox: whole records, never empty.
+    chunks: VecDeque<Vec<u8>>,
+    /// Offset in `chunks[0]` of the oldest unconfirmed record.
+    head: usize,
+    /// Records the peer has confirmed; the record at `head` is this one.
+    confirmed: u64,
+    /// Write cursor: chunk index and byte offset into it
+    /// (`cur.0 == chunks.len()` once everything is written).
+    cur: (usize, usize),
+    /// Start of the record the cursor is in (`== cur.1` on a boundary).
+    rec: usize,
+    /// Records written in full to the current or an earlier socket.
+    written: u64,
+    /// A retired chunk's allocation, handed back as the senders' next
+    /// outbox arena.
+    spare: Vec<u8>,
+}
+
+impl TxLog {
+    fn pending(&self) -> bool {
+        self.cur.0 < self.chunks.len()
+    }
+
+    /// Whether the cursor sits between two records, where a control
+    /// record may be spliced into the stream.
+    fn at_boundary(&self) -> bool {
+        self.cur.1 == self.rec
+    }
+
+    fn unwritten(&self) -> &[u8] {
+        &self.chunks[self.cur.0][self.cur.1..]
+    }
+
+    /// The socket took `k` more bytes.
+    fn advance(&mut self, k: usize) {
+        self.cur.1 += k;
+        let chunk = &self.chunks[self.cur.0];
+        loop {
+            let end = self.rec + record_len(chunk, self.rec);
+            if self.cur.1 < end {
+                return;
+            }
+            self.written += 1;
+            if end == chunk.len() {
+                self.cur = (self.cur.0 + 1, 0);
+                self.rec = 0;
+                return;
+            }
+            self.rec = end;
+        }
+    }
+
+    /// The peer holds `n` records in total: retire the confirmed prefix.
+    /// A count outside `confirmed..=written` cannot come from a correct
+    /// peer — below it, the records are gone; above it, they were never
+    /// sent.
+    fn confirm(&mut self, n: u64) -> Result<(), HandshakeError> {
+        if n < self.confirmed || n > self.written {
+            return Err(HandshakeError::BadCount);
+        }
+        while self.confirmed < n {
+            let front = &self.chunks[0];
+            self.head += record_len(front, self.head);
+            self.confirmed += 1;
+            if self.head == front.len() {
+                // Wholly confirmed means wholly written, so the cursor
+                // is already in a later chunk.
+                let mut done = self.chunks.pop_front().expect("front chunk");
+                self.head = 0;
+                self.cur.0 -= 1;
+                if done.capacity() > self.spare.capacity() {
+                    done.clear();
+                    self.spare = done;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A fresh socket whose handshake says the peer holds `n` records:
+    /// retire those and replay everything after them, ahead of any newer
+    /// outbox data.
+    fn rewind(&mut self, n: u64) -> Result<(), HandshakeError> {
+        self.confirm(n)?;
+        self.cur = (0, self.head);
+        self.rec = self.head;
+        self.written = self.confirmed;
+        Ok(())
+    }
+}
+
+/// One end of a node pair's stream, owned by the reactor. Only `stream`,
+/// `rbuf` and a half-written control record die with a connection; the
+/// delivery state spans outages.
+struct End {
+    /// The outbox this end transmits.
+    idx: usize,
+    /// `Some` while the pair is connected.
+    stream: Option<TcpStream>,
+    tx: TxLog,
+    /// The "delivered N" control record being written and the offset
+    /// into it (`CTL_LEN`: none pending).
+    ctl: [u8; CTL_LEN],
+    ctl_at: usize,
+    /// Inbound bytes not yet parsed into whole records.
+    rbuf: Vec<u8>,
+    /// Whole data records this end has delivered to mailboxes.
+    delivered: u64,
+    /// The delivered count the peer last heard, by control record or
+    /// handshake.
+    reported: u64,
+}
+
+impl End {
     fn fresh(stream: TcpStream, idx: usize) -> Self {
         Self {
-            stream,
             idx,
-            out: Vec::new(),
-            out_at: 0,
+            stream: Some(stream),
+            tx: TxLog::default(),
+            ctl: [0; CTL_LEN],
+            ctl_at: CTL_LEN,
             rbuf: Vec::new(),
+            delivered: 0,
+            reported: 0,
         }
+    }
+
+    /// Output staged for this end that no socket has taken yet.
+    fn has_output(&self, shared: &FabricShared) -> bool {
+        self.tx.pending() || shared.dirty[self.idx].load(Ordering::Acquire)
+    }
+
+    /// Drop the connection and what cannot outlive it: the stream
+    /// restarts at a record boundary in both directions.
+    fn disconnect(&mut self) {
+        self.stream = None;
+        self.rbuf.clear();
+        self.ctl_at = CTL_LEN;
+    }
+
+    /// Adopt a healed connection whose handshake said the peer holds
+    /// `peer_holds` of this end's records (and told the peer our count).
+    fn reconnect(&mut self, stream: TcpStream, peer_holds: u64) -> Result<(), HandshakeError> {
+        self.tx.rewind(peer_holds)?;
+        self.stream = Some(stream);
+        self.reported = self.delivered;
+        Ok(())
     }
 }
 
@@ -301,15 +491,17 @@ enum ArmedKind {
 
 /// Connection state machine for one node pair:
 /// connected → reconnecting(backoff) → evicted. Both stream ends live
-/// here — the fabric is loopback, so the reactor owns both sides.
+/// here — the fabric is loopback, so the reactor owns both sides — but
+/// each end learns the other's delivered count only off the wire.
 struct Pair {
     p: usize,
     lo_node: usize,
     hi_node: usize,
-    /// `Some` while connected; `None` while down. Teardown drops both
-    /// ends and their partial buffers: the stream restarts at a record
-    /// boundary on both sides and the ARQ layer re-drives the gap.
-    ends: Option<(Link, Link)>,
+    /// `[lo, hi]`: the connecting and the accepting end.
+    ends: [End; 2],
+    /// Since when the connected pair has had output pending and moved
+    /// no byte (half-open detection).
+    idle_since: Option<Instant>,
     /// When the current outage began (backoff dwell accounting).
     down_since: Option<Instant>,
     /// Reconnect attempts made this outage.
@@ -319,6 +511,10 @@ struct Pair {
     dead: bool,
     /// Injected: fail the next N reconnect handshakes.
     hs_drops_left: u32,
+    /// Injected: send a malformed handshake on the next N reconnects,
+    /// drawn from this seed.
+    hs_garbles_left: u32,
+    hs_garble_seed: u64,
     /// Injected: tear down again after each of the next N heals.
     flaps_left: u32,
     /// Injected: skip all I/O on the pair until this instant.
@@ -328,21 +524,43 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(p: usize, lo_node: usize, hi_node: usize, lo: Link, hi: Link) -> Self {
+    fn new(p: usize, lo_node: usize, hi_node: usize, lo: TcpStream, hi: TcpStream) -> Self {
         Self {
             p,
             lo_node,
             hi_node,
-            ends: Some((lo, hi)),
+            ends: [End::fresh(lo, 2 * p), End::fresh(hi, 2 * p + 1)],
+            idle_since: None,
             down_since: None,
             attempts: 0,
             next_attempt: Instant::now(),
             dead: false,
             hs_drops_left: 0,
+            hs_garbles_left: 0,
+            hs_garble_seed: 0,
             flaps_left: 0,
             stall_until: None,
             armed: Vec::new(),
         }
+    }
+
+    fn connected(&self) -> bool {
+        self.ends[0].stream.is_some()
+    }
+
+    fn disconnect(&mut self) {
+        for end in &mut self.ends {
+            end.disconnect();
+        }
+        self.idle_since = None;
+    }
+
+    /// Whether the pair has now sat on pending output without moving a
+    /// byte for `limit`. Call only on such a sweep; any progress resets
+    /// `idle_since`.
+    fn stuck_for(&mut self, limit: Duration) -> bool {
+        let now = Instant::now();
+        now.duration_since(*self.idle_since.get_or_insert(now)) >= limit
     }
 }
 
@@ -350,33 +568,67 @@ impl Pair {
 enum LinkErr {
     /// Stream-level I/O failure (reset, EOF, write error): healable.
     Io(String),
-    /// Protocol violation (bad frame, unknown rank): never healable.
+    /// Protocol violation (bad frame, unknown rank, impossible delivered
+    /// count): never healable.
     Fatal(String),
 }
 
-/// Write/read/parse one stream end. Returns whether any bytes moved.
-fn sweep_link(
+/// Write/read/parse one connected stream end. Returns whether any bytes
+/// moved.
+fn sweep_end(
     shared: &FabricShared,
-    link: &mut Link,
+    end: &mut End,
     chunk: &mut [u8],
     asms: &mut [Assembler],
     senders: &[MailSender],
 ) -> Result<bool, LinkErr> {
     let n = senders.len();
+    let End {
+        idx,
+        stream,
+        tx,
+        ctl,
+        ctl_at,
+        rbuf,
+        delivered,
+        reported,
+    } = end;
+    let stream = stream.as_mut().expect("swept while connected");
     let mut moved = false;
-    // Refill the write cursor from the outbox (allocation swap: the
-    // drained buffer goes back as the senders' next arena).
-    if link.out_at == link.out.len() && shared.dirty[link.idx].swap(false, Ordering::AcqRel) {
-        link.out.clear();
-        link.out_at = 0;
-        let mut outbox = shared.outboxes[link.idx].lock().expect("outbox lock");
-        std::mem::swap(&mut *outbox, &mut link.out);
+    // Refill the log from the outbox once everything older is written
+    // (allocation swap: a retired chunk goes back as the senders' next
+    // arena).
+    if !tx.pending() && shared.dirty[*idx].swap(false, Ordering::AcqRel) {
+        let mut staged = std::mem::take(&mut tx.spare);
+        std::mem::swap(
+            &mut *shared.outboxes[*idx].lock().expect("outbox lock"),
+            &mut staged,
+        );
+        if staged.is_empty() {
+            tx.spare = staged;
+        } else {
+            tx.chunks.push_back(staged);
+        }
     }
-    while link.out_at < link.out.len() {
-        match link.stream.write(&link.out[link.out_at..]) {
+    loop {
+        // A control record goes out between two data records, and once
+        // begun is finished before anything else.
+        let ctl_due = *ctl_at < CTL_LEN && (*ctl_at > 0 || tx.at_boundary());
+        let buf = if ctl_due {
+            &ctl[*ctl_at..]
+        } else if tx.pending() {
+            tx.unwritten()
+        } else {
+            break;
+        };
+        match stream.write(buf) {
             Ok(0) => return Err(LinkErr::Io("stream closed mid-write".into())),
             Ok(k) => {
-                link.out_at += k;
+                if ctl_due {
+                    *ctl_at += k;
+                } else {
+                    tx.advance(k);
+                }
                 moved = true;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -385,10 +637,10 @@ fn sweep_link(
         }
     }
     loop {
-        match link.stream.read(chunk) {
+        match stream.read(chunk) {
             Ok(0) => return Err(LinkErr::Io("stream EOF".into())),
             Ok(k) => {
-                link.rbuf.extend_from_slice(&chunk[..k]);
+                rbuf.extend_from_slice(&chunk[..k]);
                 moved = true;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -396,16 +648,33 @@ fn sweep_link(
             Err(e) => return Err(LinkErr::Io(format!("read: {e}"))),
         }
     }
-    // Parse whole frames off the front of the read buffer.
+    // Parse whole records off the front of the read buffer.
     let mut at = 0usize;
-    while link.rbuf.len().saturating_sub(at) >= STREAM_PREFIX {
-        let flen = u32::from_le_bytes(link.rbuf[at..at + 4].try_into().expect("4 bytes")) as usize;
-        if link.rbuf.len() - at < STREAM_PREFIX + flen {
+    while rbuf.len() - at >= STREAM_PREFIX {
+        let flen = u32::from_le_bytes(rbuf[at..at + 4].try_into().expect("4 bytes")) as usize;
+        if flen > MAX_RECORD {
+            return Err(LinkErr::Fatal(format!("record of {flen} bytes announced")));
+        }
+        if rbuf.len() - at < STREAM_PREFIX + flen {
             break;
         }
-        let dst =
-            u32::from_le_bytes(link.rbuf[at + 4..at + 8].try_into().expect("4 bytes")) as usize;
-        let body = &link.rbuf[at + STREAM_PREFIX..at + STREAM_PREFIX + flen];
+        let dst = u32::from_le_bytes(rbuf[at + 4..at + 8].try_into().expect("4 bytes"));
+        let body = &rbuf[at + STREAM_PREFIX..at + STREAM_PREFIX + flen];
+        at += STREAM_PREFIX + flen;
+        if dst == CTL_DST {
+            let count: [u8; 8] = body
+                .try_into()
+                .map_err(|_| LinkErr::Fatal(format!("control record of {flen} bytes")))?;
+            let count = u64::from_le_bytes(count);
+            tx.confirm(count).map_err(|_| {
+                LinkErr::Fatal(format!(
+                    "peer confirmed {count} records, window is {}..={}",
+                    tx.confirmed, tx.written
+                ))
+            })?;
+            continue;
+        }
+        let dst = dst as usize;
         match decode_frame(body) {
             Ok(frame) if dst < n => {
                 asms[dst].accept(frame);
@@ -415,6 +684,7 @@ fn sweep_link(
                     // channel transport.
                     let _ = senders[dst].send(m);
                 }
+                *delivered += 1;
             }
             Ok(_) => {
                 return Err(LinkErr::Fatal(format!(
@@ -423,11 +693,17 @@ fn sweep_link(
             }
             Err(e) => return Err(LinkErr::Fatal(format!("decode: {e}"))),
         }
-        at += STREAM_PREFIX + flen;
     }
     if at > 0 {
-        link.rbuf.copy_within(at.., 0);
-        link.rbuf.truncate(link.rbuf.len() - at);
+        rbuf.copy_within(at.., 0);
+        rbuf.truncate(rbuf.len() - at);
+    }
+    if *delivered - *reported >= ACK_EVERY && *ctl_at == CTL_LEN {
+        ctl[..4].copy_from_slice(&8u32.to_le_bytes());
+        ctl[4..8].copy_from_slice(&CTL_DST.to_le_bytes());
+        ctl[8..].copy_from_slice(&delivered.to_le_bytes());
+        *ctl_at = 0;
+        *reported = *delivered;
     }
     Ok(moved)
 }
@@ -482,11 +758,12 @@ impl Reactor {
             .unwrap_or(u64::MAX)
     }
 
-    /// Tear a pair down: drop both ends (and their partial buffers) and
-    /// enter the reconnecting state. With healing off the caller fails
-    /// the fabric instead.
+    /// Tear a pair down: drop both sockets (and their partial buffers)
+    /// and enter the reconnecting state; the ends keep their delivered
+    /// counts and unconfirmed records for the re-handshake. With healing
+    /// off the caller fails the fabric instead.
     fn teardown(&mut self, pair: &mut Pair, injected: bool) {
-        pair.ends = None;
+        pair.disconnect();
         pair.down_since = Some(Instant::now());
         pair.attempts = 0;
         pair.next_attempt = Instant::now();
@@ -537,32 +814,52 @@ impl Reactor {
         for other in pairs.iter_mut() {
             if !other.dead && (other.lo_node == victim || other.hi_node == victim) {
                 other.dead = true;
-                other.ends = None;
+                other.disconnect();
                 self.shared.pair_dead[other.p].store(true, Ordering::Relaxed);
             }
         }
     }
 
-    /// One reconnect attempt for a downed pair: connect, exchange the
-    /// pair id, install fresh links. Consumes injected handshake drops
-    /// and fires pending flaps.
+    /// One reconnect attempt for a downed pair: connect, exchange pair
+    /// id and delivered counts over the new socket, rewind each end's
+    /// log to what its peer holds. Consumes injected handshake faults
+    /// and fires pending flaps. Every failure burns one budget attempt.
     fn try_reconnect(&mut self, pairs: &mut [Pair], at: usize) {
-        let p = pairs[at].p;
-        pairs[at].attempts += 1;
-        let outcome = if pairs[at].hs_drops_left > 0 {
-            pairs[at].hs_drops_left -= 1;
+        let pair = &mut pairs[at];
+        pair.attempts += 1;
+        let injected = pair.hs_drops_left > 0 || pair.hs_garbles_left > 0;
+        if injected {
             self.shared
                 .stats
                 .injected_handshake_drops
                 .fetch_add(1, Ordering::Relaxed);
-            Err("injected handshake drop".to_string())
+        }
+        let outcome = if pair.hs_drops_left > 0 {
+            pair.hs_drops_left -= 1;
+            Err(HandshakeError::Dropped)
         } else {
+            let garble = (pair.hs_garbles_left > 0).then(|| {
+                pair.hs_garbles_left -= 1;
+                Garble::nth(pair.hs_garbles_left, mix64(&mut pair.hs_garble_seed))
+            });
             let (listener, addr) = self.listener.as_ref().expect("healing requires listener");
-            reconnect_handshake(listener, *addr, p, self.handshake_timeout)
+            let delivered = [pair.ends[0].delivered, pair.ends[1].delivered];
+            reconnect_handshake(
+                listener,
+                *addr,
+                pair.p,
+                delivered,
+                self.handshake_timeout,
+                garble,
+            )
+            .and_then(|([lo, hi], heard)| {
+                pair.ends[0].reconnect(lo, heard[0])?;
+                pair.ends[1].reconnect(hi, heard[1])
+            })
         };
         match outcome {
-            Ok((lo, hi)) => {
-                let down = pairs[at]
+            Ok(()) => {
+                let down = pair
                     .down_since
                     .take()
                     .map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -571,76 +868,171 @@ impl Reactor {
                     .stats
                     .backoff_ns
                     .fetch_add(down, Ordering::Relaxed);
-                pairs[at].ends = Some((Link::fresh(lo, 2 * p), Link::fresh(hi, 2 * p + 1)));
-                pairs[at].attempts = 0;
-                if pairs[at].flaps_left > 0 {
+                pair.attempts = 0;
+                if pair.flaps_left > 0 {
                     // Flapping link: the heal itself triggers the next
                     // injected reset.
-                    pairs[at].flaps_left -= 1;
-                    self.teardown(&mut pairs[at], true);
+                    pair.flaps_left -= 1;
+                    self.teardown(pair, true);
                 }
             }
             Err(_) => {
+                pair.disconnect();
                 self.shared
                     .stats
                     .reconnect_failures
                     .fetch_add(1, Ordering::Relaxed);
-                if pairs[at].attempts >= self.budget {
+                if pair.attempts >= self.budget {
                     self.evict(pairs, at);
                 } else {
-                    let wait = self.backoff(pairs[at].attempts);
-                    pairs[at].next_attempt = Instant::now() + wait;
+                    let wait = self.backoff(pair.attempts);
+                    pair.next_attempt = Instant::now() + wait;
                 }
             }
         }
     }
 }
 
-/// Connect + pair-id exchange for one healing pair, bounded by
-/// `timeout`. Stale backlog connections (from abandoned attempts of
-/// other pairs) are drained and discarded by the id check.
+/// Why one reconnect attempt failed. Whatever the peer sent, the answer
+/// is one of these and one unit of the pair's budget — never a panic,
+/// and nothing is ever sized by a field read off the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HandshakeError {
+    /// An injected handshake drop.
+    Dropped,
+    /// Connecting, accepting or configuring a socket failed.
+    Io,
+    /// The peer's handshake did not arrive in time.
+    TimedOut,
+    /// The peer closed before sending a whole handshake.
+    Short,
+    /// The handshake names a different pair.
+    WrongPair,
+    /// The delivered count lies outside what this end has confirmed and
+    /// written: behind it the records are gone, beyond it they never
+    /// existed.
+    BadCount,
+}
+
+/// An injected malformation of the connecting end's handshake.
+#[derive(Debug, Clone, Copy)]
+enum Garble {
+    /// Fewer than [`HANDSHAKE_LEN`] bytes, then a write-side close.
+    Short(u64),
+    /// A pair id that is not this pair's.
+    WrongPair(u64),
+    /// A delivered count beyond anything this fabric could have sent.
+    BeyondSent(u64),
+    /// [`HANDSHAKE_LEN`] seeded random bytes.
+    Random(u64),
+}
+
+impl Garble {
+    /// The `i`-th malformation of a burst cycles through the kinds; the
+    /// bytes come from `seed`.
+    fn nth(i: u32, seed: u64) -> Self {
+        match i % 4 {
+            0 => Self::Short(seed),
+            1 => Self::WrongPair(seed),
+            2 => Self::BeyondSent(seed),
+            _ => Self::Random(seed),
+        }
+    }
+}
+
+fn encode_handshake(pair: u32, delivered: u64) -> [u8; HANDSHAKE_LEN] {
+    let mut hs = [0u8; HANDSHAKE_LEN];
+    hs[..4].copy_from_slice(&pair.to_le_bytes());
+    hs[4..].copy_from_slice(&delivered.to_le_bytes());
+    hs
+}
+
+/// Read the peer's handshake off `stream` (bounded by `deadline`) and
+/// return the delivered count it carries.
+fn read_handshake(
+    stream: &mut TcpStream,
+    pair: u32,
+    deadline: Instant,
+) -> Result<u64, HandshakeError> {
+    let left = deadline
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1));
+    stream
+        .set_read_timeout(Some(left))
+        .map_err(|_| HandshakeError::Io)?;
+    let mut hs = [0u8; HANDSHAKE_LEN];
+    stream.read_exact(&mut hs).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => HandshakeError::Short,
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HandshakeError::TimedOut,
+        _ => HandshakeError::Io,
+    })?;
+    if u32::from_le_bytes(hs[..4].try_into().expect("4 bytes")) != pair {
+        return Err(HandshakeError::WrongPair);
+    }
+    Ok(u64::from_le_bytes(hs[4..].try_into().expect("8 bytes")))
+}
+
+/// Connect and re-handshake one healing pair, bounded by `timeout`:
+/// each end sends `pair id + its delivered count` over the new socket
+/// and reads the other's. Returns the `[lo, hi]` streams and, per end,
+/// the count it *heard* — how many of its records the peer holds.
+/// Stale backlog connections (abandoned attempts, of this or another
+/// pair) are told apart by their source address and discarded.
 fn reconnect_handshake(
     listener: &TcpListener,
     addr: SocketAddr,
     p: usize,
+    delivered: [u64; 2],
     timeout: Duration,
-) -> Result<(TcpStream, TcpStream), String> {
+    garble: Option<Garble>,
+) -> Result<([TcpStream; 2], [u64; 2]), HandshakeError> {
+    let io = |_: std::io::Error| HandshakeError::Io;
     let deadline = Instant::now() + timeout;
-    let mut lo = TcpStream::connect(addr).map_err(|e| format!("reconnect connect: {e}"))?;
-    lo.write_all(&(p as u32).to_le_bytes())
-        .map_err(|e| format!("reconnect handshake send: {e}"))?;
-    let hi = loop {
+    let pair = p as u32;
+    let mut lo = TcpStream::connect(addr).map_err(io)?;
+    let lo_addr = lo.local_addr().map_err(io)?;
+    let mut hello = encode_handshake(pair, delivered[0]);
+    let mut hello_len = HANDSHAKE_LEN;
+    match garble {
+        None => {}
+        Some(Garble::Short(seed)) => hello_len = (seed % HANDSHAKE_LEN as u64) as usize,
+        Some(Garble::WrongPair(seed)) => {
+            hello = encode_handshake(pair ^ (1 + (seed as u32 >> 1)), delivered[0]);
+        }
+        Some(Garble::BeyondSent(seed)) => hello = encode_handshake(pair, u64::MAX - seed % 1024),
+        Some(Garble::Random(mut seed)) => {
+            hello[..8].copy_from_slice(&mix64(&mut seed).to_le_bytes());
+            hello[8..].copy_from_slice(&mix64(&mut seed).to_le_bytes()[..4]);
+        }
+    }
+    lo.write_all(&hello[..hello_len]).map_err(io)?;
+    if hello_len < HANDSHAKE_LEN {
+        lo.shutdown(Shutdown::Write).map_err(io)?;
+    }
+    let mut hi = loop {
         match listener.accept() {
-            Ok((mut cand, _)) => {
-                let left = deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                cand.set_read_timeout(Some(left))
-                    .map_err(|e| format!("reconnect set_read_timeout: {e}"))?;
-                let mut hs = [0u8; 4];
-                match cand.read_exact(&mut hs) {
-                    Ok(()) if u32::from_le_bytes(hs) as usize == p => break cand,
-                    // Wrong id or a dead stale connection: discard it
-                    // and keep accepting until our own connect shows up.
-                    Ok(()) | Err(_) => {}
-                }
-            }
+            Ok((cand, from)) if from == lo_addr => break cand,
+            // Somebody else's connection (an abandoned attempt still in
+            // the backlog): discard it and keep accepting.
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
-                    return Err("reconnect handshake timeout".into());
+                    return Err(HandshakeError::TimedOut);
                 }
                 std::thread::sleep(Duration::from_micros(50));
             }
-            Err(e) => return Err(format!("reconnect accept: {e}")),
+            Err(e) => return Err(io(e)),
         }
     };
+    let hi_heard = read_handshake(&mut hi, pair, deadline)?;
+    hi.write_all(&encode_handshake(pair, delivered[1]))
+        .map_err(io)?;
+    let lo_heard = read_handshake(&mut lo, pair, deadline)?;
     for s in [&lo, &hi] {
-        s.set_nodelay(true)
-            .map_err(|e| format!("reconnect set_nodelay: {e}"))?;
-        s.set_nonblocking(true)
-            .map_err(|e| format!("reconnect set_nonblocking: {e}"))?;
+        s.set_nodelay(true).map_err(io)?;
+        s.set_nonblocking(true).map_err(io)?;
     }
-    Ok((lo, hi))
+    Ok(([lo, hi], [lo_heard, hi_heard]))
 }
 
 /// The readiness sweep: flush every dirty outbox, drain every readable
@@ -686,33 +1078,32 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                         i += 1;
                     }
                 }
-                if fired_reset && pairs[at].ends.is_some() {
+                if fired_reset && pairs[at].connected() {
                     rx.teardown(&mut pairs[at], true);
                 }
             }
             // Half-open stall: the link looks alive but moves nothing.
+            // Like the real thing it is noticed only by how long output
+            // has sat still.
             if let Some(until) = pairs[at].stall_until {
                 if Instant::now() < until {
-                    let pair = &pairs[at];
-                    if let Some((lo, hi)) = &pair.ends {
-                        if lo.out_at < lo.out.len()
-                            || hi.out_at < hi.out.len()
-                            || rx.shared.dirty[lo.idx].load(Ordering::Acquire)
-                            || rx.shared.dirty[hi.idx].load(Ordering::Acquire)
-                        {
-                            drained = false;
+                    let pair = &mut pairs[at];
+                    if pair.ends.iter().any(|e| e.has_output(&rx.shared)) {
+                        drained = false;
+                        if pair.connected() && rx.heal && pair.stuck_for(rx.handshake_timeout) {
+                            rx.teardown(pair, false);
                         }
+                    } else {
+                        pair.idle_since = None;
                     }
                     continue;
                 }
                 pairs[at].stall_until = None;
             }
-            if pairs[at].ends.is_none() {
+            if !pairs[at].connected() {
                 // Reconnecting: traffic for the pair is parked in its
-                // outboxes, so the fabric is not drained.
-                if rx.shared.dirty[2 * pairs[at].p].load(Ordering::Acquire)
-                    || rx.shared.dirty[2 * pairs[at].p + 1].load(Ordering::Acquire)
-                {
+                // outboxes and logs, so the fabric is not drained.
+                if pairs[at].ends.iter().any(|e| e.has_output(&rx.shared)) {
                     drained = false;
                 }
                 if rx.heal && Instant::now() >= pairs[at].next_attempt {
@@ -722,18 +1113,31 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                 continue;
             }
             let mut failed: Option<LinkErr> = None;
-            {
-                let pair = &mut pairs[at];
-                let (lo, hi) = pair.ends.as_mut().expect("checked connected");
-                for link in [lo, hi] {
-                    match sweep_link(&rx.shared, link, &mut chunk, &mut asms, &rx.senders) {
-                        Ok(m) => moved |= m,
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
+            let mut pair_moved = false;
+            for end in &mut pairs[at].ends {
+                match sweep_end(&rx.shared, end, &mut chunk, &mut asms, &rx.senders) {
+                    Ok(m) => pair_moved |= m,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
                     }
                 }
+            }
+            moved |= pair_moved;
+            let pair = &mut pairs[at];
+            let has_output = pair.ends.iter().any(|e| e.has_output(&rx.shared));
+            if failed.is_none() && has_output && !pair_moved {
+                // Connected, output pending, and not a byte moved in
+                // either direction: a half-open peer. Give it the time
+                // a handshake gets, then treat it as a broken stream.
+                if pair.stuck_for(rx.handshake_timeout) {
+                    failed = Some(LinkErr::Io(format!(
+                        "no byte moved for {:?} with output pending",
+                        rx.handshake_timeout
+                    )));
+                }
+            } else {
+                pair.idle_since = None;
             }
             match failed {
                 Some(LinkErr::Fatal(msg)) => {
@@ -742,7 +1146,7 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                 }
                 Some(LinkErr::Io(msg)) => {
                     if rx.heal {
-                        rx.teardown(&mut pairs[at], false);
+                        rx.teardown(pair, false);
                         drained = false;
                     } else if msg == "stream EOF" {
                         // Healing off: peer end torn down, nothing more
@@ -754,15 +1158,8 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                     }
                 }
                 None => {
-                    let pair = &pairs[at];
-                    let (lo, hi) = pair.ends.as_ref().expect("checked connected");
-                    for link in [lo, hi] {
-                        if link.out_at < link.out.len()
-                            || rx.shared.dirty[link.idx].load(Ordering::Acquire)
-                            || !link.rbuf.is_empty()
-                        {
-                            drained = false;
-                        }
+                    if has_output || pair.ends.iter().any(|e| !e.rbuf.is_empty()) {
+                        drained = false;
                     }
                 }
             }
@@ -868,13 +1265,7 @@ impl TcpFabric {
                         s.set_nonblocking(true)
                             .map_err(app("tcp set_nonblocking"))?;
                     }
-                    pairs.push(Pair::new(
-                        p,
-                        a,
-                        b,
-                        Link::fresh(lo, 2 * p),
-                        Link::fresh(hi, 2 * p + 1),
-                    ));
+                    pairs.push(Pair::new(p, a, b, lo, hi));
                     p += 1;
                 }
             }
@@ -917,6 +1308,18 @@ impl TcpFabric {
                     }
                     (src, dst, None)
                 }
+                SocketFault::HandshakeGarble {
+                    src,
+                    dst,
+                    seed,
+                    count,
+                } => {
+                    if let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) {
+                        pair.hs_garbles_left += count;
+                        pair.hs_garble_seed ^= seed;
+                    }
+                    (src, dst, None)
+                }
             };
             if let Some(arm) = arm {
                 if let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) {
@@ -930,6 +1333,7 @@ impl TcpFabric {
             outboxes: (0..2 * npairs).map(|_| Mutex::new(Vec::new())).collect(),
             dirty: (0..2 * npairs).map(|_| AtomicBool::new(false)).collect(),
             error: Mutex::new(None),
+            failed: AtomicBool::new(false),
             nodes,
             outbox_cap: config.outbox_cap,
             pair_dead: (0..npairs).map(|_| AtomicBool::new(false)).collect(),
@@ -975,6 +1379,7 @@ impl TcpFabric {
                 shared: Arc::clone(&shared),
                 next_msg_id: 0,
                 send_buf: Vec::new(),
+                deadline: Deadline::new(),
             })
             .collect();
         Ok((
@@ -1021,9 +1426,11 @@ impl TcpFabric {
         ranks
     }
 
-    /// Cap the shutdown drain grace (e.g. with the reliability layer's
-    /// adaptive-RTO linger hint) before calling
-    /// [`shutdown`](Self::shutdown).
+    /// Cap the shutdown drain grace before calling
+    /// [`shutdown`](Self::shutdown) — e.g. with the ARQ sublayer's
+    /// adaptive-RTO linger hint, when one is stacked above. Untouched,
+    /// the configured [`FabricConfig::drain_grace`] applies; either way
+    /// a drained fabric exits at once.
     pub fn set_drain_grace(&self, grace: Duration) {
         self.shared
             .drain_grace_ns
@@ -1064,9 +1471,20 @@ pub struct TcpRankTransport {
     next_msg_id: u64,
     /// Reusable outbound frame buffer: one allocation serves every send.
     send_buf: Vec<u8>,
+    /// Completion budget checked while a send waits on a full outbox.
+    deadline: Deadline,
 }
 
 impl TcpRankTransport {
+    /// Share a completion budget: a send held back by outbox
+    /// backpressure gives up with [`NetError::DeadlineExceeded`] once it
+    /// is spent.
+    #[must_use]
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
     /// The rank this transport serves.
     #[must_use]
     pub fn rank(&self) -> usize {
@@ -1090,11 +1508,27 @@ impl Transport for TcpRankTransport {
             return Ok(());
         }
         let outbox_idx = self.shared.outbox_for(self.node, dst_node);
-        if self.shared.pair_dead[outbox_idx / 2].load(Ordering::Relaxed) {
-            // Evicted pair: blackhole. The failure detector already
-            // carries the node-level verdict; senders must not wedge.
-            return Ok(());
-        }
+        // Backpressure: wait while the outbox is at its high-water mark.
+        // The reactor drains it whenever the pair is connected, so the
+        // wait ends with room, with the pair's death, with the fabric's
+        // failure, or with the deadline — never with a dropped frame.
+        let mut outbox = loop {
+            if self.shared.pair_dead[outbox_idx / 2].load(Ordering::Relaxed) {
+                // Evicted pair: blackhole. The failure detector already
+                // carries the node-level verdict; senders must not wedge.
+                return Ok(());
+            }
+            let outbox = self.shared.outboxes[outbox_idx]
+                .lock()
+                .expect("outbox lock");
+            if outbox.len() < self.shared.outbox_cap {
+                break outbox;
+            }
+            drop(outbox);
+            self.shared.check()?;
+            self.deadline.check(self.rank)?;
+            std::thread::sleep(Duration::from_micros(100));
+        };
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         let count = if msg.payload.is_empty() {
@@ -1102,11 +1536,6 @@ impl Transport for TcpRankTransport {
         } else {
             msg.payload.len().div_ceil(FRAG_PAYLOAD)
         } as u32;
-        let mut shed: u64 = 0;
-        let mut appended = false;
-        let mut outbox = self.shared.outboxes[outbox_idx]
-            .lock()
-            .expect("outbox lock");
         for idx in 0..count {
             let chunk = if msg.payload.is_empty() {
                 &[][..]
@@ -1128,31 +1557,13 @@ impl Transport for TcpRankTransport {
                 msg.checksum,
                 chunk,
             );
-            let record = STREAM_PREFIX + frame.len();
-            if outbox.len() + record > self.shared.outbox_cap {
-                // Backpressure: past the cap the frame is shed, which
-                // the ARQ layer above sees as loss and re-drives. A
-                // reconnecting (or dead-and-undetected) peer therefore
-                // bounds memory instead of growing the outbox forever.
-                shed += record as u64;
-            } else {
-                outbox.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                outbox.extend_from_slice(&(msg.dst as u32).to_le_bytes());
-                outbox.extend_from_slice(&frame);
-                appended = true;
-            }
+            outbox.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            outbox.extend_from_slice(&(msg.dst as u32).to_le_bytes());
+            outbox.extend_from_slice(&frame);
             self.send_buf = frame;
         }
         drop(outbox);
-        if appended {
-            self.shared.dirty[outbox_idx].store(true, Ordering::Release);
-        }
-        if shed > 0 {
-            self.shared
-                .stats
-                .outbox_shed_bytes
-                .fetch_add(shed, Ordering::Relaxed);
-        }
+        self.shared.dirty[outbox_idx].store(true, Ordering::Release);
         Ok(())
     }
 
@@ -1176,6 +1587,10 @@ impl Transport for TcpRankTransport {
 
     fn kind(&self) -> &'static str {
         "tcp"
+    }
+
+    fn delivery(&self) -> Delivery {
+        Delivery::ReliableStream
     }
 
     fn purge(&mut self) -> usize {
@@ -1234,9 +1649,23 @@ struct ScaleShared {
     abort: AtomicBool,
     error: Mutex<Option<NetError>>,
     finished: AtomicUsize,
+    detector: Arc<FailureDetector>,
+    fabric: Arc<FabricShared>,
 }
 
 impl ScaleShared {
+    /// A verdict from below the ranks — a node evicted by the fabric, a
+    /// peer declared dead by the ARQ, a fatal wire error — that no
+    /// amount of waiting will undo. Two atomic loads when all is well.
+    fn check_substrate(&self) -> Result<(), NetError> {
+        if self.detector.version() > 0 {
+            return Err(NetError::RanksFailed {
+                ranks: self.detector.snapshot(),
+            });
+        }
+        self.fabric.check()
+    }
+
     fn fail(&self, e: NetError) {
         let mut slot = self.error.lock().expect("scale error lock");
         if slot.is_none() {
@@ -1279,10 +1708,12 @@ impl TcpScaleCluster {
     /// by [`ClusterConfig::node_size`], with `inputs[rank]` the `n·b`
     /// send buffer of each rank. Honors `cfg.ports` (lowering width),
     /// `cfg.timeout` (per-round patience), `cfg.deadline` (whole-run
-    /// budget), `cfg.reliability` (ARQ + watchdog; the window is
-    /// clamped up to the round count so the lockstep executor can never
-    /// wedge on its own backpressure), and `cfg.faults` (wire fault
-    /// injection).
+    /// budget), `cfg.reliability` (deliver or one consistent verdict:
+    /// on a clean fabric the streams and per-pair replay provide it;
+    /// under injected wire faults the ARQ + watchdog are stacked, their
+    /// window clamped up to the round count so the lockstep executor can
+    /// never wedge on its own backpressure), and `cfg.faults` (wire and
+    /// socket fault injection).
     ///
     /// # Errors
     ///
@@ -1395,9 +1826,9 @@ impl TcpScaleCluster {
         let node_size = cfg.node_size.unwrap_or(n);
         let detector = Arc::new(FailureDetector::new(n));
         let round_clock = Arc::new(RoundClock::new(n));
-        // Healing needs an ARQ layer to re-drive the bytes a teardown
-        // discards; injected socket faults need healing to be
-        // observable at all, so either turns it on.
+        // Asking for reliability means a broken stream must heal, not
+        // fail the run; injected socket faults need healing to be
+        // observable at all. Either turns it on.
         let fab_cfg = FabricConfig {
             heal: cfg
                 .healing
@@ -1417,11 +1848,17 @@ impl TcpScaleCluster {
         let fab_shared = Arc::clone(&fabric.shared);
         let wire_layer = cfg.faults.needs_wire_layer();
         let shared_expiry = cfg.deadline.map(|budget| (Instant::now() + budget, budget));
+        // One budget for every rank: the ARQ's blocking loops when it is
+        // stacked, the fabric's outbox backpressure when it is not.
+        let deadline = Deadline::new();
+        if let Some((at, budget)) = shared_expiry {
+            deadline.arm_at(at, budget);
+        }
         let transports: Vec<Box<dyn Transport>> = raw_transports
             .into_iter()
             .enumerate()
             .map(|(rank, t)| {
-                let mut t: Box<dyn Transport> = Box::new(t);
+                let mut t: Box<dyn Transport> = Box::new(t.with_deadline(deadline.clone()));
                 if wire_layer {
                     t = Box::new(FaultyTransport::new(
                         t,
@@ -1429,24 +1866,24 @@ impl TcpScaleCluster {
                         Arc::clone(&round_clock),
                     ));
                 }
-                if let Some(rel) = cfg.reliability {
-                    let mut rel = rel;
+                // The ARQ is for wires that can lose a message. A clean
+                // fabric declares a reliable stream and runs bare.
+                if let Some(mut rel) = cfg
+                    .reliability
+                    .filter(|_| t.delivery() == Delivery::Datagram)
+                {
                     // The executor posts at most one frame per (src,
                     // dst) link per round and pumps acks while it waits,
                     // but a window smaller than the lag between workers
                     // could fill and block a send against a receiver the
                     // same worker owns — a self-deadlock. One frame per
                     // round bounds in-flight by the round count, so this
-                    // clamp makes backpressure unreachable without
+                    // clamp makes ARQ backpressure unreachable without
                     // changing the protocol.
                     rel.wire = rel.wire.with_window(rel.wire.window.max(rounds + 2));
-                    let deadline = Deadline::new();
-                    if let Some((at, budget)) = shared_expiry {
-                        deadline.arm_at(at, budget);
-                    }
                     t = Box::new(
                         ReliableTransport::new(t, rank, n, rel, Arc::clone(&detector))
-                            .with_deadline(deadline),
+                            .with_deadline(deadline.clone()),
                     );
                 }
                 t
@@ -1486,6 +1923,8 @@ impl TcpScaleCluster {
             abort: AtomicBool::new(false),
             error: Mutex::new(None),
             finished: AtomicUsize::new(0),
+            detector: Arc::clone(&detector),
+            fabric: Arc::clone(&fab_shared),
         };
         let shared_ref = &shared;
         let round_clock_ref = &round_clock;
@@ -1513,10 +1952,12 @@ impl TcpScaleCluster {
                 .collect()
         });
 
-        // Scale the shutdown drain grace with the adaptive-RTO linger
-        // hint, exactly as the thread-per-rank linger does: the
-        // configured grace is the ceiling, a confident (small) RTO
-        // shrinks it.
+        // With the ARQ stacked, its adaptive-RTO linger hint caps the
+        // shutdown drain grace, exactly as the thread-per-rank linger
+        // does: the configured grace is the ceiling, a confident (small)
+        // RTO shrinks it. Bare streams give no hint and keep the
+        // configured grace — a hang backstop only, since a drained
+        // fabric exits at once.
         let linger = collected.iter().filter_map(|(_, hint)| *hint).max();
         if let Some(hint) = linger {
             fabric.set_drain_grace(hint.min(fab_shared.drain_grace()));
@@ -1532,9 +1973,10 @@ impl TcpScaleCluster {
         let fabric_stats = fab_shared.stats.snapshot();
         let failed = detector.snapshot();
         if !failed.is_empty() {
-            // Cluster-consistent verdict: any detector death (ARQ retry
-            // exhaustion or fabric-level eviction) outranks whichever
-            // rank-local error happened to land first.
+            // Cluster-consistent verdict: any detector death
+            // (fabric-level eviction, or ARQ retry exhaustion where it
+            // is stacked) outranks whichever rank-local error happened
+            // to land first.
             return Attempt {
                 result: Err(NetError::RanksFailed {
                     ranks: failed.clone(),
@@ -1766,9 +2208,10 @@ fn fit_plan(plan: &IndexPlan, n: usize, node_size: usize) -> IndexPlan {
 type ChunkOutput = (Vec<(usize, Vec<u8>, RankMetrics)>, Option<Duration>);
 
 /// One worker's lockstep interpretation of its rank slice. Ranks whose
-/// round receives are complete keep pumping their protocol (acks,
-/// retransmissions, probes) until the whole slice finishes the round,
-/// so a straggling peer is never starved of the frames it needs.
+/// round receives are complete keep pumping their transport (a no-op on
+/// bare streams; acks, retransmissions and probes where the ARQ is
+/// stacked) until the whole slice finishes the round, so a straggling
+/// peer is never starved of the frames it needs.
 #[allow(clippy::too_many_arguments)] // internal; mirrors the run state
 fn run_chunk(
     mut ctxs: Vec<RankCtx>,
@@ -1782,6 +2225,9 @@ fn run_chunk(
 ) -> ChunkOutput {
     let ops_len = ctxs.first().map_or(0, |c| c.program.ops.len());
     let n = ctxs.first().map_or(0, |c| c.program.n);
+    // Only an ARQ sublayer has a protocol to keep pumping (and a linger
+    // hint to show for it); a bare stream is driven by the reactor.
+    let pumped = ctxs.iter().any(|c| c.transport.linger_hint().is_some());
     'ops: for op_idx in 0..ops_len {
         if shared.abort.load(Ordering::SeqCst) {
             break;
@@ -1882,9 +2328,11 @@ fn run_chunk(
                 if pending[ci].is_empty() {
                     // Done rank: one zero-timeout pump keeps acks,
                     // retransmissions, and probe replies flowing.
-                    if let Err(e) = transport.wait_any(Duration::ZERO) {
-                        shared.fail(e);
-                        break 'ops;
+                    if pumped {
+                        if let Err(e) = transport.wait_any(Duration::ZERO) {
+                            shared.fail(e);
+                            break 'ops;
+                        }
                     }
                     continue;
                 }
@@ -1928,6 +2376,10 @@ fn run_chunk(
                 continue;
             }
             idle = idle.saturating_add(1);
+            if let Err(e) = shared.check_substrate() {
+                shared.fail(e);
+                break 'ops;
+            }
             let now = Instant::now();
             if let Some((at, budget)) = expiry {
                 if now >= at {
@@ -1972,7 +2424,7 @@ fn run_chunk(
         }
     }
 
-    if !shared.abort.load(Ordering::SeqCst) {
+    if pumped && !shared.abort.load(Ordering::SeqCst) {
         // Ack drain: interleave short flushes so ranks in this slice
         // answer each other's unacked tails, then linger pumping until
         // every worker is done (a peer elsewhere may still need acks).
@@ -2043,6 +2495,19 @@ mod tests {
             .collect()
     }
 
+    fn msg_to(src: usize, dst: usize, tag: Tag, payload: Vec<u8>) -> Message {
+        Message {
+            src,
+            dst,
+            tag,
+            payload,
+            arrival: 0.0,
+            seq: 0,
+            ack: 0,
+            checksum: None,
+        }
+    }
+
     #[test]
     fn pair_index_is_a_dense_enumeration() {
         let nodes = 5;
@@ -2060,23 +2525,13 @@ mod tests {
     #[test]
     fn fabric_routes_intra_and_inter_node() {
         let (fabric, mut ts) = TcpFabric::new(4, 2).unwrap();
-        let msg = |src: usize, dst: usize, tag: Tag, payload: Vec<u8>| Message {
-            src,
-            dst,
-            tag,
-            payload,
-            arrival: 0.0,
-            seq: 0,
-            ack: 0,
-            checksum: None,
-        };
         // Intra-node (0 → 1): channel path.
-        ts[0].send(msg(0, 1, 7, vec![1, 2, 3])).unwrap();
+        ts[0].send(msg_to(0, 1, 7, vec![1, 2, 3])).unwrap();
         let m = ts[1].recv_match(0, 7, Duration::from_secs(2)).unwrap();
         assert_eq!(m.payload, vec![1, 2, 3]);
         // Inter-node (0 → 2 and 3 → 1): both stream directions.
-        ts[0].send(msg(0, 2, 9, vec![4; 10])).unwrap();
-        ts[3].send(msg(3, 1, 11, vec![5; 10])).unwrap();
+        ts[0].send(msg_to(0, 2, 9, vec![4; 10])).unwrap();
+        ts[3].send(msg_to(3, 1, 11, vec![5; 10])).unwrap();
         let m = ts[2].recv_match(0, 9, Duration::from_secs(2)).unwrap();
         assert_eq!(m.payload, vec![4; 10]);
         let m = ts[1].recv_match(3, 11, Duration::from_secs(2)).unwrap();
@@ -2112,6 +2567,247 @@ mod tests {
     #[test]
     fn fabric_rejects_non_dividing_node_size() {
         assert!(TcpFabric::new(6, 4).is_err());
+    }
+
+    #[test]
+    fn only_the_bare_stream_declares_reliable_delivery() {
+        let (fabric, mut ts) = TcpFabric::new(2, 1).unwrap();
+        let t = ts.pop().unwrap();
+        assert_eq!(t.delivery(), Delivery::ReliableStream);
+        // A fault injector can lose what the stream would have kept.
+        let faulty = FaultyTransport::new(
+            Box::new(t),
+            Arc::new(FaultPlan::default()),
+            Arc::new(RoundClock::new(2)),
+        );
+        assert_eq!(faulty.delivery(), Delivery::Datagram);
+        drop((faulty, ts));
+        assert_eq!(fabric.shutdown(), None);
+    }
+
+    /// A chunk of whole records with the given body lengths.
+    fn records(bodies: &[usize]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (i, &len) in bodies.iter().enumerate() {
+            buf.extend_from_slice(&(len as u32).to_le_bytes());
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            buf.extend(std::iter::repeat_n(i as u8, len));
+        }
+        buf
+    }
+
+    #[test]
+    fn tx_log_replays_a_half_written_record_from_its_boundary() {
+        let chunk = records(&[10, 20, 30]);
+        let mut tx = TxLog::default();
+        tx.chunks.push_back(chunk.clone());
+        // The socket dies with the second record half written.
+        tx.advance(18 + 5);
+        assert_eq!(tx.written, 1);
+        assert!(tx.pending() && !tx.at_boundary());
+        // A peer cannot hold what was never written in full.
+        assert_eq!(tx.confirm(2), Err(HandshakeError::BadCount));
+        // The re-handshake says the peer holds one record: the replay
+        // starts on the first byte of the second.
+        tx.rewind(1).unwrap();
+        assert!(tx.at_boundary());
+        assert_eq!(tx.unwritten(), &chunk[18..]);
+        assert_eq!((tx.confirmed, tx.written), (1, 1));
+        // Newer outbox data queues behind the replay.
+        tx.chunks.push_back(records(&[7]));
+        tx.advance(28 + 38);
+        assert_eq!(tx.written, 3);
+        assert_eq!(tx.unwritten(), &records(&[7])[..]);
+        tx.advance(15);
+        assert!(!tx.pending() && tx.at_boundary());
+        // Confirmation retires whole chunks and recycles an allocation.
+        tx.confirm(4).unwrap();
+        assert!(tx.chunks.is_empty() && tx.spare.capacity() > 0);
+        // Records already retired cannot be asked for again.
+        assert_eq!(tx.rewind(3), Err(HandshakeError::BadCount));
+        tx.rewind(4).unwrap();
+        assert!(!tx.pending());
+    }
+
+    fn handshake(garble: Option<Garble>) -> Result<([TcpStream; 2], [u64; 2]), HandshakeError> {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A stale connection ahead of ours in the backlog is discarded.
+        let _stale = TcpStream::connect(addr).unwrap();
+        reconnect_handshake(&listener, addr, 3, [5, 9], Duration::from_secs(2), garble)
+    }
+
+    #[test]
+    fn handshake_carries_each_delivered_count_to_the_other_end() {
+        let (_streams, heard) = handshake(None).unwrap();
+        // lo sent 5 and hi sent 9; each *heard* the other's.
+        assert_eq!(heard, [9, 5]);
+    }
+
+    #[test]
+    fn malformed_handshakes_are_structured_errors() {
+        for seed in 0..64u64 {
+            let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            assert_eq!(
+                handshake(Some(Garble::Short(seed))).unwrap_err(),
+                HandshakeError::Short,
+                "seed {seed:#x}"
+            );
+            assert_eq!(
+                handshake(Some(Garble::WrongPair(seed))).unwrap_err(),
+                HandshakeError::WrongPair,
+                "seed {seed:#x}"
+            );
+            // Random bytes name another pair (or, one time in 2^32, ours
+            // with an absurd count — refused by the log below).
+            assert!(handshake(Some(Garble::Random(seed))).is_err());
+            // A well-formed handshake with an impossible count passes
+            // the codec and is refused by the log it would rewind.
+            let ([_lo, hi], heard) = handshake(Some(Garble::BeyondSent(seed))).unwrap();
+            let mut end = End::fresh(hi, 1);
+            end.tx.chunks.push_back(records(&[4, 4]));
+            end.tx.advance(24);
+            let healed = end.stream.take().unwrap();
+            assert_eq!(
+                end.reconnect(healed, heard[1]),
+                Err(HandshakeError::BadCount),
+                "seed {seed:#x}"
+            );
+            assert!(end.stream.is_none(), "a refused handshake must not connect");
+            assert_eq!(end.tx.written, 2, "a refused count must not move the log");
+        }
+    }
+
+    #[test]
+    fn reset_mid_message_replays_and_delivers_exactly_once() {
+        // A multi-megabyte message is dozens of records and far more
+        // than the socket buffers hold, so the reset (armed on round 1,
+        // released right after the send is staged) lands mid-transfer.
+        let clock = Arc::new(RoundClock::new(2));
+        let cfg = FabricConfig {
+            heal: true,
+            faults: Arc::new(FaultPlan::new().with_reconnect_flap(0, 1, 1, 2)),
+            round_clock: Some(Arc::clone(&clock)),
+            ..FabricConfig::default()
+        };
+        let (fabric, mut ts) = TcpFabric::with_config(2, 1, cfg).unwrap();
+        let big: Vec<u8> = (0..6 * 1024 * 1024)
+            .map(|i| (i * 31 + i / 977) as u8)
+            .collect();
+        ts[0].send(msg_to(0, 1, 5, big.clone())).unwrap();
+        ts[1].send(msg_to(1, 0, 6, vec![7; 100])).unwrap();
+        clock.advance(0);
+        clock.advance(1);
+        let m = ts[1].recv_match(0, 5, Duration::from_secs(20)).unwrap();
+        assert!(m.payload == big, "replayed message differs");
+        let m = ts[0].recv_match(1, 6, Duration::from_secs(20)).unwrap();
+        assert_eq!(m.payload, vec![7; 100]);
+        // Nothing arrives twice.
+        assert!(ts[1].recv_any(Duration::from_millis(20)).unwrap().is_none());
+        assert!(ts[0].recv_any(Duration::from_millis(20)).unwrap().is_none());
+        let stats = fabric.stats();
+        assert_eq!(stats.link_failures, 3, "{stats:?}");
+        assert_eq!(stats.reconnects, 3, "{stats:?}");
+        drop(ts);
+        assert_eq!(fabric.shutdown(), None);
+    }
+
+    #[test]
+    fn full_outbox_blocks_the_sender_and_sheds_nothing() {
+        // Freeze the stream so the outbox fills to its (tiny) mark; the
+        // sender must wait the stall out and every message must arrive.
+        let cfg = FabricConfig {
+            heal: true,
+            outbox_cap: 4 * 1024,
+            faults: Arc::new(FaultPlan::new().with_half_open(0, 1, 0, Duration::from_millis(60))),
+            ..FabricConfig::default()
+        };
+        let (fabric, mut ts) = TcpFabric::with_config(2, 1, cfg).unwrap();
+        let started = Instant::now();
+        for i in 0..64u64 {
+            ts[0].send(msg_to(0, 1, i, vec![i as u8; 1000])).unwrap();
+        }
+        assert!(
+            started.elapsed() >= Duration::from_millis(30),
+            "64 kB went into a 4 kB outbox without waiting"
+        );
+        for i in 0..64u64 {
+            let m = ts[1].recv_match(0, i, Duration::from_secs(10)).unwrap();
+            assert_eq!(m.payload, vec![i as u8; 1000]);
+        }
+        assert_eq!(fabric.stats().outbox_shed_bytes, 0);
+        drop(ts);
+        assert_eq!(fabric.shutdown(), None);
+    }
+
+    #[test]
+    fn blocked_sender_honours_the_deadline_and_a_dead_pair() {
+        let stalled = |faults: FaultPlan| FabricConfig {
+            heal: true,
+            outbox_cap: 1024,
+            backoff_base: Duration::from_micros(50),
+            backoff_cap: Duration::from_micros(200),
+            faults: Arc::new(faults),
+            ..FabricConfig::default()
+        };
+        // A long freeze and a short budget: the wait ends on the budget.
+        let cfg = stalled(FaultPlan::new().with_half_open(0, 1, 0, Duration::from_secs(5)));
+        let (fabric, mut ts) = TcpFabric::with_config(2, 1, cfg).unwrap();
+        let deadline = Deadline::new();
+        deadline.arm(Duration::from_millis(40));
+        let mut t0 = ts.remove(0).with_deadline(deadline);
+        let err = (0..8)
+            .find_map(|i| t0.send(msg_to(0, 1, i, vec![0; 1000])).err())
+            .expect("a full outbox must block until the deadline");
+        assert!(
+            matches!(err, NetError::DeadlineExceeded { rank: 0, .. }),
+            "{err}"
+        );
+        drop((t0, ts));
+        // The 5 s stall outlives the 1 s drain grace; nothing to assert
+        // about what a frozen stream left behind.
+        drop(fabric);
+
+        // A pair that dies while the sender waits releases it at once:
+        // the send is blackholed, the eviction carries the verdict.
+        let detector = Arc::new(FailureDetector::new(2));
+        let mut cfg = stalled(
+            FaultPlan::new()
+                .with_conn_reset(0, 1, 0)
+                .with_handshake_drops(0, 1, 64),
+        );
+        cfg.detector = Some(Arc::clone(&detector));
+        let (fabric, mut ts) = TcpFabric::with_config(2, 1, cfg).unwrap();
+        for i in 0..8 {
+            ts[0].send(msg_to(0, 1, i, vec![0; 1000])).unwrap();
+        }
+        assert_eq!(fabric.dead_ranks(), vec![1]);
+        assert!(detector.is_dead(1));
+        drop(ts);
+        let _ = fabric.shutdown();
+    }
+
+    #[test]
+    fn half_open_pair_is_torn_down_by_the_stall_clock_and_heals() {
+        // The stream freezes with output pending; after the (shortened)
+        // handshake timeout the state machine gives up on it, and once
+        // the peer is reachable again the replay delivers the message.
+        let cfg = FabricConfig {
+            heal: true,
+            handshake_timeout: Duration::from_millis(30),
+            faults: Arc::new(FaultPlan::new().with_half_open(0, 1, 0, Duration::from_millis(200))),
+            ..FabricConfig::default()
+        };
+        let (fabric, mut ts) = TcpFabric::with_config(2, 1, cfg).unwrap();
+        ts[0].send(msg_to(0, 1, 1, vec![9; 64])).unwrap();
+        let m = ts[1].recv_match(0, 1, Duration::from_secs(10)).unwrap();
+        assert_eq!(m.payload, vec![9; 64]);
+        let stats = fabric.stats();
+        assert_eq!((stats.link_failures, stats.reconnects), (1, 1), "{stats:?}");
+        assert_eq!(stats.injected_resets, 0, "{stats:?}");
+        drop(ts);
+        assert_eq!(fabric.shutdown(), None);
     }
 
     #[test]

@@ -17,6 +17,20 @@ use crate::mailbox::{MailSender, Mailbox};
 use crate::message::{Message, Tag};
 use crate::metrics::LinkStats;
 
+/// What a [`Transport`] promises about the messages it accepts — the
+/// property the cluster runners read to decide whether the
+/// sliding-window ARQ ([`crate::reliable::ReliableTransport`]) has
+/// anything to add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// Each message may be lost, duplicated, reordered or damaged on its
+    /// own: reliability has to be built above.
+    Datagram,
+    /// Every accepted message arrives exactly once, intact and in
+    /// per-pair order, or the transport reports the failure itself.
+    ReliableStream,
+}
+
 /// A rank's physical connection to its peers.
 pub trait Transport: Send {
     /// Deliver `msg` toward `msg.dst`. Must not deadlock against peers
@@ -86,6 +100,14 @@ pub trait Transport: Send {
     /// fitted `(β, τ)` by it.
     fn kind(&self) -> &'static str {
         "generic"
+    }
+
+    /// The delivery guarantee of this transport *as stacked*. A wrapper
+    /// that can lose or damage messages (fault injection) answers
+    /// [`Delivery::Datagram`] whatever it wraps, which is why the
+    /// provided default does not delegate.
+    fn delivery(&self) -> Delivery {
+        Delivery::Datagram
     }
 
     /// Drive any reliability sublayer until every in-flight frame this

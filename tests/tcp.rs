@@ -1,7 +1,8 @@
-//! Event-driven TCP fabric integration: fault-injection smoke over the
-//! real loopback streams (the ARQ + watchdog stack must behave exactly
-//! as it does on the other transports) and the multiplexing claim at
-//! n = 128.
+//! Event-driven TCP fabric integration: the faultless invariants (a
+//! clean stream carries no ARQ traffic and sees no outage),
+//! fault-injection smoke over the real loopback streams (under injected
+//! wire faults the ARQ + watchdog stack must behave exactly as it does
+//! on the other transports) and the multiplexing claim at n = 128.
 
 use std::time::Duration;
 
@@ -20,6 +21,62 @@ fn assert_oracle(results: &[Vec<u8>], n: usize, block: usize, label: &str) {
             &verify::index_expected(rank, n, block),
             "{label} rank={rank}"
         );
+    }
+}
+
+/// `with_reliability` on a clean fabric must be free: the stream is
+/// already reliable, so not one ack, probe, retransmission, duplicate
+/// or escalation — and not one phantom outage below.
+fn assert_quiet(out: &bruck::net::ScaleOutput, label: &str) {
+    let link = out.metrics.link_totals();
+    assert_eq!(
+        (
+            link.acks_sent,
+            link.probes_sent,
+            link.retransmits,
+            link.dups_dropped,
+            link.stall_escalations
+        ),
+        (0, 0, 0, 0, 0),
+        "{label}: ARQ traffic on a clean stream: {link:?}"
+    );
+    let fabric = out.metrics.fabric;
+    assert_eq!(
+        (fabric.link_failures, fabric.reconnects),
+        (0, 0),
+        "{label}: phantom outage: {fabric:?}"
+    );
+}
+
+/// One clean `Reliability::default()` run of radix-2 Bruck on 2
+/// workers: bit-correct and quiet.
+fn assert_clean_run_is_quiet(n: usize, node_size: usize, block: usize) {
+    let label = format!("clean n={n} b={block}");
+    let cfg = ClusterConfig::new(n)
+        .with_node_size(node_size)
+        .with_reliability(Reliability::default())
+        .with_timeout(Duration::from_secs(60))
+        .with_deadline(Duration::from_secs(120));
+    let inputs = scale_inputs(n, block);
+    let out =
+        TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(2))
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_oracle(&out.results, n, block, &label);
+    assert_quiet(&out, &label);
+}
+
+#[test]
+fn clean_fabric_carries_no_arq_traffic_at_n128() {
+    assert_clean_run_is_quiet(128, 16, 64);
+}
+
+#[test]
+fn bulk_blocks_complete_bit_correct_on_a_clean_fabric() {
+    // The sizes at which the stacked ARQ used to fall off the probe
+    // cliff (4 KiB) or end a fault-free run in a false `RanksFailed`
+    // (16 KiB).
+    for block in [4 << 10, 16 << 10] {
+        assert_clean_run_is_quiet(64, 8, block);
     }
 }
 
@@ -76,6 +133,14 @@ fn lossy_tcp_matches_faultless_run() {
     let lossy = TcpScaleCluster::run(&lossy_cfg, &plan, block, &inputs).unwrap();
     assert_eq!(clean.results, lossy.results);
     assert_oracle(&clean.results, n, block, "clean hier tcp");
+    // Which layer did the work: none on the clean stream, the ARQ once
+    // the wire can lose a frame.
+    assert_quiet(&clean, "clean hier tcp");
+    let link = lossy.metrics.link_totals();
+    assert!(
+        link.retransmits > 0,
+        "8% loss healed without a retransmission: {link:?}"
+    );
 }
 
 #[test]

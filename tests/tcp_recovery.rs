@@ -4,9 +4,11 @@
 //! Three contracts:
 //!
 //! * a stream killed mid-collective reconnects (jittered backoff,
-//!   re-handshake) and the run completes bit-correct, byte-for-byte
-//!   equal to a faultless run, with `reconnects > 0` in the fabric
-//!   stats;
+//!   re-handshake of delivered counts, replay of the unconfirmed
+//!   records) and the run completes bit-correct, byte-for-byte equal to
+//!   a faultless run, with `reconnects > 0` in the fabric stats and —
+//!   the wire being clean — not one ARQ retransmission; a malformed
+//!   re-handshake costs one reconnect attempt, nothing more;
 //! * a pair whose reconnect budget is exhausted (handshake blackhole)
 //!   raises a *node-level* eviction with a cluster-consistent
 //!   `RanksFailed` verdict, and `run_resilient` shrinks by whole nodes
@@ -133,6 +135,97 @@ fn injected_reset_heals_and_matches_faultless() {
         (0, 0),
         "faultless run saw phantom outages: {cs:?}"
     );
+    // The wire was clean: the fabric's replay healed the gap, no ARQ
+    // was stacked to retransmit across it.
+    let link = faulted.metrics.link_totals();
+    assert_eq!(
+        (link.retransmits, link.acks_sent, link.dups_dropped),
+        (0, 0, 0),
+        "healing a clean wire went through the ARQ: {link:?}"
+    );
+}
+
+/// Resets landing while multi-fragment messages are in flight: 160 KiB
+/// messages are three records each, so a teardown finds records half
+/// written and messages half reassembled. The replay must resume at the
+/// record boundary — nothing lost, nothing delivered twice.
+#[test]
+fn reset_amid_multi_fragment_messages_replays_from_the_record_boundary() {
+    let (n, node_size, block) = (8, 2, 40 << 10);
+    let inputs = scale_inputs(n, block);
+    let plan = IndexPlan::Radix(2);
+    // Every round loses a stream, one of them twice over.
+    let faults = FaultPlan::new()
+        .with_conn_reset(0, 2, 0)
+        .with_reconnect_flap(2, 4, 0, 1)
+        .with_conn_reset(0, 4, 1)
+        .with_conn_reset(2, 6, 1)
+        .with_reconnect_flap(0, 6, 2, 2);
+    let cfg = base_cfg(n, node_size).with_faults(faults);
+    let faulted = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(2)).unwrap();
+    assert_oracle(&faulted.results, n, block, "multi-fragment replay");
+    let clean =
+        TcpScaleCluster::run_with_workers(&base_cfg(n, node_size), &plan, block, &inputs, Some(2))
+            .unwrap();
+    assert_eq!(faulted.results, clean.results);
+    // The round-0 events fire before any traffic and sit on pairs the
+    // first round needs, so those three outages must have healed; the
+    // later ones land mid-flight and heal if the run still needs them.
+    let fs = faulted.metrics.fabric;
+    assert!(
+        fs.reconnects >= 3 && fs.injected_resets >= 3,
+        "the round-0 resets must fire and heal: {fs:?}"
+    );
+    assert_eq!(fs.pairs_evicted, 0, "{fs:?}");
+    assert_eq!(faulted.metrics.link_totals().retransmits, 0);
+}
+
+/// Seeded malformed re-handshakes — a short write, a foreign pair id, a
+/// delivered count beyond anything sent, random bytes — each burn one
+/// reconnect attempt and nothing else: no panic, no eviction while
+/// budget remains, and the healed run is still bit-correct.
+#[test]
+fn malformed_rehandshakes_burn_one_attempt_each() {
+    let (n, node_size, block) = (16, 4, 8);
+    let inputs = scale_inputs(n, block);
+    for seed in [1u64, 0xBAD5EED, 0xFFFF_FFFF_FFFF_FFFF] {
+        // Four malformed handshakes (one of each kind) fit the budget of
+        // six; the fifth attempt heals. Reset before any traffic, on a
+        // pair the first round needs: the run cannot finish around it.
+        let faults = FaultPlan::new()
+            .with_conn_reset(0, node_size, 0)
+            .with_malformed_handshakes(0, node_size, seed, 4);
+        let cfg = base_cfg(n, node_size).with_faults(faults);
+        let out =
+            TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(4))
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        assert_oracle(&out.results, n, block, "malformed handshakes");
+        let fs = out.metrics.fabric;
+        assert_eq!(
+            (fs.reconnect_failures, fs.injected_handshake_drops),
+            (4, 4),
+            "seed {seed:#x}: one attempt per malformed handshake: {fs:?}"
+        );
+        assert_eq!(
+            (fs.reconnects, fs.pairs_evicted),
+            (1, 0),
+            "seed {seed:#x}: {fs:?}"
+        );
+        assert_eq!(out.metrics.link_totals().retransmits, 0, "seed {seed:#x}");
+    }
+    // Past the budget the same garbage is an eviction with the usual
+    // cluster-consistent verdict, never a hang.
+    let faults = FaultPlan::new()
+        .with_conn_reset(0, node_size, 0)
+        .with_malformed_handshakes(0, node_size, 7, 64);
+    let cfg = base_cfg(n, node_size).with_faults(faults);
+    let err =
+        TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(4))
+            .unwrap_err();
+    let NetError::RanksFailed { ranks } = &err else {
+        panic!("want RanksFailed, got {err:?}");
+    };
+    assert_eq!(ranks, &(node_size..2 * node_size).collect::<Vec<_>>());
 }
 
 /// Tentpole contract 2: a handshake blackhole exhausts the reconnect
