@@ -43,6 +43,14 @@ cargo test -q --test autotune
 # 300 s ≈ 10x the observed soak time on a 1-core CI box.
 timeout 300 cargo test -q --test liveness
 
+# Idle-wait gate: an idle rank sleeps until a message arrives that no
+# scan has examined (it does not spin while something non-matching is
+# parked), and round accounting stays O(1) in the length of the run.
+# Counter-based, so it does not flake on a loaded box; a regression to a
+# level-triggered wait turns the ~1 s suite into a ~40 s one on 2 cores,
+# which the hard `timeout` bounds like the liveness gate's.
+timeout 300 cargo test -q --test idle_wait
+
 # Rejoin gate: the full recovery lifecycle — kill, shrink, quarantine,
 # flap damping, rejoin at the next collective boundary, bit-correct
 # full-group result under all three RecoveryPolicy variants — plus a
@@ -59,13 +67,13 @@ timeout 300 cargo test -q --test rejoin
 # through run_resilient).
 cargo test -q --test vops
 
-# Perf smoke: the pipelined data plane must clear a throughput floor on
-# the wire microbench. The floor is ~30% under the slowest alltoall
-# pipelined-row throughput observed on a 1-core CI box (545 MB/s at this
-# shape; the stop-and-wait-era plane measures ~300-360 MB/s, so a data
-# plane regressed to that discipline lands under the floor while normal
-# machine noise stays above it). BENCH_pr3.json tracks the full-size
-# run. Small shape so the gate stays fast.
+# Perf smoke: the data plane must clear a throughput floor on the wire
+# microbench. The floor is ~30% under the slowest alltoall throughput
+# observed on a 1-core CI box (545 MB/s at this shape; a stop-and-wait
+# plane measured ~300-360 MB/s, so a data plane regressed to that
+# discipline lands under the floor while normal machine noise stays
+# above it). BENCH_pr3.json records the full-size run against the
+# since-deleted stop-and-wait plane. Small shape so the gate stays fast.
 cargo build -q --release -p bruck-bench
 ./target/release/bruckctl bench --n 4 --ports 2 --block 16384 --reps 3 \
     --samples 2 --out /tmp/bruck-bench-smoke.json --min-mbps 380

@@ -751,7 +751,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     if let Some(floor) = args.min_mbps {
         let worst = rows
             .iter()
-            .filter(|r| r.collective == "alltoall" && r.mode == "pipelined")
+            .filter(|r| r.collective == "alltoall")
             .map(|r| r.mbps)
             .fold(f64::INFINITY, f64::min);
         if worst < floor {

@@ -1,13 +1,8 @@
-//! Wire-pipelining microbench: alltoall/allgather throughput and
-//! latency over the real-I/O Unix-socket transport, the pipelined data
-//! plane against the seed baseline.
-//!
-//! The baseline row reconstructs the pre-pipelining data plane exactly:
-//! stop-and-wait ARQ (`window = 1`, no piggybacking) over transports
-//! that wait for frames by sleep-polling every 50µs — the discipline
-//! the socket layer used before blocking reads. The pipelined row is
-//! the current defaults. Everything else (shape, reps, verification) is
-//! identical, so the speedup isolates the data-plane change.
+//! Wire microbench: alltoall/allgather throughput and latency over the
+//! real-I/O Unix-socket transport on the default data plane
+//! (sliding-window ARQ over blocking reads). The comparison against the
+//! stop-and-wait, sleep-polling plane it replaced is recorded in the
+//! committed `BENCH_pr3.json`; that plane no longer exists to re-run.
 //!
 //! Each case spins up a [`SocketCluster`], runs one untimed warmup
 //! collective (absorbs thread-spawn skew and pool warmup), then times
@@ -30,7 +25,6 @@ use bruck_collectives::vops::{alltoallv_auto_into, alltoallv_into, VLayout, VMet
 use bruck_model::calibrate::LinearFit;
 use bruck_model::cost::CostModel;
 use bruck_model::planner::{IndexPlan, Planner, VIndexPlan};
-use bruck_model::WireTuning;
 use bruck_net::{ClusterConfig, FaultPlan, NetError, Reliability, TcpScaleCluster};
 
 // ---------------------------------------------------------------------
@@ -141,42 +135,12 @@ impl Default for WireBenchConfig {
     }
 }
 
-/// How a benchmark case drives the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// The current data plane: sliding-window ARQ over blocking reads.
-    Pipelined,
-    /// The seed data plane: stop-and-wait ARQ over 50µs sleep-polled
-    /// socket waits.
-    SeedBaseline,
-}
-
-impl WireMode {
-    /// Short label for tables and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Pipelined => "pipelined",
-            Self::SeedBaseline => "seed-baseline",
-        }
-    }
-
-    fn tuning(self) -> WireTuning {
-        match self {
-            Self::Pipelined => WireTuning::default(),
-            Self::SeedBaseline => WireTuning::stop_and_wait(),
-        }
-    }
-}
-
 /// One row of the benchmark table.
 #[derive(Debug, Clone)]
 pub struct WireBenchRow {
     /// `"alltoall"` or `"allgather"`.
     pub collective: &'static str,
-    /// `"pipelined"` or `"seed-baseline"`.
-    pub mode: &'static str,
-    /// Sliding-window size (1 = stop-and-wait).
+    /// Sliding-window size.
     pub window: usize,
     /// Cluster size.
     pub n: usize,
@@ -216,18 +180,14 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
 }
 
-/// Run one collective shape under one wire mode over the socket
-/// transport and fold the pooled timings into a row.
+/// Run one collective shape over the socket transport and fold the
+/// pooled timings into a row.
 ///
 /// # Errors
 ///
 /// Propagates cluster setup or collective failures as a message.
-pub fn run_case(
-    collective: &'static str,
-    cfg: &WireBenchConfig,
-    mode: WireMode,
-) -> Result<WireBenchRow, String> {
-    let wire = mode.tuning();
+pub fn run_case(collective: &'static str, cfg: &WireBenchConfig) -> Result<WireBenchRow, String> {
+    let reliability = Reliability::default();
     let (n, block, reps) = (cfg.n, cfg.block, cfg.reps.max(1));
     let tuning = match cfg.radix {
         Some(r) => Tuning::builder().radix(r).build(),
@@ -240,8 +200,7 @@ pub fn run_case(
     let cluster_cfg = ClusterConfig::new(n)
         .with_ports(cfg.ports)
         .with_timeout(cfg.timeout)
-        .with_reliability(Reliability::default().with_wire(wire))
-        .with_serial_rounds(mode == WireMode::SeedBaseline);
+        .with_reliability(reliability);
 
     let mut pooled: Vec<u64> = Vec::with_capacity(reps * cfg.samples);
     let mut bytes_moved = 0u64;
@@ -283,11 +242,8 @@ pub fn run_case(
             }
             Ok(laps)
         };
-        let out = match mode {
-            WireMode::Pipelined => bruck_net::SocketCluster::run(&cluster_cfg, body),
-            WireMode::SeedBaseline => bruck_net::SocketCluster::run_legacy(&cluster_cfg, body),
-        }
-        .map_err(|e| format!("{collective} ({}): {e}", mode.label()))?;
+        let out = bruck_net::SocketCluster::run(&cluster_cfg, body)
+            .map_err(|e| format!("{collective}: {e}"))?;
         // Cluster-wide wall clock for rep j = the straggler rank's lap.
         for j in 0..reps {
             pooled.push(
@@ -316,8 +272,7 @@ pub fn run_case(
     let mean_ns = (pooled.iter().sum::<u64>() / pooled.len().max(1) as u64).max(1);
     Ok(WireBenchRow {
         collective,
-        mode: mode.label(),
-        window: wire.window,
+        window: reliability.wire.window,
         n,
         k: cfg.ports,
         radix,
@@ -335,35 +290,16 @@ pub fn run_case(
     })
 }
 
-/// Run the full matrix: both collectives, the pipelined data plane and
-/// the seed baseline.
+/// Run the full matrix: both collectives.
 ///
 /// # Errors
 ///
 /// Propagates the first failing case.
 pub fn run_matrix(cfg: &WireBenchConfig) -> Result<Vec<WireBenchRow>, String> {
-    let mut rows = Vec::new();
-    for collective in ["alltoall", "allgather"] {
-        for mode in [WireMode::Pipelined, WireMode::SeedBaseline] {
-            rows.push(run_case(collective, cfg, mode)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// Wall-clock speedup of the pipelined data plane over the seed
-/// baseline for `collective`, when both rows are present.
-#[must_use]
-pub fn speedup(rows: &[WireBenchRow], collective: &str) -> Option<f64> {
-    let of = |mode: &str| {
-        rows.iter()
-            .filter(|r| r.collective == collective)
-            .find(|r| r.mode == mode)
-            .map(|r| r.mean_ns as f64)
-    };
-    let base = of("seed-baseline")?;
-    let piped = of("pipelined")?;
-    Some(base / piped)
+    ["alltoall", "allgather"]
+        .into_iter()
+        .map(|collective| run_case(collective, cfg))
+        .collect()
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -376,20 +312,29 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Render the human table: one row per (collective, window).
+/// Render the human table: one row per collective.
 #[must_use]
 pub fn render_table(rows: &[WireBenchRow]) -> String {
-    let mut out =
-        format!(
-        "{:<10} {:<13} {:>6} {:>4} {:>3} {:>3} {:>8} {:>6} {:>9} {:>9} {:>9} {:>6} {:>5} {:>5}\n",
-        "collective", "mode", "window", "n", "k", "r", "bytes", "rounds", "MB/s", "p50", "p99",
-        "occ", "pig", "rexmt"
+    let mut out = format!(
+        "{:<10} {:>6} {:>4} {:>3} {:>3} {:>8} {:>6} {:>9} {:>9} {:>9} {:>6} {:>5} {:>5}\n",
+        "collective",
+        "window",
+        "n",
+        "k",
+        "r",
+        "bytes",
+        "rounds",
+        "MB/s",
+        "p50",
+        "p99",
+        "occ",
+        "pig",
+        "rexmt"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:<13} {:>6} {:>4} {:>3} {:>3} {:>8} {:>6} {:>9.1} {:>9} {:>9} {:>6.2} {:>5.2} {:>5}\n",
+            "{:<10} {:>6} {:>4} {:>3} {:>3} {:>8} {:>6} {:>9.1} {:>9} {:>9} {:>6.2} {:>5.2} {:>5}\n",
             r.collective,
-            r.mode,
             r.window,
             r.n,
             r.k,
@@ -404,13 +349,6 @@ pub fn render_table(rows: &[WireBenchRow]) -> String {
             r.retransmits,
         ));
     }
-    for collective in ["alltoall", "allgather"] {
-        if let Some(s) = speedup(rows, collective) {
-            out.push_str(&format!(
-                "{collective}: pipelined data plane speedup {s:.2}x over seed baseline\n"
-            ));
-        }
-    }
     out
 }
 
@@ -423,14 +361,13 @@ pub fn render_json(rows: &[WireBenchRow]) -> String {
     out.push_str("  \"transport\": \"uds\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"collective\": \"{}\", \"mode\": \"{}\", \"window\": {}, \"n\": {}, \
+            "    {{\"collective\": \"{}\", \"window\": {}, \"n\": {}, \
              \"k\": {}, \"radix\": {}, \
              \"block\": {}, \"rounds\": {}, \"bytes_moved\": {}, \"reps\": {}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"mbps\": {:.2}, \
              \"avg_window_occupancy\": {:.3}, \"piggyback_ratio\": {:.3}, \
              \"retransmits\": {}}}{}\n",
             r.collective,
-            r.mode,
             r.window,
             r.n,
             r.k,
@@ -449,12 +386,7 @@ pub fn render_json(rows: &[WireBenchRow]) -> String {
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n");
-    let a2a = speedup(rows, "alltoall").unwrap_or(0.0);
-    let ag = speedup(rows, "allgather").unwrap_or(0.0);
-    out.push_str(&format!(
-        "  \"speedup\": {{\"alltoall\": {a2a:.3}, \"allgather\": {ag:.3}}}\n}}\n"
-    ));
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -2543,11 +2475,6 @@ mod tests {
     fn row(collective: &'static str, window: usize, mean_ns: u64) -> WireBenchRow {
         WireBenchRow {
             collective,
-            mode: if window == 1 {
-                "seed-baseline"
-            } else {
-                "pipelined"
-            },
             window,
             n: 8,
             k: 2,
@@ -2567,18 +2494,10 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_base_over_piped() {
-        let rows = vec![row("alltoall", 8, 1_000_000), row("alltoall", 1, 3_000_000)];
-        assert!((speedup(&rows, "alltoall").unwrap() - 3.0).abs() < 1e-9);
-        assert!(speedup(&rows, "allgather").is_none());
-    }
-
-    #[test]
     fn json_is_well_formed_enough() {
         let rows = vec![row("alltoall", 8, 1_000_000), row("alltoall", 1, 2_000_000)];
         let json = render_json(&rows);
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"alltoall\": 2.000"));
+        assert_eq!(json.matches("\"collective\": \"alltoall\"").count(), 2);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -2765,14 +2684,11 @@ mod tests {
             timeout: Duration::from_secs(30),
             radix: None,
         };
-        let row = run_case("alltoall", &cfg, WireMode::Pipelined).unwrap();
+        let row = run_case("alltoall", &cfg).unwrap();
         assert_eq!((row.n, row.k, row.block), (4, 1, 2048));
         assert!(row.p50_ns > 0 && row.p99_ns >= row.p50_ns);
         assert!(row.mbps > 0.0);
         assert!(row.bytes_moved > 0);
-        let base = run_case("alltoall", &cfg, WireMode::SeedBaseline).unwrap();
-        assert_eq!(base.window, 1);
-        assert_eq!(base.mode, "seed-baseline");
     }
 
     #[test]

@@ -254,18 +254,17 @@ pub fn barrier_dissemination<C: Comm + ?Sized>(ep: &mut C) -> Result<(), NetErro
     let d = bruck_model::radix::ceil_log(k + 1, n);
     for i in 0..d {
         let base = bruck_model::radix::pow(k + 1, i);
-        let offsets: Vec<usize> = (1..=k).map(|j| j * base).filter(|&o| o < n).collect();
+        let offsets = (1..=k).map(|j| j * base).filter(|&o| o < n);
         let sends: Vec<SendSpec<'_>> = offsets
-            .iter()
-            .map(|&o| SendSpec {
+            .clone()
+            .map(|o| SendSpec {
                 to: (rank + o) % n,
                 tag: u64::from(i),
                 payload: &[],
             })
             .collect();
         let recvs: Vec<RecvSpec> = offsets
-            .iter()
-            .map(|&o| RecvSpec {
+            .map(|o| RecvSpec {
                 from: (rank + n - o) % n,
                 tag: u64::from(i),
             })

@@ -43,10 +43,6 @@ pub struct ClusterConfig {
     /// tuning; a clean TCP fabric already delivers reliably and in
     /// order, heals by per-pair replay, and runs without it.
     pub reliability: Option<Reliability>,
-    /// Use the legacy serialized round engine (receives complete in
-    /// spec order with sliced polling) instead of the concurrent one.
-    /// Benchmark-baseline compatibility only.
-    pub serial_rounds: bool,
     /// Wall-clock completion budget for the whole run: every rank arms
     /// its [`Deadline`] against one shared expiry instant, so a stalled
     /// or partitioned run fails on *all* survivors with a structured
@@ -105,7 +101,6 @@ impl ClusterConfig {
             timeout: Duration::from_secs(10),
             faults: Arc::new(FaultPlan::new()),
             reliability: None,
-            serial_rounds: false,
             deadline: None,
             recovery: RecoveryPolicy::default(),
             quarantine: crate::membership::DEFAULT_BASE_QUARANTINE,
@@ -212,16 +207,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_healing(mut self, healing: bool) -> Self {
         self.healing = Some(healing);
-        self
-    }
-
-    /// Run rounds on the legacy serialized receive engine (see
-    /// [`ClusterConfig::serial_rounds`]). Pair with
-    /// [`WireTuning::stop_and_wait`](bruck_model::tuning::WireTuning::stop_and_wait)
-    /// to reproduce the pre-pipelining data plane for benchmarking.
-    #[must_use]
-    pub fn with_serial_rounds(mut self, serial: bool) -> Self {
-        self.serial_rounds = serial;
         self
     }
 }
@@ -642,7 +627,6 @@ impl Cluster {
                     config.timeout,
                     Arc::clone(&pool),
                     Some(Arc::clone(&detector)),
-                    config.serial_rounds,
                     deadline,
                     Arc::clone(&round_clock),
                 )
@@ -763,6 +747,7 @@ impl Cluster {
             outcomes: results,
             metrics: RunMetrics {
                 per_rank,
+                folded: round_clock.folded(),
                 pool: pool.stats(),
                 ..RunMetrics::default()
             },

@@ -6,6 +6,14 @@
 //! sends to distinct peers and up to `k` receives from distinct peers,
 //! all counted against the paper's `C1`/`C2` measures and the virtual
 //! clock.
+//!
+//! A round's receives complete in one engine: scan every outstanding
+//! `(from, tag)` with a non-blocking `try_match`, and when a whole pass
+//! matched nothing, sleep in [`Transport::wait_any`] until a message
+//! arrives *that no pass has looked at yet*. Waking whenever anything at
+//! all is parked would spin — a neighbour a round ahead has almost always
+//! left a message here that no current spec wants — and with more ranks
+//! than cores the spinning rank holds the core its peer needs.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,10 +115,9 @@ pub struct Endpoint {
     /// fault plan can corrupt the wire, so the fault-free hot path pays
     /// nothing).
     checksums: bool,
-    /// Complete a round's receives strictly in spec order with
-    /// sliced polling — the pre-pipelining round engine, kept for the
-    /// wire benchmark's baseline (see `ClusterConfig::with_serial_rounds`).
-    serial_rounds: bool,
+    /// Scratch for [`check_peers`](Self::check_peers): one flag per
+    /// rank, all clear between calls.
+    peer_seen: Vec<bool>,
     /// The rank's completion budget, shared with the reliability layer
     /// (and armed cluster-wide by `ClusterConfig::with_deadline` or per
     /// collective by the API layer). Unarmed checks are one atomic load.
@@ -135,7 +142,6 @@ impl Endpoint {
         timeout: Duration,
         pool: Arc<BufferPool>,
         detector: Option<Arc<FailureDetector>>,
-        serial_rounds: bool,
         deadline: Deadline,
         round_clock: Arc<RoundClock>,
     ) -> Self {
@@ -156,7 +162,7 @@ impl Endpoint {
             detector,
             seen_version: 0,
             checksums,
-            serial_rounds,
+            peer_seen: vec![false; size],
             deadline,
             round_clock,
         }
@@ -256,8 +262,8 @@ impl Endpoint {
     }
 
     fn check_peers(
-        &self,
-        peers: impl Iterator<Item = usize>,
+        &mut self,
+        peers: impl Iterator<Item = usize> + Clone,
         direction: &'static str,
         count: usize,
     ) -> Result<(), NetError> {
@@ -269,24 +275,29 @@ impl Endpoint {
                 direction,
             });
         }
-        let mut seen = vec![false; self.size];
-        for p in peers {
+        let mut verdict = Ok(());
+        for p in peers.clone() {
             if p >= self.size || p == self.rank {
-                return Err(NetError::BadPeer {
+                verdict = Err(NetError::BadPeer {
                     rank: self.rank,
                     peer: p,
                     size: self.size,
                 });
+                break;
             }
-            if seen[p] {
-                return Err(NetError::DuplicatePeer {
+            if std::mem::replace(&mut self.peer_seen[p], true) {
+                verdict = Err(NetError::DuplicatePeer {
                     rank: self.rank,
                     peer: p,
                 });
+                break;
             }
-            seen[p] = true;
         }
-        Ok(())
+        // Clear exactly the flags set above (at most `ports` of them).
+        for p in peers.filter(|&p| p < self.size) {
+            self.peer_seen[p] = false;
+        }
+        verdict
     }
 
     /// Execute one synchronous communication round: inject all `sends`
@@ -415,7 +426,7 @@ impl Endpoint {
     /// (the current round's index).
     fn round_preflight(
         &mut self,
-        send_peers: impl Iterator<Item = usize>,
+        send_peers: impl Iterator<Item = usize> + Clone,
         send_count: usize,
         recvs: &[RecvSpec],
     ) -> Result<u64, NetError> {
@@ -477,11 +488,7 @@ impl Endpoint {
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
         let wall_recv = Instant::now();
-        let slots = if self.serial_rounds {
-            self.recv_serial_checked(recvs)?
-        } else {
-            self.recv_all_checked(recvs)?
-        };
+        let slots = self.recv_all_checked(recvs)?;
         self.metrics.wall_recv_ns += wall_recv.elapsed().as_nanos() as u64;
 
         let mut out = Vec::with_capacity(recvs.len());
@@ -495,22 +502,23 @@ impl Endpoint {
             out.push(msg);
         }
         self.clock = finish;
-        self.metrics.record_round(sent_sizes, recvs.len());
-        self.round_clock.advance(self.rank);
+        let send_max = self.metrics.record_round(sent_sizes, recvs.len());
+        self.round_clock.advance(self.rank, send_max);
         Ok(out)
     }
 
     /// Complete all of a round's receives concurrently: poll every still
     /// outstanding `(from, tag)` with a non-blocking `try_match` so the
     /// `k` ports fill in *arrival* order (no head-of-line blocking on
-    /// the first spec), and park in the transport's blocking `wait_any`
-    /// when nothing is deliverable. One deadline covers the whole port
-    /// group. Between waits the cluster's failure detector is checked,
-    /// so a rank death anywhere interrupts this waiter with the
-    /// cluster-wide [`NetError::RanksFailed`] verdict instead of letting
-    /// it idle into an unattributed [`NetError::Timeout`]. Payload
-    /// checksums are verified, surfacing wire corruption as
-    /// [`NetError::Corrupt`].
+    /// the first spec), and sleep in the transport's `wait_any` when a
+    /// whole pass matched nothing — until something arrives that no pass
+    /// has examined, not merely while something is parked. One deadline
+    /// covers the whole port group. Between waits the cluster's failure
+    /// detector is checked, so a rank death anywhere interrupts this
+    /// waiter with the cluster-wide [`NetError::RanksFailed`] verdict
+    /// instead of letting it idle into an unattributed
+    /// [`NetError::Timeout`]. Payload checksums are verified, surfacing
+    /// wire corruption as [`NetError::Corrupt`].
     fn recv_all_checked(&mut self, recvs: &[RecvSpec]) -> Result<Vec<Message>, NetError> {
         let mut slots: Vec<Option<Message>> = (0..recvs.len()).map(|_| None).collect();
         let mut remaining = recvs.len();
@@ -525,6 +533,7 @@ impl Endpoint {
                 }
             }
             let mut progressed = false;
+            self.metrics.scan_passes += 1;
             for (slot, r) in slots.iter_mut().zip(recvs) {
                 if slot.is_some() {
                     continue;
@@ -547,8 +556,7 @@ impl Endpoint {
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // Report the first unfilled spec — the same shape the
-                // old serialized receive loop produced.
+                // Report the first unfilled spec.
                 let r = slots
                     .iter()
                     .zip(recvs)
@@ -569,60 +577,6 @@ impl Endpoint {
             .into_iter()
             .map(|s| s.expect("all slots filled"))
             .collect())
-    }
-
-    /// Legacy serialized receive: complete the specs strictly in caller
-    /// order, one at a time, polling `recv_match` in short slices. This
-    /// is the pre-pipelining round engine — head-of-line blocking on the
-    /// first spec and all — kept behind
-    /// `ClusterConfig::with_serial_rounds` so the wire benchmark can
-    /// measure the data plane this revision replaced. Error shapes match
-    /// [`recv_all_checked`](Self::recv_all_checked).
-    fn recv_serial_checked(&mut self, recvs: &[RecvSpec]) -> Result<Vec<Message>, NetError> {
-        let mut out = Vec::with_capacity(recvs.len());
-        for r in recvs {
-            let deadline = Instant::now() + self.timeout;
-            loop {
-                self.deadline.check(self.rank)?;
-                if let Some(det) = &self.detector {
-                    if det.version() > self.seen_version {
-                        return Err(NetError::RanksFailed {
-                            ranks: det.snapshot(),
-                        });
-                    }
-                }
-                let slice = self.deadline.clamp(
-                    deadline
-                        .saturating_duration_since(Instant::now())
-                        .min(FAILOVER_POLL),
-                );
-                match self.transport.recv_match(r.from, r.tag, slice) {
-                    Ok(msg) => {
-                        if !msg.checksum_ok() {
-                            return Err(NetError::Corrupt {
-                                rank: self.rank,
-                                from: r.from,
-                                tag: r.tag,
-                            });
-                        }
-                        out.push(msg);
-                        break;
-                    }
-                    Err(NetError::Timeout { .. }) => {
-                        if Instant::now() >= deadline {
-                            return Err(NetError::Timeout {
-                                rank: self.rank,
-                                from: r.from,
-                                tag: r.tag,
-                                waited: self.timeout,
-                            });
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// The ranks the cluster has agreed are dead (empty when no failure

@@ -23,11 +23,13 @@
 //! duplication without reliability may deliver stale messages and is
 //! only meaningful for testing the reliability layer itself.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use bruck_model::complexity::Complexity;
 
 use crate::error::NetError;
 use crate::message::{Message, Tag};
@@ -38,10 +40,28 @@ use crate::transport::Transport;
 /// rounds, published by its endpoint and read by every
 /// [`FaultyTransport`] so round-keyed link cuts apply below the round
 /// layer — severing retransmissions and acks, not just the round's data
-/// frames. Lock-free; one relaxed load per transmission.
+/// frames. Reading is lock-free; one relaxed load per transmission.
+///
+/// The clock is also where the paper's `(C1, C2)` is accumulated. Each
+/// rank reports the largest message it sent in the round it completes;
+/// once all `n` ranks have reported round `i`, the largest of those is
+/// added to `C2` and the round is forgotten. What is kept is therefore
+/// one `(reports, max)` pair per round some rank has finished and some
+/// other has not — bounded by how far ranks drift apart, not by how long
+/// the cluster runs.
 #[derive(Debug)]
 pub struct RoundClock {
     completed: Vec<AtomicU64>,
+    fold: Mutex<RoundFold>,
+}
+
+#[derive(Debug, Default)]
+struct RoundFold {
+    /// Rounds every rank has reported, and the sum of their maxima.
+    closed: Complexity,
+    /// `(ranks reported, largest message so far)` for rounds
+    /// `closed.c1, closed.c1 + 1, …` that are still missing a rank.
+    open: VecDeque<(usize, u64)>,
 }
 
 impl RoundClock {
@@ -50,12 +70,30 @@ impl RoundClock {
     pub fn new(n: usize) -> Self {
         Self {
             completed: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            fold: Mutex::new(RoundFold::default()),
         }
     }
 
-    /// Record that `rank` completed another round.
-    pub fn advance(&self, rank: usize) {
-        self.completed[rank].fetch_add(1, Ordering::Relaxed);
+    /// Record that `rank` completed another round in which the largest
+    /// message it sent was `send_max` bytes (0 for an idle round).
+    pub fn advance(&self, rank: usize, send_max: u64) {
+        let round = self.completed[rank].fetch_add(1, Ordering::Relaxed);
+        let mut fold = self.fold.lock().expect("round fold lock poisoned");
+        // A rank reports its rounds in order, so `round` is never one
+        // that has already closed.
+        let at = (round - fold.closed.c1) as usize;
+        if fold.open.len() <= at {
+            fold.open.resize(at + 1, (0, 0));
+        }
+        let slot = &mut fold.open[at];
+        *slot = (slot.0 + 1, slot.1.max(send_max));
+        while let Some(&(reports, max)) = fold.open.front() {
+            if reports < self.completed.len() {
+                break;
+            }
+            fold.open.pop_front();
+            fold.closed = fold.closed.plus_round(max);
+        }
     }
 
     /// How many rounds `rank` has completed. Ranks beyond the clock's
@@ -65,6 +103,12 @@ impl RoundClock {
         self.completed
             .get(rank)
             .map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    /// `(C1, C2)` over the rounds every rank has completed so far.
+    #[must_use]
+    pub fn folded(&self) -> Complexity {
+        self.fold.lock().expect("round fold lock poisoned").closed
     }
 }
 
@@ -1387,13 +1431,36 @@ mod tests {
     #[test]
     fn round_clock_counts_per_rank() {
         let c = RoundClock::new(3);
-        c.advance(1);
-        c.advance(1);
-        c.advance(2);
+        c.advance(1, 0);
+        c.advance(1, 0);
+        c.advance(2, 0);
         assert_eq!(c.completed(0), 0);
         assert_eq!(c.completed(1), 2);
         assert_eq!(c.completed(2), 1);
         assert_eq!(c.completed(99), 0);
+    }
+
+    #[test]
+    fn round_clock_folds_a_round_when_the_last_rank_reports_it() {
+        let c = RoundClock::new(3);
+        // Rank 1 runs two rounds ahead; nothing closes until 0 and 2 come.
+        c.advance(1, 7);
+        c.advance(1, 50);
+        c.advance(2, 9);
+        assert_eq!(c.folded(), Complexity::ZERO);
+        c.advance(0, 3);
+        assert_eq!(c.folded(), Complexity::new(1, 9), "round 0 = max(3, 7, 9)");
+        c.advance(0, 1);
+        c.advance(2, 2);
+        assert_eq!(c.folded(), Complexity::new(2, 59), "+ max(1, 50, 2)");
+        // A long run leaves nothing behind once ranks are level again.
+        for _ in 0..10_000 {
+            for rank in 0..3 {
+                c.advance(rank, 1);
+            }
+        }
+        assert_eq!(c.folded(), Complexity::new(10_002, 10_059));
+        assert!(c.fold.lock().unwrap().open.is_empty());
     }
 
     #[test]

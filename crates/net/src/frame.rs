@@ -8,10 +8,11 @@
 //! reassemble with the same [`Assembler`], so a message is bit-identical
 //! whichever wire carried it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::error::NetError;
 use crate::message::{Message, Tag};
+use crate::parked::Parked;
 
 /// Max payload bytes per wire fragment. Sized so a 64 KiB block — the
 /// common collective block size — travels as a single fragment (one
@@ -104,10 +105,10 @@ struct Reassembly {
 
 /// Fragment reassembly for one receiving rank, shared by the datagram
 /// and TCP stream transports: frames keyed by `(src, msg_id)` accumulate
-/// until complete, then surface as whole [`Message`]s in `pending`.
+/// until complete, then surface as whole [`Message`]s in `parked`.
 pub(crate) struct Assembler {
     rank: usize,
-    pub(crate) pending: VecDeque<Message>,
+    pub(crate) parked: Parked,
     partial: HashMap<(usize, u64), Reassembly>,
 }
 
@@ -115,15 +116,15 @@ impl Assembler {
     pub(crate) fn new(rank: usize) -> Self {
         Self {
             rank,
-            pending: VecDeque::new(),
+            parked: Parked::default(),
             partial: HashMap::new(),
         }
     }
 
-    /// Fold one decoded frame in; complete messages land in `pending`.
+    /// Fold one decoded frame in; complete messages land in `parked`.
     pub(crate) fn accept(&mut self, frame: Frame) {
         if frame.frag_count == 1 {
-            self.pending.push_back(Message {
+            self.parked.park(Message {
                 src: frame.src,
                 dst: self.rank,
                 tag: frame.tag,
@@ -158,7 +159,7 @@ impl Assembler {
                 .into_iter()
                 .flat_map(|c| c.expect("all fragments present"))
                 .collect();
-            self.pending.push_back(Message {
+            self.parked.park(Message {
                 src: frame.src,
                 dst: self.rank,
                 tag: done.tag,
@@ -171,20 +172,10 @@ impl Assembler {
         }
     }
 
-    /// Pull the first pending message matching `(from, tag)`.
-    pub(crate) fn take_match(&mut self, from: usize, tag: Tag) -> Option<Message> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|m| m.src == from && m.tag == tag)?;
-        self.pending.remove(pos)
-    }
-
     /// Discard everything buffered (complete and partial). Returns how
     /// many messages were thrown away.
     pub(crate) fn clear(&mut self) -> usize {
-        let n = self.pending.len() + self.partial.len();
-        self.pending.clear();
+        let n = self.parked.purge() + self.partial.len();
         self.partial.clear();
         n
     }
@@ -261,9 +252,9 @@ mod tests {
         };
         asm.accept(frag(2, &[5, 6]));
         asm.accept(frag(0, &[1, 2]));
-        assert!(asm.pending.is_empty());
+        assert_eq!(asm.parked.len(), 0);
         asm.accept(frag(1, &[3, 4]));
-        let m = asm.take_match(1, 7).expect("complete message");
+        let m = asm.parked.take(1, 7).expect("complete message");
         assert_eq!(m.payload, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!((m.src, m.dst, m.seq), (1, 3, 9));
     }
@@ -285,9 +276,9 @@ mod tests {
         };
         asm.accept(frag(0));
         asm.accept(frag(0));
-        assert!(asm.pending.is_empty(), "duplicate must not complete");
+        assert_eq!(asm.parked.len(), 0, "duplicate must not complete");
         asm.accept(frag(1));
-        assert_eq!(asm.pending.len(), 1);
+        assert_eq!(asm.parked.len(), 1);
         assert_eq!(asm.clear(), 1);
     }
 }

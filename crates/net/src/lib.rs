@@ -113,6 +113,7 @@ pub mod mailbox;
 pub mod membership;
 pub mod message;
 pub mod metrics;
+mod parked;
 pub mod pool;
 pub mod reliable;
 pub mod socket;

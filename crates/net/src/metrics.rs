@@ -1,9 +1,12 @@
 //! Empirical complexity accounting.
 //!
-//! Each rank records, per round, the size of the largest message it sent;
-//! after the run these per-rank series fold into the paper's global
-//! measures: `C1` = number of rounds, `C2` = Σ over rounds of the largest
-//! message over *all* ports of *all* processors (§1.2).
+//! The paper's global measures are `C1` = number of rounds and `C2` = Σ
+//! over rounds of the largest message over *all* ports of *all*
+//! processors (§1.2). Each rank counts its rounds and reports the largest
+//! message it sent in each to the cluster-shared
+//! [`RoundClock`](crate::fault::RoundClock), which folds a round into
+//! `(C1, C2)` as soon as every rank has reported it — so what a run keeps
+//! is bounded by how far ranks drift apart, not by how long it lasts.
 
 use bruck_model::calibrate::LinearFit;
 use bruck_model::complexity::Complexity;
@@ -163,10 +166,16 @@ impl FabricStats {
 
 /// Counters owned by one rank (no sharing, no atomics — folded after the
 /// run).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// `Copy` on purpose: nothing here may grow with the length of the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankMetrics {
-    /// Per-round maximum sent-message size in bytes (0 for idle rounds).
-    pub round_send_max: Vec<u64>,
+    /// Rounds this rank took part in (idle rounds included).
+    pub rounds: u64,
+    /// Passes the round engine made over a round's outstanding receive
+    /// specs. An idle rank that sleeps makes a bounded number per message
+    /// it receives; one that spins makes millions.
+    pub scan_passes: u64,
     /// Total messages sent.
     pub msgs_sent: u64,
     /// Total bytes sent.
@@ -195,16 +204,20 @@ impl RankMetrics {
     /// Number of rounds this rank participated in.
     #[must_use]
     pub fn rounds(&self) -> u64 {
-        self.round_send_max.len() as u64
+        self.rounds
     }
 
-    /// Record one round.
-    pub fn record_round(&mut self, sent_sizes: &[u64], received: usize) {
-        self.round_send_max
-            .push(sent_sizes.iter().copied().max().unwrap_or(0));
+    /// Record one round. Returns the size of the largest message sent in
+    /// it (0 for an idle round) — this rank's term of the round's `C2`
+    /// contribution, which the caller reports to the cluster's
+    /// [`RoundClock`](crate::fault::RoundClock).
+    #[must_use = "the round's largest message has to reach the RoundClock"]
+    pub fn record_round(&mut self, sent_sizes: &[u64], received: usize) -> u64 {
+        self.rounds += 1;
         self.msgs_sent += sent_sizes.len() as u64;
         self.bytes_sent += sent_sizes.iter().sum::<u64>();
         self.msgs_received += received as u64;
+        sent_sizes.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -213,6 +226,10 @@ impl RankMetrics {
 pub struct RunMetrics {
     /// One entry per rank.
     pub per_rank: Vec<RankMetrics>,
+    /// The rounds every rank reported, as `(count, Σ of their per-round
+    /// largest messages)` — the [`RoundClock`](crate::fault::RoundClock)'s
+    /// fold at the end of the run.
+    pub folded: Complexity,
     /// Buffer-pool activity over the whole run (cluster-shared pool).
     pub pool: PoolStats,
     /// Membership-view counters (view changes, evictions, rejoins,
@@ -240,24 +257,11 @@ impl RunMetrics {
     /// well defined). `None` when ranks disagree on the round count.
     #[must_use]
     pub fn global_complexity(&self) -> Option<Complexity> {
-        let rounds = self.per_rank.first().map_or(0, |r| r.round_send_max.len());
-        if !self
-            .per_rank
-            .iter()
-            .all(|r| r.round_send_max.len() == rounds)
-        {
-            return None;
-        }
-        let mut c2 = 0u64;
-        for round in 0..rounds {
-            c2 += self
-                .per_rank
-                .iter()
-                .map(|r| r.round_send_max[round])
-                .max()
-                .unwrap_or(0);
-        }
-        Some(Complexity::new(rounds as u64, c2))
+        let rounds = self.per_rank.first().map_or(0, RankMetrics::rounds);
+        // Ranks that agree on the count have each reported every one of
+        // those rounds, so the fold covers exactly them.
+        (self.per_rank.iter().all(|r| r.rounds == rounds) && self.folded.c1 == rounds)
+            .then_some(self.folded)
     }
 
     /// Total bytes moved across the whole cluster.
@@ -352,19 +356,33 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::RoundClock;
+
+    /// Two ranks' rounds as `(sent sizes, received)`, recorded and
+    /// reported to a shared clock the way an endpoint does.
+    fn run_of(ranks: [&[(&[u64], usize)]; 2]) -> RunMetrics {
+        let clock = RoundClock::new(2);
+        let per_rank = ranks
+            .iter()
+            .enumerate()
+            .map(|(rank, rounds)| {
+                let mut m = RankMetrics::default();
+                for &(sent, received) in *rounds {
+                    clock.advance(rank, m.record_round(sent, received));
+                }
+                m
+            })
+            .collect();
+        RunMetrics {
+            per_rank,
+            folded: clock.folded(),
+            ..RunMetrics::default()
+        }
+    }
 
     #[test]
     fn record_and_fold() {
-        let mut a = RankMetrics::default();
-        a.record_round(&[10, 20], 1);
-        a.record_round(&[], 2);
-        let mut b = RankMetrics::default();
-        b.record_round(&[5], 0);
-        b.record_round(&[30], 0);
-        let run = RunMetrics {
-            per_rank: vec![a, b],
-            ..RunMetrics::default()
-        };
+        let run = run_of([&[(&[10, 20], 1), (&[], 2)], &[(&[5], 0), (&[30], 0)]]);
         // Round 0 max = 20, round 1 max = 30.
         assert_eq!(run.global_complexity(), Some(Complexity::new(2, 50)));
         assert_eq!(run.total_bytes(), 65);
@@ -374,14 +392,9 @@ mod tests {
 
     #[test]
     fn misaligned_rounds_yield_none() {
-        let mut a = RankMetrics::default();
-        a.record_round(&[1], 0);
-        let b = RankMetrics::default();
-        let run = RunMetrics {
-            per_rank: vec![a, b],
-            ..RunMetrics::default()
-        };
+        let run = run_of([&[(&[1], 0)], &[]]);
         assert_eq!(run.global_complexity(), None);
+        assert_eq!(run.folded, Complexity::ZERO, "nothing closed");
     }
 
     #[test]
@@ -439,12 +452,12 @@ mod tests {
     #[test]
     fn bytes_per_round_and_wall_phases() {
         let mut a = RankMetrics::default();
-        a.record_round(&[10, 20], 1);
-        a.record_round(&[30], 0);
+        let _ = a.record_round(&[10, 20], 1);
+        let _ = a.record_round(&[30], 0);
         a.wall_send_ns = 100;
         a.wall_recv_ns = 300;
         let mut b = RankMetrics::default();
-        b.record_round(&[40], 1);
+        let _ = b.record_round(&[40], 1);
         b.wall_send_ns = 50;
         b.wall_recv_ns = 150;
         let run = RunMetrics {

@@ -54,6 +54,7 @@ use crate::error::NetError;
 use crate::failure::FailureDetector;
 use crate::message::{payload_checksum, Message, Tag};
 use crate::metrics::LinkStats;
+use crate::parked::Parked;
 use crate::transport::Transport;
 
 /// Tag reserved for reliability-layer acknowledgements. Application and
@@ -243,7 +244,7 @@ pub struct ReliableTransport {
     /// Out-of-order stash per source, keyed by sequence.
     ooo: Vec<BTreeMap<u64, Message>>,
     /// In-order messages ready for the matching layer.
-    pending: VecDeque<Message>,
+    pending: Parked,
     /// Last instant an intact frame (data, ack, or probe) arrived from
     /// each peer — the piggyback heartbeat the watchdog consults before
     /// spending an explicit probe.
@@ -281,7 +282,7 @@ impl ReliableTransport {
             expected: vec![0; n],
             ack_owed: vec![None; n],
             ooo: (0..n).map(|_| BTreeMap::new()).collect(),
-            pending: VecDeque::new(),
+            pending: Parked::default(),
             last_heard: vec![Instant::now(); n],
             watch: vec![None; n],
             probe: vec![None; n],
@@ -446,7 +447,7 @@ impl ReliableTransport {
         if m.seq == 0 {
             // Unsequenced traffic (no reliability on the sending side):
             // pass through untouched.
-            self.pending.push_back(m);
+            self.pending.park(m);
             return Ok(());
         }
         let src = m.src;
@@ -459,11 +460,11 @@ impl ReliableTransport {
         }
         if m.seq == self.expected[src] + 1 {
             self.expected[src] = m.seq;
-            self.pending.push_back(m);
+            self.pending.park(m);
             // Drain any stashed messages that are now contiguous.
             while let Some(next) = self.ooo[src].remove(&(self.expected[src] + 1)) {
                 self.expected[src] = next.seq;
-                self.pending.push_back(next);
+                self.pending.park(next);
             }
             // Owe a cumulative ack; pump flushes it after a short grace
             // period unless a reverse-path data frame piggybacks it
@@ -680,14 +681,6 @@ impl ReliableTransport {
         }
         self.watch[from] = Some(now);
     }
-
-    fn take_pending(&mut self, from: usize, tag: Tag) -> Option<Message> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|m| m.src == from && m.tag == tag)?;
-        self.pending.remove(pos)
-    }
 }
 
 impl Transport for ReliableTransport {
@@ -761,7 +754,7 @@ impl Transport for ReliableTransport {
     ) -> Result<Message, NetError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(m) = self.take_pending(from, tag) {
+            if let Some(m) = self.pending.take(from, tag) {
                 return Ok(m);
             }
             self.deadline.check(self.rank)?;
@@ -782,7 +775,7 @@ impl Transport for ReliableTransport {
     fn recv_any(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(m) = self.pending.pop_front() {
+            if let Some(m) = self.pending.pop_any() {
                 return Ok(Some(m));
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -794,7 +787,7 @@ impl Transport for ReliableTransport {
     }
 
     fn try_match(&mut self, from: usize, tag: Tag) -> Result<Option<Message>, NetError> {
-        if let Some(m) = self.take_pending(from, tag) {
+        if let Some(m) = self.pending.take(from, tag) {
             return Ok(Some(m));
         }
         self.note_watch(from);
@@ -803,7 +796,7 @@ impl Transport for ReliableTransport {
             self.process(m)?;
         }
         self.pump()?;
-        Ok(self.take_pending(from, tag))
+        Ok(self.pending.take(from, tag))
     }
 
     fn wait_any(&mut self, timeout: Duration) -> Result<(), NetError> {
@@ -866,8 +859,7 @@ impl Transport for ReliableTransport {
     /// number that never comes).
     fn purge(&mut self) -> usize {
         let mut n = self.inner.purge();
-        n += self.pending.len();
-        self.pending.clear();
+        n += self.pending.purge();
         for stash in &mut self.ooo {
             n += stash.len();
             stash.clear();
@@ -1069,12 +1061,12 @@ mod tests {
         bad.payload[0] ^= 0xFF; // checksum now wrong
         b.process(bad).unwrap();
         assert_eq!(b.link_stats().corrupt_dropped, 1);
-        assert!(b.pending.is_empty());
+        assert_eq!(b.pending.len(), 0);
         // The retransmission (same seq) arrives intact and is delivered.
         let mut good = data(0, 1, 7, vec![1, 2, 3]);
         good.seq = 1;
         b.process(good).unwrap();
-        let m = b.take_pending(0, 7).unwrap();
+        let m = b.pending.take(0, 7).unwrap();
         assert_eq!(m.payload, vec![1, 2, 3]);
     }
 
@@ -1086,14 +1078,14 @@ mod tests {
         let mut m1 = data(0, 1, 7, vec![1]);
         m1.seq = 1;
         b.process(m2).unwrap();
-        assert!(b.pending.is_empty(), "gap: nothing deliverable yet");
+        assert_eq!(b.pending.len(), 0, "gap: nothing deliverable yet");
         // The gap triggered an immediate dedicated ack advertising the
         // stashed frame as a selective ack.
         assert!(b.link_stats().acks_sent >= 1);
         assert!(b.link_stats().sack_entries_sent >= 1);
         b.process(m1).unwrap();
-        let first = b.pending.pop_front().unwrap();
-        let second = b.pending.pop_front().unwrap();
+        let first = b.pending.pop_any().unwrap();
+        let second = b.pending.pop_any().unwrap();
         assert_eq!((first.payload[0], second.payload[0]), (1, 2));
         assert_eq!(b.expected[0], 2);
     }
@@ -1167,7 +1159,7 @@ mod tests {
         a.process(rev).unwrap();
         assert!(a.tx[1].inflight.is_empty(), "piggybacked ack retired both");
         // And the data itself was delivered.
-        assert_eq!(a.take_pending(1, 9).unwrap().payload, vec![42]);
+        assert_eq!(a.pending.take(1, 9).unwrap().payload, vec![42]);
     }
 
     #[test]
@@ -1197,7 +1189,7 @@ mod tests {
         let mut dup = data(0, 1, 7, vec![1]);
         dup.seq = 1;
         b.process(dup).unwrap();
-        assert!(b.pending.is_empty());
+        assert_eq!(b.pending.len(), 0);
         assert_eq!(b.link_stats().dups_dropped, 1);
     }
 

@@ -678,7 +678,7 @@ fn sweep_end(
         match decode_frame(body) {
             Ok(frame) if dst < n => {
                 asms[dst].accept(frame);
-                while let Some(m) = asms[dst].pending.pop_front() {
+                while let Some(m) = asms[dst].parked.pop_any() {
                     // A dropped receiver (aborted run) is not an
                     // error: same fire-and-forget semantics as the
                     // channel transport.
@@ -2004,6 +2004,7 @@ impl TcpScaleCluster {
                 results,
                 metrics: RunMetrics {
                     per_rank,
+                    folded: round_clock.folded(),
                     fabric: fabric_stats,
                     ..RunMetrics::default()
                 },
@@ -2419,8 +2420,8 @@ fn run_chunk(
                 unreachable!("op shape validated before spawn");
             };
             ctx.metrics.wall_recv_ns += recv_wall;
-            ctx.metrics.record_round(&sent_sizes[ci], round.recvs.len());
-            round_clock.advance(ctx.rank);
+            let send_max = ctx.metrics.record_round(&sent_sizes[ci], round.recvs.len());
+            round_clock.advance(ctx.rank, send_max);
         }
     }
 
@@ -2697,8 +2698,8 @@ mod tests {
             .collect();
         ts[0].send(msg_to(0, 1, 5, big.clone())).unwrap();
         ts[1].send(msg_to(1, 0, 6, vec![7; 100])).unwrap();
-        clock.advance(0);
-        clock.advance(1);
+        clock.advance(0, 0);
+        clock.advance(1, 0);
         let m = ts[1].recv_match(0, 5, Duration::from_secs(20)).unwrap();
         assert!(m.payload == big, "replayed message differs");
         let m = ts[0].recv_match(1, 6, Duration::from_secs(20)).unwrap();

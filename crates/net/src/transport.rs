@@ -78,15 +78,28 @@ pub trait Transport: Send {
         }
     }
 
-    /// Block until at least one message is queued or parked (whatever its
-    /// source or tag), or `timeout` elapses — *without* consuming it.
-    /// This is the idle edge of the event loop and it is **required**: a
-    /// correct implementation parks on the transport's own wakeup
-    /// primitive (a channel/condvar wait, a blocking read with deadline)
-    /// so an idle endpoint burns no CPU. The old provided default slept
-    /// in 500 µs slices — a poll loop that both wasted cycles and added
-    /// up to half a millisecond of wakeup latency per message — so it
-    /// was removed rather than silently inherited.
+    /// Sleep until there is something *new* for the caller to scan, or
+    /// `timeout` elapses — without consuming it. This is the idle edge of
+    /// the round engine, and the contract is edge-triggered:
+    ///
+    /// * return at once if any receive call (`try_match`, `recv_match`, a
+    ///   drain inside `send`) has parked a message since the previous
+    ///   `wait_any` — no scan has examined it, whichever spec was being
+    ///   polled when it came off the wire;
+    /// * otherwise block on the transport's own wakeup primitive (a
+    ///   channel wait, a blocking read with deadline) until a message
+    ///   arrives, park it, and return — **however many messages are
+    ///   already parked**.
+    ///
+    /// Returning whenever something is parked is a busy loop in disguise:
+    /// a peer one round ahead has almost always left a message no current
+    /// spec matches, the caller re-scans, finds nothing, waits, returns at
+    /// once, and burns its time slice while the peer it actually needs
+    /// cannot get a core. Required, not provided: a sleeping default
+    /// would add wake-up latency, a polling one would spin.
+    ///
+    /// A sublayer that consumes everything from the wire into its own
+    /// queue (the ARQ) may simply block on the wire: it cannot spin.
     ///
     /// # Errors
     ///
