@@ -78,6 +78,18 @@ cargo build -q --release -p bruck-bench
 ./target/release/bruckctl bench --n 4 --ports 2 --block 16384 --reps 3 \
     --samples 2 --out /tmp/bruck-bench-smoke.json --min-mbps 380
 
+# The same at the tracked benchmark's shape (n=8, k=2, 64 KiB), where
+# the first smoke is blind: there no message exceeds one 64 KiB
+# fragment and only the alltoall row is gated, which is how a
+# byte-at-a-time reassembly (0.46 GB/s) sat under the concat's
+# multi-fragment last round for thirteen PRs. Here the allgather row has
+# a floor of its own: ~30 % under the 305-419 MB/s the in-place
+# reassembly measures pinned to one core, above the 169-193 MB/s of the
+# tree before it.
+./target/release/bruckctl bench --n 8 --ports 2 --block 65536 --reps 3 \
+    --samples 2 --out /tmp/bruck-bench-smoke-frag.json --min-mbps 380 \
+    --min-allgather-mbps 230
+
 # Zipf smoke: a short skewed sweep at the PR 6 shape (n=8, k=2). Every
 # lap is verified bit-exactly inside run_skew_matrix, so this gates the
 # whole skewed data path (metadata exchange, padded/two-phase executors,
@@ -98,6 +110,11 @@ cargo build -q --release -p bruck-bench
 # Hard wall-clock timeout as the no-hang backstop, same rationale as
 # the liveness gate.
 timeout 300 cargo test -q --test tcp --test hierarchical
+# By name, what the two transports' receive paths rest on: fragment
+# placement and the fragment rules (10 000 seeded malformed headers),
+# and the stream parser fed the same bytes under every cut.
+timeout 120 cargo test -q -p bruck-net --lib -- frame:: tcp::tests::stream_parser \
+    tcp::tests::oversize_record tcp::tests::malformed_records
 BRUCK_SCALE_MAX_N="${BRUCK_SCALE_MAX_N:-128}" timeout 300 \
     ./target/release/bruckctl bench --scale --reps 1 \
     --out /tmp/bruck-scale-smoke.json

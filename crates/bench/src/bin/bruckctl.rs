@@ -15,7 +15,8 @@
 //! bruckctl chaos  --transport tcp --n 128 --seed 7        # socket-level chaos on the TCP fabric
 //! bruckctl chaos  --transport tcp --replay repro.tsv      # replay a connection-chaos reproducer
 //! bruckctl bench  --n 8 --ports 2 --block 65536           # wire pipelining table + BENCH_pr3.json
-//! bruckctl bench  --min-mbps 50                           # CI floor: exit 1 below it
+//! bruckctl bench  --min-mbps 50                           # CI floor: exit 1 if alltoall is below it
+//! bruckctl bench  --min-allgather-mbps 50                 # the same for the allgather row
 //! bruckctl bench  --autotune --n 8 --ports 2              # planner vs fixed radices + BENCH_pr4.json
 //! bruckctl bench  --liveness --n 8 --ports 2              # deadline+watchdog overhead + BENCH_pr5.json
 //! bruckctl bench  --skew 0,0.5,1.0,1.5 --n 8 --ports 2    # Zipf v-op family sweep + BENCH_pr6.json
@@ -61,6 +62,7 @@ struct Args {
     samples: usize,
     out: Option<String>,
     min_mbps: Option<f64>,
+    min_allgather_mbps: Option<f64>,
     autotune: bool,
     liveness: bool,
     skew: Option<Vec<f64>>,
@@ -98,6 +100,7 @@ fn parse_args() -> Result<Args, String> {
         samples: 3,
         out: None,
         min_mbps: None,
+        min_allgather_mbps: None,
         autotune: false,
         liveness: false,
         skew: None,
@@ -143,6 +146,13 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(value()?),
             "--min-mbps" => {
                 args.min_mbps = Some(value()?.parse().map_err(|e| format!("--min-mbps: {e}"))?);
+            }
+            "--min-allgather-mbps" => {
+                args.min_allgather_mbps = Some(
+                    value()?
+                        .parse()
+                        .map_err(|e| format!("--min-allgather-mbps: {e}"))?,
+                );
             }
             "--autotune" => args.autotune = true,
             "--liveness" => args.liveness = true,
@@ -748,18 +758,26 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     std::fs::write(&out_path, wire::render_json(&rows))
         .map_err(|e| format!("write {out_path}: {e}"))?;
     println!("[results written to {out_path}]");
-    if let Some(floor) = args.min_mbps {
+    // Each collective has its own floor: at a shape whose messages
+    // fragment, the concat's few large ones run at about half the
+    // alltoall's rate, and a floor that fits one says nothing of the
+    // other.
+    for (collective, floor) in [
+        ("alltoall", args.min_mbps),
+        ("allgather", args.min_allgather_mbps),
+    ] {
+        let Some(floor) = floor else { continue };
         let worst = rows
             .iter()
-            .filter(|r| r.collective == "alltoall")
+            .filter(|r| r.collective == collective)
             .map(|r| r.mbps)
             .fold(f64::INFINITY, f64::min);
         if worst < floor {
             return Err(format!(
-                "alltoall throughput {worst:.1} MB/s below the {floor:.1} MB/s floor"
+                "{collective} throughput {worst:.1} MB/s below the {floor:.1} MB/s floor"
             ));
         }
-        println!("floor      : {worst:.1} MB/s ≥ {floor:.1} MB/s ✓");
+        println!("floor      : {collective} {worst:.1} MB/s ≥ {floor:.1} MB/s ✓");
     }
     Ok(())
 }
@@ -980,7 +998,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("bruckctl: {e}");
-            eprintln!("usage: bruckctl <index|concat|plan|analyze|tune|chaos|bench> [--n N] [--block B] [--ports K] [--radix R] [--op index|concat] [--model sp1|linear|free] [--transport channel|uds] [--seed S] [--loss P] [--dup P] [--corrupt P] [--reps R] [--kill RANK] [--partition RANKS@ROUND] [--stall RANK:MS] [--deadline-ms MS] [--samples S] [--out PATH] [--min-mbps F] [--autotune] [--liveness] [--skew S1,S2,...] [--recovery] [--scale] [--ns N1,N2,...] [--node-size S] [--workers W] [--replay FILE]");
+            eprintln!("usage: bruckctl <index|concat|plan|analyze|tune|chaos|bench> [--n N] [--block B] [--ports K] [--radix R] [--op index|concat] [--model sp1|linear|free] [--transport channel|uds] [--seed S] [--loss P] [--dup P] [--corrupt P] [--reps R] [--kill RANK] [--partition RANKS@ROUND] [--stall RANK:MS] [--deadline-ms MS] [--samples S] [--out PATH] [--min-mbps F] [--min-allgather-mbps F] [--autotune] [--liveness] [--skew S1,S2,...] [--recovery] [--scale] [--ns N1,N2,...] [--node-size S] [--workers W] [--replay FILE]");
             std::process::exit(2);
         }
     };

@@ -26,7 +26,8 @@ pub struct LinkStats {
     /// Duplicate data messages the reliability layer discarded.
     pub dups_dropped: u64,
     /// Checksum-failing data messages the reliability layer discarded
-    /// (healed by the sender's retransmission).
+    /// (healed by the sender's retransmission), plus datagrams the
+    /// framing layer dropped as malformed.
     pub corrupt_dropped: u64,
     /// Transmissions the fault injector silently discarded.
     pub injected_losses: u64,

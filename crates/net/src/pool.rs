@@ -43,8 +43,11 @@ pub struct BufferPool {
     recycled: AtomicU64,
 }
 
-/// The power-of-two size class that can hold `len` bytes.
-fn class_for(len: usize) -> usize {
+/// The power-of-two size class that can hold `len` bytes. A buffer whose
+/// capacity is a class is shelved by [`BufferPool::recycle`] where the
+/// next [`BufferPool::acquire`] of that length looks; any other capacity
+/// lands one class low and is never found again for its own size.
+pub(crate) fn class_for(len: usize) -> usize {
     len.next_power_of_two().max(MIN_CLASS)
 }
 
@@ -59,7 +62,18 @@ impl BufferPool {
     /// buffer of the right size class when one is available.
     #[must_use]
     pub fn acquire(&self, len: usize) -> Vec<u8> {
-        let class = class_for(len);
+        let mut buf = self.acquire_empty(len);
+        buf.resize(len, 0);
+        buf
+    }
+
+    /// Acquire an *empty* buffer with room for `cap` bytes (its capacity
+    /// is `cap`'s size class), for a caller that is about to write every
+    /// byte itself — packing a message, landing a frame — and would only
+    /// overwrite [`acquire`](Self::acquire)'s zeros.
+    #[must_use]
+    pub fn acquire_empty(&self, cap: usize) -> Vec<u8> {
+        let class = class_for(cap);
         let shelved = if self.prewarm.load(Ordering::Relaxed) {
             None
         } else {
@@ -73,14 +87,11 @@ impl BufferPool {
             Some(mut buf) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
-                buf.resize(len, 0);
                 buf
             }
             None => {
                 self.allocated.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(len, 0);
-                buf
+                Vec::with_capacity(class)
             }
         }
     }
@@ -173,6 +184,25 @@ mod tests {
         pool.recycle(a);
         let b = pool.acquire(64);
         assert!(b.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn acquire_empty_hands_out_room_without_zero_filling() {
+        let pool = BufferPool::new();
+        let mut a = pool.acquire_empty(100);
+        assert!(a.is_empty() && a.capacity() == 128);
+        a.extend_from_slice(&[0xFF; 100]);
+        pool.recycle(a);
+        let b = pool.acquire_empty(70);
+        assert!(b.is_empty() && b.capacity() == 128);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                allocated: 1,
+                reused: 1,
+                recycled: 1
+            }
+        );
     }
 
     #[test]

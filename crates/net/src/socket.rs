@@ -22,8 +22,9 @@ use std::time::{Duration, Instant};
 use crate::cluster::{Cluster, ClusterConfig, RunOutput};
 use crate::endpoint::Endpoint;
 use crate::error::NetError;
-use crate::frame::{decode_frame, encode_frame_into, Assembler, HEADER};
+use crate::frame::{decode_frame, encode_header, fragment, Assembler, FrameHeader, HEADER};
 use crate::message::{Message, Tag};
+use crate::metrics::LinkStats;
 use crate::transport::Transport;
 
 /// Max payload bytes per datagram fragment (see
@@ -53,6 +54,9 @@ pub struct UdsTransport {
     recv_buf: Vec<u8>,
     /// Reusable outbound frame buffer: one allocation serves every send.
     send_buf: Vec<u8>,
+    /// Datagrams dropped because they did not decode or broke a fragment
+    /// rule (see [`crate::frame`]).
+    malformed: u64,
 }
 
 impl UdsTransport {
@@ -116,6 +120,7 @@ impl UdsTransport {
             next_msg_id: 0,
             recv_buf: vec![0u8; HEADER + FRAG_PAYLOAD],
             send_buf: Vec::with_capacity(HEADER + FRAG_PAYLOAD),
+            malformed: 0,
         })
     }
 
@@ -171,6 +176,18 @@ impl UdsTransport {
         }
     }
 
+    /// Fold the datagram in `recv_buf[..len]` into the parked/partial
+    /// stores. One that does not decode or breaks a fragment rule is
+    /// dropped and counted: on a datagram wire that is a loss, which
+    /// whoever needs the message heals or reports.
+    fn ingest(&mut self, len: usize) {
+        let folded =
+            decode_frame(&self.recv_buf[..len]).is_ok_and(|frame| self.asm.accept(frame).is_ok());
+        if !folded {
+            self.malformed += 1;
+        }
+    }
+
     /// Pull every datagram currently queued on the socket into the
     /// parked/partial stores. Returns how many frames were consumed.
     fn drain(&mut self) -> Result<usize, NetError> {
@@ -179,8 +196,7 @@ impl UdsTransport {
             match self.sock.recv(&mut self.recv_buf) {
                 Ok(len) => {
                     consumed += 1;
-                    let frame = decode_frame(&self.recv_buf[..len])?;
-                    self.asm.accept(frame);
+                    self.ingest(len);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(consumed),
                 Err(e) => return Err(NetError::App(format!("recv: {e}"))),
@@ -205,8 +221,7 @@ impl UdsTransport {
             .map_err(|e| NetError::App(format!("set_nonblocking: {e}")))?;
         let got = match self.sock.recv(&mut self.recv_buf) {
             Ok(len) => {
-                let frame = decode_frame(&self.recv_buf[..len])?;
-                self.asm.accept(frame);
+                self.ingest(len);
                 1
             }
             Err(e)
@@ -244,34 +259,14 @@ impl Drop for UdsTransport {
 impl Transport for UdsTransport {
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
         let peer = self.peer_paths[msg.dst].clone();
-        let msg_id = self.next_msg_id;
+        let mut head = FrameHeader::first(&msg, self.next_msg_id)?;
         self.next_msg_id += 1;
-        let count = if msg.payload.is_empty() {
-            1
-        } else {
-            msg.payload.len().div_ceil(FRAG_PAYLOAD)
-        } as u32;
-        for idx in 0..count {
-            let chunk = if msg.payload.is_empty() {
-                &[][..]
-            } else {
-                let at = idx as usize * FRAG_PAYLOAD;
-                &msg.payload[at..msg.payload.len().min(at + FRAG_PAYLOAD)]
-            };
+        for idx in 0..head.frag_count {
+            head.frag_idx = idx;
             let mut frame = std::mem::take(&mut self.send_buf);
-            encode_frame_into(
-                &mut frame,
-                msg.src,
-                msg.tag,
-                msg_id,
-                idx,
-                count,
-                msg.arrival,
-                msg.seq,
-                msg.ack,
-                msg.checksum,
-                chunk,
-            );
+            frame.clear();
+            encode_header(&mut frame, &head);
+            frame.extend_from_slice(fragment(&msg.payload, idx));
             let sent = loop {
                 match self.sock.send_to(&frame, &peer) {
                     Ok(_) => break Ok(()),
@@ -368,6 +363,13 @@ impl Transport for UdsTransport {
         // discard every complete and partial message.
         let _ = self.drain();
         self.asm.clear()
+    }
+
+    fn link_stats(&self) -> LinkStats {
+        LinkStats {
+            corrupt_dropped: self.malformed,
+            ..LinkStats::default()
+        }
     }
 }
 

@@ -173,3 +173,77 @@ fn n128_multiplexes_hundreds_of_ranks_onto_a_handful_of_threads() {
         );
     }
 }
+
+#[test]
+fn scale_run_moves_its_payloads_through_one_pool() {
+    // Counter-based: what a run allocates is bounded by what is in
+    // flight at once (a round's messages: packed, on the wire, landed),
+    // not by how many rounds it runs.
+    let (n, node_size, block) = (64, 8, 2 << 10);
+    let cfg = ClusterConfig::new(n)
+        .with_node_size(node_size)
+        .with_reliability(Reliability::default())
+        .with_timeout(Duration::from_secs(60))
+        .with_deadline(Duration::from_secs(120));
+    let inputs = scale_inputs(n, block);
+    let out =
+        TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(2))
+            .unwrap_or_else(|e| panic!("pooled run: {e}"));
+    assert_oracle(&out.results, n, block, "pooled run");
+    assert_quiet(&out, "pooled run");
+    let pool = out.metrics.pool;
+    let per_round = n as u64; // radix 2, one port: one message per rank
+    assert_eq!(out.metrics.total_msgs(), per_round * out.rounds as u64);
+    assert!(
+        pool.reused > pool.allocated,
+        "rounds do not reuse each other's buffers: {pool:?}"
+    );
+    assert!(
+        pool.allocated <= 3 * per_round,
+        "more buffers than three rounds' worth of messages: {pool:?}"
+    );
+    // Every payload was returned: by the sender once framed (or by the
+    // receiver when it never left the node), and by whoever unpacked it.
+    assert!(pool.recycled >= out.metrics.total_msgs(), "{pool:?}");
+}
+
+#[test]
+fn short_circuit_and_aborted_runs_return_with_the_pool_idle() {
+    // n = 1 never builds a fabric, hence no pool.
+    let one = TcpScaleCluster::run(&ClusterConfig::new(1), &IndexPlan::Direct, 4, &[vec![7; 4]])
+        .expect("single rank");
+    assert_eq!(one.metrics.pool, bruck::net::PoolStats::default());
+
+    // A frozen stream under a short budget: every worker must come back
+    // with the deadline verdict (none parked on a pool shelf another
+    // holds), and the next run on the same thread is unaffected.
+    let (n, node_size, block) = (16, 4, 512);
+    let inputs = scale_inputs(n, block);
+    let frozen = ClusterConfig::new(n)
+        .with_node_size(node_size)
+        .with_reliability(Reliability::default())
+        .with_timeout(Duration::from_secs(30))
+        .with_deadline(Duration::from_millis(150))
+        .with_faults(FaultPlan::new().with_half_open(0, 4, 0, Duration::from_secs(4)));
+    let started = std::time::Instant::now();
+    let err =
+        TcpScaleCluster::run_with_workers(&frozen, &IndexPlan::Radix(2), block, &inputs, Some(2))
+            .expect_err("a frozen pair cannot finish inside 150 ms");
+    assert!(
+        matches!(err, bruck::net::NetError::DeadlineExceeded { .. }),
+        "{err}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the aborted run took {:?} to return",
+        started.elapsed()
+    );
+    let clean = ClusterConfig::new(n)
+        .with_node_size(node_size)
+        .with_reliability(Reliability::default());
+    let out =
+        TcpScaleCluster::run_with_workers(&clean, &IndexPlan::Radix(2), block, &inputs, Some(2))
+            .expect("clean run after an aborted one");
+    assert_oracle(&out.results, n, block, "after abort");
+    assert!(out.metrics.pool.reused > 0, "{:?}", out.metrics.pool);
+}
