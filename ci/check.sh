@@ -2,13 +2,13 @@
 # The workspace gate: formatting and clippy (hard-failing), every test in
 # the workspace once, the named robustness / autotune / TCP gates, and the
 # tracked benchmark's own check.
-# POSIX sh — the bench harness spawns it via `sh` (see harness::prerun_check).
-#
-# Run standalone (`ci/check.sh`) or let the bench harness run it before
-# measuring by setting BRUCK_PRERUN_CHECK=1 — benchmarking an unlinted
-# tree wastes machine time.
+# POSIX sh (`set -eu`, no `pipefail`, no arrays).
 set -eu
 cd "$(dirname "$0")/.."
+
+# A performance number comes from benchmark/ and nowhere else: the
+# per-PR BENCH_*.json artifacts are retired and must not come back.
+if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -68,15 +68,15 @@ timeout 300 cargo test -q --test rejoin
 cargo test -q --test vops
 
 # Perf smoke: the data plane must clear a throughput floor on the wire
-# microbench. The floor is ~30% under the slowest alltoall throughput
+# smoke. The floor is ~30% under the slowest alltoall throughput
 # observed on a 1-core CI box (545 MB/s at this shape; a stop-and-wait
 # plane measured ~300-360 MB/s, so a data plane regressed to that
 # discipline lands under the floor while normal machine noise stays
-# above it). BENCH_pr3.json records the full-size run against the
-# since-deleted stop-and-wait plane. Small shape so the gate stays fast.
+# above it). Small shape so the gate stays fast. The smoke prints its
+# table and gates; it writes no file.
 cargo build -q --release -p bruck-bench
 ./target/release/bruckctl bench --n 4 --ports 2 --block 16384 --reps 3 \
-    --samples 2 --out /tmp/bruck-bench-smoke.json --min-mbps 380
+    --samples 2 --min-mbps 380
 
 # The same at the tracked benchmark's shape (n=8, k=2, 64 KiB), where
 # the first smoke is blind: there no message exceeds one 64 KiB
@@ -87,37 +87,26 @@ cargo build -q --release -p bruck-bench
 # reassembly measures pinned to one core, above the 169-193 MB/s of the
 # tree before it.
 ./target/release/bruckctl bench --n 8 --ports 2 --block 65536 --reps 3 \
-    --samples 2 --out /tmp/bruck-bench-smoke-frag.json --min-mbps 380 \
-    --min-allgather-mbps 230
+    --samples 2 --min-mbps 380 --min-allgather-mbps 230
 
-# Zipf smoke: a short skewed sweep at the PR 6 shape (n=8, k=2). Every
-# lap is verified bit-exactly inside run_skew_matrix, so this gates the
-# whole skewed data path (metadata exchange, padded/two-phase executors,
-# planner dispatch) end to end through the real uds transport. Small
-# reps/samples keep it to a few seconds; BENCH_pr6.json tracks the full
-# 16x8 matrix.
-./target/release/bruckctl bench --skew 0,0.5,1.0,1.5 --n 8 --ports 2 \
-    --block 256 --reps 4 --samples 2 --out /tmp/bruck-skew-smoke.json
+# No Zipf smoke and no scale sweep here: `sh benchmark/check.sh` (the
+# last line) runs the same paths oracle-checked on every lap —
+# `uds_skew_v` is alltoallv_auto on a seeded Zipf matrix at the old
+# smoke's shape (n=8, k=2), `tcp_scale` the flat plan on the TCP fabric
+# at n=512 — and tests/hierarchical.rs holds the two-level n=128 cell.
 
-# TCP + scale gate: the event-driven fabric's integration suites (the
+# TCP gate: the event-driven fabric's integration suites (the
 # faultless invariants — a clean stream carries no ARQ traffic — fault
-# injection over real loopback streams, hierarchical plans at n = 64,
-# the n = 128 thread-multiplexing claim), then a one-rep scale sweep —
-# flat vs two-level over the TCP fabric with the watchdog and deadline
-# armed, every lap verified bit-exactly inside run_scale_matrix.
-# BRUCK_SCALE_MAX_N caps the sweep (default 128 here so the gate stays
-# fast; raise it to 1024 to reproduce the full BENCH_pr9.json matrix).
-# Hard wall-clock timeout as the no-hang backstop, same rationale as
-# the liveness gate.
+# injection over real loopback streams, hierarchical plans at n = 64
+# and n = 128 with reliability requested and the deadline armed, the
+# n = 128 thread-multiplexing claim). Hard wall-clock timeout as the
+# no-hang backstop, same rationale as the liveness gate.
 timeout 300 cargo test -q --test tcp --test hierarchical
 # By name, what the two transports' receive paths rest on: fragment
 # placement and the fragment rules (10 000 seeded malformed headers),
 # and the stream parser fed the same bytes under every cut.
 timeout 120 cargo test -q -p bruck-net --lib -- frame:: tcp::tests::stream_parser \
     tcp::tests::oversize_record tcp::tests::malformed_records
-BRUCK_SCALE_MAX_N="${BRUCK_SCALE_MAX_N:-128}" timeout 300 \
-    ./target/release/bruckctl bench --scale --reps 1 \
-    --out /tmp/bruck-scale-smoke.json
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

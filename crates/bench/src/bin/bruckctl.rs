@@ -14,15 +14,9 @@
 //! bruckctl chaos  --replay repro.chaos.tsv                # rerun a persisted reproducer
 //! bruckctl chaos  --transport tcp --n 128 --seed 7        # socket-level chaos on the TCP fabric
 //! bruckctl chaos  --transport tcp --replay repro.tsv      # replay a connection-chaos reproducer
-//! bruckctl bench  --n 8 --ports 2 --block 65536           # wire pipelining table + BENCH_pr3.json
+//! bruckctl bench  --n 8 --ports 2 --block 65536           # wire throughput smoke: table only, writes nothing
 //! bruckctl bench  --min-mbps 50                           # CI floor: exit 1 if alltoall is below it
 //! bruckctl bench  --min-allgather-mbps 50                 # the same for the allgather row
-//! bruckctl bench  --autotune --n 8 --ports 2              # planner vs fixed radices + BENCH_pr4.json
-//! bruckctl bench  --liveness --n 8 --ports 2              # deadline+watchdog overhead + BENCH_pr5.json
-//! bruckctl bench  --skew 0,0.5,1.0,1.5 --n 8 --ports 2    # Zipf v-op family sweep + BENCH_pr6.json
-//! bruckctl bench  --recovery --n 8 --ports 2              # membership steady-state overhead + BENCH_pr7.json
-//! bruckctl bench  --scale --ns 128,256,512,1024           # event-driven TCP sweep + BENCH_pr9.json
-//! bruckctl bench  --recovery --transport tcp              # connection-healing A/B + BENCH_pr10.json
 //! ```
 
 use std::sync::Arc;
@@ -60,16 +54,9 @@ struct Args {
     stall: Option<(usize, u64)>,
     deadline_ms: Option<u64>,
     samples: usize,
-    out: Option<String>,
     min_mbps: Option<f64>,
     min_allgather_mbps: Option<f64>,
-    autotune: bool,
-    liveness: bool,
-    skew: Option<Vec<f64>>,
     replay: Option<String>,
-    recovery: bool,
-    scale: bool,
-    ns: Option<Vec<usize>>,
     node_size: Option<usize>,
     workers: Option<usize>,
 }
@@ -98,16 +85,9 @@ fn parse_args() -> Result<Args, String> {
         stall: None,
         deadline_ms: None,
         samples: 3,
-        out: None,
         min_mbps: None,
         min_allgather_mbps: None,
-        autotune: false,
-        liveness: false,
-        skew: None,
         replay: None,
-        recovery: false,
-        scale: false,
-        ns: None,
         node_size: None,
         workers: None,
     };
@@ -143,7 +123,6 @@ fn parse_args() -> Result<Args, String> {
             "--samples" => {
                 args.samples = value()?.parse().map_err(|e| format!("--samples: {e}"))?;
             }
-            "--out" => args.out = Some(value()?),
             "--min-mbps" => {
                 args.min_mbps = Some(value()?.parse().map_err(|e| format!("--min-mbps: {e}"))?);
             }
@@ -154,20 +133,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--min-allgather-mbps: {e}"))?,
                 );
             }
-            "--autotune" => args.autotune = true,
-            "--liveness" => args.liveness = true,
-            "--recovery" => args.recovery = true,
-            "--scale" => args.scale = true,
-            "--ns" => {
-                let list = value()?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|e| format!("--ns {s}: {e}")))
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if list.is_empty() {
-                    return Err("--ns needs at least one rank count".into());
-                }
-                args.ns = Some(list);
-            }
             "--node-size" => {
                 args.node_size = Some(value()?.parse().map_err(|e| format!("--node-size: {e}"))?);
             }
@@ -175,16 +140,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers = Some(value()?.parse().map_err(|e| format!("--workers: {e}"))?);
             }
             "--replay" => args.replay = Some(value()?),
-            "--skew" => {
-                let list = value()?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|e| format!("--skew {s}: {e}")))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                if list.is_empty() {
-                    return Err("--skew needs at least one Zipf exponent".into());
-                }
-                args.skew = Some(list);
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -706,16 +661,16 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `bruckctl bench`: the wire-pipelining matrix over real sockets —
-/// the pipelined data plane against the pre-pipelining baseline for
-/// alltoall and allgather — printed as a table and written as the
-/// tracked JSON artifact.
+/// `bruckctl bench`: the wire throughput smoke over real Unix sockets —
+/// one alltoall and one allgather row, printed as a table and held
+/// against the optional floors. It writes no file; numbers to compare
+/// across commits come from the tracked benchmark in `benchmark/`.
 #[cfg(unix)]
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use bruck_bench::wire;
     // An out-of-range radix is a hard error, not a silent fallback: a CI
     // job that typos `--radix 9` on an 8-rank bench must fail loudly
-    // instead of publishing numbers for a different schedule.
+    // instead of gating a different schedule.
     if let Some(r) = args.radix {
         if r < 2 || r > args.n {
             return Err(format!(
@@ -723,21 +678,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
                 args.n
             ));
         }
-    }
-    if args.scale {
-        return cmd_bench_scale(args);
-    }
-    if args.autotune {
-        return cmd_bench_autotune(args);
-    }
-    if args.liveness {
-        return cmd_bench_liveness(args);
-    }
-    if args.recovery {
-        return cmd_bench_recovery(args);
-    }
-    if args.skew.is_some() {
-        return cmd_bench_skew(args);
     }
     let cfg = wire::WireBenchConfig {
         n: args.n,
@@ -754,236 +694,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     );
     let rows = wire::run_matrix(&cfg)?;
     print!("{}", wire::render_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr3.json".into());
-    std::fs::write(&out_path, wire::render_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    // Each collective has its own floor: at a shape whose messages
-    // fragment, the concat's few large ones run at about half the
-    // alltoall's rate, and a floor that fits one says nothing of the
-    // other.
-    for (collective, floor) in [
-        ("alltoall", args.min_mbps),
-        ("allgather", args.min_allgather_mbps),
-    ] {
-        let Some(floor) = floor else { continue };
-        let worst = rows
-            .iter()
-            .filter(|r| r.collective == collective)
-            .map(|r| r.mbps)
-            .fold(f64::INFINITY, f64::min);
-        if worst < floor {
-            return Err(format!(
-                "{collective} throughput {worst:.1} MB/s below the {floor:.1} MB/s floor"
-            ));
-        }
-        println!("floor      : {collective} {worst:.1} MB/s ≥ {floor:.1} MB/s ✓");
-    }
-    Ok(())
-}
-
-/// `bruckctl bench --autotune`: calibrate the socket transport, race
-/// planner dispatch against every fixed radix across block sizes, and
-/// write the tracked `BENCH_pr4.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_autotune(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::AutotuneBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        ..wire::AutotuneBenchConfig::default()
-    };
-    println!(
-        "autotune bench: n={} k={} blocks={:?} radices={:?} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.blocks, cfg.radices, cfg.reps, cfg.samples
-    );
-    let (rows, fit) = wire::run_autotune_matrix(&cfg)?;
-    if let Some(w) = wire::fit_warning(&fit) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_autotune_table(&rows, &fit));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr4.json".into());
-    std::fs::write(&out_path, wire::render_autotune_json(&rows, &fit))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --liveness`: the price of the liveness layer — the
-/// same alltoall shape with a per-lap deadline armed and the watchdog
-/// on vs both off, written as the tracked `BENCH_pr5.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_liveness(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::WireBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        radix: args.radix,
-        ..wire::WireBenchConfig::default()
-    };
-    println!(
-        "liveness bench: n={} k={} block={} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_liveness_overhead(&cfg)?;
-    print!("{}", wire::render_liveness_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr5.json".into());
-    std::fs::write(&out_path, wire::render_liveness_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --recovery`: the steady-state price of the
-/// membership layer — the same faultless alltoall shape under the
-/// plain driver vs `run_resilient` with `WaitForRejoin` armed, written
-/// as the tracked `BENCH_pr7.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_recovery(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    if args.transport == "tcp" {
-        return cmd_bench_recovery_tcp(args);
-    }
-    let cfg = wire::WireBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        radix: args.radix,
-        ..wire::WireBenchConfig::default()
-    };
-    println!(
-        "recovery bench: n={} k={} block={} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_recovery_overhead(&cfg)?;
-    print!("{}", wire::render_recovery_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr7.json".into());
-    std::fs::write(&out_path, wire::render_recovery_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --recovery --transport tcp`: the price of the TCP
-/// fabric's connection-healing machinery — the same faultless
-/// collective with healing forced off vs armed, plus one cell that
-/// absorbs a mid-run connection reset — written as the tracked
-/// `BENCH_pr10.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_recovery_tcp(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let mut cfg = wire::TcpRecoveryBenchConfig {
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        workers: args.workers,
-        ..wire::TcpRecoveryBenchConfig::default()
-    };
-    // `--n 8` is the generic bruckctl default; the recovery A/B wants
-    // scale, so only an explicit larger n overrides the config default.
-    if args.n > 8 {
-        cfg.n = args.n;
-    }
-    if let Some(s) = args.node_size {
-        cfg.node_size = s;
-    }
-    println!(
-        "tcp recovery bench: n={} node_size={} block={} reps={}x{} (tcp loopback)",
-        cfg.n, cfg.node_size, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_tcp_recovery(&cfg)?;
-    print!("{}", wire::render_tcp_recovery_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr10.json".into());
-    std::fs::write(&out_path, wire::render_tcp_recovery_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --skew <s1,s2,...>`: seeded Zipf workloads through
-/// the non-uniform family — forced direct/padded/two-phase vs
-/// `alltoallv_auto` — written as the tracked `BENCH_pr6.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_skew(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::SkewBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        base: args.block,
-        svals: args.skew.clone().expect("guarded by caller"),
-        seed: args.seed,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        ..wire::SkewBenchConfig::default()
-    };
-    println!(
-        "skew bench: n={} k={} base={} s={:?} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.base, cfg.svals, cfg.reps, cfg.samples
-    );
-    let (rows, fit) = wire::run_skew_matrix(&cfg)?;
-    if let Some(w) = wire::fit_warning(&fit) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_skew_table(&rows, &fit));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr6.json".into());
-    std::fs::write(&out_path, wire::render_skew_json(&rows, &fit))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --scale`: the event-driven TCP sweep — flat
-/// single-level vs two-level hierarchical plans at n = 128–1024 over
-/// one multiplexing fabric — written as the tracked `BENCH_pr9.json`
-/// artifact. `BRUCK_SCALE_MAX_N` caps the sweep (CI keeps it at 128 so
-/// the gate stays fast); `--ns`, `--node-size`, and `--workers`
-/// override the defaults outright.
-#[cfg(unix)]
-fn cmd_bench_scale(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let mut cfg = wire::ScaleBenchConfig {
-        block: args.block,
-        reps: args.reps.max(1),
-        workers: args.workers,
-        ..wire::ScaleBenchConfig::default()
-    };
-    if let Some(ns) = &args.ns {
-        cfg.ns.clone_from(ns);
-    }
-    if let Some(s) = args.node_size {
-        cfg.node_size = s;
-    }
-    if let Ok(cap) = std::env::var("BRUCK_SCALE_MAX_N") {
-        let cap: usize = cap.parse().map_err(|e| format!("BRUCK_SCALE_MAX_N: {e}"))?;
-        cfg.ns.retain(|&n| n <= cap);
-        if cfg.ns.is_empty() {
-            return Err(format!(
-                "BRUCK_SCALE_MAX_N={cap} leaves no rank counts to sweep"
-            ));
-        }
-    }
-    println!(
-        "scale bench: ns={:?} node_size={} block={} reps={} (tcp)",
-        cfg.ns, cfg.node_size, cfg.block, cfg.reps
-    );
-    let (rows, fit) = wire::run_scale_matrix(&cfg)?;
-    if let Some(w) = fit.as_ref().and_then(wire::fit_warning) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_scale_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr9.json".into());
-    std::fs::write(&out_path, wire::render_scale_json(&rows, fit.as_ref()))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    if rows.iter().any(|r| !r.bit_correct) {
-        return Err("scale sweep produced bit-incorrect results".into());
+    for verdict in wire::check_floors(&rows, args.min_mbps, args.min_allgather_mbps) {
+        println!("{}", verdict?);
     }
     Ok(())
 }
@@ -998,7 +710,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("bruckctl: {e}");
-            eprintln!("usage: bruckctl <index|concat|plan|analyze|tune|chaos|bench> [--n N] [--block B] [--ports K] [--radix R] [--op index|concat] [--model sp1|linear|free] [--transport channel|uds] [--seed S] [--loss P] [--dup P] [--corrupt P] [--reps R] [--kill RANK] [--partition RANKS@ROUND] [--stall RANK:MS] [--deadline-ms MS] [--samples S] [--out PATH] [--min-mbps F] [--min-allgather-mbps F] [--autotune] [--liveness] [--skew S1,S2,...] [--recovery] [--scale] [--ns N1,N2,...] [--node-size S] [--workers W] [--replay FILE]");
+            eprintln!("usage: bruckctl <index|concat|plan|analyze|tune|chaos|bench> [--n N] [--block B] [--ports K] [--radix R] [--op index|concat] [--model sp1|linear|free] [--transport channel|uds|tcp] [--save PATH] [--load PATH] [--seed S] [--loss P] [--dup P] [--corrupt P] [--reps R] [--kill RANK] [--partition RANKS@ROUND] [--stall RANK:MS] [--deadline-ms MS] [--samples S] [--min-mbps F] [--min-allgather-mbps F] [--node-size S] [--workers W] [--replay FILE]");
             std::process::exit(2);
         }
     };

@@ -1,5 +1,4 @@
-//! Measurement machinery shared by the `figures` binary and the Criterion
-//! benches.
+//! Measurement machinery behind the `figures` binary.
 
 use std::sync::Arc;
 
@@ -111,32 +110,6 @@ pub fn measure_concat(
         virtual_time: out.virtual_makespan(),
         predicted_time: ScheduleStats::of(&plan).predicted_time(model.as_ref()),
     }
-}
-
-/// Pre-run lint gate for the benchmark targets.
-///
-/// When `BRUCK_PRERUN_CHECK` is set, runs `ci/check.sh` (rustfmt +
-/// clippy, offline-friendly) from the workspace root and refuses to
-/// benchmark a tree that fails it. Unset, this is a no-op so plain
-/// `cargo bench` never recompiles the workspace twice.
-///
-/// # Panics
-///
-/// Panics if the check script cannot be spawned or reports failure.
-pub fn prerun_check() {
-    if std::env::var_os("BRUCK_PRERUN_CHECK").is_none() {
-        return;
-    }
-    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check.sh");
-    eprintln!("[prerun] running {script}");
-    let status = std::process::Command::new("sh")
-        .arg(script)
-        .status()
-        .expect("failed to spawn ci/check.sh");
-    assert!(
-        status.success(),
-        "ci/check.sh failed — fix lints before benchmarking"
-    );
 }
 
 /// Format seconds as milliseconds with fixed precision (figures use ms).

@@ -63,8 +63,6 @@ pub mod prelude {
     pub use crate::index::IndexAlgorithm;
     pub use crate::reduce::{allreduce_via_concat, reduce, ReduceOp};
     pub use crate::vbruck::{VLayout, VMethod};
-    #[allow(deprecated)]
-    pub use crate::vops::{allgatherv, alltoallv};
     pub use crate::vops::{
         allgatherv_into, alltoallv_auto, alltoallv_auto_into, alltoallv_into, alltoallv_resilient,
         alltoallv_resilient_with_policy, ResilientAlltoallv,

@@ -27,8 +27,7 @@
 //! borrow the caller's contiguous buffer, scratch and received
 //! payloads come from the cluster's buffer pool, and the caller-owned
 //! output `Vec` is only resized (no reallocation once its capacity has
-//! seen the working set). The legacy `&[Vec<u8>]` entry points remain
-//! as deprecated shims whose outputs now come from the pool.
+//! seen the working set).
 
 use bruck_model::cost::CostModel;
 use bruck_model::planner::{quota_candidates, PlanChoice, Planner, VIndexPlan};
@@ -535,82 +534,7 @@ pub fn allgatherv_into<C: Comm + ?Sized>(
     Ok(layout)
 }
 
-/// Personalized all-to-all with per-destination message sizes —
-/// allocation-heavy legacy shim.
-///
-/// `sendbufs[j]` is this rank's message for rank `j`. Returns one
-/// received buffer per source rank; the buffers come from the cluster
-/// pool, so hand them back via [`Comm::recycle`] when done to keep the
-/// steady state allocation-free.
-///
-/// # Errors
-///
-/// [`NetError::App`] if `sendbufs.len() != n`; network failures
-/// propagate.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `VLayout` + `alltoallv_into`: one contiguous buffer, pooled scratch, \
-            planner-dispatched padded/two-phase/direct payload"
-)]
-pub fn alltoallv<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbufs: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, NetError> {
-    let n = ep.size();
-    if sendbufs.len() != n {
-        return Err(NetError::App(format!(
-            "alltoallv needs one buffer per rank: got {}, need {n}",
-            sendbufs.len()
-        )));
-    }
-    let counts: Vec<usize> = sendbufs.iter().map(Vec::len).collect();
-    let layout = VLayout::from_counts(&counts);
-    let mut flat = ep.acquire(layout.total());
-    for (j, buf) in sendbufs.iter().enumerate() {
-        flat[layout.range(j)].copy_from_slice(buf);
-    }
-    let mut gathered = Vec::new();
-    let result = alltoallv_into(ep, &flat, &layout, &Tuning::default(), &mut gathered);
-    ep.recycle(flat);
-    let recv = result?;
-    let out = (0..n)
-        .map(|src| {
-            let mut buf = ep.acquire(recv.count(src));
-            buf.copy_from_slice(recv.slice(&gathered, src));
-            buf
-        })
-        .collect();
-    Ok(out)
-}
-
-/// All-gather with per-rank block sizes — allocation-heavy legacy
-/// shim. Returns one buffer per rank, identical on every rank; the
-/// buffers come from the cluster pool ([`Comm::recycle`] them when
-/// done).
-///
-/// # Errors
-///
-/// Network failures propagate.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `allgatherv_into`: one contiguous buffer addressed by the returned `VLayout`, \
-            bundles gathered span-wise from it"
-)]
-pub fn allgatherv<C: Comm + ?Sized>(ep: &mut C, myblock: &[u8]) -> Result<Vec<Vec<u8>>, NetError> {
-    let mut gathered = Vec::new();
-    let layout = allgatherv_into(ep, myblock, &mut gathered)?;
-    let out = (0..ep.size())
-        .map(|src| {
-            let mut buf = ep.acquire(layout.count(src));
-            buf.copy_from_slice(layout.slice(&gathered, src));
-            buf
-        })
-        .collect();
-    Ok(out)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use bruck_model::cost::LinearModel;
@@ -637,27 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_shim_correct() {
-        for &n in &[1usize, 2, 5, 8, 13] {
-            for &k in &[1usize, 2, 3] {
-                let cfg = ClusterConfig::new(n).with_ports(k);
-                let out = Cluster::run(&cfg, |ep| {
-                    let bufs: Vec<Vec<u8>> = (0..n).map(|j| v_payload(ep.rank(), j)).collect();
-                    alltoallv(ep, &bufs)
-                })
-                .unwrap();
-                for (rank, received) in out.results.iter().enumerate() {
-                    for (src, buf) in received.iter().enumerate() {
-                        assert_eq!(buf, &v_payload(src, rank), "n={n} k={k} {src}→{rank}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn alltoallv_into_every_method_bit_exact() {
-        let n = 8;
         let methods = [
             None,
             Some(VMethod::Direct),
@@ -671,8 +575,14 @@ mod tests {
                 quota: Some(4),
             }),
         ];
-        for method in methods {
-            let cfg = ClusterConfig::new(n).with_ports(2);
+        // Every member at n = 8, k = 2; planner dispatch alone over the
+        // ragged shape matrix (single rank, non-powers, k > 2).
+        let shapes = [1usize, 2, 5, 8, 13]
+            .into_iter()
+            .flat_map(|n| [1usize, 2, 3].map(|k| (n, k, None)))
+            .chain(methods.map(|m| (8, 2, m)));
+        for (n, k, method) in shapes {
+            let cfg = ClusterConfig::new(n).with_ports(k);
             let out = Cluster::run(&cfg, move |ep| {
                 let (flat, layout) = flat_input(ep.rank(), n);
                 let tuning = match method {
@@ -689,7 +599,7 @@ mod tests {
                     assert_eq!(
                         recv.slice(got, src),
                         &v_payload(src, rank)[..],
-                        "{method:?} {src}→{rank}"
+                        "n={n} k={k} {method:?} {src}→{rank}"
                     );
                 }
             }
@@ -722,24 +632,22 @@ mod tests {
         let cfg = ClusterConfig::new(n);
         let out = Cluster::run(&cfg, |ep| {
             // Only even→odd pairs carry data.
-            let bufs: Vec<Vec<u8>> = (0..n)
-                .map(|j| {
-                    if ep.rank() % 2 == 0 && j % 2 == 1 {
-                        vec![ep.rank() as u8; 4]
-                    } else {
-                        Vec::new()
-                    }
-                })
+            let counts: Vec<usize> = (0..n)
+                .map(|j| 4 * usize::from(ep.rank() % 2 == 0 && j % 2 == 1))
                 .collect();
-            alltoallv(ep, &bufs)
+            let layout = VLayout::from_counts(&counts);
+            let flat = vec![ep.rank() as u8; layout.total()];
+            let mut got = Vec::new();
+            let recv = alltoallv_into(ep, &flat, &layout, &Tuning::default(), &mut got)?;
+            Ok((got, recv))
         })
         .unwrap();
-        for (rank, received) in out.results.iter().enumerate() {
-            for (src, buf) in received.iter().enumerate() {
+        for (rank, (got, recv)) in out.results.iter().enumerate() {
+            for src in 0..n {
                 if src % 2 == 0 && rank % 2 == 1 {
-                    assert_eq!(buf, &vec![src as u8; 4]);
+                    assert_eq!(recv.slice(got, src), &[src as u8; 4]);
                 } else {
-                    assert!(buf.is_empty());
+                    assert!(recv.slice(got, src).is_empty());
                 }
             }
         }
@@ -748,8 +656,16 @@ mod tests {
     #[test]
     fn alltoallv_rejects_bad_arity() {
         let cfg = ClusterConfig::new(3);
-        let err = Cluster::run(&cfg, |ep| alltoallv(ep, &[Vec::new()])).unwrap_err();
-        assert!(matches!(err, NetError::App(_)));
+        let err = Cluster::run(&cfg, |ep| {
+            let layout = VLayout::from_counts(&[0]);
+            let mut out = Vec::new();
+            alltoallv_into(ep, &[], &layout, &Tuning::default(), &mut out)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, NetError::App(m) if m.contains("one block per rank")),
+            "one block for three ranks: {err:?}"
+        );
         let cfg = ClusterConfig::new(3);
         let err = Cluster::run(&cfg, |ep| {
             let layout = VLayout::from_counts(&[4, 4, 4]);
@@ -778,39 +694,27 @@ mod tests {
     }
 
     #[test]
-    fn allgatherv_correct() {
-        for &n in &[1usize, 2, 5, 9, 10, 16, 21] {
+    fn allgatherv_into_layout_addresses_out() {
+        for &n in &[1usize, 2, 5, 7, 9, 10, 16, 21] {
             for &k in &[1usize, 2, 3, 4] {
                 let cfg = ClusterConfig::new(n).with_ports(k);
                 let out = Cluster::run(&cfg, |ep| {
                     let mine = g_payload(ep.rank());
-                    allgatherv(ep, &mine)
+                    let mut got = Vec::new();
+                    let layout = allgatherv_into(ep, &mine, &mut got)?;
+                    Ok((got, layout))
                 })
                 .unwrap();
-                for received in &out.results {
-                    for (src, buf) in received.iter().enumerate() {
-                        assert_eq!(buf, &g_payload(src), "n={n} k={k} src={src}");
+                for (got, layout) in &out.results {
+                    assert_eq!(layout.total(), got.len());
+                    for src in 0..n {
+                        assert_eq!(
+                            layout.slice(got, src),
+                            &g_payload(src)[..],
+                            "n={n} k={k} src={src}"
+                        );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn allgatherv_into_layout_addresses_out() {
-        let n = 7;
-        let cfg = ClusterConfig::new(n).with_ports(2);
-        let out = Cluster::run(&cfg, |ep| {
-            let mine = g_payload(ep.rank());
-            let mut got = Vec::new();
-            let layout = allgatherv_into(ep, &mine, &mut got)?;
-            Ok((got, layout))
-        })
-        .unwrap();
-        for (got, layout) in &out.results {
-            assert_eq!(layout.total(), got.len());
-            for src in 0..n {
-                assert_eq!(layout.slice(got, src), &g_payload(src)[..], "src={src}");
             }
         }
     }
@@ -822,7 +726,7 @@ mod tests {
         let cfg = ClusterConfig::new(n);
         let out = Cluster::run(&cfg, |ep| {
             let mine = g_payload(ep.rank());
-            allgatherv(ep, &mine)
+            allgatherv_into(ep, &mine, &mut Vec::new())
         })
         .unwrap();
         let c = out.metrics.global_complexity().unwrap();
@@ -838,7 +742,7 @@ mod tests {
         let cfg = ClusterConfig::new(n).with_ports(2);
         let out = Cluster::run(&cfg, |ep| {
             let mine = vec![ep.rank() as u8; b];
-            allgatherv(ep, &mine)
+            allgatherv_into(ep, &mine, &mut Vec::new())
         })
         .unwrap();
         let c = out.metrics.global_complexity().unwrap();

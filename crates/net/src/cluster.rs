@@ -72,15 +72,6 @@ pub struct ClusterConfig {
     /// grouping. `None` (the default) means a flat, single-node
     /// topology.
     pub node_size: Option<usize>,
-    /// Override for the TCP fabric's connection-healing machinery
-    /// (reconnect with backoff, per-pair replay, node eviction).
-    /// `None` (the default) arms healing automatically whenever
-    /// reliable delivery or socket-level faults are configured;
-    /// `Some(false)` forces the legacy fail-fast reactor even then
-    /// (the lever the recovery A/B bench pulls); `Some(true)` arms it
-    /// unconditionally. Only consulted by
-    /// [`crate::tcp::TcpScaleCluster`].
-    pub healing: Option<bool>,
 }
 
 impl ClusterConfig {
@@ -105,7 +96,6 @@ impl ClusterConfig {
             recovery: RecoveryPolicy::default(),
             quarantine: crate::membership::DEFAULT_BASE_QUARANTINE,
             node_size: None,
-            healing: None,
         }
     }
 
@@ -199,14 +189,6 @@ impl ClusterConfig {
             self.n
         );
         self.node_size = Some(node_size);
-        self
-    }
-
-    /// Override the TCP fabric's connection-healing machinery (see
-    /// [`ClusterConfig::healing`]).
-    #[must_use]
-    pub fn with_healing(mut self, healing: bool) -> Self {
-        self.healing = Some(healing);
         self
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Two clocks run at once:
 //!
-//! * **wall clock** — real time; Criterion benches measure it;
+//! * **wall clock** — real time; the tracked benchmark (`benchmark/`) measures it;
 //! * **virtual clock** — per-rank simulated time advanced by a pluggable
 //!   [`bruck_model::cost::CostModel`]; message timestamps propagate
 //!   causally (`arrival = departure + latency`, receivers take `max`), so

@@ -8,7 +8,6 @@
 //! `(C1, C2)` as soon as every rank has reported it — so what a run keeps
 //! is bounded by how far ranks drift apart, not by how long it lasts.
 
-use bruck_model::calibrate::LinearFit;
 use bruck_model::complexity::Complexity;
 
 use crate::membership::MembershipStats;
@@ -243,13 +242,6 @@ pub struct RunMetrics {
     /// injection). Zero on the thread-per-rank substrates, which have no
     /// shared data plane.
     pub fabric: FabricStats,
-    /// The calibration fit the run was planned under, when the harness
-    /// calibrated one (`None` for uncalibrated runs). Carrying it here
-    /// keeps the fit quality — `r_squared` in particular — attached to
-    /// the numbers it produced: a plan chosen under R² < 0.5 is a
-    /// guess, and downstream consumers (bench JSON, `bruckctl`) must be
-    /// able to see that without re-deriving the fit.
-    pub fit: Option<LinearFit>,
 }
 
 impl RunMetrics {

@@ -1901,9 +1901,7 @@ impl TcpScaleCluster {
         // fail the run; injected socket faults need healing to be
         // observable at all. Either turns it on.
         let fab_cfg = FabricConfig {
-            heal: cfg
-                .healing
-                .unwrap_or(cfg.reliability.is_some() || cfg.faults.has_socket_faults()),
+            heal: cfg.reliability.is_some() || cfg.faults.has_socket_faults(),
             drain_grace: cfg
                 .reliability
                 .map_or(DEFAULT_DRAIN_GRACE, |rel| rel.wire.drain_grace),

@@ -5,6 +5,7 @@
 //! Parameters sweep a fixed number of deterministic pseudo-random cases
 //! from a local xorshift generator — reproducible, dependency-free.
 
+use bruck::collectives::api::Tuning;
 use bruck::collectives::appendix::{concat_appendix_b, index_appendix_a};
 use bruck::collectives::index::{hierarchical, mixed};
 use bruck::collectives::reduce::{
@@ -12,8 +13,7 @@ use bruck::collectives::reduce::{
 };
 use bruck::collectives::scan::{exscan, scan};
 use bruck::collectives::verify;
-#[allow(deprecated)]
-use bruck::collectives::vops::{allgatherv, alltoallv};
+use bruck::collectives::vops::{allgatherv_into, alltoallv_into, VLayout};
 use bruck::net::{Cluster, ClusterConfig};
 
 /// Deterministic xorshift64 over half-open ranges.
@@ -45,7 +45,6 @@ const CASES: u64 = 40;
 /// alltoallv with arbitrary per-pair sizes delivers exactly what was
 /// addressed.
 #[test]
-#[allow(deprecated)]
 fn alltoallv_random_sizes() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
@@ -53,22 +52,27 @@ fn alltoallv_random_sizes() {
         let size = |i: usize, j: usize| ((salt as usize).wrapping_mul(31) + i * 7 + j * 13) % 50;
         let cfg = ClusterConfig::new(n).with_ports(k);
         let out = Cluster::run(&cfg, |ep| {
-            let bufs: Vec<Vec<u8>> = (0..n)
-                .map(|j| {
-                    (0..size(ep.rank(), j))
-                        .map(|t| verify::content_byte(ep.rank(), j, t))
-                        .collect()
-                })
+            let rank = ep.rank();
+            let counts: Vec<usize> = (0..n).map(|j| size(rank, j)).collect();
+            let layout = VLayout::from_counts(&counts);
+            let flat: Vec<u8> = (0..n)
+                .flat_map(|j| (0..counts[j]).map(move |t| verify::content_byte(rank, j, t)))
                 .collect();
-            alltoallv(ep, &bufs)
+            let mut got = Vec::new();
+            let recv = alltoallv_into(ep, &flat, &layout, &Tuning::default(), &mut got)?;
+            Ok((got, recv))
         })
         .unwrap();
-        for (rank, received) in out.results.iter().enumerate() {
-            for (src, buf) in received.iter().enumerate() {
+        for (rank, (got, recv)) in out.results.iter().enumerate() {
+            for src in 0..n {
                 let expected: Vec<u8> = (0..size(src, rank))
                     .map(|t| verify::content_byte(src, rank, t))
                     .collect();
-                assert_eq!(buf, &expected, "n={n} k={k} rank={rank} src={src}");
+                assert_eq!(
+                    recv.slice(got, src),
+                    &expected[..],
+                    "n={n} k={k} rank={rank} src={src}"
+                );
             }
         }
     }
@@ -76,7 +80,6 @@ fn alltoallv_random_sizes() {
 
 /// allgatherv with arbitrary per-rank sizes.
 #[test]
-#[allow(deprecated)]
 fn allgatherv_random_sizes() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
@@ -87,15 +90,21 @@ fn allgatherv_random_sizes() {
             let mine: Vec<u8> = (0..size(ep.rank()))
                 .map(|t| verify::content_byte(ep.rank(), 0, t))
                 .collect();
-            allgatherv(ep, &mine)
+            let mut got = Vec::new();
+            let layout = allgatherv_into(ep, &mine, &mut got)?;
+            Ok((got, layout))
         })
         .unwrap();
-        for received in &out.results {
-            for (src, buf) in received.iter().enumerate() {
+        for (got, layout) in &out.results {
+            for src in 0..n {
                 let expected: Vec<u8> = (0..size(src))
                     .map(|t| verify::content_byte(src, 0, t))
                     .collect();
-                assert_eq!(buf, &expected, "n={n} k={k} src={src}");
+                assert_eq!(
+                    layout.slice(got, src),
+                    &expected[..],
+                    "n={n} k={k} src={src}"
+                );
             }
         }
     }

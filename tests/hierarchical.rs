@@ -1,13 +1,14 @@
 //! Hierarchical-plan bit-correctness across substrates — the dedicated
 //! two-level executor on the threaded cluster and the lowered
 //! [`IndexPlan::Hierarchical`] program on the event-driven TCP fabric —
-//! at n = 16 and the paper's machine size n = 64, plus the
-//! non-divisible `node_size` error paths.
+//! at n = 16, the paper's machine size n = 64 and one n = 128 cell, plus
+//! the non-divisible `node_size` error paths.
 
 use bruck::collectives::index::hierarchical;
 use bruck::collectives::verify;
 use bruck::model::planner::IndexPlan;
 use bruck::net::{Cluster, ClusterConfig, NetError, Reliability, TcpScaleCluster};
+use std::time::Duration;
 
 fn scale_inputs(n: usize, block: usize) -> Vec<Vec<u8>> {
     (0..n).map(|r| verify::index_input(r, n, block)).collect()
@@ -32,7 +33,8 @@ fn tcp_case(n: usize, node_size: usize, rl: usize, rr: usize, block: usize) {
     };
     let cfg = ClusterConfig::new(n)
         .with_node_size(node_size)
-        .with_reliability(Reliability::default());
+        .with_reliability(Reliability::default())
+        .with_deadline(Duration::from_secs(120));
     let inputs = scale_inputs(n, block);
     let workers = 3;
     let out = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(workers))
@@ -45,6 +47,16 @@ fn tcp_case(n: usize, node_size: usize, rl: usize, rr: usize, block: usize) {
         "{} n={n}: {} threads for {workers} workers",
         plan.label(),
         out.threads
+    );
+    // Reliability requested and a deadline armed on a clean fabric cost
+    // no ARQ traffic under a two-level plan either (tests/tcp.rs holds
+    // flat plans to the same).
+    let link = out.metrics.link_totals();
+    assert_eq!(
+        (link.acks_sent, link.probes_sent, link.retransmits),
+        (0, 0, 0),
+        "{} n={n}: ARQ traffic on a clean stream: {link:?}",
+        plan.label()
     );
 }
 
@@ -61,6 +73,9 @@ fn tcp_hierarchical_plans_bit_correct_n64() {
     for (node_size, rl, rr) in [(8, 2, 2), (16, 4, 2)] {
         tcp_case(64, node_size, rl, rr, 4);
     }
+    // And one cell past it: the two-level counterpart of the flat
+    // n = 128, 64 B run in tests/tcp.rs.
+    tcp_case(128, 32, 2, 2, 64);
 }
 
 #[test]
