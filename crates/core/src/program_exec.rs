@@ -1,7 +1,8 @@
 //! Execute a lowered [`RankProgram`] over any [`Comm`].
 //!
 //! `bruck_model::program` lowers an [`IndexPlan`] to pure data — local
-//! permutations and k-port rounds over block slots. This module is the
+//! permutations and k-port rounds whose block slots are closed-form
+//! descriptors, consumed here as contiguous runs. This module is the
 //! threaded-substrate interpreter for that data: each op maps onto the
 //! same [`Comm`] surface the hand-written executors use (`round_gather`
 //! for the exchanges, pooled scratch for the permutes), so a program runs
@@ -15,7 +16,7 @@ use bruck_model::planner::IndexPlan;
 use bruck_model::program::{ProgramOp, RankProgram};
 use bruck_net::{Comm, GatherSendSpec, NetError, RecvSpec};
 
-use crate::blocks::{gather_spans, unpack_spans};
+use crate::blocks::unpack_spans;
 
 /// Lower `plan` for this rank and execute it (see [`run_program_into`]).
 ///
@@ -71,42 +72,38 @@ pub fn run_program_into<C: Comm + ?Sized>(
         out.copy_from_slice(sendbuf);
         return Ok(());
     }
+    program.check_shape().map_err(NetError::App)?;
     let mut work = ep.acquire(n * block);
     work[..n * block].copy_from_slice(sendbuf);
     let mut scratch = ep.acquire(n * block);
+    // Reused across rounds: all sends' byte spans, and where each ends.
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
     for op in &program.ops {
         match op {
             ProgramOp::Permute(perm) => {
-                if perm.len() != n {
-                    return Err(NetError::App(format!(
-                        "permute of length {} in an n = {n} program",
-                        perm.len()
-                    )));
-                }
-                for (i, &src) in perm.iter().enumerate() {
-                    scratch[i * block..(i + 1) * block]
-                        .copy_from_slice(&work[src * block..(src + 1) * block]);
-                }
+                perm.apply(block, &work, &mut scratch);
                 std::mem::swap(&mut work, &mut scratch);
                 ep.charge_copy((n * block) as u64);
             }
             ProgramOp::Round(round) => {
-                let send_spans: Vec<Vec<(usize, usize)>> = round
-                    .sends
-                    .iter()
-                    .map(|s| gather_spans(&s.slots, block))
-                    .collect();
-                let sends: Vec<GatherSendSpec<'_>> = round
-                    .sends
-                    .iter()
-                    .zip(&send_spans)
-                    .map(|(s, spans)| GatherSendSpec {
+                spans.clear();
+                ends.clear();
+                for s in &round.sends {
+                    spans.extend(s.slots.runs(block));
+                    ends.push(spans.len());
+                }
+                let mut sends: Vec<GatherSendSpec<'_>> = Vec::with_capacity(ends.len());
+                let mut from = 0;
+                for (s, &end) in round.sends.iter().zip(&ends) {
+                    sends.push(GatherSendSpec {
                         to: s.peer,
                         tag: s.tag,
                         src: &work,
-                        spans,
-                    })
-                    .collect();
+                        spans: &spans[from..end],
+                    });
+                    from = end;
+                }
                 let recvs: Vec<RecvSpec> = round
                     .recvs
                     .iter()
@@ -118,16 +115,17 @@ pub fn run_program_into<C: Comm + ?Sized>(
                 let msgs = ep.round_gather(&sends, &recvs)?;
                 let mut received = 0u64;
                 for (r, msg) in round.recvs.iter().zip(&msgs) {
-                    let spans = gather_spans(&r.slots, block);
-                    if msg.payload.len() != r.slots.len() * block {
+                    if msg.payload.len() != r.slots.blocks() * block {
                         return Err(NetError::App(format!(
                             "rank {} tag {}: {} payload bytes for {} slots",
                             program.rank,
                             r.tag,
                             msg.payload.len(),
-                            r.slots.len()
+                            r.slots.blocks()
                         )));
                     }
+                    spans.clear();
+                    spans.extend(r.slots.runs(block));
                     unpack_spans(&mut work, &spans, &msg.payload);
                     received += msg.payload.len() as u64;
                 }

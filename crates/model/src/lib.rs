@@ -51,6 +51,6 @@ pub use complexity::Complexity;
 pub use cost::{CostModel, HierarchicalModel, LinearModel, LogPModel, PostalModel, Sp1Model};
 pub use mixed_radix::MixedRadix;
 pub use planner::{ConcatPlan, IndexPlan, PlanChoice, Planner, VIndexPlan};
-pub use program::{ProgramOp, ProgramRound, ProgramXfer, RankProgram};
+pub use program::{BlockPerm, ProgramOp, ProgramRound, ProgramXfer, RankProgram, SlotSet};
 pub use radix::{ceil_log, RadixDecomposition};
 pub use tuning::WireTuning;

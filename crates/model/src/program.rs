@@ -10,10 +10,14 @@
 //! that an event-driven pool can drive in bulk-synchronous steps, parking
 //! *between* operations instead of inside them.
 //!
-//! [`RankProgram`] is that shape. It is pure data — slot indices, peers,
-//! tags — produced here (the model crate owns [`IndexPlan`] and the radix
-//! math) and consumed by any executor. Lowerings mirror the executors in
-//! `bruck-collectives` exactly:
+//! [`RankProgram`] is that shape. It is pure data — peers, tags and
+//! closed-form *descriptors* — produced here (the model crate owns
+//! [`IndexPlan`] and the radix math) and consumed by any executor. The
+//! schedules are translation-invariant, so nothing in a program is a
+//! table: a transfer's blocks are a [`SlotSet`] (§3.2's digit test, read
+//! as contiguous *runs*), a local phase a [`BlockPerm`], and lowering a
+//! rank costs O(rounds·k) small structs whatever `n` is. Lowerings
+//! mirror the executors in `bruck-collectives` exactly:
 //!
 //! * [`IndexPlan::Radix`] — rotate, the §3.2 digit rounds grouped `k` per
 //!   round, inverse placement;
@@ -28,8 +32,10 @@
 //! delivery; the tests sweep it against the transpose oracle so a
 //! lowering bug is caught in pure math, far from any socket.
 
+use std::collections::HashMap;
+
 use crate::planner::IndexPlan;
-use crate::radix::RadixDecomposition;
+use crate::radix::{pow, RadixDecomposition};
 
 /// Bit position separating the phase namespace from the `(subphase,
 /// step)` tag of a round. Flat tags are `(x << 32) | z` — far below this
@@ -39,19 +45,61 @@ use crate::radix::RadixDecomposition;
 /// `bruck-net`) without aliasing.
 pub const PHASE_SHIFT: u32 = 37;
 
+/// The block slots of one transfer, in closed form: the group blocks
+/// `j ∈ [0, groups)` whose radix-`radix` digit of weight `stride = r^x`
+/// equals `digit` — §3.2's selection for step `(x, z)` — where group
+/// block `j` spans buffer blocks `[j·unit, (j+1)·unit)`. The direct
+/// algorithm's lone slot `s` is the same test in radix `n`: weight 1,
+/// digit `s`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotSet {
+    /// Weight of the tested digit, `r^x`.
+    stride: usize,
+    /// Value the digit must have (`z ≥ 1` for the index algorithm).
+    digit: usize,
+    /// The radix `r`.
+    radix: usize,
+    /// Number of group-level blocks.
+    groups: usize,
+    /// Buffer blocks per group-level block.
+    unit: usize,
+}
+
+impl SlotSet {
+    /// Number of buffer blocks selected (the arithmetic of
+    /// [`RadixDecomposition::blocks_in_step`], no enumeration).
+    #[must_use]
+    pub fn blocks(&self) -> usize {
+        let period = self.stride * self.radix;
+        let tail = (self.groups % period).saturating_sub(self.digit * self.stride);
+        ((self.groups / period) * self.stride + tail.min(self.stride)) * self.unit
+    }
+
+    /// The selection as maximal contiguous runs `(byte offset, bytes)` of
+    /// a buffer of `block`-byte blocks, ascending: `[t·r^(x+1) + z·r^x,
+    /// +r^x) ∩ [0, groups)` scaled by `unit · block`. A sender gathers
+    /// the runs in this order; the receiver scatters into the same runs.
+    pub fn runs(&self, block: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (s, scale) = (*self, self.unit * block);
+        (s.digit * s.stride..s.groups)
+            .step_by(s.stride * s.radix)
+            .map(move |at| (at * scale, s.stride.min(s.groups - at) * scale))
+    }
+}
+
 /// One transfer of a round: the peer, the matching tag, and the block
-/// slots involved. For a send, payload bytes are gathered from `slots`
-/// in order; for a receive, the payload is scattered back into `slots`
-/// in the same order (sender and receiver use the same slot list, as in
+/// slots involved. For a send, payload bytes are gathered from the
+/// slots' runs in order; for a receive, the payload is scattered back
+/// into the same runs (sender and receiver use the same slot set, as in
 /// the index algorithm's digit steps).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramXfer {
     /// Global rank of the peer.
     pub peer: usize,
     /// Message tag (unique per round within the program).
     pub tag: u64,
-    /// Block indices into the rank's working buffer.
-    pub slots: Vec<usize>,
+    /// Blocks of the rank's working buffer.
+    pub slots: SlotSet,
 }
 
 /// One communication round: up to `k` sends to distinct peers and the
@@ -64,12 +112,57 @@ pub struct ProgramRound {
     pub recvs: Vec<ProgramXfer>,
 }
 
+/// The shape of a local phase, as the source of new group block `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PermKind {
+    /// Phase 1's upward rotation: `new[u] = old[(u + by) mod groups]`.
+    Rotate { by: usize },
+    /// Phase 3's inverse placement: `new[u] = old[(about − u) mod groups]`.
+    Reflect { about: usize },
+    /// The hierarchical repack, `old` read as a `rows × cols` matrix of
+    /// group blocks: `new[c·rows + r] = old[r·cols + c]`.
+    Transpose { rows: usize, cols: usize },
+}
+
+/// A local block permutation of the whole working buffer — a rotation, a
+/// reflection or a transpose — over `groups` group blocks of `unit`
+/// buffer blocks each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockPerm {
+    kind: PermKind,
+    groups: usize,
+    unit: usize,
+}
+
+impl BlockPerm {
+    /// Permute `old` into `new` (both `groups · unit` blocks of `block`
+    /// bytes) by contiguous moves: two memcpys for a rotation, one per
+    /// group block otherwise.
+    pub fn apply(&self, block: usize, old: &[u8], new: &mut [u8]) {
+        let (g, len) = (self.groups, self.unit * block);
+        let mut mv = |dst: usize, src: usize, count: usize| {
+            new[dst * len..(dst + count) * len]
+                .copy_from_slice(&old[src * len..(src + count) * len]);
+        };
+        match self.kind {
+            PermKind::Rotate { by } => {
+                mv(0, by, g - by);
+                mv(g - by, 0, by);
+            }
+            PermKind::Reflect { about } => (0..g).for_each(|u| mv(u, (about + g - u) % g, 1)),
+            PermKind::Transpose { rows, cols } => {
+                (0..g).for_each(|u| mv(u, (u % rows) * cols + u / rows, 1));
+            }
+        }
+    }
+}
+
 /// One step of a rank program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramOp {
-    /// Local block permutation: `new[i] = old[perm[i]]` at block
-    /// granularity (the rotate / transpose / inverse-placement phases).
-    Permute(Vec<usize>),
+    /// Local block permutation (the rotate / transpose / inverse-
+    /// placement phases).
+    Permute(BlockPerm),
     /// One communication round.
     Round(ProgramRound),
 }
@@ -171,12 +264,48 @@ impl RankProgram {
         self.ops
             .iter()
             .filter_map(|op| match op {
-                ProgramOp::Round(r) => r.sends.iter().map(|x| x.slots.len()).max(),
+                ProgramOp::Round(r) => r.sends.iter().map(|x| x.slots.blocks()).max(),
                 ProgramOp::Permute(_) => None,
             })
             .max()
             .unwrap_or(0)
     }
+
+    /// The one shape check an interpreter makes before it indexes an
+    /// `n`-block buffer with these descriptors (`n` and `ops` are public,
+    /// so they may have been recombined): every permute covers exactly
+    /// `n` blocks and every slot set stays inside them.
+    ///
+    /// # Errors
+    ///
+    /// Names the first op that does not fit.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let fits = |op: &ProgramOp| match op {
+            ProgramOp::Permute(p) => {
+                let cells = match p.kind {
+                    PermKind::Transpose { rows, cols } => rows * cols,
+                    PermKind::Rotate { .. } | PermKind::Reflect { .. } => p.groups,
+                };
+                cells == p.groups && p.groups * p.unit == self.n
+            }
+            ProgramOp::Round(r) => {
+                let mut xfers = r.sends.iter().chain(&r.recvs);
+                xfers.all(|x| x.slots.groups * x.slots.unit <= self.n)
+            }
+        };
+        match self.ops.iter().position(|op| !fits(op)) {
+            Some(i) => Err(format!(
+                "rank {}: op {i} does not fit an n = {} buffer",
+                self.rank, self.n
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `kind` over `groups` group blocks of `unit` buffer blocks, as an op.
+fn permute(kind: PermKind, groups: usize, unit: usize) -> ProgramOp {
+    ProgramOp::Permute(BlockPerm { kind, groups, unit })
 }
 
 /// Append the full radix-`r` index schedule over a (sub)group: rotate,
@@ -201,32 +330,33 @@ fn bruck_ops(
     }
     let r = r.clamp(2, n_g);
     // Phase 1: upward rotation, tmp[u] = old[(u + m) mod n_g].
-    ops.push(ProgramOp::Permute(group_perm(n_g, unit, |u| (u + m) % n_g)));
+    ops.push(permute(PermKind::Rotate { by: m }, n_g, unit));
     // Phase 2: the digit rounds.
     let decomp = RadixDecomposition::new(n_g, r);
     for x in 0..decomp.num_subphases() {
         let steps = decomp.steps_in_subphase(x);
+        let stride = pow(r, x);
         let mut z = 1usize;
         while z <= steps {
             let hi = steps.min(z + k - 1);
             let mut round = ProgramRound::default();
             for zz in z..=hi {
-                let dist = decomp.step_distance(x, zz);
-                let dst = (m + dist) % n_g;
-                let src = (m + n_g - dist % n_g) % n_g;
-                let slots: Vec<usize> = decomp
-                    .blocks_for_step(x, zz)
-                    .into_iter()
-                    .flat_map(|j| (0..unit).map(move |q| j * unit + q))
-                    .collect();
+                let dist = zz * stride;
+                let slots = SlotSet {
+                    stride,
+                    digit: zz,
+                    radix: r,
+                    groups: n_g,
+                    unit,
+                };
                 let tag = tag_base | (u64::from(x) << 32) | zz as u64;
                 round.sends.push(ProgramXfer {
-                    peer: peer(dst),
+                    peer: peer((m + dist) % n_g),
                     tag,
-                    slots: slots.clone(),
+                    slots,
                 });
                 round.recvs.push(ProgramXfer {
-                    peer: peer(src),
+                    peer: peer((m + n_g - dist % n_g) % n_g),
                     tag,
                     slots,
                 });
@@ -236,22 +366,7 @@ fn bruck_ops(
         }
     }
     // Phase 3: inverse placement, out[j] = tmp[(m - j) mod n_g].
-    ops.push(ProgramOp::Permute(group_perm(n_g, unit, |j| {
-        (m + n_g - j) % n_g
-    })));
-}
-
-/// A block-granular permutation from a group-level one: group block `u`
-/// spans buffer blocks `[u·unit, (u+1)·unit)`.
-fn group_perm(n_g: usize, unit: usize, f: impl Fn(usize) -> usize) -> Vec<usize> {
-    let mut perm = vec![0usize; n_g * unit];
-    for u in 0..n_g {
-        let src = f(u);
-        for q in 0..unit {
-            perm[u * unit + q] = src * unit + q;
-        }
-    }
-    perm
+    ops.push(permute(PermKind::Reflect { about: m }, n_g, unit));
 }
 
 /// The direct algorithm: the working buffer is indexed by destination,
@@ -269,25 +384,28 @@ fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, k: usize) {
         let hi = (n - 1).min(d + k - 1);
         let mut round = ProgramRound::default();
         for dd in d..=hi {
-            let dst = (m + dd) % n;
-            let src = (m + n - dd) % n;
-            let slot = (m + dd) % n;
+            let slots = SlotSet {
+                stride: 1,
+                digit: (m + dd) % n,
+                radix: n,
+                groups: n,
+                unit: 1,
+            };
             round.sends.push(ProgramXfer {
-                peer: dst,
+                peer: (m + dd) % n,
                 tag: dd as u64,
-                slots: vec![slot],
+                slots,
             });
             round.recvs.push(ProgramXfer {
-                peer: src,
+                peer: (m + n - dd) % n,
                 tag: dd as u64,
-                slots: vec![slot],
+                slots,
             });
         }
         ops.push(ProgramOp::Round(round));
         d = hi + 1;
     }
-    let perm: Vec<usize> = (0..n).map(|j| (2 * m + n - j % n) % n).collect();
-    ops.push(ProgramOp::Permute(perm));
+    ops.push(permute(PermKind::Reflect { about: 2 * m % n }, n, 1));
 }
 
 /// The two-level composition of `index/hierarchical.rs`, op for op:
@@ -318,15 +436,11 @@ fn hierarchical_ops(
     }
     let my_node = rank / node_size;
     let my_lane = rank % node_size;
+    let transpose = |rows, cols| permute(PermKind::Transpose { rows, cols }, n, 1);
     // Phase 1 pack: bundle for lane `l` holds our blocks for every rank
-    // whose lane is `l`, node-major within the bundle.
-    let mut p1 = vec![0usize; n];
-    for lane in 0..node_size {
-        for node in 0..nodes {
-            p1[lane * nodes + node] = node * node_size + lane;
-        }
-    }
-    ops.push(ProgramOp::Permute(p1));
+    // whose lane is `l`, node-major within the bundle — the node × lane
+    // send buffer read lane-major.
+    ops.push(transpose(nodes, node_size));
     // Intra-node exchange of lane bundles.
     bruck_ops(
         ops,
@@ -340,13 +454,7 @@ fn hierarchical_ops(
     );
     // Phase 2 pack: node bundle `c` holds, for every lane of our node,
     // the block destined to lane-sibling ranks on node `c`.
-    let mut p2 = vec![0usize; n];
-    for node in 0..nodes {
-        for lane in 0..node_size {
-            p2[node * node_size + lane] = lane * nodes + node;
-        }
-    }
-    ops.push(ProgramOp::Permute(p2));
+    ops.push(transpose(node_size, nodes));
     // Inter-node exchange of node bundles between lane siblings.
     bruck_ops(
         ops,
@@ -396,59 +504,53 @@ pub fn simulate(programs: &[RankProgram], inputs: &[Vec<u8>]) -> Result<Vec<Vec<
         if inputs[r].len() != n * block {
             return Err(format!("simulate: input {r} is not n·block bytes"));
         }
+        p.check_shape().map_err(|e| format!("simulate: {e}"))?;
     }
     let mut work: Vec<Vec<u8>> = inputs.to_vec();
     let mut scratch = vec![0u8; n * block];
+    // In flight within one step, keyed by (dst, src, tag).
+    let mut mail: HashMap<(usize, usize, u64), Vec<u8>> = HashMap::new();
     for t in 0..steps {
         // Gather every send of the step first (in-place rounds overwrite
         // the very slots they sent), then deliver.
-        let mut mail: Vec<(usize, u64, usize, Vec<u8>)> = Vec::new();
         for (r, p) in programs.iter().enumerate() {
             if let ProgramOp::Round(round) = &p.ops[t] {
                 for s in &round.sends {
-                    let mut payload = Vec::with_capacity(s.slots.len() * block);
-                    for &slot in &s.slots {
-                        payload.extend_from_slice(&work[r][slot * block..(slot + 1) * block]);
+                    let mut payload = Vec::with_capacity(s.slots.blocks() * block);
+                    for (at, len) in s.slots.runs(block) {
+                        payload.extend_from_slice(&work[r][at..at + len]);
                     }
-                    mail.push((s.peer, s.tag, r, payload));
+                    if mail.insert((s.peer, r, s.tag), payload).is_some() {
+                        return Err(format!("simulate: rank {r} reused tag {}", s.tag));
+                    }
                 }
             }
         }
         for (r, p) in programs.iter().enumerate() {
             match &p.ops[t] {
                 ProgramOp::Permute(perm) => {
-                    if perm.len() != n {
-                        return Err(format!("simulate: rank {r} permute of wrong length"));
-                    }
-                    for (i, &src) in perm.iter().enumerate() {
-                        scratch[i * block..(i + 1) * block]
-                            .copy_from_slice(&work[r][src * block..(src + 1) * block]);
-                    }
-                    work[r].copy_from_slice(&scratch);
+                    perm.apply(block, &work[r], &mut scratch);
+                    std::mem::swap(&mut work[r], &mut scratch);
                 }
                 ProgramOp::Round(round) => {
                     for recv in &round.recvs {
-                        let pos = mail
-                            .iter()
-                            .position(|(dst, tag, src, _)| {
-                                *dst == r && *tag == recv.tag && *src == recv.peer
-                            })
-                            .ok_or_else(|| {
-                                format!(
-                                    "simulate: rank {r} expected tag {} from {}, never sent",
-                                    recv.tag, recv.peer
-                                )
-                            })?;
-                        let (_, _, _, payload) = mail.swap_remove(pos);
-                        if payload.len() != recv.slots.len() * block {
+                        let payload = mail.remove(&(r, recv.peer, recv.tag)).ok_or_else(|| {
+                            format!(
+                                "simulate: rank {r} expected tag {} from {}, never sent",
+                                recv.tag, recv.peer
+                            )
+                        })?;
+                        if payload.len() != recv.slots.blocks() * block {
                             return Err(format!(
                                 "simulate: rank {r} tag {} payload/slot mismatch",
                                 recv.tag
                             ));
                         }
-                        for (i, &slot) in recv.slots.iter().enumerate() {
-                            work[r][slot * block..(slot + 1) * block]
-                                .copy_from_slice(&payload[i * block..(i + 1) * block]);
+                        let mut rest = &payload[..];
+                        for (at, len) in recv.slots.runs(block) {
+                            let (run, tail) = rest.split_at(len);
+                            work[r][at..at + len].copy_from_slice(run);
+                            rest = tail;
                         }
                     }
                 }
@@ -464,9 +566,289 @@ pub fn simulate(programs: &[RankProgram], inputs: &[Vec<u8>]) -> Result<Vec<Vec<
     Ok(work)
 }
 
+/// The index-vector lowering this module used before descriptors: every
+/// slot list a `Vec<usize>`, every permutation an n-entry table. Kept as
+/// the reference the differential test expands descriptors against.
+#[cfg(test)]
+mod reference {
+    use super::PHASE_SHIFT;
+    use crate::radix::RadixDecomposition;
+
+    /// `(peer, tag, slots)`.
+    pub type Xfer = (usize, u64, Vec<usize>);
+
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum Op {
+        /// `new[i] = old[perm[i]]`.
+        Permute(Vec<usize>),
+        Round {
+            sends: Vec<Xfer>,
+            recvs: Vec<Xfer>,
+        },
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn bruck_ops(
+        ops: &mut Vec<Op>,
+        n_g: usize,
+        m: usize,
+        r: usize,
+        unit: usize,
+        k: usize,
+        peer: impl Fn(usize) -> usize,
+        tag_base: u64,
+    ) {
+        if n_g <= 1 {
+            return;
+        }
+        let r = r.clamp(2, n_g);
+        ops.push(Op::Permute(group_perm(n_g, unit, |u| (u + m) % n_g)));
+        let decomp = RadixDecomposition::new(n_g, r);
+        for x in 0..decomp.num_subphases() {
+            let steps = decomp.steps_in_subphase(x);
+            let mut z = 1usize;
+            while z <= steps {
+                let hi = steps.min(z + k - 1);
+                let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+                for zz in z..=hi {
+                    let dist = decomp.step_distance(x, zz);
+                    let dst = (m + dist) % n_g;
+                    let src = (m + n_g - dist % n_g) % n_g;
+                    let slots: Vec<usize> = decomp
+                        .blocks_for_step(x, zz)
+                        .into_iter()
+                        .flat_map(|j| (0..unit).map(move |q| j * unit + q))
+                        .collect();
+                    let tag = tag_base | (u64::from(x) << 32) | zz as u64;
+                    sends.push((peer(dst), tag, slots.clone()));
+                    recvs.push((peer(src), tag, slots));
+                }
+                ops.push(Op::Round { sends, recvs });
+                z = hi + 1;
+            }
+        }
+        ops.push(Op::Permute(group_perm(n_g, unit, |j| (m + n_g - j) % n_g)));
+    }
+
+    fn group_perm(n_g: usize, unit: usize, f: impl Fn(usize) -> usize) -> Vec<usize> {
+        let mut perm = vec![0usize; n_g * unit];
+        for u in 0..n_g {
+            let src = f(u);
+            for q in 0..unit {
+                perm[u * unit + q] = src * unit + q;
+            }
+        }
+        perm
+    }
+
+    pub fn direct_ops(ops: &mut Vec<Op>, n: usize, m: usize, k: usize) {
+        let mut d = 1usize;
+        while d < n {
+            let hi = (n - 1).min(d + k - 1);
+            let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+            for dd in d..=hi {
+                let slot = (m + dd) % n;
+                sends.push(((m + dd) % n, dd as u64, vec![slot]));
+                recvs.push(((m + n - dd) % n, dd as u64, vec![slot]));
+            }
+            ops.push(Op::Round { sends, recvs });
+            d = hi + 1;
+        }
+        ops.push(Op::Permute(
+            (0..n).map(|j| (2 * m + n - j % n) % n).collect(),
+        ));
+    }
+
+    pub fn hierarchical_ops(
+        ops: &mut Vec<Op>,
+        n: usize,
+        rank: usize,
+        node_size: usize,
+        radix_local: usize,
+        radix_remote: usize,
+        k: usize,
+    ) {
+        let nodes = n / node_size;
+        if nodes == 1 || node_size == 1 {
+            bruck_ops(ops, n, rank, radix_local.max(radix_remote), 1, k, |g| g, 0);
+            return;
+        }
+        let my_node = rank / node_size;
+        let my_lane = rank % node_size;
+        let mut p1 = vec![0usize; n];
+        for lane in 0..node_size {
+            for node in 0..nodes {
+                p1[lane * nodes + node] = node * node_size + lane;
+            }
+        }
+        ops.push(Op::Permute(p1));
+        bruck_ops(
+            ops,
+            node_size,
+            my_lane,
+            radix_local,
+            nodes,
+            k,
+            |g| my_node * node_size + g,
+            1 << PHASE_SHIFT,
+        );
+        let mut p2 = vec![0usize; n];
+        for node in 0..nodes {
+            for lane in 0..node_size {
+                p2[node * node_size + lane] = lane * nodes + node;
+            }
+        }
+        ops.push(Op::Permute(p2));
+        bruck_ops(
+            ops,
+            nodes,
+            my_node,
+            radix_remote,
+            node_size,
+            k,
+            |g| g * node_size + my_lane,
+            2 << PHASE_SHIFT,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference lowering of `plan` for one rank.
+    fn reference_ops(plan: &IndexPlan, n: usize, rank: usize, k: usize) -> Vec<reference::Op> {
+        let mut ops = Vec::new();
+        match plan {
+            IndexPlan::Radix(r) => reference::bruck_ops(&mut ops, n, rank, *r, 1, k, |g| g, 0),
+            IndexPlan::Hypercube => reference::bruck_ops(&mut ops, n, rank, 2, 1, k, |g| g, 0),
+            IndexPlan::Direct => reference::direct_ops(&mut ops, n, rank, k),
+            IndexPlan::Hierarchical {
+                node_size,
+                radix_local,
+                radix_remote,
+            } => reference::hierarchical_ops(
+                &mut ops,
+                n,
+                rank,
+                *node_size,
+                *radix_local,
+                *radix_remote,
+                k,
+            ),
+            IndexPlan::Mixed(_) => unreachable!("no lowering"),
+        }
+        ops
+    }
+
+    /// A descriptor program expanded to the reference's index vectors.
+    fn expand(program: &RankProgram) -> Vec<reference::Op> {
+        let xfers = |xs: &[ProgramXfer]| -> Vec<reference::Xfer> {
+            xs.iter()
+                .map(|x| {
+                    let slots: Vec<usize> =
+                        x.slots.runs(1).flat_map(|(at, len)| at..at + len).collect();
+                    assert_eq!(slots.len(), x.slots.blocks(), "{:?}", x.slots);
+                    (x.peer, x.tag, slots)
+                })
+                .collect()
+        };
+        program
+            .ops
+            .iter()
+            .map(|op| match op {
+                ProgramOp::Permute(p) => {
+                    // Applied to one-byte blocks holding their own index
+                    // (n ≤ 128 here), a permutation spells out its table.
+                    let n = p.groups * p.unit;
+                    let identity: Vec<u8> = (0..n).map(|i| i as u8).collect();
+                    let mut perm = vec![u8::MAX; n];
+                    p.apply(1, &identity, &mut perm);
+                    reference::Op::Permute(perm.into_iter().map(usize::from).collect())
+                }
+                ProgramOp::Round(r) => reference::Op::Round {
+                    sends: xfers(&r.sends),
+                    recvs: xfers(&r.recvs),
+                },
+            })
+            .collect()
+    }
+
+    /// Satellite of the descriptor lowering: for every plan family, size,
+    /// rank and port count, the descriptors expand to exactly the index
+    /// vectors the previous lowering built — same op order, peers, tags,
+    /// slot order and permutations — and the derived counts agree.
+    #[test]
+    fn descriptors_expand_to_the_index_vector_lowering() {
+        let mut compared = 0usize;
+        for n in (2..=40usize).chain([64, 128]) {
+            let mut plans = vec![
+                IndexPlan::Radix(2),
+                IndexPlan::Radix(3),
+                IndexPlan::Radix(n),
+                IndexPlan::Hypercube,
+                IndexPlan::Direct,
+            ];
+            for node_size in (1..=n).filter(|s| n % s == 0) {
+                for (radix_local, radix_remote) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
+                    plans.push(IndexPlan::Hierarchical {
+                        node_size,
+                        radix_local,
+                        radix_remote,
+                    });
+                }
+            }
+            for plan in &plans {
+                for k in 1..=3usize {
+                    for rank in 0..n {
+                        let program = RankProgram::lower(plan, n, rank, 4, k).expect("lowerable");
+                        program.check_shape().expect("lowered programs fit");
+                        let want = reference_ops(plan, n, rank, k);
+                        assert_eq!(
+                            expand(&program),
+                            want,
+                            "plan={} n={n} k={k} rank={rank}",
+                            plan.label()
+                        );
+                        let (mut rounds, mut widest) = (0usize, 0usize);
+                        for op in &want {
+                            if let reference::Op::Round { sends, .. } = op {
+                                rounds += 1;
+                                widest =
+                                    widest.max(sends.iter().map(|s| s.2.len()).max().unwrap_or(0));
+                            }
+                        }
+                        assert_eq!(program.rounds(), rounds);
+                        assert_eq!(program.max_message_blocks(), widest);
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 50_000, "sweep shrank to {compared} programs");
+    }
+
+    #[test]
+    fn hand_built_programs_that_do_not_fit_are_rejected() {
+        let mut p = RankProgram::lower(&IndexPlan::Radix(2), 8, 3, 4, 1).unwrap();
+        p.check_shape().unwrap();
+        p.n = 7;
+        assert!(p.check_shape().unwrap_err().contains("op 0"));
+        let inputs = vec![vec![0u8; 28]; 7];
+        let set: Vec<RankProgram> = (0..7)
+            .map(|rank| RankProgram { rank, ..p.clone() })
+            .collect();
+        assert!(simulate(&set, &inputs)
+            .unwrap_err()
+            .contains("does not fit"));
+        p.n = 8;
+        p.ops[0] = ProgramOp::Permute(BlockPerm {
+            kind: PermKind::Transpose { rows: 3, cols: 2 },
+            groups: 8,
+            unit: 1,
+        });
+        assert!(p.check_shape().is_err());
+    }
 
     /// The byte pattern rank `i` sends to rank `j` (position `p`):
     /// deterministic and pair-unique, same convention as the verify
@@ -594,6 +976,19 @@ mod tests {
             },
             128,
             2,
+            1,
+        );
+        // The tracked benchmark's `plan_only` shape: the two plans it
+        // lowers for all 1 024 ranks.
+        check(&IndexPlan::Radix(2), 1024, 1, 1);
+        check(
+            &IndexPlan::Hierarchical {
+                node_size: 32,
+                radix_local: 2,
+                radix_remote: 2,
+            },
+            1024,
+            1,
             1,
         );
     }

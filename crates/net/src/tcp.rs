@@ -2317,10 +2317,7 @@ fn run_chunk(
                 let ProgramOp::Permute(perm) = &ctx.program.ops[op_idx] else {
                     unreachable!("op shape validated before spawn");
                 };
-                for (i, &src) in perm.iter().enumerate() {
-                    spare[i * block..(i + 1) * block]
-                        .copy_from_slice(&ctx.work[src * block..(src + 1) * block]);
-                }
+                perm.apply(block, &ctx.work, &mut spare);
                 std::mem::swap(&mut ctx.work, &mut spare);
                 ctx.metrics.bytes_copied += (n * block) as u64;
             }
@@ -2344,9 +2341,9 @@ fn run_chunk(
             };
             sizes.clear();
             for s in &round.sends {
-                let mut payload = pool.acquire_empty(s.slots.len() * block);
-                for &slot in &s.slots {
-                    payload.extend_from_slice(&work[slot * block..(slot + 1) * block]);
+                let mut payload = pool.acquire_empty(s.slots.blocks() * block);
+                for (at, len) in s.slots.runs(block) {
+                    payload.extend_from_slice(&work[at..at + len]);
                 }
                 sizes.push(payload.len() as u64);
                 let msg = Message {
@@ -2409,19 +2406,21 @@ fn run_chunk(
                     let r = &round.recvs[pending[ci][i]];
                     match transport.try_match(r.peer, r.tag) {
                         Ok(Some(msg)) => {
-                            if msg.payload.len() != r.slots.len() * block {
+                            if msg.payload.len() != r.slots.blocks() * block {
                                 shared.fail(NetError::App(format!(
                                     "rank {} tag {}: {} payload bytes for {} slots",
                                     program.rank,
                                     r.tag,
                                     msg.payload.len(),
-                                    r.slots.len()
+                                    r.slots.blocks()
                                 )));
                                 break 'ops;
                             }
-                            for (j, &slot) in r.slots.iter().enumerate() {
-                                work[slot * block..(slot + 1) * block]
-                                    .copy_from_slice(&msg.payload[j * block..(j + 1) * block]);
+                            let mut rest = &msg.payload[..];
+                            for (at, len) in r.slots.runs(block) {
+                                let (run, tail) = rest.split_at(len);
+                                work[at..at + len].copy_from_slice(run);
+                                rest = tail;
                             }
                             metrics.bytes_copied += msg.payload.len() as u64;
                             pool.recycle(msg.payload);
