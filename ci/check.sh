@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 # per-PR BENCH_*.json artifacts are retired and must not come back.
 if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
+# The Bruck family has one executable form — a lowered RankProgram run
+# by core/program_exec.rs (and by the TCP fabric). Its hand-written
+# executors are retired and must not come back.
+for f in bruck mixed hierarchical; do
+    if [ -e "crates/core/src/index/$f.rs" ]; then echo "ci/check.sh: crates/core/src/index/$f.rs is back; lower a plan instead" >&2; exit 1; fi
+done
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -113,7 +120,10 @@ timeout 120 cargo test -q -p bruck-net --lib -- frame:: tcp::tests::stream_parse
 
 # By name, what lowering and last-round planning rest on now that
 # neither keeps a table: every descriptor expanded against the
-# index-vector lowering it replaced (76 461 programs), the arithmetic
+# index-vector lowering it replaced (76 461 programs), the mixed
+# lowering expanded against MixedRadix's enumerated digit sets for every
+# minimal covering vector at n ≤ 64 (19 741 vectors) and swept through
+# the simulator against the transpose oracle, the arithmetic
 # `validate` against the per-byte check it replaced (10 000 seeded
 # mutations, each invariant broken ≥ 100 times) with the b = 2^40 size
 # guard, and the simulator at the benchmark's n = 1 024. In release;
@@ -121,6 +131,7 @@ timeout 120 cargo test -q -p bruck-net --lib -- frame:: tcp::tests::stream_parse
 cargo test -q --release -p bruck-model --lib --no-run
 timeout 120 cargo test -q --release -p bruck-model --lib -- \
     program::tests::descriptors_expand program::tests::larger_scale \
+    program::tests::mixed_descriptors_expand program::tests::mixed_lowering \
     partition::tests::arithmetic_validate partition::tests::block_size
 
 # TCP recovery gate: the connection-healing lifecycle over real

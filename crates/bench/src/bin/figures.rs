@@ -401,9 +401,10 @@ fn mixed() {
 /// breaks — flat index vs the two-level composition on an SMP cluster
 /// (8 nodes × 8 cores), all under the hierarchical cost model.
 fn hierarchy() {
-    use bruck_collectives::index::hierarchical;
+    use bruck_collectives::program_exec::run_plan;
     use bruck_collectives::verify;
     use bruck_model::cost::HierarchicalModel;
+    use bruck_model::planner::IndexPlan;
     use bruck_net::{Cluster, ClusterConfig};
 
     println!("\n=== Hierarchy extension: 8 nodes × 8 cores, fast local / SP-1 remote ===");
@@ -431,7 +432,12 @@ fn hierarchy() {
         let cfg = ClusterConfig::new(n).with_cost(Arc::clone(&model));
         let two_level = Cluster::run(&cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, block);
-            let result = hierarchical::run(ep, &input, block, node_size, node_size, node_size)?;
+            let plan = IndexPlan::Hierarchical {
+                node_size,
+                radix_local: node_size,
+                radix_remote: node_size,
+            };
+            let result = run_plan(ep, &plan, &input, block)?;
             assert_eq!(result, verify::index_expected(ep.rank(), n, block));
             Ok(())
         })

@@ -302,17 +302,14 @@ fn run_index_plan<C: Comm + ?Sized>(
     out: &mut [u8],
 ) -> Result<(), NetError> {
     match plan {
-        IndexPlan::Radix(r) => IndexAlgorithm::BruckRadix(*r).run_into(ep, sendbuf, block, out),
+        // Out-of-place baselines with wire patterns of their own.
         IndexPlan::Direct => IndexAlgorithm::Direct.run_into(ep, sendbuf, block, out),
         IndexPlan::Hypercube => IndexAlgorithm::Hypercube.run_into(ep, sendbuf, block, out),
-        IndexPlan::Mixed(radices) => {
-            crate::index::mixed::run_into(ep, sendbuf, block, radices, out)
-        }
-        // The two-level plan runs through its program lowering — the
-        // same ops the event-driven scale executor interprets — so the
-        // planner can choose it from any Comm context (a full endpoint
-        // or a survivor-group view alike).
-        IndexPlan::Hierarchical { .. } => {
+        // The Bruck family runs through its program lowering — the same
+        // ops the event-driven scale executor interprets — so the
+        // planner can choose any member from any Comm context (a full
+        // endpoint or a survivor-group view alike).
+        IndexPlan::Radix(_) | IndexPlan::Mixed(_) | IndexPlan::Hierarchical { .. } => {
             crate::program_exec::run_plan_into(ep, plan, sendbuf, block, out)
         }
     }
@@ -546,12 +543,10 @@ pub(crate) fn check_recovery_policy(
     survivors: usize,
     dead: &[usize],
 ) -> Result<(), NetError> {
-    if let RecoveryPolicy::FailFast { min_quorum } = policy {
-        if survivors < min_quorum {
-            return Err(NetError::RanksFailed {
-                ranks: dead.to_vec(),
-            });
-        }
+    if policy.below_quorum(survivors) {
+        return Err(NetError::RanksFailed {
+            ranks: dead.to_vec(),
+        });
     }
     Ok(())
 }

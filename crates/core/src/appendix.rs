@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn appendix_a_matches_idiomatic_rounds() {
-        // Same wire behaviour as crate::index::bruck in the one-port case.
+        // Same wire behaviour as the lowered radix program in the one-port case.
         let n = 13;
         let r = 3;
         let a: Vec<usize> = (0..n).collect();
@@ -253,7 +253,7 @@ mod tests {
         .unwrap();
         let idio = Cluster::run(&cfg, |ep| {
             let input = crate::verify::index_input(ep.rank(), n, 2);
-            crate::index::bruck::run(ep, &input, 2, r)
+            crate::index::IndexAlgorithm::BruckRadix(r).run(ep, &input, 2)
         })
         .unwrap();
         assert_eq!(apdx.results, idio.results);

@@ -294,7 +294,9 @@ mod tests {
         let before = cached_fit("channel").unwrap();
         let out = Cluster::run(&cfg, |ep| {
             let buf = vec![7u8; 2 * 64];
-            crate::index::bruck::run(ep, &buf, 64, 2).map(|_| ())
+            crate::index::IndexAlgorithm::BruckRadix(2)
+                .run(ep, &buf, 64)
+                .map(|_| ())
         })
         .unwrap();
         let refreshed = refresh_from_metrics("channel", &out.metrics, 1e-4).unwrap();

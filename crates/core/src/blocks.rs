@@ -1,115 +1,23 @@
-//! Block-buffer manipulation: the local data movements of the index
-//! algorithm's phases 1 and 3 and the pack/unpack of phase 2
-//! (Appendix A's `copy`, `pack`, and `unpack` routines).
+//! Appendix A's local block movements — rotate, `pack`, `unpack`, the
+//! phase-3 placement — as plain copy loops.
 //!
-//! Two perf devices live here alongside the straightforward routines:
-//!
-//! * **gather spans** ([`gather_spans`] / [`unpack_spans`]) — a step's
-//!   block-index set expressed as coalesced `(offset, len)` byte spans,
-//!   the iovec the data plane's gather path
-//!   ([`bruck_net::Endpoint::round_gather`]) stages straight into the
-//!   transport's pooled buffer. Contiguous runs (common for low
-//!   subphases, where a step's blocks are arithmetic runs of stride
-//!   `r^x` blocks of `r^x·b` bytes each) collapse to a handful of big
-//!   memcpys instead of one per block — and the separate pack buffer
-//!   disappears entirely.
-//! * **chunked parallel copies** — the rotate/placement/unpack moves are
-//!   pure memcpy, so on large buffers they fan out across a few scoped
-//!   threads (no rayon, no unsafe: disjointness comes from
-//!   `chunks_mut`). Below [`PAR_COPY_MIN`] bytes everything stays
-//!   single-threaded — thread spawn costs more than the copy.
+//! No collective calls these any more: the index algorithm's local
+//! phases run as [`BlockPerm::apply`](bruck_model::program::BlockPerm::apply)
+//! and [`SlotSet::runs`](bruck_model::program::SlotSet::runs) inside the
+//! program interpreter. They stay, signatures unchanged, as the
+//! single-thread copy rates the tracked benchmark's `core.blocks.*_GBps`
+//! probes measure (ROADMAP backlog B7 re-points those probes and deletes
+//! this module).
 
-/// Byte threshold above which a single contiguous copy (or a reversed
-/// block placement) fans out across scoped threads. Chosen so the n·b
-/// buffers of bench-sized runs stay on the fast single-threaded path and
-/// only genuinely large payloads (≥ 4 MiB) pay a spawn.
-pub const PAR_COPY_MIN: usize = 4 << 20;
-
-/// Cap on copy helper threads: memory bandwidth saturates with a few
-/// cores; more just adds spawn/join overhead.
-const PAR_COPY_THREADS: usize = 4;
-
-fn copy_threads() -> usize {
-    // `available_parallelism` re-reads the cgroup filesystem on every
-    // call (tens of microseconds — orders of magnitude more than the
-    // small copies these helpers mostly move), so resolve it once.
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
-/// `dst.copy_from_slice(src)`, split across scoped threads when the
-/// buffers are at least `min_chunk·2` bytes (each thread gets a chunk of
-/// at least `min_chunk`).
-fn copy_chunked(dst: &mut [u8], src: &[u8], min_chunk: usize) {
-    debug_assert_eq!(dst.len(), src.len());
-    let threads = copy_threads()
-        .min(PAR_COPY_THREADS)
-        .min(dst.len() / min_chunk.max(1));
-    if threads <= 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let chunk = dst.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            scope.spawn(move || d.copy_from_slice(s));
-        }
-    });
-}
-
-/// A large contiguous copy: plain `copy_from_slice` below
-/// [`PAR_COPY_MIN`], chunked across a few scoped threads above it.
+/// `dst.copy_from_slice(src)`.
 pub fn copy_large(dst: &mut [u8], src: &[u8]) {
-    copy_chunked(dst, src, PAR_COPY_MIN);
-}
-
-/// Copy the `b`-byte blocks of `src` into `out` in reversed block order
-/// (`out` block `t` = `src` block `count-1-t`), chunk-parallel when the
-/// buffers clear `min_bytes`. Both phase-3 segments are exactly this
-/// shape.
-fn reverse_blocks_chunked(src: &[u8], b: usize, out: &mut [u8], min_bytes: usize) {
-    debug_assert_eq!(src.len(), out.len());
-    if b == 0 || src.is_empty() {
-        return;
-    }
-    debug_assert_eq!(src.len() % b, 0);
-    let count = src.len() / b;
-    let place = |dst: &mut [u8], first_out_block: usize| {
-        for (i, blk) in dst.chunks_mut(b).enumerate() {
-            let s = count - 1 - (first_out_block + i);
-            blk.copy_from_slice(&src[s * b..(s + 1) * b]);
-        }
-    };
-    let threads = copy_threads().min(PAR_COPY_THREADS).min(count);
-    if threads <= 1 || src.len() < min_bytes {
-        place(out, 0);
-        return;
-    }
-    let chunk_blocks = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (j, dst) in out.chunks_mut(chunk_blocks * b).enumerate() {
-            let place = &place;
-            scope.spawn(move || place(dst, j * chunk_blocks));
-        }
-    });
+    dst.copy_from_slice(src);
 }
 
 /// Rotate the `n` blocks of `buf` (each `b` bytes) `steps` blocks
-/// *upwards* (toward index 0), cyclically: `out[m] = in[(m + steps) mod n]`.
-///
-/// This is Appendix A lines 3–4 with `steps = my_rank` (phase 1).
-///
-/// # Panics
-///
-/// Panics if `buf.len() != n * b`.
-#[must_use]
-pub fn rotate_up(buf: &[u8], n: usize, b: usize, steps: usize) -> Vec<u8> {
-    let mut out = vec![0u8; buf.len()];
-    rotate_up_into(buf, n, b, steps, &mut out);
-    out
-}
-
-/// [`rotate_up`] into a caller-provided buffer (no allocation).
+/// *upwards* (toward index 0), cyclically, into `out`:
+/// `out[m] = buf[(m + steps) mod n]` — Appendix A lines 3–4 with
+/// `steps = my_rank` (phase 1).
 ///
 /// # Panics
 ///
@@ -121,24 +29,12 @@ pub fn rotate_up_into(buf: &[u8], n: usize, b: usize, steps: usize, out: &mut [u
         return;
     }
     let s = steps % n;
-    copy_large(&mut out[..(n - s) * b], &buf[s * b..]);
-    copy_large(&mut out[(n - s) * b..], &buf[..s * b]);
+    out[..(n - s) * b].copy_from_slice(&buf[s * b..]);
+    out[(n - s) * b..].copy_from_slice(&buf[..s * b]);
 }
 
 /// The inverse-with-reversal placement of phase 3 (Appendix A lines
-/// 21–23): `out[(rank - m) mod n] = in[m]`.
-///
-/// After phase 2, offset `m` of processor `rank` holds the block that
-/// originated at processor `(rank - m) mod n`; this permutation lands
-/// block `B[i, rank]` at offset `i`.
-#[must_use]
-pub fn phase3_place(buf: &[u8], n: usize, b: usize, rank: usize) -> Vec<u8> {
-    let mut out = vec![0u8; n * b];
-    phase3_place_into(buf, n, b, rank, &mut out);
-    out
-}
-
-/// [`phase3_place`] into a caller-provided buffer (no allocation).
+/// 21–23): `out[(rank - m) mod n] = buf[m]`.
 ///
 /// # Panics
 ///
@@ -146,29 +42,14 @@ pub fn phase3_place(buf: &[u8], n: usize, b: usize, rank: usize) -> Vec<u8> {
 pub fn phase3_place_into(buf: &[u8], n: usize, b: usize, rank: usize, out: &mut [u8]) {
     assert_eq!(buf.len(), n * b);
     assert_eq!(out.len(), n * b);
-    if n == 0 {
-        return;
+    for m in 0..n {
+        let dst = (rank % n + n - m) % n;
+        out[dst * b..(dst + 1) * b].copy_from_slice(&buf[m * b..(m + 1) * b]);
     }
-    // dst = (rank + n - m) mod n splits [0, n) into two runs that are
-    // each *reversed contiguous* copies: m ∈ [0, rank] lands at
-    // rank - m (output blocks [0, rank]), m ∈ (rank, n) lands at
-    // n + rank - m (output blocks (rank, n)). Two reversed-block moves —
-    // disjoint output regions, so each can go chunk-parallel.
-    let split = ((rank % n) + 1) * b;
-    reverse_blocks_chunked(&buf[..split], b, &mut out[..split], PAR_COPY_MIN);
-    reverse_blocks_chunked(&buf[split..], b, &mut out[split..], PAR_COPY_MIN);
 }
 
 /// Pack the blocks at the given indices into a contiguous message
 /// (Appendix A's `pack`).
-#[must_use]
-pub fn pack(buf: &[u8], b: usize, indices: &[usize]) -> Vec<u8> {
-    let mut out = vec![0u8; indices.len() * b];
-    pack_into(buf, b, indices, &mut out);
-    out
-}
-
-/// [`pack`] into a caller-provided buffer (no allocation).
 ///
 /// # Panics
 ///
@@ -201,45 +82,6 @@ pub fn unpack(buf: &mut [u8], b: usize, indices: &[usize], msg: &[u8]) {
     }
 }
 
-/// Coalesce a step's block-index set into `(byte_offset, byte_len)`
-/// spans over the block buffer: consecutive indices merge into one span.
-/// The index algorithm's steps select arithmetic runs, so the span list
-/// is typically far shorter than the index list — for subphase 0 of the
-/// radix decomposition the whole message is `⌈n/r⌉` runs of one block;
-/// for higher subphases each run covers `r^x` consecutive blocks.
-///
-/// The spans are the *gather list* handed to
-/// [`bruck_net::Endpoint::round_gather`], replacing the pack→stage
-/// double copy with one staging gather.
-#[must_use]
-pub fn gather_spans(indices: &[usize], b: usize) -> Vec<(usize, usize)> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    for &j in indices {
-        match spans.last_mut() {
-            Some((start, len)) if *start + *len == j * b => *len += b,
-            _ => spans.push((j * b, b)),
-        }
-    }
-    spans
-}
-
-/// Scatter a contiguous message back into the given byte spans of `buf`
-/// — the span-granular inverse of the gather send, doing one (possibly
-/// chunk-parallel) copy per span instead of one per block.
-///
-/// # Panics
-///
-/// Panics if `msg` is not exactly the spans' total length.
-pub fn unpack_spans(buf: &mut [u8], spans: &[(usize, usize)], msg: &[u8]) {
-    let total: usize = spans.iter().map(|&(_, len)| len).sum();
-    assert_eq!(msg.len(), total, "message/span-set size mismatch");
-    let mut at = 0usize;
-    for &(start, len) in spans {
-        copy_large(&mut buf[start..start + len], &msg[at..at + len]);
-        at += len;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,11 +92,16 @@ mod tests {
             .collect()
     }
 
+    fn rotate_up(buf: &[u8], n: usize, b: usize, steps: usize) -> Vec<u8> {
+        let mut out = vec![0u8; buf.len()];
+        rotate_up_into(buf, n, b, steps, &mut out);
+        out
+    }
+
     #[test]
     fn rotate_up_basic() {
         let buf = blocks(&[0, 1, 2, 3, 4], 2);
-        let r = rotate_up(&buf, 5, 2, 2);
-        assert_eq!(r, blocks(&[2, 3, 4, 0, 1], 2));
+        assert_eq!(rotate_up(&buf, 5, 2, 2), blocks(&[2, 3, 4, 0, 1], 2));
     }
 
     #[test]
@@ -267,17 +114,14 @@ mod tests {
 
     #[test]
     fn phase3_inverts_phase1_modulo_transposition() {
-        // For every rank: phase1 followed by phase3 with no communication
-        // must place block m at (rank - (m - rank)) ... — concretely, the
-        // composition sends original offset j to (2·rank - j) mod n; we
-        // just pin the formula's behaviour on an example.
-        let n = 5;
-        let b = 1;
-        let rank = 2;
+        // Phase 1 followed by phase 3 with no communication sends original
+        // offset j to (2·rank - j) mod n; pin the formula on an example.
+        let (n, b, rank) = (5, 1, 2);
         let buf: Vec<u8> = (0..n as u8).collect();
         let p1 = rotate_up(&buf, n, b, rank);
         assert_eq!(p1, vec![2, 3, 4, 0, 1]);
-        let p3 = phase3_place(&p1, n, b, rank);
+        let mut p3 = vec![0u8; n * b];
+        phase3_place_into(&p1, n, b, rank, &mut p3);
         // out[(2 - m) mod 5] = p1[m] = (m + 2) mod 5 ⇒ out[x] = (4 - x) mod 5.
         assert_eq!(p3, vec![4, 3, 2, 1, 0]);
     }
@@ -286,7 +130,8 @@ mod tests {
     fn pack_unpack_round_trip() {
         let buf = blocks(&[10, 11, 12, 13, 14, 15], 4);
         let idx = [1usize, 3, 4];
-        let msg = pack(&buf, 4, &idx);
+        let mut msg = vec![0u8; idx.len() * 4];
+        pack_into(&buf, 4, &idx, &mut msg);
         assert_eq!(msg, blocks(&[11, 13, 14], 4));
         let mut out = blocks(&[0, 0, 0, 0, 0, 0], 4);
         unpack(&mut out, 4, &idx, &msg);
@@ -297,104 +142,12 @@ mod tests {
     fn zero_byte_blocks() {
         let buf: Vec<u8> = Vec::new();
         assert_eq!(rotate_up(&buf, 4, 0, 2), Vec::<u8>::new());
-        assert_eq!(pack(&buf, 0, &[0, 1]), Vec::<u8>::new());
+        pack_into(&buf, 0, &[0, 1], &mut []);
     }
 
     #[test]
     #[should_panic(expected = "n·b bytes")]
     fn rotate_rejects_bad_length() {
         let _ = rotate_up(&[1, 2, 3], 2, 2, 1);
-    }
-
-    #[test]
-    fn gather_spans_coalesce_runs() {
-        // {1, 3, 4, 5, 7} with b = 2: three spans, the middle one a
-        // 3-block run.
-        assert_eq!(
-            gather_spans(&[1, 3, 4, 5, 7], 2),
-            vec![(2, 2), (6, 6), (14, 2)]
-        );
-        assert_eq!(gather_spans(&[], 4), Vec::<(usize, usize)>::new());
-        // A fully contiguous set is one span.
-        assert_eq!(gather_spans(&[0, 1, 2, 3], 8), vec![(0, 32)]);
-        // b = 0 degenerates to a single empty span per... nothing: all
-        // spans merge at offset 0 with zero length.
-        assert_eq!(gather_spans(&[0, 1], 0), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn spans_match_pack_over_radix_steps() {
-        // For every (n, r, step): gathering the spans must equal packing
-        // the index list.
-        for n in [5usize, 8, 12, 16] {
-            for r in 2..=n {
-                let d = bruck_model::RadixDecomposition::new(n, r);
-                let b = 3usize;
-                let buf: Vec<u8> = (0..n * b).map(|i| i as u8).collect();
-                for (x, z) in d.steps() {
-                    let idx = d.blocks_for_step(x, z);
-                    let spans = gather_spans(&idx, b);
-                    let packed = pack(&buf, b, &idx);
-                    let gathered: Vec<u8> = spans
-                        .iter()
-                        .flat_map(|&(s, l)| buf[s..s + l].iter().copied())
-                        .collect();
-                    assert_eq!(gathered, packed, "n={n} r={r} x={x} z={z}");
-                    // And unpack_spans inverts into the same places.
-                    let mut via_idx = vec![0u8; n * b];
-                    unpack(&mut via_idx, b, &idx, &packed);
-                    let mut via_spans = vec![0u8; n * b];
-                    unpack_spans(&mut via_spans, &spans, &packed);
-                    assert_eq!(via_idx, via_spans, "n={n} r={r} x={x} z={z}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "span-set size mismatch")]
-    fn unpack_spans_rejects_bad_length() {
-        let mut buf = vec![0u8; 8];
-        unpack_spans(&mut buf, &[(0, 4)], &[1, 2, 3]);
-    }
-
-    #[test]
-    fn chunked_copy_matches_plain_copy() {
-        // Force the parallel branch with a tiny min_chunk.
-        let src: Vec<u8> = (0..1031u32).map(|i| (i % 251) as u8).collect();
-        let mut dst = vec![0u8; src.len()];
-        copy_chunked(&mut dst, &src, 64);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn chunked_reverse_matches_sequential() {
-        for (count, b) in [(7usize, 5usize), (16, 3), (33, 1), (4, 64)] {
-            let src: Vec<u8> = (0..count * b).map(|i| (i % 253) as u8).collect();
-            let mut seq = vec![0u8; src.len()];
-            reverse_blocks_chunked(&src, b, &mut seq, usize::MAX);
-            let mut par = vec![0u8; src.len()];
-            reverse_blocks_chunked(&src, b, &mut par, 1);
-            assert_eq!(seq, par, "count={count} b={b}");
-            // Spot-check the definition on the first block.
-            assert_eq!(&seq[..b], &src[(count - 1) * b..]);
-        }
-    }
-
-    #[test]
-    fn phase3_parallel_threshold_agrees_with_naive() {
-        // A buffer big enough to clear PAR_COPY_MIN in one segment, so
-        // the scoped-thread path actually runs against the naive loop.
-        let n = 8usize;
-        let b = (PAR_COPY_MIN / 4) + 13;
-        let rank = 5usize;
-        let buf: Vec<u8> = (0..n * b).map(|i| (i % 241) as u8).collect();
-        let mut naive = vec![0u8; n * b];
-        for m in 0..n {
-            let dst = (rank + n - m) % n;
-            naive[dst * b..(dst + 1) * b].copy_from_slice(&buf[m * b..(m + 1) * b]);
-        }
-        let fast = phase3_place(&buf, n, b, rank);
-        assert_eq!(fast, naive);
     }
 }

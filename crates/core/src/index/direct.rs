@@ -5,9 +5,13 @@
 //!
 //! Complexity: `C1 = ⌈(n-1)/k⌉`, `C2 = b·⌈(n-1)/k⌉` — transfer-optimal
 //! (Proposition 2.4), round-pessimal (Theorem 2.6 shows this is forced).
+//!
+//! Kept next to the lowered `IndexPlan::Direct` program because it is
+//! out of place — sends borrow from `sendbuf`, receives land in `out` —
+//! which the program IR cannot say yet; as a program it would add two
+//! `n·b` passes per rank to an executor that makes none.
 
 use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
-use bruck_sched::{Schedule, Transfer};
 
 /// Execute the direct exchange.
 ///
@@ -94,33 +98,6 @@ pub fn run_into<C: Comm + ?Sized>(
     Ok(())
 }
 
-/// The static schedule of the direct exchange.
-#[must_use]
-pub fn plan(n: usize, block: usize, ports: usize) -> Schedule {
-    assert!(ports >= 1);
-    let mut schedule = Schedule::new(n, ports);
-    if n <= 1 {
-        return schedule;
-    }
-    let mut i = 1usize;
-    while i < n {
-        let group: Vec<usize> = (i..n.min(i + ports)).collect();
-        let mut transfers = Vec::with_capacity(group.len() * n);
-        for &d in &group {
-            for src in 0..n {
-                transfers.push(Transfer {
-                    src,
-                    dst: (src + d) % n,
-                    bytes: block as u64,
-                });
-            }
-        }
-        schedule.push_round(transfers);
-        i += group.len();
-    }
-    schedule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +147,9 @@ mod tests {
     fn plan_is_transfer_optimal() {
         for n in [2usize, 7, 16, 33] {
             for k in [1usize, 2, 3] {
-                let s = plan(n, 5, k);
+                // Read off the lowered `IndexPlan::Direct` programs, whose
+                // wire pattern is this executor's.
+                let s = crate::index::IndexAlgorithm::Direct.plan(n, 5, k);
                 s.validate().unwrap();
                 let stats = ScheduleStats::of(&s);
                 let lb = index_bounds(n, k, 5);

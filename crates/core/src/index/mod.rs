@@ -4,23 +4,34 @@
 //! Every processor `i` starts with `n` blocks; block `j` is `B[i, j]`,
 //! destined for processor `j`. Afterwards processor `i` holds
 //! `B[0, i], B[1, i], …, B[n-1, i]` in that order.
+//!
+//! The paper's §3 algorithm — uniform radix, mixed radix, and its
+//! two-level composition — has no executor here: it is lowered to a
+//! [`RankProgram`](bruck_model::program::RankProgram) and interpreted by
+//! [`program_exec`](crate::program_exec), the same programs the TCP
+//! fabric runs, and its [`Schedule`] is read off those programs. What
+//! this module holds are the baselines with wire patterns of their own
+//! ([`direct`], [`pairwise`], [`hypercube`]) and the single-process
+//! replay behind Figs. 1–3 ([`sim`]).
 
-pub mod bruck;
 pub mod direct;
-pub mod hierarchical;
 pub mod hypercube;
-pub mod mixed;
 pub mod pairwise;
 pub mod sim;
 
+use bruck_model::planner::IndexPlan;
 use bruck_net::{Comm, NetError};
 use bruck_sched::Schedule;
+
+use crate::program_exec;
 
 /// Selects and parameterizes an index algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexAlgorithm {
-    /// The paper's §3 algorithm with the given radix `r ∈ [2, n]`.
-    /// `r = 2` minimizes rounds, `r = n` minimizes volume.
+    /// The paper's §3 algorithm with the given radix `r ∈ [2, n]`
+    /// (larger radices are clamped to `n`). `r = 2` minimizes rounds,
+    /// `r = n` minimizes volume. Runs as the lowered
+    /// [`IndexPlan::Radix`] program.
     BruckRadix(usize),
     /// Direct exchange: every pair communicates once (`⌈(n-1)/k⌉`
     /// rounds of `b`-byte messages) — identical complexity to
@@ -49,12 +60,9 @@ impl IndexAlgorithm {
         sendbuf: &[u8],
         block: usize,
     ) -> Result<Vec<u8>, NetError> {
-        match *self {
-            Self::BruckRadix(r) => bruck::run(ep, sendbuf, block, r),
-            Self::Direct => direct::run(ep, sendbuf, block),
-            Self::Pairwise => pairwise::run(ep, sendbuf, block),
-            Self::Hypercube => hypercube::run(ep, sendbuf, block),
-        }
+        let mut out = vec![0u8; sendbuf.len()];
+        self.run_into(ep, sendbuf, block, &mut out)?;
+        Ok(out)
     }
 
     /// Execute the algorithm into a caller-provided `n·b`-byte output
@@ -73,7 +81,9 @@ impl IndexAlgorithm {
         out: &mut [u8],
     ) -> Result<(), NetError> {
         match *self {
-            Self::BruckRadix(r) => bruck::run_into(ep, sendbuf, block, r, out),
+            Self::BruckRadix(r) => {
+                program_exec::run_plan_into(ep, &IndexPlan::Radix(r), sendbuf, block, out)
+            }
             Self::Direct => direct::run_into(ep, sendbuf, block, out),
             Self::Pairwise => pairwise::run_into(ep, sendbuf, block, out),
             Self::Hypercube => hypercube::run_into(ep, sendbuf, block, out),
@@ -90,9 +100,12 @@ impl IndexAlgorithm {
     /// the right failure mode).
     #[must_use]
     pub fn plan(&self, n: usize, block: usize, ports: usize) -> Schedule {
+        let of_plan = |plan: IndexPlan| {
+            Schedule::of_index_plan(&plan, n, block, ports).unwrap_or_else(|e| panic!("{e}"))
+        };
         match *self {
-            Self::BruckRadix(r) => bruck::plan(n, block, ports, r),
-            Self::Direct => direct::plan(n, block, ports),
+            Self::BruckRadix(r) => of_plan(IndexPlan::Radix(r)),
+            Self::Direct => of_plan(IndexPlan::Direct),
             Self::Pairwise => pairwise::plan(n, block, ports),
             Self::Hypercube => hypercube::plan(n, block),
         }

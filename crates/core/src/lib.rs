@@ -19,16 +19,21 @@
 //!   processor holds all `n` blocks. The circulant-graph algorithm is
 //!   simultaneously round and transfer optimal for most `(n, k, b)` (§4).
 //!
-//! Each algorithm exists twice:
+//! The index family of §3 — uniform radix, mixed radix, and the
+//! two-level composition — has one executable form: a lowered
+//! [`RankProgram`](bruck_model::program::RankProgram), interpreted by
+//! [`program_exec`] on threads and by `bruck-net`'s TCP fabric on a
+//! worker pool, with its [`bruck_sched::Schedule`] read off the same
+//! programs. Every other algorithm still exists twice:
 //!
 //! * an **executor** — an SPMD routine moving real bytes through a
 //!   [`bruck_net::Endpoint`];
 //! * a **planner** — a pure function emitting the identical communication
 //!   pattern as a [`bruck_sched::Schedule`] for analysis.
 //!
-//! Integration tests assert the two agree (the executed trace equals the
-//! plan), so the complexity numbers reported by the benches are the
-//! complexities of the code that actually runs.
+//! Integration tests assert trace, schedule and (where there is one)
+//! program agree, so the complexity numbers reported by the benches are
+//! the complexities of the code that actually runs.
 //!
 //! Baselines the paper compares against (or that were folklore at the
 //! time) live alongside: direct/pairwise/hypercube index algorithms, and

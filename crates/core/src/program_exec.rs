@@ -3,28 +3,54 @@
 //! `bruck_model::program` lowers an [`IndexPlan`] to pure data — local
 //! permutations and k-port rounds whose block slots are closed-form
 //! descriptors, consumed here as contiguous runs. This module is the
-//! threaded-substrate interpreter for that data: each op maps onto the
-//! same [`Comm`] surface the hand-written executors use (`round_gather`
-//! for the exchanges, pooled scratch for the permutes), so a program runs
+//! threaded-substrate interpreter for that data, and the only way the
+//! Bruck family (uniform radix, mixed radix, two-level) reaches the wire
+//! on that substrate: [`IndexAlgorithm::BruckRadix`](crate::index::IndexAlgorithm)
+//! and [`alltoall`](crate::api::alltoall)'s planner dispatch both end
+//! here. Each op maps onto the [`Comm`] surface (`round_gather` for the
+//! exchanges, one pooled work buffer for the permutes), so a program runs
 //! on a full [`Endpoint`](bruck_net::Endpoint), on a
 //! [`GroupComm`](bruck_net::GroupComm), or on any future context — and
 //! the event-driven TCP executor in `bruck-net` interprets the *same*
 //! programs without threads. One lowering, two substrates, bit-identical
 //! results; the integration tests assert exactly that.
+//!
+//! A radix program costs what the paper's three phases cost and no
+//! more: its first permute (the rotation) reads the caller's `sendbuf`,
+//! its last (the inverse placement) writes the caller's `out`, so the
+//! local work is two passes over `n·b` bytes plus one scatter of every
+//! received byte — each charged to the virtual clock as it happens.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{ProgramOp, RankProgram};
 use bruck_net::{Comm, GatherSendSpec, NetError, RecvSpec};
 
-use crate::blocks::unpack_spans;
+/// Lower `plan` for this rank and execute it into a fresh buffer.
+///
+/// Thin allocating wrapper over [`run_plan_into`].
+///
+/// # Errors
+///
+/// See [`run_plan_into`].
+pub fn run_plan<C: Comm + ?Sized>(
+    ep: &mut C,
+    plan: &IndexPlan,
+    sendbuf: &[u8],
+    block: usize,
+) -> Result<Vec<u8>, NetError> {
+    let mut out = vec![0u8; sendbuf.len()];
+    run_plan_into(ep, plan, sendbuf, block, &mut out)?;
+    Ok(out)
+}
 
 /// Lower `plan` for this rank and execute it (see [`run_program_into`]).
 ///
 /// # Errors
 ///
-/// [`NetError::App`] when the plan has no lowering (mixed radices, a
-/// `node_size` that does not divide `n`) or on buffer-size mismatches;
-/// network failures propagate.
+/// [`NetError::App`] when the plan has no lowering at this size (a radix
+/// below 2, a mixed vector that does not cover `n`, a `node_size` that
+/// does not divide `n`) or on buffer-size mismatches; network failures
+/// propagate.
 pub fn run_plan_into<C: Comm + ?Sized>(
     ep: &mut C,
     plan: &IndexPlan,
@@ -38,6 +64,12 @@ pub fn run_plan_into<C: Comm + ?Sized>(
 }
 
 /// Interpret one rank's program against the communication context.
+///
+/// The data lives in one of two `n·b` buffers at any time — `out` and a
+/// single pooled work buffer — and every local pass (a permute, or the
+/// copy-in a program that opens with a round needs) moves it to the
+/// other one. The passes are counted first so that the last one lands in
+/// `out`; the first reads `sendbuf` directly.
 ///
 /// # Errors
 ///
@@ -68,25 +100,62 @@ pub fn run_program_into<C: Comm + ?Sized>(
             out.len()
         )));
     }
-    if n == 1 {
+    if program.ops.is_empty() {
         out.copy_from_slice(sendbuf);
         return Ok(());
     }
     program.check_shape().map_err(NetError::App)?;
     let mut work = ep.acquire(n * block);
-    work[..n * block].copy_from_slice(sendbuf);
-    let mut scratch = ep.acquire(n * block);
+    let outcome = interpret(ep, program, sendbuf, out, &mut work);
+    ep.recycle(work);
+    outcome
+}
+
+/// The op loop of [`run_program_into`], split out so the work buffer is
+/// recycled on every exit.
+fn interpret<C: Comm + ?Sized>(
+    ep: &mut C,
+    program: &RankProgram,
+    sendbuf: &[u8],
+    out: &mut [u8],
+    work: &mut [u8],
+) -> Result<(), NetError> {
+    let block = program.block;
+    let pass_bytes = sendbuf.len() as u64;
+    // Local passes: every permute, plus the copy-in of a program that
+    // opens with a round.
+    let is_permute = |op: &ProgramOp| matches!(op, ProgramOp::Permute(_));
+    let permutes = program.ops.iter().filter(|op| is_permute(op)).count();
+    let passes = permutes + usize::from(!program.ops.first().is_some_and(is_permute));
+    // `cur` holds the data once the first pass has run; `next` is where
+    // the following pass writes. An odd number of passes must start by
+    // writing `out`, an even number by writing `work`.
+    let (mut cur, mut next) = if passes % 2 == 1 {
+        (work, out)
+    } else {
+        (out, work)
+    };
+    let mut fresh = true;
     // Reused across rounds: all sends' byte spans, and where each ends.
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut ends: Vec<usize> = Vec::new();
     for op in &program.ops {
         match op {
             ProgramOp::Permute(perm) => {
-                perm.apply(block, &work, &mut scratch);
-                std::mem::swap(&mut work, &mut scratch);
-                ep.charge_copy((n * block) as u64);
+                perm.apply(block, if fresh { sendbuf } else { cur }, next);
+                std::mem::swap(&mut cur, &mut next);
+                fresh = false;
+                ep.charge_copy(pass_bytes);
             }
             ProgramOp::Round(round) => {
+                if fresh {
+                    // Rounds scatter into the buffer they send from, so a
+                    // program that opens with one needs its own copy.
+                    next.copy_from_slice(sendbuf);
+                    std::mem::swap(&mut cur, &mut next);
+                    fresh = false;
+                    ep.charge_copy(pass_bytes);
+                }
                 spans.clear();
                 ends.clear();
                 for s in &round.sends {
@@ -99,7 +168,7 @@ pub fn run_program_into<C: Comm + ?Sized>(
                     sends.push(GatherSendSpec {
                         to: s.peer,
                         tag: s.tag,
-                        src: &work,
+                        src: cur,
                         spans: &spans[from..end],
                     });
                     from = end;
@@ -113,6 +182,9 @@ pub fn run_program_into<C: Comm + ?Sized>(
                     })
                     .collect();
                 let msgs = ep.round_gather(&sends, &recvs)?;
+                // Only the receive side is a local copy to charge: the
+                // send side's single staging gather is the transport's
+                // own, already accounted by the endpoint.
                 let mut received = 0u64;
                 for (r, msg) in round.recvs.iter().zip(&msgs) {
                     if msg.payload.len() != r.slots.blocks() * block {
@@ -124,9 +196,12 @@ pub fn run_program_into<C: Comm + ?Sized>(
                             r.slots.blocks()
                         )));
                     }
-                    spans.clear();
-                    spans.extend(r.slots.runs(block));
-                    unpack_spans(&mut work, &spans, &msg.payload);
+                    let mut rest = &msg.payload[..];
+                    for (at, len) in r.slots.runs(block) {
+                        let (run, tail) = rest.split_at(len);
+                        cur[at..at + len].copy_from_slice(run);
+                        rest = tail;
+                    }
                     received += msg.payload.len() as u64;
                 }
                 ep.charge_copy(received);
@@ -136,43 +211,151 @@ pub fn run_program_into<C: Comm + ?Sized>(
             }
         }
     }
-    out.copy_from_slice(&work[..n * block]);
-    ep.charge_copy((n * block) as u64);
-    ep.recycle(work);
-    ep.recycle(scratch);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::IndexAlgorithm;
     use crate::verify;
-    use bruck_net::{Cluster, ClusterConfig};
+    use bruck_model::cost::{CostModel, HierarchicalModel, Sp1Model};
+    use bruck_model::mixed_radix::MixedRadix;
+    use bruck_model::tuning::index_complexity_kport;
+    use bruck_net::{Cluster, ClusterConfig, RunOutput};
+    use bruck_sched::{Schedule, ScheduleStats};
+    use std::sync::Arc;
 
-    fn run_plan(plan: &IndexPlan, n: usize, block: usize, ports: usize) -> Vec<Vec<u8>> {
-        let cfg = ClusterConfig::new(n).with_ports(ports);
-        let label = plan.label();
-        Cluster::run(&cfg, |ep| {
+    fn run_on(cfg: &ClusterConfig, plan: &IndexPlan, block: usize) -> RunOutput<Vec<u8>> {
+        let n = cfg.n;
+        Cluster::run(cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, block);
-            let mut out = vec![0u8; n * block];
-            run_plan_into(ep, plan, &input, block, &mut out)?;
-            Ok(out)
+            run_plan(ep, plan, &input, block)
         })
-        .unwrap_or_else(|e| panic!("{label} n={n} b={block} k={ports}: {e}"))
-        .results
+        .unwrap_or_else(|e| panic!("{} n={n} b={block}: {e}", plan.label()))
+    }
+
+    /// Run `plan` on a threaded cluster and hold every rank's result to
+    /// the transpose oracle.
+    fn run_cluster(plan: &IndexPlan, n: usize, block: usize, ports: usize) {
+        let out = run_on(&ClusterConfig::new(n).with_ports(ports), plan, block);
+        for (rank, result) in out.results.iter().enumerate() {
+            let expected = verify::index_expected(rank, n, block);
+            assert_eq!(
+                result,
+                &expected,
+                "{} n={n} b={block} k={ports} rank={rank}: first bad block {:?}",
+                plan.label(),
+                verify::first_block_mismatch(result, &expected, block)
+            );
+        }
+    }
+
+    fn two_level(node_size: usize, radix_local: usize, radix_remote: usize) -> IndexPlan {
+        IndexPlan::Hierarchical {
+            node_size,
+            radix_local,
+            radix_remote,
+        }
+    }
+
+    fn app_error(n: usize, plan: IndexPlan, sendbuf_len: usize) -> String {
+        let err = Cluster::run(&ClusterConfig::new(n), |ep| {
+            run_plan(ep, &plan, &vec![0u8; sendbuf_len], 2)
+        })
+        .unwrap_err();
+        match err {
+            NetError::App(msg) => msg,
+            other => panic!("expected App error, got {other}"),
+        }
     }
 
     #[test]
-    fn programs_match_oracle_on_the_threaded_substrate() {
+    fn radix_correct_all_radices_small() {
+        run_cluster(&IndexPlan::Radix(2), 5, 3, 1);
+        // r = n: the direct case, one subphase of n − 1 steps.
+        run_cluster(&IndexPlan::Radix(5), 5, 3, 1);
+        for n in [2usize, 3, 4, 6, 7, 8] {
+            for r in 2..=n {
+                run_cluster(&IndexPlan::Radix(r), n, 2, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn radix_correct_multiport() {
+        for k in [2usize, 3] {
+            for n in [6usize, 9, 10] {
+                for r in [2usize, 3, 4] {
+                    run_cluster(&IndexPlan::Radix(r), n, 2, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radix_edge_shapes() {
+        // A radix above n is clamped; zero-byte blocks; one processor.
+        run_cluster(&IndexPlan::Radix(64), 5, 2, 1);
+        run_cluster(&IndexPlan::Radix(2), 4, 0, 1);
+        run_cluster(&IndexPlan::Radix(2), 1, 4, 1);
+    }
+
+    #[test]
+    fn direct_and_hypercube_programs_match_oracle() {
+        // Programs that open with a round (no leading permute).
         for &(n, k) in &[(5usize, 1usize), (8, 2), (12, 1)] {
-            for plan in [IndexPlan::Radix(2), IndexPlan::Radix(3), IndexPlan::Direct] {
-                let results = run_plan(&plan, n, 3, k);
-                for (rank, r) in results.iter().enumerate() {
+            run_cluster(&IndexPlan::Direct, n, 3, k);
+        }
+        run_cluster(&IndexPlan::Hypercube, 8, 3, 1);
+    }
+
+    #[test]
+    fn mixed_correct_small_vectors() {
+        run_cluster(&IndexPlan::Mixed(vec![2, 3]), 6, 3, 1);
+        run_cluster(&IndexPlan::Mixed(vec![3, 2]), 6, 3, 1);
+        run_cluster(&IndexPlan::Mixed(vec![2, 2, 3]), 12, 2, 1);
+        run_cluster(&IndexPlan::Mixed(vec![2, 3, 5]), 30, 1, 1);
+        run_cluster(&IndexPlan::Mixed(vec![2, 2, 3, 3]), 33, 2, 1);
+        // Multi-port, and an oversized vector trimmed like the model's.
+        run_cluster(&IndexPlan::Mixed(vec![3, 4]), 12, 2, 2);
+        run_cluster(&IndexPlan::Mixed(vec![4, 5]), 20, 2, 3);
+        run_cluster(&IndexPlan::Mixed(vec![2, 3, 5, 7]), 6, 2, 1);
+    }
+
+    #[test]
+    fn hierarchical_correct_various_shapes() {
+        run_cluster(&two_level(2, 2, 2), 8, 3, 1);
+        run_cluster(&two_level(3, 2, 4), 12, 2, 1);
+        run_cluster(&two_level(4, 4, 4), 16, 2, 1);
+        run_cluster(&two_level(6, 3, 3), 18, 1, 1);
+        // Degenerate hierarchies run flat: node_size 1, and one node.
+        run_cluster(&two_level(1, 2, 2), 6, 2, 1);
+        run_cluster(&two_level(6, 2, 2), 6, 2, 1);
+    }
+
+    #[test]
+    fn unrunnable_calls_are_structured_errors() {
+        assert!(app_error(2, IndexPlan::Radix(2), 3).contains("n·b"));
+        assert!(app_error(4, IndexPlan::Radix(1), 8).contains("radix must be ≥ 2"));
+        assert!(app_error(10, IndexPlan::Mixed(vec![2, 2]), 20).contains("does not cover"));
+        assert!(app_error(7, two_level(3, 2, 2), 14).contains("not divisible"));
+    }
+
+    #[test]
+    fn radix_schedule_matches_closed_form_complexity() {
+        for n in [2usize, 5, 8, 13, 16, 27, 64] {
+            for r in [2usize, 3, 4, 8, 64] {
+                for k in [1usize, 2, 3] {
+                    let schedule = IndexAlgorithm::BruckRadix(r).plan(n, 4, k);
+                    schedule
+                        .validate()
+                        .unwrap_or_else(|e| panic!("invalid plan n={n} r={r} k={k}: {e}"));
+                    let stats = ScheduleStats::of(&schedule);
                     assert_eq!(
-                        r,
-                        &verify::index_expected(rank, n, 3),
-                        "{} n={n} k={k} rank={rank}",
-                        plan.label()
+                        stats.complexity,
+                        index_complexity_kport(n, r.min(n), 4, k),
+                        "n={n} r={r} k={k}"
                     );
                 }
             }
@@ -180,37 +363,116 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_program_matches_oracle_and_dedicated_executor() {
-        let n = 12;
-        let block = 4;
-        let plan = IndexPlan::Hierarchical {
-            node_size: 3,
-            radix_local: 2,
-            radix_remote: 2,
-        };
-        let via_program = run_plan(&plan, n, block, 1);
-        let cfg = ClusterConfig::new(n);
-        let dedicated = Cluster::run(&cfg, move |ep| {
-            let input = verify::index_input(ep.rank(), n, block);
-            crate::index::hierarchical::run(ep, &input, block, 3, 2, 2)
-        })
-        .unwrap()
-        .results;
-        for (rank, (a, b)) in via_program.iter().zip(&dedicated).enumerate() {
-            assert_eq!(a, &verify::index_expected(rank, n, block), "rank {rank}");
-            assert_eq!(a, b, "program vs dedicated executor, rank {rank}");
+    fn mixed_schedule_matches_model_complexity() {
+        for (n, radices) in [
+            (33usize, vec![2usize, 2, 3, 3]),
+            (30, vec![2, 3, 5]),
+            (12, vec![4, 3]),
+        ] {
+            for k in [1usize, 2] {
+                let s = Schedule::of_index_plan(&IndexPlan::Mixed(radices.clone()), n, 4, k)
+                    .expect("covering");
+                s.validate().unwrap();
+                assert_eq!(
+                    ScheduleStats::of(&s).complexity,
+                    MixedRadix::new(n, &radices).complexity(4, k),
+                    "n={n} radices={radices:?} k={k}"
+                );
+            }
+        }
+        // Same wire behaviour as the §3 algorithm for (r, r, …).
+        assert_eq!(
+            Schedule::of_index_plan(&IndexPlan::Mixed(vec![3, 3]), 9, 2, 1),
+            Ok(IndexAlgorithm::BruckRadix(3).plan(9, 2, 1))
+        );
+    }
+
+    #[test]
+    fn executed_trace_is_the_schedule() {
+        for plan in [IndexPlan::Radix(3), IndexPlan::Mixed(vec![2, 2, 3])] {
+            let (n, block) = (12, 4);
+            let out = run_on(&ClusterConfig::new(n).with_trace(), &plan, block);
+            let planned = Schedule::of_index_plan(&plan, n, block, 1).unwrap();
+            assert_eq!(
+                out.metrics.global_complexity().unwrap(),
+                ScheduleStats::of(&planned).complexity,
+                "{}",
+                plan.label()
+            );
+            let traced = Schedule::from_trace(&out.trace.unwrap(), n, 1);
+            assert_eq!(traced, planned.without_empty_rounds(), "{}", plan.label());
+        }
+    }
+
+    /// A radix run's local work under a copy-charging model, in closed
+    /// form: the rotation and the inverse placement — two passes over
+    /// `n·b` bytes — plus one scatter of every received byte. The
+    /// schedule is translation-invariant, so every rank is charged the
+    /// same amount at the same points and the makespan moves by exactly
+    /// that much; a third whole-buffer pass (a copy-in before the
+    /// rotation, a copy-out after the placement) fails here by name.
+    #[test]
+    fn radix_run_charges_two_passes_plus_received_bytes() {
+        let per_byte = 0.025e-6;
+        for &(n, r, block) in &[(8usize, 2usize, 64usize), (12, 3, 40), (5, 5, 16)] {
+            let plan = IndexPlan::Radix(r);
+            let makespan = |model: Sp1Model| {
+                let model: Arc<dyn CostModel> = Arc::new(model);
+                run_on(&ClusterConfig::new(n).with_cost(model), &plan, block).virtual_makespan()
+            };
+            let charged = makespan(Sp1Model::calibrated().with_copy_per_byte(per_byte))
+                - makespan(Sp1Model::calibrated());
+            let program = RankProgram::lower(&plan, n, 0, block, 1).unwrap();
+            let received: usize = program
+                .ops
+                .iter()
+                .map(|op| match op {
+                    ProgramOp::Round(round) => round.recvs.iter().map(|x| x.slots.blocks()).sum(),
+                    ProgramOp::Permute(_) => 0,
+                })
+                .sum();
+            let expected = per_byte * (2 * n * block + received * block) as f64;
+            assert!(
+                (charged - expected).abs() <= 1e-9 * expected,
+                "n={n} r={r} b={block}: charged {charged:e} s, closed form {expected:e} s"
+            );
         }
     }
 
     #[test]
-    fn unlowerable_plan_is_a_clean_error() {
-        let cfg = ClusterConfig::new(4);
-        let err = Cluster::run(&cfg, |ep| {
-            let input = verify::index_input(ep.rank(), 4, 2);
-            let mut out = vec![0u8; 8];
-            run_plan_into(ep, &IndexPlan::Mixed(vec![2, 2]), &input, 2, &mut out)
-        })
-        .unwrap_err();
-        assert!(matches!(err, NetError::App(_)), "{err}");
+    fn two_level_beats_flat_on_a_two_level_machine() {
+        // 4 nodes × 4 cores, fast local / slow remote: the two-level
+        // composition must beat the flat r=2 index in virtual time.
+        let (n, node_size, block) = (16, 4, 64);
+        let model: Arc<dyn CostModel> = Arc::new(HierarchicalModel::smp_cluster(node_size));
+        let cfg = ClusterConfig::new(n).with_cost(model);
+        let flat = run_on(&cfg, &IndexPlan::Radix(2), block).virtual_makespan();
+        let hier = run_on(&cfg, &two_level(node_size, 2, 2), block).virtual_makespan();
+        assert!(
+            hier < flat,
+            "hierarchical {hier} s should beat flat {flat} s"
+        );
+    }
+
+    #[test]
+    fn two_level_remote_traffic_stays_below_flat() {
+        // The lane-group index with radix 2 relays bundles through
+        // intermediate nodes, but never more bytes across the inter-node
+        // boundary than the flat algorithm on the same machine.
+        let (n, node_size, block) = (12, 3, 5);
+        let remote_bytes = |plan: IndexPlan| -> u64 {
+            let out = run_on(&ClusterConfig::new(n).with_trace(), &plan, block);
+            let events = out.trace.unwrap().snapshot();
+            let remote = events
+                .iter()
+                .filter(|e| e.src / node_size != e.dst / node_size);
+            remote.map(|e| e.bytes).sum()
+        };
+        let hier = remote_bytes(two_level(node_size, 2, 2));
+        let flat = remote_bytes(IndexPlan::Radix(2));
+        assert!(
+            hier <= flat,
+            "hierarchical remote {hier} vs flat remote {flat}"
+        );
     }
 }

@@ -16,17 +16,23 @@
 //! schedules are translation-invariant, so nothing in a program is a
 //! table: a transfer's blocks are a [`SlotSet`] (§3.2's digit test, read
 //! as contiguous *runs*), a local phase a [`BlockPerm`], and lowering a
-//! rank costs O(rounds·k) small structs whatever `n` is. Lowerings
-//! mirror the executors in `bruck-collectives` exactly:
+//! rank costs O(rounds·k) small structs whatever `n` is. The lowering
+//! *is* the §3 algorithm — there is no other executable form of the
+//! Bruck family in the workspace; `bruck-collectives` interprets these
+//! programs on threads, the TCP fabric on a worker pool, and
+//! `bruck-sched` reads the wire schedule off them:
 //!
 //! * [`IndexPlan::Radix`] — rotate, the §3.2 digit rounds grouped `k` per
 //!   round, inverse placement;
+//! * [`IndexPlan::Mixed`] — the same with a radix per digit position:
+//!   subphase `x` tests the digit of weight `Π r_<x` in radix `r_x`
+//!   ([`SlotSet`] keeps the two apart);
 //! * [`IndexPlan::Direct`] — `n-1` offsets grouped `k` per round, no
 //!   rotate/pack phases;
 //! * [`IndexPlan::Hypercube`] — cost-equal to radix 2, lowered as such;
-//! * [`IndexPlan::Hierarchical`] — the two-level composition of
-//!   `index/hierarchical.rs`: an intra-node index over lane bundles, a
-//!   transpose, an inter-node index over node bundles.
+//! * [`IndexPlan::Hierarchical`] — the two-level composition: an
+//!   intra-node index over lane bundles, a transpose, an inter-node
+//!   index over node bundles.
 //!
 //! [`simulate`] executes a program set in-process with perfect message
 //! delivery; the tests sweep it against the transpose oracle so a
@@ -35,7 +41,6 @@
 use std::collections::HashMap;
 
 use crate::planner::IndexPlan;
-use crate::radix::{pow, RadixDecomposition};
 
 /// Bit position separating the phase namespace from the `(subphase,
 /// step)` tag of a round. Flat tags are `(x << 32) | z` — far below this
@@ -46,18 +51,18 @@ use crate::radix::{pow, RadixDecomposition};
 pub const PHASE_SHIFT: u32 = 37;
 
 /// The block slots of one transfer, in closed form: the group blocks
-/// `j ∈ [0, groups)` whose radix-`radix` digit of weight `stride = r^x`
-/// equals `digit` — §3.2's selection for step `(x, z)` — where group
-/// block `j` spans buffer blocks `[j·unit, (j+1)·unit)`. The direct
-/// algorithm's lone slot `s` is the same test in radix `n`: weight 1,
-/// digit `s`.
+/// `j ∈ [0, groups)` whose radix-`radix` digit of weight `stride` equals
+/// `digit` — §3.2's selection for step `(x, z)`, with `stride = r^x` for
+/// a uniform radix and `Π r_<x` for a mixed vector — where group block
+/// `j` spans buffer blocks `[j·unit, (j+1)·unit)`. The direct algorithm's
+/// lone slot `s` is the same test in radix `n`: weight 1, digit `s`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotSet {
-    /// Weight of the tested digit, `r^x`.
+    /// Weight of the tested digit: the product of the radices below it.
     stride: usize,
     /// Value the digit must have (`z ≥ 1` for the index algorithm).
     digit: usize,
-    /// The radix `r`.
+    /// The radix of the tested digit position.
     radix: usize,
     /// Number of group-level blocks.
     groups: usize,
@@ -76,8 +81,8 @@ impl SlotSet {
     }
 
     /// The selection as maximal contiguous runs `(byte offset, bytes)` of
-    /// a buffer of `block`-byte blocks, ascending: `[t·r^(x+1) + z·r^x,
-    /// +r^x) ∩ [0, groups)` scaled by `unit · block`. A sender gathers
+    /// a buffer of `block`-byte blocks, ascending: `[t·r·stride + z·stride,
+    /// +stride) ∩ [0, groups)` scaled by `unit · block`. A sender gathers
     /// the runs in this order; the receiver scatters into the same runs.
     pub fn runs(&self, block: usize) -> impl Iterator<Item = (usize, usize)> {
         let (s, scale) = (*self, self.unit * block);
@@ -185,14 +190,15 @@ pub struct RankProgram {
 impl RankProgram {
     /// Lower an [`IndexPlan`] to the explicit program for one rank.
     ///
-    /// `Hypercube` lowers as radix 2 (cost-equal schedule); `Mixed` is
-    /// not supported (the planner's mixed search self-disables above
-    /// n = 128, the regime programs exist for).
+    /// `Hypercube` lowers as radix 2 (cost-equal schedule). Radices
+    /// above the (sub)group size are clamped to it — they would change
+    /// nothing: one subphase of `n − 1` steps.
     ///
     /// # Errors
     ///
-    /// A message for `Mixed` plans, for `rank ≥ n`, and for hierarchical
-    /// plans whose `node_size` does not divide `n`.
+    /// A message for `n = 0`, `rank ≥ n`, a radix below 2, a mixed
+    /// vector whose product does not reach `n`, and hierarchical plans
+    /// whose `node_size` does not divide `n`.
     pub fn lower(
         plan: &IndexPlan,
         n: usize,
@@ -208,35 +214,38 @@ impl RankProgram {
         }
         let k = ports.max(1);
         let mut ops = Vec::new();
-        if n > 1 {
-            match plan {
-                IndexPlan::Radix(r) => {
-                    bruck_ops(&mut ops, n, rank, *r, 1, k, |g| g, 0);
+        let flat = |g| g;
+        match plan {
+            IndexPlan::Radix(r) => {
+                check_radix(*r)?;
+                bruck_ops(&mut ops, n, rank, uniform(*r), 1, k, flat, 0);
+            }
+            IndexPlan::Hypercube => bruck_ops(&mut ops, n, rank, uniform(2), 1, k, flat, 0),
+            IndexPlan::Mixed(radices) => {
+                radices.iter().try_for_each(|&r| check_radix(r))?;
+                let covered = radices.iter().try_fold(1usize, |p, &r| p.checked_mul(r));
+                if covered.is_some_and(|p| p < n) {
+                    return Err(format!("radix vector {radices:?} does not cover n = {n}"));
                 }
-                IndexPlan::Hypercube => {
-                    bruck_ops(&mut ops, n, rank, 2, 1, k, |g| g, 0);
-                }
-                IndexPlan::Direct => {
-                    direct_ops(&mut ops, n, rank, k);
-                }
-                IndexPlan::Hierarchical {
-                    node_size,
-                    radix_local,
-                    radix_remote,
-                } => {
-                    hierarchical_ops(
-                        &mut ops,
-                        n,
-                        rank,
-                        *node_size,
-                        *radix_local,
-                        *radix_remote,
-                        k,
-                    )?;
-                }
-                IndexPlan::Mixed(_) => {
-                    return Err("lower: mixed-radix plans have no program lowering".into());
-                }
+                bruck_ops(&mut ops, n, rank, radices.iter().copied(), 1, k, flat, 0);
+            }
+            IndexPlan::Direct => direct_ops(&mut ops, n, rank, k),
+            IndexPlan::Hierarchical {
+                node_size,
+                radix_local,
+                radix_remote,
+            } => {
+                check_radix(*radix_local)?;
+                check_radix(*radix_remote)?;
+                hierarchical_ops(
+                    &mut ops,
+                    n,
+                    rank,
+                    *node_size,
+                    *radix_local,
+                    *radix_remote,
+                    k,
+                )?;
             }
         }
         Ok(Self {
@@ -308,18 +317,34 @@ fn permute(kind: PermKind, groups: usize, unit: usize) -> ProgramOp {
     ProgramOp::Permute(BlockPerm { kind, groups, unit })
 }
 
-/// Append the full radix-`r` index schedule over a (sub)group: rotate,
-/// digit rounds grouped `k` per round, inverse placement. The group has
-/// `n_g` members; this rank is member `m`; `peer` maps a group index to
-/// a global rank; each group-level block spans `unit` consecutive
-/// buffer blocks (`n_g · unit` = buffer blocks touched). Tags are
-/// namespaced by `tag_base` so stacked phases never collide.
+/// The radix < 2 rejection every plan family shares.
+fn check_radix(r: usize) -> Result<(), String> {
+    if r < 2 {
+        return Err(format!("radix must be ≥ 2, got {r}"));
+    }
+    Ok(())
+}
+
+/// The digit radices of a uniform radix-`r` schedule: `r` at every
+/// position.
+fn uniform(r: usize) -> impl Iterator<Item = usize> {
+    std::iter::repeat(r)
+}
+
+/// Append the full index schedule over a (sub)group: rotate, digit
+/// rounds grouped `k` per round, inverse placement. `radices` yields the
+/// radix of each digit position, least significant first, and must
+/// cover the group (`Π r_x ≥ n_g`; positions past that are never read).
+/// The group has `n_g` members; this rank is member `m`; `peer` maps a
+/// group index to a global rank; each group-level block spans `unit`
+/// consecutive buffer blocks (`n_g · unit` = buffer blocks touched).
+/// Tags are namespaced by `tag_base` so stacked phases never collide.
 #[allow(clippy::too_many_arguments)] // one arg per schedule dimension; bundling them would only rename the problem
 fn bruck_ops(
     ops: &mut Vec<ProgramOp>,
     n_g: usize,
     m: usize,
-    r: usize,
+    radices: impl Iterator<Item = usize>,
     unit: usize,
     k: usize,
     peer: impl Fn(usize) -> usize,
@@ -328,14 +353,20 @@ fn bruck_ops(
     if n_g <= 1 {
         return;
     }
-    let r = r.clamp(2, n_g);
     // Phase 1: upward rotation, tmp[u] = old[(u + m) mod n_g].
     ops.push(permute(PermKind::Rotate { by: m }, n_g, unit));
-    // Phase 2: the digit rounds.
-    let decomp = RadixDecomposition::new(n_g, r);
-    for x in 0..decomp.num_subphases() {
-        let steps = decomp.steps_in_subphase(x);
-        let stride = pow(r, x);
+    // Phase 2: the digit rounds, one subphase per digit position until
+    // the weights reach n_g.
+    let mut stride = 1usize;
+    for (x, r) in radices.enumerate() {
+        if stride >= n_g {
+            break;
+        }
+        let r = r.clamp(2, n_g);
+        // The non-zero values this digit takes over [0, n_g): r − 1
+        // below the top position, ⌈n_g / stride⌉ − 1 at it (Appendix A
+        // lines 7–11).
+        let steps = (r - 1).min((n_g - 1) / stride);
         let mut z = 1usize;
         while z <= steps {
             let hi = steps.min(z + k - 1);
@@ -349,7 +380,7 @@ fn bruck_ops(
                     groups: n_g,
                     unit,
                 };
-                let tag = tag_base | (u64::from(x) << 32) | zz as u64;
+                let tag = tag_base | ((x as u64) << 32) | zz as u64;
                 round.sends.push(ProgramXfer {
                     peer: peer((m + dist) % n_g),
                     tag,
@@ -364,6 +395,7 @@ fn bruck_ops(
             ops.push(ProgramOp::Round(round));
             z = hi + 1;
         }
+        stride *= r;
     }
     // Phase 3: inverse placement, out[j] = tmp[(m - j) mod n_g].
     ops.push(permute(PermKind::Reflect { about: m }, n_g, unit));
@@ -379,6 +411,9 @@ fn bruck_ops(
 /// instead would corrupt rounds `d > n/2`, which send slots that
 /// earlier rounds already received into.
 fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, k: usize) {
+    if n <= 1 {
+        return;
+    }
     let mut d = 1usize;
     while d < n {
         let hi = (n - 1).min(d + k - 1);
@@ -408,11 +443,12 @@ fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, k: usize) {
     ops.push(permute(PermKind::Reflect { about: 2 * m % n }, n, 1));
 }
 
-/// The two-level composition of `index/hierarchical.rs`, op for op:
-/// lane-major transpose, intra-node index over `nodes`-block bundles,
-/// node-major transpose, inter-node index over `node_size`-block
-/// bundles. The final placement is the identity at block granularity,
-/// so it is elided.
+/// The two-level composition — the paper's own index algorithm at two
+/// network levels, so that expensive inter-node links carry as few
+/// start-ups as possible: lane-major transpose, intra-node index over
+/// `nodes`-block bundles, node-major transpose, inter-node index over
+/// `node_size`-block bundles. The final placement is the identity at
+/// block granularity, so it is elided.
 fn hierarchical_ops(
     ops: &mut Vec<ProgramOp>,
     n: usize,
@@ -424,14 +460,14 @@ fn hierarchical_ops(
 ) -> Result<(), String> {
     if node_size == 0 || !n.is_multiple_of(node_size) {
         return Err(format!(
-            "hierarchical: node_size {node_size} must divide n = {n}"
+            "hierarchical: n = {n} not divisible by node_size = {node_size}"
         ));
     }
     let nodes = n / node_size;
     if nodes == 1 || node_size == 1 {
-        // Degenerate hierarchy: a flat index at the stronger radix (the
-        // same fallback the threaded executor takes).
-        bruck_ops(ops, n, rank, radix_local.max(radix_remote), 1, k, |g| g, 0);
+        // Degenerate hierarchy: a flat index at the stronger radix.
+        let r = radix_local.max(radix_remote);
+        bruck_ops(ops, n, rank, uniform(r), 1, k, |g| g, 0);
         return Ok(());
     }
     let my_node = rank / node_size;
@@ -446,7 +482,7 @@ fn hierarchical_ops(
         ops,
         node_size,
         my_lane,
-        radix_local,
+        uniform(radix_local),
         nodes,
         k,
         |g| my_node * node_size + g,
@@ -460,7 +496,7 @@ fn hierarchical_ops(
         ops,
         nodes,
         my_node,
-        radix_remote,
+        uniform(radix_remote),
         node_size,
         k,
         |g| g * node_size + my_lane,
@@ -572,6 +608,7 @@ pub fn simulate(programs: &[RankProgram], inputs: &[Vec<u8>]) -> Result<Vec<Vec<
 #[cfg(test)]
 mod reference {
     use super::PHASE_SHIFT;
+    use crate::mixed_radix::MixedRadix;
     use crate::radix::RadixDecomposition;
 
     /// `(peer, tag, slots)`.
@@ -628,6 +665,35 @@ mod reference {
             }
         }
         ops.push(Op::Permute(group_perm(n_g, unit, |j| (m + n_g - j) % n_g)));
+    }
+
+    /// The mixed-radix schedule as the step loop of the §3 algorithm
+    /// over [`MixedRadix`]'s enumerated digit sets — the shape of the
+    /// threaded executor the lowering replaced.
+    pub fn mixed_ops(ops: &mut Vec<Op>, n: usize, m: usize, radices: &[usize], k: usize) {
+        if n <= 1 {
+            return;
+        }
+        ops.push(Op::Permute(group_perm(n, 1, |u| (u + m) % n)));
+        let decomp = MixedRadix::new(n, radices);
+        for x in 0..decomp.num_subphases() {
+            let steps = decomp.steps_in_subphase(x);
+            let mut z = 1usize;
+            while z <= steps {
+                let hi = steps.min(z + k - 1);
+                let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+                for zz in z..=hi {
+                    let dist = decomp.step_distance(x, zz) % n;
+                    let slots = decomp.blocks_for_step(x, zz);
+                    let tag = ((x as u64) << 32) | zz as u64;
+                    sends.push(((m + dist) % n, tag, slots.clone()));
+                    recvs.push(((m + n - dist) % n, tag, slots));
+                }
+                ops.push(Op::Round { sends, recvs });
+                z = hi + 1;
+            }
+        }
+        ops.push(Op::Permute(group_perm(n, 1, |j| (m + n - j) % n)));
     }
 
     fn group_perm(n_g: usize, unit: usize, f: impl Fn(usize) -> usize) -> Vec<usize> {
@@ -736,7 +802,7 @@ mod tests {
                 *radix_remote,
                 k,
             ),
-            IndexPlan::Mixed(_) => unreachable!("no lowering"),
+            IndexPlan::Mixed(radices) => reference::mixed_ops(&mut ops, n, rank, radices, k),
         }
         ops
     }
@@ -1007,13 +1073,133 @@ mod tests {
             1,
         )
         .unwrap_err();
-        assert!(err.contains("must divide"), "{err}");
+        assert!(err.contains("not divisible"), "{err}");
     }
 
     #[test]
-    fn mixed_plans_have_no_lowering() {
-        let err = RankProgram::lower(&IndexPlan::Mixed(vec![2, 3]), 6, 0, 4, 1).unwrap_err();
-        assert!(err.contains("mixed"), "{err}");
+    fn plans_without_a_lowering_are_rejected_with_a_message() {
+        let lower = |plan: IndexPlan, n| RankProgram::lower(&plan, n, 0, 4, 1).unwrap_err();
+        assert!(lower(IndexPlan::Radix(1), 6).contains("radix must be ≥ 2"));
+        assert!(lower(IndexPlan::Mixed(vec![2, 1, 8]), 6).contains("radix must be ≥ 2"));
+        assert!(lower(IndexPlan::Mixed(vec![2, 2]), 6).contains("does not cover"));
+        assert!(lower(IndexPlan::Mixed(vec![]), 2).contains("does not cover"));
+        let two_level = |radix_local, radix_remote| IndexPlan::Hierarchical {
+            node_size: 2,
+            radix_local,
+            radix_remote,
+        };
+        assert!(lower(two_level(0, 2), 6).contains("radix must be ≥ 2"));
+        assert!(lower(two_level(2, 1), 6).contains("radix must be ≥ 2"));
+        // The rejections hold at n = 1 too, where there is nothing to run.
+        assert!(lower(IndexPlan::Radix(0), 1).contains("radix must be ≥ 2"));
+    }
+
+    /// Every minimal covering radix vector of `[0, n)`: the prefix's
+    /// product stays below `n`, the last radix is the smallest that
+    /// covers or `n` itself (every value in between selects the same
+    /// steps), in every digit order.
+    fn covering_vectors(n: usize) -> Vec<Vec<usize>> {
+        let mut done = Vec::new();
+        let mut stack: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 1)];
+        while let Some((prefix, product)) = stack.pop() {
+            let covers = n.div_ceil(product);
+            for r in 2..=n {
+                let mut next = prefix.clone();
+                next.push(r);
+                if r < covers {
+                    stack.push((next, product * r));
+                } else if r == covers || r == n {
+                    done.push(next);
+                }
+            }
+        }
+        done
+    }
+
+    /// The mixed lowering against [`MixedRadix`]'s enumerated digit sets
+    /// (`blocks_for_step`, `step_distance`, `steps_in_subphase`): same op
+    /// order, peers, tags, slot order and permutations for every minimal
+    /// covering vector at n ≤ 64, and the derived round and message
+    /// counts agree with the model's closed form.
+    #[test]
+    fn mixed_descriptors_expand_to_the_enumerated_digit_sets() {
+        use crate::mixed_radix::MixedRadix;
+        let (mut vectors, mut compared) = (0usize, 0usize);
+        for n in 2..=64usize {
+            for radices in covering_vectors(n) {
+                vectors += 1;
+                let plan = IndexPlan::Mixed(radices.clone());
+                // Rank only enters through the rotate / reflect / peer
+                // arithmetic the uniform sweep above holds at every rank.
+                let ranks: Vec<usize> = if n <= 8 {
+                    (0..n).collect()
+                } else {
+                    vec![0, n - 1]
+                };
+                for k in 1..=3usize {
+                    for &rank in &ranks {
+                        let program = RankProgram::lower(&plan, n, rank, 4, k).expect("covering");
+                        program.check_shape().expect("lowered programs fit");
+                        assert_eq!(
+                            expand(&program),
+                            reference_ops(&plan, n, rank, k),
+                            "n={n} radices={radices:?} k={k} rank={rank}"
+                        );
+                        compared += 1;
+                    }
+                    let program = RankProgram::lower(&plan, n, 0, 4, k).unwrap();
+                    let model = MixedRadix::new(n, &radices);
+                    assert_eq!(
+                        program.rounds() as u64,
+                        model.complexity(4, k).c1,
+                        "n={n} radices={radices:?} k={k}"
+                    );
+                    assert_eq!(
+                        Some(program.max_message_blocks()),
+                        model.steps().map(|(x, z)| model.blocks_in_step(x, z)).max(),
+                        "n={n} radices={radices:?} k={k}"
+                    );
+                }
+            }
+        }
+        assert!(vectors > 15_000, "sweep shrank to {vectors} vectors");
+        assert!(compared > 100_000, "sweep shrank to {compared} programs");
+    }
+
+    #[test]
+    fn mixed_lowering_matches_oracle() {
+        // Every minimal covering vector on small clusters …
+        for n in 2..=12usize {
+            for radices in covering_vectors(n) {
+                for k in [1usize, 2] {
+                    check(&IndexPlan::Mixed(radices.clone()), n, 3, k);
+                }
+            }
+        }
+        // … the vectors the tuner actually picks (n = 33 is the module
+        // example of `mixed_radix`), multi-port, and an oversized vector
+        // whose tail is never read.
+        check(&IndexPlan::Mixed(vec![2, 2, 3, 3]), 33, 2, 1);
+        check(&IndexPlan::Mixed(vec![2, 3, 5]), 30, 1, 1);
+        check(&IndexPlan::Mixed(vec![3, 4]), 12, 2, 2);
+        check(&IndexPlan::Mixed(vec![4, 5]), 20, 2, 3);
+        check(&IndexPlan::Mixed(vec![4, 2, 8]), 64, 2, 2);
+        check(&IndexPlan::Mixed(vec![2, 3, 5, 7]), 6, 2, 1);
+        check(&IndexPlan::Mixed(vec![2, 2, 64]), 64, 0, 1);
+    }
+
+    #[test]
+    fn uniform_vectors_lower_to_the_uniform_schedule() {
+        // (r, r, …) is the §3 algorithm: same ops as `Radix(r)`.
+        for (n, r, w) in [(9usize, 3usize, 2usize), (16, 2, 4), (27, 3, 3), (10, 4, 2)] {
+            for rank in 0..n {
+                assert_eq!(
+                    RankProgram::lower(&IndexPlan::Mixed(vec![r; w]), n, rank, 2, 1).unwrap(),
+                    RankProgram::lower(&IndexPlan::Radix(r), n, rank, 2, 1).unwrap(),
+                    "n={n} r={r} rank={rank}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -778,8 +778,8 @@ impl Cluster {
     /// # Errors
     ///
     /// Non-survivable root causes immediately; the eviction verdict when
-    /// [`RecoveryPolicy::FailFast`] trips its quorum; the last root
-    /// cause when attempts are exhausted or no survivors remain.
+    /// [`RecoveryPolicy::FailFast`] trips its quorum or no survivors
+    /// remain; the last root cause when attempts are exhausted.
     ///
     /// # Panics
     ///
@@ -836,17 +836,7 @@ impl Cluster {
         for attempt in 0..max_attempts {
             let members = membership.members();
             cfg.n = members.len();
-            // Faults are re-derived from the *original* plan each
-            // attempt: attempt 0 keeps its deterministic faults, later
-            // attempts clear the consumed ones but keep seeded wire
-            // rates — and recurring kills are re-bound to the attempt's
-            // dense numbering so they chase their victim across views.
-            let base = if attempt == 0 {
-                (*config.faults).clone()
-            } else {
-                config.faults.survivor_plan()
-            };
-            cfg.faults = Arc::new(base.bind_recurring(&members));
+            cfg.faults = Arc::new(config.faults.for_attempt(attempt, &members));
             let view = SurvivorView {
                 attempt,
                 original_n: config.n,
@@ -878,25 +868,8 @@ impl Cluster {
             // flight, and `report.failed` is the verdict every survivor
             // agreed on — fold it into the view (dense ids map back
             // through this attempt's membership).
-            for &dense in &report.failed {
-                membership.evict(members[dense]);
-            }
-            if membership.members().is_empty() {
-                return Err(cause);
-            }
-            match config.recovery {
-                RecoveryPolicy::ShrinkOnly => {}
-                RecoveryPolicy::FailFast { min_quorum } => {
-                    if membership.members().len() < min_quorum {
-                        return Err(NetError::RanksFailed {
-                            ranks: membership.evicted_ranks(),
-                        });
-                    }
-                }
-                RecoveryPolicy::WaitForRejoin { budget } => {
-                    rejoined_now = membership.wait_for_rejoin(budget);
-                }
-            }
+            let failed = report.failed.iter().map(|&dense| members[dense]);
+            rejoined_now = membership.fold_failures(failed, config.recovery)?;
         }
         unreachable!("loop returns on success, exhaustion, or hard error")
     }

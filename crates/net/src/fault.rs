@@ -618,6 +618,22 @@ impl FaultPlan {
         bound
     }
 
+    /// The plan attempt `attempt` of a resilient run executes under,
+    /// re-derived from the *original* plan every time: attempt 0 keeps
+    /// its deterministic faults, later attempts take the
+    /// [`survivor_plan`](Self::survivor_plan) (consumed faults cleared,
+    /// seeded wire rates kept), and either way recurring kills are bound
+    /// to the attempt's dense numbering (`members` is its dense→original
+    /// map) so they chase their victim across views.
+    #[must_use]
+    pub fn for_attempt(&self, attempt: usize, members: &[usize]) -> Self {
+        if attempt == 0 {
+            self.bind_recurring(members)
+        } else {
+            self.survivor_plan().bind_recurring(members)
+        }
+    }
+
     /// Should this message be dropped?
     #[must_use]
     pub fn should_drop(&self, src: usize, dst: usize, round: u64) -> bool {
@@ -1393,6 +1409,25 @@ mod tests {
         let without = s.bind_recurring(&[0, 1, 2]);
         assert_eq!(without.should_kill(0, 9), None);
         assert_eq!(without.should_kill(2, 9), None);
+    }
+
+    #[test]
+    fn attempt_plans_keep_one_shot_faults_for_attempt_zero_only() {
+        let p = FaultPlan::new()
+            .kill_rank_after(1, 0)
+            .kill_rank_recurring(3, 1)
+            .with_seed(9)
+            .with_loss(0.1);
+        let first = p.for_attempt(0, &[0, 1, 2, 3]);
+        assert_eq!(first.should_kill(1, 0), Some(0));
+        assert_eq!(first.should_kill(3, 1), Some(1));
+        // After rank 1 is gone: its one-shot kill is consumed, the
+        // recurring one follows original rank 3 to dense id 2, and the
+        // seeded wire rates carry over.
+        let retry = p.for_attempt(1, &[0, 2, 3]);
+        assert_eq!(retry.should_kill(1, 0), None);
+        assert_eq!(retry.should_kill(2, 1), Some(1));
+        assert_eq!(retry.rates_for(0, 1).loss, 0.1);
     }
 
     #[test]

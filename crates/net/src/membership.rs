@@ -64,6 +64,8 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::error::NetError;
+
 /// How [`Cluster::run_resilient`](crate::cluster::Cluster::run_resilient)
 /// responds to rank failures between attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,6 +91,18 @@ pub enum RecoveryPolicy {
         /// Minimum acceptable member count.
         min_quorum: usize,
     },
+}
+
+impl RecoveryPolicy {
+    /// Whether a membership of `members` ranks is too small to go on
+    /// under this policy — only [`FailFast`](Self::FailFast) has a
+    /// quorum. The one quorum test: the resilient drivers (through
+    /// [`Membership::fold_failures`]) and the in-collective
+    /// `alltoall_resilient` family both ask here.
+    #[must_use]
+    pub fn below_quorum(&self, members: usize) -> bool {
+        matches!(*self, Self::FailFast { min_quorum } if members < min_quorum)
+    }
 }
 
 /// A rank's position in the recovery lifecycle, as seen by the
@@ -389,6 +403,37 @@ impl Membership {
         window
     }
 
+    /// The attempt-boundary step every resilient driver takes after a
+    /// failed attempt: evict `failed` (original numbering), then let
+    /// `policy` decide how the next attempt starts. Returns the ranks
+    /// re-admitted at this boundary — empty unless the policy is
+    /// [`WaitForRejoin`](RecoveryPolicy::WaitForRejoin).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::RanksFailed`] carrying every rank outside the view
+    /// when the evictions leave nobody, or fewer members than a
+    /// [`FailFast`](RecoveryPolicy::FailFast) quorum.
+    pub fn fold_failures(
+        &self,
+        failed: impl IntoIterator<Item = usize>,
+        policy: RecoveryPolicy,
+    ) -> Result<Vec<usize>, NetError> {
+        for rank in failed {
+            self.evict(rank);
+        }
+        let members = self.members().len();
+        if members == 0 || policy.below_quorum(members) {
+            return Err(NetError::RanksFailed {
+                ranks: self.evicted_ranks(),
+            });
+        }
+        Ok(match policy {
+            RecoveryPolicy::WaitForRejoin { budget } => self.wait_for_rejoin(budget),
+            RecoveryPolicy::ShrinkOnly | RecoveryPolicy::FailFast { .. } => Vec::new(),
+        })
+    }
+
     /// Re-admit every non-member whose quarantine window has elapsed
     /// by `now`, recording each admission with its sponsor (the lowest
     /// current member, or the rejoiner itself if the view was empty).
@@ -497,6 +542,44 @@ mod tests {
         m.evict(2);
         assert_eq!(m.view_id(), 1);
         assert_eq!(m.stats().evictions, 1);
+    }
+
+    #[test]
+    fn fold_failures_applies_each_policy_at_the_boundary() {
+        let fresh = || Membership::new(4).with_base_quarantine(Duration::from_millis(5));
+        // ShrinkOnly: evict, nobody returns.
+        let m = fresh();
+        assert_eq!(m.fold_failures([1], RecoveryPolicy::ShrinkOnly), Ok(vec![]));
+        assert_eq!(m.members(), vec![0, 2, 3]);
+        // FailFast: the verdict names every rank outside the view once
+        // the quorum is lost, and not before.
+        let policy = RecoveryPolicy::FailFast { min_quorum: 3 };
+        assert!(!policy.below_quorum(3) && policy.below_quorum(2));
+        assert_eq!(m.fold_failures([], policy), Ok(vec![]));
+        assert_eq!(
+            m.fold_failures([3], policy),
+            Err(NetError::RanksFailed { ranks: vec![1, 3] })
+        );
+        // WaitForRejoin: the evicted rank is back at the same boundary.
+        let m = fresh();
+        let budget = Duration::from_secs(2);
+        assert_eq!(
+            m.fold_failures([2], RecoveryPolicy::WaitForRejoin { budget }),
+            Ok(vec![2])
+        );
+        assert_eq!(m.members(), vec![0, 1, 2, 3]);
+        // Nobody left is a verdict under every policy, before any wait.
+        for policy in [
+            RecoveryPolicy::ShrinkOnly,
+            RecoveryPolicy::WaitForRejoin { budget },
+        ] {
+            assert_eq!(
+                fresh().fold_failures(0..4, policy),
+                Err(NetError::RanksFailed {
+                    ranks: vec![0, 1, 2, 3]
+                })
+            );
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ use crate::frame::{
     decode_frame, encode_header, fragment, Assembler, FrameHeader, FRAG_PAYLOAD, HEADER,
 };
 use crate::mailbox::{MailSender, Mailbox};
-use crate::membership::{Membership, RecoveryPolicy};
+use crate::membership::Membership;
 use crate::message::{payload_checksum, Message, Tag};
 use crate::metrics::{FabricStats, RankMetrics, RunMetrics};
 use crate::pool::BufferPool;
@@ -2156,24 +2156,16 @@ impl TcpScaleCluster {
         let membership = Membership::new(n0).with_base_quarantine(cfg.quarantine);
         let mut fabric_acc = FabricStats::default();
         for attempt in 0..max_attempts {
+            // Never empty: `fold_failures` ends the run when a boundary
+            // leaves nobody.
             let members = membership.members();
-            if members.is_empty() {
-                return Err(NetError::RanksFailed {
-                    ranks: membership.evicted_ranks(),
-                });
-            }
             let n = members.len();
             let node_size = fit_node_size(n, node_size0);
             let plan_fit = fit_plan(plan, n, node_size);
             let mut acfg = cfg.clone();
             acfg.n = n;
             acfg.node_size = Some(node_size);
-            let base = if attempt == 0 {
-                (*cfg.faults).clone()
-            } else {
-                cfg.faults.survivor_plan()
-            };
-            acfg.faults = Arc::new(base.bind_recurring(&members));
+            acfg.faults = Arc::new(cfg.faults.for_attempt(attempt, &members));
             // Dense survivor inputs: row r of the original all-to-all
             // matrix, restricted to survivor columns.
             let dense_inputs: Vec<Vec<u8>> = members
@@ -2217,22 +2209,7 @@ impl TcpScaleCluster {
                         let node = dense / node_size;
                         evicted.extend(&members[node * node_size..(node + 1) * node_size]);
                     }
-                    for &orig in &evicted {
-                        membership.evict(orig);
-                    }
-                    match cfg.recovery {
-                        RecoveryPolicy::ShrinkOnly => {}
-                        RecoveryPolicy::FailFast { min_quorum } => {
-                            if membership.members().len() < min_quorum {
-                                return Err(NetError::RanksFailed {
-                                    ranks: membership.evicted_ranks(),
-                                });
-                            }
-                        }
-                        RecoveryPolicy::WaitForRejoin { budget } => {
-                            let _ = membership.wait_for_rejoin(budget);
-                        }
-                    }
+                    membership.fold_failures(evicted, cfg.recovery)?;
                 }
             }
         }
@@ -3153,6 +3130,8 @@ mod tests {
         for plan in [
             IndexPlan::Radix(2),
             IndexPlan::Radix(4),
+            IndexPlan::Mixed(vec![2, 8]),
+            IndexPlan::Mixed(vec![3, 2, 3]),
             IndexPlan::Direct,
             IndexPlan::Hierarchical {
                 node_size: 4,
@@ -3207,10 +3186,17 @@ mod tests {
 
     #[test]
     fn unlowerable_plan_is_a_clean_error() {
+        // Every plan family lowers; what has no program is a plan that
+        // does not fit the cluster — here a node size that does not
+        // divide n.
         let cfg = ClusterConfig::new(4);
         let inputs = vec![vec![0u8; 8]; 4];
-        let err =
-            TcpScaleCluster::run(&cfg, &IndexPlan::Mixed(vec![2, 2]), 2, &inputs).unwrap_err();
+        let plan = IndexPlan::Hierarchical {
+            node_size: 3,
+            radix_local: 2,
+            radix_remote: 2,
+        };
+        let err = TcpScaleCluster::run(&cfg, &plan, 2, &inputs).unwrap_err();
         assert!(matches!(err, NetError::App(_)), "{err}");
     }
 

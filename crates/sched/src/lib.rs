@@ -1,9 +1,12 @@
 //! Static communication schedules.
 //!
-//! Every collective algorithm in this workspace exists in two forms: an
-//! executable SPMD routine (real data moving through `bruck-net`) and a
-//! **planner** that emits a [`Schedule`] — the full list of
-//! `(round, src, dst, bytes)` transfers, independent of payload contents.
+//! Every collective algorithm in this workspace has an executable form
+//! (real data moving through `bruck-net`) and a [`Schedule`] — the full
+//! list of `(round, src, dst, bytes)` transfers, independent of payload
+//! contents. For the index family the schedule is not planned a second
+//! time: it is read off the lowered programs that execute
+//! ([`Schedule::from_programs`]); the concatenations and the baselines
+//! keep a **planner** next to their SPMD routine.
 //!
 //! Schedules make three things cheap:
 //!

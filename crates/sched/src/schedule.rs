@@ -1,5 +1,7 @@
 //! The schedule data structure and its invariants.
 
+use bruck_model::planner::IndexPlan;
+use bruck_model::program::{ProgramOp, RankProgram};
 use bruck_net::trace::Trace;
 
 /// One rank's view of one round: `(dst, bytes)` sends and `src` receives.
@@ -70,6 +72,73 @@ impl Schedule {
     #[must_use]
     pub fn num_rounds(&self) -> usize {
         self.rounds.len()
+    }
+
+    /// The wire schedule of a lowered program set: round `i` holds every
+    /// rank's `i`-th [`ProgramOp::Round`] sends, each message sized by its
+    /// slot descriptor. Programs are what executes, so a schedule read
+    /// off them cannot describe a different algorithm than the one that
+    /// runs.
+    #[must_use]
+    pub fn from_programs(programs: &[RankProgram], ports: usize) -> Self {
+        let mut schedule = Self::new(programs.len(), ports);
+        for program in programs {
+            schedule.add_program(program);
+        }
+        schedule.sort_rounds();
+        schedule
+    }
+
+    /// The schedule of an index plan on `n` ranks with `block`-byte
+    /// blocks and `ports` ports: [`from_programs`](Self::from_programs)
+    /// over every rank's lowering, one rank at a time, so no more than
+    /// one program is alive whatever `n` is.
+    ///
+    /// # Errors
+    ///
+    /// The lowering's message when the plan has none at this `n`
+    /// ([`RankProgram::lower`]).
+    pub fn of_index_plan(
+        plan: &IndexPlan,
+        n: usize,
+        block: usize,
+        ports: usize,
+    ) -> Result<Self, String> {
+        let mut schedule = Self::new(n, ports);
+        for rank in 0..n {
+            schedule.add_program(&RankProgram::lower(plan, n, rank, block, ports)?);
+        }
+        schedule.sort_rounds();
+        Ok(schedule)
+    }
+
+    /// Append one rank's sends, round by round (unsorted until
+    /// [`sort_rounds`](Self::sort_rounds)).
+    fn add_program(&mut self, program: &RankProgram) {
+        let sent = program.ops.iter().filter_map(|op| match op {
+            ProgramOp::Round(round) => Some(&round.sends),
+            ProgramOp::Permute(_) => None,
+        });
+        for (i, sends) in sent.enumerate() {
+            if self.rounds.len() == i {
+                let transfers = Vec::with_capacity(self.n * sends.len());
+                self.rounds.push(Round { transfers });
+            }
+            self.rounds[i]
+                .transfers
+                .extend(sends.iter().map(|s| Transfer {
+                    src: program.rank,
+                    dst: s.peer,
+                    bytes: (s.slots.blocks() * program.block) as u64,
+                }));
+        }
+    }
+
+    /// Restore the `(src, dst)` order [`Round::transfers`] is kept in.
+    fn sort_rounds(&mut self) {
+        for round in &mut self.rounds {
+            round.transfers.sort_unstable();
+        }
     }
 
     /// Rebuild a schedule from a live trace (round indices in the trace
@@ -213,6 +282,34 @@ mod tests {
             bytes: 8,
         }]);
         s
+    }
+
+    #[test]
+    fn schedule_is_read_off_the_programs() {
+        // n = 4, r = 2: two rounds, every rank sending the two blocks
+        // with the round's digit set, 1 then 2 ranks to the right.
+        let s = Schedule::of_index_plan(&IndexPlan::Radix(2), 4, 8, 1).unwrap();
+        s.validate().unwrap();
+        assert_eq!((s.n, s.ports, s.num_rounds()), (4, 1, 2));
+        for (round, dist) in s.rounds.iter().zip([1, 2]) {
+            let want: Vec<Transfer> = (0..4)
+                .map(|src| Transfer {
+                    src,
+                    dst: (src + dist) % 4,
+                    bytes: 16,
+                })
+                .collect();
+            assert_eq!(round.transfers, want);
+        }
+        let programs: Vec<RankProgram> = (0..4)
+            .map(|rank| RankProgram::lower(&IndexPlan::Radix(2), 4, rank, 8, 1).unwrap())
+            .collect();
+        assert_eq!(Schedule::from_programs(&programs, 1), s);
+        // One rank has nothing to send; an unfit plan has no schedule.
+        let solo = Schedule::of_index_plan(&IndexPlan::Direct, 1, 8, 1).unwrap();
+        assert_eq!(solo.num_rounds(), 0);
+        let err = Schedule::of_index_plan(&IndexPlan::Mixed(vec![2]), 4, 8, 1).unwrap_err();
+        assert!(err.contains("does not cover"), "{err}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn main() {
             let cfg = ClusterConfig::new(N).with_cost(Arc::new(model));
             Cluster::run(&cfg, |ep| {
                 let buf = vec![0u8; N * b];
-                bruck::collectives::index::bruck::run(ep, &buf, b, r)
+                IndexAlgorithm::BruckRadix(r).run(ep, &buf, b)
             })
             .expect("run failed")
             .virtual_makespan()

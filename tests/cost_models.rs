@@ -98,7 +98,7 @@ fn copy_cost_charges_only_configured_models() {
         let cfg = ClusterConfig::new(4).with_cost(model);
         Cluster::run(&cfg, |ep| {
             let input = bruck::collectives::verify::index_input(ep.rank(), 4, 64);
-            bruck::collectives::index::bruck::run(ep, &input, 64, 2)?;
+            bruck::collectives::index::IndexAlgorithm::BruckRadix(2).run(ep, &input, 64)?;
             Ok(ep.virtual_time())
         })
         .unwrap()

@@ -7,13 +7,15 @@
 
 use bruck::collectives::api::Tuning;
 use bruck::collectives::appendix::{concat_appendix_b, index_appendix_a};
-use bruck::collectives::index::{hierarchical, mixed};
+use bruck::collectives::index::IndexAlgorithm;
+use bruck::collectives::program_exec::run_plan;
 use bruck::collectives::reduce::{
     allreduce_halving_doubling, allreduce_via_concat, reduce_scatter, ReduceOp,
 };
 use bruck::collectives::scan::{exscan, scan};
 use bruck::collectives::verify;
 use bruck::collectives::vops::{allgatherv_into, alltoallv_into, VLayout};
+use bruck::model::planner::IndexPlan;
 use bruck::net::{Cluster, ClusterConfig};
 
 /// Deterministic xorshift64 over half-open ranges.
@@ -221,7 +223,7 @@ fn mixed_radix_random_vectors() {
         let cfg = ClusterConfig::new(n);
         let out = Cluster::run(&cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, b);
-            mixed::run(ep, &input, b, &radices)
+            run_plan(ep, &IndexPlan::Mixed(radices.to_vec()), &input, b)
         })
         .unwrap();
         for (rank, result) in out.results.iter().enumerate() {
@@ -250,7 +252,12 @@ fn hierarchical_random_shapes() {
         let cfg = ClusterConfig::new(n);
         let out = Cluster::run(&cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, b);
-            hierarchical::run(ep, &input, b, node_size, rl, rr)
+            let plan = IndexPlan::Hierarchical {
+                node_size,
+                radix_local: rl,
+                radix_remote: rr,
+            };
+            run_plan(ep, &plan, &input, b)
         })
         .unwrap();
         for (rank, result) in out.results.iter().enumerate() {
@@ -300,7 +307,7 @@ fn stress_96_ranks() {
     let cfg = ClusterConfig::new(n).with_ports(2);
     let out = Cluster::run(&cfg, |ep| {
         let input = verify::index_input(ep.rank(), n, b);
-        bruck::collectives::index::bruck::run(ep, &input, b, 3)
+        IndexAlgorithm::BruckRadix(3).run(ep, &input, b)
     })
     .unwrap();
     for (rank, result) in out.results.iter().enumerate() {

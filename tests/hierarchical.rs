@@ -1,10 +1,10 @@
-//! Hierarchical-plan bit-correctness across substrates — the dedicated
-//! two-level executor on the threaded cluster and the lowered
-//! [`IndexPlan::Hierarchical`] program on the event-driven TCP fabric —
+//! Hierarchical-plan bit-correctness across substrates — the lowered
+//! [`IndexPlan::Hierarchical`] program interpreted on the threaded
+//! cluster and on the event-driven TCP fabric —
 //! at n = 16, the paper's machine size n = 64 and one n = 128 cell, plus
 //! the non-divisible `node_size` error paths.
 
-use bruck::collectives::index::hierarchical;
+use bruck::collectives::program_exec::run_plan;
 use bruck::collectives::verify;
 use bruck::model::planner::IndexPlan;
 use bruck::net::{Cluster, ClusterConfig, NetError, Reliability, TcpScaleCluster};
@@ -83,7 +83,12 @@ fn threaded_hierarchical_executor_bit_correct_n64() {
     let (n, block, node_size) = (64, 2, 8);
     let out = Cluster::run(&ClusterConfig::new(n), |ep| {
         let input = verify::index_input(ep.rank(), n, block);
-        hierarchical::run(ep, &input, block, node_size, 2, 4)
+        let plan = IndexPlan::Hierarchical {
+            node_size,
+            radix_local: 2,
+            radix_remote: 4,
+        };
+        run_plan(ep, &plan, &input, block)
     })
     .unwrap();
     assert_oracle(&out.results, n, block, "hierarchical::run n=64");
@@ -91,11 +96,16 @@ fn threaded_hierarchical_executor_bit_correct_n64() {
 
 #[test]
 fn executor_rejects_non_dividing_node_size() {
-    // The dedicated executor's own guard in index/hierarchical.rs.
+    // The lowering's guard, reached through the threaded interpreter.
     let n = 16;
     let err = Cluster::run(&ClusterConfig::new(n), |ep| {
         let input = verify::index_input(ep.rank(), n, 2);
-        hierarchical::run(ep, &input, 2, 5, 2, 2)
+        let plan = IndexPlan::Hierarchical {
+            node_size: 5,
+            radix_local: 2,
+            radix_remote: 2,
+        };
+        run_plan(ep, &plan, &input, 2)
     })
     .unwrap_err();
     match err {

@@ -5,8 +5,11 @@
 
 use bruck::collectives::concat::ConcatAlgorithm;
 use bruck::collectives::index::IndexAlgorithm;
+use bruck::collectives::program_exec::run_plan;
 use bruck::collectives::verify;
+use bruck::model::cost::LinearModel;
 use bruck::model::partition::Preference;
+use bruck::model::planner::{IndexPlan, Planner};
 use bruck::net::{Cluster, ClusterConfig};
 use bruck::sched::{replay_on_cluster, Schedule, ScheduleStats};
 
@@ -32,6 +35,52 @@ fn check_index(algo: IndexAlgorithm, n: usize, b: usize, k: usize) {
         ScheduleStats::of(&plan).complexity,
         "{} n={n} b={b} k={k}",
         algo.name()
+    );
+}
+
+/// The same for a plan that has no [`IndexAlgorithm`] name (mixed
+/// radices, the two-level composition): the trace of the interpreted
+/// programs, the schedule read off those same programs, the live
+/// metrics and the planner's closed form all describe one algorithm.
+fn check_plan(plan: IndexPlan, n: usize, b: usize, k: usize) {
+    let cfg = ClusterConfig::new(n).with_ports(k).with_trace();
+    let out = Cluster::run(&cfg, |ep| {
+        let input = verify::index_input(ep.rank(), n, b);
+        run_plan(ep, &plan, &input, b)
+    })
+    .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", plan.label()));
+    for (rank, result) in out.results.iter().enumerate() {
+        assert_eq!(
+            result,
+            &verify::index_expected(rank, n, b),
+            "{} n={n} b={b} k={k} rank={rank}",
+            plan.label()
+        );
+    }
+    let schedule = Schedule::of_index_plan(&plan, n, b, k)
+        .unwrap_or_else(|e| panic!("{} has no schedule: {e}", plan.label()));
+    schedule
+        .validate()
+        .unwrap_or_else(|e| panic!("{} invalid schedule: {e}", plan.label()));
+    let traced = Schedule::from_trace(&out.trace.unwrap(), n, k);
+    assert_eq!(
+        traced,
+        schedule.without_empty_rounds(),
+        "{} n={n} b={b} k={k}: executed ≠ planned",
+        plan.label()
+    );
+    let complexity = ScheduleStats::of(&schedule).complexity;
+    assert_eq!(
+        out.metrics.global_complexity().unwrap(),
+        complexity,
+        "{} n={n} b={b} k={k}",
+        plan.label()
+    );
+    assert_eq!(
+        Planner::new(&LinearModel::sp1()).index_complexity(&plan, n, k, b),
+        complexity,
+        "{} n={n} b={b} k={k}: planner's closed form ≠ schedule",
+        plan.label()
     );
 }
 
@@ -76,6 +125,34 @@ fn index_baselines_trace_equals_plan() {
     check_index(IndexAlgorithm::Pairwise, 8, 2, 1);
     check_index(IndexAlgorithm::Pairwise, 16, 2, 2);
     check_index(IndexAlgorithm::Hypercube, 8, 2, 1);
+}
+
+#[test]
+fn index_mixed_trace_equals_schedule() {
+    check_plan(IndexPlan::Mixed(vec![2, 3]), 6, 3, 1);
+    check_plan(IndexPlan::Mixed(vec![3, 2]), 6, 3, 1);
+    check_plan(IndexPlan::Mixed(vec![2, 2, 3]), 12, 2, 1);
+    check_plan(IndexPlan::Mixed(vec![3, 4]), 12, 2, 2);
+    check_plan(IndexPlan::Mixed(vec![4, 5]), 20, 2, 3);
+    check_plan(IndexPlan::Mixed(vec![2, 2, 3, 3]), 33, 4, 1);
+}
+
+#[test]
+fn index_hierarchical_trace_equals_schedule() {
+    for &(n, node_size, radix_local, radix_remote, k) in &[
+        (8usize, 2usize, 2usize, 2usize, 1usize),
+        (12, 3, 2, 4, 1),
+        (16, 4, 4, 4, 2),
+        (18, 6, 3, 3, 1),
+        (24, 4, 2, 3, 2),
+    ] {
+        let plan = IndexPlan::Hierarchical {
+            node_size,
+            radix_local,
+            radix_remote,
+        };
+        check_plan(plan, n, 2, k);
+    }
 }
 
 #[test]
