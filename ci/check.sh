@@ -99,6 +99,22 @@ cargo build -q --release -p bruck-bench
 ./target/release/bruckctl bench --n 8 --ports 2 --block 65536 --reps 3 \
     --samples 2 --min-mbps 380 --min-allgather-mbps 230
 
+# Figure files follow the code: regenerate every virtual-time artefact
+# under results/ (deterministic — virtual clock, seeded inputs) and fail
+# if one differs from what is committed. `calibrate.tsv` is a wall-clock
+# fit and differs on every run, so it is neither regenerated nor
+# compared. (`ablation.tsv` sat stale for a dozen PRs because nothing
+# looked.)
+cargo build -q --release -p bruck-bench --bin figures
+for fig in fig4 fig5 fig6 table1 bounds concat model-gap ablation mixed \
+    hierarchy pareto models schedules; do
+    ./target/release/figures "$fig" >/dev/null 2>&1
+done
+if ! git diff --exit-code -- results/ ':!results/calibrate.tsv'; then
+    echo "ci/check.sh: results/ is stale; commit the regenerated files" >&2
+    exit 1
+fi
+
 # No Zipf smoke and no scale sweep here: `sh benchmark/check.sh` (the
 # last line) runs the same paths oracle-checked on every lap —
 # `uds_skew_v` is alltoallv_auto on a seeded Zipf matrix at the old
@@ -117,6 +133,21 @@ timeout 300 cargo test -q --test tcp --test hierarchical
 # and the stream parser fed the same bytes under every cut.
 timeout 120 cargo test -q -p bruck-net --lib -- frame:: tcp::tests::stream_parser \
     tcp::tests::oversize_record tcp::tests::malformed_records
+# By name and in release (the build the tracked benchmark runs; built
+# outside the hard timeout), what the wake-by-signal fabric rests on:
+# the replay log hands a confirmed arena to the pool and a burst-end
+# "delivered N" record empties the peer's log; a drained fabric makes no
+# reactor pass; fresh allocations do not grow with the round count; the
+# first permute reads the caller's input in place on every plan family;
+# and the reactor alone (no workers) still heals, stalls and blocks.
+cargo test -q --release -p bruck-net --lib --no-run
+cargo test -q --release --test tcp --no-run
+timeout 120 cargo test -q --release -p bruck-net --lib -- tcp::tests::tx_log \
+    tcp::tests::burst_end tcp::tests::scale_cluster_matches \
+    tcp::tests::reset_mid_message tcp::tests::half_open_pair \
+    tcp::tests::full_outbox tcp::tests::blocked_sender
+timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations \
+    scale_run_moves
 
 # By name, what lowering and last-round planning rest on now that
 # neither keeps a table: every descriptor expanded against the

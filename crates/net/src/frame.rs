@@ -213,7 +213,9 @@ struct Reassembly {
 /// one payload buffer per message until it is whole, then surface as a
 /// [`Message`] in `parked`.
 pub(crate) struct Assembler {
-    rank: usize,
+    /// The destination stamped on a completed message. A stream end that
+    /// reassembles for every rank of its node sets it per frame.
+    pub(crate) rank: usize,
     pub(crate) parked: Parked,
     partial: HashMap<(usize, u64), Reassembly>,
     /// Where payload buffers come from and displaced ones go; `None`

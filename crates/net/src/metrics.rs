@@ -143,6 +143,10 @@ pub struct FabricStats {
     /// outbox's high-water mark waits instead (nothing above the fabric
     /// would re-drive a shed frame). Kept so stored results still parse.
     pub outbox_shed_bytes: u64,
+    /// Passes the reactor made over its pairs. It parks between passes
+    /// and is woken by whoever stages or writes, so a quiet fabric makes
+    /// none; a sweep-and-nap loop makes thousands a second.
+    pub reactor_passes: u64,
 }
 
 impl FabricStats {
@@ -160,6 +164,7 @@ impl FabricStats {
             injected_handshake_drops: self.injected_handshake_drops
                 + other.injected_handshake_drops,
             outbox_shed_bytes: self.outbox_shed_bytes + other.outbox_shed_bytes,
+            reactor_passes: self.reactor_passes + other.reactor_passes,
         }
     }
 }
@@ -428,6 +433,7 @@ mod tests {
             injected_stalls: 1,
             injected_handshake_drops: 4,
             outbox_shed_bytes: 128,
+            reactor_passes: 9,
         };
         let sum = a.merged(&a);
         assert_eq!(sum.link_failures, 4);
@@ -439,6 +445,7 @@ mod tests {
         assert_eq!(sum.injected_stalls, 2);
         assert_eq!(sum.injected_handshake_drops, 8);
         assert_eq!(sum.outbox_shed_bytes, 256);
+        assert_eq!(sum.reactor_passes, 18);
         assert_eq!(FabricStats::default().merged(&a), a);
     }
 

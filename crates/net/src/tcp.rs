@@ -18,17 +18,27 @@
 //!   header the datagram transport uses (see [`crate::frame`]), wrapped
 //!   in an 8-byte `[len, dst]` prefix so the stream demultiplexes by
 //!   destination rank.
-//! * **Reactor.** All streams run nonblocking and are driven by a
-//!   single reactor thread sweeping a readiness loop — the portable
-//!   stand-in for `poll(2)`, which `std` does not expose — flushing
-//!   per-link outboxes and decoding inbound frames into per-rank
-//!   mailboxes. Idle sweeps back off exponentially, so a quiet fabric
-//!   costs (almost) no CPU.
+//! * **Reactor.** All streams run nonblocking. One reactor thread owns
+//!   every pair's *lifecycle* (stall clock, reconnect, eviction, injected
+//!   faults) and passes over the pairs until a pass moves nothing; then
+//!   it parks. A loopback fabric owns both ends of every stream, so
+//!   "readable" is implied by "someone staged or wrote": a sender that
+//!   stages output, a helper that parks a link error and a shutdown
+//!   `unpark` it, a delivery `unpark`s the worker that owns the rank. A
+//!   timeout is kept only while a clock runs (a tick of 500 µs); a quiet
+//!   fabric makes no pass at all.
+//! * **Who drives a stream.** Each pair sits behind its own lock and a
+//!   connected pair's ends are swept — write, read, parse, deliver — by
+//!   whoever holds it: the reactor, or a scale worker that has receives
+//!   outstanding and nothing in its mailboxes (`FabricShared::help`,
+//!   `try_lock`, its own read chunk), so the byte-moving runs on every
+//!   core the run already holds and threads stay `workers + 1`. A pair
+//!   with nothing in flight is skipped, syscalls and all.
 //! * **Byte path.** A payload byte is moved by `memcpy`, once per hop:
 //!   packed from a rank's `work` into a pooled payload; framed — prefix,
-//!   header, bytes — straight into the pair's outbox (the payload goes
-//!   back to the pool there); written from the outbox to the kernel;
-//!   read into the reactor's one 64 KiB chunk, where every record that
+//!   header, bytes — straight into the pair's outbox arena (the payload
+//!   goes back to the pool there); written from the arena to the kernel;
+//!   read into the sweeper's 64 KiB chunk, where every record that
 //!   arrived whole is parsed in place; copied from the chunk to its
 //!   offset in a pooled payload ([`crate::frame`]); unpacked into the
 //!   receiver's `work` (and the payload returned). Only a record a read
@@ -37,9 +47,12 @@
 //!   small on purpose: the kernel copies into it while it sits in cache,
 //!   whereas reading straight into a large growing buffer lands every
 //!   byte in cold, just-zeroed memory (measured: reads 13.9 → 19.5 ms
-//!   per 8 MB lap). One [`BufferPool`] per fabric serves senders,
-//!   reactor and the scale executor's workers, so a run's rounds reuse
-//!   each other's buffers instead of faulting in fresh ones.
+//!   per 8 MB lap). One [`BufferPool`] per fabric serves senders, stream
+//!   ends and the scale executor's workers — arenas included: a drained
+//!   arena rides the replay log until the peer confirms it (at the end
+//!   of the read burst that delivered it), then goes to the pool, where
+//!   the next sender finds it — so a run's rounds reuse each other's
+//!   memory instead of faulting in fresh pages.
 //! * **Execution.** [`TcpScaleCluster`] interprets lowered
 //!   [`RankProgram`]s — the same programs `bruck-collectives` executes
 //!   on the threaded substrate — with a small worker pool: each worker
@@ -58,8 +71,9 @@
 //!
 //! * each stream end counts the whole records it has delivered and keeps
 //!   the records it has written until the peer confirms them (a 16-byte
-//!   in-band "delivered N" control record every `ACK_EVERY` records
-//!   bounds that log without a timer);
+//!   in-band "delivered N" control record when a read burst ends, and
+//!   every `ACK_EVERY` records inside one, bounds that log without a
+//!   timer);
 //! * a reconnect re-handshakes `pair id + delivered count` over the new
 //!   socket in both directions; each end drops the confirmed prefix and
 //!   replays the rest ahead of newer outbox data, so a healed stream
@@ -80,7 +94,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bruck_model::planner::IndexPlan;
@@ -99,7 +114,7 @@ use crate::mailbox::{MailSender, Mailbox};
 use crate::membership::Membership;
 use crate::message::{payload_checksum, Message, Tag};
 use crate::metrics::{FabricStats, RankMetrics, RunMetrics};
-use crate::pool::BufferPool;
+use crate::pool::{class_for, BufferPool};
 use crate::reliable::ReliableTransport;
 use crate::transport::{Delivery, Transport};
 
@@ -128,8 +143,10 @@ const HANDSHAKE_LEN: usize = 4 + 8;
 /// Reactor read chunk: one full frame's worth per `read` call.
 const READ_CHUNK: usize = HEADER + FRAG_PAYLOAD;
 
-/// Ceiling for the reactor's idle-sweep nap.
-const IDLE_NAP_MAX: Duration = Duration::from_micros(500);
+/// How long a parked thread sleeps while a clock it must watch is
+/// running (stall clock, reconnect backoff, armed fault, drain grace,
+/// deadline). Wake-ups are by `unpark`; this is only those clocks' tick.
+const TICK: Duration = Duration::from_micros(500);
 
 /// Default per-outage reconnect budget: attempts before a node pair is
 /// declared dead and a node-level eviction is raised.
@@ -214,6 +231,10 @@ fn mix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
 /// Index of the unordered node pair `(a, b)`, `a < b`, among the
 /// `nodes·(nodes−1)/2` pairs.
 fn pair_index(nodes: usize, a: usize, b: usize) -> usize {
@@ -250,6 +271,7 @@ struct FabricStatsShared {
     injected_resets: AtomicU64,
     injected_stalls: AtomicU64,
     injected_handshake_drops: AtomicU64,
+    reactor_passes: AtomicU64,
 }
 
 impl FabricStatsShared {
@@ -265,28 +287,55 @@ impl FabricStatsShared {
             injected_handshake_drops: self.injected_handshake_drops.load(Ordering::Relaxed),
             // Outboxes apply backpressure and never shed.
             outbox_shed_bytes: 0,
+            reactor_passes: self.reactor_passes.load(Ordering::Relaxed),
         }
     }
 }
 
-/// State shared between the rank transports (producers) and the reactor
-/// (consumer): one byte outbox per stream *end*, plus the first fabric
-/// error.
+/// One stream end's staging area: the arena senders frame into, and the
+/// senders parked on its high-water mark.
+#[derive(Default)]
+struct Outbox {
+    /// Whole records. Without capacity after a drain; the next sender
+    /// draws an arena from the pool.
+    buf: Vec<u8>,
+    /// Woken by whoever drains `buf`.
+    waiting: Vec<Thread>,
+}
+
+/// State shared between the rank transports (producers) and whoever
+/// drives the streams (the reactor, and workers that would otherwise
+/// wait), plus the first fabric error.
 struct FabricShared {
     node_size: usize,
+    nodes: usize,
     /// `2` outboxes per node pair: `[2p]` is written by the lower node
     /// of pair `p` (the connecting end), `[2p+1]` by the higher (the
     /// accepting end).
-    outboxes: Vec<Mutex<Vec<u8>>>,
-    /// Cheap has-data flags so the reactor skips locking idle outboxes.
+    outboxes: Vec<Mutex<Outbox>>,
+    /// Cheap has-data flags so a sweep skips locking idle outboxes. The
+    /// sender that raises one wakes the reactor.
     dirty: Vec<AtomicBool>,
+    /// The connection state machines, one lock each: a stream is driven
+    /// by whoever holds its pair.
+    pairs: Vec<Mutex<Pair>>,
+    /// Every rank's mailbox, and the thread to wake when something is
+    /// put in it (set by a scale worker for the ranks it owns; a rank
+    /// blocked in its own mailbox needs no wake-up).
+    peers: Vec<MailSender>,
+    owners: Vec<OnceLock<Thread>>,
+    reactor: OnceLock<Thread>,
+    /// Payload buffers and outbox arenas for everything the fabric
+    /// moves, and for whoever runs on it and wants its buffers back.
+    pool: Arc<BufferPool>,
+    /// The largest arena drained so far: what the next one starts at.
+    arena_hint: AtomicUsize,
     /// First wire error observed by the reactor; fails every subsequent
     /// send (and every idle wait of the scale executor) so the run
     /// aborts instead of hanging.
     error: Mutex<Option<String>>,
     /// Set once `error` is: the lock-free fast path of [`Self::check`].
     failed: AtomicBool,
-    nodes: usize,
     /// Outbox high-water mark: a sender waits while its outbox is at or
     /// past it, so a slow or reconnecting peer cannot grow one without
     /// bound.
@@ -303,6 +352,35 @@ struct FabricShared {
 }
 
 impl FabricShared {
+    fn new(
+        peers: Vec<MailSender>,
+        node_size: usize,
+        pairs: Vec<Pair>,
+        pool: Arc<BufferPool>,
+        config: &FabricConfig,
+    ) -> Self {
+        let npairs = pairs.len();
+        Self {
+            node_size,
+            nodes: peers.len() / node_size,
+            outboxes: (0..2 * npairs).map(|_| Mutex::default()).collect(),
+            dirty: (0..2 * npairs).map(|_| AtomicBool::new(false)).collect(),
+            pairs: pairs.into_iter().map(Mutex::new).collect(),
+            owners: peers.iter().map(|_| OnceLock::new()).collect(),
+            peers,
+            reactor: OnceLock::new(),
+            pool,
+            arena_hint: AtomicUsize::new(0),
+            error: Mutex::new(None),
+            failed: AtomicBool::new(false),
+            outbox_cap: config.outbox_cap,
+            pair_dead: (0..npairs).map(|_| AtomicBool::new(false)).collect(),
+            dead_nodes: Mutex::new(Vec::new()),
+            drain_grace_ns: AtomicU64::new(config.drain_grace.as_nanos() as u64),
+            stats: FabricStatsShared::default(),
+        }
+    }
+
     /// The outbox a message from `src_node` to `dst_node` is staged in.
     fn outbox_for(&self, src_node: usize, dst_node: usize) -> usize {
         if src_node < dst_node {
@@ -310,6 +388,50 @@ impl FabricShared {
         } else {
             2 * pair_index(self.nodes, dst_node, src_node) + 1
         }
+    }
+
+    fn wake_reactor(&self) {
+        if let Some(reactor) = self.reactor.get() {
+            reactor.unpark();
+        }
+    }
+
+    /// Put `msg` in its rank's mailbox and wake the worker that scans it.
+    /// A dropped receiver (aborted run) is not an error: same
+    /// fire-and-forget semantics as the channel transport.
+    fn deliver(&self, msg: Message) {
+        let dst = msg.dst;
+        let _ = self.peers[dst].send(msg);
+        if let Some(owner) = self.owners[dst].get() {
+            owner.unpark();
+        }
+    }
+
+    /// Drive every pair nobody else is driving and whose lifecycle is at
+    /// rest — what a worker does instead of waiting for the reactor to
+    /// move its bytes. Returns whether any moved.
+    fn help(&self, chunk: &mut [u8]) -> bool {
+        let mut moved = false;
+        for pair in &self.pairs {
+            let Ok(mut pair) = pair.try_lock() else {
+                continue;
+            };
+            if !pair.at_rest() || pair.settled(self) {
+                continue;
+            }
+            match pair.sweep(self, chunk) {
+                // Progress is progress, whoever made it: the half-open
+                // stall clock restarts.
+                Ok(true) => (moved, pair.idle_since) = (true, None),
+                Ok(false) => {}
+                // Teardown is the reactor's: park the error for it.
+                Err(e) => {
+                    pair.fault = Some(e);
+                    self.wake_reactor();
+                }
+            }
+        }
+        moved
     }
 
     fn fail(&self, msg: String) {
@@ -374,9 +496,6 @@ struct TxLog {
     rec: usize,
     /// Records written in full to the current or an earlier socket.
     written: u64,
-    /// A retired chunk's allocation, handed back as the senders' next
-    /// outbox arena.
-    spare: Vec<u8>,
 }
 
 impl TxLog {
@@ -413,11 +532,12 @@ impl TxLog {
         }
     }
 
-    /// The peer holds `n` records in total: retire the confirmed prefix.
-    /// A count outside `confirmed..=written` cannot come from a correct
+    /// The peer holds `n` records in total: retire the confirmed prefix,
+    /// handing every arena it empties to `pool` for the next sender. A
+    /// count outside `confirmed..=written` cannot come from a correct
     /// peer — below it, the records are gone; above it, they were never
     /// sent.
-    fn confirm(&mut self, n: u64) -> Result<(), HandshakeError> {
+    fn confirm(&mut self, n: u64, pool: &BufferPool) -> Result<(), HandshakeError> {
         if n < self.confirmed || n > self.written {
             return Err(HandshakeError::BadCount);
         }
@@ -428,13 +548,9 @@ impl TxLog {
             if self.head == front.len() {
                 // Wholly confirmed means wholly written, so the cursor
                 // is already in a later chunk.
-                let mut done = self.chunks.pop_front().expect("front chunk");
+                pool.recycle(self.chunks.pop_front().expect("front chunk"));
                 self.head = 0;
                 self.cur.0 -= 1;
-                if done.capacity() > self.spare.capacity() {
-                    done.clear();
-                    self.spare = done;
-                }
             }
         }
         Ok(())
@@ -443,8 +559,8 @@ impl TxLog {
     /// A fresh socket whose handshake says the peer holds `n` records:
     /// retire those and replay everything after them, ahead of any newer
     /// outbox data.
-    fn rewind(&mut self, n: u64) -> Result<(), HandshakeError> {
-        self.confirm(n)?;
+    fn rewind(&mut self, n: u64, pool: &BufferPool) -> Result<(), HandshakeError> {
+        self.confirm(n, pool)?;
         self.cur = (0, self.head);
         self.rec = self.head;
         self.written = self.confirmed;
@@ -452,9 +568,9 @@ impl TxLog {
     }
 }
 
-/// One end of a node pair's stream, owned by the reactor. Only `stream`,
-/// `rbuf` and a half-written control record die with a connection; the
-/// delivery state spans outages.
+/// One end of a node pair's stream, driven by whoever holds the pair's
+/// lock. Only `stream`, `rbuf` and a half-written control record die
+/// with a connection; the delivery state spans outages.
 struct End {
     /// The outbox this end transmits.
     idx: usize,
@@ -468,6 +584,9 @@ struct End {
     /// The head of the one inbound record a read stopped short of, if
     /// any; whole records are parsed where the read put them.
     rbuf: Vec<u8>,
+    /// Reassembles for every rank of this end's node: a message's
+    /// fragments all arrive on one end.
+    asm: Assembler,
     /// Whole data records this end has delivered to mailboxes.
     delivered: u64,
     /// The delivered count the peer last heard, by control record or
@@ -476,14 +595,14 @@ struct End {
 }
 
 impl End {
-    fn fresh(stream: TcpStream, idx: usize) -> Self {
+    fn fresh(stream: TcpStream, idx: usize, pool: &Arc<BufferPool>) -> Self {
         Self {
             stream: Some(stream),
-            ..Self::unconnected(idx)
+            ..Self::unconnected(idx, pool)
         }
     }
 
-    fn unconnected(idx: usize) -> Self {
+    fn unconnected(idx: usize, pool: &Arc<BufferPool>) -> Self {
         Self {
             idx,
             stream: None,
@@ -491,6 +610,7 @@ impl End {
             ctl: [0; CTL_LEN],
             ctl_at: CTL_LEN,
             rbuf: Vec::new(),
+            asm: Assembler::with_pool(0, Arc::clone(pool)),
             delivered: 0,
             reported: 0,
         }
@@ -499,6 +619,16 @@ impl End {
     /// Output staged for this end that no socket has taken yet.
     fn has_output(&self, shared: &FabricShared) -> bool {
         self.tx.pending() || shared.dirty[self.idx].load(Ordering::Acquire)
+    }
+
+    /// Nothing of this end's is anywhere between a sender and the peer's
+    /// mailboxes: no output, no half-read record, and every record it
+    /// wrote confirmed — so no byte of it can be in the kernel either.
+    fn settled(&self, shared: &FabricShared) -> bool {
+        !self.has_output(shared)
+            && self.ctl_at == CTL_LEN
+            && self.rbuf.is_empty()
+            && self.tx.written == self.tx.confirmed
     }
 
     /// Drop the connection and what cannot outlive it: the stream
@@ -511,8 +641,13 @@ impl End {
 
     /// Adopt a healed connection whose handshake said the peer holds
     /// `peer_holds` of this end's records (and told the peer our count).
-    fn reconnect(&mut self, stream: TcpStream, peer_holds: u64) -> Result<(), HandshakeError> {
-        self.tx.rewind(peer_holds)?;
+    fn reconnect(
+        &mut self,
+        stream: TcpStream,
+        peer_holds: u64,
+        pool: &BufferPool,
+    ) -> Result<(), HandshakeError> {
+        self.tx.rewind(peer_holds, pool)?;
         self.stream = Some(stream);
         self.reported = self.delivered;
         Ok(())
@@ -521,12 +656,12 @@ impl End {
     /// Take in the bytes one `read` returned. Every record that lies
     /// whole in `bytes` is parsed there; only a record the read stopped
     /// short of is copied, into `rbuf`, and finished by the next call.
-    fn ingest(&mut self, mut bytes: &[u8], ranks: &mut Ranks) -> Result<(), LinkErr> {
+    fn ingest(&mut self, mut bytes: &[u8], shared: &FabricShared) -> Result<(), LinkErr> {
         while !self.rbuf.is_empty() {
             let want = record_size(&self.rbuf)?.unwrap_or(STREAM_PREFIX);
             if self.rbuf.len() == want {
                 let record = std::mem::take(&mut self.rbuf);
-                let taken = self.record(&record, ranks);
+                let taken = self.record(&record, shared);
                 self.rbuf = record;
                 self.rbuf.clear();
                 taken?;
@@ -540,7 +675,7 @@ impl End {
             bytes = &bytes[more..];
         }
         while let Some(size) = record_size(bytes)?.filter(|&size| size <= bytes.len()) {
-            self.record(&bytes[..size], ranks)?;
+            self.record(&bytes[..size], shared)?;
             bytes = &bytes[size..];
         }
         self.rbuf.extend_from_slice(bytes);
@@ -549,11 +684,11 @@ impl End {
 
     /// Act on one whole record, prefix included: retire what a control
     /// record confirms, deliver a data record to its rank.
-    fn record(&mut self, record: &[u8], ranks: &mut Ranks) -> Result<(), LinkErr> {
+    fn record(&mut self, record: &[u8], shared: &FabricShared) -> Result<(), LinkErr> {
         let dst = u32::from_le_bytes(record[4..STREAM_PREFIX].try_into().expect("4 bytes"));
         let body = &record[STREAM_PREFIX..];
         if dst != CTL_DST {
-            ranks.deliver(dst as usize, body)?;
+            self.deliver(dst as usize, body, shared)?;
             self.delivered += 1;
             return Ok(());
         }
@@ -561,37 +696,29 @@ impl End {
             .try_into()
             .map_err(|_| LinkErr::Fatal(format!("control record of {} bytes", body.len())))?;
         let count = u64::from_le_bytes(count);
-        self.tx.confirm(count).map_err(|_| {
+        self.tx.confirm(count, &shared.pool).map_err(|_| {
             LinkErr::Fatal(format!(
                 "peer confirmed {count} records, window is {}..={}",
                 self.tx.confirmed, self.tx.written
             ))
         })
     }
-}
 
-/// Where inbound data records land: one reassembler and one mailbox per
-/// rank.
-struct Ranks {
-    asms: Vec<Assembler>,
-    senders: Vec<MailSender>,
-}
-
-impl Ranks {
-    /// Fold the frame in `body` into rank `dst`'s reassembler and hand
-    /// over what it completes.
-    fn deliver(&mut self, dst: usize, body: &[u8]) -> Result<(), LinkErr> {
-        let asm = self
-            .asms
-            .get_mut(dst)
-            .ok_or_else(|| LinkErr::Fatal(format!("frame addressed to unknown rank {dst}")))?;
+    /// Fold the frame in `body` into the reassembler on rank `dst`'s
+    /// behalf and hand over what it completes.
+    fn deliver(&mut self, dst: usize, body: &[u8], shared: &FabricShared) -> Result<(), LinkErr> {
+        if dst >= shared.peers.len() {
+            return Err(LinkErr::Fatal(format!(
+                "frame addressed to unknown rank {dst}"
+            )));
+        }
         let frame = decode_frame(body).map_err(|e| LinkErr::Fatal(format!("decode: {e}")))?;
-        asm.accept(frame)
+        self.asm.rank = dst;
+        self.asm
+            .accept(frame)
             .map_err(|why| LinkErr::Fatal(format!("frame for rank {dst}: {why}")))?;
-        while let Some(m) = asm.parked.pop_any() {
-            // A dropped receiver (aborted run) is not an error: same
-            // fire-and-forget semantics as the channel transport.
-            let _ = self.senders[dst].send(m);
+        while let Some(m) = self.asm.parked.pop_any() {
+            shared.deliver(m);
         }
         Ok(())
     }
@@ -609,8 +736,10 @@ enum ArmedKind {
 
 /// Connection state machine for one node pair:
 /// connected → reconnecting(backoff) → evicted. Both stream ends live
-/// here — the fabric is loopback, so the reactor owns both sides — but
-/// each end learns the other's delivered count only off the wire.
+/// here — the fabric is loopback, so one process owns both sides — but
+/// each end learns the other's delivered count only off the wire. Any
+/// thread may drive a connected pair's streams; every transition is the
+/// reactor's alone.
 struct Pair {
     p: usize,
     lo_node: usize,
@@ -620,6 +749,8 @@ struct Pair {
     /// Since when the connected pair has had output pending and moved
     /// no byte (half-open detection).
     idle_since: Option<Instant>,
+    /// A stream error a helping worker ran into, kept for the reactor.
+    fault: Option<LinkErr>,
     /// When the current outage began (backoff dwell accounting).
     down_since: Option<Instant>,
     /// Reconnect attempts made this outage.
@@ -642,13 +773,14 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(p: usize, lo_node: usize, hi_node: usize, lo: TcpStream, hi: TcpStream) -> Self {
+    fn new(p: usize, lo_node: usize, hi_node: usize, ends: [End; 2]) -> Self {
         Self {
             p,
             lo_node,
             hi_node,
-            ends: [End::fresh(lo, 2 * p), End::fresh(hi, 2 * p + 1)],
+            ends,
             idle_since: None,
+            fault: None,
             down_since: None,
             attempts: 0,
             next_attempt: Instant::now(),
@@ -666,6 +798,22 @@ impl Pair {
         self.ends[0].stream.is_some()
     }
 
+    /// Connected with no transition due or under way: the state in which
+    /// a thread other than the reactor may drive the streams.
+    fn at_rest(&self) -> bool {
+        self.connected()
+            && !self.dead
+            && self.fault.is_none()
+            && self.stall_until.is_none()
+            && self.armed.is_empty()
+    }
+
+    /// Both ends settled: a sweep would find nothing to write and
+    /// nothing to read, so it is skipped, syscalls and all.
+    fn settled(&self, shared: &FabricShared) -> bool {
+        self.ends.iter().all(|e| e.settled(shared))
+    }
+
     fn disconnect(&mut self) {
         for end in &mut self.ends {
             end.disconnect();
@@ -680,6 +828,19 @@ impl Pair {
         let now = Instant::now();
         now.duration_since(*self.idle_since.get_or_insert(now)) >= limit
     }
+
+    /// Write/read/parse both connected stream ends. Returns whether any
+    /// bytes moved.
+    fn sweep(&mut self, shared: &FabricShared, chunk: &mut [u8]) -> Result<bool, LinkErr> {
+        let mut moved = false;
+        for end in &mut self.ends {
+            let mut stream = end.stream.take().expect("swept while connected");
+            let swept = end.sweep(&mut stream, shared, chunk);
+            end.stream = Some(stream);
+            moved |= swept?;
+        }
+        Ok(moved)
+    }
 }
 
 /// Why a link sweep stopped early.
@@ -692,76 +853,34 @@ enum LinkErr {
     Fatal(String),
 }
 
-/// Write/read/parse one connected stream end. Returns whether any bytes
-/// moved.
-fn sweep_end(
-    shared: &FabricShared,
-    end: &mut End,
-    chunk: &mut [u8],
-    ranks: &mut Ranks,
-) -> Result<bool, LinkErr> {
-    let mut stream = end.stream.take().expect("swept while connected");
-    let swept = end.sweep(&mut stream, shared, chunk, ranks);
-    end.stream = Some(stream);
-    swept
-}
-
 impl End {
     fn sweep(
         &mut self,
         stream: &mut TcpStream,
         shared: &FabricShared,
         chunk: &mut [u8],
-        ranks: &mut Ranks,
     ) -> Result<bool, LinkErr> {
-        let mut moved = false;
         // Refill the log from the outbox once everything older is
-        // written (allocation swap: a retired chunk goes back as the
-        // senders' next arena).
-        let tx = &mut self.tx;
-        if !tx.pending() && shared.dirty[self.idx].swap(false, Ordering::AcqRel) {
-            let mut staged = std::mem::take(&mut tx.spare);
-            std::mem::swap(
-                &mut *shared.outboxes[self.idx].lock().expect("outbox lock"),
-                &mut staged,
-            );
-            if staged.is_empty() {
-                tx.spare = staged;
-            } else {
-                tx.chunks.push_back(staged);
+        // written. The arena goes with the bytes: the log hands it to
+        // the pool when the peer confirms them, and the next sender
+        // draws one from there.
+        if !self.tx.pending() && shared.dirty[self.idx].swap(false, Ordering::AcqRel) {
+            let mut outbox = shared.outboxes[self.idx].lock().expect("outbox lock");
+            if !outbox.buf.is_empty() {
+                shared
+                    .arena_hint
+                    .fetch_max(outbox.buf.len(), Ordering::Relaxed);
+                self.tx.chunks.push_back(std::mem::take(&mut outbox.buf));
             }
+            outbox.waiting.drain(..).for_each(|sender| sender.unpark());
         }
-        loop {
-            // A control record goes out between two data records, and
-            // once begun is finished before anything else.
-            let ctl_due = self.ctl_at < CTL_LEN && (self.ctl_at > 0 || tx.at_boundary());
-            let buf = if ctl_due {
-                &self.ctl[self.ctl_at..]
-            } else if tx.pending() {
-                tx.unwritten()
-            } else {
-                break;
-            };
-            match stream.write(buf) {
-                Ok(0) => return Err(LinkErr::Io("stream closed mid-write".into())),
-                Ok(k) => {
-                    if ctl_due {
-                        self.ctl_at += k;
-                    } else {
-                        tx.advance(k);
-                    }
-                    moved = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(LinkErr::Io(format!("write: {e}"))),
-            }
-        }
+        let mut moved = self.flush(stream)?;
         loop {
             match stream.read(chunk) {
                 Ok(0) => return Err(LinkErr::Io("stream EOF".into())),
                 Ok(k) => {
-                    self.ingest(&chunk[..k], ranks)?;
+                    self.ingest(&chunk[..k], shared)?;
+                    self.report(ACK_EVERY);
                     moved = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -769,21 +888,66 @@ impl End {
                 Err(e) => return Err(LinkErr::Io(format!("read: {e}"))),
             }
         }
-        if self.delivered - self.reported >= ACK_EVERY && self.ctl_at == CTL_LEN {
-            self.ctl[..4].copy_from_slice(&8u32.to_le_bytes());
-            self.ctl[4..8].copy_from_slice(&CTL_DST.to_le_bytes());
-            self.ctl[8..].copy_from_slice(&self.delivered.to_le_bytes());
-            self.ctl_at = 0;
-            self.reported = self.delivered;
+        // The burst is over: say what it delivered now, so the peer's
+        // log retires this round's arenas in time for the next round.
+        self.report(1);
+        if self.ctl_at < CTL_LEN {
+            moved |= self.flush(stream)?;
         }
         Ok(moved)
     }
+
+    /// Queue a "delivered N" control record once `after` records went
+    /// unreported (and none is on its way out). In-band fabric framing,
+    /// not ARQ traffic: no timer, no retransmission, no `LinkStats`.
+    fn report(&mut self, after: u64) -> bool {
+        if self.delivered - self.reported < after || self.ctl_at < CTL_LEN {
+            return false;
+        }
+        self.ctl[..4].copy_from_slice(&8u32.to_le_bytes());
+        self.ctl[4..8].copy_from_slice(&CTL_DST.to_le_bytes());
+        self.ctl[8..].copy_from_slice(&self.delivered.to_le_bytes());
+        self.ctl_at = 0;
+        self.reported = self.delivered;
+        true
+    }
+
+    /// Write what the socket takes of the log and of a due control
+    /// record. Returns whether it took anything.
+    fn flush(&mut self, stream: &mut TcpStream) -> Result<bool, LinkErr> {
+        let mut moved = false;
+        loop {
+            // A control record goes out between two data records, and
+            // once begun is finished before anything else.
+            let ctl_due = self.ctl_at < CTL_LEN && (self.ctl_at > 0 || self.tx.at_boundary());
+            let buf = if ctl_due {
+                &self.ctl[self.ctl_at..]
+            } else if self.tx.pending() {
+                self.tx.unwritten()
+            } else {
+                return Ok(moved);
+            };
+            match stream.write(buf) {
+                Ok(0) => return Err(LinkErr::Io("stream closed mid-write".into())),
+                Ok(k) => {
+                    if ctl_due {
+                        self.ctl_at += k;
+                    } else {
+                        self.tx.advance(k);
+                    }
+                    moved = true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(moved),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(LinkErr::Io(format!("write: {e}"))),
+            }
+        }
+    }
 }
 
-/// Everything the reactor thread owns besides the pairs themselves.
+/// What the reactor thread owns: the lifecycle policy of the pairs.
 struct Reactor {
     shared: Arc<FabricShared>,
-    ranks: Ranks,
     /// Kept for reconnects; `None` disables healing.
     listener: Option<(TcpListener, SocketAddr)>,
     heal: bool,
@@ -822,8 +986,7 @@ impl Reactor {
         let Some(clock) = &self.round_clock else {
             return u64::MAX;
         };
-        let n = self.ranks.senders.len();
-        (0..n)
+        (0..self.shared.peers.len())
             .filter(|&r| self.detector.as_ref().is_none_or(|d| !d.is_dead(r)))
             .map(|r| clock.completed(r))
             .min()
@@ -839,29 +1002,23 @@ impl Reactor {
         pair.down_since = Some(Instant::now());
         pair.attempts = 0;
         pair.next_attempt = Instant::now();
-        self.shared
-            .stats
-            .link_failures
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.stats.link_failures, 1);
         if injected {
-            self.shared
-                .stats
-                .injected_resets
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.stats.injected_resets, 1);
         }
     }
 
     /// Budget exhausted: kill the pair, pick the victim node (the one
     /// with more dead pairs; ties to the higher id), publish its ranks
-    /// to the failure detector, and blackhole every pair touching it.
-    fn evict(&mut self, pairs: &mut [Pair], at: usize) {
-        let (lo, hi) = (pairs[at].lo_node, pairs[at].hi_node);
-        pairs[at].dead = true;
-        self.shared.pair_dead[pairs[at].p].store(true, Ordering::Relaxed);
-        self.shared
-            .stats
-            .pairs_evicted
-            .fetch_add(1, Ordering::Relaxed);
+    /// to the failure detector, and blackhole every pair touching it —
+    /// one pair lock at a time, the exhausted pair's released first.
+    fn evict(&mut self, mut pair: MutexGuard<'_, Pair>) {
+        let shared = Arc::clone(&self.shared);
+        let (lo, hi) = (pair.lo_node, pair.hi_node);
+        pair.dead = true;
+        shared.pair_dead[pair.p].store(true, Ordering::Relaxed);
+        drop(pair);
+        bump(&shared.stats.pairs_evicted, 1);
         self.node_dead[lo] += 1;
         self.node_dead[hi] += 1;
         let victim = if self.node_dead[lo] > self.node_dead[hi] {
@@ -870,24 +1027,25 @@ impl Reactor {
             hi
         };
         {
-            let mut dead = self.shared.dead_nodes.lock().expect("dead nodes lock");
+            let mut dead = shared.dead_nodes.lock().expect("dead nodes lock");
             if !dead.contains(&victim) {
                 dead.push(victim);
             }
         }
         if let Some(detector) = &self.detector {
-            let ns = self.shared.node_size;
+            let ns = shared.node_size;
             for rank in victim * ns..(victim + 1) * ns {
                 detector.mark_dead(rank);
             }
         }
         // Remaining traffic to the victim is pointless: blackhole its
         // other pairs so they stop gating drain and stop reconnecting.
-        for other in pairs.iter_mut() {
+        for other in &shared.pairs {
+            let mut other = other.lock().expect("pair lock");
             if !other.dead && (other.lo_node == victim || other.hi_node == victim) {
                 other.dead = true;
                 other.disconnect();
-                self.shared.pair_dead[other.p].store(true, Ordering::Relaxed);
+                shared.pair_dead[other.p].store(true, Ordering::Relaxed);
             }
         }
     }
@@ -895,16 +1053,13 @@ impl Reactor {
     /// One reconnect attempt for a downed pair: connect, exchange pair
     /// id and delivered counts over the new socket, rewind each end's
     /// log to what its peer holds. Consumes injected handshake faults
-    /// and fires pending flaps. Every failure burns one budget attempt.
-    fn try_reconnect(&mut self, pairs: &mut [Pair], at: usize) {
-        let pair = &mut pairs[at];
+    /// and fires pending flaps. Every failure burns one budget attempt;
+    /// returns whether that was the last one.
+    fn try_reconnect(&mut self, pair: &mut Pair) -> bool {
         pair.attempts += 1;
         let injected = pair.hs_drops_left > 0 || pair.hs_garbles_left > 0;
         if injected {
-            self.shared
-                .stats
-                .injected_handshake_drops
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.stats.injected_handshake_drops, 1);
         }
         let outcome = if pair.hs_drops_left > 0 {
             pair.hs_drops_left -= 1;
@@ -925,8 +1080,8 @@ impl Reactor {
                 garble,
             )
             .and_then(|([lo, hi], heard)| {
-                pair.ends[0].reconnect(lo, heard[0])?;
-                pair.ends[1].reconnect(hi, heard[1])
+                pair.ends[0].reconnect(lo, heard[0], &self.shared.pool)?;
+                pair.ends[1].reconnect(hi, heard[1], &self.shared.pool)
             })
         };
         match outcome {
@@ -935,11 +1090,8 @@ impl Reactor {
                     .down_since
                     .take()
                     .map_or(0, |t| t.elapsed().as_nanos() as u64);
-                self.shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .stats
-                    .backoff_ns
-                    .fetch_add(down, Ordering::Relaxed);
+                bump(&self.shared.stats.reconnects, 1);
+                bump(&self.shared.stats.backoff_ns, down);
                 pair.attempts = 0;
                 if pair.flaps_left > 0 {
                     // Flapping link: the heal itself triggers the next
@@ -947,19 +1099,16 @@ impl Reactor {
                     pair.flaps_left -= 1;
                     self.teardown(pair, true);
                 }
+                false
             }
             Err(_) => {
                 pair.disconnect();
-                self.shared
-                    .stats
-                    .reconnect_failures
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.stats.reconnect_failures, 1);
                 if pair.attempts >= self.budget {
-                    self.evict(pairs, at);
-                } else {
-                    let wait = self.backoff(pair.attempts);
-                    pair.next_attempt = Instant::now() + wait;
+                    return true;
                 }
+                pair.next_attempt = Instant::now() + self.backoff(pair.attempts);
+                false
             }
         }
     }
@@ -1107,58 +1256,61 @@ fn reconnect_handshake(
     Ok(([lo, hi], [lo_heard, hi_heard]))
 }
 
-/// The readiness sweep: flush every dirty outbox, drain every readable
-/// stream, decode frames, reassemble, deliver to per-rank mailboxes —
-/// and, when healing, drive every pair's connection state machine.
-fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
+/// The reactor: pass over the pairs — fire due faults, run the stall
+/// clock, reconnect, and drive whichever connected pair has bytes to
+/// move — until a pass moves nothing, then park. Whoever stages output,
+/// parks a link error or asks for shutdown unparks it; while a clock is
+/// running it wakes every [`TICK`] to look at it.
+fn reactor_loop(mut rx: Reactor, shutdown: &AtomicBool) {
+    let shared = Arc::clone(&rx.shared);
     let mut chunk = vec![0u8; READ_CHUNK];
-    let mut idle: u32 = 0;
     let mut shutdown_seen: Option<Instant> = None;
     loop {
+        bump(&shared.stats.reactor_passes, 1);
         let mut moved = false;
         let mut drained = true;
-        let has_armed = pairs.iter().any(|p| !p.armed.is_empty());
-        let cur_round = if has_armed { rx.current_round() } else { 0 };
-        for at in 0..pairs.len() {
-            if pairs[at].dead {
+        // A clock is running somewhere: park with a timeout.
+        let mut ticking = false;
+        let mut cur_round = None;
+        for slot in &shared.pairs {
+            let mut guard = slot.lock().expect("pair lock");
+            let pair = &mut *guard;
+            if pair.dead {
                 continue; // blackholed: never gates drain
             }
             // Fire round-gated injected socket events.
-            if !pairs[at].armed.is_empty() {
+            if !pair.armed.is_empty() {
+                let cur_round = *cur_round.get_or_insert_with(|| rx.current_round());
+                let (due, later) = std::mem::take(&mut pair.armed)
+                    .into_iter()
+                    .partition(|&(round, _)| round <= cur_round);
+                pair.armed = later;
                 let mut fired_reset = false;
-                let pair = &mut pairs[at];
-                let mut i = 0;
-                while i < pair.armed.len() {
-                    if pair.armed[i].0 <= cur_round {
-                        match pair.armed.swap_remove(i).1 {
-                            ArmedKind::Reset => fired_reset = true,
-                            ArmedKind::Flap(flaps) => {
-                                fired_reset = true;
-                                pair.flaps_left += flaps;
-                            }
-                            ArmedKind::Stall(d) => {
-                                pair.stall_until = Some(Instant::now() + d);
-                                rx.shared
-                                    .stats
-                                    .injected_stalls
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
+                for (_, kind) in due {
+                    match kind {
+                        ArmedKind::Reset => fired_reset = true,
+                        ArmedKind::Flap(flaps) => {
+                            fired_reset = true;
+                            pair.flaps_left += flaps;
                         }
-                    } else {
-                        i += 1;
+                        ArmedKind::Stall(d) => {
+                            pair.stall_until = Some(Instant::now() + d);
+                            bump(&shared.stats.injected_stalls, 1);
+                        }
                     }
                 }
-                if fired_reset && pairs[at].connected() {
-                    rx.teardown(&mut pairs[at], true);
+                if fired_reset && pair.connected() {
+                    rx.teardown(pair, true);
                 }
+                ticking |= !pair.armed.is_empty();
             }
             // Half-open stall: the link looks alive but moves nothing.
             // Like the real thing it is noticed only by how long output
             // has sat still.
-            if let Some(until) = pairs[at].stall_until {
+            if let Some(until) = pair.stall_until {
                 if Instant::now() < until {
-                    let pair = &mut pairs[at];
-                    if pair.ends.iter().any(|e| e.has_output(&rx.shared)) {
+                    ticking = true;
+                    if pair.ends.iter().any(|e| e.has_output(&shared)) {
                         drained = false;
                         if pair.connected() && rx.heal && pair.stuck_for(rx.handshake_timeout) {
                             rx.teardown(pair, false);
@@ -1168,34 +1320,33 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                     }
                     continue;
                 }
-                pairs[at].stall_until = None;
+                pair.stall_until = None;
             }
-            if !pairs[at].connected() {
+            if !pair.connected() {
                 // Reconnecting: traffic for the pair is parked in its
                 // outboxes and logs, so the fabric is not drained.
-                if pairs[at].ends.iter().any(|e| e.has_output(&rx.shared)) {
+                if pair.ends.iter().any(|e| e.has_output(&shared)) {
                     drained = false;
                 }
-                if rx.heal && Instant::now() >= pairs[at].next_attempt {
-                    rx.try_reconnect(&mut pairs, at);
+                ticking |= rx.heal;
+                if rx.heal && Instant::now() >= pair.next_attempt {
                     moved = true;
+                    if rx.try_reconnect(pair) {
+                        rx.evict(guard);
+                    }
                 }
                 continue;
             }
-            let mut failed: Option<LinkErr> = None;
+            let mut failed = pair.fault.take();
             let mut pair_moved = false;
-            for end in &mut pairs[at].ends {
-                match sweep_end(&rx.shared, end, &mut chunk, &mut rx.ranks) {
-                    Ok(m) => pair_moved |= m,
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
+            if failed.is_none() && !pair.settled(&shared) {
+                match pair.sweep(&shared, &mut chunk) {
+                    Ok(m) => pair_moved = m,
+                    Err(e) => failed = Some(e),
                 }
             }
             moved |= pair_moved;
-            let pair = &mut pairs[at];
-            let has_output = pair.ends.iter().any(|e| e.has_output(&rx.shared));
+            let has_output = pair.ends.iter().any(|e| e.has_output(&shared));
             if failed.is_none() && has_output && !pair_moved {
                 // Connected, output pending, and not a byte moved in
                 // either direction: a half-open peer. Give it the time
@@ -1211,19 +1362,20 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
             }
             match failed {
                 Some(LinkErr::Fatal(msg)) => {
-                    rx.shared.fail(msg);
+                    shared.fail(msg);
                     return;
                 }
                 Some(LinkErr::Io(msg)) => {
                     if rx.heal {
                         rx.teardown(pair, false);
                         drained = false;
+                        moved = true;
                     } else if msg == "stream EOF" {
                         // Healing off: peer end torn down, nothing more
                         // will come on this stream (legacy shutdown
                         // race) — not an error.
                     } else {
-                        rx.shared.fail(msg);
+                        shared.fail(msg);
                         return;
                     }
                 }
@@ -1231,28 +1383,28 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
                     if has_output || pair.ends.iter().any(|e| !e.rbuf.is_empty()) {
                         drained = false;
                     }
+                    // Bytes or a confirmation still in flight: look
+                    // again soon even if nobody says so.
+                    ticking |= !pair.settled(&shared);
                 }
             }
         }
         if shutdown.load(Ordering::Acquire) {
             let seen = *shutdown_seen.get_or_insert_with(Instant::now);
-            if drained || seen.elapsed() > rx.shared.drain_grace() {
+            if drained || seen.elapsed() > shared.drain_grace() {
                 return;
             }
+            ticking = true;
         }
         if moved {
-            idle = 0;
+            continue;
+        }
+        // Nothing was ready anywhere. With no clock running the next
+        // thing to happen is somebody else's doing, and they will say.
+        if ticking {
+            std::thread::park_timeout(TICK);
         } else {
-            // Nothing was ready anywhere: back off so a quiet fabric
-            // does not spin a core, but stay well under the reliability
-            // layer's RTO so a wakeup never looks like loss.
-            idle = idle.saturating_add(1);
-            if idle < 8 {
-                std::thread::yield_now();
-            } else {
-                let nap = Duration::from_micros(50 << (idle - 8).min(4));
-                std::thread::sleep(nap.min(IDLE_NAP_MAX));
-            }
+            std::thread::park();
         }
     }
 }
@@ -1264,9 +1416,6 @@ fn reactor_loop(mut rx: Reactor, mut pairs: Vec<Pair>, shutdown: &AtomicBool) {
 /// outstanding outboxes and joins the reactor.
 pub struct TcpFabric {
     shared: Arc<FabricShared>,
-    /// Payload buffers for everything the fabric moves, and for whoever
-    /// runs on it and wants its buffers to come back.
-    pool: Arc<BufferPool>,
     stop: Arc<AtomicBool>,
     reactor: Option<std::thread::JoinHandle<()>>,
 }
@@ -1318,6 +1467,10 @@ impl TcpFabric {
         // accepted stream is never mismatched.
         let mut pairs = Vec::with_capacity(npairs);
         let mut keep_listener = None;
+        // One pool per fabric: a sender returns a payload once it is
+        // framed into an arena, a stream end lands inbound frames in
+        // buffers from the same shelves and retires arenas to them.
+        let pool = Arc::new(BufferPool::new());
         if npairs > 0 {
             let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(app("tcp bind"))?;
             let addr = listener.local_addr().map_err(app("tcp local_addr"))?;
@@ -1338,7 +1491,11 @@ impl TcpFabric {
                         s.set_nonblocking(true)
                             .map_err(app("tcp set_nonblocking"))?;
                     }
-                    pairs.push(Pair::new(p, a, b, lo, hi));
+                    let ends = [
+                        End::fresh(lo, 2 * p, &pool),
+                        End::fresh(hi, 2 * p + 1, &pool),
+                    ];
+                    pairs.push(Pair::new(p, a, b, ends));
                     p += 1;
                 }
             }
@@ -1355,79 +1512,36 @@ impl TcpFabric {
         // Arm injected socket-level events: rank pairs map to node
         // pairs (intra-node events are meaningless here and ignored).
         for fault in config.faults.socket_faults() {
-            let (src, dst, arm) = match *fault {
-                SocketFault::Reset { src, dst, round } => {
-                    (src, dst, Some((round, ArmedKind::Reset)))
-                }
-                SocketFault::HalfOpen {
-                    src,
-                    dst,
-                    round,
-                    millis,
-                } => (
-                    src,
-                    dst,
-                    Some((round, ArmedKind::Stall(Duration::from_millis(millis)))),
-                ),
-                SocketFault::Flap {
-                    src,
-                    dst,
-                    round,
-                    flaps,
-                } => (src, dst, Some((round, ArmedKind::Flap(flaps)))),
-                SocketFault::HandshakeDrop { src, dst, drops } => {
-                    if let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) {
-                        pair.hs_drops_left += drops;
-                    }
-                    (src, dst, None)
-                }
-                SocketFault::HandshakeGarble {
-                    src,
-                    dst,
-                    seed,
-                    count,
-                } => {
-                    if let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) {
-                        pair.hs_garbles_left += count;
-                        pair.hs_garble_seed ^= seed;
-                    }
-                    (src, dst, None)
-                }
+            let (SocketFault::Reset { src, dst, .. }
+            | SocketFault::HalfOpen { src, dst, .. }
+            | SocketFault::Flap { src, dst, .. }
+            | SocketFault::HandshakeDrop { src, dst, .. }
+            | SocketFault::HandshakeGarble { src, dst, .. }) = *fault;
+            let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) else {
+                continue;
             };
-            if let Some(arm) = arm {
-                if let Some(pair) = pair_for(&mut pairs, nodes, node_size, src, dst) {
-                    pair.armed.push(arm);
+            match *fault {
+                SocketFault::Reset { round, .. } => pair.armed.push((round, ArmedKind::Reset)),
+                SocketFault::HalfOpen { round, millis, .. } => {
+                    let stall = ArmedKind::Stall(Duration::from_millis(millis));
+                    pair.armed.push((round, stall));
+                }
+                SocketFault::Flap { round, flaps, .. } => {
+                    pair.armed.push((round, ArmedKind::Flap(flaps)));
+                }
+                SocketFault::HandshakeDrop { drops, .. } => pair.hs_drops_left += drops,
+                SocketFault::HandshakeGarble { seed, count, .. } => {
+                    pair.hs_garbles_left += count;
+                    pair.hs_garble_seed ^= seed;
                 }
             }
         }
 
-        let shared = Arc::new(FabricShared {
-            node_size,
-            outboxes: (0..2 * npairs).map(|_| Mutex::new(Vec::new())).collect(),
-            dirty: (0..2 * npairs).map(|_| AtomicBool::new(false)).collect(),
-            error: Mutex::new(None),
-            failed: AtomicBool::new(false),
-            nodes,
-            outbox_cap: config.outbox_cap,
-            pair_dead: (0..npairs).map(|_| AtomicBool::new(false)).collect(),
-            dead_nodes: Mutex::new(Vec::new()),
-            drain_grace_ns: AtomicU64::new(config.drain_grace.as_nanos() as u64),
-            stats: FabricStatsShared::default(),
-        });
+        let shared = Arc::new(FabricShared::new(senders, node_size, pairs, pool, &config));
         let stop = Arc::new(AtomicBool::new(false));
-        // One pool per fabric: a sender returns a payload once it is
-        // framed into an outbox, the reactor lands inbound frames in
-        // buffers from the same shelves.
-        let pool = Arc::new(BufferPool::new());
         let reactor = if npairs > 0 {
             let rx = Reactor {
                 shared: Arc::clone(&shared),
-                ranks: Ranks {
-                    asms: (0..n)
-                        .map(|rank| Assembler::with_pool(rank, Arc::clone(&pool)))
-                        .collect(),
-                    senders: senders.clone(),
-                },
                 listener: keep_listener,
                 heal: config.heal,
                 budget: config.reconnect_budget.max(1),
@@ -1440,12 +1554,13 @@ impl TcpFabric {
                 node_dead: vec![0; nodes],
             };
             let stop2 = Arc::clone(&stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("bruck-tcp-reactor".into())
-                    .spawn(move || reactor_loop(rx, pairs, &stop2))
-                    .map_err(|e| NetError::App(format!("spawn reactor: {e}")))?,
-            )
+            let handle = std::thread::Builder::new()
+                .name("bruck-tcp-reactor".into())
+                .spawn(move || reactor_loop(rx, &stop2))
+                .map_err(|e| NetError::App(format!("spawn reactor: {e}")))?;
+            // Known before the first sender exists: no wake-up is lost.
+            let _ = shared.reactor.set(handle.thread().clone());
+            Some(handle)
         } else {
             None
         };
@@ -1456,10 +1571,8 @@ impl TcpFabric {
             .map(|(rank, mailbox)| TcpRankTransport {
                 rank,
                 node: rank / node_size,
-                peers: senders.clone(),
                 mailbox,
                 shared: Arc::clone(&shared),
-                pool: Arc::clone(&pool),
                 next_msg_id: 0,
                 deadline: Deadline::new(),
             })
@@ -1467,7 +1580,6 @@ impl TcpFabric {
         Ok((
             Self {
                 shared,
-                pool,
                 stop,
                 reactor,
             },
@@ -1530,6 +1642,7 @@ impl TcpFabric {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
+        self.shared.wake_reactor();
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
@@ -1544,9 +1657,8 @@ impl Drop for TcpFabric {
 
 /// Append `msg` to a stream outbox as one record per fragment — prefix,
 /// frame header (`head` with the fragment's index), the fragment's bytes
-/// — each written once, where the reactor will hand it to the kernel.
+/// — each written once, where a sweep will hand it to the kernel.
 fn stage(outbox: &mut Vec<u8>, msg: &Message, mut head: FrameHeader) {
-    outbox.reserve(head.frag_count as usize * (STREAM_PREFIX + HEADER) + msg.payload.len());
     for idx in 0..head.frag_count {
         head.frag_idx = idx;
         let chunk = fragment(&msg.payload, idx);
@@ -1559,15 +1671,12 @@ fn stage(outbox: &mut Vec<u8>, msg: &Message, mut head: FrameHeader) {
 
 /// A rank's connection to the TCP fabric: intra-node sends go straight
 /// to the destination mailbox, inter-node sends are framed into the
-/// node-pair stream's outbox for the reactor to flush.
+/// node-pair stream's outbox for the next sweep to flush.
 pub struct TcpRankTransport {
     rank: usize,
     node: usize,
-    peers: Vec<MailSender>,
     mailbox: Mailbox,
     shared: Arc<FabricShared>,
-    /// Where a payload goes once it is framed into an outbox.
-    pool: Arc<BufferPool>,
     next_msg_id: u64,
     /// Completion budget checked while a send waits on a full outbox.
     deadline: Deadline,
@@ -1598,41 +1707,61 @@ impl TcpRankTransport {
 
 impl Transport for TcpRankTransport {
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
-        self.shared.check()?;
-        let dst_node = msg.dst / self.shared.node_size;
+        let shared = &*self.shared;
+        shared.check()?;
+        let dst_node = msg.dst / shared.node_size;
         if dst_node == self.node {
             // Intra-node fast path: no serialization, no syscalls.
-            let _ = self.peers[msg.dst].send(msg);
+            shared.deliver(msg);
             return Ok(());
         }
         let head = FrameHeader::first(&msg, self.next_msg_id)?;
         self.next_msg_id += 1;
-        let outbox_idx = self.shared.outbox_for(self.node, dst_node);
+        let outbox_idx = shared.outbox_for(self.node, dst_node);
         // Backpressure: wait while the outbox is at its high-water mark.
-        // The reactor drains it whenever the pair is connected, so the
-        // wait ends with room, with the pair's death, with the fabric's
-        // failure, or with the deadline — never with a dropped frame.
+        // A sweep drains it whenever the pair is connected and wakes the
+        // waiters, so the wait ends with room, with the pair's death,
+        // with the fabric's failure, or with the deadline — never with a
+        // dropped frame.
         let mut outbox = loop {
-            if self.shared.pair_dead[outbox_idx / 2].load(Ordering::Relaxed) {
+            if shared.pair_dead[outbox_idx / 2].load(Ordering::Relaxed) {
                 // Evicted pair: blackhole. The failure detector already
                 // carries the node-level verdict; senders must not wedge.
                 return Ok(());
             }
-            let outbox = self.shared.outboxes[outbox_idx]
-                .lock()
-                .expect("outbox lock");
-            if outbox.len() < self.shared.outbox_cap {
+            let mut outbox = shared.outboxes[outbox_idx].lock().expect("outbox lock");
+            if outbox.buf.len() < shared.outbox_cap {
                 break outbox;
             }
+            let me = std::thread::current();
+            if outbox.waiting.iter().all(|t| t.id() != me.id()) {
+                outbox.waiting.push(me);
+            }
             drop(outbox);
-            self.shared.check()?;
+            shared.check()?;
             self.deadline.check(self.rank)?;
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::park_timeout(TICK);
         };
-        stage(&mut outbox, &msg, head);
+        // Room for the records, by size class: a drained outbox draws
+        // its arena from the pool (at the size the last one reached), so
+        // a round's arenas are the previous round's, already faulted in.
+        let arena = &mut outbox.buf;
+        let need =
+            arena.len() + head.frag_count as usize * (STREAM_PREFIX + HEADER) + msg.payload.len();
+        if arena.capacity() == 0 {
+            let hint = shared.arena_hint.load(Ordering::Relaxed);
+            *arena = shared.pool.acquire_empty(need.max(hint));
+        } else if need > arena.capacity() {
+            arena.reserve_exact(class_for(need) - arena.len());
+        }
+        stage(arena, &msg, head);
         drop(outbox);
-        self.shared.dirty[outbox_idx].store(true, Ordering::Release);
-        self.pool.recycle(msg.payload);
+        // Whoever raises the flag wakes the reactor; while it is up a
+        // wake-up is already on its way.
+        if !shared.dirty[outbox_idx].swap(true, Ordering::AcqRel) {
+            shared.wake_reactor();
+        }
+        shared.pool.recycle(msg.payload);
         Ok(())
     }
 
@@ -1704,10 +1833,14 @@ pub struct ScaleResilientOutput {
 }
 
 /// Per-rank execution state owned by exactly one worker.
-struct RankCtx {
+struct RankCtx<'a> {
     rank: usize,
     program: RankProgram,
     transport: Box<dyn Transport>,
+    /// The caller's send buffer, read in place by the first permute.
+    input: &'a [u8],
+    /// The working buffer: empty until the owning worker fills it, so
+    /// its pages are faulted in there, every worker's in parallel.
     work: Vec<u8>,
     metrics: RankMetrics,
 }
@@ -1718,10 +1851,9 @@ struct ScaleShared {
     error: Mutex<Option<NetError>>,
     finished: AtomicUsize,
     detector: Arc<FailureDetector>,
+    /// Workers pack into the fabric's pool and return every payload they
+    /// unpack to it, so one run's rounds reuse each other's buffers.
     fabric: Arc<FabricShared>,
-    /// The fabric's pool: workers pack into its buffers and return every
-    /// payload they unpack, so one run's rounds reuse each other's.
-    pool: Arc<BufferPool>,
 }
 
 impl ScaleShared {
@@ -1758,10 +1890,10 @@ struct Attempt {
 }
 
 impl Attempt {
-    /// An attempt that died before the fabric existed.
-    fn abort(e: NetError) -> Self {
+    /// An attempt that ended before the fabric existed.
+    fn early(result: Result<ScaleOutput, NetError>) -> Self {
         Self {
-            result: Err(e),
+            result,
             failed: Vec::new(),
             stats: FabricStats::default(),
         }
@@ -1834,36 +1966,20 @@ impl TcpScaleCluster {
         workers: Option<usize>,
     ) -> Attempt {
         let n = cfg.n;
-        if inputs.len() != n {
-            return Attempt::abort(NetError::App(format!(
-                "{} input buffers for {n} ranks",
-                inputs.len()
-            )));
-        }
-        for (rank, input) in inputs.iter().enumerate() {
-            if input.len() != n * block {
-                return Attempt::abort(NetError::App(format!(
-                    "rank {rank}: input is {} bytes, want n·b = {}",
-                    input.len(),
-                    n * block
-                )));
-            }
+        if let Err(e) = check_inputs(n, block, inputs) {
+            return Attempt::early(Err(e));
         }
         if n == 1 {
-            return Attempt {
-                result: Ok(ScaleOutput {
-                    results: vec![inputs[0].clone()],
-                    metrics: RunMetrics {
-                        per_rank: vec![RankMetrics::default()],
-                        ..RunMetrics::default()
-                    },
-                    workers: 0,
-                    threads: 0,
-                    rounds: 0,
-                }),
-                failed: Vec::new(),
-                stats: FabricStats::default(),
-            };
+            return Attempt::early(Ok(ScaleOutput {
+                results: vec![inputs[0].clone()],
+                metrics: RunMetrics {
+                    per_rank: vec![RankMetrics::default()],
+                    ..RunMetrics::default()
+                },
+                workers: 0,
+                threads: 0,
+                rounds: 0,
+            }));
         }
 
         let programs: Result<Vec<RankProgram>, NetError> = (0..n)
@@ -1871,7 +1987,7 @@ impl TcpScaleCluster {
             .collect();
         let programs = match programs {
             Ok(p) => p,
-            Err(e) => return Attempt::abort(e),
+            Err(e) => return Attempt::early(Err(e)),
         };
         // The lowering is SPMD: every rank must agree on the op
         // schedule's shape, or the lockstep interpretation is undefined.
@@ -1886,10 +2002,10 @@ impl TcpScaleCluster {
                     )
                 });
             if !aligned {
-                return Attempt::abort(NetError::App(format!(
+                return Attempt::early(Err(NetError::App(format!(
                     "plan {} lowered to misaligned per-rank programs",
                     plan.label()
-                )));
+                ))));
             }
         }
         let rounds = programs[0].rounds();
@@ -1912,7 +2028,7 @@ impl TcpScaleCluster {
         };
         let (fabric, raw_transports) = match TcpFabric::with_config(n, node_size, fab_cfg) {
             Ok(pair) => pair,
-            Err(e) => return Attempt::abort(e),
+            Err(e) => return Attempt::early(Err(e)),
         };
         let fab_shared = Arc::clone(&fabric.shared);
         let wire_layer = cfg.faults.needs_wire_layer();
@@ -1967,7 +2083,8 @@ impl TcpScaleCluster {
                 rank,
                 program,
                 transport,
-                work: inputs[rank].clone(),
+                input: &inputs[rank],
+                work: Vec::with_capacity(n * block),
                 metrics: RankMetrics::default(),
             })
             .collect();
@@ -1993,7 +2110,6 @@ impl TcpScaleCluster {
             finished: AtomicUsize::new(0),
             detector: Arc::clone(&detector),
             fabric: Arc::clone(&fab_shared),
-            pool: Arc::clone(&fabric.pool),
         };
         let shared_ref = &shared;
         let round_clock_ref = &round_clock;
@@ -2041,48 +2157,40 @@ impl TcpScaleCluster {
         }
         let fabric_stats = fab_shared.stats.snapshot();
         let failed = detector.snapshot();
-        if !failed.is_empty() {
+        let result = if !failed.is_empty() {
             // Cluster-consistent verdict: any detector death
             // (fabric-level eviction, or ARQ retry exhaustion where it
             // is stacked) outranks whichever rank-local error happened
             // to land first.
-            return Attempt {
-                result: Err(NetError::RanksFailed {
-                    ranks: failed.clone(),
-                }),
-                failed,
-                stats: fabric_stats,
-            };
-        }
-        if let Some(e) = shared.error.into_inner().expect("scale error lock") {
-            return Attempt {
-                result: Err(e),
-                failed,
-                stats: fabric_stats,
-            };
-        }
-
-        let mut results = vec![Vec::new(); n];
-        let mut per_rank = vec![RankMetrics::default(); n];
-        for (rank, out, metrics) in collected.into_iter().flat_map(|(ranks, _)| ranks) {
-            results[rank] = out;
-            per_rank[rank] = metrics;
-        }
-        Attempt {
-            result: Ok(ScaleOutput {
+            Err(NetError::RanksFailed {
+                ranks: failed.clone(),
+            })
+        } else if let Some(e) = shared.error.into_inner().expect("scale error lock") {
+            Err(e)
+        } else {
+            let mut results = vec![Vec::new(); n];
+            let mut per_rank = vec![RankMetrics::default(); n];
+            for (rank, out, metrics) in collected.into_iter().flat_map(|(ranks, _)| ranks) {
+                results[rank] = out;
+                per_rank[rank] = metrics;
+            }
+            Ok(ScaleOutput {
                 results,
                 metrics: RunMetrics {
                     per_rank,
                     folded: round_clock.folded(),
                     fabric: fabric_stats,
-                    pool: shared.pool.stats(),
+                    pool: fab_shared.pool.stats(),
                     ..RunMetrics::default()
                 },
                 workers: w,
                 threads: w + reactor_threads,
                 rounds,
-            }),
-            failed: Vec::new(),
+            })
+        };
+        Attempt {
+            result,
+            failed,
             stats: fabric_stats,
         }
     }
@@ -2137,21 +2245,7 @@ impl TcpScaleCluster {
         if max_attempts == 0 {
             return Err(NetError::App("max_attempts must be at least 1".into()));
         }
-        if inputs.len() != n0 {
-            return Err(NetError::App(format!(
-                "{} input buffers for {n0} ranks",
-                inputs.len()
-            )));
-        }
-        for (rank, input) in inputs.iter().enumerate() {
-            if input.len() != n0 * block {
-                return Err(NetError::App(format!(
-                    "rank {rank}: input is {} bytes, want n·b = {}",
-                    input.len(),
-                    n0 * block
-                )));
-            }
-        }
+        check_inputs(n0, block, inputs)?;
         let node_size0 = cfg.node_size.unwrap_or(n0);
         let membership = Membership::new(n0).with_base_quarantine(cfg.quarantine);
         let mut fabric_acc = FabricStats::default();
@@ -2217,6 +2311,22 @@ impl TcpScaleCluster {
     }
 }
 
+/// One `n·b` send buffer per rank, or the shape error.
+fn check_inputs(n: usize, block: usize, inputs: &[Vec<u8>]) -> Result<(), NetError> {
+    let bad = |what| Err(NetError::App(what));
+    if inputs.len() != n {
+        return bad(format!("{} input buffers for {n} ranks", inputs.len()));
+    }
+    match inputs.iter().position(|input| input.len() != n * block) {
+        Some(rank) => bad(format!(
+            "rank {rank}: input is {} bytes, want n·b = {}",
+            inputs[rank].len(),
+            n * block
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The node size a survivor cluster of `n` ranks actually supports:
 /// `want` when it still divides `n` (whole-node eviction keeps it so),
 /// else the largest divisor of `n` not exceeding `want`.
@@ -2259,10 +2369,12 @@ type ChunkOutput = (Vec<(usize, Vec<u8>, RankMetrics)>, Option<Duration>);
 /// round receives are complete keep pumping their transport (a no-op on
 /// bare streams; acks, retransmissions and probes where the ARQ is
 /// stacked) until the whole slice finishes the round, so a straggling
-/// peer is never starved of the frames it needs.
+/// peer is never starved of the frames it needs. A worker with nothing
+/// in its mailboxes drives the fabric's streams itself
+/// ([`FabricShared::help`]) and parks only when they are quiet too.
 #[allow(clippy::too_many_arguments)] // internal; mirrors the run state
 fn run_chunk(
-    mut ctxs: Vec<RankCtx>,
+    mut ctxs: Vec<RankCtx<'_>>,
     block: usize,
     timeout: Duration,
     expiry: Option<(Instant, Duration)>,
@@ -2274,12 +2386,26 @@ fn run_chunk(
     let ops_len = ctxs.first().map_or(0, |c| c.program.ops.len());
     let n = ctxs.first().map_or(0, |c| c.program.n);
     // Only an ARQ sublayer has a protocol to keep pumping (and a linger
-    // hint to show for it); a bare stream is driven by the reactor.
+    // hint to show for it, and timers a parked worker must tick for).
     let pumped = ctxs.iter().any(|c| c.transport.linger_hint().is_some());
-    let pool = &*shared.pool;
+    let tick = if pumped { TICK / 5 } else { TICK };
+    let fabric = &*shared.fabric;
+    let pool = &*fabric.pool;
+    // Deliveries to these ranks wake this thread.
+    for ctx in &ctxs {
+        let _ = fabric.owners[ctx.rank].set(std::thread::current());
+    }
+    let mut chunk = vec![0u8; READ_CHUNK];
     // A permute writes into `spare` and swaps it with the rank's `work`,
-    // whose old buffer is the next rank's target.
+    // whose old buffer is the next rank's target. The first reads the
+    // caller's input where it lies; only a program that opens with a
+    // round needs a copy of it to work in.
     let mut spare = vec![0u8; n * block];
+    if !matches!(ctxs[0].program.ops.first(), Some(ProgramOp::Permute(_))) {
+        for ctx in &mut ctxs {
+            ctx.work.extend_from_slice(ctx.input);
+        }
+    }
     // Per rank, refilled every round: the sizes it sent and the receives
     // it still waits for.
     let mut sent_sizes: Vec<Vec<u64>> = vec![Vec::new(); ctxs.len()];
@@ -2294,8 +2420,13 @@ fn run_chunk(
                 let ProgramOp::Permute(perm) = &ctx.program.ops[op_idx] else {
                     unreachable!("op shape validated before spawn");
                 };
-                perm.apply(block, &ctx.work, &mut spare);
-                std::mem::swap(&mut ctx.work, &mut spare);
+                if ctx.work.is_empty() {
+                    ctx.work.resize(n * block, 0);
+                    perm.apply(block, ctx.input, &mut ctx.work);
+                } else {
+                    perm.apply(block, &ctx.work, &mut spare);
+                    std::mem::swap(&mut ctx.work, &mut spare);
+                }
                 ctx.metrics.bytes_copied += (n * block) as u64;
             }
             continue;
@@ -2350,7 +2481,6 @@ fn run_chunk(
             waits.extend(0..round.recvs.len());
         }
         let mut left: usize = pending.iter().map(Vec::len).sum();
-        let mut idle: u32 = 0;
         while left > 0 {
             if shared.abort.load(Ordering::SeqCst) {
                 break 'ops;
@@ -2417,10 +2547,8 @@ fn run_chunk(
                 break;
             }
             if progressed {
-                idle = 0;
                 continue;
             }
-            idle = idle.saturating_add(1);
             if let Err(e) = shared.check_substrate() {
                 shared.fail(e);
                 break 'ops;
@@ -2450,12 +2578,11 @@ fn run_chunk(
                 });
                 break 'ops;
             }
-            // Nothing arrived for anyone: let the reactor (and on a
-            // shared core, the other workers) run.
-            if idle < 16 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
+            // Nothing arrived for anyone. Move what bytes there are to
+            // move; with none, sleep until a delivery wakes this thread
+            // (or the deadlines above want another look).
+            if !fabric.help(&mut chunk) {
+                std::thread::park_timeout(tick);
             }
         }
         let recv_wall = recv_started.elapsed().as_nanos() as u64;
@@ -2644,6 +2771,7 @@ mod tests {
     #[test]
     fn tx_log_replays_a_half_written_record_from_its_boundary() {
         let chunk = records(&[10, 20, 30]);
+        let pool = BufferPool::new();
         let mut tx = TxLog::default();
         tx.chunks.push_back(chunk.clone());
         // The socket dies with the second record half written.
@@ -2651,26 +2779,29 @@ mod tests {
         assert_eq!(tx.written, 1);
         assert!(tx.pending() && !tx.at_boundary());
         // A peer cannot hold what was never written in full.
-        assert_eq!(tx.confirm(2), Err(HandshakeError::BadCount));
+        assert_eq!(tx.confirm(2, &pool), Err(HandshakeError::BadCount));
         // The re-handshake says the peer holds one record: the replay
         // starts on the first byte of the second.
-        tx.rewind(1).unwrap();
+        tx.rewind(1, &pool).unwrap();
         assert!(tx.at_boundary());
         assert_eq!(tx.unwritten(), &chunk[18..]);
         assert_eq!((tx.confirmed, tx.written), (1, 1));
         // Newer outbox data queues behind the replay.
-        tx.chunks.push_back(records(&[7]));
+        tx.chunks.push_back(records(&[70]));
         tx.advance(28 + 38);
         assert_eq!(tx.written, 3);
-        assert_eq!(tx.unwritten(), &records(&[7])[..]);
-        tx.advance(15);
+        assert_eq!(tx.unwritten(), &records(&[70])[..]);
+        tx.advance(78);
         assert!(!tx.pending() && tx.at_boundary());
-        // Confirmation retires whole chunks and recycles an allocation.
-        tx.confirm(4).unwrap();
-        assert!(tx.chunks.is_empty() && tx.spare.capacity() > 0);
+        // Confirmation retires whole chunks, each arena into the pool: the
+        // first with its last record, the second with its only one.
+        tx.confirm(3, &pool).unwrap();
+        assert_eq!((tx.chunks.len(), pool.stats().recycled), (1, 1));
+        tx.confirm(4, &pool).unwrap();
+        assert_eq!((tx.chunks.len(), pool.stats().recycled), (0, 2));
         // Records already retired cannot be asked for again.
-        assert_eq!(tx.rewind(3), Err(HandshakeError::BadCount));
-        tx.rewind(4).unwrap();
+        assert_eq!(tx.rewind(3, &pool), Err(HandshakeError::BadCount));
+        tx.rewind(4, &pool).unwrap();
         assert!(!tx.pending());
     }
 
@@ -2678,7 +2809,7 @@ mod tests {
     /// messages observable in per-rank mailboxes.
     struct Feed {
         end: End,
-        ranks: Ranks,
+        shared: FabricShared,
         mailboxes: Vec<Mailbox>,
         /// `tx.confirmed` after each piece fed that moved it: every
         /// `TxLog::confirm` call when the pieces are single bytes.
@@ -2689,8 +2820,9 @@ mod tests {
         /// `n` receiving ranks; the transmit log holds `sent` written
         /// one-byte records for control records to confirm.
         fn new(n: usize, sent: usize) -> Self {
-            let (senders, mailboxes) = (0..n).map(Mailbox::new).unzip();
-            let mut end = End::unconnected(0);
+            let (senders, mailboxes): (Vec<_>, _) = (0..n).map(Mailbox::new).unzip();
+            let pool = Arc::new(BufferPool::new());
+            let mut end = End::unconnected(0, &pool);
             if sent > 0 {
                 end.tx.chunks.push_back(records(&vec![1; sent]));
                 end.tx.advance(sent * (STREAM_PREFIX + 1));
@@ -2698,17 +2830,14 @@ mod tests {
             assert_eq!(end.tx.written, sent as u64);
             Self {
                 end,
-                ranks: Ranks {
-                    asms: (0..n).map(Assembler::new).collect(),
-                    senders,
-                },
+                shared: FabricShared::new(senders, n, Vec::new(), pool, &FabricConfig::default()),
                 mailboxes,
                 confirms: Vec::new(),
             }
         }
 
         fn feed(&mut self, bytes: &[u8]) -> Result<(), LinkErr> {
-            let out = self.end.ingest(bytes, &mut self.ranks);
+            let out = self.end.ingest(bytes, &self.shared);
             if self.end.tx.confirmed != self.confirms.last().copied().unwrap_or(0) {
                 self.confirms.push(self.end.tx.confirmed);
             }
@@ -2730,7 +2859,7 @@ mod tests {
         /// order, the delivered count, the records confirmed.
         fn outcome(mut self) -> (Vec<Vec<Message>>, u64, u64) {
             assert!(self.end.rbuf.is_empty(), "a whole stream leaves no tail");
-            assert!(self.ranks.asms.iter().all(|a| a.parked.len() == 0));
+            assert_eq!(self.end.asm.parked.len(), 0);
             let got = self
                 .mailboxes
                 .iter_mut()
@@ -2827,6 +2956,39 @@ mod tests {
             assert!(in_order(&cut.confirms), "seed {seed}: {:?}", cut.confirms);
             assert!(cut.outcome() == want, "random cuts, seed {seed}");
         }
+    }
+
+    #[test]
+    fn burst_end_confirmation_empties_the_peers_log() {
+        // End A wrote one arena of three records; end B reads them in
+        // one burst.
+        let mut arena = Vec::with_capacity(256);
+        for id in 0..3u64 {
+            let msg = msg_to(1, 0, id, vec![id as u8; 40]);
+            stage(&mut arena, &msg, FrameHeader::first(&msg, id).unwrap());
+        }
+        let mut a = Feed::new(1, 0);
+        a.end.tx.chunks.push_back(arena.clone());
+        a.end.tx.advance(arena.len());
+        assert_eq!((a.end.tx.written, a.end.tx.confirmed), (3, 0));
+        let mut b = Feed::new(1, 0);
+        b.feed(&arena).unwrap();
+        // Inside a burst three records are far from a report; at its end
+        // they are one, and nothing more is owed after it.
+        assert!(!b.end.report(ACK_EVERY));
+        assert!(b.end.report(1) && !b.end.report(1));
+        assert_eq!(b.end.ctl, ctl_record(3)[..]);
+        // That record retires everything A holds, arena to the pool.
+        let ctl = b.end.ctl;
+        a.feed(&ctl).unwrap();
+        assert!(a.end.tx.chunks.is_empty() && !a.end.tx.pending());
+        assert_eq!(a.shared.pool.stats().recycled, 1);
+        assert_eq!((a.end.tx.written, a.end.tx.confirmed), (3, 3));
+        // The window is now 3..=3: both sides of it are still refused.
+        let pool = &a.shared.pool;
+        assert_eq!(a.end.tx.confirm(2, pool), Err(HandshakeError::BadCount));
+        assert_eq!(a.end.tx.confirm(4, pool), Err(HandshakeError::BadCount));
+        assert!(matches!(a.feed(&ctl_record(4)), Err(LinkErr::Fatal(_))));
     }
 
     #[test]
@@ -2973,12 +3135,13 @@ mod tests {
             // A well-formed handshake with an impossible count passes
             // the codec and is refused by the log it would rewind.
             let ([_lo, hi], heard) = handshake(Some(Garble::BeyondSent(seed))).unwrap();
-            let mut end = End::fresh(hi, 1);
+            let pool = Arc::new(BufferPool::new());
+            let mut end = End::fresh(hi, 1, &pool);
             end.tx.chunks.push_back(records(&[4, 4]));
             end.tx.advance(24);
             let healed = end.stream.take().unwrap();
             assert_eq!(
-                end.reconnect(healed, heard[1]),
+                end.reconnect(healed, heard[1], &pool),
                 Err(HandshakeError::BadCount),
                 "seed {seed:#x}"
             );
@@ -3159,6 +3322,13 @@ mod tests {
                 "{}: per-rank round accounting must agree",
                 plan.label()
             );
+            // The first permute reads the caller's buffers where they
+            // lie (`Direct` opens with a round and works on a copy):
+            // either way they are the caller's still.
+            for (rank, input) in inputs.iter().enumerate() {
+                let same = input == &index_input(rank, n, block);
+                assert!(same, "{}: rank {rank}'s input was written", plan.label());
+            }
         }
     }
 

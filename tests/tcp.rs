@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use bruck::collectives::verify;
 use bruck::model::planner::IndexPlan;
-use bruck::net::{ClusterConfig, FaultPlan, Reliability, TcpScaleCluster};
+use bruck::net::{
+    ClusterConfig, FaultPlan, Message, Reliability, TcpFabric, TcpScaleCluster, Transport,
+};
 
 fn scale_inputs(n: usize, block: usize) -> Vec<Vec<u8>> {
     (0..n).map(|r| verify::index_input(r, n, block)).collect()
@@ -26,7 +28,10 @@ fn assert_oracle(results: &[Vec<u8>], n: usize, block: usize, label: &str) {
 
 /// `with_reliability` on a clean fabric must be free: the stream is
 /// already reliable, so not one ack, probe, retransmission, duplicate
-/// or escalation — and not one phantom outage below.
+/// or escalation — and not one phantom outage below. (The fabric's
+/// in-band "delivered N" records, one per read burst, are stream framing
+/// that bounds the replay log: no timer, no retransmission, and they are
+/// not `LinkStats` traffic — these counters are the ARQ's alone.)
 fn assert_quiet(out: &bruck::net::ScaleOutput, label: &str) {
     let link = out.metrics.link_totals();
     assert_eq!(
@@ -205,6 +210,86 @@ fn scale_run_moves_its_payloads_through_one_pool() {
     // Every payload was returned: by the sender once framed (or by the
     // receiver when it never left the node), and by whoever unpacked it.
     assert!(pool.recycled >= out.metrics.total_msgs(), "{pool:?}");
+}
+
+#[test]
+fn arena_allocations_do_not_grow_with_the_round_count() {
+    // The replay log hands an arena to the pool as soon as the peer
+    // confirms its records, and the next sender draws from there — so
+    // what a run allocates fresh is bounded by what is in flight, not by
+    // how many rounds stage output. Same shape, same per-round traffic,
+    // 6 rounds against 14: a log that kept its arenas to the end of the
+    // call would allocate one per active stream end per round.
+    let (n, node_size, block) = (64, 8, 2 << 10);
+    let cfg = ClusterConfig::new(n)
+        .with_node_size(node_size)
+        .with_reliability(Reliability::default())
+        .with_timeout(Duration::from_secs(60))
+        .with_deadline(Duration::from_secs(120));
+    let inputs = scale_inputs(n, block);
+    let fresh = |plan: IndexPlan| {
+        let out = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(2))
+            .unwrap_or_else(|e| panic!("{}: {e}", plan.label()));
+        assert_oracle(&out.results, n, block, &plan.label());
+        assert_quiet(&out, &plan.label());
+        (out.rounds as u64, out.metrics.pool.allocated)
+    };
+    // One bound for both: two rounds' worth of messages (this shape's
+    // payloads and arenas in flight come to 60–90). Every round stages
+    // into at least 8 stream ends, so retained arenas would put the long
+    // run at 14 × 8 above its ~55 payload buffers.
+    for (plan, rounds) in [(IndexPlan::Radix(2), 6), (IndexPlan::Mixed(vec![8, 8]), 14)] {
+        let (ran, allocated) = fresh(plan);
+        assert_eq!(ran, rounds);
+        assert!(
+            allocated <= 2 * n as u64,
+            "{allocated} fresh buffers over {rounds} rounds: arenas are being retained"
+        );
+    }
+}
+
+#[test]
+fn quiet_fabric_parks_instead_of_sweeping() {
+    // Counter-based, like tests/idle_wait.rs: the reactor counts its
+    // passes over the pairs. Traffic costs a few; a connected, drained
+    // fabric left alone costs none, where a sweep-and-nap loop with a
+    // 500 µs ceiling made ~400 in the same 200 ms.
+    let (fabric, mut ranks) = TcpFabric::new(4, 2).expect("fabric");
+    // The 5 MiB message is 80 records: more than one read burst, and
+    // more than the 64 a burst reports in one go.
+    for (src, dst, len) in [(0usize, 2usize, 4096usize), (3, 1, 5 << 20), (1, 3, 4096)] {
+        let msg = Message {
+            src,
+            dst,
+            tag: 7,
+            payload: vec![src as u8; len],
+            arrival: 0.0,
+            seq: 0,
+            ack: 0,
+            checksum: None,
+        };
+        ranks[src].send(msg).expect("send");
+        let got = ranks[dst]
+            .recv_match(src, 7, Duration::from_secs(10))
+            .expect("recv");
+        assert!(got.payload == vec![src as u8; len]);
+    }
+    // Let the last confirmation make its way back, then watch.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = fabric.stats().reactor_passes;
+    assert!(before > 0, "the reactor moved those messages");
+    std::thread::sleep(Duration::from_millis(200));
+    let idle = fabric.stats().reactor_passes - before;
+    assert!(
+        idle <= 8,
+        "{idle} reactor passes over a drained fabric in 200 ms: it is napping, not parked"
+    );
+    drop(ranks);
+    assert_eq!(fabric.shutdown(), None);
+
+    // And a whole clean call stays clear of the ARQ: the delivered-count
+    // records are not acks.
+    assert_clean_run_is_quiet(64, 8, 512);
 }
 
 #[test]

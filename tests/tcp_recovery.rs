@@ -81,6 +81,13 @@ fn base_cfg(n: usize, node_size: usize) -> ClusterConfig {
         .with_deadline(Duration::from_secs(120))
 }
 
+/// Worker counts the scale-level recovery tests run under. A worker with
+/// receives outstanding and empty mailboxes drives the streams itself,
+/// next to the reactor: one worker owns every rank (and helps whenever
+/// it waits), four contend for the pair locks — while every transition
+/// (teardown, reconnect, eviction) stays the reactor's.
+const WORKERS: [usize; 3] = [1, 2, 4];
+
 /// `BRUCK_SCALE_MAX_N` caps the sizes the eviction matrix covers
 /// (mirrors the scale bench's cap so CI boxes stay fast).
 fn scale_cap() -> usize {
@@ -96,6 +103,12 @@ fn scale_cap() -> usize {
 /// faultless run.
 #[test]
 fn injected_reset_heals_and_matches_faultless() {
+    for workers in WORKERS {
+        injected_reset_heals(workers);
+    }
+}
+
+fn injected_reset_heals(workers: usize) {
     let (n, node_size, block) = (16, 4, 8);
     let inputs = scale_inputs(n, block);
     let plan = IndexPlan::Hierarchical {
@@ -110,12 +123,13 @@ fn injected_reset_heals_and_matches_faultless() {
         .with_reconnect_flap(node_size, 3 * node_size, 1, 1);
     let faulted_cfg = base_cfg(n, node_size).with_faults(faults);
     let faulted =
-        TcpScaleCluster::run_with_workers(&faulted_cfg, &plan, block, &inputs, Some(4)).unwrap();
+        TcpScaleCluster::run_with_workers(&faulted_cfg, &plan, block, &inputs, Some(workers))
+            .unwrap();
     assert_oracle(&faulted.results, n, block, "healed");
 
     let clean_cfg = base_cfg(n, node_size);
-    let clean =
-        TcpScaleCluster::run_with_workers(&clean_cfg, &plan, block, &inputs, Some(4)).unwrap();
+    let clean = TcpScaleCluster::run_with_workers(&clean_cfg, &plan, block, &inputs, Some(workers))
+        .unwrap();
     assert_eq!(
         faulted.results, clean.results,
         "a healed run must equal the faultless run byte-for-byte"
@@ -151,6 +165,12 @@ fn injected_reset_heals_and_matches_faultless() {
 /// record boundary — nothing lost, nothing delivered twice.
 #[test]
 fn reset_amid_multi_fragment_messages_replays_from_the_record_boundary() {
+    for workers in WORKERS {
+        reset_amid_multi_fragment_messages(workers);
+    }
+}
+
+fn reset_amid_multi_fragment_messages(workers: usize) {
     let (n, node_size, block) = (8, 2, 40 << 10);
     let inputs = scale_inputs(n, block);
     let plan = IndexPlan::Radix(2);
@@ -162,11 +182,17 @@ fn reset_amid_multi_fragment_messages_replays_from_the_record_boundary() {
         .with_conn_reset(2, 6, 1)
         .with_reconnect_flap(0, 6, 2, 2);
     let cfg = base_cfg(n, node_size).with_faults(faults);
-    let faulted = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(2)).unwrap();
+    let faulted =
+        TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(workers)).unwrap();
     assert_oracle(&faulted.results, n, block, "multi-fragment replay");
-    let clean =
-        TcpScaleCluster::run_with_workers(&base_cfg(n, node_size), &plan, block, &inputs, Some(2))
-            .unwrap();
+    let clean = TcpScaleCluster::run_with_workers(
+        &base_cfg(n, node_size),
+        &plan,
+        block,
+        &inputs,
+        Some(workers),
+    )
+    .unwrap();
     assert_eq!(faulted.results, clean.results);
     // The round-0 events fire before any traffic and sit on pairs the
     // first round needs, so those three outages must have healed; the
@@ -186,6 +212,12 @@ fn reset_amid_multi_fragment_messages_replays_from_the_record_boundary() {
 /// budget remains, and the healed run is still bit-correct.
 #[test]
 fn malformed_rehandshakes_burn_one_attempt_each() {
+    for workers in WORKERS {
+        malformed_rehandshakes(workers);
+    }
+}
+
+fn malformed_rehandshakes(workers: usize) {
     let (n, node_size, block) = (16, 4, 8);
     let inputs = scale_inputs(n, block);
     for seed in [1u64, 0xBAD5EED, 0xFFFF_FFFF_FFFF_FFFF] {
@@ -196,9 +228,14 @@ fn malformed_rehandshakes_burn_one_attempt_each() {
             .with_conn_reset(0, node_size, 0)
             .with_malformed_handshakes(0, node_size, seed, 4);
         let cfg = base_cfg(n, node_size).with_faults(faults);
-        let out =
-            TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(4))
-                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let out = TcpScaleCluster::run_with_workers(
+            &cfg,
+            &IndexPlan::Radix(2),
+            block,
+            &inputs,
+            Some(workers),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
         assert_oracle(&out.results, n, block, "malformed handshakes");
         let fs = out.metrics.fabric;
         assert_eq!(
@@ -219,9 +256,14 @@ fn malformed_rehandshakes_burn_one_attempt_each() {
         .with_conn_reset(0, node_size, 0)
         .with_malformed_handshakes(0, node_size, 7, 64);
     let cfg = base_cfg(n, node_size).with_faults(faults);
-    let err =
-        TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(4))
-            .unwrap_err();
+    let err = TcpScaleCluster::run_with_workers(
+        &cfg,
+        &IndexPlan::Radix(2),
+        block,
+        &inputs,
+        Some(workers),
+    )
+    .unwrap_err();
     let NetError::RanksFailed { ranks } = &err else {
         panic!("want RanksFailed, got {err:?}");
     };
@@ -234,6 +276,12 @@ fn malformed_rehandshakes_burn_one_attempt_each() {
 /// n ∈ {128, 256}.
 #[test]
 fn budget_exhausted_eviction_is_node_level_and_consistent() {
+    for workers in WORKERS {
+        budget_exhausted_eviction(workers);
+    }
+}
+
+fn budget_exhausted_eviction(workers: usize) {
     for n in [128usize, 256] {
         if n > scale_cap() {
             continue;
@@ -250,9 +298,14 @@ fn budget_exhausted_eviction_is_node_level_and_consistent() {
         let victim: Vec<usize> = (node_size..2 * node_size).collect();
 
         let cfg = base_cfg(n, node_size).with_faults(faults.clone());
-        let err =
-            TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(4))
-                .unwrap_err();
+        let err = TcpScaleCluster::run_with_workers(
+            &cfg,
+            &IndexPlan::Radix(2),
+            block,
+            &inputs,
+            Some(workers),
+        )
+        .unwrap_err();
         let NetError::RanksFailed { ranks } = &err else {
             panic!("n={n}: want RanksFailed, got {err:?}");
         };
@@ -274,7 +327,7 @@ fn budget_exhausted_eviction_is_node_level_and_consistent() {
             block,
             &inputs,
             3,
-            Some(4),
+            Some(workers),
         )
         .unwrap_or_else(|e| panic!("n={n}: resilient run failed: {e:?}"));
         assert_eq!(res.attempts, 2, "n={n}");
