@@ -11,8 +11,9 @@ cd "$(dirname "$0")/.."
 if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
 # The Bruck family has one executable form — a lowered RankProgram run
-# by core/program_exec.rs (and by the TCP fabric). Its hand-written
-# executors are retired and must not come back.
+# by one RankMachine (model/program.rs), which core/program_exec.rs, the
+# TCP fabric and `simulate` drive. Its hand-written executors are retired
+# and must not come back.
 for f in bruck mixed hierarchical; do
     if [ -e "crates/core/src/index/$f.rs" ]; then echo "ci/check.sh: crates/core/src/index/$f.rs is back; lower a plan instead" >&2; exit 1; fi
 done
@@ -157,13 +158,21 @@ timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations
 # the simulator against the transpose oracle, the arithmetic
 # `validate` against the per-byte check it replaced (10 000 seeded
 # mutations, each invariant broken ≥ 100 times) with the b = 2^40 size
-# guard, and the simulator at the benchmark's n = 1 024. In release;
-# built outside the hard timeout.
+# guard, and the simulator at the benchmark's n = 1 024. With them, the
+# rank machine every substrate drives: each malformed delivery (unknown
+# or repeated (peer, tag), wrong length, after done) is an error naming
+# rank, peer and tag with the buffer untouched, over 10 000 seeded
+# mutations of random lowered programs; and Figs. 1–3 read off the
+# machine running the radix programs. In release; built outside the
+# hard timeout.
 cargo test -q --release -p bruck-model --lib --no-run
+cargo test -q --release --test paper_artifacts --no-run
 timeout 120 cargo test -q --release -p bruck-model --lib -- \
     program::tests::descriptors_expand program::tests::larger_scale \
     program::tests::mixed_descriptors_expand program::tests::mixed_lowering \
+    program::tests::malformed_deliveries program::tests::mutated_deliveries \
     partition::tests::arithmetic_validate partition::tests::block_size
+timeout 120 cargo test -q --release --test paper_artifacts
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

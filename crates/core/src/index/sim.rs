@@ -1,14 +1,17 @@
-//! Pure processor-memory configuration simulator for the index algorithm
-//! (the matrices of the paper's Figs. 1–3).
+//! Processor-memory configurations of the index algorithm (the matrices
+//! of the paper's Figs. 1–3), read off the code that runs.
 //!
 //! A configuration is the `n × n` matrix whose column `i` is processor
 //! `p_i`'s memory and whose row `j` is memory offset `j`; every cell names
-//! a block `(owner, index)` ("`ij`" in the paper's notation). The
-//! simulator applies the three phases of the index algorithm to the whole
-//! matrix at once — no threads, no payloads — so tests can pin the exact
-//! intermediate configurations the paper draws.
+//! a block `(owner, index)` ("`ij`" in the paper's notation).
+//! [`snapshots`] runs the lowered radix-`r` programs through the same
+//! [`RankMachine`](bruck_model::program::RankMachine) every substrate drives, with
+//! each block two bytes `(owner, index)`, so tests pin the exact
+//! intermediate configurations the paper draws against the executed
+//! algorithm, not a model of it.
 
-use bruck_model::radix::RadixDecomposition;
+use bruck_model::planner::IndexPlan;
+use bruck_model::program::{simulate, ProgramOp, RankProgram};
 
 /// A processor-memory configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,58 +42,10 @@ impl Configuration {
         }
     }
 
-    /// Number of processors.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The block at `(proc, offset)`.
     #[must_use]
     pub fn cell(&self, proc: usize, offset: usize) -> (usize, usize) {
         self.cells[proc][offset]
-    }
-
-    /// Phase 1: every processor rotates its column `i` steps upward.
-    #[must_use]
-    pub fn phase1(&self) -> Self {
-        let cells = (0..self.n)
-            .map(|i| {
-                (0..self.n)
-                    .map(|m| self.cells[i][(m + i) % self.n])
-                    .collect()
-            })
-            .collect();
-        Self { n: self.n, cells }
-    }
-
-    /// One step of phase 2: all blocks at offsets whose radix-`r` digit
-    /// `x` equals `z` move `z·r^x` processors to the right, keeping their
-    /// offsets.
-    #[must_use]
-    pub fn phase2_step(&self, r: usize, x: u32, z: usize) -> Self {
-        let decomp = RadixDecomposition::new(self.n, r);
-        let dist = decomp.step_distance(x, z);
-        let mut cells = self.cells.clone();
-        let moving: Vec<usize> = (0..self.n).filter(|&m| decomp.digit(m, x) == z).collect();
-        for i in 0..self.n {
-            for &m in &moving {
-                cells[(i + dist) % self.n][m] = self.cells[i][m];
-            }
-        }
-        Self { n: self.n, cells }
-    }
-
-    /// Phase 3: processor `i` moves offset `m` to offset `(i - m) mod n`.
-    #[must_use]
-    pub fn phase3(&self) -> Self {
-        let mut cells = vec![vec![(0usize, 0usize); self.n]; self.n];
-        for i in 0..self.n {
-            for m in 0..self.n {
-                cells[i][(i + self.n - m) % self.n] = self.cells[i][m];
-            }
-        }
-        Self { n: self.n, cells }
     }
 
     /// Render as the paper's figures do: rows are offsets, columns are
@@ -118,40 +73,43 @@ pub struct Snapshot {
     pub config: Configuration,
 }
 
-/// Run the whole algorithm symbolically, returning a snapshot after every
-/// phase and every phase-2 step (Figs. 2–3 are exactly these sequences for
-/// `n = 5` with `r = n` and `r = 2`).
+/// Run the k = 1 radix-`r` index on `n ≤ 256` processors and return the
+/// configuration before it and after every op: "initial", "after phase
+/// 1", "after subphase x step z" for each round (read off its tag), and
+/// "after phase 3". Figs. 2–3 are these sequences for `n = 5` with
+/// `r = n` and `r = 2`.
+///
+/// # Panics
+///
+/// For `r < 2`, which has no lowering.
 #[must_use]
 pub fn snapshots(n: usize, r: usize) -> Vec<Snapshot> {
-    let mut out = Vec::new();
-    let mut cfg = Configuration::initial(n);
-    out.push(Snapshot {
-        label: "initial".into(),
-        config: cfg.clone(),
-    });
-    cfg = cfg.phase1();
-    out.push(Snapshot {
-        label: "after phase 1".into(),
-        config: cfg.clone(),
-    });
-    if n > 1 {
-        let decomp = RadixDecomposition::new(n, r.min(n));
-        for x in 0..decomp.num_subphases() {
-            for z in 1..=decomp.steps_in_subphase(x) {
-                cfg = cfg.phase2_step(r.min(n), x, z);
-                out.push(Snapshot {
-                    label: format!("after subphase {x} step {z}"),
-                    config: cfg.clone(),
-                });
-            }
+    let programs: Vec<RankProgram> = (0..n)
+        .map(|rank| RankProgram::lower(&IndexPlan::Radix(r), n, rank, 2, 1).expect("radix ≥ 2"))
+        .collect();
+    let inputs: Vec<Vec<u8>> = (0..n)
+        .map(|i| (0..n).flat_map(|j| [i as u8, j as u8]).collect())
+        .collect();
+    let ops = programs.first().map_or(&[][..], |p| &p.ops[..]);
+    let mut configs = vec![Configuration::initial(n); ops.len() + 1];
+    simulate(&programs, &inputs, |rank, op, data| {
+        let cells = data.chunks(2).map(|b| (b[0].into(), b[1].into()));
+        configs[op + 1].cells[rank] = cells.collect();
+    })
+    .expect("lowered programs run");
+    let label = |op: usize| match &ops[op] {
+        ProgramOp::Round(round) => {
+            let tag = round.sends[0].tag;
+            let (x, z) = (tag >> 32, tag & u64::from(u32::MAX));
+            format!("after subphase {x} step {z}")
         }
-    }
-    cfg = cfg.phase3();
-    out.push(Snapshot {
-        label: "after phase 3".into(),
-        config: cfg,
-    });
-    out
+        _ if op == 0 => "after phase 1".to_string(),
+        _ => "after phase 3".to_string(),
+    };
+    let labels = std::iter::once("initial".to_string()).chain((0..ops.len()).map(label));
+    (labels.zip(configs))
+        .map(|(label, config)| Snapshot { label, config })
+        .collect()
 }
 
 #[cfg(test)]
@@ -177,25 +135,24 @@ mod tests {
     /// conceptual rotation per block).
     #[test]
     fn fig2_phase_configurations() {
-        let p1 = Configuration::initial(5).phase1();
+        // r = 5: one subphase of 4 steps.
+        let snaps = snapshots(5, 5);
+        assert_eq!(snaps.len(), 7);
+        let p1 = &snaps[1].config;
         // After phase 1, processor i holds B[i, (m+i) mod 5] at offset m;
         // e.g. p2's column reads 22, 23, 24, 20, 21.
         for m in 0..5 {
             assert_eq!(p1.cell(2, m), (2, (m + 2) % 5));
         }
-        // Run all of phase 2 (any radix; use r = 5: one subphase, 4 steps).
-        let mut cfg = p1;
-        for z in 1..=4 {
-            cfg = cfg.phase2_step(5, 0, z);
-        }
         // After phase 2, processor p holds B[(p - m) mod 5, p] at offset m.
+        let cfg = &snaps[5].config;
         for p in 0..5 {
             for m in 0..5 {
                 assert_eq!(cfg.cell(p, m), ((p + 5 - m) % 5, p), "p={p} m={m}");
             }
         }
         // Phase 3 fixes offsets: the target configuration.
-        assert_eq!(cfg.phase3(), Configuration::target(5));
+        assert_eq!(snaps[6].config, Configuration::target(5));
     }
 
     /// Fig. 3: the r = 2 subphase sequence for n = 5 reaches the target in
@@ -233,10 +190,10 @@ mod tests {
 
     #[test]
     fn phase2_moves_exactly_digit_blocks() {
-        let n = 9;
-        let r = 3;
-        let cfg = Configuration::initial(n).phase1();
-        let stepped = cfg.phase2_step(r, 1, 2); // digit 1 == 2 → offsets 6,7,8
+        let (n, snaps) = (9, snapshots(9, 3));
+        assert_eq!(snaps[5].label, "after subphase 1 step 2");
+        let (cfg, stepped) = (&snaps[4].config, &snaps[5].config);
+        // Digit 1 == 2 → offsets 6, 7, 8 move 2·3 processors right.
         for m in 0..n {
             for p in 0..n {
                 if (m / 3) % 3 == 2 {

@@ -1,19 +1,18 @@
-//! Execute a lowered [`RankProgram`] over any [`Comm`].
+//! Run a lowered [`RankProgram`] over any [`Comm`].
 //!
-//! `bruck_model::program` lowers an [`IndexPlan`] to pure data — local
-//! permutations and k-port rounds whose block slots are closed-form
-//! descriptors, consumed here as contiguous runs. This module is the
-//! threaded-substrate interpreter for that data, and the only way the
-//! Bruck family (uniform radix, mixed radix, two-level) reaches the wire
-//! on that substrate: [`IndexAlgorithm::BruckRadix`](crate::index::IndexAlgorithm)
+//! `bruck_model::program` lowers an [`IndexPlan`] to pure data and
+//! interprets it in one place, the [`RankMachine`]. This module is the
+//! machine's threaded-substrate driver, and the only way the Bruck family
+//! (uniform radix, mixed radix, two-level) reaches the wire on that
+//! substrate: [`IndexAlgorithm::BruckRadix`](crate::index::IndexAlgorithm)
 //! and [`alltoall`](crate::api::alltoall)'s planner dispatch both end
-//! here. Each op maps onto the [`Comm`] surface (`round_gather` for the
-//! exchanges, one pooled work buffer for the permutes), so a program runs
-//! on a full [`Endpoint`](bruck_net::Endpoint), on a
+//! here. Each round the machine yields is one `round_gather`, and its
+//! local passes move the data between `out` and one pooled work buffer,
+//! so a program runs on a full [`Endpoint`](bruck_net::Endpoint), on a
 //! [`GroupComm`](bruck_net::GroupComm), or on any future context — and
-//! the event-driven TCP executor in `bruck-net` interprets the *same*
-//! programs without threads. One lowering, two substrates, bit-identical
-//! results; the integration tests assert exactly that.
+//! the TCP fabric and `simulate` drive the *same* machine. One
+//! interpreter, three substrates, bit-identical results; the tests
+//! assert exactly that.
 //!
 //! A radix program costs what the paper's three phases cost and no
 //! more: its first permute (the rotation) reads the caller's `sendbuf`,
@@ -22,7 +21,7 @@
 //! received byte — each charged to the virtual clock as it happens.
 
 use bruck_model::planner::IndexPlan;
-use bruck_model::program::{ProgramOp, RankProgram};
+use bruck_model::program::{Action, RankMachine, RankProgram};
 use bruck_net::{Comm, GatherSendSpec, NetError, RecvSpec};
 
 /// Lower `plan` for this rank and execute it into a fresh buffer.
@@ -43,14 +42,22 @@ pub fn run_plan<C: Comm + ?Sized>(
     Ok(out)
 }
 
-/// Lower `plan` for this rank and execute it (see [`run_program_into`]).
+/// Lower `plan` for this rank and drive its [`RankMachine`] against the
+/// communication context: each round's sends and receives are one
+/// `round_gather`.
+///
+/// The data lives in one of two `n·b` buffers at any time — `out` and a
+/// single pooled work buffer — and every local pass moves it to the
+/// other one. The parity of [`RankProgram::passes`] decides which of the
+/// two the machine starts on, so that the last pass lands in `out`; the
+/// first reads `sendbuf` directly.
 ///
 /// # Errors
 ///
 /// [`NetError::App`] when the plan has no lowering at this size (a radix
 /// below 2, a mixed vector that does not cover `n`, a `node_size` that
-/// does not divide `n`) or on buffer-size mismatches; network failures
-/// propagate.
+/// does not divide `n`), on buffer-size mismatches and on a delivery the
+/// machine refuses; network failures propagate.
 pub fn run_plan_into<C: Comm + ?Sized>(
     ep: &mut C,
     plan: &IndexPlan,
@@ -60,59 +67,15 @@ pub fn run_plan_into<C: Comm + ?Sized>(
 ) -> Result<(), NetError> {
     let program =
         RankProgram::lower(plan, ep.size(), ep.rank(), block, ep.ports()).map_err(NetError::App)?;
-    run_program_into(ep, &program, sendbuf, out)
-}
-
-/// Interpret one rank's program against the communication context.
-///
-/// The data lives in one of two `n·b` buffers at any time — `out` and a
-/// single pooled work buffer — and every local pass (a permute, or the
-/// copy-in a program that opens with a round needs) moves it to the
-/// other one. The passes are counted first so that the last one lands in
-/// `out`; the first reads `sendbuf` directly.
-///
-/// # Errors
-///
-/// [`NetError::App`] on header or buffer-size mismatches; network
-/// failures propagate.
-pub fn run_program_into<C: Comm + ?Sized>(
-    ep: &mut C,
-    program: &RankProgram,
-    sendbuf: &[u8],
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    let n = program.n;
-    let block = program.block;
-    if ep.size() != n || ep.rank() != program.rank {
-        return Err(NetError::App(format!(
-            "program for rank {}/{} run on rank {}/{}",
-            program.rank,
-            n,
-            ep.rank(),
-            ep.size()
-        )));
-    }
-    if sendbuf.len() != n * block || out.len() != n * block {
-        return Err(NetError::App(format!(
-            "program buffers must be n·b = {} bytes (send {}, out {})",
-            n * block,
-            sendbuf.len(),
-            out.len()
-        )));
-    }
-    if program.ops.is_empty() {
-        out.copy_from_slice(sendbuf);
-        return Ok(());
-    }
-    program.check_shape().map_err(NetError::App)?;
-    let mut work = ep.acquire(n * block);
-    let outcome = interpret(ep, program, sendbuf, out, &mut work);
+    // The machine checks that every buffer is n·b bytes.
+    let mut work = ep.acquire(out.len());
+    let outcome = interpret(ep, &program, sendbuf, out, &mut work);
     ep.recycle(work);
     outcome
 }
 
-/// The op loop of [`run_program_into`], split out so the work buffer is
-/// recycled on every exit.
+/// The driver loop of [`run_plan_into`], split out so the work buffer
+/// is recycled on every exit.
 fn interpret<C: Comm + ?Sized>(
     ep: &mut C,
     program: &RankProgram,
@@ -120,62 +83,37 @@ fn interpret<C: Comm + ?Sized>(
     out: &mut [u8],
     work: &mut [u8],
 ) -> Result<(), NetError> {
-    let block = program.block;
-    let pass_bytes = sendbuf.len() as u64;
-    // Local passes: every permute, plus the copy-in of a program that
-    // opens with a round.
-    let is_permute = |op: &ProgramOp| matches!(op, ProgramOp::Permute(_));
-    let permutes = program.ops.iter().filter(|op| is_permute(op)).count();
-    let passes = permutes + usize::from(!program.ops.first().is_some_and(is_permute));
-    // `cur` holds the data once the first pass has run; `next` is where
-    // the following pass writes. An odd number of passes must start by
-    // writing `out`, an even number by writing `work`.
-    let (mut cur, mut next) = if passes % 2 == 1 {
+    // An odd number of passes must start by writing `out`: lend it as
+    // the scratch.
+    let (start, mut scratch) = if program.passes() % 2 == 1 {
         (work, out)
     } else {
         (out, work)
     };
-    let mut fresh = true;
+    let mut m = RankMachine::new(program, sendbuf, start).map_err(NetError::App)?;
     // Reused across rounds: all sends' byte spans, and where each ends.
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut ends: Vec<usize> = Vec::new();
-    for op in &program.ops {
-        match op {
-            ProgramOp::Permute(perm) => {
-                perm.apply(block, if fresh { sendbuf } else { cur }, next);
-                std::mem::swap(&mut cur, &mut next);
-                fresh = false;
-                ep.charge_copy(pass_bytes);
-            }
-            ProgramOp::Round(round) => {
-                if fresh {
-                    // Rounds scatter into the buffer they send from, so a
-                    // program that opens with one needs its own copy.
-                    next.copy_from_slice(sendbuf);
-                    std::mem::swap(&mut cur, &mut next);
-                    fresh = false;
-                    ep.charge_copy(pass_bytes);
-                }
+    loop {
+        match m.step(&mut scratch) {
+            Action::Local => ep.charge_copy(sendbuf.len() as u64),
+            Action::Send(round) => {
                 spans.clear();
                 ends.clear();
                 for s in &round.sends {
-                    spans.extend(s.slots.runs(block));
+                    spans.extend(m.spans(s));
                     ends.push(spans.len());
                 }
-                let mut sends: Vec<GatherSendSpec<'_>> = Vec::with_capacity(ends.len());
                 let mut from = 0;
-                for (s, &end) in round.sends.iter().zip(&ends) {
-                    sends.push(GatherSendSpec {
+                let sends: Vec<GatherSendSpec<'_>> = (round.sends.iter().zip(&ends))
+                    .map(|(s, &end)| GatherSendSpec {
                         to: s.peer,
                         tag: s.tag,
-                        src: cur,
-                        spans: &spans[from..end],
-                    });
-                    from = end;
-                }
-                let recvs: Vec<RecvSpec> = round
-                    .recvs
-                    .iter()
+                        src: m.buffer(),
+                        spans: &spans[std::mem::replace(&mut from, end)..end],
+                    })
+                    .collect();
+                let recvs: Vec<RecvSpec> = (round.recvs.iter())
                     .map(|r| RecvSpec {
                         from: r.peer,
                         tag: r.tag,
@@ -186,32 +124,18 @@ fn interpret<C: Comm + ?Sized>(
                 // send side's single staging gather is the transport's
                 // own, already accounted by the endpoint.
                 let mut received = 0u64;
-                for (r, msg) in round.recvs.iter().zip(&msgs) {
-                    if msg.payload.len() != r.slots.blocks() * block {
-                        return Err(NetError::App(format!(
-                            "rank {} tag {}: {} payload bytes for {} slots",
-                            program.rank,
-                            r.tag,
-                            msg.payload.len(),
-                            r.slots.blocks()
-                        )));
-                    }
-                    let mut rest = &msg.payload[..];
-                    for (at, len) in r.slots.runs(block) {
-                        let (run, tail) = rest.split_at(len);
-                        cur[at..at + len].copy_from_slice(run);
-                        rest = tail;
-                    }
+                for (r, msg) in round.recvs.iter().zip(msgs) {
+                    m.deliver(r.peer, r.tag, &msg.payload)
+                        .map_err(NetError::App)?;
                     received += msg.payload.len() as u64;
-                }
-                ep.charge_copy(received);
-                for msg in msgs {
                     ep.recycle(msg.payload);
                 }
+                ep.charge_copy(received);
             }
+            Action::Await(_) => return Err(NetError::App("round_gather came back short".into())),
+            Action::Done => return Ok(()),
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -221,6 +145,7 @@ mod tests {
     use crate::verify;
     use bruck_model::cost::{CostModel, HierarchicalModel, Sp1Model};
     use bruck_model::mixed_radix::MixedRadix;
+    use bruck_model::program::{simulate, ProgramOp};
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
     use bruck_sched::{Schedule, ScheduleStats};
@@ -236,9 +161,14 @@ mod tests {
     }
 
     /// Run `plan` on a threaded cluster and hold every rank's result to
-    /// the transpose oracle.
+    /// the transpose oracle and to the same programs run in memory.
     fn run_cluster(plan: &IndexPlan, n: usize, block: usize, ports: usize) {
         let out = run_on(&ClusterConfig::new(n).with_ports(ports), plan, block);
+        let programs: Vec<RankProgram> = (0..n)
+            .map(|rank| RankProgram::lower(plan, n, rank, block, ports).unwrap())
+            .collect();
+        let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::index_input(r, n, block)).collect();
+        let simulated = simulate(&programs, &inputs, |_, _, _| {}).expect("simulate");
         for (rank, result) in out.results.iter().enumerate() {
             let expected = verify::index_expected(rank, n, block);
             assert_eq!(
@@ -249,6 +179,12 @@ mod tests {
                 verify::first_block_mismatch(result, &expected, block)
             );
         }
+        assert_eq!(
+            out.results,
+            simulated,
+            "{} n={n} b={block} k={ports}",
+            plan.label()
+        );
     }
 
     fn two_level(node_size: usize, radix_local: usize, radix_remote: usize) -> IndexPlan {

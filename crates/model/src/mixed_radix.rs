@@ -63,34 +63,10 @@ impl MixedRadix {
         }
     }
 
-    /// Number of values decomposed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The (trimmed) radix vector.
-    #[must_use]
-    pub fn radices(&self) -> &[usize] {
-        &self.radices
-    }
-
     /// Number of subphases.
     #[must_use]
     pub fn num_subphases(&self) -> usize {
         self.radices.len()
-    }
-
-    /// Digit of `value` at position `x`.
-    #[must_use]
-    pub fn digit(&self, value: usize, x: usize) -> usize {
-        (value / self.weights[x]) % self.radices[x]
-    }
-
-    /// The rotation distance of step `(x, z)`: `z · w_x`.
-    #[must_use]
-    pub fn step_distance(&self, x: usize, z: usize) -> usize {
-        z * self.weights[x]
     }
 
     /// Number of steps in subphase `x`: the largest digit value that
@@ -111,18 +87,6 @@ impl MixedRadix {
         let full = (self.n / period) * w;
         let rem = self.n % period;
         full + rem.saturating_sub(z * w).min(w)
-    }
-
-    /// The ids moved in step `(x, z)`.
-    #[must_use]
-    pub fn blocks_for_step(&self, x: usize, z: usize) -> Vec<usize> {
-        (0..self.n).filter(|&j| self.digit(j, x) == z).collect()
-    }
-
-    /// All `(subphase, step)` pairs in execution order.
-    pub fn steps(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.num_subphases())
-            .flat_map(move |x| (1..=self.steps_in_subphase(x)).map(move |z| (x, z)))
     }
 
     /// Closed-form `(C1, C2)` of the mixed-radix index algorithm in the
@@ -149,6 +113,42 @@ impl MixedRadix {
             }
         }
         c
+    }
+}
+
+/// The enumerating view — digit sets and distances per step — kept as
+/// the reference the closed forms above and the mixed lowering in
+/// `program.rs` are tested against.
+#[cfg(test)]
+impl MixedRadix {
+    /// The (trimmed) radix vector.
+    #[must_use]
+    pub fn radices(&self) -> &[usize] {
+        &self.radices
+    }
+
+    /// Digit of `value` at position `x`.
+    #[must_use]
+    pub fn digit(&self, value: usize, x: usize) -> usize {
+        (value / self.weights[x]) % self.radices[x]
+    }
+
+    /// The rotation distance of step `(x, z)`: `z · w_x`.
+    #[must_use]
+    pub fn step_distance(&self, x: usize, z: usize) -> usize {
+        z * self.weights[x]
+    }
+
+    /// The ids moved in step `(x, z)`.
+    #[must_use]
+    pub fn blocks_for_step(&self, x: usize, z: usize) -> Vec<usize> {
+        (0..self.n).filter(|&j| self.digit(j, x) == z).collect()
+    }
+
+    /// All `(subphase, step)` pairs in execution order.
+    pub fn steps(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.num_subphases())
+            .flat_map(move |x| (1..=self.steps_in_subphase(x)).map(move |z| (x, z)))
     }
 }
 

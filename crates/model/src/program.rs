@@ -1,4 +1,5 @@
-//! Explicit per-rank round programs ("lowered" index plans).
+//! Explicit per-rank round programs ("lowered" index plans) and the one
+//! machine that runs them.
 //!
 //! The threaded executor in `bruck-net` runs an algorithm as a blocking
 //! SPMD closure — one OS thread per rank, each free to park inside a
@@ -7,20 +8,21 @@
 //! 12, whose send would have satisfied it. Scaling to the paper's
 //! asymptotic regime (n in the hundreds) therefore needs the algorithm in
 //! a different shape: an explicit, finite list of operations per rank
-//! that an event-driven pool can drive in bulk-synchronous steps, parking
+//! that an event-driven pool can advance one rank at a time, parking
 //! *between* operations instead of inside them.
 //!
 //! [`RankProgram`] is that shape. It is pure data — peers, tags and
 //! closed-form *descriptors* — produced here (the model crate owns
-//! [`IndexPlan`] and the radix math) and consumed by any executor. The
-//! schedules are translation-invariant, so nothing in a program is a
-//! table: a transfer's blocks are a [`SlotSet`] (§3.2's digit test, read
-//! as contiguous *runs*), a local phase a [`BlockPerm`], and lowering a
-//! rank costs O(rounds·k) small structs whatever `n` is. The lowering
-//! *is* the §3 algorithm — there is no other executable form of the
-//! Bruck family in the workspace; `bruck-collectives` interprets these
-//! programs on threads, the TCP fabric on a worker pool, and
-//! `bruck-sched` reads the wire schedule off them:
+//! [`IndexPlan`] and the radix math). The schedules are
+//! translation-invariant, so nothing in a program is a table: a
+//! transfer's blocks are a [`SlotSet`] (§3.2's digit test, read as
+//! contiguous *runs*), a local phase a [`BlockPerm`], and lowering a rank
+//! costs O(rounds·k) small structs whatever `n` is. The lowering *is* the
+//! §3 algorithm — there is no other executable form of the Bruck family
+//! in the workspace — and [`RankMachine`] is its one interpreter, driven
+//! on threads by `bruck-collectives`, on a worker pool by the TCP fabric
+//! and over in-memory mail by [`simulate`]; `bruck-sched` reads the wire
+//! schedule off the programs:
 //!
 //! * [`IndexPlan::Radix`] — rotate, the §3.2 digit rounds grouped `k` per
 //!   round, inverse placement;
@@ -34,8 +36,7 @@
 //!   intra-node index over lane bundles, a transpose, an inter-node
 //!   index over node bundles.
 //!
-//! [`simulate`] executes a program set in-process with perfect message
-//! delivery; the tests sweep it against the transpose oracle so a
+//! The tests sweep [`simulate`] against the transpose oracle, so a
 //! lowering bug is caught in pure math, far from any socket.
 
 use std::collections::HashMap;
@@ -172,9 +173,8 @@ pub enum ProgramOp {
     Round(ProgramRound),
 }
 
-/// A complete per-rank schedule for one all-to-all: every rank's program
-/// in a set has the same number of ops (bulk-synchronous SPMD), so an
-/// executor can drive them in lockstep.
+/// A complete per-rank schedule for one all-to-all: an ordered list of
+/// local permutes and k-port rounds, run by a [`RankMachine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankProgram {
     /// Cluster size.
@@ -265,23 +265,19 @@ impl RankProgram {
             .count()
     }
 
-    /// The largest single message of the program, in blocks — what an
-    /// executor needs for sizing its reliability window against the
-    /// transport's fragment size.
+    /// The local passes a run makes over its `n·b` buffer: every permute,
+    /// plus the copy-in of a program that does not open with one. A driver
+    /// that wants the result in a given buffer reads where to start from
+    /// this count's parity (see [`RankMachine::step`]).
     #[must_use]
-    pub fn max_message_blocks(&self) -> usize {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                ProgramOp::Round(r) => r.sends.iter().map(|x| x.slots.blocks()).max(),
-                ProgramOp::Permute(_) => None,
-            })
-            .max()
-            .unwrap_or(0)
+    pub fn passes(&self) -> usize {
+        let is_permute = |op: &ProgramOp| matches!(op, ProgramOp::Permute(_));
+        let permutes = self.ops.iter().filter(|op| is_permute(op)).count();
+        permutes + usize::from(!self.ops.first().is_some_and(is_permute))
     }
 
-    /// The one shape check an interpreter makes before it indexes an
-    /// `n`-block buffer with these descriptors (`n` and `ops` are public,
+    /// The one shape check [`RankMachine::new`] makes before it indexes
+    /// an `n`-block buffer with these descriptors (`n` and `ops` are public,
     /// so they may have been recombined): every permute covers exactly
     /// `n` blocks and every slot set stays inside them.
     ///
@@ -505,101 +501,275 @@ fn hierarchical_ops(
     Ok(())
 }
 
-/// Execute a program set with perfect in-memory message delivery: the
-/// lockstep semantics of the event-driven executor without any
-/// transport. `inputs[r]` is rank `r`'s send buffer (`n · block`
-/// bytes); the result is each rank's output buffer.
+/// What a [`RankMachine`] asks of its driver next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action<'p> {
+    /// A local pass moved the whole buffer: a permute, or the copy-in of
+    /// a program that does not open with one.
+    Local,
+    /// Post this round's sends, gathered from [`RankMachine::spans`],
+    /// before [delivering](RankMachine::deliver) any of its receives
+    /// (they land in the slots sent from).
+    Send(&'p ProgramRound),
+    /// The round still awaits [`RankMachine::outstanding`].
+    Await(&'p ProgramRound),
+    /// The result is [`RankMachine::buffer`].
+    Done,
+}
+
+/// One rank's program as a pure state machine — the only interpreter of
+/// a [`RankProgram`], with no I/O, clock or thread, and no allocation but
+/// one flag per receive of the widest round.
+/// [`step`](Self::step) runs local passes and yields "send these", then
+/// "await these", then "done"; [`deliver`](Self::deliver) checks one
+/// received message and scatters it into the buffer.
+///
+/// The data stays in `input` until the first pass (the first permute
+/// reads it in place; a program that opens with a round copies it in,
+/// since rounds scatter into the buffer they send from). A pass writes
+/// the `scratch` the driver lends to `step` and hands the old `work`
+/// back in its place, so a driver of many ranks keeps one spare `n·b`
+/// buffer, not one per rank.
+#[derive(Debug)]
+pub struct RankMachine<'p, B> {
+    program: &'p RankProgram,
+    input: &'p [u8],
+    work: B,
+    /// The op the machine is at: the number of ops completed.
+    at: usize,
+    /// No pass has run: the data is still `input`.
+    fresh: bool,
+    /// Receives of the current round still to land (0: none awaited),
+    /// and per receive whether it has.
+    left: usize,
+    landed: Vec<bool>,
+}
+
+impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
+    /// A machine at the start of `program`, over `input` (the rank's send
+    /// buffer, only ever read) and `work`, both `n·b` bytes.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the rank when a buffer is not `n·b` bytes or the
+    /// program does not fit them ([`RankProgram::check_shape`]).
+    pub fn new(program: &'p RankProgram, input: &'p [u8], work: B) -> Result<Self, String> {
+        let (len, rank) = (program.n * program.block, program.rank);
+        let sizes = (input.len(), work.as_ref().len());
+        if sizes != (len, len) {
+            return Err(format!(
+                "rank {rank}: buffers must be n·b = {len} bytes, not {sizes:?}"
+            ));
+        }
+        program.check_shape()?;
+        Ok(Self {
+            program,
+            input,
+            work,
+            at: 0,
+            fresh: true,
+            left: 0,
+            landed: Vec::new(),
+        })
+    }
+
+    /// Advance to the next thing the driver must do. `scratch` must be
+    /// `n·b` bytes: a [`Action::Local`] pass writes it and swaps it with
+    /// the work buffer, so the result ends in the buffer first lent as
+    /// scratch when [`RankProgram::passes`] is odd, else in `work`.
+    pub fn step(&mut self, scratch: &mut B) -> Action<'p> {
+        match self.program.ops.get(self.at) {
+            Some(ProgramOp::Permute(perm)) => {
+                self.at += 1;
+                self.pass(scratch, Some(perm))
+            }
+            None | Some(ProgramOp::Round(_)) if self.fresh => self.pass(scratch, None),
+            None => Action::Done,
+            Some(ProgramOp::Round(round)) if self.left > 0 => Action::Await(round),
+            Some(ProgramOp::Round(round)) => {
+                self.left = round.recvs.len();
+                self.landed.clear();
+                self.landed.resize(self.left, false);
+                self.at += usize::from(self.left == 0);
+                Action::Send(round)
+            }
+        }
+    }
+
+    /// One pass into `scratch` — `perm` applied, or the input copied in —
+    /// which then becomes the work buffer.
+    fn pass(&mut self, scratch: &mut B, perm: Option<&BlockPerm>) -> Action<'p> {
+        let (src, dst) = (self.buffer(), scratch.as_mut());
+        assert_eq!(dst.len(), src.len(), "scratch must be n·b bytes");
+        match perm {
+            Some(perm) => perm.apply(self.program.block, src, dst),
+            None => dst.copy_from_slice(src),
+        }
+        std::mem::swap(&mut self.work, scratch);
+        self.fresh = false;
+        Action::Local
+    }
+
+    /// Take one message of the awaited round and scatter it into the
+    /// slots of the receive `(peer, tag)` names; the last one completes
+    /// the round.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the rank, peer and tag — the buffer untouched —
+    /// when the program is done, no round awaits, the awaited round has
+    /// no such receive or it has landed, or the payload is not that
+    /// receive's `blocks · b` bytes.
+    pub fn deliver(&mut self, peer: usize, tag: u64, payload: &[u8]) -> Result<(), String> {
+        let rank = self.program.rank;
+        let err = |what: &str| Err(format!("rank {rank}: from {peer}, tag {tag}: {what}"));
+        let round = match self.program.ops.get(self.at) {
+            Some(ProgramOp::Round(round)) if self.left > 0 => round,
+            None => return err("the program is done"),
+            Some(_) => return err("no round awaits it"),
+        };
+        let named = |x: &ProgramXfer| (x.peer, x.tag) == (peer, tag);
+        let Some(i) = round.recvs.iter().position(named) else {
+            return err("the awaited round has no such receive");
+        };
+        if self.landed[i] {
+            return err("already delivered");
+        }
+        let (slots, block) = (round.recvs[i].slots, self.program.block);
+        let (got, want) = (payload.len(), slots.blocks() * block);
+        if got != want {
+            return err(&format!("{got} payload bytes, not {want}"));
+        }
+        let (work, mut rest) = (self.work.as_mut(), payload);
+        for (at, len) in slots.runs(block) {
+            let run;
+            (run, rest) = rest.split_at(len);
+            work[at..at + len].copy_from_slice(run);
+        }
+        self.landed[i] = true;
+        self.left -= 1;
+        self.at += usize::from(self.left == 0);
+        Ok(())
+    }
+
+    /// The `(peer, tag)` of every awaited receive that has not landed.
+    pub fn outstanding(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let recvs = match self.program.ops.get(self.at) {
+            Some(ProgramOp::Round(round)) if self.left > 0 => &round.recvs[..],
+            _ => &[],
+        };
+        let pending = recvs.iter().zip(&self.landed).filter(|(_, &l)| !l);
+        pending.map(|(x, _)| (x.peer, x.tag))
+    }
+
+    /// The `(offset, len)` runs of [`buffer`](Self::buffer) that make up
+    /// transfer `x`'s payload, in order.
+    pub fn spans(&self, x: &ProgramXfer) -> impl Iterator<Item = (usize, usize)> {
+        x.slots.runs(self.program.block)
+    }
+
+    /// Append transfer `x`'s payload, gathered from its spans, to `out`.
+    pub fn pack(&self, x: &ProgramXfer, out: &mut Vec<u8>) {
+        for (at, len) in self.spans(x) {
+            out.extend_from_slice(&self.buffer()[at..at + len]);
+        }
+    }
+
+    /// The rank's data as it stands: the input until the first pass.
+    pub fn buffer(&self) -> &[u8] {
+        if self.fresh {
+            self.input
+        } else {
+            self.work.as_ref()
+        }
+    }
+
+    /// Ops completed so far.
+    pub fn completed(&self) -> usize {
+        self.at
+    }
+
+    /// The work buffer: the result once the machine is done.
+    pub fn into_work(self) -> B {
+        self.work
+    }
+}
+
+/// Run a program set with perfect in-memory message delivery: each
+/// rank's [`RankMachine`], in rank order, as far as its mail allows, until
+/// none can move. `inputs[r]` is rank `r`'s `n·b` send buffer; the result
+/// is each rank's output. `after_op(rank, op, data)` sees every op a rank
+/// completes, with the data as that op left it.
 ///
 /// # Errors
 ///
-/// A message when the set is not SPMD-consistent (differing op counts,
-/// wrong buffer sizes, mismatched send/recv pairs).
-pub fn simulate(programs: &[RankProgram], inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, String> {
-    let n = programs.len();
-    if n == 0 {
-        return Ok(Vec::new());
+/// A message when the set does not run to its end: a buffer of the wrong
+/// size, a tag sent twice, a delivery a machine refuses, a receive nobody
+/// sends or a message nobody receives.
+pub fn simulate<'p>(
+    programs: &'p [RankProgram],
+    inputs: &'p [Vec<u8>],
+    mut after_op: impl FnMut(usize, usize, &[u8]),
+) -> Result<Vec<Vec<u8>>, String> {
+    let counts = (inputs.len(), programs.len());
+    if counts.0 != counts.1 {
+        return Err(format!("simulate: (inputs, programs) = {counts:?}"));
     }
-    if inputs.len() != n {
+    let len = inputs.first().map_or(0, Vec::len);
+    let machine =
+        |(p, input): (&'p RankProgram, &'p Vec<u8>)| RankMachine::new(p, input, vec![0; len]);
+    let machines: Result<Vec<_>, _> = programs.iter().zip(inputs).map(machine).collect();
+    let mut machines = machines.map_err(|e| format!("simulate: {e}"))?;
+    let mut scratch = vec![0; len];
+    // Sent and not yet delivered, keyed by (dst, src, tag).
+    let mut mail: HashMap<(usize, usize, u64), Vec<u8>> = HashMap::new();
+    let mut moved = true;
+    while std::mem::take(&mut moved) {
+        for (r, m) in machines.iter_mut().enumerate() {
+            loop {
+                let at = m.completed();
+                match m.step(&mut scratch) {
+                    Action::Local => {}
+                    Action::Send(round) => {
+                        for s in &round.sends {
+                            let mut payload = Vec::new();
+                            m.pack(s, &mut payload);
+                            if mail.insert((s.peer, r, s.tag), payload).is_some() {
+                                return Err(format!("simulate: rank {r} reused tag {}", s.tag));
+                            }
+                        }
+                    }
+                    Action::Await(round) => {
+                        for x in &round.recvs {
+                            if let Some(payload) = mail.remove(&(r, x.peer, x.tag)) {
+                                m.deliver(x.peer, x.tag, &payload)
+                                    .map_err(|e| format!("simulate: {e}"))?;
+                                moved = true;
+                            }
+                        }
+                        if m.outstanding().next().is_some() {
+                            break;
+                        }
+                    }
+                    Action::Done => break,
+                }
+                moved = true;
+                if m.completed() > at {
+                    after_op(r, at, m.buffer());
+                }
+            }
+        }
+    }
+    let mut stuck = machines.iter().enumerate();
+    if let Some((r, (from, tag))) = stuck.find_map(|(r, m)| Some((r, m.outstanding().next()?))) {
         return Err(format!(
-            "simulate: {} inputs for {n} programs",
-            inputs.len()
+            "simulate: rank {r} awaits tag {tag} from {from}, never sent"
         ));
     }
-    let block = programs[0].block;
-    let steps = programs[0].ops.len();
-    for (r, p) in programs.iter().enumerate() {
-        if p.rank != r || p.n != n || p.block != block {
-            return Err(format!("simulate: program {r} header mismatch"));
-        }
-        if p.ops.len() != steps {
-            return Err(format!(
-                "simulate: program {r} has {} ops, expected {steps} (not SPMD)",
-                p.ops.len()
-            ));
-        }
-        if inputs[r].len() != n * block {
-            return Err(format!("simulate: input {r} is not n·block bytes"));
-        }
-        p.check_shape().map_err(|e| format!("simulate: {e}"))?;
+    if !mail.is_empty() {
+        return Err(format!("simulate: {} messages never received", mail.len()));
     }
-    let mut work: Vec<Vec<u8>> = inputs.to_vec();
-    let mut scratch = vec![0u8; n * block];
-    // In flight within one step, keyed by (dst, src, tag).
-    let mut mail: HashMap<(usize, usize, u64), Vec<u8>> = HashMap::new();
-    for t in 0..steps {
-        // Gather every send of the step first (in-place rounds overwrite
-        // the very slots they sent), then deliver.
-        for (r, p) in programs.iter().enumerate() {
-            if let ProgramOp::Round(round) = &p.ops[t] {
-                for s in &round.sends {
-                    let mut payload = Vec::with_capacity(s.slots.blocks() * block);
-                    for (at, len) in s.slots.runs(block) {
-                        payload.extend_from_slice(&work[r][at..at + len]);
-                    }
-                    if mail.insert((s.peer, r, s.tag), payload).is_some() {
-                        return Err(format!("simulate: rank {r} reused tag {}", s.tag));
-                    }
-                }
-            }
-        }
-        for (r, p) in programs.iter().enumerate() {
-            match &p.ops[t] {
-                ProgramOp::Permute(perm) => {
-                    perm.apply(block, &work[r], &mut scratch);
-                    std::mem::swap(&mut work[r], &mut scratch);
-                }
-                ProgramOp::Round(round) => {
-                    for recv in &round.recvs {
-                        let payload = mail.remove(&(r, recv.peer, recv.tag)).ok_or_else(|| {
-                            format!(
-                                "simulate: rank {r} expected tag {} from {}, never sent",
-                                recv.tag, recv.peer
-                            )
-                        })?;
-                        if payload.len() != recv.slots.blocks() * block {
-                            return Err(format!(
-                                "simulate: rank {r} tag {} payload/slot mismatch",
-                                recv.tag
-                            ));
-                        }
-                        let mut rest = &payload[..];
-                        for (at, len) in recv.slots.runs(block) {
-                            let (run, tail) = rest.split_at(len);
-                            work[r][at..at + len].copy_from_slice(run);
-                            rest = tail;
-                        }
-                    }
-                }
-            }
-        }
-        if !mail.is_empty() {
-            return Err(format!(
-                "simulate: step {t} left {} undelivered messages",
-                mail.len()
-            ));
-        }
-    }
-    Ok(work)
+    Ok(machines.into_iter().map(RankMachine::into_work).collect())
 }
 
 /// The index-vector lowering this module used before descriptors: every
@@ -782,6 +952,15 @@ mod reference {
 mod tests {
     use super::*;
 
+    /// The largest single message of a program, in blocks.
+    fn max_message_blocks(p: &RankProgram) -> usize {
+        let widest = |op: &ProgramOp| match op {
+            ProgramOp::Round(r) => r.sends.iter().map(|x| x.slots.blocks()).max(),
+            ProgramOp::Permute(_) => None,
+        };
+        p.ops.iter().filter_map(widest).max().unwrap_or(0)
+    }
+
     /// The reference lowering of `plan` for one rank.
     fn reference_ops(plan: &IndexPlan, n: usize, rank: usize, k: usize) -> Vec<reference::Op> {
         let mut ops = Vec::new();
@@ -885,7 +1064,7 @@ mod tests {
                             }
                         }
                         assert_eq!(program.rounds(), rounds);
-                        assert_eq!(program.max_message_blocks(), widest);
+                        assert_eq!(max_message_blocks(&program), widest);
                         compared += 1;
                     }
                 }
@@ -904,7 +1083,7 @@ mod tests {
         let set: Vec<RankProgram> = (0..7)
             .map(|rank| RankProgram { rank, ..p.clone() })
             .collect();
-        assert!(simulate(&set, &inputs)
+        assert!(simulate(&set, &inputs, |_, _, _| {})
             .unwrap_err()
             .contains("does not fit"));
         p.n = 8;
@@ -948,7 +1127,7 @@ mod tests {
             .map(|r| RankProgram::lower(plan, n, r, block, ports).expect("lowerable"))
             .collect();
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| input(r, n, block)).collect();
-        let outs = simulate(&programs, &inputs).expect("simulate");
+        let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("simulate");
         for (r, out) in outs.iter().enumerate() {
             assert_eq!(
                 out,
@@ -1155,7 +1334,7 @@ mod tests {
                         "n={n} radices={radices:?} k={k}"
                     );
                     assert_eq!(
-                        Some(program.max_message_blocks()),
+                        Some(max_message_blocks(&program)),
                         model.steps().map(|(x, z)| model.blocks_in_step(x, z)).max(),
                         "n={n} radices={radices:?} k={k}"
                     );
@@ -1207,7 +1386,7 @@ mod tests {
         let p = RankProgram::lower(&IndexPlan::Radix(2), 1, 0, 8, 1).unwrap();
         assert!(p.ops.is_empty());
         assert_eq!(p.rounds(), 0);
-        assert_eq!(p.max_message_blocks(), 0);
+        assert_eq!(max_message_blocks(&p), 0);
     }
 
     #[test]
@@ -1215,10 +1394,214 @@ mod tests {
         let p = RankProgram::lower(&IndexPlan::Radix(2), 8, 0, 4, 1).unwrap();
         // ⌈log2 8⌉ = 3 rounds, each carrying 4 of the 8 blocks.
         assert_eq!(p.rounds(), 3);
-        assert_eq!(p.max_message_blocks(), 4);
+        assert_eq!(max_message_blocks(&p), 4);
         // k = 2 halves the round count of a radix-4 schedule's subphases.
         let p1 = RankProgram::lower(&IndexPlan::Radix(4), 16, 3, 4, 1).unwrap();
         let p2 = RankProgram::lower(&IndexPlan::Radix(4), 16, 3, 4, 2).unwrap();
         assert!(p2.rounds() < p1.rounds());
+    }
+
+    /// Try one delivery: `Ok` if the machine took it; otherwise the error
+    /// must name the rank, peer and tag and the buffer be as it was.
+    fn try_deliver(
+        m: &mut RankMachine<'_, Vec<u8>>,
+        rank: usize,
+        (peer, tag, payload): (usize, u64, &[u8]),
+    ) -> Result<(), String> {
+        let before = m.buffer().to_vec();
+        let err = m.deliver(peer, tag, payload).err();
+        let Some(err) = err else { return Ok(()) };
+        let named = format!("rank {rank}: from {peer}, tag {tag}: ");
+        assert!(err.starts_with(&named), "{err}");
+        assert_eq!(m.buffer(), &before[..], "a refused delivery wrote: {err}");
+        Err(err)
+    }
+
+    #[test]
+    fn malformed_deliveries_are_errors_that_leave_the_buffer_untouched() {
+        // Rank 4 of the k = 2, radix-3 program on 9 ranks: two receives a
+        // round.
+        let p = RankProgram::lower(&IndexPlan::Radix(3), 9, 4, 2, 2).unwrap();
+        let data = input(4, 9, 2);
+        let (mut m, mut scratch) = (
+            RankMachine::new(&p, &data, vec![0; 18]).unwrap(),
+            vec![0; 18],
+        );
+        let refused = |m: &mut RankMachine<'_, Vec<u8>>, rank, delivery, why: &str| {
+            let err = try_deliver(m, rank, delivery).expect_err("malformed delivery taken");
+            assert!(err.contains(why), "{err}");
+        };
+        assert_eq!(m.step(&mut scratch), Action::Local);
+        let ProgramOp::Round(round) = &p.ops[1] else {
+            panic!("the rotation is followed by a round");
+        };
+        let (a, b) = (round.recvs[0], round.recvs[1]);
+        let good = vec![7u8; a.slots.blocks() * 2];
+        let long = [&good[..], &[0]].concat();
+        // Before the round's sends are out, nothing may land in it.
+        refused(&mut m, 4, (a.peer, a.tag, &good), "no round awaits");
+        assert_eq!(m.step(&mut scratch), Action::Send(round));
+        assert_eq!(m.step(&mut scratch), Action::Await(round));
+        refused(&mut m, 4, (b.peer, a.tag, &good), "no such receive");
+        refused(&mut m, 4, (a.peer, a.tag + 7, &good), "no such receive");
+        refused(&mut m, 4, (a.peer, a.tag, &good[1..]), "payload bytes");
+        refused(&mut m, 4, (a.peer, a.tag, &long), "payload bytes");
+        m.deliver(a.peer, a.tag, &good).unwrap();
+        refused(&mut m, 4, (a.peer, a.tag, &good), "already delivered");
+        assert_eq!(m.outstanding().collect::<Vec<_>>(), [(b.peer, b.tag)]);
+        assert_eq!(m.completed(), 1);
+
+        // After done: rank 0 of two, run to its end by hand.
+        let p = RankProgram::lower(&IndexPlan::Radix(2), 2, 0, 3, 1).unwrap();
+        let data = input(0, 2, 3);
+        let (mut m, mut scratch) = (RankMachine::new(&p, &data, vec![0; 6]).unwrap(), vec![0; 6]);
+        assert_eq!(m.step(&mut scratch), Action::Local);
+        assert!(matches!(m.step(&mut scratch), Action::Send(_)));
+        let Action::Await(round) = m.step(&mut scratch) else {
+            panic!("a round awaits once its sends are out");
+        };
+        let x = round.recvs[0];
+        m.deliver(x.peer, x.tag, &[1, 2, 3]).unwrap();
+        assert_eq!(m.outstanding().count(), 0);
+        assert_eq!(m.step(&mut scratch), Action::Local);
+        assert_eq!(m.step(&mut scratch), Action::Done);
+        refused(&mut m, 0, (x.peer, x.tag, &[1, 2, 3]), "done");
+        refused(&mut m, 0, (9, 1 << 40, &[]), "done");
+    }
+
+    /// Every rank's machine over in-memory mail, in rank order like
+    /// [`simulate`]; `tamper(machine, rank, delivery)` is offered each
+    /// genuine delivery first and returns whether it delivered it itself.
+    fn drive<'p>(
+        programs: &'p [RankProgram],
+        inputs: &'p [Vec<u8>],
+        mut tamper: impl FnMut(&mut RankMachine<'p, Vec<u8>>, usize, (usize, u64, &[u8])) -> bool,
+    ) -> Vec<RankMachine<'p, Vec<u8>>> {
+        let len = inputs[0].len();
+        let mut machines: Vec<_> = programs
+            .iter()
+            .zip(inputs)
+            .map(|(p, input)| RankMachine::new(p, input, vec![0; len]).unwrap())
+            .collect();
+        let (mut scratch, mut mail, mut moved) = (vec![0; len], HashMap::new(), true);
+        while std::mem::take(&mut moved) {
+            for (r, m) in machines.iter_mut().enumerate() {
+                loop {
+                    match m.step(&mut scratch) {
+                        Action::Local => {}
+                        Action::Send(round) => {
+                            for s in &round.sends {
+                                let mut payload = Vec::new();
+                                m.pack(s, &mut payload);
+                                mail.insert((s.peer, r, s.tag), payload);
+                            }
+                        }
+                        Action::Await(round) => {
+                            for x in &round.recvs {
+                                if let Some(payload) = mail.remove(&(r, x.peer, x.tag)) {
+                                    let genuine = (x.peer, x.tag, &payload[..]);
+                                    if !tamper(m, r, genuine) {
+                                        m.deliver(x.peer, x.tag, &payload).unwrap();
+                                    }
+                                }
+                            }
+                            if m.outstanding().next().is_some() {
+                                break;
+                            }
+                        }
+                        Action::Done => break,
+                    }
+                    moved = true;
+                }
+            }
+        }
+        assert!(mail.is_empty(), "{} messages never received", mail.len());
+        machines
+    }
+
+    /// 10 000 seeded malformed deliveries over random lowered programs
+    /// (every plan family, n ≤ 64, k ≤ 3, b ≤ 3), each offered to the
+    /// receiving machine just before the genuine one: a changed peer or
+    /// tag, a short or long payload, a second copy. None panics; each is
+    /// refused by name with the buffer untouched, or is by chance the
+    /// genuine delivery; every rank still ends on the transpose oracle;
+    /// and a done machine refuses whatever comes after.
+    #[test]
+    fn mutated_deliveries_are_refused_and_never_corrupt_a_result() {
+        let rng = std::cell::Cell::new(0x5eed_u64);
+        let next = || {
+            rng.set(rng.get().wrapping_add(0x9e37_79b9_7f4a_7c15));
+            let mut z = rng.get();
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let (mut kinds, mut mutated) = ([0usize; 5], 0usize);
+        while mutated < 10_000 {
+            let (n, k, block) = (2 + next() % 63, 1 + next() % 3, next() % 4);
+            let plan = match next() % 5 {
+                0 => IndexPlan::Radix(2 + next() % (n - 1)),
+                1 => IndexPlan::Direct,
+                2 => IndexPlan::Hypercube,
+                3 => {
+                    let mut radices = vec![2 + next() % 4];
+                    while radices.iter().product::<usize>() < n {
+                        radices.push(2 + next() % 4);
+                    }
+                    IndexPlan::Mixed(radices)
+                }
+                _ => {
+                    let sizes: Vec<usize> = (1..=n).filter(|s| n % s == 0).collect();
+                    IndexPlan::Hierarchical {
+                        node_size: sizes[next() % sizes.len()],
+                        radix_local: 2 + next() % 3,
+                        radix_remote: 2 + next() % 3,
+                    }
+                }
+            };
+            let label = format!("{} n={n} k={k} b={block}", plan.label());
+            let programs: Vec<RankProgram> = (0..n)
+                .map(|r| RankProgram::lower(&plan, n, r, block, k).unwrap())
+                .collect();
+            let inputs: Vec<Vec<u8>> = (0..n).map(|r| input(r, n, block)).collect();
+            let machines = drive(&programs, &inputs, |m, rank, genuine| {
+                if next() % 2 == 0 {
+                    return false;
+                }
+                let (peer, tag, payload) = genuine;
+                let (mut p, mut t, mut bytes) = (peer, tag, payload.to_vec());
+                let kind = next() % 5;
+                match kind {
+                    0 => p = next() % (n + 2),
+                    1 => t ^= 1 << (next() % 40),
+                    2 if !bytes.is_empty() => bytes.truncate(next() % bytes.len()),
+                    2 | 3 => bytes.resize(bytes.len() + 1 + next() % 3, 0xA5),
+                    _ => m.deliver(peer, tag, payload).expect("genuine delivery"),
+                }
+                (kinds[kind], mutated) = (kinds[kind] + 1, mutated + 1);
+                let taken = try_deliver(m, rank, (p, t, &bytes)).is_ok();
+                assert!(kind < 4 || !taken, "{label}: a second copy was taken");
+                // Taken means it was the genuine delivery after all.
+                assert!(
+                    !taken || (p, t, &bytes[..]) == genuine,
+                    "{label}: took {p} {t}"
+                );
+                taken || kind == 4
+            });
+            for (rank, mut m) in machines.into_iter().enumerate() {
+                let after = (
+                    next() % n,
+                    next() as u64 % (3 << 32),
+                    &[0u8; 2][..next() % 3],
+                );
+                assert!(
+                    try_deliver(&mut m, rank, after).is_err(),
+                    "{label}: taken after done"
+                );
+                let got = m.into_work();
+                assert_eq!(got, expected(rank, n, block), "{label} rank={rank}");
+            }
+        }
+        assert!(kinds.iter().all(|&hits| hits >= 1_000), "{kinds:?}");
     }
 }

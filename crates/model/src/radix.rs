@@ -53,13 +53,6 @@ pub fn pow(base: usize, exp: u32) -> usize {
         .unwrap_or_else(|| panic!("pow overflow: {base}^{exp}"))
 }
 
-/// The radix-`r` digit at position `x` (0 = least significant) of `value`.
-#[must_use]
-pub fn digit(value: usize, r: usize, x: u32) -> usize {
-    debug_assert!(r >= 2);
-    (value / pow(r, x)) % r
-}
-
 /// Full radix decomposition of the block-id space `[0, n)` for a given
 /// radix, exposing exactly the quantities the index algorithm needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,24 +79,6 @@ impl RadixDecomposition {
         }
     }
 
-    /// Number of values being decomposed (`n`).
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The radix `r`.
-    #[must_use]
-    pub fn radix(&self) -> usize {
-        self.r
-    }
-
-    /// Number of digits / subphases, `w = ⌈log_r n⌉`.
-    #[must_use]
-    pub fn num_subphases(&self) -> u32 {
-        self.w
-    }
-
     /// Number of *steps* in subphase `x`: the number of distinct non-zero
     /// values the digit actually takes over `[0, n)`.
     ///
@@ -119,38 +94,6 @@ impl RadixDecomposition {
         }
     }
 
-    /// Total number of steps over all subphases: the one-port round count
-    /// `C1 = (r-1)(w-1) + ⌈n/r^{w-1}⌉ - 1 ≤ (r-1)·⌈log_r n⌉`.
-    #[must_use]
-    pub fn total_steps(&self) -> usize {
-        (0..self.w).map(|x| self.steps_in_subphase(x)).sum()
-    }
-
-    /// The digit of `value` at subphase `x`.
-    #[must_use]
-    pub fn digit(&self, value: usize, x: u32) -> usize {
-        digit(value, self.r, x)
-    }
-
-    /// Block ids `j ∈ [0, n)` whose digit at subphase `x` equals `z`
-    /// (`z ≥ 1`): exactly the blocks packed into the single message of step
-    /// `(x, z)`.
-    #[must_use]
-    pub fn blocks_for_step(&self, x: u32, z: usize) -> Vec<usize> {
-        assert!(
-            z >= 1 && z <= self.steps_in_subphase(x),
-            "step z={z} out of range"
-        );
-        (0..self.n).filter(|&j| self.digit(j, x) == z).collect()
-    }
-
-    /// The rotation amount of step `(x, z)`: blocks move `z·r^x` processors
-    /// to the right (toward higher ranks, cyclically).
-    #[must_use]
-    pub fn step_distance(&self, x: u32, z: usize) -> usize {
-        z * pow(self.r, x)
-    }
-
     /// Exact number of blocks `j ∈ [0, n)` with `digit_x(j) = z`, in
     /// closed form (no enumeration).
     #[must_use]
@@ -160,25 +103,6 @@ impl RadixDecomposition {
         let full = (self.n / period) * unit;
         let rem = self.n % period;
         full + rem.saturating_sub(z * unit).min(unit)
-    }
-
-    /// The largest number of blocks in any one message of any step.
-    ///
-    /// For subphases below the top digit this is at most `⌈n/r⌉` (the
-    /// paper's §3.2 bound); the top subphase can carry up to `r^{w-1}`
-    /// blocks when `n` is not a power of `r` (e.g. `n=6, r=3`: step
-    /// `(1, 1)` carries blocks {3, 4, 5}).
-    #[must_use]
-    pub fn max_blocks_per_message(&self) -> usize {
-        self.steps()
-            .map(|(x, z)| self.blocks_in_step(x, z))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterator over all `(subphase, step)` pairs in execution order.
-    pub fn steps(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        (0..self.w).flat_map(move |x| (1..=self.steps_in_subphase(x)).map(move |z| (x, z)))
     }
 
     /// Closed-form `(C1, C2)` of the radix-`r` index algorithm's
@@ -216,6 +140,77 @@ impl RadixDecomposition {
         }
         c
     }
+}
+
+/// The enumerating view of the decomposition — the block sets and
+/// distances §3.2 steps through — kept as the reference the closed forms
+/// above and the lowering in `program.rs` are tested against.
+#[cfg(test)]
+impl RadixDecomposition {
+    /// Number of digits / subphases, `w = ⌈log_r n⌉`.
+    #[must_use]
+    pub fn num_subphases(&self) -> u32 {
+        self.w
+    }
+
+    /// Total number of steps over all subphases: the one-port round count
+    /// `C1 = (r-1)(w-1) + ⌈n/r^{w-1}⌉ - 1 ≤ (r-1)·⌈log_r n⌉`.
+    #[must_use]
+    pub fn total_steps(&self) -> usize {
+        (0..self.w).map(|x| self.steps_in_subphase(x)).sum()
+    }
+
+    /// The digit of `value` at subphase `x`.
+    #[must_use]
+    pub fn digit(&self, value: usize, x: u32) -> usize {
+        digit(value, self.r, x)
+    }
+
+    /// Block ids `j ∈ [0, n)` whose digit at subphase `x` equals `z`
+    /// (`z ≥ 1`): exactly the blocks packed into the single message of step
+    /// `(x, z)`.
+    #[must_use]
+    pub fn blocks_for_step(&self, x: u32, z: usize) -> Vec<usize> {
+        assert!(
+            z >= 1 && z <= self.steps_in_subphase(x),
+            "step z={z} out of range"
+        );
+        (0..self.n).filter(|&j| self.digit(j, x) == z).collect()
+    }
+
+    /// The rotation amount of step `(x, z)`: blocks move `z·r^x` processors
+    /// to the right (toward higher ranks, cyclically).
+    #[must_use]
+    pub fn step_distance(&self, x: u32, z: usize) -> usize {
+        z * pow(self.r, x)
+    }
+
+    /// The largest number of blocks in any one message of any step.
+    ///
+    /// For subphases below the top digit this is at most `⌈n/r⌉` (the
+    /// paper's §3.2 bound); the top subphase can carry up to `r^{w-1}`
+    /// blocks when `n` is not a power of `r` (e.g. `n=6, r=3`: step
+    /// `(1, 1)` carries blocks {3, 4, 5}).
+    #[must_use]
+    pub fn max_blocks_per_message(&self) -> usize {
+        self.steps()
+            .map(|(x, z)| self.blocks_in_step(x, z))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Iterator over all `(subphase, step)` pairs in execution order.
+    pub fn steps(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        (0..self.w).flat_map(move |x| (1..=self.steps_in_subphase(x)).map(move |z| (x, z)))
+    }
+}
+
+/// The radix-`r` digit at position `x` (0 = least significant) of `value`.
+#[cfg(test)]
+#[must_use]
+pub fn digit(value: usize, r: usize, x: u32) -> usize {
+    debug_assert!(r >= 2);
+    (value / pow(r, x)) % r
 }
 
 #[cfg(test)]

@@ -352,7 +352,7 @@ impl Endpoint {
         }
         self.metrics.wall_send_ns += wall_send.elapsed().as_nanos() as u64;
 
-        self.finish_round(t0, max_send_done, &sent_sizes, recvs)
+        self.finish_round(t0, max_send_done, sent_sizes, recvs)
     }
 
     /// [`round`](Self::round) with gather-spec sends: each outgoing
@@ -418,7 +418,7 @@ impl Endpoint {
         }
         self.metrics.wall_send_ns += wall_send.elapsed().as_nanos() as u64;
 
-        self.finish_round(t0, max_send_done, &sent_sizes, recvs)
+        self.finish_round(t0, max_send_done, sent_sizes, recvs)
     }
 
     /// Shared round prologue: fault-plan kill check plus port-model
@@ -484,7 +484,7 @@ impl Endpoint {
         &mut self,
         t0: f64,
         max_send_done: f64,
-        sent_sizes: &[u64],
+        sent_sizes: Vec<u64>,
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
         let wall_recv = Instant::now();

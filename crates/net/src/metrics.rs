@@ -217,12 +217,14 @@ impl RankMetrics {
     /// contribution, which the caller reports to the cluster's
     /// [`RoundClock`](crate::fault::RoundClock).
     #[must_use = "the round's largest message has to reach the RoundClock"]
-    pub fn record_round(&mut self, sent_sizes: &[u64], received: usize) -> u64 {
+    pub fn record_round(&mut self, sizes: impl IntoIterator<Item = u64>, received: usize) -> u64 {
         self.rounds += 1;
-        self.msgs_sent += sent_sizes.len() as u64;
-        self.bytes_sent += sent_sizes.iter().sum::<u64>();
         self.msgs_received += received as u64;
-        sent_sizes.iter().copied().max().unwrap_or(0)
+        sizes.into_iter().fold(0, |max, size| {
+            self.msgs_sent += 1;
+            self.bytes_sent += size;
+            max.max(size)
+        })
     }
 }
 
@@ -366,7 +368,7 @@ mod tests {
             .map(|(rank, rounds)| {
                 let mut m = RankMetrics::default();
                 for &(sent, received) in *rounds {
-                    clock.advance(rank, m.record_round(sent, received));
+                    clock.advance(rank, m.record_round(sent.iter().copied(), received));
                 }
                 m
             })
@@ -452,12 +454,12 @@ mod tests {
     #[test]
     fn bytes_per_round_and_wall_phases() {
         let mut a = RankMetrics::default();
-        let _ = a.record_round(&[10, 20], 1);
-        let _ = a.record_round(&[30], 0);
+        let _ = a.record_round([10, 20], 1);
+        let _ = a.record_round([30], 0);
         a.wall_send_ns = 100;
         a.wall_recv_ns = 300;
         let mut b = RankMetrics::default();
-        let _ = b.record_round(&[40], 1);
+        let _ = b.record_round([40], 1);
         b.wall_send_ns = 50;
         b.wall_recv_ns = 150;
         let run = RunMetrics {

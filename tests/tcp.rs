@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use bruck::collectives::verify;
 use bruck::model::planner::IndexPlan;
+use bruck::model::program::{simulate, RankProgram};
 use bruck::net::{
     ClusterConfig, FaultPlan, Message, Reliability, TcpFabric, TcpScaleCluster, Transport,
 };
@@ -16,7 +17,9 @@ fn scale_inputs(n: usize, block: usize) -> Vec<Vec<u8>> {
     (0..n).map(|r| verify::index_input(r, n, block)).collect()
 }
 
-fn assert_oracle(results: &[Vec<u8>], n: usize, block: usize, label: &str) {
+/// Every rank's bytes against the transpose oracle and against the same
+/// one-port programs run in memory by `simulate`.
+fn assert_oracle(results: &[Vec<u8>], plan: &IndexPlan, n: usize, block: usize, label: &str) {
     for (rank, got) in results.iter().enumerate() {
         assert_eq!(
             got,
@@ -24,6 +27,11 @@ fn assert_oracle(results: &[Vec<u8>], n: usize, block: usize, label: &str) {
             "{label} rank={rank}"
         );
     }
+    let programs: Vec<RankProgram> = (0..n)
+        .map(|rank| RankProgram::lower(plan, n, rank, block, 1).expect("lowerable"))
+        .collect();
+    let simulated = simulate(&programs, &scale_inputs(n, block), |_, _, _| {});
+    assert_eq!(results, simulated.expect("simulate"), "{label}");
 }
 
 /// `with_reliability` on a clean fabric must be free: the stream is
@@ -66,7 +74,7 @@ fn assert_clean_run_is_quiet(n: usize, node_size: usize, block: usize) {
     let out =
         TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(2))
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-    assert_oracle(&out.results, n, block, &label);
+    assert_oracle(&out.results, &IndexPlan::Radix(2), n, block, &label);
     assert_quiet(&out, &label);
 }
 
@@ -104,7 +112,7 @@ fn lossy_delayed_tcp_loopback_stays_bit_correct() {
     let inputs = scale_inputs(n, block);
     let out = TcpScaleCluster::run(&cfg, &IndexPlan::Radix(2), block, &inputs)
         .unwrap_or_else(|e| panic!("lossy tcp run: {e}"));
-    assert_oracle(&out.results, n, block, "lossy tcp");
+    assert_oracle(&out.results, &IndexPlan::Radix(2), n, block, "lossy tcp");
     let link = out.metrics.link_totals();
     assert!(
         link.injected_losses + link.injected_delays > 0,
@@ -137,7 +145,7 @@ fn lossy_tcp_matches_faultless_run() {
         .with_faults(FaultPlan::new().with_seed(7).with_loss(0.08));
     let lossy = TcpScaleCluster::run(&lossy_cfg, &plan, block, &inputs).unwrap();
     assert_eq!(clean.results, lossy.results);
-    assert_oracle(&clean.results, n, block, "clean hier tcp");
+    assert_oracle(&clean.results, &plan, n, block, "clean hier tcp");
     // Which layer did the work: none on the clean stream, the ARQ once
     // the wire can lose a frame.
     assert_quiet(&clean, "clean hier tcp");
@@ -152,15 +160,21 @@ fn lossy_tcp_matches_faultless_run() {
 fn n128_multiplexes_hundreds_of_ranks_onto_a_handful_of_threads() {
     let (n, node_size, block) = (128, 32, 8);
     let inputs = scale_inputs(n, block);
-    let workers = 4;
-    for plan in [
+    let plans = [
         IndexPlan::Radix(2),
+        IndexPlan::Mixed(vec![4, 8, 4]),
         IndexPlan::Hierarchical {
             node_size,
             radix_local: 2,
             radix_remote: 2,
         },
-    ] {
+    ];
+    // 3 workers split the ranks 43 / 43 / 42: the ranks of one worker
+    // progress independently of each other.
+    for (plan, workers) in plans
+        .iter()
+        .flat_map(|p| [1, 3, 4, n].map(|w| (p.clone(), w)))
+    {
         let cfg = ClusterConfig::new(n)
             .with_node_size(node_size)
             .with_reliability(Reliability::default())
@@ -168,7 +182,7 @@ fn n128_multiplexes_hundreds_of_ranks_onto_a_handful_of_threads() {
             .with_deadline(Duration::from_secs(300));
         let out = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(workers))
             .unwrap_or_else(|e| panic!("{} n=128: {e}", plan.label()));
-        assert_oracle(&out.results, n, block, &plan.label());
+        assert_oracle(&out.results, &plan, n, block, &plan.label());
         assert_eq!(out.workers, workers, "{}", plan.label());
         assert!(
             out.threads <= workers + 1,
@@ -194,7 +208,7 @@ fn scale_run_moves_its_payloads_through_one_pool() {
     let out =
         TcpScaleCluster::run_with_workers(&cfg, &IndexPlan::Radix(2), block, &inputs, Some(2))
             .unwrap_or_else(|e| panic!("pooled run: {e}"));
-    assert_oracle(&out.results, n, block, "pooled run");
+    assert_oracle(&out.results, &IndexPlan::Radix(2), n, block, "pooled run");
     assert_quiet(&out, "pooled run");
     let pool = out.metrics.pool;
     let per_round = n as u64; // radix 2, one port: one message per rank
@@ -230,7 +244,7 @@ fn arena_allocations_do_not_grow_with_the_round_count() {
     let fresh = |plan: IndexPlan| {
         let out = TcpScaleCluster::run_with_workers(&cfg, &plan, block, &inputs, Some(2))
             .unwrap_or_else(|e| panic!("{}: {e}", plan.label()));
-        assert_oracle(&out.results, n, block, &plan.label());
+        assert_oracle(&out.results, &plan, n, block, &plan.label());
         assert_quiet(&out, &plan.label());
         (out.rounds as u64, out.metrics.pool.allocated)
     };
@@ -329,6 +343,6 @@ fn short_circuit_and_aborted_runs_return_with_the_pool_idle() {
     let out =
         TcpScaleCluster::run_with_workers(&clean, &IndexPlan::Radix(2), block, &inputs, Some(2))
             .expect("clean run after an aborted one");
-    assert_oracle(&out.results, n, block, "after abort");
+    assert_oracle(&out.results, &IndexPlan::Radix(2), n, block, "after abort");
     assert!(out.metrics.pool.reused > 0, "{:?}", out.metrics.pool);
 }
