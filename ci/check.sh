@@ -163,15 +163,23 @@ timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations
 # or repeated (peer, tag), wrong length, after done) is an error naming
 # rank, peer and tag with the buffer untouched, over 10 000 seeded
 # mutations of random lowered programs; and Figs. 1–3 read off the
-# machine running the radix programs. In release; built outside the
-# hard timeout.
+# machine running the radix programs. Planning rests on closed forms
+# too: the uniform and mixed radix costs against the enumerated block
+# sets of every step (every radix at n < 200; every vector the mixed
+# search visits at n ≤ 64; k ≤ 5), and the one-pass v-planner against
+# the n²-walking, sorting planner it replaced, bit for bit, on seeded
+# matrices at n ≤ 48, k ≤ 4 and the benchmark's n = 1 024 Zipf matrix.
+# In release; built outside the hard timeout.
 cargo test -q --release -p bruck-model --lib --no-run
 cargo test -q --release --test paper_artifacts --no-run
 timeout 120 cargo test -q --release -p bruck-model --lib -- \
     program::tests::descriptors_expand program::tests::larger_scale \
     program::tests::mixed_descriptors_expand program::tests::mixed_lowering \
     program::tests::malformed_deliveries program::tests::mutated_deliveries \
-    partition::tests::arithmetic_validate partition::tests::block_size
+    partition::tests::arithmetic_validate partition::tests::block_size \
+    radix::tests::profile_matches radix::tests::step_sizes_never_grow \
+    mixed_radix::tests::closed_form_matches \
+    planner::tests::v_planner_matches
 timeout 120 cargo test -q --release --test paper_artifacts
 
 # TCP recovery gate: the connection-healing lifecycle over real

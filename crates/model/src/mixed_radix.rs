@@ -17,6 +17,7 @@
 
 use crate::complexity::Complexity;
 use crate::cost::CostModel;
+use crate::radix::index_profile;
 
 /// A mixed-radix decomposition of the block-id space `[0, n)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +64,32 @@ impl MixedRadix {
         }
     }
 
+    /// Closed-form `(C1, C2)` of the mixed-radix index algorithm in the
+    /// k-port model: steps of a subphase grouped `k` per round, a round's
+    /// `C2` contribution the largest message in the group — the uniform
+    /// radix's closed form ([`index_profile`]) over this vector's digit
+    /// weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports == 0`.
+    #[must_use]
+    pub fn complexity(&self, block: usize, ports: usize) -> Complexity {
+        let digits = self
+            .weights
+            .iter()
+            .zip(&self.radices)
+            .map(|(&w, &r)| (w, r));
+        let (rounds, blocks) = index_profile(self.n, digits, ports);
+        Complexity::new(rounds, blocks * block as u64)
+    }
+}
+
+/// The enumerating view — digit sets and distances per step — kept as
+/// the reference the closed forms above and the mixed lowering in
+/// `program.rs` are tested against.
+#[cfg(test)]
+impl MixedRadix {
     /// Number of subphases.
     #[must_use]
     pub fn num_subphases(&self) -> usize {
@@ -73,10 +100,7 @@ impl MixedRadix {
     /// actually occurs among ids `< n`.
     #[must_use]
     pub fn steps_in_subphase(&self, x: usize) -> usize {
-        (0..self.radices[x])
-            .rev()
-            .find(|&z| self.blocks_in_step(x, z) > 0)
-            .unwrap_or(0)
+        crate::radix::digit_steps(self.n, self.weights[x], self.radices[x])
     }
 
     /// Exact count of ids `j ∈ [0, n)` with `digit_x(j) = z`.
@@ -89,38 +113,6 @@ impl MixedRadix {
         full + rem.saturating_sub(z * w).min(w)
     }
 
-    /// Closed-form `(C1, C2)` of the mixed-radix index algorithm in the
-    /// k-port model: steps of a subphase grouped `k` per round, a round's
-    /// `C2` contribution the largest message in the group.
-    #[must_use]
-    pub fn complexity(&self, block: usize, ports: usize) -> Complexity {
-        assert!(ports >= 1);
-        let mut c = Complexity::ZERO;
-        if self.n <= 1 {
-            return c;
-        }
-        for x in 0..self.num_subphases() {
-            let steps = self.steps_in_subphase(x);
-            let mut z = 1usize;
-            while z <= steps {
-                let hi = steps.min(z + ports - 1);
-                let max_blocks = (z..=hi)
-                    .map(|zz| self.blocks_in_step(x, zz))
-                    .max()
-                    .unwrap_or(0);
-                c = c.plus_round((max_blocks * block) as u64);
-                z = hi + 1;
-            }
-        }
-        c
-    }
-}
-
-/// The enumerating view — digit sets and distances per step — kept as
-/// the reference the closed forms above and the mixed lowering in
-/// `program.rs` are tested against.
-#[cfg(test)]
-impl MixedRadix {
     /// The (trimmed) radix vector.
     #[must_use]
     pub fn radices(&self) -> &[usize] {
@@ -168,16 +160,25 @@ pub fn best_radix_vector(
         return (vec![2], Complexity::ZERO, 0.0);
     }
     let mut best: Option<(Vec<usize>, Complexity, f64)> = None;
+    for_each_searched_vector(n, |radices| {
+        let c = MixedRadix::new(n, radices).complexity(block, ports);
+        let t = model.estimate(c);
+        if best.as_ref().is_none_or(|(_, _, bt)| t < *bt) {
+            best = Some((radices.to_vec(), c, t));
+        }
+    });
+    best.expect("at least the single-digit vector [n] is always explored")
+}
+
+/// Visit, depth first, every radix vector [`best_radix_vector`] costs:
+/// non-decreasing, extended one radix at a time until the product first
+/// reaches `n`.
+fn for_each_searched_vector(n: usize, mut visit: impl FnMut(&[usize])) {
     let mut stack: Vec<Vec<usize>> = vec![vec![]];
     while let Some(prefix) = stack.pop() {
         let product: usize = prefix.iter().product();
         if product >= n {
-            let d = MixedRadix::new(n, &prefix);
-            let c = d.complexity(block, ports);
-            let t = model.estimate(c);
-            if best.as_ref().is_none_or(|(_, _, bt)| t < *bt) {
-                best = Some((prefix, c, t));
-            }
+            visit(&prefix);
             continue;
         }
         // Extend with any radix ≥ the last one (canonical non-decreasing
@@ -194,7 +195,6 @@ pub fn best_radix_vector(
             stack.push(next);
         }
     }
-    best.expect("at least the single-digit vector [n] is always explored")
 }
 
 #[cfg(test)]
@@ -311,6 +311,45 @@ mod tests {
             }
         }
         assert!(strict, "mixed radices never beat uniform — tuner is broken");
+    }
+
+    #[test]
+    fn closed_form_matches_the_enumerated_steps_of_every_searched_vector() {
+        // Every vector the tuner costs for n ≤ 64: the step count against
+        // the largest digit an id takes, every step's block set
+        // enumerated (never growing with the digit), and C1 / C2 grouped
+        // by hand for k ≤ 5.
+        for n in 2..=64usize {
+            for_each_searched_vector(n, |radices| {
+                let d = MixedRadix::new(n, radices);
+                let steps: Vec<Vec<usize>> = (0..d.num_subphases())
+                    .map(|x| {
+                        let largest = (0..n).map(|j| d.digit(j, x)).max().unwrap_or(0);
+                        assert_eq!(d.steps_in_subphase(x), largest, "n={n} {radices:?} x={x}");
+                        (1..=largest)
+                            .map(|z| d.blocks_for_step(x, z).len())
+                            .collect()
+                    })
+                    .collect();
+                for (x, sizes) in steps.iter().enumerate() {
+                    for (z, &size) in (1..).zip(sizes) {
+                        assert_eq!(d.blocks_in_step(x, z), size, "n={n} {radices:?} x={x}");
+                    }
+                    assert!(
+                        sizes.windows(2).all(|w| w[1] <= w[0]),
+                        "n={n} {radices:?} x={x}: {sizes:?}"
+                    );
+                }
+                for k in 1..=5 {
+                    let (rounds, blocks) = crate::radix::grouped_profile(&steps, k);
+                    assert_eq!(
+                        d.complexity(3, k),
+                        Complexity::new(rounds, 3 * blocks),
+                        "n={n} {radices:?} k={k}"
+                    );
+                }
+            });
+        }
     }
 
     #[test]

@@ -125,32 +125,6 @@ impl VIndexPlan {
     }
 }
 
-/// Skew of a per-pair size matrix: max over mean of the off-diagonal
-/// entries (the blocks that actually travel). `1.0` for uniform or
-/// degenerate (empty / all-zero) matrices — the statistic
-/// `plan_vindex` dispatches on.
-#[must_use]
-pub fn skew_ratio(n: usize, sizes: &[u64]) -> f64 {
-    assert_eq!(sizes.len(), n * n, "skew_ratio: need an n×n size matrix");
-    let mut max = 0u64;
-    let mut sum = 0u128;
-    let mut cnt = 0u64;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let s = sizes[i * n + j];
-                max = max.max(s);
-                sum += u128::from(s);
-                cnt += 1;
-            }
-        }
-    }
-    if cnt == 0 || sum == 0 {
-        return 1.0;
-    }
-    max as f64 / (sum as f64 / cnt as f64)
-}
-
 /// The concatenation-algorithm family member a plan dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConcatPlan {
@@ -380,32 +354,17 @@ impl<'m> Planner<'m> {
         if n <= 1 {
             return Complexity::ZERO;
         }
-        let off_diag_max = (0..n)
-            .flat_map(|i| {
-                (0..n)
-                    .filter(move |&j| j != i)
-                    .map(move |j| sizes[i * n + j])
-            })
-            .max()
-            .unwrap_or(0);
-        match plan {
-            VIndexPlan::Direct => direct_v_complexity(n, k, |i, j| sizes[i * n + j]),
-            VIndexPlan::Padded { radix } => {
-                if off_diag_max == 0 {
-                    return Complexity::ZERO;
-                }
-                let r = (*radix).clamp(2, n);
-                RadixDecomposition::new(n, r).complexity(off_diag_max as usize, k)
-            }
+        let profile = SizeProfile::scan(n, sizes, false);
+        let uniform = |radix: usize, bytes| {
+            let unit = RadixDecomposition::new(n, radix.clamp(2, n)).profile(k);
+            uniform_phase(unit, bytes)
+        };
+        match *plan {
+            VIndexPlan::Direct => profile.direct(k, 0),
+            VIndexPlan::Padded { radix } => uniform(radix, profile.max),
             VIndexPlan::TwoPhase { radix, quota } => {
-                let q = (*quota as u64).min(off_diag_max);
-                let r = (*radix).clamp(2, n);
-                let uniform = if q == 0 {
-                    Complexity::ZERO
-                } else {
-                    RadixDecomposition::new(n, r).complexity(q as usize, k)
-                };
-                uniform + direct_v_complexity(n, k, |i, j| sizes[i * n + j].saturating_sub(q))
+                let q = (quota as u64).min(profile.max);
+                uniform(radix, q) + profile.direct(k, q)
             }
         }
     }
@@ -436,23 +395,18 @@ impl<'m> Planner<'m> {
                 predicted_time: 0.0,
             };
         }
-        // Same candidate set and evaluation order as the naive
-        // one-`vindex_complexity`-per-candidate sweep (Direct, padded by
-        // ascending radix, then two-phase quota-major), but with the
-        // shared sub-terms hoisted: one radix decomposition per radix
-        // (reused by its padded and every two-phase candidate) and one
-        // O(n²) tail complexity per distinct quota (shared across
-        // radices). The sweep runs on every `alltoallv_auto` call —
-        // between the metadata and payload rounds — so its CPU cost is
-        // part of the measured collective.
-        let off_diag_max = (0..n)
-            .flat_map(|i| {
-                (0..n)
-                    .filter(move |&j| j != i)
-                    .map(move |j| sizes[i * n + j])
-            })
-            .max()
-            .unwrap_or(0);
+        // Same candidate set and evaluation order as one
+        // `vindex_complexity` per candidate (Direct, padded by ascending
+        // radix, then two-phase quota-major), but the matrix is read once
+        // and each radix profiled once: a candidate then costs O(n) (a
+        // direct tail, one per quota) or O(1) (a uniform phase). The
+        // sweep runs on every `alltoallv_auto` call — between the
+        // metadata and payload rounds — so its CPU cost is part of the
+        // measured collective.
+        let profile = SizeProfile::scan(n, sizes, true);
+        let radices: Vec<(usize, (u64, u64))> = (2..=n)
+            .map(|r| (r, RadixDecomposition::new(n, r).profile(k)))
+            .collect();
         let mut best: Option<PlanChoice<VIndexPlan>> = None;
         let mut consider = |plan: VIndexPlan, complexity: Complexity| {
             let predicted_time = self.model.estimate(complexity);
@@ -467,30 +421,22 @@ impl<'m> Planner<'m> {
                 });
             }
         };
-        consider(
-            VIndexPlan::Direct,
-            direct_v_complexity(n, k, |i, j| sizes[i * n + j]),
-        );
-        let decomps: Vec<RadixDecomposition> =
-            (2..=n).map(|r| RadixDecomposition::new(n, r)).collect();
-        for (radix, decomp) in (2..=n).zip(&decomps) {
-            let complexity = if off_diag_max == 0 {
-                Complexity::ZERO
-            } else {
-                decomp.complexity(off_diag_max as usize, k)
-            };
-            consider(VIndexPlan::Padded { radix }, complexity);
+        consider(VIndexPlan::Direct, profile.direct(k, 0));
+        for &(radix, unit) in &radices {
+            consider(
+                VIndexPlan::Padded { radix },
+                uniform_phase(unit, profile.max),
+            );
         }
-        for quota in quota_candidates(n, sizes) {
-            let q = (quota as u64).min(off_diag_max);
-            let tail = direct_v_complexity(n, k, |i, j| sizes[i * n + j].saturating_sub(q));
-            for (radix, decomp) in (2..=n).zip(&decomps) {
-                let uniform = if q == 0 {
-                    Complexity::ZERO
-                } else {
-                    decomp.complexity(q as usize, k)
-                };
-                consider(VIndexPlan::TwoPhase { radix, quota }, uniform + tail);
+        for &quota in &profile.quotas {
+            // Quota candidates lie strictly between 0 and the maximum.
+            let q = quota as u64;
+            let tail = profile.direct(k, q);
+            for &(radix, unit) in &radices {
+                consider(
+                    VIndexPlan::TwoPhase { radix, quota },
+                    uniform_phase(unit, q) + tail,
+                );
             }
         }
         best.expect("n ≥ 2 always yields candidates")
@@ -600,25 +546,87 @@ fn hierarchical_phase_complexities(
     (local, remote)
 }
 
-/// The direct-exchange complexity over an arbitrary per-pair size
-/// function: distances `1..n` with at least one non-empty message,
-/// grouped `k` per round; each round is charged its largest message
-/// (the multiport round completes when its slowest port does).
-fn direct_v_complexity(n: usize, k: usize, size: impl Fn(usize, usize) -> u64) -> Complexity {
-    let active: Vec<usize> = (1..n)
-        .filter(|&d| (0..n).any(|i| size(i, (i + d) % n) > 0))
-        .collect();
-    let mut c = Complexity::ZERO;
-    for group in active.chunks(k) {
-        let mut max = 0u64;
-        for &d in group {
-            for i in 0..n {
-                max = max.max(size(i, (i + d) % n));
+/// The uniform index phase at `bytes` per block, from its radix's
+/// [`profile`](RadixDecomposition::profile); empty blocks cost nothing.
+fn uniform_phase((rounds, blocks): (u64, u64), bytes: u64) -> Complexity {
+    if bytes == 0 {
+        Complexity::ZERO
+    } else {
+        Complexity::new(rounds, blocks * bytes)
+    }
+}
+
+/// What every non-uniform cost reads off an `n×n` size matrix, gathered
+/// in one row-major pass.
+struct SizeProfile {
+    /// `dmax[d] = max_i sizes[i·n + (i+d) mod n]`: the largest message at
+    /// distance `d` (`dmax[0]` is the diagonal, which never travels).
+    dmax: Vec<u64>,
+    /// The largest travelling (off-diagonal) entry.
+    max: u64,
+    /// The [`quota_candidates`]; empty unless asked for.
+    quotas: Vec<usize>,
+}
+
+impl SizeProfile {
+    /// Read `sizes` once. `with_quotas` also copies the travelling
+    /// entries — the one n²-entry allocation — to select their median.
+    fn scan(n: usize, sizes: &[u64], with_quotas: bool) -> Self {
+        assert_eq!(sizes.len(), n * n, "vindex: need an n×n size matrix");
+        let mut dmax = vec![0u64; n];
+        let mut travelling = Vec::with_capacity(if with_quotas { n * n - n } else { 0 });
+        let mut sum = 0u128;
+        for (i, row) in sizes.chunks_exact(n.max(1)).enumerate() {
+            // Entry j of row i sits at distance j − i mod n: the entries
+            // from the diagonal on at 0, 1, …; those before it at n − i, ….
+            let (before, from_diag) = row.split_at(i);
+            let (near, far) = dmax.split_at_mut(n - i);
+            for (m, &s) in near.iter_mut().zip(from_diag) {
+                *m = (*m).max(s);
+            }
+            for (m, &s) in far.iter_mut().zip(before) {
+                *m = (*m).max(s);
+            }
+            if with_quotas {
+                for part in [before, &from_diag[1..]] {
+                    sum += part.iter().map(|&s| u128::from(s)).sum::<u128>();
+                    travelling.extend_from_slice(part);
+                }
             }
         }
-        c = c.plus_round(max);
+        let max = dmax.iter().skip(1).copied().max().unwrap_or(0);
+        let mut quotas = Vec::new();
+        let len = travelling.len();
+        if len > 0 {
+            let mean = (sum / len as u128) as u64;
+            // The element a full sort would put at len / 2.
+            let median = *travelling.select_nth_unstable(len / 2).1;
+            for q in [mean, median] {
+                let q = usize::try_from(q).unwrap_or(usize::MAX);
+                if q > 0 && (q as u64) < max && !quotas.contains(&q) {
+                    quotas.push(q);
+                }
+            }
+        }
+        Self { dmax, max, quotas }
     }
-    c
+
+    /// The direct exchange of every block's bytes above `quota` (`0`: the
+    /// whole matrix): the distances whose largest message exceeds the
+    /// quota, grouped `k` per round, each round charged its largest
+    /// remainder (the multiport round completes when its slowest port
+    /// does). Exact: `saturating_sub` is monotone, so a distance's largest
+    /// remainder is its `dmax` less the quota.
+    fn direct(&self, k: usize, quota: u64) -> Complexity {
+        let tails: Vec<u64> = self.dmax[1..]
+            .iter()
+            .filter(|&&m| m > quota)
+            .map(|&m| m - quota)
+            .collect();
+        tails.chunks(k).fold(Complexity::ZERO, |c, round| {
+            c.plus_round(round.iter().copied().max().unwrap_or(0))
+        })
+    }
 }
 
 /// Quota candidates for the two-phase plan: the mean and the median of
@@ -630,29 +638,7 @@ fn direct_v_complexity(n: usize, k: usize, size: impl Fn(usize, usize) -> u64) -
 #[must_use]
 pub fn quota_candidates(n: usize, sizes: &[u64]) -> Vec<usize> {
     assert_eq!(sizes.len(), n * n, "quota: need an n×n size matrix");
-    let mut travelling: Vec<u64> = (0..n)
-        .flat_map(|i| {
-            (0..n)
-                .filter(move |&j| j != i)
-                .map(move |j| sizes[i * n + j])
-        })
-        .collect();
-    if travelling.is_empty() {
-        return Vec::new();
-    }
-    travelling.sort_unstable();
-    let max = *travelling.last().expect("non-empty");
-    let sum: u128 = travelling.iter().map(|&s| u128::from(s)).sum();
-    let mean = (sum / travelling.len() as u128) as u64;
-    let median = travelling[travelling.len() / 2];
-    let mut out = Vec::new();
-    for q in [mean, median] {
-        let q = usize::try_from(q).unwrap_or(usize::MAX);
-        if q > 0 && (q as u64) < max && !out.contains(&q) {
-            out.push(q);
-        }
-    }
-    out
+    SizeProfile::scan(n, sizes, true).quotas
 }
 
 #[cfg(test)]
@@ -963,16 +949,280 @@ mod tests {
         }
     }
 
+    /// The v-planner before the one-pass profile, kept verbatim as the
+    /// oracle it is held to: `direct_v_complexity` walks all n² entries
+    /// per call, `quota_candidates` sorts them, `plan_vindex` prices each
+    /// radix with the per-step walk.
+    mod by_walks {
+        use super::super::{PlanChoice, VIndexPlan};
+        use crate::complexity::Complexity;
+        use crate::cost::CostModel;
+        use crate::radix::RadixDecomposition;
+
+        pub fn direct_v_complexity(
+            n: usize,
+            k: usize,
+            size: impl Fn(usize, usize) -> u64,
+        ) -> Complexity {
+            let active: Vec<usize> = (1..n)
+                .filter(|&d| (0..n).any(|i| size(i, (i + d) % n) > 0))
+                .collect();
+            let mut c = Complexity::ZERO;
+            for group in active.chunks(k) {
+                let mut max = 0u64;
+                for &d in group {
+                    for i in 0..n {
+                        max = max.max(size(i, (i + d) % n));
+                    }
+                }
+                c = c.plus_round(max);
+            }
+            c
+        }
+
+        pub fn quota_candidates(n: usize, sizes: &[u64]) -> Vec<usize> {
+            let mut travelling: Vec<u64> = (0..n)
+                .flat_map(|i| {
+                    (0..n)
+                        .filter(move |&j| j != i)
+                        .map(move |j| sizes[i * n + j])
+                })
+                .collect();
+            if travelling.is_empty() {
+                return Vec::new();
+            }
+            travelling.sort_unstable();
+            let max = *travelling.last().expect("non-empty");
+            let sum: u128 = travelling.iter().map(|&s| u128::from(s)).sum();
+            let mean = (sum / travelling.len() as u128) as u64;
+            let median = travelling[travelling.len() / 2];
+            let mut out = Vec::new();
+            for q in [mean, median] {
+                let q = usize::try_from(q).unwrap_or(usize::MAX);
+                if q > 0 && (q as u64) < max && !out.contains(&q) {
+                    out.push(q);
+                }
+            }
+            out
+        }
+
+        fn off_diag_max(n: usize, sizes: &[u64]) -> u64 {
+            (0..n)
+                .flat_map(|i| {
+                    (0..n)
+                        .filter(move |&j| j != i)
+                        .map(move |j| sizes[i * n + j])
+                })
+                .max()
+                .unwrap_or(0)
+        }
+
+        pub fn vindex_complexity(
+            plan: &VIndexPlan,
+            n: usize,
+            k: usize,
+            sizes: &[u64],
+        ) -> Complexity {
+            if n <= 1 {
+                return Complexity::ZERO;
+            }
+            let off_diag_max = off_diag_max(n, sizes);
+            match plan {
+                VIndexPlan::Direct => direct_v_complexity(n, k, |i, j| sizes[i * n + j]),
+                VIndexPlan::Padded { radix } => {
+                    if off_diag_max == 0 {
+                        return Complexity::ZERO;
+                    }
+                    let r = (*radix).clamp(2, n);
+                    RadixDecomposition::new(n, r).complexity_by_groups(off_diag_max as usize, k)
+                }
+                VIndexPlan::TwoPhase { radix, quota } => {
+                    let q = (*quota as u64).min(off_diag_max);
+                    let r = (*radix).clamp(2, n);
+                    let uniform = if q == 0 {
+                        Complexity::ZERO
+                    } else {
+                        RadixDecomposition::new(n, r).complexity_by_groups(q as usize, k)
+                    };
+                    uniform + direct_v_complexity(n, k, |i, j| sizes[i * n + j].saturating_sub(q))
+                }
+            }
+        }
+
+        pub fn plan_vindex(
+            model: &dyn CostModel,
+            n: usize,
+            k: usize,
+            sizes: &[u64],
+        ) -> PlanChoice<VIndexPlan> {
+            if n <= 1 {
+                return PlanChoice {
+                    plan: VIndexPlan::Direct,
+                    complexity: Complexity::ZERO,
+                    predicted_time: 0.0,
+                };
+            }
+            let off_diag_max = off_diag_max(n, sizes);
+            let mut best: Option<PlanChoice<VIndexPlan>> = None;
+            let mut consider = |plan: VIndexPlan, complexity: Complexity| {
+                let predicted_time = model.estimate(complexity);
+                if best
+                    .as_ref()
+                    .is_none_or(|cur| predicted_time < cur.predicted_time)
+                {
+                    best = Some(PlanChoice {
+                        plan,
+                        complexity,
+                        predicted_time,
+                    });
+                }
+            };
+            consider(
+                VIndexPlan::Direct,
+                direct_v_complexity(n, k, |i, j| sizes[i * n + j]),
+            );
+            let decomps: Vec<RadixDecomposition> =
+                (2..=n).map(|r| RadixDecomposition::new(n, r)).collect();
+            for (radix, decomp) in (2..=n).zip(&decomps) {
+                let complexity = if off_diag_max == 0 {
+                    Complexity::ZERO
+                } else {
+                    decomp.complexity_by_groups(off_diag_max as usize, k)
+                };
+                consider(VIndexPlan::Padded { radix }, complexity);
+            }
+            for quota in quota_candidates(n, sizes) {
+                let q = (quota as u64).min(off_diag_max);
+                let tail = direct_v_complexity(n, k, |i, j| sizes[i * n + j].saturating_sub(q));
+                for (radix, decomp) in (2..=n).zip(&decomps) {
+                    let uniform = if q == 0 {
+                        Complexity::ZERO
+                    } else {
+                        decomp.complexity_by_groups(q as usize, k)
+                    };
+                    consider(VIndexPlan::TwoPhase { radix, quota }, uniform + tail);
+                }
+            }
+            best.expect("n ≥ 2 always yields candidates")
+        }
+    }
+
+    /// xorshift64* — the stream the size-matrix sweeps draw from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Self(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1) | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    /// The tracked benchmark's seeded Zipf(`s`) matrix: destination
+    /// popularity from a seeded permutation each source rotates by its
+    /// rank, rows summing to ~`base·n` bytes.
+    fn zipf_matrix(n: usize, base: usize, s: f64, seed: u64) -> Vec<u64> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut rng = Rng::new(seed);
+        for i in (1..n).rev() {
+            perm.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+        }
+        let weight: Vec<f64> = (0..n).map(|p| 1.0 / ((p + 1) as f64).powf(s)).collect();
+        let scale = (base * n) as f64 / weight.iter().sum::<f64>();
+        let mut m = Vec::with_capacity(n * n);
+        for source in 0..n {
+            m.extend((0..n).map(|j| (scale * weight[perm[(j + source) % n]]).round() as u64));
+        }
+        m
+    }
+
+    /// Seeded n×n matrices of every shape the planner must price alike:
+    /// uniform, all-zero, zero-riddled, one hot pair, Zipf, and entries
+    /// up to 2⁴⁰. Diagonals are not cleared: they must be ignored.
+    fn seeded_matrices(n: usize, rng: &mut Rng) -> Vec<Vec<u64>> {
+        let cells = n * n;
+        let uniform = vec![1 + rng.below(4096); cells];
+        let riddled = (0..cells)
+            .map(|_| if rng.below(3) == 0 { rng.below(512) } else { 0 })
+            .collect();
+        let mut hot = vec![rng.below(64); cells];
+        hot[rng.below(cells as u64) as usize] = 1 << (10 + rng.below(20));
+        let huge = (0..cells).map(|_| rng.below(1 << 40)).collect();
+        let zipf = zipf_matrix(n, 256, 1.0, rng.next());
+        vec![uniform, vec![0; cells], riddled, hot, zipf, huge]
+    }
+
+    fn assert_matches_the_walking_planner(
+        models: &[LinearModel],
+        n: usize,
+        k: usize,
+        sizes: &[u64],
+    ) {
+        let quotas = quota_candidates(n, sizes);
+        assert_eq!(quotas, by_walks::quota_candidates(n, sizes), "n={n}");
+        for model in models {
+            let fast = Planner::new(model).plan_vindex(n, k, sizes);
+            let slow = by_walks::plan_vindex(model, n, k, sizes);
+            assert_eq!(fast, slow, "n={n} k={k} {model:?}");
+            assert_eq!(
+                fast.predicted_time.to_bits(),
+                slow.predicted_time.to_bits(),
+                "n={n} k={k} {model:?}"
+            );
+        }
+    }
+
     #[test]
-    fn skew_ratio_statistics() {
-        let n = 4;
-        assert_eq!(skew_ratio(n, &uniform_matrix(n, 64)), 1.0);
-        assert_eq!(skew_ratio(n, &uniform_matrix(n, 0)), 1.0);
-        assert_eq!(skew_ratio(1, &[123]), 1.0);
-        let mut hot = uniform_matrix(n, 10);
-        hot[1] = 100;
-        let ratio = skew_ratio(n, &hot);
-        assert!(ratio > 4.0 && ratio < 6.0, "got {ratio}");
+    fn v_planner_matches_the_walking_planner_bit_for_bit() {
+        let models = [
+            LinearModel::sp1(),
+            LinearModel::new(1e-3, 1e-12),
+            LinearModel::new(1e-9, 1e-3),
+        ];
+        let planner = Planner::new(&models[0]);
+        let mut rng = Rng::new(27);
+        for n in 1..=48usize {
+            for k in 1..=4usize {
+                for sizes in seeded_matrices(n, &mut rng) {
+                    assert_matches_the_walking_planner(&models, n, k, &sizes);
+                    // Every member's cost on its own, quotas at and past
+                    // both ends included.
+                    let max = sizes.iter().copied().max().unwrap_or(0) as usize;
+                    let mut quotas = quota_candidates(n, &sizes);
+                    quotas.extend([0, 1, max / 2, max, max + 1, usize::MAX]);
+                    let mut plans = vec![VIndexPlan::Direct];
+                    for radix in [0, 2, 3, n / 2, n, n + 1] {
+                        plans.push(VIndexPlan::Padded { radix });
+                        plans.extend(
+                            quotas
+                                .iter()
+                                .map(|&quota| VIndexPlan::TwoPhase { radix, quota }),
+                        );
+                    }
+                    for plan in &plans {
+                        assert_eq!(
+                            planner.vindex_complexity(plan, n, k, &sizes),
+                            by_walks::vindex_complexity(plan, n, k, &sizes),
+                            "n={n} k={k} {plan:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The tracked benchmark's `plan_only` matrix.
+        let sizes = zipf_matrix(1024, 256, 1.0, 7);
+        assert_matches_the_walking_planner(&models[..1], 1024, 2, &sizes);
     }
 
     #[test]

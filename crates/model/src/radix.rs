@@ -79,6 +79,89 @@ impl RadixDecomposition {
         }
     }
 
+    /// `(C1, Σ blocks)` of the communication phase in the `k`-port model:
+    /// its round count and the blocks its rounds' largest messages carry,
+    /// whatever the block size — see [`index_profile`]. A planner that
+    /// prices one radix at many block sizes builds this once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports == 0`.
+    #[must_use]
+    pub fn profile(&self, ports: usize) -> (u64, u64) {
+        let weights = std::iter::successors(Some(1usize), |&w| w.checked_mul(self.r));
+        let digits = weights.take(self.w as usize).map(|w| (w, self.r));
+        index_profile(self.n, digits, ports)
+    }
+
+    /// Closed-form `(C1, C2)` of the radix-`r` index algorithm's
+    /// communication phase in the `k`-port model: `(C1, b · Σ blocks)`
+    /// from [`profile`](Self::profile).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports == 0`.
+    #[must_use]
+    pub fn complexity(&self, block: usize, ports: usize) -> Complexity {
+        let (rounds, blocks) = self.profile(ports);
+        Complexity::new(rounds, blocks * block as u64)
+    }
+}
+
+/// Steps of the subphase with digit weight `weight` and radix `radix`
+/// over `[0, n)`: the non-zero digit values some id there takes.
+pub(crate) fn digit_steps(n: usize, weight: usize, radix: usize) -> usize {
+    radix.min(n.div_ceil(weight)) - 1
+}
+
+/// `(C1, Σ blocks)` of the index algorithm over `[0, n)` whose subphases
+/// have the digit `(weight, radix)` pairs `digits`: a subphase's steps
+/// are independent, so they are grouped `ports` per round, and a round
+/// carries its largest message.
+///
+/// One closed form per subphase. Each full period `weight · radix` of
+/// `[0, n)` gives every digit value `weight` ids; the remainder
+/// `a · weight + t` gives `weight` more to each digit below `a` and `t`
+/// to digit `a`. So a step's block count never grows with its digit, a
+/// round's largest message is its first step `1 + g · ports`, and the
+/// rounds add `weight` for each first step below `a` and `t` for one
+/// at `a`.
+///
+/// # Panics
+///
+/// Panics if `ports == 0`.
+pub(crate) fn index_profile(
+    n: usize,
+    digits: impl Iterator<Item = (usize, usize)>,
+    ports: usize,
+) -> (u64, u64) {
+    assert!(ports >= 1, "complexity: ports must be ≥ 1");
+    let (mut rounds, mut blocks) = (0usize, 0usize);
+    for (weight, radix) in digits {
+        let groups = digit_steps(n, weight, radix).div_ceil(ports);
+        // A period past usize::MAX exceeds n: no full period, all remainder.
+        let period = weight.saturating_mul(radix);
+        let (a, t) = (n % period / weight, n % period % weight);
+        let round_starts_at_a = a >= 1 && (a - 1) % ports == 0;
+        rounds += groups;
+        blocks += groups * (n / period * weight)
+            + weight * a.saturating_sub(1).div_ceil(ports)
+            + if round_starts_at_a { t } else { 0 };
+    }
+    (rounds as u64, blocks as u64)
+}
+
+/// The enumerating view of the decomposition — the block sets and
+/// distances §3.2 steps through — kept as the reference the closed forms
+/// above and the lowering in `program.rs` are tested against.
+#[cfg(test)]
+impl RadixDecomposition {
+    /// Number of digits / subphases, `w = ⌈log_r n⌉`.
+    #[must_use]
+    pub fn num_subphases(&self) -> u32 {
+        self.w
+    }
+
     /// Number of *steps* in subphase `x`: the number of distinct non-zero
     /// values the digit actually takes over `[0, n)`.
     ///
@@ -105,21 +188,11 @@ impl RadixDecomposition {
         full + rem.saturating_sub(z * unit).min(unit)
     }
 
-    /// Closed-form `(C1, C2)` of the radix-`r` index algorithm's
-    /// communication phase in the `k`-port model: the steps of each
-    /// subphase are independent, so they are grouped `ports` per round,
-    /// and a round's `C2` contribution is the largest message in its
-    /// group (`b · max blocks`).
-    ///
-    /// Allocation-free — uses [`blocks_in_step`](Self::blocks_in_step)
-    /// rather than enumerating block ids, so a planner can sweep every
-    /// radix in `[2, n]` cheaply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ports == 0`.
+    /// [`complexity`](Self::complexity) as the per-step walk it replaced:
+    /// every step's [`blocks_in_step`](Self::blocks_in_step), each round
+    /// charged the largest of its group.
     #[must_use]
-    pub fn complexity(&self, block: usize, ports: usize) -> Complexity {
+    pub fn complexity_by_groups(&self, block: usize, ports: usize) -> Complexity {
         assert!(ports >= 1, "complexity: ports must be ≥ 1");
         let mut c = Complexity::ZERO;
         if self.n <= 1 {
@@ -139,18 +212,6 @@ impl RadixDecomposition {
             }
         }
         c
-    }
-}
-
-/// The enumerating view of the decomposition — the block sets and
-/// distances §3.2 steps through — kept as the reference the closed forms
-/// above and the lowering in `program.rs` are tested against.
-#[cfg(test)]
-impl RadixDecomposition {
-    /// Number of digits / subphases, `w = ⌈log_r n⌉`.
-    #[must_use]
-    pub fn num_subphases(&self) -> u32 {
-        self.w
     }
 
     /// Total number of steps over all subphases: the one-port round count
@@ -211,6 +272,19 @@ impl RadixDecomposition {
 pub fn digit(value: usize, r: usize, x: u32) -> usize {
     debug_assert!(r >= 2);
     (value / pow(r, x)) % r
+}
+
+/// `(C1, Σ blocks)` by hand from enumerated step sizes (one list per
+/// subphase): `ports` steps to a round, each round charged its largest.
+#[cfg(test)]
+pub(crate) fn grouped_profile(subphases: &[Vec<usize>], ports: usize) -> (u64, u64) {
+    subphases.iter().flat_map(|steps| steps.chunks(ports)).fold(
+        (0, 0),
+        |(rounds, blocks), round| {
+            let largest = *round.iter().max().expect("chunks are non-empty");
+            (rounds + 1, blocks + largest as u64)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -333,6 +407,53 @@ mod tests {
                     assert_eq!(
                         d.blocks_in_step(x, z),
                         d.blocks_for_step(x, z).len(),
+                        "n={n} r={r} x={x} z={z}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn profile_matches_the_enumerated_steps() {
+        // Every step's block set enumerated and grouped by hand, against
+        // the closed form and the per-step walk it replaced: every radix,
+        // n < 200, k ≤ 5.
+        for n in 1..200usize {
+            for r in 2..=n.max(2) {
+                let d = RadixDecomposition::new(n, r);
+                let steps: Vec<Vec<usize>> = (0..d.num_subphases())
+                    .map(|x| {
+                        (1..=d.steps_in_subphase(x))
+                            .map(|z| d.blocks_for_step(x, z).len())
+                            .collect()
+                    })
+                    .collect();
+                for k in 1..=5 {
+                    assert_eq!(
+                        d.profile(k),
+                        grouped_profile(&steps, k),
+                        "n={n} r={r} k={k}"
+                    );
+                    assert_eq!(
+                        d.complexity(3, k),
+                        d.complexity_by_groups(3, k),
+                        "n={n} r={r} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_sizes_never_grow_with_the_digit() {
+        // What lets a round be charged its first step.
+        for n in 1..200usize {
+            for r in 2..=n.max(2) {
+                let d = RadixDecomposition::new(n, r);
+                for (x, z) in d.steps().filter(|&(_, z)| z >= 2) {
+                    assert!(
+                        d.blocks_in_step(x, z) <= d.blocks_in_step(x, z - 1),
                         "n={n} r={r} x={x} z={z}"
                     );
                 }
