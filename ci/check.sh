@@ -21,6 +21,10 @@ done
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc is warning-free: an unresolved or private intra-doc link fails
+# here instead of rotting in the generated docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Everything once: the ~440 crate-level unit tests (frame codec, ARQ
 # window, fabric replay log and handshake, planners, schedules, …) that
 # tier-1 (`cargo test -q`, root package only) does not reach, plus

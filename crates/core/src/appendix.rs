@@ -3,7 +3,7 @@
 //! IBM's CCL/EUI), kept deliberately close to the paper's structure —
 //! same variable names, same loop shape, same `pack`/`unpack`/`copy`/
 //! `mod`/`getrank` helpers — and tested equivalent to the idiomatic
-//! implementations in [`crate::index::bruck`] and [`crate::concat::bruck`].
+//! implementations ([`crate::index::IndexAlgorithm`], [`crate::concat::ConcatAlgorithm`]).
 //!
 //! Like the paper's code, these operate on a *process array* `A`: a list
 //! of processor ids such that `A[i] = p_i`. That is the 1994 spelling of

@@ -8,7 +8,7 @@
 //! The paper's §3 algorithm — uniform radix, mixed radix, and its
 //! two-level composition — has no executor here: it is lowered to a
 //! [`RankProgram`](bruck_model::program::RankProgram) and interpreted by
-//! [`program_exec`](crate::program_exec), the same programs the TCP
+//! [`program_exec`], the same programs the TCP
 //! fabric runs, and its [`Schedule`] is read off those programs. What
 //! this module holds are the baselines with wire patterns of their own
 //! ([`direct`], [`pairwise`], [`hypercube`]) and the single-process

@@ -9,7 +9,7 @@
 //!   circulant metadata round, after which each rank holds the full
 //!   `n×n` size matrix and validates it **before** any payload moves),
 //!   then dispatches the payload over the configurable non-uniform
-//!   Bruck family of [`vbruck`](crate::vbruck): **direct** exchange,
+//!   Bruck family of [`vbruck`]: **direct** exchange,
 //!   **padded Bruck** (pad to the max count, run the tuned uniform
 //!   index, strip on unpack), or **two-phase Bruck** (a uniform quota
 //!   slice through the log-round index plus direct heavy tails). With

@@ -67,7 +67,7 @@ impl MixedRadix {
     /// Closed-form `(C1, C2)` of the mixed-radix index algorithm in the
     /// k-port model: steps of a subphase grouped `k` per round, a round's
     /// `C2` contribution the largest message in the group — the uniform
-    /// radix's closed form ([`index_profile`]) over this vector's digit
+    /// radix's closed form (`index_profile`) over this vector's digit
     /// weights.
     ///
     /// # Panics

@@ -73,7 +73,7 @@ pub struct SlotSet {
 
 impl SlotSet {
     /// Number of buffer blocks selected (the arithmetic of
-    /// [`RadixDecomposition::blocks_in_step`], no enumeration).
+    /// `RadixDecomposition::blocks_in_step`, no enumeration).
     #[must_use]
     pub fn blocks(&self) -> usize {
         let period = self.stride * self.radix;

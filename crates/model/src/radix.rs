@@ -81,7 +81,7 @@ impl RadixDecomposition {
 
     /// `(C1, Σ blocks)` of the communication phase in the `k`-port model:
     /// its round count and the blocks its rounds' largest messages carry,
-    /// whatever the block size — see [`index_profile`]. A planner that
+    /// whatever the block size — see `index_profile`. A planner that
     /// prices one radix at many block sizes builds this once.
     ///
     /// # Panics

@@ -267,7 +267,7 @@ pub struct RunReport<T> {
 
 impl<T> RunReport<T> {
     /// The root cause of the run's failure, if any: the minimum-severity
-    /// error (see [`severity`]), ties broken by lowest rank. This is how
+    /// error (see `severity`), ties broken by lowest rank. This is how
     /// a killed rank's `Killed` wins over the survivors' reactions.
     #[must_use]
     pub fn root_cause(&self) -> Option<(usize, &NetError)> {

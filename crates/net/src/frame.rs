@@ -5,14 +5,14 @@
 //! datagram; the TCP stream transport ([`crate::tcp`]) wraps the same
 //! frame in a length + destination prefix so many ranks can multiplex
 //! one node-pair stream. Both fragment payloads at [`FRAG_PAYLOAD`] and
-//! reassemble with the same [`Assembler`], so a message is bit-identical
+//! reassemble with the same `Assembler`, so a message is bit-identical
 //! whichever wire carried it.
 //!
-//! **Who copies what, once.** A sender appends [`HEADER`] bytes
-//! ([`encode_header`]) and the fragment's slice of the payload to the
+//! **Who copies what, once.** A sender appends `HEADER` bytes
+//! (`encode_header`) and the fragment's slice of the payload to the
 //! buffer it hands the kernel (a datagram staging buffer, a stream
-//! outbox). A receiver decodes the header in place ([`decode_frame`]
-//! borrows the bytes it is given) and [`Assembler::accept`] copies the
+//! outbox). A receiver decodes the header in place (`decode_frame`
+//! borrows the bytes it is given) and `Assembler::accept` copies the
 //! fragment's bytes straight to offset `frag_idx · FRAG_PAYLOAD` of the
 //! message's one payload buffer. That `memcpy` is the only time the
 //! framing layer touches a payload byte on either side; a

@@ -84,7 +84,7 @@ pub enum RecoveryPolicy {
         budget: Duration,
     },
     /// Evict failed ranks, but abort the whole run with
-    /// [`NetError::RanksFailed`](crate::error::NetError::RanksFailed)
+    /// [`NetError::RanksFailed`]
     /// as soon as fewer than `min_quorum` members remain — for callers
     /// who would rather fail fast than compute on a degraded group.
     FailFast {

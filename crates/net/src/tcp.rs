@@ -14,7 +14,7 @@
 //!   syscalls); inter-node traffic crosses one loopback **TCP stream
 //!   per node pair**, shared by every rank on the two nodes.
 //! * **Framing.** Messages fragment at
-//!   [`FRAG_PAYLOAD`](crate::frame::FRAG_PAYLOAD) into the same frame
+//!   [`FRAG_PAYLOAD`] into the same frame
 //!   header the datagram transport uses (see [`crate::frame`]), wrapped
 //!   in an 8-byte `[len, dst]` prefix so the stream demultiplexes by
 //!   destination rank.
@@ -2157,7 +2157,7 @@ impl TcpScaleCluster {
 
     /// [`run`](Self::run) with the full PR 7 recovery lifecycle:
     /// membership views, node-level eviction, flap-damped quarantine,
-    /// and [`RecoveryPolicy`] steering — over the TCP fabric.
+    /// and [`RecoveryPolicy`](crate::RecoveryPolicy) steering — over the TCP fabric.
     ///
     /// A failed attempt evicts *whole nodes*: the failure domain of
     /// the shared data plane is the node-pair stream, so every rank of
@@ -2176,7 +2176,7 @@ impl TcpScaleCluster {
     /// Non-rank failures (timeouts, protocol errors) propagate
     /// immediately; rank failures propagate when attempts are
     /// exhausted, no survivors remain, or
-    /// [`RecoveryPolicy::FailFast`] trips its quorum.
+    /// [`RecoveryPolicy::FailFast`](crate::RecoveryPolicy::FailFast) trips its quorum.
     pub fn run_resilient(
         cfg: &ClusterConfig,
         plan: &IndexPlan,
