@@ -10,12 +10,14 @@ cd "$(dirname "$0")/.."
 # per-PR BENCH_*.json artifacts are retired and must not come back.
 if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
-# The Bruck family has one executable form — a lowered RankProgram run
-# by one RankMachine (model/program.rs), which core/program_exec.rs, the
-# TCP fabric and `simulate` drive. Its hand-written executors are retired
-# and must not come back.
-for f in bruck mixed hierarchical; do
-    if [ -e "crates/core/src/index/$f.rs" ]; then echo "ci/check.sh: crates/core/src/index/$f.rs is back; lower a plan instead" >&2; exit 1; fi
+# The Bruck family, the direct exchange and every concatenation have one
+# executable form — a lowered RankProgram run by one RankMachine
+# (model/program.rs), which core/program_exec.rs, the TCP fabric and
+# `simulate` drive. Their hand-written executors are retired and must not
+# come back.
+for f in index/bruck index/mixed index/hierarchical index/direct concat/bruck \
+    concat/ring concat/recursive_doubling concat/gather_bcast; do
+    if [ -e "crates/core/src/$f.rs" ]; then echo "ci/check.sh: crates/core/src/$f.rs is back; lower a program instead" >&2; exit 1; fi
 done
 
 cargo fmt --all -- --check
@@ -106,15 +108,18 @@ cargo build -q --release -p bruck-bench
 
 # Figure files follow the code: regenerate every virtual-time artefact
 # under results/ (deterministic — virtual clock, seeded inputs) and fail
-# if one differs from what is committed. `calibrate.tsv` is a wall-clock
-# fit and differs on every run, so it is neither regenerated nor
-# compared. (`ablation.tsv` sat stale for a dozen PRs because nothing
-# looked.)
+# if one differs from what is committed. `table1` and `schedules` print
+# to stdout only, so their output is the artefact (`table1.txt`,
+# `schedules.txt`). `calibrate.tsv` is a wall-clock fit and differs on
+# every run, so it is neither regenerated nor compared. (`ablation.tsv`
+# sat stale for a dozen PRs because nothing looked.)
 cargo build -q --release -p bruck-bench --bin figures
-for fig in fig4 fig5 fig6 table1 bounds concat model-gap ablation mixed \
-    hierarchy pareto models schedules; do
+for fig in fig4 fig5 fig6 bounds concat model-gap ablation mixed \
+    hierarchy pareto models; do
     ./target/release/figures "$fig" >/dev/null 2>&1
 done
+./target/release/figures table1 >results/table1.txt
+./target/release/figures schedules >results/schedules.txt
 if ! git diff --exit-code -- results/ ':!results/calibrate.tsv'; then
     echo "ci/check.sh: results/ is stale; commit the regenerated files" >&2
     exit 1
@@ -166,8 +171,10 @@ timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations
 # rank machine every substrate drives: each malformed delivery (unknown
 # or repeated (peer, tag), wrong length, after done) is an error naming
 # rank, peer and tag with the buffer untouched, over 10 000 seeded
-# mutations of random lowered programs; and Figs. 1–3 read off the
-# machine running the radix programs. Planning rests on closed forms
+# mutations of random lowered index and concatenation programs; a
+# hand-built span, place or copy-in that does not fit its buffer is
+# refused before any byte moves; and Figs. 1–3 read off the machine
+# running the radix programs. Planning rests on closed forms
 # too: the uniform and mixed radix costs against the enumerated block
 # sets of every step (every radix at n < 200; every vector the mixed
 # search visits at n ≤ 64; k ≤ 5), and the one-pass v-planner against
@@ -180,11 +187,20 @@ timeout 120 cargo test -q --release -p bruck-model --lib -- \
     program::tests::descriptors_expand program::tests::larger_scale \
     program::tests::mixed_descriptors_expand program::tests::mixed_lowering \
     program::tests::malformed_deliveries program::tests::mutated_deliveries \
+    program::tests::hand_built \
     partition::tests::arithmetic_validate partition::tests::block_size \
     radix::tests::profile_matches radix::tests::step_sizes_never_grow \
     mixed_radix::tests::closed_form_matches \
     planner::tests::v_planner_matches
 timeout 120 cargo test -q --release --test paper_artifacts
+# By name and in release, the concatenations' programs in pure math:
+# every algorithm, both last-round preferences, n ≤ 64 and
+# {127, 128, 200, 256}, k ≤ 4, b ∈ {0, 1, 2, 3, 5, 16}, simulated onto the
+# oracle, and the threaded runs of a sample equal to their simulation.
+cargo test -q --release -p bruck-collectives --lib --no-run
+timeout 120 cargo test -q --release -p bruck-collectives --lib -- \
+    program_exec::tests::concat_programs_simulate \
+    program_exec::tests::concat_threaded_runs
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use bruck_bench::harness::{measure_concat, measure_index, ms, Measurement, TsvSink};
-use bruck_collectives::concat::{bruck as concat_bruck, ConcatAlgorithm};
+use bruck_collectives::concat::ConcatAlgorithm;
 use bruck_collectives::index::IndexAlgorithm;
 use bruck_model::bounds::{concat_bounds, index_bounds};
 use bruck_model::cost::{CostModel, LinearModel, Sp1Model};
@@ -132,7 +132,7 @@ fn table1() {
         );
     }
     println!("\nas produced inside concat for n=10, k=3, b=3 (n1=4):");
-    if let Some(plan) = concat_bruck::last_round_plan(10, 3, 3, Preference::Rounds) {
+    if let Some(plan) = bruck_model::partition::concat_last_round(10, 3, 3, Preference::Rounds) {
         print!("{}", plan.render());
     }
 }

@@ -313,7 +313,7 @@ mod tests {
         .unwrap();
         let idio = Cluster::run(&cfg, |ep| {
             let input = crate::verify::concat_input(ep.rank(), b);
-            crate::concat::bruck::run(ep, &input, Default::default())
+            crate::concat::ConcatAlgorithm::Bruck(Default::default()).run(ep, &input)
         })
         .unwrap();
         assert_eq!(

@@ -2,15 +2,18 @@
 //!
 //! Every processor starts with one `b`-byte block; afterwards every
 //! processor holds `B[0] ‖ B[1] ‖ … ‖ B[n-1]`.
-
-pub mod bruck;
-pub mod gather_bcast;
-pub mod recursive_doubling;
-pub mod ring;
+//!
+//! No algorithm has an executor here: each is lowered to a
+//! [`RankProgram`](bruck_model::program::RankProgram) per rank by
+//! [`ConcatLowering`] and interpreted by [`program_exec`], and its
+//! [`Schedule`] is read off those programs. This module is the dispatch.
 
 use bruck_model::partition::Preference;
+use bruck_model::program::ConcatLowering;
 use bruck_net::{Comm, NetError};
 use bruck_sched::Schedule;
+
+use crate::program_exec;
 
 /// Selects and parameterizes a concatenation algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,12 +43,9 @@ impl ConcatAlgorithm {
     ///
     /// Network errors; [`NetError::App`] for unsupported parameters.
     pub fn run<C: Comm + ?Sized>(&self, ep: &mut C, myblock: &[u8]) -> Result<Vec<u8>, NetError> {
-        match *self {
-            Self::Bruck(pref) => bruck::run(ep, myblock, pref),
-            Self::GatherBroadcast => gather_bcast::run(ep, myblock),
-            Self::RecursiveDoubling => recursive_doubling::run(ep, myblock),
-            Self::Ring => ring::run(ep, myblock),
-        }
+        let mut out = vec![0u8; ep.size() * myblock.len()];
+        self.run_into(ep, myblock, &mut out)?;
+        Ok(out)
     }
 
     /// Execute the algorithm into a caller-provided `n·b`-byte output
@@ -62,27 +62,35 @@ impl ConcatAlgorithm {
         myblock: &[u8],
         out: &mut [u8],
     ) -> Result<(), NetError> {
-        match *self {
-            Self::Bruck(pref) => bruck::run_into(ep, myblock, pref, out),
-            Self::GatherBroadcast => gather_bcast::run_into(ep, myblock, out),
-            Self::RecursiveDoubling => recursive_doubling::run_into(ep, myblock, out),
-            Self::Ring => ring::run_into(ep, myblock, out),
-        }
+        let lowering = self.lower(ep.size(), myblock.len(), ep.ports());
+        let program = lowering.map_err(NetError::App)?.program(ep.rank());
+        program_exec::run_program_into(ep, &program, myblock, out)
     }
 
-    /// Emit the static communication schedule.
+    /// Every rank's program at `(n, b, k)`, built once.
+    ///
+    /// # Errors
+    ///
+    /// A message for [`RecursiveDoubling`](Self::RecursiveDoubling) at a
+    /// processor count that is not a power of two.
+    pub fn lower(&self, n: usize, block: usize, ports: usize) -> Result<ConcatLowering, String> {
+        Ok(match *self {
+            Self::Bruck(pref) => ConcatLowering::circulant(n, block, ports, pref),
+            Self::GatherBroadcast => ConcatLowering::gather_broadcast(n, block, ports),
+            Self::RecursiveDoubling => ConcatLowering::recursive_doubling(n, block)?,
+            Self::Ring => ConcatLowering::ring(n, block),
+        })
+    }
+
+    /// The static communication schedule, read off the programs.
     ///
     /// # Panics
     ///
     /// Panics for unsupported parameters.
     #[must_use]
     pub fn plan(&self, n: usize, block: usize, ports: usize) -> Schedule {
-        match *self {
-            Self::Bruck(pref) => bruck::plan(n, block, ports, pref),
-            Self::GatherBroadcast => gather_bcast::plan(n, block, ports),
-            Self::RecursiveDoubling => recursive_doubling::plan(n, block),
-            Self::Ring => ring::plan(n, block),
-        }
+        let lowering = self.lower(n, block, ports);
+        Schedule::of_concat(&lowering.unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Short display name for reports and benches.

@@ -6,15 +6,15 @@
 //! `B[0, i], B[1, i], …, B[n-1, i]` in that order.
 //!
 //! The paper's §3 algorithm — uniform radix, mixed radix, and its
-//! two-level composition — has no executor here: it is lowered to a
+//! two-level composition — and the direct exchange have no executor
+//! here: they are lowered to a
 //! [`RankProgram`](bruck_model::program::RankProgram) and interpreted by
-//! [`program_exec`], the same programs the TCP
-//! fabric runs, and its [`Schedule`] is read off those programs. What
-//! this module holds are the baselines with wire patterns of their own
-//! ([`direct`], [`pairwise`], [`hypercube`]) and the single-process
-//! replay behind Figs. 1–3 ([`sim`]).
+//! [`program_exec`], the same programs the TCP fabric runs, and their
+//! [`Schedule`] is read off those programs. What this module holds are
+//! the baselines with executors of their own ([`pairwise`],
+//! [`hypercube`]) and the single-process replay behind Figs. 1–3
+//! ([`sim`]).
 
-pub mod direct;
 pub mod hypercube;
 pub mod pairwise;
 pub mod sim;
@@ -35,7 +35,8 @@ pub enum IndexAlgorithm {
     BruckRadix(usize),
     /// Direct exchange: every pair communicates once (`⌈(n-1)/k⌉`
     /// rounds of `b`-byte messages) — identical complexity to
-    /// `BruckRadix(n)` but without the rotation phases.
+    /// `BruckRadix(n)` but without the rotation phases. Runs as the
+    /// lowered [`IndexPlan::Direct`] program.
     Direct,
     /// Pairwise XOR exchange (requires `n` a power of two): step `i`
     /// exchanges with `rank ⊕ i`.
@@ -80,14 +81,13 @@ impl IndexAlgorithm {
         block: usize,
         out: &mut [u8],
     ) -> Result<(), NetError> {
-        match *self {
-            Self::BruckRadix(r) => {
-                program_exec::run_plan_into(ep, &IndexPlan::Radix(r), sendbuf, block, out)
-            }
-            Self::Direct => direct::run_into(ep, sendbuf, block, out),
-            Self::Pairwise => pairwise::run_into(ep, sendbuf, block, out),
-            Self::Hypercube => hypercube::run_into(ep, sendbuf, block, out),
-        }
+        let plan = match *self {
+            Self::BruckRadix(r) => IndexPlan::Radix(r),
+            Self::Direct => IndexPlan::Direct,
+            Self::Pairwise => return pairwise::run_into(ep, sendbuf, block, out),
+            Self::Hypercube => return hypercube::run_into(ep, sendbuf, block, out),
+        };
+        program_exec::run_plan_into(ep, &plan, sendbuf, block, out)
     }
 
     /// Emit the algorithm's static communication schedule for `n`

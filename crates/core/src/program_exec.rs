@@ -1,24 +1,28 @@
 //! Run a lowered [`RankProgram`] over any [`Comm`].
 //!
-//! `bruck_model::program` lowers an [`IndexPlan`] to pure data and
-//! interprets it in one place, the [`RankMachine`]. This module is the
-//! machine's threaded-substrate driver, and the only way the Bruck family
-//! (uniform radix, mixed radix, two-level) reaches the wire on that
-//! substrate: [`IndexAlgorithm::BruckRadix`](crate::index::IndexAlgorithm)
-//! and [`alltoall`](crate::api::alltoall)'s planner dispatch both end
-//! here. Each round the machine yields is one `round_gather`, and its
-//! local passes move the data between `out` and one pooled work buffer,
-//! so a program runs on a full [`Endpoint`](bruck_net::Endpoint), on a
+//! `bruck_model::program` lowers an [`IndexPlan`] or a concatenation
+//! ([`ConcatLowering`](bruck_model::program::ConcatLowering)) to pure
+//! data and interprets it in one place, the [`RankMachine`]. This module
+//! is the machine's threaded-substrate driver, and the way every lowered
+//! algorithm reaches the wire on that substrate: the Bruck index family
+//! and the direct exchange ([`IndexAlgorithm`](crate::index::IndexAlgorithm)),
+//! [`alltoall`](crate::api::alltoall)'s planner dispatch and every
+//! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here. Each
+//! round the machine yields is one `round_gather`, and its local passes
+//! move the data between `out` and one pooled work buffer, so a program
+//! runs on a full [`Endpoint`](bruck_net::Endpoint), on a
 //! [`GroupComm`](bruck_net::GroupComm), or on any future context — and
 //! the TCP fabric and `simulate` drive the *same* machine. One
 //! interpreter, three substrates, bit-identical results; the tests
 //! assert exactly that.
 //!
-//! A radix program costs what the paper's three phases cost and no
-//! more: its first permute (the rotation) reads the caller's `sendbuf`,
-//! its last (the inverse placement) writes the caller's `out`, so the
-//! local work is two passes over `n·b` bytes plus one scatter of every
-//! received byte — each charged to the virtual clock as it happens.
+//! A program costs what its algorithm's local phases cost and no more:
+//! a radix program's first permute (the rotation) reads the caller's
+//! `sendbuf` and its last (the inverse placement) writes the caller's
+//! `out` — two passes over `n·b` bytes — and a direct exchange places one
+//! block and sends straight from `sendbuf`; each then scatters every
+//! received byte once. Every copy is charged to the virtual clock as it
+//! happens.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};
@@ -42,22 +46,13 @@ pub fn run_plan<C: Comm + ?Sized>(
     Ok(out)
 }
 
-/// Lower `plan` for this rank and drive its [`RankMachine`] against the
-/// communication context: each round's sends and receives are one
-/// `round_gather`.
-///
-/// The data lives in one of two `n·b` buffers at any time — `out` and a
-/// single pooled work buffer — and every local pass moves it to the
-/// other one. The parity of [`RankProgram::passes`] decides which of the
-/// two the machine starts on, so that the last pass lands in `out`; the
-/// first reads `sendbuf` directly.
+/// Lower `plan` for this rank and [run](run_program_into) it.
 ///
 /// # Errors
 ///
 /// [`NetError::App`] when the plan has no lowering at this size (a radix
 /// below 2, a mixed vector that does not cover `n`, a `node_size` that
-/// does not divide `n`), on buffer-size mismatches and on a delivery the
-/// machine refuses; network failures propagate.
+/// does not divide `n`); otherwise see [`run_program_into`].
 pub fn run_plan_into<C: Comm + ?Sized>(
     ep: &mut C,
     plan: &IndexPlan,
@@ -67,19 +62,42 @@ pub fn run_plan_into<C: Comm + ?Sized>(
 ) -> Result<(), NetError> {
     let program =
         RankProgram::lower(plan, ep.size(), ep.rank(), block, ep.ports()).map_err(NetError::App)?;
-    // The machine checks that every buffer is n·b bytes.
-    let mut work = ep.acquire(out.len());
-    let outcome = interpret(ep, &program, sendbuf, out, &mut work);
+    run_program_into(ep, &program, sendbuf, out)
+}
+
+/// Drive this rank's `program` [`RankMachine`] against the communication
+/// context: each round's sends and receives are one `round_gather`.
+///
+/// The data lives in one of two `n·b` buffers at any time — `out` and a
+/// single pooled work buffer — and every permute moves it to the other
+/// one. The parity of [`RankProgram::passes`] decides which of the two
+/// the machine starts on, so that the last pass lands in `out`; the first
+/// reads `input` directly, and a program with no pass never takes the
+/// work buffer.
+///
+/// # Errors
+///
+/// [`NetError::App`] on buffer-size mismatches and on a delivery the
+/// machine refuses; network failures propagate.
+pub fn run_program_into<C: Comm + ?Sized>(
+    ep: &mut C,
+    program: &RankProgram,
+    input: &[u8],
+    out: &mut [u8],
+) -> Result<(), NetError> {
+    // The machine checks that every buffer has its size.
+    let mut work = ep.acquire(if program.passes() > 0 { out.len() } else { 0 });
+    let outcome = interpret(ep, program, input, out, &mut work);
     ep.recycle(work);
     outcome
 }
 
-/// The driver loop of [`run_plan_into`], split out so the work buffer
-/// is recycled on every exit.
+/// The driver loop of [`run_program_into`], split out so the work
+/// buffer is recycled on every exit.
 fn interpret<C: Comm + ?Sized>(
     ep: &mut C,
     program: &RankProgram,
-    sendbuf: &[u8],
+    input: &[u8],
     out: &mut [u8],
     work: &mut [u8],
 ) -> Result<(), NetError> {
@@ -90,13 +108,13 @@ fn interpret<C: Comm + ?Sized>(
     } else {
         (out, work)
     };
-    let mut m = RankMachine::new(program, sendbuf, start).map_err(NetError::App)?;
+    let mut m = RankMachine::new(program, input, start).map_err(NetError::App)?;
     // Reused across rounds: all sends' byte spans, and where each ends.
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut ends: Vec<usize> = Vec::new();
     loop {
         match m.step(&mut scratch) {
-            Action::Local => ep.charge_copy(sendbuf.len() as u64),
+            Action::Local(copied) => ep.charge_copy(copied as u64),
             Action::Send(round) => {
                 spans.clear();
                 ends.clear();
@@ -109,7 +127,7 @@ fn interpret<C: Comm + ?Sized>(
                     .map(|(s, &end)| GatherSendSpec {
                         to: s.peer,
                         tag: s.tag,
-                        src: m.buffer(),
+                        src: m.source(s),
                         spans: &spans[std::mem::replace(&mut from, end)..end],
                     })
                     .collect();
@@ -141,11 +159,15 @@ fn interpret<C: Comm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concat::ConcatAlgorithm;
     use crate::index::IndexAlgorithm;
     use crate::verify;
+    use bruck_model::bounds::{concat_bounds, index_bounds};
     use bruck_model::cost::{CostModel, HierarchicalModel, Sp1Model};
     use bruck_model::mixed_radix::MixedRadix;
+    use bruck_model::partition::Preference;
     use bruck_model::program::{simulate, ProgramOp};
+    use bruck_model::radix::ceil_log;
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
     use bruck_sched::{Schedule, ScheduleStats};
@@ -162,7 +184,7 @@ mod tests {
 
     /// Run `plan` on a threaded cluster and hold every rank's result to
     /// the transpose oracle and to the same programs run in memory.
-    fn run_cluster(plan: &IndexPlan, n: usize, block: usize, ports: usize) {
+    fn run_cluster(plan: &IndexPlan, n: usize, block: usize, ports: usize) -> RunOutput<Vec<u8>> {
         let out = run_on(&ClusterConfig::new(n).with_ports(ports), plan, block);
         let programs: Vec<RankProgram> = (0..n)
             .map(|rank| RankProgram::lower(plan, n, rank, block, ports).unwrap())
@@ -185,6 +207,36 @@ mod tests {
             "{} n={n} b={block} k={ports}",
             plan.label()
         );
+        out
+    }
+
+    /// Every rank's concatenation program for `algo` at `(n, b, k)`.
+    fn concat_programs(algo: ConcatAlgorithm, n: usize, b: usize, k: usize) -> Vec<RankProgram> {
+        let lowering = algo.lower(n, b, k).expect("lowerable");
+        (0..n).map(|rank| lowering.program(rank)).collect()
+    }
+
+    /// `algo`'s programs run in memory, each rank's output.
+    fn simulate_concat(algo: ConcatAlgorithm, n: usize, b: usize, k: usize) -> Vec<Vec<u8>> {
+        let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::concat_input(r, b)).collect();
+        simulate(&concat_programs(algo, n, b, k), &inputs, |_, _, _| {})
+            .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", algo.name()))
+    }
+
+    /// Every concatenation at `n`: both circulant preferences and the
+    /// gather + broadcast at any `k`, the one-port ring, and recursive
+    /// doubling at powers of two.
+    fn concat_algorithms(n: usize) -> Vec<ConcatAlgorithm> {
+        let mut algos = vec![
+            ConcatAlgorithm::Bruck(Preference::Rounds),
+            ConcatAlgorithm::Bruck(Preference::Bytes),
+            ConcatAlgorithm::GatherBroadcast,
+            ConcatAlgorithm::Ring,
+        ];
+        if n.is_power_of_two() {
+            algos.push(ConcatAlgorithm::RecursiveDoubling);
+        }
+        algos
     }
 
     fn two_level(node_size: usize, radix_local: usize, radix_remote: usize) -> IndexPlan {
@@ -239,9 +291,16 @@ mod tests {
 
     #[test]
     fn direct_and_hypercube_programs_match_oracle() {
-        // Programs that open with a round (no leading permute).
-        for &(n, k) in &[(5usize, 1usize), (8, 2), (12, 1)] {
+        // Out-of-place programs: one place, then sends from the input.
+        for &(n, k) in &[(1usize, 1usize), (2, 1), (5, 1), (9, 1), (8, 2), (12, 1)] {
             run_cluster(&IndexPlan::Direct, n, 3, k);
+        }
+        // ⌈9/k⌉ rounds on ten ranks.
+        for k in [2usize, 4] {
+            let c = run_cluster(&IndexPlan::Direct, 10, 2, k)
+                .metrics
+                .global_complexity();
+            assert_eq!(c.unwrap().c1, 9usize.div_ceil(k) as u64, "k={k}");
         }
         run_cluster(&IndexPlan::Hypercube, 8, 3, 1);
     }
@@ -276,11 +335,15 @@ mod tests {
         assert!(app_error(4, IndexPlan::Radix(1), 8).contains("radix must be ≥ 2"));
         assert!(app_error(10, IndexPlan::Mixed(vec![2, 2]), 20).contains("does not cover"));
         assert!(app_error(7, two_level(3, 2, 2), 14).contains("not divisible"));
+        let err = Cluster::run(&ClusterConfig::new(5), |ep| {
+            ConcatAlgorithm::RecursiveDoubling.run(ep, &[1])
+        });
+        assert!(matches!(err, Err(NetError::App(e)) if e.contains("power-of-two")));
     }
 
     #[test]
     fn radix_schedule_matches_closed_form_complexity() {
-        for n in [2usize, 5, 8, 13, 16, 27, 64] {
+        for n in [2usize, 5, 7, 8, 13, 16, 27, 33, 64] {
             for r in [2usize, 3, 4, 8, 64] {
                 for k in [1usize, 2, 3] {
                     let schedule = IndexAlgorithm::BruckRadix(r).plan(n, 4, k);
@@ -294,6 +357,16 @@ mod tests {
                         "n={n} r={r} k={k}"
                     );
                 }
+            }
+            // The direct exchange: transfer-optimal within one round's
+            // rounding, ⌈(n−1)/k⌉ rounds.
+            for k in [1usize, 2, 3] {
+                let direct = IndexAlgorithm::Direct.plan(n, 5, k);
+                direct.validate().unwrap();
+                let c = ScheduleStats::of(&direct).complexity;
+                let steps = (n - 1).div_ceil(k) as u64;
+                assert_eq!(c.c1, steps, "direct n={n} k={k}");
+                assert!(c.c2 <= steps * 5 && c.c2 >= index_bounds(n, k, 5).c2);
             }
         }
     }
@@ -340,6 +413,18 @@ mod tests {
         }
     }
 
+    /// Seconds of copying a run of `plan` is charged at this rate: the
+    /// makespan with and without a copy-charging model.
+    fn copy_charge(plan: &IndexPlan, n: usize, k: usize, block: usize, per_byte: f64) -> f64 {
+        let makespan = |model: Sp1Model| {
+            let model: Arc<dyn CostModel> = Arc::new(model);
+            let cfg = ClusterConfig::new(n).with_ports(k).with_cost(model);
+            run_on(&cfg, plan, block).virtual_makespan()
+        };
+        makespan(Sp1Model::calibrated().with_copy_per_byte(per_byte))
+            - makespan(Sp1Model::calibrated())
+    }
+
     /// A radix run's local work under a copy-charging model, in closed
     /// form: the rotation and the inverse placement — two passes over
     /// `n·b` bytes — plus one scatter of every received byte. The
@@ -352,25 +437,135 @@ mod tests {
         let per_byte = 0.025e-6;
         for &(n, r, block) in &[(8usize, 2usize, 64usize), (12, 3, 40), (5, 5, 16)] {
             let plan = IndexPlan::Radix(r);
-            let makespan = |model: Sp1Model| {
-                let model: Arc<dyn CostModel> = Arc::new(model);
-                run_on(&ClusterConfig::new(n).with_cost(model), &plan, block).virtual_makespan()
-            };
-            let charged = makespan(Sp1Model::calibrated().with_copy_per_byte(per_byte))
-                - makespan(Sp1Model::calibrated());
+            let charged = copy_charge(&plan, n, 1, block, per_byte);
             let program = RankProgram::lower(&plan, n, 0, block, 1).unwrap();
             let received: usize = program
                 .ops
                 .iter()
                 .map(|op| match op {
-                    ProgramOp::Round(round) => round.recvs.iter().map(|x| x.slots.blocks()).sum(),
-                    ProgramOp::Permute(_) => 0,
+                    ProgramOp::Round(round) => round.recvs.iter().map(|x| x.span.bytes(1)).sum(),
+                    _ => 0,
                 })
                 .sum();
             let expected = per_byte * (2 * n * block + received * block) as f64;
             assert!(
                 (charged - expected).abs() <= 1e-9 * expected,
                 "n={n} r={r} b={block}: charged {charged:e} s, closed form {expected:e} s"
+            );
+        }
+    }
+
+    /// The direct exchange's local work in the same closed form: placing
+    /// its own block and one scatter of every received byte — no pass
+    /// over the `n·b` buffer at all.
+    #[test]
+    fn direct_run_charges_its_block_plus_received_bytes() {
+        let per_byte = 0.025e-6;
+        for &(n, k, block) in &[(8usize, 1usize, 64usize), (12, 3, 40), (5, 2, 16)] {
+            let charged = copy_charge(&IndexPlan::Direct, n, k, block, per_byte);
+            let expected = per_byte * (block + (n - 1) * block) as f64;
+            assert!(
+                (charged - expected).abs() <= 1e-9 * expected,
+                "n={n} k={k} b={block}: charged {charged:e} s, closed form {expected:e} s"
+            );
+        }
+    }
+
+    /// Every concatenation's programs, run in memory, leave the oracle's
+    /// concatenation on every rank: n ≤ 64 and four larger sizes, k ≤ 4
+    /// (the one-port ring and recursive doubling at k = 1; their programs
+    /// do not read k), both last-round preferences, zero-byte to 16-byte
+    /// blocks.
+    #[test]
+    fn concat_programs_simulate_to_the_oracle() {
+        let mut runs = 0usize;
+        for n in (1..=64usize).chain([127, 128, 200, 256]) {
+            for algo in concat_algorithms(n) {
+                let one_port = matches!(
+                    algo,
+                    ConcatAlgorithm::Ring | ConcatAlgorithm::RecursiveDoubling
+                );
+                for k in 1..=if one_port { 1 } else { 4 } {
+                    for b in [0usize, 1, 2, 3, 5, 16] {
+                        let expected = verify::concat_expected(n, b);
+                        for (rank, out) in simulate_concat(algo, n, b, k).iter().enumerate() {
+                            assert_eq!(
+                                out,
+                                &expected,
+                                "{} n={n} b={b} k={k} rank={rank}",
+                                algo.name()
+                            );
+                        }
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert!(runs > 5_000, "sweep shrank to {runs} runs");
+    }
+
+    /// On a sample, the threaded run of every concatenation is its
+    /// simulation, rank for rank, and the oracle.
+    #[test]
+    fn concat_threaded_runs_equal_their_simulation() {
+        for &(n, b, k) in &[
+            (1usize, 3usize, 1usize),
+            (2, 1, 1),
+            (5, 1, 1),
+            (10, 3, 3),
+            (16, 4, 2),
+            (21, 5, 4),
+            (32, 2, 1),
+        ] {
+            for algo in concat_algorithms(n) {
+                let cfg = ClusterConfig::new(n).with_ports(k);
+                let out =
+                    Cluster::run(&cfg, |ep| algo.run(ep, &verify::concat_input(ep.rank(), b)))
+                        .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", algo.name()));
+                assert_eq!(
+                    out.results,
+                    simulate_concat(algo, n, b, k),
+                    "{} n={n} b={b} k={k}",
+                    algo.name()
+                );
+                assert!(out
+                    .results
+                    .iter()
+                    .all(|r| r == &verify::concat_expected(n, b)));
+            }
+        }
+    }
+
+    /// The baselines' schedules, read off their programs, have their
+    /// closed forms: the ring is transfer-optimal in `n − 1` rounds,
+    /// recursive doubling optimal in both measures, gather + broadcast
+    /// twice the tree depth.
+    #[test]
+    fn concat_baseline_schedules_have_their_closed_forms() {
+        let stats = |algo: ConcatAlgorithm, n, k| {
+            let s = algo.plan(n, 6, k);
+            s.validate().unwrap();
+            ScheduleStats::of(&s)
+        };
+        for n in [3usize, 9, 20] {
+            let c = stats(ConcatAlgorithm::Ring, n, 1).complexity;
+            assert_eq!(
+                (c.c1, c.c2),
+                ((n - 1) as u64, concat_bounds(n, 1, 6).c2),
+                "ring n={n}"
+            );
+        }
+        for n in [2usize, 4, 8, 16, 64] {
+            let c = stats(ConcatAlgorithm::RecursiveDoubling, n, 1).complexity;
+            let lb = concat_bounds(n, 1, 6);
+            assert_eq!((c.c1, c.c2), (lb.c1, lb.c2), "recursive doubling n={n}");
+        }
+        for (n, k) in [(16usize, 1usize), (10, 2), (30, 3)] {
+            let rounds = stats(ConcatAlgorithm::GatherBroadcast, n, k).complexity.c1;
+            assert_eq!(
+                rounds,
+                2 * u64::from(ceil_log(k + 1, n)),
+                "gather-bcast n={n} k={k}"
             );
         }
     }

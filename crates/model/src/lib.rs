@@ -51,6 +51,8 @@ pub use complexity::Complexity;
 pub use cost::{CostModel, HierarchicalModel, LinearModel, LogPModel, PostalModel, Sp1Model};
 pub use mixed_radix::MixedRadix;
 pub use planner::{ConcatPlan, IndexPlan, PlanChoice, Planner, VIndexPlan};
-pub use program::{BlockPerm, ProgramOp, ProgramRound, ProgramXfer, RankProgram, SlotSet};
+pub use program::{
+    BlockPerm, ConcatLowering, ProgramOp, ProgramRound, ProgramXfer, RankProgram, SlotSet, Span,
+};
 pub use radix::{ceil_log, RadixDecomposition};
 pub use tuning::WireTuning;

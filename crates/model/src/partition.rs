@@ -26,10 +26,11 @@
 //!
 //! A plan is a list of slices, never a table: building and validating
 //! one ([`LastRoundPlan::validate`]) cost O(S log S) in its `S ≤ n2 + k`
-//! slices whatever `b` is — the executor plans the last round on every
+//! slices whatever `b` is — the concat lowering plans the last round on every
 //! call. Only [`LastRoundPlan::render`] draws the `n2 × b` picture.
 
 use crate::complexity::Complexity;
+use crate::radix::{ceil_log, pow};
 
 /// A contiguous run of byte-rows within one column of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -453,6 +454,21 @@ fn column_aligned(n1: usize, n2: usize, b: usize, k: usize) -> Vec<Area> {
         "column-aligned offset assignment cannot fail (disjoint columns)"
     );
     areas
+}
+
+/// The circulant concatenation's last round(s) on `n` nodes with
+/// `b`-byte blocks and `k` ports: after `d − 1 = ⌈log_{k+1} n⌉ − 1`
+/// doubling rounds every node holds `n1 = (k+1)^{d−1}` blocks and misses
+/// `n2 = n − n1`. `None` when there is no last round to plan (`d < 2` or
+/// `b = 0`). The concatenation's lowering and the Table 1 figure both
+/// read it here.
+#[must_use]
+pub fn concat_last_round(n: usize, k: usize, b: usize, pref: Preference) -> Option<LastRoundPlan> {
+    let d = ceil_log(k + 1, n);
+    (d >= 2 && b > 0).then(|| {
+        let n1 = pow(k + 1, d - 1);
+        plan_last_round(n1, n - n1, b, k, pref)
+    })
 }
 
 /// Build the last-round plan for `(n1, n2, b, k)`.

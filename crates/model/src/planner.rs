@@ -20,7 +20,7 @@
 use crate::complexity::Complexity;
 use crate::cost::CostModel;
 use crate::mixed_radix::best_radix_vector;
-use crate::partition::{plan_last_round, Preference};
+use crate::partition::{concat_last_round, Preference};
 use crate::radix::{ceil_log, pow, RadixDecomposition};
 
 /// The index-algorithm family member a plan dispatches to.
@@ -443,7 +443,7 @@ impl<'m> Planner<'m> {
     }
 
     /// Closed-form complexity of one concatenation-family member:
-    /// mirrors the executor's geometry exactly (doubling rounds over the
+    /// mirrors the lowering's geometry exactly (doubling rounds over the
     /// circulant graph, then the Proposition 4.2 last round; the ring
     /// pays `n-1` rounds of `b` bytes).
     #[must_use]
@@ -466,9 +466,8 @@ impl<'m> Planner<'m> {
                 for i in 0..d - 1 {
                     c = c.plus_round((pow(k + 1, i) * b) as u64);
                 }
-                let n1 = pow(k + 1, d - 1);
-                let n2 = n - n1;
-                c + plan_last_round(n1, n2, b, k, *pref).complexity()
+                let last = concat_last_round(n, k, b, *pref).expect("d ≥ 2 and b ≥ 1");
+                c + last.complexity()
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Explicit per-rank round programs ("lowered" index plans) and the one
+//! Explicit per-rank round programs ("lowered" plans) and the one
 //! machine that runs them.
 //!
 //! The threaded executor in `bruck-net` runs an algorithm as a blocking
@@ -13,15 +13,16 @@
 //!
 //! [`RankProgram`] is that shape. It is pure data — peers, tags and
 //! closed-form *descriptors* — produced here (the model crate owns
-//! [`IndexPlan`] and the radix math). The schedules are
-//! translation-invariant, so nothing in a program is a table: a
-//! transfer's blocks are a [`SlotSet`] (§3.2's digit test, read as
-//! contiguous *runs*), a local phase a [`BlockPerm`], and lowering a rank
-//! costs O(rounds·k) small structs whatever `n` is. The lowering *is* the
-//! §3 algorithm — there is no other executable form of the Bruck family
-//! in the workspace — and [`RankMachine`] is its one interpreter, driven
-//! on threads by `bruck-collectives`, on a worker pool by the TCP fabric
-//! and over in-memory mail by [`simulate`]; `bruck-sched` reads the wire
+//! [`IndexPlan`], the radix math and the §4 last-round partition). The
+//! schedules are translation-invariant, so nothing in a program is an
+//! `n`-entry table: a transfer's bytes are a [`Span`] — a [`SlotSet`]
+//! (§3.2's digit test, read as contiguous *runs*) or a list of byte runs
+//! shared by every rank — a local phase a [`BlockPerm`], and placing the
+//! caller's input a [`ProgramOp::Place`]. The lowerings *are* the §3 and
+//! §4 algorithms — there is no other executable form of either in the
+//! workspace — and [`RankMachine`] is their one interpreter, driven on
+//! threads by `bruck-collectives`, on a worker pool by the TCP fabric and
+//! over in-memory mail by [`simulate`]; `bruck-sched` reads the wire
 //! schedule off the programs:
 //!
 //! * [`IndexPlan::Radix`] — rotate, the §3.2 digit rounds grouped `k` per
@@ -29,19 +30,25 @@
 //! * [`IndexPlan::Mixed`] — the same with a radix per digit position:
 //!   subphase `x` tests the digit of weight `Π r_<x` in radix `r_x`
 //!   ([`SlotSet`] keeps the two apart);
-//! * [`IndexPlan::Direct`] — `n-1` offsets grouped `k` per round, no
-//!   rotate/pack phases;
+//! * [`IndexPlan::Direct`] — `n-1` offsets grouped `k` per round, sent
+//!   straight from the input into their final slots;
 //! * [`IndexPlan::Hypercube`] — cost-equal to radix 2, lowered as such;
 //! * [`IndexPlan::Hierarchical`] — the two-level composition: an
 //!   intra-node index over lane bundles, a transpose, an inter-node
-//!   index over node bundles.
+//!   index over node bundles;
+//! * [`ConcatLowering`] — the §4 circulant concatenation with its
+//!   byte-partitioned last round, and the ring, recursive-doubling and
+//!   gather + broadcast baselines.
 //!
-//! The tests sweep [`simulate`] against the transpose oracle, so a
-//! lowering bug is caught in pure math, far from any socket.
+//! The tests sweep [`simulate`] against the transpose and concatenation
+//! oracles, so a lowering bug is caught in pure math, far from any socket.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use crate::partition::{concat_last_round, Area, ColumnSlice, Preference};
 use crate::planner::IndexPlan;
+use crate::radix::{ceil_log, pow};
 
 /// Bit position separating the phase namespace from the `(subphase,
 /// step)` tag of a round. Flat tags are `(x << 32) | z` — far below this
@@ -93,19 +100,102 @@ impl SlotSet {
     }
 }
 
-/// One transfer of a round: the peer, the matching tag, and the block
-/// slots involved. For a send, payload bytes are gathered from the
-/// slots' runs in order; for a receive, the payload is scattered back
-/// into the same runs (sender and receiver use the same slot set, as in
-/// the index algorithm's digit steps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The bytes one transfer moves: `(offset, len)` runs of the buffer it
+/// reads or writes, gathered into the payload (or scattered back out of
+/// it) in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Span {
+    /// Whole blocks, in closed form.
+    Slots(SlotSet),
+    /// Explicit byte runs, each at `offset − back` — Table 1's partitioned
+    /// last round, a broadcast's complement. Runs that coincide on every
+    /// rank are built once and shared.
+    Bytes {
+        /// `(offset, len)` runs, in payload order.
+        runs: Arc<[(usize, usize)]>,
+        /// Bytes every run is moved down by.
+        back: usize,
+    },
+}
+
+impl Span {
+    /// Payload bytes of the span over `block`-byte blocks.
+    #[must_use]
+    pub fn bytes(&self, block: usize) -> usize {
+        match self {
+            Self::Slots(slots) => slots.blocks() * block,
+            Self::Bytes { runs, .. } => runs.iter().map(|&(_, len)| len).sum(),
+        }
+    }
+
+    /// The span's `(offset, len)` runs over `block`-byte blocks, in
+    /// payload order.
+    pub fn runs(&self, block: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (slots, bytes) = match self {
+            Self::Slots(slots) => (Some(slots.runs(block)), None),
+            Self::Bytes { runs, back } => {
+                let back = *back;
+                (
+                    None,
+                    Some(runs.iter().map(move |&(at, len)| (at - back, len))),
+                )
+            }
+        };
+        slots
+            .into_iter()
+            .flatten()
+            .chain(bytes.into_iter().flatten())
+    }
+
+    /// Whether every run lies inside `limit` bytes (`n` blocks for a slot
+    /// set, which also names blocks of the work buffer).
+    fn fits(&self, n: usize, block: usize, limit: usize) -> bool {
+        match self {
+            Self::Slots(s) => s.groups * s.unit <= n && s.groups * s.unit * block <= limit,
+            Self::Bytes { runs, back } => runs.iter().all(|&(at, len)| {
+                at.checked_sub(*back)
+                    .and_then(|at| at.checked_add(len))
+                    .is_some_and(|end| end <= limit)
+            }),
+        }
+    }
+}
+
+/// One transfer of a round: the peer, the matching tag, and the bytes
+/// involved. For a send, payload bytes are gathered from the span's runs
+/// in order; for a receive, the payload is scattered back into them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramXfer {
     /// Global rank of the peer.
     pub peer: usize,
     /// Message tag (unique per round within the program).
     pub tag: u64,
-    /// Blocks of the rank's working buffer.
-    pub slots: SlotSet,
+    /// Bytes of the rank's working buffer — or, for a send with
+    /// [`from_input`](Self::from_input), of its input.
+    pub span: Span,
+    /// A send that reads the caller's input instead of the work buffer.
+    pub from_input: bool,
+}
+
+impl ProgramXfer {
+    /// A transfer of whole work-buffer blocks.
+    fn slots(peer: usize, tag: u64, slots: SlotSet) -> Self {
+        Self::of(peer, tag, Span::Slots(slots))
+    }
+
+    /// A transfer of work-buffer byte runs, moved down by `back`.
+    fn bytes(peer: usize, tag: u64, runs: Arc<[(usize, usize)]>, back: usize) -> Self {
+        Self::of(peer, tag, Span::Bytes { runs, back })
+    }
+
+    fn of(peer: usize, tag: u64, span: Span) -> Self {
+        Self {
+            peer,
+            tag,
+            span,
+            from_input: false,
+        }
+    }
 }
 
 /// One communication round: up to `k` sends to distinct peers and the
@@ -169,12 +259,22 @@ pub enum ProgramOp {
     /// Local block permutation (the rotate / transpose / inverse-
     /// placement phases).
     Permute(BlockPerm),
+    /// Copy input bytes `[from, from + len)` to work bytes `[to, to + len)`.
+    Place {
+        /// Offset in the input.
+        from: usize,
+        /// Offset in the work buffer.
+        to: usize,
+        /// Bytes copied.
+        len: usize,
+    },
     /// One communication round.
     Round(ProgramRound),
 }
 
 /// A complete per-rank schedule for one all-to-all: an ordered list of
-/// local permutes and k-port rounds, run by a [`RankMachine`].
+/// local ops and k-port rounds over an `n·b`-byte work buffer, run by a
+/// [`RankMachine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankProgram {
     /// Cluster size.
@@ -183,6 +283,9 @@ pub struct RankProgram {
     pub rank: usize,
     /// Block size in bytes.
     pub block: usize,
+    /// Bytes of the caller's input: `n·b` for an index, `b` for a
+    /// concatenation.
+    pub input: usize,
     /// Ordered operation list.
     pub ops: Vec<ProgramOp>,
 }
@@ -229,7 +332,7 @@ impl RankProgram {
                 }
                 bruck_ops(&mut ops, n, rank, radices.iter().copied(), 1, k, flat, 0);
             }
-            IndexPlan::Direct => direct_ops(&mut ops, n, rank, k),
+            IndexPlan::Direct => direct_ops(&mut ops, n, rank, block, k),
             IndexPlan::Hierarchical {
                 node_size,
                 radix_local,
@@ -252,6 +355,7 @@ impl RankProgram {
             n,
             rank,
             block,
+            input: n * block,
             ops,
         })
     }
@@ -266,38 +370,64 @@ impl RankProgram {
     }
 
     /// The local passes a run makes over its `n·b` buffer: every permute,
-    /// plus the copy-in of a program that does not open with one. A driver
-    /// that wants the result in a given buffer reads where to start from
-    /// this count's parity (see [`RankMachine::step`]).
+    /// plus the copy-in of a program that opens with neither a permute nor
+    /// a place. A driver that wants the result in a given buffer reads
+    /// where to start from this count's parity (see [`RankMachine::step`]).
     #[must_use]
     pub fn passes(&self) -> usize {
         let is_permute = |op: &ProgramOp| matches!(op, ProgramOp::Permute(_));
         let permutes = self.ops.iter().filter(|op| is_permute(op)).count();
-        permutes + usize::from(!self.ops.first().is_some_and(is_permute))
+        permutes + usize::from(self.copies_in())
+    }
+
+    /// Whether the machine copies the input in before the first round:
+    /// the program opens with neither a permute nor a place.
+    fn copies_in(&self) -> bool {
+        matches!(self.ops.first(), None | Some(ProgramOp::Round(_)))
     }
 
     /// The one shape check [`RankMachine::new`] makes before it indexes
-    /// an `n`-block buffer with these descriptors (`n` and `ops` are public,
-    /// so they may have been recombined): every permute covers exactly
-    /// `n` blocks and every slot set stays inside them.
+    /// its buffers with these descriptors (every field is public, so they
+    /// may have been recombined): every permute covers exactly the `n`
+    /// blocks, every place and span stays inside the buffer it touches
+    /// (the input for a send that reads it, else the `n·b` work buffer),
+    /// no receive reads the input, and a program that copies its input in
+    /// has an `n·b` one.
     ///
     /// # Errors
     ///
     /// Names the first op that does not fit.
     pub fn check_shape(&self) -> Result<(), String> {
+        let (n, block, input) = (self.n, self.block, self.input);
+        let work = n * block;
+        let within =
+            |at: usize, len: usize, limit: usize| at.checked_add(len).is_some_and(|e| e <= limit);
         let fits = |op: &ProgramOp| match op {
             ProgramOp::Permute(p) => {
                 let cells = match p.kind {
                     PermKind::Transpose { rows, cols } => rows * cols,
                     PermKind::Rotate { .. } | PermKind::Reflect { .. } => p.groups,
                 };
-                cells == p.groups && p.groups * p.unit == self.n
+                cells == p.groups && p.groups * p.unit == n
+            }
+            ProgramOp::Place { from, to, len } => {
+                within(*from, *len, input) && within(*to, *len, work)
             }
             ProgramOp::Round(r) => {
-                let mut xfers = r.sends.iter().chain(&r.recvs);
-                xfers.all(|x| x.slots.groups * x.slots.unit <= self.n)
+                let send = |x: &ProgramXfer| {
+                    x.span
+                        .fits(n, block, if x.from_input { input } else { work })
+                };
+                let recv = |x: &ProgramXfer| !x.from_input && x.span.fits(n, block, work);
+                r.sends.iter().all(send) && r.recvs.iter().all(recv)
             }
         };
+        if self.copies_in() && input != work {
+            return Err(format!(
+                "rank {}: copies a {input}-byte input into an n·b = {work} buffer",
+                self.rank
+            ));
+        }
         match self.ops.iter().position(|op| !fits(op)) {
             Some(i) => Err(format!(
                 "rank {}: op {i} does not fit an n = {} buffer",
@@ -306,6 +436,11 @@ impl RankProgram {
             None => Ok(()),
         }
     }
+}
+
+/// Input bytes `[from, from + len)` to work offset `to`, as an op.
+fn place(from: usize, to: usize, len: usize) -> ProgramOp {
+    ProgramOp::Place { from, to, len }
 }
 
 /// `kind` over `groups` group blocks of `unit` buffer blocks, as an op.
@@ -377,16 +512,9 @@ fn bruck_ops(
                     unit,
                 };
                 let tag = tag_base | ((x as u64) << 32) | zz as u64;
-                round.sends.push(ProgramXfer {
-                    peer: peer((m + dist) % n_g),
-                    tag,
-                    slots,
-                });
-                round.recvs.push(ProgramXfer {
-                    peer: peer((m + n_g - dist % n_g) % n_g),
-                    tag,
-                    slots,
-                });
+                let (to, from) = (peer((m + dist) % n_g), peer((m + n_g - dist % n_g) % n_g));
+                round.sends.push(ProgramXfer::slots(to, tag, slots));
+                round.recvs.push(ProgramXfer::slots(from, tag, slots));
             }
             ops.push(ProgramOp::Round(round));
             z = hi + 1;
@@ -397,46 +525,41 @@ fn bruck_ops(
     ops.push(permute(PermKind::Reflect { about: m }, n_g, unit));
 }
 
-/// The direct algorithm: the working buffer is indexed by destination,
-/// so offset `d` sends slot `(m+d) mod n` to that rank. The incoming
-/// block (from rank `(m-d) mod n`) is written into the *same* slot —
-/// the one this very round just vacated, the only slot a later round is
-/// guaranteed not to still need — and a single final permutation
-/// (`out[j] = work[(2m−j) mod n]`) puts every received block at its
-/// source's index. Receiving into the natural slot `(m-d) mod n`
-/// instead would corrupt rounds `d > n/2`, which send slots that
-/// earlier rounds already received into.
-fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, k: usize) {
-    if n <= 1 {
-        return;
+/// The one block `s` of an `n`-block buffer: §3.2's digit test in radix
+/// `n`, weight 1.
+fn single(s: usize, n: usize) -> SlotSet {
+    SlotSet {
+        stride: 1,
+        digit: s,
+        radix: n,
+        groups: n,
+        unit: 1,
     }
+}
+
+/// The direct algorithm, out of place: the rank's own block is placed,
+/// offset `d` sends input slot `(m+d) mod n` to that rank, and the block
+/// from rank `(m-d) mod n` lands in its final slot — no pass over the
+/// buffer at all.
+fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, block: usize, k: usize) {
+    ops.push(place(m * block, m * block, block));
     let mut d = 1usize;
     while d < n {
         let hi = (n - 1).min(d + k - 1);
         let mut round = ProgramRound::default();
         for dd in d..=hi {
-            let slots = SlotSet {
-                stride: 1,
-                digit: (m + dd) % n,
-                radix: n,
-                groups: n,
-                unit: 1,
-            };
+            let (to, from) = ((m + dd) % n, (m + n - dd) % n);
             round.sends.push(ProgramXfer {
-                peer: (m + dd) % n,
-                tag: dd as u64,
-                slots,
+                from_input: true,
+                ..ProgramXfer::slots(to, dd as u64, single(to, n))
             });
-            round.recvs.push(ProgramXfer {
-                peer: (m + n - dd) % n,
-                tag: dd as u64,
-                slots,
-            });
+            round
+                .recvs
+                .push(ProgramXfer::slots(from, dd as u64, single(from, n)));
         }
         ops.push(ProgramOp::Round(round));
         d = hi + 1;
     }
-    ops.push(permute(PermKind::Reflect { about: 2 * m % n }, n, 1));
 }
 
 /// The two-level composition — the paper's own index algorithm at two
@@ -501,15 +624,316 @@ fn hierarchical_ops(
     Ok(())
 }
 
+/// The per-rank programs of one concatenation (all-to-all broadcast) of
+/// `b`-byte blocks on `n` ranks: rank `v`'s input is its block `B[v]`,
+/// its output `B[0] ‖ … ‖ B[n−1]`. A lowering is built once per
+/// `(n, b, k)`, so what every rank shares — the circulant algorithm's
+/// last-round runs — is planned once, and [`program`](Self::program)
+/// reads it for each rank.
+#[derive(Debug, Clone)]
+pub struct ConcatLowering {
+    n: usize,
+    block: usize,
+    ports: usize,
+    shape: ConcatShape,
+}
+
+/// A last-round area: its offset and the receiver's byte runs.
+type AreaRuns = (usize, Arc<[(usize, usize)]>);
+
+/// The four concatenation algorithms, as what their programs need.
+#[derive(Debug, Clone)]
+enum ConcatShape {
+    /// §4: `doubling` rounds growing the distance-ordered prefix
+    /// `k+1`-fold, then the last-round areas, each `(offset, the
+    /// receiver's byte runs)`.
+    Circulant {
+        doubling: u32,
+        last: Vec<Vec<AreaRuns>>,
+    },
+    GatherBroadcast,
+    RecursiveDoubling,
+    Ring,
+}
+
+impl ConcatLowering {
+    /// The paper's §4 algorithm on the circulant graph: rank `v` keeps
+    /// its buffer in *distance order* (slot `δ` holds the block of rank
+    /// `v − δ`), so every span is the same on every rank. Round `i` of
+    /// phase 1 sends the first `(k+1)^i` slots to `v + j·(k+1)^i`, and the
+    /// last round(s) move Table 1's byte partition
+    /// ([`concat_last_round`]) — its areas' runs built here, once. The
+    /// final reflection puts block `δ` at rank `v − δ`. `n ≤ k+1` is one
+    /// round; `n = 1` or `b = 0` sends nothing.
+    #[must_use]
+    pub fn circulant(n: usize, block: usize, ports: usize, pref: Preference) -> Self {
+        let k = ports.max(1);
+        let last = concat_last_round(n, k, block, pref).map_or_else(Vec::new, |plan| {
+            let run = |s: &ColumnSlice| ((plan.n1 + s.col) * block + s.row_start, s.len());
+            let area = |a: &Area| (a.offset, a.slices.iter().map(run).collect());
+            let round = |areas: &Vec<Area>| areas.iter().map(area).collect();
+            plan.rounds.iter().map(round).collect()
+        });
+        let doubling = ceil_log(k + 1, n.max(1)).saturating_sub(1).max(1);
+        Self::new(n, block, k, ConcatShape::Circulant { doubling, last })
+    }
+
+    /// The folklore two-phase algorithm §4 opens with: gather to rank 0
+    /// along the `(k+1)`-ary binomial tree, then broadcast back down it,
+    /// each child getting only the complement of its own subtree. The
+    /// node attached in tree round `g` roots the subtree `{j : j mod
+    /// (k+1)^{g+1} = v}`. A rank with no part in a round runs it empty.
+    #[must_use]
+    pub fn gather_broadcast(n: usize, block: usize, ports: usize) -> Self {
+        Self::new(n, block, ports.max(1), ConcatShape::GatherBroadcast)
+    }
+
+    /// Recursive doubling (one port): round `x` swaps the aligned `2^x`
+    /// blocks held with rank `v ⊕ 2^x`.
+    ///
+    /// # Errors
+    ///
+    /// A message when `n` is not a power of two.
+    pub fn recursive_doubling(n: usize, block: usize) -> Result<Self, String> {
+        if !n.is_power_of_two() {
+            return Err(format!(
+                "recursive doubling requires a power-of-two processor count, got {n}"
+            ));
+        }
+        Ok(Self::new(n, block, 1, ConcatShape::RecursiveDoubling))
+    }
+
+    /// The ring (one port): round `i` forwards the block that started `i`
+    /// hops to the left to the right neighbour.
+    #[must_use]
+    pub fn ring(n: usize, block: usize) -> Self {
+        Self::new(n, block, 1, ConcatShape::Ring)
+    }
+
+    fn new(n: usize, block: usize, ports: usize, shape: ConcatShape) -> Self {
+        Self {
+            n,
+            block,
+            ports,
+            shape,
+        }
+    }
+
+    /// Cluster size.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Ports the programs use: `k`, or 1 for the one-port algorithms.
+    #[must_use]
+    pub fn ports(&self) -> usize {
+        self.ports
+    }
+
+    /// Rank `rank`'s program. Every algorithm works in place in the
+    /// `n·b` output: it opens by placing the input block — at slot 0 for
+    /// the distance-ordered circulant algorithm, at its own slot
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// If `rank ≥ n`.
+    #[must_use]
+    pub fn program(&self, rank: usize) -> RankProgram {
+        let (n, b, k) = (self.n, self.block, self.ports);
+        assert!(rank < n, "concat: rank {rank} out of range for n = {n}");
+        let mut ops = Vec::new();
+        match &self.shape {
+            ConcatShape::Circulant { doubling, last } => {
+                ops.push(place(0, 0, b));
+                if n > 1 && b > 0 {
+                    circulant_ops(&mut ops, n, rank, b, k, *doubling, last);
+                }
+            }
+            shape => {
+                ops.push(place(0, rank * b, b));
+                match shape {
+                    ConcatShape::GatherBroadcast => gather_broadcast_ops(&mut ops, n, rank, b, k),
+                    ConcatShape::RecursiveDoubling => doubling_ops(&mut ops, n, rank),
+                    _ => ring_ops(&mut ops, n, rank),
+                }
+            }
+        }
+        RankProgram {
+            n,
+            rank,
+            block: b,
+            input: b,
+            ops,
+        }
+    }
+}
+
+/// The circulant algorithm's rounds and final reflection (see
+/// [`ConcatLowering::circulant`]). Tags: round `i` of phase 1 is `i`,
+/// area `a` of last round `r` is `(doubling + r) << 8 | a`.
+fn circulant_ops(
+    ops: &mut Vec<ProgramOp>,
+    n: usize,
+    v: usize,
+    b: usize,
+    k: usize,
+    doubling: u32,
+    last: &[Vec<AreaRuns>],
+) {
+    for i in 0..doubling {
+        let cur = pow(k + 1, i);
+        let held = |digit| SlotSet {
+            stride: cur,
+            digit,
+            radix: k + 1,
+            groups: ((k + 1) * cur).min(n),
+            unit: 1,
+        };
+        let mut round = ProgramRound::default();
+        for j in (1..=k).take_while(|j| j * cur < n) {
+            let tag = u64::from(i);
+            round
+                .sends
+                .push(ProgramXfer::slots((v + j * cur) % n, tag, held(0)));
+            round
+                .recvs
+                .push(ProgramXfer::slots((v + n - j * cur) % n, tag, held(j)));
+        }
+        ops.push(ProgramOp::Round(round));
+    }
+    for (ri, areas) in (0u64..).zip(last) {
+        let mut round = ProgramRound::default();
+        for (ai, (offset, runs)) in (0u64..).zip(areas) {
+            let tag = (u64::from(doubling) + ri) << 8 | ai;
+            let xfer = |peer, back| ProgramXfer::bytes(peer, tag, Arc::clone(runs), back);
+            round.sends.push(xfer((v + offset) % n, offset * b));
+            round.recvs.push(xfer((v + n - offset % n) % n, 0));
+        }
+        ops.push(ProgramOp::Round(round));
+    }
+    ops.push(permute(PermKind::Reflect { about: v }, n, 1));
+}
+
+/// The gather + broadcast rounds (see [`ConcatLowering::gather_broadcast`]).
+/// Tags: gather round `g` is `g`, broadcast round `g` is `d + g`.
+fn gather_broadcast_ops(ops: &mut Vec<ProgramOp>, n: usize, v: usize, b: usize, k: usize) {
+    if n <= 1 {
+        return;
+    }
+    let d = ceil_log(k + 1, n);
+    // (k+1)^g for the tree round g that attaches v (none for the root).
+    let attached = (v > 0).then(|| {
+        let mut p = 1;
+        while p * (k + 1) <= v {
+            p *= k + 1;
+        }
+        p
+    });
+    // The nodes v attaches in the round of weight p: v + j·p, if v is
+    // already in the tree.
+    let children = |p: usize| {
+        (1..=k)
+            .map(move |j| v + j * p)
+            .filter(move |&c| v < p && c < n)
+    };
+    let subtree = |t: usize, p: usize| SlotSet {
+        stride: 1,
+        digit: t,
+        radix: p * (k + 1),
+        groups: n,
+        unit: 1,
+    };
+    // The blocks outside t's subtree, as byte runs.
+    let complement = |t: usize, p: usize| -> Arc<[(usize, usize)]> {
+        let (mut runs, mut lo) = (Vec::new(), 0);
+        for hi in (t..n).step_by(p * (k + 1)).chain([n]) {
+            if hi > lo {
+                runs.push((lo * b, (hi - lo) * b));
+            }
+            lo = hi + 1;
+        }
+        runs.into()
+    };
+    for g in (0..d).rev() {
+        let (p, tag) = (pow(k + 1, g), u64::from(g));
+        let mut round = ProgramRound::default();
+        if attached == Some(p) {
+            round
+                .sends
+                .push(ProgramXfer::slots(v % p, tag, subtree(v, p)));
+        }
+        for c in children(p) {
+            round.recvs.push(ProgramXfer::slots(c, tag, subtree(c, p)));
+        }
+        ops.push(ProgramOp::Round(round));
+    }
+    for g in 0..d {
+        let (p, tag) = (pow(k + 1, g), u64::from(d + g));
+        let mut round = ProgramRound::default();
+        for c in children(p) {
+            round
+                .sends
+                .push(ProgramXfer::bytes(c, tag, complement(c, p), 0));
+        }
+        if attached == Some(p) {
+            round
+                .recvs
+                .push(ProgramXfer::bytes(v % p, tag, complement(v, p), 0));
+        }
+        ops.push(ProgramOp::Round(round));
+    }
+}
+
+/// Recursive doubling's rounds: round `x` swaps the aligned `2^x`-block
+/// halves with rank `v ⊕ 2^x` (tag `x`).
+fn doubling_ops(ops: &mut Vec<ProgramOp>, n: usize, v: usize) {
+    for x in 0..n.trailing_zeros() {
+        let span = 1usize << x;
+        let aligned = |r: usize| SlotSet {
+            stride: span,
+            digit: r / span,
+            radix: n / span,
+            groups: n,
+            unit: 1,
+        };
+        let partner = v ^ span;
+        ops.push(one_port(
+            partner,
+            aligned(v),
+            partner,
+            aligned(partner),
+            x.into(),
+        ));
+    }
+}
+
+/// The ring's rounds: round `i` (tag `i`) sends slot `v − i` right and
+/// receives slot `v − i − 1` from the left.
+fn ring_ops(ops: &mut Vec<ProgramOp>, n: usize, v: usize) {
+    let (right, left) = ((v + 1) % n, (v + n - 1) % n);
+    let slot = |i: usize| single((v + n - i) % n, n);
+    ops.extend((0..n - 1).map(|i| one_port(right, slot(i), left, slot(i + 1), i as u64)));
+}
+
+/// A one-port round: `send` to `to`, `recv` from `from`, both `tag`.
+fn one_port(to: usize, send: SlotSet, from: usize, recv: SlotSet, tag: u64) -> ProgramOp {
+    ProgramOp::Round(ProgramRound {
+        sends: vec![ProgramXfer::slots(to, tag, send)],
+        recvs: vec![ProgramXfer::slots(from, tag, recv)],
+    })
+}
+
 /// What a [`RankMachine`] asks of its driver next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action<'p> {
-    /// A local pass moved the whole buffer: a permute, or the copy-in of
-    /// a program that does not open with one.
-    Local,
-    /// Post this round's sends, gathered from [`RankMachine::spans`],
-    /// before [delivering](RankMachine::deliver) any of its receives
-    /// (they land in the slots sent from).
+    /// A local op copied this many bytes: a permute or the copy-in of a
+    /// program that opens with a round (`n·b`), or a place.
+    Local(usize),
+    /// Post this round's sends, gathered from [`RankMachine::spans`] of
+    /// [`RankMachine::source`], before [delivering](RankMachine::deliver)
+    /// any of its receives (they may land in the bytes sent from).
     Send(&'p ProgramRound),
     /// The round still awaits [`RankMachine::outstanding`].
     Await(&'p ProgramRound),
@@ -520,16 +944,16 @@ pub enum Action<'p> {
 /// One rank's program as a pure state machine — the only interpreter of
 /// a [`RankProgram`], with no I/O, clock or thread, and no allocation but
 /// one flag per receive of the widest round.
-/// [`step`](Self::step) runs local passes and yields "send these", then
+/// [`step`](Self::step) runs local ops and yields "send these", then
 /// "await these", then "done"; [`deliver`](Self::deliver) checks one
 /// received message and scatters it into the buffer.
 ///
-/// The data stays in `input` until the first pass (the first permute
-/// reads it in place; a program that opens with a round copies it in,
-/// since rounds scatter into the buffer they send from). A pass writes
-/// the `scratch` the driver lends to `step` and hands the old `work`
-/// back in its place, so a driver of many ranks keeps one spare `n·b`
-/// buffer, not one per rank.
+/// The data stays in `input` until the first local op (the first permute
+/// reads it in place; a place copies bytes of it into the work buffer; a
+/// program that opens with a round copies it all in, since rounds scatter
+/// into the buffer they send from). A permute writes the `scratch` the
+/// driver lends to `step` and hands the old `work` back in its place, so
+/// a driver of many ranks keeps one spare `n·b` buffer, not one per rank.
 #[derive(Debug)]
 pub struct RankMachine<'p, B> {
     program: &'p RankProgram,
@@ -537,7 +961,7 @@ pub struct RankMachine<'p, B> {
     work: B,
     /// The op the machine is at: the number of ops completed.
     at: usize,
-    /// No pass has run: the data is still `input`.
+    /// No local op has run: the data is still `input`.
     fresh: bool,
     /// Receives of the current round still to land (0: none awaited),
     /// and per receive whether it has.
@@ -546,22 +970,25 @@ pub struct RankMachine<'p, B> {
 }
 
 impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
-    /// A machine at the start of `program`, over `input` (the rank's send
-    /// buffer, only ever read) and `work`, both `n·b` bytes.
+    /// A machine at the start of `program`, over `input` (the rank's
+    /// [`RankProgram::input`] bytes, only ever read) and an `n·b`-byte
+    /// `work` buffer.
     ///
     /// # Errors
     ///
-    /// A message naming the rank when a buffer is not `n·b` bytes or the
-    /// program does not fit them ([`RankProgram::check_shape`]).
+    /// A message naming the rank when the program does not fit its
+    /// buffers ([`RankProgram::check_shape`]) or a buffer has the wrong
+    /// size.
     pub fn new(program: &'p RankProgram, input: &'p [u8], work: B) -> Result<Self, String> {
+        program.check_shape()?;
         let (len, rank) = (program.n * program.block, program.rank);
         let sizes = (input.len(), work.as_ref().len());
-        if sizes != (len, len) {
+        if sizes != (program.input, len) {
             return Err(format!(
-                "rank {rank}: buffers must be n·b = {len} bytes, not {sizes:?}"
+                "rank {rank}: (input, work) must be ({}, n·b = {len}) bytes, not {sizes:?}",
+                program.input
             ));
         }
-        program.check_shape()?;
         Ok(Self {
             program,
             input,
@@ -574,7 +1001,7 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     }
 
     /// Advance to the next thing the driver must do. `scratch` must be
-    /// `n·b` bytes: a [`Action::Local`] pass writes it and swaps it with
+    /// `n·b` bytes: a permute (or copy-in) writes it and swaps it with
     /// the work buffer, so the result ends in the buffer first lent as
     /// scratch when [`RankProgram::passes`] is odd, else in `work`.
     pub fn step(&mut self, scratch: &mut B) -> Action<'p> {
@@ -582,6 +1009,12 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
             Some(ProgramOp::Permute(perm)) => {
                 self.at += 1;
                 self.pass(scratch, Some(perm))
+            }
+            Some(&ProgramOp::Place { from, to, len }) => {
+                self.at += 1;
+                self.work.as_mut()[to..to + len].copy_from_slice(&self.input[from..from + len]);
+                self.fresh = false;
+                Action::Local(len)
             }
             None | Some(ProgramOp::Round(_)) if self.fresh => self.pass(scratch, None),
             None => Action::Done,
@@ -607,11 +1040,11 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         }
         std::mem::swap(&mut self.work, scratch);
         self.fresh = false;
-        Action::Local
+        Action::Local(self.work.as_ref().len())
     }
 
     /// Take one message of the awaited round and scatter it into the
-    /// slots of the receive `(peer, tag)` names; the last one completes
+    /// span of the receive `(peer, tag)` names; the last one completes
     /// the round.
     ///
     /// # Errors
@@ -619,7 +1052,7 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     /// A message naming the rank, peer and tag — the buffer untouched —
     /// when the program is done, no round awaits, the awaited round has
     /// no such receive or it has landed, or the payload is not that
-    /// receive's `blocks · b` bytes.
+    /// receive's span's length.
     pub fn deliver(&mut self, peer: usize, tag: u64, payload: &[u8]) -> Result<(), String> {
         let rank = self.program.rank;
         let err = |what: &str| Err(format!("rank {rank}: from {peer}, tag {tag}: {what}"));
@@ -635,13 +1068,13 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         if self.landed[i] {
             return err("already delivered");
         }
-        let (slots, block) = (round.recvs[i].slots, self.program.block);
-        let (got, want) = (payload.len(), slots.blocks() * block);
+        let (span, block) = (&round.recvs[i].span, self.program.block);
+        let (got, want) = (payload.len(), span.bytes(block));
         if got != want {
             return err(&format!("{got} payload bytes, not {want}"));
         }
         let (work, mut rest) = (self.work.as_mut(), payload);
-        for (at, len) in slots.runs(block) {
+        for (at, len) in span.runs(block) {
             let run;
             (run, rest) = rest.split_at(len);
             work[at..at + len].copy_from_slice(run);
@@ -662,20 +1095,30 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         pending.map(|(x, _)| (x.peer, x.tag))
     }
 
-    /// The `(offset, len)` runs of [`buffer`](Self::buffer) that make up
+    /// The `(offset, len)` runs of [`source`](Self::source) that make up
     /// transfer `x`'s payload, in order.
-    pub fn spans(&self, x: &ProgramXfer) -> impl Iterator<Item = (usize, usize)> {
-        x.slots.runs(self.program.block)
+    pub fn spans<'x>(&self, x: &'x ProgramXfer) -> impl Iterator<Item = (usize, usize)> + 'x {
+        x.span.runs(self.program.block)
+    }
+
+    /// The buffer send `x` reads: the input or [`buffer`](Self::buffer).
+    pub fn source(&self, x: &ProgramXfer) -> &[u8] {
+        if x.from_input {
+            self.input
+        } else {
+            self.buffer()
+        }
     }
 
     /// Append transfer `x`'s payload, gathered from its spans, to `out`.
     pub fn pack(&self, x: &ProgramXfer, out: &mut Vec<u8>) {
+        let src = self.source(x);
         for (at, len) in self.spans(x) {
-            out.extend_from_slice(&self.buffer()[at..at + len]);
+            out.extend_from_slice(&src[at..at + len]);
         }
     }
 
-    /// The rank's data as it stands: the input until the first pass.
+    /// The rank's data as it stands: the input until the first local op.
     pub fn buffer(&self) -> &[u8] {
         if self.fresh {
             self.input
@@ -697,8 +1140,8 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
 
 /// Run a program set with perfect in-memory message delivery: each
 /// rank's [`RankMachine`], in rank order, as far as its mail allows, until
-/// none can move. `inputs[r]` is rank `r`'s `n·b` send buffer; the result
-/// is each rank's output. `after_op(rank, op, data)` sees every op a rank
+/// none can move. `inputs[r]` is rank `r`'s input; the result is each
+/// rank's `n·b` output. `after_op(rank, op, data)` sees every op a rank
 /// completes, with the data as that op left it.
 ///
 /// # Errors
@@ -715,7 +1158,14 @@ pub fn simulate<'p>(
     if counts.0 != counts.1 {
         return Err(format!("simulate: (inputs, programs) = {counts:?}"));
     }
-    let len = inputs.first().map_or(0, Vec::len);
+    let len = programs.first().map_or(0, |p| p.n * p.block);
+    if let Some(p) = programs.iter().find(|p| p.n * p.block != len) {
+        return Err(format!(
+            "simulate: rank {} works on {} bytes, not {len}",
+            p.rank,
+            p.n * p.block
+        ));
+    }
     let machine =
         |(p, input): (&'p RankProgram, &'p Vec<u8>)| RankMachine::new(p, input, vec![0; len]);
     let machines: Result<Vec<_>, _> = programs.iter().zip(inputs).map(machine).collect();
@@ -729,7 +1179,7 @@ pub fn simulate<'p>(
             loop {
                 let at = m.completed();
                 match m.step(&mut scratch) {
-                    Action::Local => {}
+                    Action::Local(_) => {}
                     Action::Send(round) => {
                         for s in &round.sends {
                             let mut payload = Vec::new();
@@ -788,6 +1238,8 @@ mod reference {
     pub enum Op {
         /// `new[i] = old[perm[i]]`.
         Permute(Vec<usize>),
+        /// `(from, to, blocks)`: input blocks into the work buffer.
+        Place(usize, usize, usize),
         Round {
             sends: Vec<Xfer>,
             recvs: Vec<Xfer>,
@@ -877,22 +1329,22 @@ mod reference {
         perm
     }
 
+    /// The out-of-place direct exchange: own block placed, input slot
+    /// `m+d` sent, slot `m−d` received, no permutation.
     pub fn direct_ops(ops: &mut Vec<Op>, n: usize, m: usize, k: usize) {
+        ops.push(Op::Place(m, m, 1));
         let mut d = 1usize;
         while d < n {
             let hi = (n - 1).min(d + k - 1);
             let (mut sends, mut recvs) = (Vec::new(), Vec::new());
             for dd in d..=hi {
-                let slot = (m + dd) % n;
-                sends.push(((m + dd) % n, dd as u64, vec![slot]));
-                recvs.push(((m + n - dd) % n, dd as u64, vec![slot]));
+                let (to, from) = ((m + dd) % n, (m + n - dd) % n);
+                sends.push((to, dd as u64, vec![to]));
+                recvs.push((from, dd as u64, vec![from]));
             }
             ops.push(Op::Round { sends, recvs });
             d = hi + 1;
         }
-        ops.push(Op::Permute(
-            (0..n).map(|j| (2 * m + n - j % n) % n).collect(),
-        ));
     }
 
     pub fn hierarchical_ops(
@@ -955,8 +1407,8 @@ mod tests {
     /// The largest single message of a program, in blocks.
     fn max_message_blocks(p: &RankProgram) -> usize {
         let widest = |op: &ProgramOp| match op {
-            ProgramOp::Round(r) => r.sends.iter().map(|x| x.slots.blocks()).max(),
-            ProgramOp::Permute(_) => None,
+            ProgramOp::Round(r) => r.sends.iter().map(|x| x.span.bytes(1)).max(),
+            ProgramOp::Permute(_) | ProgramOp::Place { .. } => None,
         };
         p.ops.iter().filter_map(widest).max().unwrap_or(0)
     }
@@ -992,8 +1444,8 @@ mod tests {
             xs.iter()
                 .map(|x| {
                     let slots: Vec<usize> =
-                        x.slots.runs(1).flat_map(|(at, len)| at..at + len).collect();
-                    assert_eq!(slots.len(), x.slots.blocks(), "{:?}", x.slots);
+                        x.span.runs(1).flat_map(|(at, len)| at..at + len).collect();
+                    assert_eq!(slots.len(), x.span.bytes(1), "{:?}", x.span);
                     (x.peer, x.tag, slots)
                 })
                 .collect()
@@ -1010,6 +1462,10 @@ mod tests {
                     let mut perm = vec![u8::MAX; n];
                     p.apply(1, &identity, &mut perm);
                     reference::Op::Permute(perm.into_iter().map(usize::from).collect())
+                }
+                &ProgramOp::Place { from, to, len } => {
+                    let b = program.block;
+                    reference::Op::Place(from / b, to / b, len / b)
                 }
                 ProgramOp::Round(r) => reference::Op::Round {
                     sends: xfers(&r.sends),
@@ -1093,6 +1549,58 @@ mod tests {
             unit: 1,
         });
         assert!(p.check_shape().is_err());
+    }
+
+    #[test]
+    fn hand_built_spans_and_places_that_do_not_fit_are_rejected() {
+        // Rank 1 of the n = 10, k = 3, b = 3 circulant concatenation: a
+        // place, one doubling round, one last round of byte runs.
+        let good = ConcatLowering::circulant(10, 3, 3, Preference::Rounds).program(1);
+        good.check_shape().unwrap();
+        let last = good.ops.len() - 2;
+        let rejected = |edit: &dyn Fn(&mut RankProgram)| {
+            let mut p = good.clone();
+            edit(&mut p);
+            p.check_shape().unwrap_err()
+        };
+        fn round(p: &mut RankProgram, at: usize) -> &mut ProgramRound {
+            let ProgramOp::Round(r) = &mut p.ops[at] else {
+                panic!("the reflection follows the last round");
+            };
+            r
+        }
+        // A send moved below offset 0, a run past n·b, a receive that
+        // reads the input, a place outside either buffer.
+        let below = |p: &mut RankProgram| {
+            let Span::Bytes { back, .. } = &mut round(p, last).sends[0].span else {
+                panic!("the last round moves byte runs");
+            };
+            *back = 30;
+        };
+        assert!(rejected(&below).contains(&format!("op {last}")));
+        let past = |p: &mut RankProgram| {
+            round(p, last).sends[0].span = Span::Bytes {
+                runs: vec![(28, 3)].into(),
+                back: 0,
+            };
+        };
+        assert!(rejected(&past).contains(&format!("op {last}")));
+        let input_recv = |p: &mut RankProgram| round(p, last).recvs[0].from_input = true;
+        assert!(rejected(&input_recv).contains(&format!("op {last}")));
+        for (from, to) in [(1, 0), (0, 28)] {
+            let place = |p: &mut RankProgram| p.ops[0] = place(from, to, 3);
+            assert!(rejected(&place).contains("op 0"));
+        }
+        // A program that copies in a b-byte input.
+        let copy_in = |p: &mut RankProgram| {
+            p.ops.remove(0);
+        };
+        assert!(rejected(&copy_in).contains("copies a 3-byte input"));
+        // A machine refuses both before touching a buffer.
+        let mut p = good.clone();
+        below(&mut p);
+        assert!(RankMachine::new(&p, &[0; 3], vec![0; 30]).is_err());
+        assert!(RankMachine::new(&good, &[0; 30], vec![0; 30]).is_err());
     }
 
     /// The byte pattern rank `i` sends to rank `j` (position `p`):
@@ -1431,12 +1939,12 @@ mod tests {
             let err = try_deliver(m, rank, delivery).expect_err("malformed delivery taken");
             assert!(err.contains(why), "{err}");
         };
-        assert_eq!(m.step(&mut scratch), Action::Local);
+        assert_eq!(m.step(&mut scratch), Action::Local(18));
         let ProgramOp::Round(round) = &p.ops[1] else {
             panic!("the rotation is followed by a round");
         };
-        let (a, b) = (round.recvs[0], round.recvs[1]);
-        let good = vec![7u8; a.slots.blocks() * 2];
+        let (a, b) = (&round.recvs[0], &round.recvs[1]);
+        let good = vec![7u8; a.span.bytes(2)];
         let long = [&good[..], &[0]].concat();
         // Before the round's sends are out, nothing may land in it.
         refused(&mut m, 4, (a.peer, a.tag, &good), "no round awaits");
@@ -1455,15 +1963,15 @@ mod tests {
         let p = RankProgram::lower(&IndexPlan::Radix(2), 2, 0, 3, 1).unwrap();
         let data = input(0, 2, 3);
         let (mut m, mut scratch) = (RankMachine::new(&p, &data, vec![0; 6]).unwrap(), vec![0; 6]);
-        assert_eq!(m.step(&mut scratch), Action::Local);
+        assert_eq!(m.step(&mut scratch), Action::Local(6));
         assert!(matches!(m.step(&mut scratch), Action::Send(_)));
         let Action::Await(round) = m.step(&mut scratch) else {
             panic!("a round awaits once its sends are out");
         };
-        let x = round.recvs[0];
+        let x = &round.recvs[0];
         m.deliver(x.peer, x.tag, &[1, 2, 3]).unwrap();
         assert_eq!(m.outstanding().count(), 0);
-        assert_eq!(m.step(&mut scratch), Action::Local);
+        assert_eq!(m.step(&mut scratch), Action::Local(6));
         assert_eq!(m.step(&mut scratch), Action::Done);
         refused(&mut m, 0, (x.peer, x.tag, &[1, 2, 3]), "done");
         refused(&mut m, 0, (9, 1 << 40, &[]), "done");
@@ -1477,7 +1985,7 @@ mod tests {
         inputs: &'p [Vec<u8>],
         mut tamper: impl FnMut(&mut RankMachine<'p, Vec<u8>>, usize, (usize, u64, &[u8])) -> bool,
     ) -> Vec<RankMachine<'p, Vec<u8>>> {
-        let len = inputs[0].len();
+        let len = programs[0].n * programs[0].block;
         let mut machines: Vec<_> = programs
             .iter()
             .zip(inputs)
@@ -1488,7 +1996,7 @@ mod tests {
             for (r, m) in machines.iter_mut().enumerate() {
                 loop {
                     match m.step(&mut scratch) {
-                        Action::Local => {}
+                        Action::Local(_) => {}
                         Action::Send(round) => {
                             for s in &round.sends {
                                 let mut payload = Vec::new();
@@ -1519,13 +2027,29 @@ mod tests {
         machines
     }
 
+    /// Rank `rank`'s concatenation input block.
+    fn concat_input(rank: usize, block: usize) -> Vec<u8> {
+        (0..block).map(|p| pattern(rank, 0, p, block)).collect()
+    }
+
+    /// Every rank's concatenation input, end to end.
+    fn concat_expected(n: usize, block: usize) -> Vec<u8> {
+        (0..n).flat_map(|r| concat_input(r, block)).collect()
+    }
+
+    /// Every rank's program of a concatenation.
+    fn concat_programs(lowering: &ConcatLowering) -> Vec<RankProgram> {
+        (0..lowering.n()).map(|r| lowering.program(r)).collect()
+    }
+
     /// 10 000 seeded malformed deliveries over random lowered programs
-    /// (every plan family, n ≤ 64, k ≤ 3, b ≤ 3), each offered to the
-    /// receiving machine just before the genuine one: a changed peer or
-    /// tag, a short or long payload, a second copy. None panics; each is
-    /// refused by name with the buffer untouched, or is by chance the
-    /// genuine delivery; every rank still ends on the transpose oracle;
-    /// and a done machine refuses whatever comes after.
+    /// (every index plan family and every concatenation, n ≤ 64, k ≤ 3,
+    /// b ≤ 3), each offered to the receiving machine just before the
+    /// genuine one: a changed peer or tag, a short or long payload, a
+    /// second copy. None panics; each is refused by name with the buffer
+    /// untouched, or is by chance the genuine delivery; every rank still
+    /// ends on the transpose or concatenation oracle; and a done machine
+    /// refuses whatever comes after.
     #[test]
     fn mutated_deliveries_are_refused_and_never_corrupt_a_result() {
         let rng = std::cell::Cell::new(0x5eed_u64);
@@ -1539,7 +2063,8 @@ mod tests {
         let (mut kinds, mut mutated) = ([0usize; 5], 0usize);
         while mutated < 10_000 {
             let (n, k, block) = (2 + next() % 63, 1 + next() % 3, next() % 4);
-            let plan = match next() % 5 {
+            let family = next() % 9;
+            let plan = match family {
                 0 => IndexPlan::Radix(2 + next() % (n - 1)),
                 1 => IndexPlan::Direct,
                 2 => IndexPlan::Hypercube,
@@ -1559,11 +2084,33 @@ mod tests {
                     }
                 }
             };
-            let label = format!("{} n={n} k={k} b={block}", plan.label());
-            let programs: Vec<RankProgram> = (0..n)
-                .map(|r| RankProgram::lower(&plan, n, r, block, k).unwrap())
-                .collect();
-            let inputs: Vec<Vec<u8>> = (0..n).map(|r| input(r, n, block)).collect();
+            let pref = [Preference::Rounds, Preference::Bytes][next() % 2];
+            let concat = match family {
+                5 => Some(ConcatLowering::circulant(n, block, k, pref)),
+                6 => Some(ConcatLowering::gather_broadcast(n, block, k)),
+                7 => Some(ConcatLowering::ring(n, block)),
+                8 => ConcatLowering::recursive_doubling(1 << (1 + next() % 6), block).ok(),
+                _ => None,
+            };
+            let (label, n, programs, inputs, expected): (_, _, Vec<_>, Vec<_>, Vec<_>) =
+                match &concat {
+                    None => (
+                        format!("{} n={n} k={k} b={block}", plan.label()),
+                        n,
+                        (0..n)
+                            .map(|r| RankProgram::lower(&plan, n, r, block, k).unwrap())
+                            .collect(),
+                        (0..n).map(|r| input(r, n, block)).collect(),
+                        (0..n).map(|r| expected(r, n, block)).collect(),
+                    ),
+                    Some(c) => (
+                        format!("concat {family} {pref:?} n={} k={k} b={block}", c.n()),
+                        c.n(),
+                        concat_programs(c),
+                        (0..c.n()).map(|r| concat_input(r, block)).collect(),
+                        vec![concat_expected(c.n(), block); c.n()],
+                    ),
+                };
             let machines = drive(&programs, &inputs, |m, rank, genuine| {
                 if next() % 2 == 0 {
                     return false;
@@ -1599,7 +2146,7 @@ mod tests {
                     "{label}: taken after done"
                 );
                 let got = m.into_work();
-                assert_eq!(got, expected(rank, n, block), "{label} rank={rank}");
+                assert_eq!(got, expected[rank], "{label} rank={rank}");
             }
         }
         assert!(kinds.iter().all(|&hits| hits >= 1_000), "{kinds:?}");

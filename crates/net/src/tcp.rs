@@ -2341,7 +2341,7 @@ fn run_chunk<'a>(
         .map(|((rank, (transport, mut work)), (program, input))| {
             // Deliveries to this rank wake this thread.
             let _ = shared.fabric.owners[rank].set(std::thread::current());
-            work.resize(input.len(), 0);
+            work.resize(program.n * program.block, 0);
             let machine = RankMachine::new(program, input, work)
                 .expect("lowered programs fit their checked inputs");
             RankCtx {
@@ -2480,11 +2480,11 @@ impl RankCtx<'_> {
     /// mailbox — to the end of at most one round. Returns whether it moved.
     fn advance(&mut self, spare: &mut Vec<u8>, shared: &ScaleShared) -> Result<bool, NetError> {
         let pool = &*shared.fabric.pool;
-        let bytes = |x: &ProgramXfer| x.slots.blocks() * shared.block;
+        let bytes = |x: &ProgramXfer| x.span.bytes(shared.block);
         let mut moved = false;
         loop {
             match self.machine.step(spare) {
-                Action::Local => self.metrics.bytes_copied += spare.len() as u64,
+                Action::Local(copied) => self.metrics.bytes_copied += copied as u64,
                 Action::Send(round) => {
                     let started = Instant::now();
                     for s in &round.sends {

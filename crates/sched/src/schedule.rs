@@ -1,7 +1,7 @@
 //! The schedule data structure and its invariants.
 
 use bruck_model::planner::IndexPlan;
-use bruck_model::program::{ProgramOp, RankProgram};
+use bruck_model::program::{ConcatLowering, ProgramOp, RankProgram};
 use bruck_net::trace::Trace;
 
 /// One rank's view of one round: `(dst, bytes)` sends and `src` receives.
@@ -112,12 +112,24 @@ impl Schedule {
         Ok(schedule)
     }
 
+    /// The schedule of a concatenation, read off its programs the same
+    /// way, at the ports they use.
+    #[must_use]
+    pub fn of_concat(lowering: &ConcatLowering) -> Self {
+        let mut schedule = Self::new(lowering.n(), lowering.ports());
+        for rank in 0..lowering.n() {
+            schedule.add_program(&lowering.program(rank));
+        }
+        schedule.sort_rounds();
+        schedule
+    }
+
     /// Append one rank's sends, round by round (unsorted until
     /// [`sort_rounds`](Self::sort_rounds)).
     fn add_program(&mut self, program: &RankProgram) {
         let sent = program.ops.iter().filter_map(|op| match op {
             ProgramOp::Round(round) => Some(&round.sends),
-            ProgramOp::Permute(_) => None,
+            ProgramOp::Permute(_) | ProgramOp::Place { .. } => None,
         });
         for (i, sends) in sent.enumerate() {
             if self.rounds.len() == i {
@@ -129,7 +141,7 @@ impl Schedule {
                 .extend(sends.iter().map(|s| Transfer {
                     src: program.rank,
                     dst: s.peer,
-                    bytes: (s.slots.blocks() * program.block) as u64,
+                    bytes: s.span.bytes(program.block) as u64,
                 }));
         }
     }

@@ -315,7 +315,7 @@ fn stress_96_ranks() {
     }
     let out = Cluster::run(&cfg, |ep| {
         let input = verify::concat_input(ep.rank(), b);
-        bruck::collectives::concat::bruck::run(ep, &input, Default::default())
+        bruck::collectives::concat::ConcatAlgorithm::Bruck(Default::default()).run(ep, &input)
     })
     .unwrap();
     let expected = verify::concat_expected(n, b);
