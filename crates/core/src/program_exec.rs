@@ -119,7 +119,8 @@ fn interpret<C: Comm + ?Sized>(
                 spans.clear();
                 ends.clear();
                 for s in &round.sends {
-                    spans.extend(m.spans(s));
+                    s.span
+                        .for_each_run(program.block, |at, len| spans.push((at, len)));
                     ends.push(spans.len());
                 }
                 let mut from = 0;

@@ -128,23 +128,21 @@ impl Span {
         }
     }
 
-    /// The span's `(offset, len)` runs over `block`-byte blocks, in
-    /// payload order.
-    pub fn runs(&self, block: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (slots, bytes) = match self {
-            Self::Slots(slots) => (Some(slots.runs(block)), None),
-            Self::Bytes { runs, back } => {
-                let back = *back;
-                (
-                    None,
-                    Some(runs.iter().map(move |&(at, len)| (at - back, len))),
-                )
+    /// Call `f(offset, len)` for each of the span's runs over `block`-byte
+    /// blocks, in payload order.
+    pub fn for_each_run(&self, block: usize, mut f: impl FnMut(usize, usize)) {
+        match self {
+            Self::Slots(slots) => {
+                for (at, len) in slots.runs(block) {
+                    f(at, len);
+                }
             }
-        };
-        slots
-            .into_iter()
-            .flatten()
-            .chain(bytes.into_iter().flatten())
+            Self::Bytes { runs, back } => {
+                for &(at, len) in runs.iter() {
+                    f(at - back, len);
+                }
+            }
+        }
     }
 
     /// Whether every run lies inside `limit` bytes (`n` blocks for a slot
@@ -931,7 +929,7 @@ pub enum Action<'p> {
     /// A local op copied this many bytes: a permute or the copy-in of a
     /// program that opens with a round (`n·b`), or a place.
     Local(usize),
-    /// Post this round's sends, gathered from [`RankMachine::spans`] of
+    /// Post this round's sends, gathered from the spans' runs of
     /// [`RankMachine::source`], before [delivering](RankMachine::deliver)
     /// any of its receives (they may land in the bytes sent from).
     Send(&'p ProgramRound),
@@ -1074,11 +1072,11 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
             return err(&format!("{got} payload bytes, not {want}"));
         }
         let (work, mut rest) = (self.work.as_mut(), payload);
-        for (at, len) in span.runs(block) {
+        span.for_each_run(block, |at, len| {
             let run;
             (run, rest) = rest.split_at(len);
             work[at..at + len].copy_from_slice(run);
-        }
+        });
         self.landed[i] = true;
         self.left -= 1;
         self.at += usize::from(self.left == 0);
@@ -1095,12 +1093,6 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         pending.map(|(x, _)| (x.peer, x.tag))
     }
 
-    /// The `(offset, len)` runs of [`source`](Self::source) that make up
-    /// transfer `x`'s payload, in order.
-    pub fn spans<'x>(&self, x: &'x ProgramXfer) -> impl Iterator<Item = (usize, usize)> + 'x {
-        x.span.runs(self.program.block)
-    }
-
     /// The buffer send `x` reads: the input or [`buffer`](Self::buffer).
     pub fn source(&self, x: &ProgramXfer) -> &[u8] {
         if x.from_input {
@@ -1113,9 +1105,9 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     /// Append transfer `x`'s payload, gathered from its spans, to `out`.
     pub fn pack(&self, x: &ProgramXfer, out: &mut Vec<u8>) {
         let src = self.source(x);
-        for (at, len) in self.spans(x) {
+        x.span.for_each_run(self.program.block, |at, len| {
             out.extend_from_slice(&src[at..at + len]);
-        }
+        });
     }
 
     /// The rank's data as it stands: the input until the first local op.
@@ -1443,8 +1435,8 @@ mod tests {
         let xfers = |xs: &[ProgramXfer]| -> Vec<reference::Xfer> {
             xs.iter()
                 .map(|x| {
-                    let slots: Vec<usize> =
-                        x.span.runs(1).flat_map(|(at, len)| at..at + len).collect();
+                    let mut slots = Vec::new();
+                    x.span.for_each_run(1, |at, len| slots.extend(at..at + len));
                     assert_eq!(slots.len(), x.span.bytes(1), "{:?}", x.span);
                     (x.peer, x.tag, slots)
                 })
