@@ -1,12 +1,7 @@
-//! The concatenation operation (all-to-all broadcast, `MPI_Allgather`).
-//!
-//! Every processor starts with one `b`-byte block; afterwards every
-//! processor holds `B[0] ‖ B[1] ‖ … ‖ B[n-1]`.
-//!
-//! No algorithm has an executor here: each is lowered to a
-//! [`RankProgram`](bruck_model::program::RankProgram) per rank by
-//! [`ConcatLowering`] and interpreted by [`program_exec`], and its
-//! [`Schedule`] is read off those programs. This module is the dispatch.
+//! The concatenation operation (all-to-all broadcast, `MPI_Allgather`):
+//! every processor starts with one `b`-byte block and ends with
+//! `B[0] ‖ B[1] ‖ … ‖ B[n-1]`. Each algorithm is a [`ConcatLowering`], run
+//! by [`program_exec`] and planned by [`Schedule::of_concat`].
 
 use bruck_model::partition::Preference;
 use bruck_model::program::ConcatLowering;

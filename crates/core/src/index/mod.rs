@@ -5,15 +5,14 @@
 //! destined for processor `j`. Afterwards processor `i` holds
 //! `B[0, i], B[1, i], …, B[n-1, i]` in that order.
 //!
-//! The paper's §3 algorithm — uniform radix, mixed radix, and its
-//! two-level composition — and the direct exchange have no executor
-//! here: they are lowered to a
-//! [`RankProgram`](bruck_model::program::RankProgram) and interpreted by
-//! [`program_exec`], the same programs the TCP fabric runs, and their
-//! [`Schedule`] is read off those programs. What this module holds are
-//! the baselines with executors of their own ([`pairwise`],
-//! [`hypercube`]) and the single-process replay behind Figs. 1–3
-//! ([`sim`]).
+//! The paper's §3 algorithm — uniform radix, mixed radix, its two-level
+//! composition — and the direct exchange have no executor here: they are
+//! lowered to a [`RankProgram`](bruck_model::program::RankProgram) and
+//! interpreted by [`program_exec`], the same programs the TCP fabric
+//! runs, and their [`Schedule`] is read off those programs. What this
+//! module holds are the baselines with executors of their own
+//! ([`pairwise`], [`hypercube`]) and the single-process replay behind
+//! Figs. 1–3 ([`sim`]).
 
 pub mod hypercube;
 pub mod pairwise;

@@ -21,11 +21,10 @@
 //!
 //! The index family of §3 — uniform radix, mixed radix, the two-level
 //! composition — the direct exchange and every concatenation have one
-//! executable form: a lowered
-//! [`RankProgram`](bruck_model::program::RankProgram), interpreted by
-//! [`program_exec`] on threads (and, for index plans, by `bruck-net`'s
-//! TCP fabric on a worker pool), with its [`bruck_sched::Schedule`] read
-//! off the same programs. Every other algorithm still exists twice:
+//! executable form: a lowered [`RankProgram`](bruck_model::program::RankProgram),
+//! interpreted by [`program_exec`] on threads (index plans also on
+//! `bruck-net`'s TCP fabric), with its [`bruck_sched::Schedule`] read off
+//! the same programs. Every other algorithm still exists twice:
 //!
 //! * an **executor** — an SPMD routine moving real bytes through a
 //!   [`bruck_net::Endpoint`];

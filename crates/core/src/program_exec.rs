@@ -1,28 +1,24 @@
 //! Run a lowered [`RankProgram`] over any [`Comm`].
 //!
-//! `bruck_model::program` lowers an [`IndexPlan`] or a concatenation
-//! ([`ConcatLowering`](bruck_model::program::ConcatLowering)) to pure
-//! data and interprets it in one place, the [`RankMachine`]. This module
-//! is the machine's threaded-substrate driver, and the way every lowered
-//! algorithm reaches the wire on that substrate: the Bruck index family
-//! and the direct exchange ([`IndexAlgorithm`](crate::index::IndexAlgorithm)),
-//! [`alltoall`](crate::api::alltoall)'s planner dispatch and every
-//! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here. Each
-//! round the machine yields is one `round_gather`, and its local passes
-//! move the data between `out` and one pooled work buffer, so a program
-//! runs on a full [`Endpoint`](bruck_net::Endpoint), on a
-//! [`GroupComm`](bruck_net::GroupComm), or on any future context — and
-//! the TCP fabric and `simulate` drive the *same* machine. One
-//! interpreter, three substrates, bit-identical results; the tests
-//! assert exactly that.
+//! `bruck_model::program` lowers an [`IndexPlan`] or a concatenation to
+//! pure data and interprets it in one place, the [`RankMachine`]. This
+//! module is the machine's threaded-substrate driver, and the way every
+//! lowered algorithm reaches the wire on that substrate:
+//! [`IndexAlgorithm`](crate::index::IndexAlgorithm)'s radix and direct
+//! members, [`alltoall`](crate::api::alltoall)'s planner dispatch and
+//! every [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here.
+//! Each round the machine yields is one `round_gather`, and its local
+//! passes move the data between `out` and one pooled work buffer, so a
+//! program runs on any [`Comm`] — and the TCP fabric and `simulate` drive
+//! the *same* machine. One interpreter, three substrates, bit-identical
+//! results; the tests assert exactly that.
 //!
 //! A program costs what its algorithm's local phases cost and no more:
 //! a radix program's first permute (the rotation) reads the caller's
-//! `sendbuf` and its last (the inverse placement) writes the caller's
-//! `out` — two passes over `n·b` bytes — and a direct exchange places one
-//! block and sends straight from `sendbuf`; each then scatters every
-//! received byte once. Every copy is charged to the virtual clock as it
-//! happens.
+//! `sendbuf` and its last (the inverse placement) writes `out` — two
+//! passes over `n·b` bytes — and a direct exchange places one block and
+//! sends straight from `sendbuf`; each then scatters every received byte
+//! once, charged to the virtual clock as it happens.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};

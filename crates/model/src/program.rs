@@ -11,33 +11,29 @@
 //! that an event-driven pool can advance one rank at a time, parking
 //! *between* operations instead of inside them.
 //!
-//! [`RankProgram`] is that shape. It is pure data — peers, tags and
-//! closed-form *descriptors* — produced here (the model crate owns
-//! [`IndexPlan`], the radix math and the §4 last-round partition). The
-//! schedules are translation-invariant, so nothing in a program is an
-//! `n`-entry table: a transfer's bytes are a [`Span`] — a [`SlotSet`]
-//! (§3.2's digit test, read as contiguous *runs*) or a list of byte runs
-//! shared by every rank — a local phase a [`BlockPerm`], and placing the
-//! caller's input a [`ProgramOp::Place`]. The lowerings *are* the §3 and
-//! §4 algorithms — there is no other executable form of either in the
-//! workspace — and [`RankMachine`] is their one interpreter, driven on
-//! threads by `bruck-collectives`, on a worker pool by the TCP fabric and
-//! over in-memory mail by [`simulate`]; `bruck-sched` reads the wire
-//! schedule off the programs:
+//! [`RankProgram`] is that shape: pure data — peers, tags and closed-form
+//! *descriptors*. The schedules are translation-invariant, so nothing in
+//! a program is an `n`-entry table: a transfer's bytes are a [`Span`] (a
+//! [`SlotSet`], §3.2's digit test read as contiguous *runs*, or byte runs
+//! every rank shares), a local phase a [`BlockPerm`] or a
+//! [`ProgramOp::Place`] of input bytes. The lowerings *are* the §3 and §4
+//! algorithms — no other executable form of either exists — and
+//! [`RankMachine`] is their one interpreter, driven on threads by
+//! `bruck-collectives`, on a worker pool by the TCP fabric and over
+//! in-memory mail by [`simulate`]; `bruck-sched` reads the wire schedule
+//! off the programs:
 //!
 //! * [`IndexPlan::Radix`] — rotate, the §3.2 digit rounds grouped `k` per
 //!   round, inverse placement;
 //! * [`IndexPlan::Mixed`] — the same with a radix per digit position:
-//!   subphase `x` tests the digit of weight `Π r_<x` in radix `r_x`
-//!   ([`SlotSet`] keeps the two apart);
+//!   subphase `x` tests the digit of weight `Π r_<x` in radix `r_x`;
 //! * [`IndexPlan::Direct`] — `n-1` offsets grouped `k` per round, sent
 //!   straight from the input into their final slots;
 //! * [`IndexPlan::Hypercube`] — cost-equal to radix 2, lowered as such;
-//! * [`IndexPlan::Hierarchical`] — the two-level composition: an
-//!   intra-node index over lane bundles, a transpose, an inter-node
-//!   index over node bundles;
-//! * [`ConcatLowering`] — the §4 circulant concatenation with its
-//!   byte-partitioned last round, and the ring, recursive-doubling and
+//! * [`IndexPlan::Hierarchical`] — an intra-node index over lane bundles,
+//!   a transpose, an inter-node index over node bundles;
+//! * [`ConcatLowering`] — §4's circulant concatenation with its byte-
+//!   partitioned last round, and the ring, recursive-doubling and
 //!   gather + broadcast baselines.
 //!
 //! The tests sweep [`simulate`] against the transpose and concatenation
