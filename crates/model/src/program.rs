@@ -202,17 +202,6 @@ pub struct ProgramRound {
     pub recvs: Vec<ProgramXfer>,
 }
 
-impl ProgramRound {
-    /// An empty round with room for exactly `width` sends and receives:
-    /// a rank's program is many small rounds, alive together on a pool.
-    fn with_width(width: usize) -> Self {
-        Self {
-            sends: Vec::with_capacity(width),
-            recvs: Vec::with_capacity(width),
-        }
-    }
-}
-
 /// The shape of a local phase, as the source of new group block `u`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PermKind {
@@ -506,7 +495,7 @@ fn bruck_ops(
         let mut z = 1usize;
         while z <= steps {
             let hi = steps.min(z + k - 1);
-            let mut round = ProgramRound::with_width(hi + 1 - z);
+            let mut round = ProgramRound::default();
             for zz in z..=hi {
                 let dist = zz * stride;
                 let slots = SlotSet {
@@ -551,7 +540,7 @@ fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, block: usize, k: usi
     let mut d = 1usize;
     while d < n {
         let hi = (n - 1).min(d + k - 1);
-        let mut round = ProgramRound::with_width(hi + 1 - d);
+        let mut round = ProgramRound::default();
         for dd in d..=hi {
             let (to, from) = ((m + dd) % n, (m + n - dd) % n);
             round.sends.push(ProgramXfer {
@@ -796,7 +785,7 @@ fn circulant_ops(
             groups: ((k + 1) * cur).min(n),
             unit: 1,
         };
-        let mut round = ProgramRound::with_width(k);
+        let mut round = ProgramRound::default();
         for j in (1..=k).take_while(|j| j * cur < n) {
             let tag = u64::from(i);
             round
@@ -809,7 +798,7 @@ fn circulant_ops(
         ops.push(ProgramOp::Round(round));
     }
     for (ri, areas) in (0u64..).zip(last) {
-        let mut round = ProgramRound::with_width(areas.len());
+        let mut round = ProgramRound::default();
         for (ai, (offset, runs)) in (0u64..).zip(areas) {
             let tag = (u64::from(doubling) + ri) << 8 | ai;
             let xfer = |peer, back| ProgramXfer::bytes(peer, tag, Arc::clone(runs), back);
