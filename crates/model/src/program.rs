@@ -103,6 +103,9 @@ impl SlotSet {
 pub enum Span {
     /// Whole blocks, in closed form.
     Slots(SlotSet),
+    /// Whole blocks of the caller's input, for a send: the direct exchange
+    /// sends its blocks from where the caller left them.
+    Input(SlotSet),
     /// Explicit byte runs, each at `offset − back` — Table 1's partitioned
     /// last round, a broadcast's complement. Runs that coincide on every
     /// rank are built once and shared.
@@ -119,7 +122,7 @@ impl Span {
     #[must_use]
     pub fn bytes(&self, block: usize) -> usize {
         match self {
-            Self::Slots(slots) => slots.blocks() * block,
+            Self::Slots(slots) | Self::Input(slots) => slots.blocks() * block,
             Self::Bytes { runs, .. } => runs.iter().map(|&(_, len)| len).sum(),
         }
     }
@@ -128,7 +131,7 @@ impl Span {
     /// blocks, in payload order.
     pub fn for_each_run(&self, block: usize, mut f: impl FnMut(usize, usize)) {
         match self {
-            Self::Slots(slots) => {
+            Self::Slots(slots) | Self::Input(slots) => {
                 for (at, len) in slots.runs(block) {
                     f(at, len);
                 }
@@ -141,17 +144,26 @@ impl Span {
         }
     }
 
-    /// Whether every run lies inside `limit` bytes (`n` blocks for a slot
-    /// set, which also names blocks of the work buffer).
-    fn fits(&self, n: usize, block: usize, limit: usize) -> bool {
+    /// Whether every run lies inside the buffer the span names: `input`
+    /// bytes for [`Input`](Self::Input), else `work`; a slot set also
+    /// stays inside `n` blocks.
+    fn fits(&self, n: usize, block: usize, input: usize, work: usize) -> bool {
+        let limit = if self.in_input() { input } else { work };
         match self {
-            Self::Slots(s) => s.groups * s.unit <= n && s.groups * s.unit * block <= limit,
+            Self::Slots(s) | Self::Input(s) => {
+                s.groups * s.unit <= n && s.groups * s.unit * block <= limit
+            }
             Self::Bytes { runs, back } => runs.iter().all(|&(at, len)| {
                 at.checked_sub(*back)
                     .and_then(|at| at.checked_add(len))
                     .is_some_and(|end| end <= limit)
             }),
         }
+    }
+
+    /// Whether the span names the input rather than the work buffer.
+    fn in_input(&self) -> bool {
+        matches!(self, Self::Input(_))
     }
 }
 
@@ -164,31 +176,21 @@ pub struct ProgramXfer {
     pub peer: usize,
     /// Message tag (unique per round within the program).
     pub tag: u64,
-    /// Bytes of the rank's working buffer — or, for a send with
-    /// [`from_input`](Self::from_input), of its input.
+    /// Bytes of the rank's working buffer, or of its input.
     pub span: Span,
-    /// A send that reads the caller's input instead of the work buffer.
-    pub from_input: bool,
 }
 
 impl ProgramXfer {
     /// A transfer of whole work-buffer blocks.
     fn slots(peer: usize, tag: u64, slots: SlotSet) -> Self {
-        Self::of(peer, tag, Span::Slots(slots))
+        let span = Span::Slots(slots);
+        Self { peer, tag, span }
     }
 
     /// A transfer of work-buffer byte runs, moved down by `back`.
     fn bytes(peer: usize, tag: u64, runs: Arc<[(usize, usize)]>, back: usize) -> Self {
-        Self::of(peer, tag, Span::Bytes { runs, back })
-    }
-
-    fn of(peer: usize, tag: u64, span: Span) -> Self {
-        Self {
-            peer,
-            tag,
-            span,
-            from_input: false,
-        }
+        let span = Span::Bytes { runs, back };
+        Self { peer, tag, span }
     }
 }
 
@@ -408,11 +410,9 @@ impl RankProgram {
                 within(*from, *len, input) && within(*to, *len, work)
             }
             ProgramOp::Round(r) => {
-                let send = |x: &ProgramXfer| {
-                    x.span
-                        .fits(n, block, if x.from_input { input } else { work })
-                };
-                let recv = |x: &ProgramXfer| !x.from_input && x.span.fits(n, block, work);
+                let send = |x: &ProgramXfer| x.span.fits(n, block, input, work);
+                let recv =
+                    |x: &ProgramXfer| !x.span.in_input() && x.span.fits(n, block, input, work);
                 r.sends.iter().all(send) && r.recvs.iter().all(recv)
             }
         };
@@ -543,9 +543,11 @@ fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, block: usize, k: usi
         let mut round = ProgramRound::default();
         for dd in d..=hi {
             let (to, from) = ((m + dd) % n, (m + n - dd) % n);
+            let span = Span::Input(single(to, n));
             round.sends.push(ProgramXfer {
-                from_input: true,
-                ..ProgramXfer::slots(to, dd as u64, single(to, n))
+                peer: to,
+                tag: dd as u64,
+                span,
             });
             round
                 .recvs
@@ -1091,7 +1093,7 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
 
     /// The buffer send `x` reads: the input or [`buffer`](Self::buffer).
     pub fn source(&self, x: &ProgramXfer) -> &[u8] {
-        if x.from_input {
+        if x.span.in_input() {
             self.input
         } else {
             self.buffer()
@@ -1573,7 +1575,8 @@ mod tests {
             };
         };
         assert!(rejected(&past).contains(&format!("op {last}")));
-        let input_recv = |p: &mut RankProgram| round(p, last).recvs[0].from_input = true;
+        let input_recv =
+            |p: &mut RankProgram| round(p, last).recvs[0].span = Span::Input(single(0, 10));
         assert!(rejected(&input_recv).contains(&format!("op {last}")));
         for (from, to) in [(1, 0), (0, 28)] {
             let place = |p: &mut RankProgram| p.ops[0] = place(from, to, 3);
