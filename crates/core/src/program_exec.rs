@@ -207,16 +207,12 @@ mod tests {
         out
     }
 
-    /// Every rank's concatenation program for `algo` at `(n, b, k)`.
-    fn concat_programs(algo: ConcatAlgorithm, n: usize, b: usize, k: usize) -> Vec<RankProgram> {
-        let lowering = algo.lower(n, b, k).expect("lowerable");
-        (0..n).map(|rank| lowering.program(rank)).collect()
-    }
-
-    /// `algo`'s programs run in memory, each rank's output.
+    /// `algo`'s programs at `(n, b, k)` run in memory, each rank's output.
     fn simulate_concat(algo: ConcatAlgorithm, n: usize, b: usize, k: usize) -> Vec<Vec<u8>> {
+        let lowering = algo.lower(n, b, k).expect("lowerable");
+        let programs: Vec<RankProgram> = (0..n).map(|rank| lowering.program(rank)).collect();
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::concat_input(r, b)).collect();
-        simulate(&concat_programs(algo, n, b, k), &inputs, |_, _, _| {})
+        simulate(&programs, &inputs, |_, _, _| {})
             .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", algo.name()))
     }
 
