@@ -42,6 +42,11 @@ timeout 900 cargo test --workspace -q
 cargo test -q --test faults
 cargo test -q --test chaos
 cargo test -q --test window
+# The bare Unix-socket contract: a clean socket wire under
+# `with_reliability` carries no ARQ traffic, and a kill there is still
+# root-caused. A stack that stops reporting a dead peer hangs rather
+# than fails, so it gets the liveness gate's hard-timeout backstop.
+timeout 300 cargo test -q --test sockets
 
 # Autotune gate: the planner must match an exhaustive arg-min over the
 # radix family, the calibrator must recover (β, τ) with R² ≥ 0.99, and

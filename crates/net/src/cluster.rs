@@ -38,10 +38,10 @@ pub struct ClusterConfig {
     /// Ask for "deliver every message or give one consistent verdict"
     /// (None = raw wire, a lost message is a timeout). Which layer
     /// provides it follows from the transport's [`Delivery`]: over
-    /// datagram wires (channels, Unix sockets, anything under injected
-    /// wire faults) the ack/retransmit sublayer is stacked with this
-    /// tuning; a clean TCP fabric already delivers reliably and in
-    /// order, heals by per-pair replay, and runs without it.
+    /// datagram wires (channels, anything under injected wire faults)
+    /// or a plan that stalls a rank, the ack/retransmit sublayer is
+    /// stacked with this tuning; clean Unix sockets and TCP streams
+    /// already deliver reliably and in order, and run without it.
     pub reliability: Option<Reliability>,
     /// Wall-clock completion budget for the whole run: every rank arms
     /// its [`Deadline`] against one shared expiry instant, so a stalled
@@ -585,13 +585,14 @@ impl Cluster {
                 }
                 // The ARQ only has work to do over a wire that can lose,
                 // reorder or damage a message. A transport that already
-                // delivers reliably and in order (a clean TCP fabric)
-                // runs bare: `with_reliability` asks for "deliver or one
-                // consistent verdict", and there the stream provides it.
-                if let Some(rel) = config
-                    .reliability
-                    .filter(|_| transport.delivery() == Delivery::Datagram)
-                {
+                // delivers reliably and in order (clean Unix sockets or
+                // TCP) runs bare: `with_reliability` asks for "deliver or
+                // one consistent verdict", and there the wire provides
+                // it — unless a rank stalls, which only the ARQ's
+                // watchdog turns into a verdict.
+                if let Some(rel) = config.reliability.filter(|_| {
+                    transport.delivery() == Delivery::Datagram || config.faults.has_stalls()
+                }) {
                     transport = Box::new(
                         ReliableTransport::new(transport, rank, n, rel, Arc::clone(&detector))
                             .with_deadline(deadline.clone()),

@@ -504,6 +504,12 @@ impl FaultPlan {
             || self.ack_loss > 0.0
     }
 
+    /// Whether the plan stalls any rank (see [`stall_rank`](Self::stall_rank)).
+    #[must_use]
+    pub fn has_stalls(&self) -> bool {
+        !self.stalls.is_empty()
+    }
+
     /// Whether `src → dst` is severed once the sender has completed
     /// `completed` rounds — by a directed cut or by any active
     /// bipartition the two ranks straddle.

@@ -46,10 +46,10 @@
 //!   exponential-backoff retransmission of only the unacked suffix, and
 //!   duplicate suppression. Past the retry cap a peer is declared dead
 //!   in the cluster-shared [`failure::FailureDetector`]. The runners
-//!   stack it only over transports that declare [`Delivery::Datagram`]:
-//!   a clean TCP fabric ([`tcp`]) is already a reliable ordered stream,
-//!   heals a broken connection by per-node-pair replay, and carries no
-//!   per-rank ARQ state at all.
+//!   stack it over [`Delivery::Datagram`] wires and, for its watchdog,
+//!   under a plan that stalls a rank: clean Unix sockets ([`socket`])
+//!   and a clean TCP fabric ([`tcp`], healing by per-node-pair replay)
+//!   already deliver in order and carry no per-rank ARQ state at all.
 //! * **Failure agreement + shrink-and-retry** ([`failure`],
 //!   [`cluster`]) — the detector is a monotone dead set every endpoint
 //!   polls while waiting, so one rank's death interrupts every waiter

@@ -1,9 +1,9 @@
 //! Reliable delivery over a lossy wire: sliding-window ARQ.
 //!
-//! [`ReliableTransport`] wraps any [`Transport`] (in practice a
+//! [`ReliableTransport`] wraps any [`Transport`] (in practice channels, a
 //! [`crate::fault::FaultyTransport`] injecting seeded loss, duplication
-//! and corruption) and restores exactly-once, uncorrupted delivery below
-//! the collective layer:
+//! and corruption, or a wire whose plan stalls a rank) and restores
+//! exactly-once, uncorrupted delivery below the collective layer:
 //!
 //! * every data message carries a per-link **sequence number** and a
 //!   payload checksum;
@@ -69,6 +69,12 @@ pub const PROBE_TAG: Tag = u64::MAX - 1;
 /// Tag reserved for watchdog probe replies. Any intact frame proves
 /// liveness; this one exists purely to provoke such a frame.
 pub const PROBE_ACK_TAG: Tag = u64::MAX - 2;
+
+/// Whether the ARQ repairs the loss of `msg`: its sequenced data and its
+/// reserved-tag control frames. Traffic with no ARQ above is neither.
+pub(crate) fn repairs_loss(msg: &Message) -> bool {
+    msg.seq != 0 || msg.tag >= PROBE_ACK_TAG
+}
 
 /// How long a blocked caller waits on `recv_any` per poll — short enough
 /// to notice failure-detector updates and expired retransmission timers
@@ -225,8 +231,8 @@ impl TxLink {
 /// A [`Transport`] wrapper providing acked, deduplicated, checksummed,
 /// windowed delivery. One per rank, installed by the cluster runner
 /// above the fault-injection layer when reliability is enabled and the
-/// transport below declares [`Delivery::Datagram`](crate::Delivery) —
-/// a stream that is already reliable is left bare.
+/// transport below declares [`Delivery::Datagram`](crate::Delivery) or
+/// the plan stalls a rank — a clean reliable wire is left bare.
 pub struct ReliableTransport {
     inner: Box<dyn Transport>,
     rank: usize,

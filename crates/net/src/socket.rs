@@ -7,11 +7,11 @@
 //! interleave with draining the own socket, so two ranks exchanging
 //! large messages never deadlock on full kernel buffers.
 //!
-//! The point of this transport is *calibration realism*: wall-clock
-//! measurements cross the kernel (syscalls, copies, scheduler) instead of
-//! a user-space channel, which is the closest laptop-scale stand-in for
-//! the paper's EUI message layer. Algorithms are oblivious — the same
-//! [`Endpoint`] drives either transport.
+//! The wire is [`Delivery::Reliable`]: the kernel neither loses, reorders
+//! nor damages a datagram, and a send into a full queue waits for room
+//! (only a frame an ARQ above resends is ever shed), so a clean run stacks
+//! no ARQ. Wall time crosses the kernel (syscalls, copies, scheduler): the
+//! closest laptop-scale stand-in for the paper's EUI message layer.
 
 #![cfg(unix)]
 
@@ -25,7 +25,8 @@ use crate::error::NetError;
 use crate::frame::{decode_frame, encode_header, fragment, Assembler, FrameHeader, HEADER};
 use crate::message::{Message, Tag};
 use crate::metrics::LinkStats;
-use crate::transport::Transport;
+use crate::reliable::repairs_loss;
+use crate::transport::{Delivery, Transport};
 
 /// Max payload bytes per datagram fragment (see
 /// [`crate::frame::FRAG_PAYLOAD`] — the framing layer is shared with the
@@ -258,7 +259,6 @@ impl Drop for UdsTransport {
 
 impl Transport for UdsTransport {
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
-        let peer = self.peer_paths[msg.dst].clone();
         let mut head = FrameHeader::first(&msg, self.next_msg_id)?;
         self.next_msg_id += 1;
         for idx in 0..head.frag_count {
@@ -267,15 +267,23 @@ impl Transport for UdsTransport {
             frame.clear();
             encode_header(&mut frame, &head);
             frame.extend_from_slice(fragment(&msg.payload, idx));
+            let mut parked = false;
             let sent = loop {
-                match self.sock.send_to(&frame, &peer) {
+                match self.sock.send_to(&frame, &self.peer_paths[msg.dst]) {
                     Ok(_) => break Ok(()),
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         // The peer's queue is full: make progress on our
                         // own queue so the system drains, and otherwise
                         // park briefly on the socket (a blocking read,
-                        // not a sleep) until something moves.
+                        // not a sleep) until something moves. A queue
+                        // still full after a park (a stalled peer) sheds
+                        // a whole frame the ARQ above resends: a rank
+                        // parked here answers no probe and gets evicted.
+                        if parked && idx == 0 && repairs_loss(&msg) {
+                            break Ok(());
+                        }
                         if self.drain()? == 0 {
+                            parked = true;
                             self.block_for_frames(Duration::from_micros(500))?;
                         }
                     }
@@ -358,6 +366,10 @@ impl Transport for UdsTransport {
         "uds"
     }
 
+    fn delivery(&self) -> Delivery {
+        Delivery::Reliable
+    }
+
     fn purge(&mut self) -> usize {
         // Best-effort: pull whatever is already queued on the socket, then
         // discard every complete and partial message.
@@ -393,6 +405,18 @@ impl SocketCluster {
         Ok(dir)
     }
 
+    /// One transport per rank, bound in `dir` at `incarnation`.
+    fn bind_all(
+        dir: &Path,
+        n: usize,
+        incarnation: u64,
+    ) -> Result<Vec<Box<dyn Transport>>, NetError> {
+        (0..n)
+            .map(|rank| UdsTransport::bind_incarnation(dir, rank, n, incarnation))
+            .map(|t| t.map(|t| Box::new(t) as Box<dyn Transport>))
+            .collect()
+    }
+
     /// Run `body` as an SPMD program with socket transports. Sockets live
     /// in a fresh temporary directory, removed afterwards.
     ///
@@ -405,15 +429,8 @@ impl SocketCluster {
         F: Fn(&mut Endpoint) -> Result<T, NetError> + Sync,
     {
         let dir = Self::socket_dir()?;
-        let transports: Result<Vec<Box<dyn Transport>>, NetError> = (0..config.n)
-            .map(|rank| {
-                UdsTransport::bind(&dir, rank, config.n).map(|t| Box::new(t) as Box<dyn Transport>)
-            })
-            .collect();
-        let result = match transports {
-            Ok(t) => Cluster::run_with_transports(config, t, body),
-            Err(e) => Err(e),
-        };
+        let result = Self::bind_all(&dir, config.n, 0)
+            .and_then(|t| Cluster::run_with_transports(config, t, body));
         let _ = std::fs::remove_dir_all(&dir);
         result
     }
@@ -450,14 +467,7 @@ impl SocketCluster {
         let result = Cluster::run_resilient_with(
             config,
             max_attempts,
-            &mut |n, attempt| {
-                (0..n)
-                    .map(|rank| {
-                        UdsTransport::bind_incarnation(&dir, rank, n, attempt as u64)
-                            .map(|t| Box::new(t) as Box<dyn Transport>)
-                    })
-                    .collect()
-            },
+            &mut |n, attempt| Self::bind_all(&dir, n, attempt as u64),
             body,
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -563,6 +573,24 @@ mod tests {
         let t = UdsTransport::bind(&dir, 0, 2).expect("rebind reclaims the stale file");
         drop(t);
         assert!(!path.exists(), "UdsTransport drop unlinks its own path");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_the_bare_socket_declares_reliable_delivery() {
+        use crate::fault::{FaultPlan, FaultyTransport, RoundClock};
+        use std::sync::Arc;
+        let dir = SocketCluster::socket_dir().unwrap();
+        let t = UdsTransport::bind(&dir, 0, 2).unwrap();
+        assert_eq!(t.delivery(), Delivery::Reliable);
+        // A fault injector can lose what the socket would have kept.
+        let faulty = FaultyTransport::new(
+            Box::new(t),
+            Arc::new(FaultPlan::default()),
+            Arc::new(RoundClock::new(2)),
+        );
+        assert_eq!(faulty.delivery(), Delivery::Datagram);
+        drop(faulty);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -61,12 +61,12 @@
 //!   `O(workers)`, not `O(n)`, so `n = 1024` runs where 1024 would not.
 //!
 //! **Who provides reliability.** A TCP stream is already ordered and
-//! reliable, so [`TcpRankTransport`] declares
-//! [`Delivery::ReliableStream`] and a clean fabric carries no
-//! per-rank-pair sequence numbers, acks, RTO timers or probes even when
-//! the caller asked for [`ClusterConfig::with_reliability`]. What a
-//! stream cannot do by itself — survive a broken connection — lives in
-//! the fabric, per *node pair*:
+//! reliable, so [`TcpRankTransport`] declares [`Delivery::Reliable`] and
+//! a clean fabric carries no per-rank-pair sequence numbers, acks, RTO
+//! timers or probes even when the caller asked for
+//! [`ClusterConfig::with_reliability`]. What a stream cannot do by
+//! itself — survive a broken connection — lives in the fabric, per
+//! *node pair*:
 //!
 //! * each stream end counts the whole records it has delivered and keeps
 //!   the records it has written until the peer confirms them (a 16-byte
@@ -1787,7 +1787,7 @@ impl Transport for TcpRankTransport {
     }
 
     fn delivery(&self) -> Delivery {
-        Delivery::ReliableStream
+        Delivery::Reliable
     }
 
     fn purge(&mut self) -> usize {
@@ -2640,7 +2640,7 @@ mod tests {
     fn only_the_bare_stream_declares_reliable_delivery() {
         let (fabric, mut ts) = TcpFabric::new(2, 1).unwrap();
         let t = ts.pop().unwrap();
-        assert_eq!(t.delivery(), Delivery::ReliableStream);
+        assert_eq!(t.delivery(), Delivery::Reliable);
         // A fault injector can lose what the stream would have kept.
         let faulty = FaultyTransport::new(
             Box::new(t),

@@ -5,10 +5,10 @@
 //! Two implementations ship:
 //!
 //! * [`ChannelTransport`] — in-process `std::sync::mpsc` channels (the
-//!   default: fast, portable, deterministic);
-//! * [`crate::socket::UdsTransport`] — Unix datagram sockets with framing
-//!   and fragmentation (Unix only): real kernel I/O for wall-clock
-//!   calibration experiments.
+//!   default; [`Delivery::Datagram`], so the ARQ keeps a clean test bed);
+//! * [`crate::socket::UdsTransport`] — framed Unix datagram sockets (Unix
+//!   only): real kernel I/O that neither loses nor reorders a message, so
+//!   [`Delivery::Reliable`].
 
 use std::time::Duration;
 
@@ -27,8 +27,8 @@ pub enum Delivery {
     /// own: reliability has to be built above.
     Datagram,
     /// Every accepted message arrives exactly once, intact and in
-    /// per-pair order, or the transport reports the failure itself.
-    ReliableStream,
+    /// per-pair order, or the failure is reported.
+    Reliable,
 }
 
 /// A rank's physical connection to its peers.

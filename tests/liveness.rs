@@ -246,6 +246,81 @@ fn long_stall_escalates_like_a_crash() {
     }
 }
 
+/// [`Cluster::try_run`] over Unix sockets bound in a fresh directory.
+#[cfg(unix)]
+fn try_run_over_sockets<T: Send>(
+    name: &str,
+    cfg: &ClusterConfig,
+    body: impl Fn(&mut bruck::net::Endpoint) -> Result<T, NetError> + Sync,
+) -> bruck::net::RunReport<T> {
+    use bruck::net::socket::UdsTransport;
+    use bruck::net::Transport;
+    let dir = std::env::temp_dir().join(format!("bruck-liveness-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let transports = (0..cfg.n)
+        .map(|rank| Box::new(UdsTransport::bind(&dir, rank, cfg.n).unwrap()) as Box<dyn Transport>)
+        .collect();
+    let report = Cluster::try_run_with_transports(cfg, transports, body);
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
+
+/// The two stall scenarios above over Unix sockets. A clean socket wire
+/// runs without the ARQ, but a plan that stalls a rank stacks it: its
+/// watchdog is what tells a pause from a death.
+#[cfg(unix)]
+#[test]
+fn short_stall_over_sockets_is_healed_not_escalated() {
+    let n = 4;
+    let block = 4;
+    let cfg = ClusterConfig::new(n)
+        .with_timeout(Duration::from_secs(5))
+        .with_faults(FaultPlan::new().stall_rank(1, 1, Duration::from_millis(30)))
+        .with_reliability(Reliability::default().with_probing(Duration::from_millis(25), 3));
+    let report = try_run_over_sockets("short-stall", &cfg, |ep| {
+        let input = verify::index_input(ep.rank(), n, block);
+        alltoall(ep, &input, block, &Tuning::default())
+    });
+    assert_eq!(report.failed, Vec::<usize>::new(), "a pause is not a death");
+    for (rank, outcome) in report.outcomes.iter().enumerate() {
+        let data = outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("rank {rank} failed on a mere stall: {e:?}"));
+        assert_eq!(data, &verify::index_expected(rank, n, block));
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn long_stall_over_sockets_escalates_like_a_crash() {
+    let n = 4;
+    let block = 4;
+    let cfg = ClusterConfig::new(n)
+        .with_timeout(Duration::from_millis(500))
+        .with_faults(FaultPlan::new().stall_rank(1, 1, Duration::from_millis(400)))
+        .with_reliability(tight_reliability());
+    let report = try_run_over_sockets("long-stall", &cfg, |ep| {
+        let input = verify::index_input(ep.rank(), n, block);
+        alltoall_resilient(ep, &input, block, &Tuning::default(), 4)
+    });
+    assert_eq!(report.failed, vec![1], "the sleeper must be escalated");
+    let survivors = vec![0, 2, 3];
+    for (rank, outcome) in report.outcomes.iter().enumerate() {
+        if rank == 1 {
+            let err = outcome.as_ref().unwrap_err();
+            assert!(
+                matches!(err, NetError::RanksFailed { .. } | NetError::Timeout { .. }),
+                "the sleeper must wake into a structured verdict, got {err:?}"
+            );
+            continue;
+        }
+        let res = outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("survivor {rank} failed: {e:?}"));
+        assert_eq!(res.survivors, survivors);
+    }
+}
+
 /// With the watchdog disabled and retries effectively unbounded, a full
 /// partition would block forever on the per-round timeout ladder — the
 /// armed cluster deadline is the only thing bounding the run, and it

@@ -210,8 +210,11 @@ fn bidirectional_exchange_piggybacks_acks() {
 fn idle_endpoint_burns_no_retries() {
     use bruck::net::SocketCluster;
     let n = 2;
+    // A clean socket wire runs bare; a cut that never fires stacks the
+    // ARQ under test without touching a frame.
     let cfg = ClusterConfig::new(n)
         .with_timeout(Duration::from_secs(10))
+        .with_faults(FaultPlan::new().cut_link(0, 1, u64::MAX))
         .with_reliability(Reliability::default());
     let out = SocketCluster::run(&cfg, |ep| {
         // A shared quiet period with zero frames in flight: every rank is
