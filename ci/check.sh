@@ -10,13 +10,14 @@ cd "$(dirname "$0")/.."
 # per-PR BENCH_*.json artifacts are retired and must not come back.
 if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
-# The Bruck family, the direct exchange and every concatenation have one
-# executable form — a lowered RankProgram run by one RankMachine
-# (model/program.rs), which core/program_exec.rs, the TCP fabric and
-# `simulate` drive. Their hand-written executors are retired and must not
-# come back.
-for f in index/bruck index/mixed index/hierarchical index/direct concat/bruck \
-    concat/ring concat/recursive_doubling concat/gather_bcast; do
+# Every index algorithm (the Bruck family, the direct, pairwise-XOR and
+# hypercube baselines) and every concatenation has one executable form —
+# a lowered RankProgram run by one RankMachine (model/program.rs), which
+# core/program_exec.rs, the TCP fabric and `simulate` drive. Their
+# hand-written executors are retired and must not come back.
+for f in index/bruck index/mixed index/hierarchical index/direct index/pairwise \
+    index/hypercube concat/bruck concat/ring concat/recursive_doubling \
+    concat/gather_bcast; do
     if [ -e "crates/core/src/$f.rs" ]; then echo "ci/check.sh: crates/core/src/$f.rs is back; lower a program instead" >&2; exit 1; fi
 done
 

@@ -17,7 +17,7 @@ use bruck_model::tuning::{all_radices, best_radix, RadixChoice};
 use bruck_net::{Comm, Endpoint, Group, NetError, RecoveryPolicy};
 
 use crate::concat::ConcatAlgorithm;
-use crate::index::IndexAlgorithm;
+use crate::program_exec::run_plan_into;
 
 /// Tuning knobs for the high-level operations.
 ///
@@ -43,7 +43,7 @@ pub struct Tuning {
     /// Preference inside the concatenation exception range.
     pub concat_preference: Preference,
     /// Dispatch through the full [`Planner`] family (uniform radices,
-    /// direct, hypercube, mixed radix) instead of the uniform-radix
+    /// direct, mixed radix) instead of the uniform-radix
     /// search only. Ignored when [`radix`](Self::radix) is forced.
     pub planner: bool,
     /// Force a non-uniform family member for
@@ -148,8 +148,7 @@ impl Tuning {
 
     /// A tuning that dispatches through the full [`Planner`] family under
     /// the given cost model: every uniform radix `r ∈ [2, n]`, the direct
-    /// exchange, the hypercube (where it applies), and mixed-radix
-    /// vectors. Pair with a model fitted by
+    /// exchange, and mixed-radix vectors. Pair with a model fitted by
     /// [`autotune`](crate::autotune) against the live transport.
     #[must_use]
     pub fn auto(model: Arc<dyn CostModel>) -> Self {
@@ -241,7 +240,7 @@ impl Tuning {
 ///
 /// # Errors
 ///
-/// See [`IndexAlgorithm::run`].
+/// See [`run_plan_into`].
 pub fn alltoall<C: Comm + ?Sized>(
     ep: &mut C,
     sendbuf: &[u8],
@@ -280,7 +279,7 @@ pub fn alltoall<C: Comm + ?Sized>(
 ///
 /// # Errors
 ///
-/// See [`IndexAlgorithm::run_into`].
+/// See [`run_plan_into`].
 pub fn alltoall_into<C: Comm + ?Sized>(
     ep: &mut C,
     sendbuf: &[u8],
@@ -289,35 +288,12 @@ pub fn alltoall_into<C: Comm + ?Sized>(
     out: &mut [u8],
 ) -> Result<(), NetError> {
     let choice = tuning.chosen_plan(ep.size(), block, ep.ports());
-    run_index_plan(ep, &choice.plan, sendbuf, block, out)
-}
-
-/// Execute a specific [`IndexPlan`] (as produced by
-/// [`Tuning::chosen_plan`] or [`Planner::plan_index`]).
-fn run_index_plan<C: Comm + ?Sized>(
-    ep: &mut C,
-    plan: &IndexPlan,
-    sendbuf: &[u8],
-    block: usize,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    match plan {
-        // Out-of-place baselines with wire patterns of their own.
-        IndexPlan::Direct => IndexAlgorithm::Direct.run_into(ep, sendbuf, block, out),
-        IndexPlan::Hypercube => IndexAlgorithm::Hypercube.run_into(ep, sendbuf, block, out),
-        // The Bruck family runs through its program lowering — the same
-        // ops the event-driven scale executor interprets — so the
-        // planner can choose any member from any Comm context (a full
-        // endpoint or a survivor-group view alike).
-        IndexPlan::Radix(_) | IndexPlan::Mixed(_) | IndexPlan::Hierarchical { .. } => {
-            crate::program_exec::run_plan_into(ep, plan, sendbuf, block, out)
-        }
-    }
+    run_plan_into(ep, &choice.plan, sendbuf, block, out)
 }
 
 /// All-to-all with full planner dispatch: evaluates the fitted cost model
-/// over the whole algorithm family (every uniform radix, direct,
-/// hypercube, mixed radix), runs the arg-min, and returns the result
+/// over the whole algorithm family (every uniform radix, direct, mixed
+/// radix), runs the arg-min, and returns the result
 /// alongside the [`PlanChoice`] so callers (e.g. the bench harness) can
 /// report *which* schedule won and at what predicted cost.
 ///
@@ -349,7 +325,7 @@ pub fn alltoall_auto_into<C: Comm + ?Sized>(
     out: &mut [u8],
 ) -> Result<PlanChoice<IndexPlan>, NetError> {
     let choice = Planner::new(model).plan_index(ep.size(), ep.ports(), block);
-    run_index_plan(ep, &choice.plan, sendbuf, block, out)?;
+    run_plan_into(ep, &choice.plan, sendbuf, block, out)?;
     Ok(choice)
 }
 
@@ -451,7 +427,7 @@ pub fn alltoall_deadline_into<C: Comm + ?Sized>(
         }
     }
     ep.arm_deadline(budget);
-    let result = run_index_plan(ep, &choice.plan, sendbuf, block, out);
+    let result = run_plan_into(ep, &choice.plan, sendbuf, block, out);
     ep.disarm_deadline();
     result
 }
@@ -469,39 +445,6 @@ pub struct ResilientAlltoall {
     pub attempts: usize,
 }
 
-/// In-run shrink-and-retry all-to-all: on a rank failure mid-collective,
-/// the survivors rebuild a dense [`Group`] from the cluster's failure
-/// verdict, re-tune the radix for the shrunken size, and re-run among
-/// themselves — inside the *same* cluster run, without restarting.
-///
-/// Each attempt runs in a tag **epoch**
-/// ([`GroupComm::with_epoch`](bruck_net::GroupComm::with_epoch)) equal
-/// to the failure-detector version the rank acknowledged
-/// ([`Endpoint::acknowledge_failures`]): ranks tagging with the same
-/// epoch provably hold the same dead set and build identical groups, so
-/// neither stale messages from an aborted attempt nor messages from a
-/// rank with a different membership view can ever match a receive.
-///
-/// `sendbuf` still holds one block per *original* rank; blocks addressed
-/// to dead ranks are skipped. The result is survivor-dense.
-///
-/// Every attempt ends with a **completion barrier** (a dissemination
-/// barrier in a reserved tag namespace of the attempt's epoch): a rank
-/// returns `Ok` only once every group member has provably finished the
-/// same attempt. Without it, a rank whose windowed sends were all
-/// fire-and-forget could complete and leave while a peer was still
-/// mid-collective; if that peer then triggered a retry, the departed
-/// rank could never be recalled and the survivors would stall until the
-/// watchdog excommunicated it. With the barrier, a membership change
-/// aborts the barrier like any other round, the locally-finished rank
-/// discards its result, and it rejoins the shrink-and-retry loop.
-///
-/// # Errors
-///
-/// [`NetError::Killed`] immediately if fault injection kills *this*
-/// rank; non-failure errors immediately; the last failure verdict when
-/// `max_attempts` are exhausted.
-///
 /// Tag namespace of the per-attempt completion barrier: above every
 /// data tag a collective emits (round/dimension numbers, all well below
 /// 2³²), below the epoch bits at
@@ -551,6 +494,39 @@ pub(crate) fn check_recovery_policy(
     Ok(())
 }
 
+/// In-run shrink-and-retry all-to-all: on a rank failure mid-collective,
+/// the survivors rebuild a dense [`Group`] from the cluster's failure
+/// verdict, re-tune the radix for the shrunken size, and re-run among
+/// themselves — inside the *same* cluster run, without restarting.
+///
+/// Each attempt runs in a tag **epoch**
+/// ([`GroupComm::with_epoch`](bruck_net::GroupComm::with_epoch)) equal
+/// to the failure-detector version the rank acknowledged
+/// ([`Endpoint::acknowledge_failures`]): ranks tagging with the same
+/// epoch provably hold the same dead set and build identical groups, so
+/// neither stale messages from an aborted attempt nor messages from a
+/// rank with a different membership view can ever match a receive.
+///
+/// `sendbuf` still holds one block per *original* rank; blocks addressed
+/// to dead ranks are skipped. The result is survivor-dense.
+///
+/// Every attempt ends with a **completion barrier** (a dissemination
+/// barrier in a reserved tag namespace of the attempt's epoch): a rank
+/// returns `Ok` only once every group member has provably finished the
+/// same attempt. Without it, a rank whose windowed sends were all
+/// fire-and-forget could complete and leave while a peer was still
+/// mid-collective; if that peer then triggered a retry, the departed
+/// rank could never be recalled and the survivors would stall until the
+/// watchdog excommunicated it. With the barrier, a membership change
+/// aborts the barrier like any other round, the locally-finished rank
+/// discards its result, and it rejoins the shrink-and-retry loop.
+///
+/// # Errors
+///
+/// [`NetError::Killed`] immediately if fault injection kills *this*
+/// rank; non-failure errors immediately; the last failure verdict when
+/// `max_attempts` are exhausted.
+///
 /// # Panics
 ///
 /// Panics if `max_attempts == 0` or `sendbuf.len() != n·block`.

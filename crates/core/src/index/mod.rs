@@ -5,17 +5,15 @@
 //! destined for processor `j`. Afterwards processor `i` holds
 //! `B[0, i], B[1, i], …, B[n-1, i]` in that order.
 //!
-//! The paper's §3 algorithm — uniform radix, mixed radix, its two-level
-//! composition — and the direct exchange have no executor here: they are
-//! lowered to a [`RankProgram`](bruck_model::program::RankProgram) and
-//! interpreted by [`program_exec`], the same programs the TCP fabric
-//! runs, and their [`Schedule`] is read off those programs. What this
-//! module holds are the baselines with executors of their own
-//! ([`pairwise`], [`hypercube`]) and the single-process replay behind
-//! Figs. 1–3 ([`sim`]).
+//! No index algorithm has an executor here: the paper's §3 algorithm —
+//! uniform radix, mixed radix, its two-level composition — and the
+//! direct, pairwise-XOR and hypercube baselines are lowered to a
+//! [`RankProgram`](bruck_model::program::RankProgram) and interpreted by
+//! [`program_exec`], the same programs the TCP fabric runs, and their
+//! [`Schedule`] is read off those programs. What this module holds is
+//! the algorithm names and the single-process replay behind Figs. 1–3
+//! ([`sim`]).
 
-pub mod hypercube;
-pub mod pairwise;
 pub mod sim;
 
 use bruck_model::planner::IndexPlan;
@@ -38,10 +36,12 @@ pub enum IndexAlgorithm {
     /// lowered [`IndexPlan::Direct`] program.
     Direct,
     /// Pairwise XOR exchange (requires `n` a power of two): step `i`
-    /// exchanges with `rank ⊕ i`.
+    /// exchanges with `rank ⊕ i`. Runs as the lowered
+    /// [`IndexPlan::Pairwise`] program.
     Pairwise,
     /// Store-and-forward hypercube index (\[20\], Johnsson & Ho; requires
     /// `n` a power of two, one-port): `log₂ n` rounds of `n/2` blocks.
+    /// Runs as the lowered [`IndexPlan::Hypercube`] program.
     Hypercube,
 }
 
@@ -80,13 +80,7 @@ impl IndexAlgorithm {
         block: usize,
         out: &mut [u8],
     ) -> Result<(), NetError> {
-        let plan = match *self {
-            Self::BruckRadix(r) => IndexPlan::Radix(r),
-            Self::Direct => IndexPlan::Direct,
-            Self::Pairwise => return pairwise::run_into(ep, sendbuf, block, out),
-            Self::Hypercube => return hypercube::run_into(ep, sendbuf, block, out),
-        };
-        program_exec::run_plan_into(ep, &plan, sendbuf, block, out)
+        program_exec::run_plan_into(ep, &self.index_plan(), sendbuf, block, out)
     }
 
     /// Emit the algorithm's static communication schedule for `n`
@@ -99,25 +93,23 @@ impl IndexAlgorithm {
     /// the right failure mode).
     #[must_use]
     pub fn plan(&self, n: usize, block: usize, ports: usize) -> Schedule {
-        let of_plan = |plan: IndexPlan| {
-            Schedule::of_index_plan(&plan, n, block, ports).unwrap_or_else(|e| panic!("{e}"))
-        };
+        Schedule::of_index_plan(&self.index_plan(), n, block, ports)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The plan the algorithm lowers.
+    fn index_plan(&self) -> IndexPlan {
         match *self {
-            Self::BruckRadix(r) => of_plan(IndexPlan::Radix(r)),
-            Self::Direct => of_plan(IndexPlan::Direct),
-            Self::Pairwise => pairwise::plan(n, block, ports),
-            Self::Hypercube => hypercube::plan(n, block),
+            Self::BruckRadix(r) => IndexPlan::Radix(r),
+            Self::Direct => IndexPlan::Direct,
+            Self::Pairwise => IndexPlan::Pairwise,
+            Self::Hypercube => IndexPlan::Hypercube,
         }
     }
 
     /// Short display name for reports and benches.
     #[must_use]
     pub fn name(&self) -> String {
-        match *self {
-            Self::BruckRadix(r) => format!("bruck-r{r}"),
-            Self::Direct => "direct".into(),
-            Self::Pairwise => "pairwise-xor".into(),
-            Self::Hypercube => "hypercube".into(),
-        }
+        self.index_plan().label()
     }
 }

@@ -20,8 +20,8 @@
 //!   simultaneously round and transfer optimal for most `(n, k, b)` (§4).
 //!
 //! The index family of §3 — uniform radix, mixed radix, the two-level
-//! composition — the direct exchange and every concatenation have one
-//! executable form: a lowered [`RankProgram`](bruck_model::program::RankProgram),
+//! composition — its direct, pairwise-XOR and hypercube baselines and
+//! every concatenation have one executable form: a lowered [`RankProgram`](bruck_model::program::RankProgram),
 //! interpreted by [`program_exec`] on threads (index plans also on
 //! `bruck-net`'s TCP fabric), with its [`bruck_sched::Schedule`] read off
 //! the same programs. Every other algorithm still exists twice:
@@ -36,8 +36,8 @@
 //! the complexities of the code that actually runs.
 //!
 //! Baselines the paper compares against (or that were folklore at the
-//! time) live alongside: direct/pairwise/hypercube index algorithms, and
-//! gather+broadcast / recursive-doubling / ring concatenations.
+//! time) are lowered too: direct/pairwise/hypercube index algorithms,
+//! and gather+broadcast / recursive-doubling / ring concatenations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

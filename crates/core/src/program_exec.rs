@@ -4,9 +4,9 @@
 //! pure data and interprets it in one place, the [`RankMachine`]. This
 //! module is the machine's threaded-substrate driver, and the way every
 //! lowered algorithm reaches the wire on that substrate:
-//! [`IndexAlgorithm`](crate::index::IndexAlgorithm)'s radix and direct
-//! members, [`alltoall`](crate::api::alltoall)'s planner dispatch and
-//! every [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here.
+//! every [`IndexAlgorithm`](crate::index::IndexAlgorithm),
+//! [`alltoall`](crate::api::alltoall)'s planner dispatch and every
+//! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here.
 //! Each round the machine yields is one `round_gather`, and its local
 //! passes move the data between `out` and one pooled work buffer, so a
 //! program runs on any [`Comm`] — and the TCP fabric and `simulate` drive
@@ -14,11 +14,11 @@
 //! results; the tests assert exactly that.
 //!
 //! A program costs what its algorithm's local phases cost and no more:
-//! a radix program's first permute (the rotation) reads the caller's
-//! `sendbuf` and its last (the inverse placement) writes `out` — two
-//! passes over `n·b` bytes — and a direct exchange places one block and
-//! sends straight from `sendbuf`; each then scatters every received byte
-//! once, charged to the virtual clock as it happens.
+//! a radix or hypercube program's first permute reads the caller's
+//! `sendbuf` and its last writes `out` — two passes over `n·b` bytes —
+//! and a direct or pairwise exchange places one block and sends straight
+//! from `sendbuf`; each then scatters every received byte once, charged
+//! to the virtual clock as it happens.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};
@@ -167,7 +167,7 @@ mod tests {
     use bruck_model::radix::ceil_log;
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
-    use bruck_sched::{Schedule, ScheduleStats};
+    use bruck_sched::{Schedule, ScheduleStats, Transfer};
     use std::sync::Arc;
 
     fn run_on(cfg: &ClusterConfig, plan: &IndexPlan, block: usize) -> RunOutput<Vec<u8>> {
@@ -295,7 +295,12 @@ mod tests {
                 .global_complexity();
             assert_eq!(c.unwrap().c1, 9usize.div_ceil(k) as u64, "k={k}");
         }
-        run_cluster(&IndexPlan::Hypercube, 8, 3, 1);
+        // The XOR baselines: every size the deleted executors were tested
+        // at, multi-port too.
+        for &(n, k) in &[(1usize, 1usize), (2, 1), (4, 1), (8, 3), (16, 1), (16, 2)] {
+            run_cluster(&IndexPlan::Pairwise, n, 3, k);
+            run_cluster(&IndexPlan::Hypercube, n, 3, k);
+        }
     }
 
     #[test]
@@ -332,6 +337,10 @@ mod tests {
             ConcatAlgorithm::RecursiveDoubling.run(ep, &[1])
         });
         assert!(matches!(err, Err(NetError::App(e)) if e.contains("power-of-two")));
+        for algo in [IndexAlgorithm::Pairwise, IndexAlgorithm::Hypercube] {
+            let err = Cluster::run(&ClusterConfig::new(6), |ep| algo.run(ep, &[0; 6], 1));
+            assert!(matches!(err, Err(NetError::App(e)) if e.contains("power-of-two")));
+        }
     }
 
     #[test]
@@ -360,6 +369,42 @@ mod tests {
                 let steps = (n - 1).div_ceil(k) as u64;
                 assert_eq!(c.c1, steps, "direct n={n} k={k}");
                 assert!(c.c2 <= steps * 5 && c.c2 >= index_bounds(n, k, 5).c2);
+                // The pairwise exchange: the same cost, every round a set
+                // of perfect matchings `p ↔ p ⊕ d`.
+                if n.is_power_of_two() {
+                    let pairwise = IndexAlgorithm::Pairwise.plan(n, 5, k);
+                    pairwise.validate().unwrap();
+                    assert_eq!(ScheduleStats::of(&pairwise).complexity, c, "n={n} k={k}");
+                    for round in &pairwise.rounds {
+                        for t in &round.transfers {
+                            let back = (t.dst, t.src, t.bytes);
+                            assert!(round
+                                .transfers
+                                .iter()
+                                .any(|u| (u.src, u.dst, u.bytes) == back));
+                        }
+                    }
+                }
+            }
+            // The hypercube: round x pairs p ↔ p ⊕ 2^x with n/2 blocks.
+            if n.is_power_of_two() {
+                let hypercube = IndexAlgorithm::Hypercube.plan(n, 4, 1);
+                hypercube.validate().unwrap();
+                assert_eq!(hypercube.num_rounds(), n.trailing_zeros() as usize);
+                for (x, round) in hypercube.rounds.iter().enumerate() {
+                    let bytes = (n / 2 * 4) as u64;
+                    let pair = |src: usize| Transfer {
+                        src,
+                        dst: src ^ (1 << x),
+                        bytes,
+                    };
+                    assert_eq!(round.transfers, (0..n).map(pair).collect::<Vec<_>>());
+                }
+                assert_eq!(
+                    ScheduleStats::of(&hypercube).complexity,
+                    index_complexity_kport(n, 2, 4, 1),
+                    "n={n}"
+                );
             }
         }
     }

@@ -25,8 +25,8 @@
 //!   measurements, including a [`calibrate::Calibrator`] that folds live
 //!   ping-ladder and executed-run observations into one fit.
 //! * [`planner`] — cost-model dispatch over the whole algorithm family:
-//!   evaluate the fitted model for every radix (plus hypercube, direct,
-//!   mixed-radix, and ring vs. circulant concatenation) and return the
+//!   evaluate the fitted model for every radix (plus direct, mixed-radix,
+//!   and ring vs. circulant concatenation) and return the
 //!   arg-min schedule.
 
 #![forbid(unsafe_code)]

@@ -7,8 +7,8 @@
 //!
 //! * **index** (all-to-all personalized, MPI_Alltoall): uniform radices
 //!   `r ∈ [2, n]` (§3.2–3.3, with `r = n` degenerating to the direct
-//!   algorithm), the hypercube exchange (power-of-two `n`, one port), and
-//!   mixed-radix vectors (the §3.2 generalization);
+//!   algorithm), the direct exchange, and mixed-radix vectors (the §3.2
+//!   generalization);
 //! * **concatenation** (all-to-all broadcast, MPI_Allgather): the
 //!   circulant-graph doubling algorithm of §4.1 with either last-round
 //!   preference of Proposition 4.2, against the one-port ring baseline.
@@ -32,8 +32,13 @@ pub enum IndexPlan {
     /// `⌈(n-1)/k⌉` rounds with no rotate/pack phases. Cost-equal to
     /// `Radix(n)` but cheaper in memory traffic, so it wins ties.
     Direct,
-    /// The hypercube (pairwise-XOR) exchange — power-of-two `n`, one
-    /// port; cost-equal to `Radix(2)` at those sizes.
+    /// The pairwise-XOR exchange (power-of-two `n`): the direct exchange
+    /// with peer `rank ⊕ d`, so each step is a perfect matching.
+    /// Cost-equal to `Direct`; a baseline, never a planner candidate.
+    Pairwise,
+    /// Johnsson & Ho's store-and-forward hypercube index (power-of-two
+    /// `n`, one port): `log₂ n` rounds of `n/2` blocks with `rank ⊕ 2^x`.
+    /// Cost-equal to `Radix(2)`; a baseline, never a planner candidate.
     Hypercube,
     /// The mixed-radix index algorithm with a per-subphase radix vector.
     Mixed(Vec<usize>),
@@ -59,7 +64,7 @@ impl IndexPlan {
     pub fn radix(&self, n: usize) -> Option<usize> {
         match self {
             Self::Radix(r) => Some(*r),
-            Self::Direct => Some(n.max(2)),
+            Self::Direct | Self::Pairwise => Some(n.max(2)),
             Self::Hypercube => Some(2),
             Self::Mixed(_) | Self::Hierarchical { .. } => None,
         }
@@ -71,6 +76,7 @@ impl IndexPlan {
         match self {
             Self::Radix(r) => format!("bruck-r{r}"),
             Self::Direct => "direct".to_string(),
+            Self::Pairwise => "pairwise-xor".to_string(),
             Self::Hypercube => "hypercube".to_string(),
             Self::Mixed(v) => {
                 let digits: Vec<String> = v.iter().map(ToString::to_string).collect();
@@ -203,12 +209,11 @@ impl<'m> Planner<'m> {
         }
         match plan {
             IndexPlan::Radix(r) => RadixDecomposition::new(n, *r).complexity(b, k),
-            IndexPlan::Direct => RadixDecomposition::new(n, n).complexity(b, k),
+            IndexPlan::Direct | IndexPlan::Pairwise => {
+                RadixDecomposition::new(n, n).complexity(b, k)
+            }
             IndexPlan::Hypercube => {
-                assert!(
-                    n.is_power_of_two() && k == 1,
-                    "hypercube needs power-of-two n and one port"
-                );
+                assert!(n.is_power_of_two(), "hypercube needs power-of-two n");
                 RadixDecomposition::new(n, 2).complexity(b, 1)
             }
             IndexPlan::Mixed(v) => crate::mixed_radix::MixedRadix::new(n, v).complexity(b, k),
@@ -233,9 +238,9 @@ impl<'m> Planner<'m> {
     /// Evaluate the whole index family and return the predicted-time
     /// arg-min. Ties go to the earliest-evaluated candidate: `Direct`
     /// before the uniform radix sweep (it does the same communication as
-    /// `Radix(n)` without the rotate/pack phases), then `Hypercube`, with
-    /// a mixed-radix vector adopted only when *strictly* better than
-    /// every uniform choice.
+    /// `Radix(n)` without the rotate/pack phases), with a mixed-radix
+    /// vector adopted only when *strictly* better than every uniform
+    /// choice.
     #[must_use]
     pub fn plan_index(&self, n: usize, k: usize, b: usize) -> PlanChoice<IndexPlan> {
         assert!(k >= 1, "plan: ports must be ≥ 1");
@@ -246,11 +251,7 @@ impl<'m> Planner<'m> {
                 predicted_time: 0.0,
             };
         }
-        let mut candidates: Vec<IndexPlan> = vec![IndexPlan::Direct];
-        candidates.extend((2..=n).map(IndexPlan::Radix));
-        if n.is_power_of_two() && k == 1 {
-            candidates.push(IndexPlan::Hypercube);
-        }
+        let candidates = std::iter::once(IndexPlan::Direct).chain((2..=n).map(IndexPlan::Radix));
         let mut best: Option<PlanChoice<IndexPlan>> = None;
         for plan in candidates {
             let complexity = self.index_complexity(&plan, n, k, b);
@@ -1240,6 +1241,7 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(IndexPlan::Radix(3).label(), "bruck-r3");
         assert_eq!(IndexPlan::Direct.label(), "direct");
+        assert_eq!(IndexPlan::Pairwise.label(), "pairwise-xor");
         assert_eq!(IndexPlan::Hypercube.label(), "hypercube");
         assert_eq!(IndexPlan::Mixed(vec![2, 3]).label(), "mixed-r(2,3)");
         assert_eq!(VIndexPlan::Direct.label(), "v-direct");
@@ -1263,6 +1265,7 @@ mod tests {
     fn effective_radix() {
         assert_eq!(IndexPlan::Radix(4).radix(8), Some(4));
         assert_eq!(IndexPlan::Direct.radix(8), Some(8));
+        assert_eq!(IndexPlan::Pairwise.radix(8), Some(8));
         assert_eq!(IndexPlan::Hypercube.radix(8), Some(2));
         assert_eq!(IndexPlan::Mixed(vec![2, 2]).radix(8), None);
     }

@@ -28,8 +28,10 @@
 //! * [`IndexPlan::Mixed`] — the same with a radix per digit position:
 //!   subphase `x` tests the digit of weight `Π r_<x` in radix `r_x`;
 //! * [`IndexPlan::Direct`] — `n-1` offsets grouped `k` per round, sent
-//!   straight from the input into their final slots;
-//! * [`IndexPlan::Hypercube`] — cost-equal to radix 2, lowered as such;
+//!   straight from the input into their final slots; [`IndexPlan::Pairwise`]
+//!   the same with peer `rank ⊕ d`;
+//! * [`IndexPlan::Hypercube`] — Johnsson & Ho's store-and-forward rounds
+//!   over slots indexed by `src ⊕ dst`, between two XOR permutes;
 //! * [`IndexPlan::Hierarchical`] — an intra-node index over lane bundles,
 //!   a transpose, an inter-node index over node bundles;
 //! * [`ConcatLowering`] — §4's circulant concatenation with its byte-
@@ -214,11 +216,14 @@ enum PermKind {
     /// The hierarchical repack, `old` read as a `rows × cols` matrix of
     /// group blocks: `new[c·rows + r] = old[r·cols + c]`.
     Transpose { rows: usize, cols: usize },
+    /// The hypercube's relabelling (`groups` a power of two):
+    /// `new[u] = old[u ⊕ with]`.
+    Xor { with: usize },
 }
 
 /// A local block permutation of the whole working buffer — a rotation, a
-/// reflection or a transpose — over `groups` group blocks of `unit`
-/// buffer blocks each.
+/// reflection, a transpose or an XOR relabelling — over `groups` group
+/// blocks of `unit` buffer blocks each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockPerm {
     kind: PermKind,
@@ -245,6 +250,7 @@ impl BlockPerm {
             PermKind::Transpose { rows, cols } => {
                 (0..g).for_each(|u| mv(u, (u % rows) * cols + u / rows, 1));
             }
+            PermKind::Xor { with } => (0..g).for_each(|u| mv(u, u ^ with, 1)),
         }
     }
 }
@@ -289,15 +295,15 @@ pub struct RankProgram {
 impl RankProgram {
     /// Lower an [`IndexPlan`] to the explicit program for one rank.
     ///
-    /// `Hypercube` lowers as radix 2 (cost-equal schedule). Radices
-    /// above the (sub)group size are clamped to it — they would change
-    /// nothing: one subphase of `n − 1` steps.
+    /// Radices above the (sub)group size are clamped to it — they would
+    /// change nothing: one subphase of `n − 1` steps.
     ///
     /// # Errors
     ///
     /// A message for `n = 0`, `rank ≥ n`, a radix below 2, a mixed
-    /// vector whose product does not reach `n`, and hierarchical plans
-    /// whose `node_size` does not divide `n`.
+    /// vector whose product does not reach `n`, hierarchical plans whose
+    /// `node_size` does not divide `n`, and the XOR plans
+    /// (`Pairwise`, `Hypercube`) at an `n` that is not a power of two.
     pub fn lower(
         plan: &IndexPlan,
         n: usize,
@@ -319,7 +325,10 @@ impl RankProgram {
                 check_radix(*r)?;
                 bruck_ops(&mut ops, n, rank, uniform(*r), 1, k, flat, 0);
             }
-            IndexPlan::Hypercube => bruck_ops(&mut ops, n, rank, uniform(2), 1, k, flat, 0),
+            IndexPlan::Hypercube => {
+                check_pow2("hypercube index", n)?;
+                hypercube_ops(&mut ops, n, rank);
+            }
             IndexPlan::Mixed(radices) => {
                 radices.iter().try_for_each(|&r| check_radix(r))?;
                 let covered = radices.iter().try_fold(1usize, |p, &r| p.checked_mul(r));
@@ -328,7 +337,13 @@ impl RankProgram {
                 }
                 bruck_ops(&mut ops, n, rank, radices.iter().copied(), 1, k, flat, 0);
             }
-            IndexPlan::Direct => direct_ops(&mut ops, n, rank, block, k),
+            IndexPlan::Direct => direct_ops(&mut ops, n, rank, block, k, |d| {
+                ((rank + d) % n, (rank + n - d) % n)
+            }),
+            IndexPlan::Pairwise => {
+                check_pow2("pairwise-XOR index", n)?;
+                direct_ops(&mut ops, n, rank, block, k, |d| (rank ^ d, rank ^ d));
+            }
             IndexPlan::Hierarchical {
                 node_size,
                 radix_local,
@@ -385,10 +400,10 @@ impl RankProgram {
     /// The one shape check [`RankMachine::new`] makes before it indexes
     /// its buffers with these descriptors (every field is public, so they
     /// may have been recombined): every permute covers exactly the `n`
-    /// blocks, every place and span stays inside the buffer it touches
-    /// (the input for a send that reads it, else the `n·b` work buffer),
-    /// no receive reads the input, and a program that copies its input in
-    /// has an `n·b` one.
+    /// blocks (an XOR one a power-of-two count of them), every place and
+    /// span stays inside the buffer it touches (the input for a send that
+    /// reads it, else the `n·b` work buffer), no receive reads the input,
+    /// and a program that copies its input in has an `n·b` one.
     ///
     /// # Errors
     ///
@@ -400,11 +415,12 @@ impl RankProgram {
             |at: usize, len: usize, limit: usize| at.checked_add(len).is_some_and(|e| e <= limit);
         let fits = |op: &ProgramOp| match op {
             ProgramOp::Permute(p) => {
-                let cells = match p.kind {
-                    PermKind::Transpose { rows, cols } => rows * cols,
-                    PermKind::Rotate { .. } | PermKind::Reflect { .. } => p.groups,
+                let onto = match p.kind {
+                    PermKind::Transpose { rows, cols } => rows * cols == p.groups,
+                    PermKind::Xor { with } => p.groups.is_power_of_two() && with < p.groups,
+                    PermKind::Rotate { .. } | PermKind::Reflect { .. } => true,
                 };
-                cells == p.groups && p.groups * p.unit == n
+                onto && p.groups * p.unit == n
             }
             ProgramOp::Place { from, to, len } => {
                 within(*from, *len, input) && within(*to, *len, work)
@@ -446,6 +462,16 @@ fn permute(kind: PermKind, groups: usize, unit: usize) -> ProgramOp {
 fn check_radix(r: usize) -> Result<(), String> {
     if r < 2 {
         return Err(format!("radix must be ≥ 2, got {r}"));
+    }
+    Ok(())
+}
+
+/// The power-of-two `n` the XOR algorithms need.
+fn check_pow2(name: &str, n: usize) -> Result<(), String> {
+    if !n.is_power_of_two() {
+        return Err(format!(
+            "{name} requires a power-of-two processor count, got {n}"
+        ));
     }
     Ok(())
 }
@@ -532,17 +558,25 @@ fn single(s: usize, n: usize) -> SlotSet {
 }
 
 /// The direct algorithm, out of place: the rank's own block is placed,
-/// offset `d` sends input slot `(m+d) mod n` to that rank, and the block
-/// from rank `(m-d) mod n` lands in its final slot — no pass over the
-/// buffer at all.
-fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, block: usize, k: usize) {
+/// offset `d` sends input slot `to` to that rank, and the block from rank
+/// `from` lands in its final slot — no pass over the buffer at all.
+/// `peers(d)` is `(to, from)`: `(m+d, m−d) mod n` for the direct exchange,
+/// `m ⊕ d` both ways for the pairwise one.
+fn direct_ops(
+    ops: &mut Vec<ProgramOp>,
+    n: usize,
+    m: usize,
+    block: usize,
+    k: usize,
+    peers: impl Fn(usize) -> (usize, usize),
+) {
     ops.push(place(m * block, m * block, block));
     let mut d = 1usize;
     while d < n {
         let hi = (n - 1).min(d + k - 1);
         let mut round = ProgramRound::default();
         for dd in d..=hi {
-            let (to, from) = ((m + dd) % n, (m + n - dd) % n);
+            let (to, from) = peers(dd);
             let span = Span::Input(single(to, n));
             round.sends.push(ProgramXfer {
                 peer: to,
@@ -556,6 +590,31 @@ fn direct_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize, block: usize, k: usi
         ops.push(ProgramOp::Round(round));
         d = hi + 1;
     }
+}
+
+/// The store-and-forward hypercube index of Johnsson & Ho (one port,
+/// `n` a power of two): after an XOR permute slot `j` holds the block
+/// with `src ⊕ dst = j`, so round `x` swaps the slots with bit `x` set
+/// with rank `m ⊕ 2^x` — relaying blocks on their way — and the same
+/// permute puts the block from rank `s` at slot `s`.
+fn hypercube_ops(ops: &mut Vec<ProgramOp>, n: usize, m: usize) {
+    if n <= 1 {
+        return;
+    }
+    let relabel = permute(PermKind::Xor { with: m }, n, 1);
+    ops.push(relabel.clone());
+    for x in 0..n.trailing_zeros() {
+        let bit = 1 << x;
+        let slots = SlotSet {
+            stride: bit,
+            digit: 1,
+            radix: 2,
+            groups: n,
+            unit: 1,
+        };
+        ops.push(one_port(m ^ bit, slots, m ^ bit, slots, x.into()));
+    }
+    ops.push(relabel);
 }
 
 /// The two-level composition — the paper's own index algorithm at two
@@ -691,11 +750,7 @@ impl ConcatLowering {
     ///
     /// A message when `n` is not a power of two.
     pub fn recursive_doubling(n: usize, block: usize) -> Result<Self, String> {
-        if !n.is_power_of_two() {
-            return Err(format!(
-                "recursive doubling requires a power-of-two processor count, got {n}"
-            ));
-        }
+        check_pow2("recursive doubling", n)?;
         Ok(Self::new(n, block, 1, ConcatShape::RecursiveDoubling))
     }
 
@@ -1408,8 +1463,8 @@ mod tests {
         let mut ops = Vec::new();
         match plan {
             IndexPlan::Radix(r) => reference::bruck_ops(&mut ops, n, rank, *r, 1, k, |g| g, 0),
-            IndexPlan::Hypercube => reference::bruck_ops(&mut ops, n, rank, 2, 1, k, |g| g, 0),
             IndexPlan::Direct => reference::direct_ops(&mut ops, n, rank, k),
+            IndexPlan::Pairwise | IndexPlan::Hypercube => unreachable!("no index-vector reference"),
             IndexPlan::Hierarchical {
                 node_size,
                 radix_local,
@@ -1477,7 +1532,6 @@ mod tests {
                 IndexPlan::Radix(2),
                 IndexPlan::Radix(3),
                 IndexPlan::Radix(n),
-                IndexPlan::Hypercube,
                 IndexPlan::Direct,
             ];
             for node_size in (1..=n).filter(|s| n % s == 0) {
@@ -1532,13 +1586,20 @@ mod tests {
         assert!(simulate(&set, &inputs, |_, _, _| {})
             .unwrap_err()
             .contains("does not fit"));
+        // A transpose that is not n cells, an XOR past the group count or
+        // over a count that is not a power of two.
+        for (kind, n) in [
+            (PermKind::Transpose { rows: 3, cols: 2 }, 8),
+            (PermKind::Xor { with: 8 }, 8),
+            (PermKind::Xor { with: 1 }, 6),
+        ] {
+            p.n = n;
+            p.ops[0] = permute(kind, n, 1);
+            assert!(p.check_shape().unwrap_err().contains("op 0"), "{kind:?}");
+        }
+        p.ops[0] = permute(PermKind::Xor { with: 5 }, 8, 1);
         p.n = 8;
-        p.ops[0] = ProgramOp::Permute(BlockPerm {
-            kind: PermKind::Transpose { rows: 3, cols: 2 },
-            groups: 8,
-            unit: 1,
-        });
-        assert!(p.check_shape().is_err());
+        p.check_shape().unwrap();
     }
 
     #[test]
@@ -1650,13 +1711,14 @@ mod tests {
 
     #[test]
     fn direct_and_hypercube_lowerings_match_oracle() {
-        for &n in &[2usize, 5, 9, 16] {
-            for &k in &[1usize, 3] {
+        for &k in &[1usize, 3] {
+            for &n in &[2usize, 5, 9, 16] {
                 check(&IndexPlan::Direct, n, 4, k);
             }
-        }
-        for &n in &[4usize, 16, 32] {
-            check(&IndexPlan::Hypercube, n, 3, 1);
+            for &n in &[1usize, 2, 4, 16, 64] {
+                check(&IndexPlan::Pairwise, n, 3, k);
+                check(&IndexPlan::Hypercube, n, 3, k);
+            }
         }
     }
 
@@ -1770,6 +1832,13 @@ mod tests {
         assert!(lower(two_level(2, 1), 6).contains("radix must be ≥ 2"));
         // The rejections hold at n = 1 too, where there is nothing to run.
         assert!(lower(IndexPlan::Radix(0), 1).contains("radix must be ≥ 2"));
+        for (plan, name) in [
+            (IndexPlan::Pairwise, "pairwise-XOR"),
+            (IndexPlan::Hypercube, "hypercube"),
+        ] {
+            let err = lower(plan, 6);
+            assert!(err.contains(name) && err.contains("power-of-two"), "{err}");
+        }
     }
 
     /// Every minimal covering radix vector of `[0, n)`: the prefix's
@@ -2055,10 +2124,16 @@ mod tests {
         while mutated < 10_000 {
             let (n, k, block) = (2 + next() % 63, 1 + next() % 3, next() % 4);
             let family = next() % 9;
+            // The XOR plans run at a power of two, n = 2^1..2^6.
+            let n = if family == 2 {
+                1 << (1 + next() % 6)
+            } else {
+                n
+            };
             let plan = match family {
                 0 => IndexPlan::Radix(2 + next() % (n - 1)),
                 1 => IndexPlan::Direct,
-                2 => IndexPlan::Hypercube,
+                2 => [IndexPlan::Hypercube, IndexPlan::Pairwise][next() % 2].clone(),
                 3 => {
                     let mut radices = vec![2 + next() % 4];
                     while radices.iter().product::<usize>() < n {

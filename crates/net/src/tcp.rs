@@ -2301,7 +2301,9 @@ fn fit_node_size(n: usize, want: usize) -> usize {
 /// Re-fit a plan to a survivor cluster: hierarchical plans survive as
 /// long as their node size still tiles the cluster with at least two
 /// nodes; otherwise fall back to a single-level Bruck radix built from
-/// the plan's remote radix.
+/// the plan's remote radix. The XOR plans need a power-of-two count and
+/// otherwise fall back to their cost-equal twins: the hypercube to
+/// radix 2, the pairwise exchange to the direct one.
 fn fit_plan(plan: &IndexPlan, n: usize, node_size: usize) -> IndexPlan {
     match plan {
         IndexPlan::Hierarchical {
@@ -2316,6 +2318,8 @@ fn fit_plan(plan: &IndexPlan, n: usize, node_size: usize) -> IndexPlan {
                 IndexPlan::Radix((*radix_remote).max(2))
             }
         }
+        IndexPlan::Hypercube if !n.is_power_of_two() => IndexPlan::Radix(2),
+        IndexPlan::Pairwise if !n.is_power_of_two() => IndexPlan::Direct,
         other => other.clone(),
     }
 }
@@ -2587,6 +2591,33 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn survivor_plans_are_refit_only_when_they_no_longer_lower() {
+        let two_level = IndexPlan::Hierarchical {
+            node_size: 4,
+            radix_local: 2,
+            radix_remote: 3,
+        };
+        let flat = [
+            IndexPlan::Radix(3),
+            IndexPlan::Direct,
+            IndexPlan::Mixed(vec![2, 3]),
+        ];
+        let xor = [IndexPlan::Hypercube, IndexPlan::Pairwise];
+        for plan in flat.iter().chain(&xor).chain([&two_level]) {
+            assert_eq!(fit_plan(plan, 8, 4), *plan, "{}", plan.label());
+        }
+        // 6 survivors: flat plans still lower, the node size no longer
+        // tiles two nodes of 4, and the XOR plans need a power of two.
+        for plan in &flat {
+            assert_eq!(fit_plan(plan, 6, 4), *plan, "{}", plan.label());
+        }
+        assert_eq!(fit_plan(&two_level, 6, 4), IndexPlan::Radix(3));
+        assert_eq!(fit_plan(&two_level, 4, 4), IndexPlan::Radix(3));
+        assert_eq!(fit_plan(&IndexPlan::Hypercube, 6, 4), IndexPlan::Radix(2));
+        assert_eq!(fit_plan(&IndexPlan::Pairwise, 6, 4), IndexPlan::Direct);
     }
 
     #[test]
@@ -3191,6 +3222,8 @@ mod tests {
             IndexPlan::Mixed(vec![2, 8]),
             IndexPlan::Mixed(vec![3, 2, 3]),
             IndexPlan::Direct,
+            IndexPlan::Pairwise,
+            IndexPlan::Hypercube,
             IndexPlan::Hierarchical {
                 node_size: 4,
                 radix_local: 2,
@@ -3218,8 +3251,8 @@ mod tests {
                 plan.label()
             );
             // The first permute reads the caller's buffers where they
-            // lie (`Direct` opens with a round and works on a copy):
-            // either way they are the caller's still.
+            // lie (`Direct` and `Pairwise` send from them): either way
+            // they are the caller's still.
             for (rank, input) in inputs.iter().enumerate() {
                 let same = input == &index_input(rank, n, block);
                 assert!(same, "{}: rank {rank}'s input was written", plan.label());

@@ -3,10 +3,9 @@
 //! Every collective algorithm in this workspace has an executable form
 //! (real data moving through `bruck-net`) and a [`Schedule`] — the full
 //! list of `(round, src, dst, bytes)` transfers, independent of payload
-//! contents. For the index family and the concatenations the schedule
+//! contents. For every index algorithm and concatenation the schedule
 //! is not planned a second time: it is read off the lowered programs
-//! that execute ([`Schedule::from_programs`]); the pairwise and
-//! hypercube baselines keep a **planner** next to their SPMD routine.
+//! that execute ([`Schedule::from_programs`]).
 //!
 //! Schedules make three things cheap:
 //!
