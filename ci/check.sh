@@ -20,6 +20,12 @@ for f in index/bruck index/mixed index/hierarchical index/direct index/pairwise 
     concat/gather_bcast; do
     if [ -e "crates/core/src/$f.rs" ]; then echo "ci/check.sh: crates/core/src/$f.rs is back; lower a program instead" >&2; exit 1; fi
 done
+# So is every non-uniform payload (RankProgram::lower_vindex and
+# lower_allgatherv): vbruck.rs and vops.rs keep the metadata round,
+# validation and planning, and run no round of their own.
+if grep -n '\.round(\|\.round_gather(' crates/core/src/vbruck.rs crates/core/src/vops.rs; then
+    echo "ci/check.sh: vbruck.rs / vops.rs run a round by hand; lower a program instead" >&2; exit 1
+fi
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings

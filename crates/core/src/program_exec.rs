@@ -1,12 +1,13 @@
 //! Run a lowered [`RankProgram`] over any [`Comm`].
 //!
-//! `bruck_model::program` lowers an [`IndexPlan`] or a concatenation to
-//! pure data and interprets it in one place, the [`RankMachine`]. This
-//! module is the machine's threaded-substrate driver, and the way every
-//! lowered algorithm reaches the wire on that substrate:
-//! every [`IndexAlgorithm`](crate::index::IndexAlgorithm),
-//! [`alltoall`](crate::api::alltoall)'s planner dispatch and every
-//! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) end here.
+//! `bruck_model::program` lowers an [`IndexPlan`], a concatenation or a
+//! non-uniform exchange to pure data and interprets it in one place, the
+//! [`RankMachine`]. This module is the machine's threaded-substrate
+//! driver, and the way every lowered algorithm reaches the wire on that
+//! substrate: every [`IndexAlgorithm`](crate::index::IndexAlgorithm),
+//! [`alltoall`](crate::api::alltoall)'s planner dispatch, every
+//! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm) and every
+//! [`vops`](crate::vops) payload end here.
 //! Each round the machine yields is one `round_gather`, and its local
 //! passes move the data between `out` and one pooled work buffer, so a
 //! program runs on any [`Comm`] — and the TCP fabric and `simulate` drive
@@ -17,8 +18,9 @@
 //! a radix or hypercube program's first permute reads the caller's
 //! `sendbuf` and its last writes `out` — two passes over `n·b` bytes —
 //! and a direct or pairwise exchange places one block and sends straight
-//! from `sendbuf`; each then scatters every received byte once, charged
-//! to the virtual clock as it happens.
+//! from `sendbuf`; a padded exchange places its blocks and makes one strip
+//! pass. Each then scatters every received byte once, charged to the
+//! virtual clock as it happens.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};
@@ -64,12 +66,12 @@ pub fn run_plan_into<C: Comm + ?Sized>(
 /// Drive this rank's `program` [`RankMachine`] against the communication
 /// context: each round's sends and receives are one `round_gather`.
 ///
-/// The data lives in one of two `n·b` buffers at any time — `out` and a
-/// single pooled work buffer — and every permute moves it to the other
-/// one. The parity of [`RankProgram::passes`] decides which of the two
-/// the machine starts on, so that the last pass lands in `out`; the first
-/// reads `input` directly, and a program with no pass never takes the
-/// work buffer.
+/// The data lives in one of two buffers at any time — `out` and a single
+/// pooled work buffer of [`RankProgram::work`] bytes — and every permute
+/// or strip moves it to the other one. The parity of
+/// [`RankProgram::passes`] decides which of the two the machine starts
+/// on, so that the last pass lands in `out`; the first reads `input`
+/// directly, and a program with no pass never takes the work buffer.
 ///
 /// # Errors
 ///
@@ -82,7 +84,11 @@ pub fn run_program_into<C: Comm + ?Sized>(
     out: &mut [u8],
 ) -> Result<(), NetError> {
     // The machine checks that every buffer has its size.
-    let mut work = ep.acquire(if program.passes() > 0 { out.len() } else { 0 });
+    let mut work = ep.acquire(if program.passes() > 0 {
+        program.work
+    } else {
+        0
+    });
     let outcome = interpret(ep, program, input, out, &mut work);
     ep.recycle(work);
     outcome
@@ -163,6 +169,7 @@ mod tests {
     use bruck_model::cost::{CostModel, HierarchicalModel, Sp1Model};
     use bruck_model::mixed_radix::MixedRadix;
     use bruck_model::partition::Preference;
+    use bruck_model::planner::{Planner, VIndexPlan};
     use bruck_model::program::{simulate, ProgramOp};
     use bruck_model::radix::ceil_log;
     use bruck_model::tuning::index_complexity_kport;
@@ -643,5 +650,214 @@ mod tests {
             hier <= flat,
             "hierarchical remote {hier} vs flat remote {flat}"
         );
+    }
+
+    /// Seeded `n×n` size matrices of the v-planner sweep's six shapes —
+    /// uniform, all-zero, zero-riddled, one hot pair, Zipf(1.0) over
+    /// rotated destinations, and entries up to 2⁴⁰ — every entry capped at
+    /// `cap`.
+    fn seeded_matrices(n: usize, seed: u64, cap: u64) -> [Vec<usize>; 6] {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let cells = n * n;
+        let uniform = vec![1 + below(4096); cells];
+        let riddled = (0..cells)
+            .map(|_| if below(3) == 0 { below(512) } else { 0 })
+            .collect();
+        let mut hot = vec![below(64); cells];
+        hot[below(cells as u64) as usize] = 1 << (10 + below(20));
+        let harmonic: f64 = (1..=n).map(|p| 1.0 / p as f64).sum();
+        let zipf = (0..cells)
+            .map(|e| (256 * n) as f64 / harmonic / ((e / n + e % n) % n + 1) as f64)
+            .map(|s| s as u64)
+            .collect();
+        let huge = (0..cells).map(|_| below(1 << 40)).collect();
+        [uniform, vec![0; cells], riddled, hot, zipf, huge]
+            .map(|m: Vec<u64>| m.into_iter().map(|s| s.min(cap) as usize).collect())
+    }
+
+    /// Every member of the non-uniform family over `sizes`: direct,
+    /// padded at radix 2, 3 and `n`, and two-phase at radix 2 and `n` with
+    /// quota 0, the mean travelling entry, the maximum and past it.
+    fn v_plans(n: usize, sizes: &[usize]) -> Vec<VIndexPlan> {
+        let travelling = (0..n * n).filter(|e| e / n != e % n).map(|e| sizes[e]);
+        let (sum, max) = travelling.fold((0u128, 0), |(s, m), x| (s + x as u128, m.max(x)));
+        let mean = (sum / (n * n - n).max(1) as u128) as usize;
+        let mut plans = vec![VIndexPlan::Direct];
+        for radix in [2, 3, n] {
+            plans.push(VIndexPlan::Padded { radix });
+        }
+        for radix in [2, n] {
+            for quota in [0, mean, max, usize::MAX] {
+                plans.push(VIndexPlan::TwoPhase { radix, quota });
+            }
+        }
+        plans
+    }
+
+    /// Where rank `rank`'s send blocks sit in its input: last rank first.
+    fn v_displs(rank: usize, n: usize, sizes: &[usize]) -> Vec<usize> {
+        let row = &sizes[rank * n..][..n];
+        (0..n).map(|j| row[j + 1..].iter().sum()).collect()
+    }
+
+    /// Rank `rank`'s input: its block for every rank, at [`v_displs`].
+    fn v_input(rank: usize, n: usize, sizes: &[usize]) -> Vec<u8> {
+        let block =
+            |j: usize| (0..sizes[rank * n + j]).map(move |t| verify::content_byte(rank, j, t));
+        (0..n).rev().flat_map(block).collect()
+    }
+
+    /// What rank `rank` receives: every source's block for it, in rank order.
+    fn v_expected(rank: usize, n: usize, sizes: &[usize]) -> Vec<u8> {
+        let block = |src: usize| {
+            (0..sizes[src * n + rank]).map(move |t| verify::content_byte(src, rank, t))
+        };
+        (0..n).flat_map(block).collect()
+    }
+
+    /// Every rank's program of `plan` over `sizes`.
+    fn v_programs(plan: &VIndexPlan, n: usize, k: usize, sizes: &[usize]) -> Vec<RankProgram> {
+        let program =
+            |rank| RankProgram::lower_vindex(plan, n, k, rank, sizes, &v_displs(rank, n, sizes));
+        (0..n)
+            .map(|rank| program(rank).expect("lowerable"))
+            .collect()
+    }
+
+    /// Every rank's allgatherv program over `counts`, and every input.
+    fn allgatherv_programs(k: usize, counts: &[usize]) -> (Vec<RankProgram>, Vec<Vec<u8>>) {
+        let input = |r: usize| {
+            (0..counts[r])
+                .map(|t| verify::content_byte(r, 0, t))
+                .collect()
+        };
+        let program = |r| RankProgram::lower_allgatherv(k, r, counts);
+        (0..counts.len()).map(|r| (program(r), input(r))).unzip()
+    }
+
+    /// The non-uniform lowerings run in memory land on their oracles:
+    /// every member of the family (two-phase at quota 0, the mean and
+    /// past the maximum) over five of the six seeded matrix shapes with
+    /// entries capped at 4 KiB, each rank's blocks laid out in reverse;
+    /// and allgatherv over each matrix's first row, zero-length blocks
+    /// included. n ∈ {1, 2, 3, 5, 8, 13}, k ∈ {1, 2, 3}.
+    #[test]
+    fn v_programs_simulate_to_the_oracles() {
+        let mut runs = 0usize;
+        for n in [1usize, 2, 3, 5, 8, 13] {
+            for k in 1..=3 {
+                let matrices = seeded_matrices(n, (n * 10 + k) as u64, 4096);
+                for sizes in &matrices[..5] {
+                    let inputs: Vec<Vec<u8>> = (0..n).map(|r| v_input(r, n, sizes)).collect();
+                    for plan in v_plans(n, sizes) {
+                        let programs = v_programs(&plan, n, k, sizes);
+                        let outs = simulate(&programs, &inputs, |_, _, _| {})
+                            .unwrap_or_else(|e| panic!("{} n={n} k={k}: {e}", plan.label()));
+                        for (rank, out) in outs.iter().enumerate() {
+                            let label = plan.label();
+                            assert_eq!(
+                                out,
+                                &v_expected(rank, n, sizes),
+                                "{label} n={n} k={k} rank={rank}"
+                            );
+                        }
+                        runs += 1;
+                    }
+                    let (programs, inputs) = allgatherv_programs(k, &sizes[..n]);
+                    let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("allgatherv");
+                    assert!(
+                        outs.iter().all(|out| out == &inputs.concat()),
+                        "allgatherv n={n} k={k}"
+                    );
+                }
+            }
+        }
+        assert!(runs > 1_000, "sweep shrank to {runs} runs");
+    }
+
+    /// The schedule read off each non-uniform lowering has the planner's
+    /// closed form: `Schedule::from_programs`' (C1, C2) equals
+    /// `Planner::vindex_complexity` for every member over all six seeded
+    /// shapes, 2⁴⁰ entries included (lowering moves nothing), so the cost
+    /// `plan_vindex` minimizes is the cost of the pattern that runs.
+    #[test]
+    fn v_schedules_have_the_planner_closed_forms() {
+        let model = Sp1Model::calibrated();
+        let planner = Planner::new(&model);
+        for n in [1usize, 2, 3, 5, 8, 13] {
+            for k in 1..=3 {
+                for sizes in &seeded_matrices(n, (n * 10 + k) as u64, u64::MAX) {
+                    let announced: Vec<u64> = sizes.iter().map(|&s| s as u64).collect();
+                    for plan in v_plans(n, sizes) {
+                        let schedule = Schedule::from_programs(&v_programs(&plan, n, k, sizes), k);
+                        assert_eq!(
+                            ScheduleStats::of(&schedule).complexity,
+                            planner.vindex_complexity(&plan, n, k, &announced),
+                            "{} n={n} k={k}",
+                            plan.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a sample, the threaded `alltoallv_into` of every member and
+    /// `allgatherv_into` equal the same programs run in memory, bit for
+    /// bit, rank for rank.
+    #[test]
+    fn v_threaded_runs_equal_their_simulation() {
+        use crate::api::Tuning;
+        use crate::vops::{allgatherv_into, alltoallv_into, VLayout, VMethod};
+        for &(n, k) in &[(1usize, 1usize), (2, 1), (5, 2), (8, 3), (13, 2)] {
+            for sizes in &seeded_matrices(n, 7, 4096)[1..5] {
+                for plan in v_plans(n, sizes) {
+                    let method = match plan {
+                        VIndexPlan::Direct => VMethod::Direct,
+                        VIndexPlan::Padded { radix } => VMethod::Padded { radix },
+                        VIndexPlan::TwoPhase { radix, quota } => VMethod::TwoPhase {
+                            radix,
+                            quota: Some(quota),
+                        },
+                    };
+                    let tuning = Tuning::builder().vmethod(method).build();
+                    let out = Cluster::run(&ClusterConfig::new(n).with_ports(k), |ep| {
+                        let rank = ep.rank();
+                        let counts = sizes[rank * n..][..n].to_vec();
+                        let layout = VLayout::new(counts, v_displs(rank, n, sizes))?;
+                        let input = v_input(rank, n, sizes);
+                        let mut got = Vec::new();
+                        alltoallv_into(ep, &input, &layout, &tuning, &mut got)?;
+                        Ok(got)
+                    })
+                    .unwrap_or_else(|e| panic!("{} n={n} k={k}: {e}", plan.label()));
+                    // The lowering clamps the radix as the forced method does.
+                    let inputs: Vec<Vec<u8>> = (0..n).map(|r| v_input(r, n, sizes)).collect();
+                    let programs = v_programs(&plan, n, k, sizes);
+                    let simulated = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                    assert_eq!(out.results, simulated, "{} n={n} k={k}", plan.label());
+                }
+                let counts = &sizes[..n];
+                let out = Cluster::run(&ClusterConfig::new(n).with_ports(k), |ep| {
+                    let mine: Vec<u8> = (0..counts[ep.rank()])
+                        .map(|t| verify::content_byte(ep.rank(), 0, t))
+                        .collect();
+                    let mut got = Vec::new();
+                    allgatherv_into(ep, &mine, &mut got)?;
+                    Ok(got)
+                })
+                .unwrap();
+                let (programs, inputs) = allgatherv_programs(k, counts);
+                let simulated = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                assert_eq!(out.results, simulated, "allgatherv n={n} k={k}");
+                assert!(simulated.iter().all(|r| r == &inputs.concat()));
+            }
+        }
     }
 }

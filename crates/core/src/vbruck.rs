@@ -1,36 +1,21 @@
-//! The configurable non-uniform Bruck family: executors behind the
+//! The non-uniform family's shared state: the typed [`VLayout`], the
+//! forced member [`VMethod`], and the metadata round behind the
 //! [`vops`](crate::vops) API.
 //!
 //! The paper's index algorithm assumes one uniform block size `b`;
-//! production all-to-all traffic is heavy-tailed. This module carries
-//! the three members of the non-uniform family over the pooled data
-//! plane, all driven by the same metadata round (one circulant concat
-//! of each rank's count row, after which **every rank holds the full
-//! `n×n` size matrix** — the shared state that lets the SPMD ranks
-//! agree on pad sizes, quotas, tail schedules, and the auto plan
-//! without any extra agreement protocol):
-//!
-//! * **direct** — every pair ships its exact bytes, distance-scheduled
-//!   `k` pairs per round, skipping distances no pair uses. Transfer
-//!   optimal; `⌈(n-1)/k⌉` start-ups.
-//! * **padded Bruck** — every travelling block is padded to the global
-//!   maximum count, the tuned uniform radix-`r` index (with its gather
-//!   -spec staging) moves the padded matrix, and the padding is
-//!   stripped on unpack. Log-round; volume inflated by the skew.
-//! * **two-phase Bruck** — phase 1 moves a uniform `quota`-byte slice
-//!   of every block through the log-round index; phase 2 moves the
-//!   heavy tails above the quota direct. Interpolates between the
-//!   other two (quota `0` *is* direct, quota `≥ max` *is* padded).
-//!
-//! The family follows Fan et al., *Configurable Algorithms for
-//! All-to-All Collectives* (arXiv:2411.02581), transplanted onto the
-//! paper's radix-`r` index core and this workspace's pooled transport.
+//! production all-to-all traffic is heavy-tailed. Every member of the
+//! non-uniform family — direct, padded Bruck, two-phase Bruck (Fan et
+//! al., arXiv:2411.02581) — starts from the same metadata round: one
+//! circulant concat of each rank's count row, after which **every rank
+//! holds the full `n×n` size matrix**. That is the shared state that lets
+//! the SPMD ranks agree on pad sizes, quotas, tail schedules and the auto
+//! plan without any extra agreement protocol, and from which each rank
+//! lowers its program
+//! ([`RankProgram::lower_vindex`](bruck_model::program::RankProgram::lower_vindex)).
 
-use bruck_model::planner::VIndexPlan;
-use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
+use bruck_net::{Comm, NetError};
 
 use crate::concat::ConcatAlgorithm;
-use crate::index::IndexAlgorithm;
 
 /// Per-destination counts and displacements over one contiguous
 /// buffer — the typed layout the v-ops address payloads with
@@ -262,261 +247,6 @@ pub(crate) fn validate_matrix(
     Ok((sizes, recv))
 }
 
-/// Largest travelling (off-diagonal) entry of the size matrix.
-fn off_diag_max(n: usize, sizes: &[usize]) -> usize {
-    let mut max = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                max = max.max(sizes[i * n + j]);
-            }
-        }
-    }
-    max
-}
-
-/// Distances `1..n` at which at least one pair moves `> floor` bytes,
-/// under the globally-shared matrix — every rank derives the same
-/// list, so the chunked rounds never desynchronize.
-fn active_distances(n: usize, sizes: &[usize], floor: usize) -> Vec<usize> {
-    (1..n)
-        .filter(|&d| (0..n).any(|i| sizes[i * n + (i + d) % n] > floor))
-        .collect()
-}
-
-/// Copy this rank's own block straight from the send buffer.
-fn place_self(sendbuf: &[u8], send: &VLayout, recv: &VLayout, rank: usize, out: &mut [u8]) {
-    out[recv.range(rank)].copy_from_slice(send.slice(sendbuf, rank));
-}
-
-/// The direct member: exact bytes, `k` active distances per round.
-/// Sends borrow the caller's buffer (zero-copy out); received payloads
-/// are copied into place and recycled to the pool.
-pub(crate) fn run_direct<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    send: &VLayout,
-    sizes: &[usize],
-    recv: &VLayout,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    run_tails(ep, sendbuf, send, sizes, 0, recv, out)?;
-    place_self(sendbuf, send, recv, ep.rank(), out);
-    Ok(())
-}
-
-/// The direct exchange of everything above `quota` — the whole block
-/// when `quota == 0` (the direct member), the heavy tails in phase 2
-/// of the two-phase member otherwise.
-fn run_tails<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    send: &VLayout,
-    sizes: &[usize],
-    quota: usize,
-    recv: &VLayout,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    let k = ep.ports().max(1);
-    for group in active_distances(n, sizes, quota).chunks(k) {
-        let sends: Vec<SendSpec<'_>> = group
-            .iter()
-            .filter_map(|&d| {
-                let dst = (rank + d) % n;
-                let count = sizes[rank * n + dst];
-                (count > quota).then(|| SendSpec {
-                    to: dst,
-                    tag: d as u64,
-                    payload: &sendbuf[send.displ(dst) + quota..send.displ(dst) + count],
-                })
-            })
-            .collect();
-        let expected: Vec<(usize, usize)> = group
-            .iter()
-            .filter_map(|&d| {
-                let src = (rank + n - d) % n;
-                let count = sizes[src * n + rank];
-                (count > quota).then(|| (src, count - quota))
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = group
-            .iter()
-            .filter_map(|&d| {
-                let src = (rank + n - d) % n;
-                (sizes[src * n + rank] > quota).then_some(RecvSpec {
-                    from: src,
-                    tag: d as u64,
-                })
-            })
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        for (&(src, tail), msg) in expected.iter().zip(msgs) {
-            if msg.payload.len() != tail {
-                return Err(NetError::App(format!(
-                    "alltoallv: rank {src} announced {tail} tail bytes but sent {}",
-                    msg.payload.len()
-                )));
-            }
-            out[recv.displ(src) + quota..recv.displ(src) + quota + tail]
-                .copy_from_slice(&msg.payload);
-            ep.charge_copy(tail as u64);
-            ep.recycle(msg.payload);
-        }
-    }
-    Ok(())
-}
-
-/// The padded member: pad every travelling block to the global max,
-/// run the tuned uniform index, strip the padding on unpack. All
-/// scratch is pooled; the uniform index underneath stages its rounds
-/// through gather specs, so the padded matrix is copied once in and
-/// once out.
-pub(crate) fn run_padded<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    send: &VLayout,
-    sizes: &[usize],
-    radix: usize,
-    recv: &VLayout,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    place_self(sendbuf, send, recv, rank, out);
-    let bmax = off_diag_max(n, sizes);
-    if bmax == 0 {
-        return Ok(());
-    }
-    let padded_len = n
-        .checked_mul(bmax)
-        .ok_or_else(|| NetError::App("alltoallv: padded buffer overflows usize".to_string()))?;
-    // Pack: slot j = block j left-aligned in bmax bytes (acquire zeroes
-    // the scratch, so the padding needs no explicit memset). The self
-    // slot stays zero — the uniform index never moves it, and the own
-    // block was placed above.
-    let mut padded = ep.acquire(padded_len);
-    let mut packed = 0u64;
-    for j in 0..n {
-        if j != rank {
-            let blk = send.slice(sendbuf, j);
-            padded[j * bmax..j * bmax + blk.len()].copy_from_slice(blk);
-            packed += blk.len() as u64;
-        }
-    }
-    ep.charge_copy(packed);
-    let mut gathered = ep.acquire(padded_len);
-    let result =
-        IndexAlgorithm::BruckRadix(radix.clamp(2, n)).run_into(ep, &padded, bmax, &mut gathered);
-    ep.recycle(padded);
-    if let Err(e) = result {
-        ep.recycle(gathered);
-        return Err(e);
-    }
-    // Strip: the receiver knows every incoming count from the metadata
-    // matrix, so the pad bytes simply stay behind in the scratch.
-    let mut stripped = 0u64;
-    for src in 0..n {
-        if src != rank {
-            let count = recv.count(src);
-            out[recv.range(src)].copy_from_slice(&gathered[src * bmax..src * bmax + count]);
-            stripped += count as u64;
-        }
-    }
-    ep.charge_copy(stripped);
-    ep.recycle(gathered);
-    Ok(())
-}
-
-/// The two-phase member: a uniform `quota`-byte slice of every block
-/// rides the radix-`r` index (blocks shorter than the quota are
-/// zero-padded up to it), then the tails above the quota move direct.
-/// Degenerates to [`run_direct`] at `quota == 0` and to [`run_padded`]
-/// at `quota ≥ max`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_two_phase<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    send: &VLayout,
-    sizes: &[usize],
-    radix: usize,
-    quota: usize,
-    recv: &VLayout,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    let bmax = off_diag_max(n, sizes);
-    if quota == 0 {
-        return run_direct(ep, sendbuf, send, sizes, recv, out);
-    }
-    if quota >= bmax {
-        return run_padded(ep, sendbuf, send, sizes, radix, recv, out);
-    }
-    place_self(sendbuf, send, recv, rank, out);
-
-    // Phase 1: uniform index over the first min(count, quota) bytes of
-    // every travelling block, zero-padded to the quota.
-    let phase1_len = n
-        .checked_mul(quota)
-        .ok_or_else(|| NetError::App("alltoallv: quota buffer overflows usize".to_string()))?;
-    let mut sliced = ep.acquire(phase1_len);
-    let mut packed = 0u64;
-    for j in 0..n {
-        if j != rank {
-            let blk = send.slice(sendbuf, j);
-            let head = blk.len().min(quota);
-            sliced[j * quota..j * quota + head].copy_from_slice(&blk[..head]);
-            packed += head as u64;
-        }
-    }
-    ep.charge_copy(packed);
-    let mut gathered = ep.acquire(phase1_len);
-    let result =
-        IndexAlgorithm::BruckRadix(radix.clamp(2, n)).run_into(ep, &sliced, quota, &mut gathered);
-    ep.recycle(sliced);
-    if let Err(e) = result {
-        ep.recycle(gathered);
-        return Err(e);
-    }
-    let mut stripped = 0u64;
-    for src in 0..n {
-        if src != rank {
-            let head = recv.count(src).min(quota);
-            out[recv.displ(src)..recv.displ(src) + head]
-                .copy_from_slice(&gathered[src * quota..src * quota + head]);
-            stripped += head as u64;
-        }
-    }
-    ep.charge_copy(stripped);
-    ep.recycle(gathered);
-
-    // Phase 2: the heavy tails, direct.
-    run_tails(ep, sendbuf, send, sizes, quota, recv, out)
-}
-
-/// Execute one planned member of the family. The plan must be derived
-/// from the shared metadata matrix (or forced identically on every
-/// rank) — the executors assume all ranks run the same member.
-pub(crate) fn run_plan<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    send: &VLayout,
-    sizes: &[usize],
-    plan: &VIndexPlan,
-    recv: &VLayout,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    match *plan {
-        VIndexPlan::Direct => run_direct(ep, sendbuf, send, sizes, recv, out),
-        VIndexPlan::Padded { radix } => run_padded(ep, sendbuf, send, sizes, radix, recv, out),
-        VIndexPlan::TwoPhase { radix, quota } => {
-            run_two_phase(ep, sendbuf, send, sizes, radix, quota, recv, out)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,14 +288,5 @@ mod tests {
         let m = [u64::MAX, 0, u64::MAX, 0];
         let err = validate_matrix(n, 0, &m).unwrap_err();
         assert!(matches!(err, NetError::App(_)), "{err:?}");
-    }
-
-    #[test]
-    fn active_distance_floor() {
-        // 3 ranks, only 0→1 carries data (size 4).
-        let sizes = [0, 4, 0, 0, 0, 0, 0, 0, 0];
-        assert_eq!(active_distances(3, &sizes, 0), vec![1]);
-        assert_eq!(active_distances(3, &sizes, 3), vec![1]);
-        assert!(active_distances(3, &sizes, 4).is_empty());
     }
 }

@@ -8,34 +8,34 @@
 //! * [`alltoallv_into`] first concats every rank's count row (one
 //!   circulant metadata round, after which each rank holds the full
 //!   `n×n` size matrix and validates it **before** any payload moves),
-//!   then dispatches the payload over the configurable non-uniform
-//!   Bruck family of [`vbruck`]: **direct** exchange,
-//!   **padded Bruck** (pad to the max count, run the tuned uniform
-//!   index, strip on unpack), or **two-phase Bruck** (a uniform quota
-//!   slice through the log-round index plus direct heavy tails). With
-//!   no forced [`VMethod`] the planner arg-mins the three from the
-//!   matrix's measured skew (max/mean) under the tuning's cost model —
-//!   rank-consistently, because every rank plans from the same matrix.
+//!   then plans a member of the configurable non-uniform Bruck family of
+//!   [`vbruck`]: **direct** exchange, **padded Bruck** (pad to the max
+//!   count, run the radix digit rounds, strip), or **two-phase Bruck** (a
+//!   uniform quota slice through the log-round digit rounds plus direct
+//!   heavy tails). With no forced [`VMethod`] the planner arg-mins the
+//!   three from the matrix's measured skew (max/mean) under the tuning's
+//!   cost model — rank-consistently, because every rank plans from the
+//!   same matrix.
 //! * [`allgatherv_into`] first runs the circulant concatenation on the
-//!   size table, then replays the circulant structure with
-//!   variable-size bundles gathered span-wise straight out of the
-//!   result buffer: `⌈log_{k+1} n⌉ - 1` doubling rounds plus a
+//!   size table, then the circulant structure over the ragged blocks in
+//!   their final layout: `⌈log_{k+1} n⌉ - 1` doubling rounds plus a
 //!   column-aligned last round. Round count stays optimal at
 //!   `1 + ⌈log_{k+1} n⌉`.
 //!
-//! Both `_into` forms follow the PR 1 zero-copy convention: sends
-//! borrow the caller's contiguous buffer, scratch and received
-//! payloads come from the cluster's buffer pool, and the caller-owned
-//! output `Vec` is only resized (no reallocation once its capacity has
-//! seen the working set).
+//! Both payloads are lowered [`RankProgram`]s run by
+//! [`run_program_into`], like every uniform algorithm: sends read the
+//! caller's buffer, scratch and received payloads come from the
+//! cluster's buffer pool, and the caller-owned output `Vec` is only
+//! resized (no reallocation once its capacity has seen the working set).
 
 use bruck_model::cost::CostModel;
 use bruck_model::planner::{quota_candidates, PlanChoice, Planner, VIndexPlan};
-use bruck_model::radix::{ceil_log, pow};
-use bruck_net::{Comm, GatherSendSpec, NetError, RecvSpec, SendSpec};
+use bruck_model::program::RankProgram;
+use bruck_net::{Comm, NetError};
 
 use crate::api::Tuning;
 use crate::concat::ConcatAlgorithm;
+use crate::program_exec::run_program_into;
 use crate::vbruck;
 
 pub use crate::vbruck::{VLayout, VMethod};
@@ -316,11 +316,14 @@ fn dispatch<C: Comm + ?Sized>(
             }
         }
     };
+    let displs: Vec<usize> = (0..n).map(|j| layout.displ(j)).collect();
+    let program = RankProgram::lower_vindex(&choice.plan, n, ep.ports(), rank, &sizes, &displs)
+        .map_err(NetError::App)?;
     if out.len() != recv.total() {
         out.clear();
         out.resize(recv.total(), 0);
     }
-    vbruck::run_plan(ep, sendbuf, layout, &sizes, &choice.plan, &recv, out)?;
+    run_program_into(ep, &program, &sendbuf[..layout.total()], out)?;
     Ok((recv, choice))
 }
 
@@ -329,9 +332,9 @@ fn dispatch<C: Comm + ?Sized>(
 /// rank order; the returned [`VLayout`] addresses it (identical on
 /// every rank).
 ///
-/// Doubling-round bundles are gathered span-wise straight out of `out`
-/// ([`GatherSendSpec`]) into the transport's pooled staging — one copy
-/// per hop, no per-slot buffers.
+/// Every round's bundle is at most two byte runs of `out`, gathered into
+/// the transport's pooled staging — one copy per hop, no per-slot
+/// buffers.
 ///
 /// # Errors
 ///
@@ -349,7 +352,6 @@ pub fn allgatherv_into<C: Comm + ?Sized>(
         return Ok(VLayout::from_counts(&[myblock.len()]));
     }
     let rank = ep.rank();
-    let k = ep.ports();
 
     // Metadata: the uniform circulant concatenation on the size table
     // (pooled staging), validated before any payload round.
@@ -379,158 +381,8 @@ pub fn allgatherv_into<C: Comm + ?Sized>(
         out.clear();
         out.resize(layout.total(), 0);
     }
-    out[layout.range(rank)].copy_from_slice(myblock);
-
-    // Distance-ordered holdings live directly in `out`: slot δ is the
-    // block of rank (rank - δ) mod n at that rank's final offset, so
-    // bundles gather from `out` and arrivals unpack into `out`.
-    let owner_of = |v: usize, slot: usize| (v + n - slot % n) % n;
-
-    let d = ceil_log(k + 1, n);
-    if d <= 1 {
-        // Trivial single round.
-        let sends: Vec<SendSpec<'_>> = (1..n)
-            .map(|dd| SendSpec {
-                to: (rank + dd) % n,
-                tag: 0,
-                payload: myblock,
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = (1..n)
-            .map(|dd| RecvSpec {
-                from: (rank + n - dd) % n,
-                tag: 0,
-            })
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        for (dd, msg) in (1..n).zip(msgs) {
-            let owner = owner_of(rank, dd);
-            if msg.payload.len() != layout.count(owner) {
-                return Err(NetError::App(format!(
-                    "allgatherv: rank {owner} announced {} bytes but sent {}",
-                    layout.count(owner),
-                    msg.payload.len()
-                )));
-            }
-            out[layout.range(owner)].copy_from_slice(&msg.payload);
-            ep.charge_copy(msg.payload.len() as u64);
-            ep.recycle(msg.payload);
-        }
-        return Ok(layout);
-    }
-
-    // Doubling rounds with variable-size bundles gathered from `out`.
-    for i in 0..d - 1 {
-        let cur = pow(k + 1, i);
-        let spans: Vec<(usize, usize)> = (0..cur)
-            .map(|s| {
-                let owner = owner_of(rank, s);
-                (layout.displ(owner), layout.count(owner))
-            })
-            .collect();
-        let msgs = {
-            let sends: Vec<GatherSendSpec<'_>> = (1..=k)
-                .map(|j| GatherSendSpec {
-                    to: (rank + j * cur) % n,
-                    tag: u64::from(i),
-                    src: out,
-                    spans: &spans,
-                })
-                .collect();
-            let recvs: Vec<RecvSpec> = (1..=k)
-                .map(|j| RecvSpec {
-                    from: (rank + n - (j * cur) % n) % n,
-                    tag: u64::from(i),
-                })
-                .collect();
-            ep.round_gather(&sends, &recvs)?
-        };
-        for (j, msg) in (1..=k).zip(msgs) {
-            // Sender (rank - j·cur) shipped its slots 0..cur; our slot
-            // for its slot s is j·cur + s — same owner either way.
-            let src = (rank + n - (j * cur) % n) % n;
-            let mut at = 0usize;
-            for s in 0..cur {
-                let owner = owner_of(src, s);
-                let len = layout.count(owner);
-                if at + len > msg.payload.len() {
-                    return Err(NetError::App("allgatherv bundle underrun".into()));
-                }
-                out[layout.range(owner)].copy_from_slice(&msg.payload[at..at + len]);
-                at += len;
-            }
-            if at != msg.payload.len() {
-                return Err(NetError::App("allgatherv bundle overrun".into()));
-            }
-            ep.charge_copy(at as u64);
-            ep.recycle(msg.payload);
-        }
-    }
-
-    // Last round: the n2 missing slots [n1, n) split column-aligned
-    // over ≤ k offsets with sender-window span ≤ n1 each.
-    let n1 = pow(k + 1, d - 1);
-    let n2 = n - n1;
-    if n2 > 0 {
-        let areas = k.min(n2);
-        let mut starts = Vec::with_capacity(areas + 1);
-        let mut at = 0usize;
-        for a in 0..areas {
-            starts.push(at);
-            at += n2 / areas + usize::from(a < n2 % areas);
-        }
-        starts.push(n2);
-        let tag = u64::from(d - 1);
-        // Area a covers missing indices [starts[a], starts[a+1]);
-        // offset = n1 + starts[a] (span ≤ ⌈n2/k⌉ ≤ n1). We send to
-        // rank+offset the bundle of its missing slots n1+m for m in the
-        // area: its slot n1+m is our slot n1+m-offset.
-        let span_lists: Vec<Vec<(usize, usize)>> = (0..areas)
-            .map(|a| {
-                let offset = n1 + starts[a];
-                (starts[a]..starts[a + 1])
-                    .map(|m| {
-                        let owner = owner_of(rank, n1 + m - offset);
-                        (layout.displ(owner), layout.count(owner))
-                    })
-                    .collect()
-            })
-            .collect();
-        let msgs = {
-            let sends: Vec<GatherSendSpec<'_>> = (0..areas)
-                .map(|a| GatherSendSpec {
-                    to: (rank + n1 + starts[a]) % n,
-                    tag,
-                    src: out,
-                    spans: &span_lists[a],
-                })
-                .collect();
-            let recvs: Vec<RecvSpec> = (0..areas)
-                .map(|a| RecvSpec {
-                    from: (rank + n - (n1 + starts[a]) % n) % n,
-                    tag,
-                })
-                .collect();
-            ep.round_gather(&sends, &recvs)?
-        };
-        for (a, msg) in (0..areas).zip(msgs) {
-            let mut at = 0usize;
-            for m in starts[a]..starts[a + 1] {
-                let owner = owner_of(rank, n1 + m);
-                let len = layout.count(owner);
-                if at + len > msg.payload.len() {
-                    return Err(NetError::App("allgatherv tail underrun".into()));
-                }
-                out[layout.range(owner)].copy_from_slice(&msg.payload[at..at + len]);
-                at += len;
-            }
-            if at != msg.payload.len() {
-                return Err(NetError::App("allgatherv tail overrun".into()));
-            }
-            ep.charge_copy(at as u64);
-            ep.recycle(msg.payload);
-        }
-    }
+    let program = RankProgram::lower_allgatherv(ep.ports(), rank, layout.counts());
+    run_program_into(ep, &program, myblock, out)?;
     Ok(layout)
 }
 

@@ -332,7 +332,9 @@ impl<'m> Planner<'m> {
     /// for an `n×n` row-major per-pair size matrix (`sizes[i·n + j]` =
     /// bytes rank `i` sends rank `j`; the diagonal never travels).
     ///
-    /// Matches the executors' geometry exactly: the direct phase skips
+    /// Matches the lowering's geometry exactly
+    /// ([`RankProgram::lower_vindex`](crate::program::RankProgram::lower_vindex)),
+    /// as the schedule read off its programs shows: the direct phase skips
     /// distances no pair uses and charges each round its largest
     /// message; the padded phase is the uniform index at the global
     /// maximum count; two-phase is the uniform index at the quota plus
@@ -379,8 +381,8 @@ impl<'m> Planner<'m> {
     ///
     /// Deterministic in `(n, k, sizes, model)`: ranks holding the same
     /// size matrix (as established by the metadata round) and the same
-    /// model provably pick the same plan, so the SPMD executors never
-    /// diverge.
+    /// model provably pick the same plan, so every rank lowers the same
+    /// member.
     ///
     /// # Panics
     ///
@@ -634,7 +636,7 @@ impl SizeProfile {
 /// values strictly between `0` and the maximum (a zero quota *is* the
 /// direct plan; a max quota *is* the padded plan — both already in the
 /// candidate set). The first entry, when present, is the default quota
-/// executors use for a forced two-phase run.
+/// of a forced two-phase run.
 #[must_use]
 pub fn quota_candidates(n: usize, sizes: &[u64]) -> Vec<usize> {
     assert_eq!(sizes.len(), n * n, "quota: need an n×n size matrix");

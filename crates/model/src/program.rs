@@ -15,9 +15,11 @@
 //! *descriptors*. The schedules are translation-invariant, so nothing in
 //! a program is an `n`-entry table: a transfer's bytes are a [`Span`] (a
 //! [`SlotSet`], §3.2's digit test read as contiguous *runs*, or byte runs
-//! every rank shares), a local phase a [`BlockPerm`] or a
-//! [`ProgramOp::Place`] of input bytes. The lowerings *are* the §3 and §4
-//! algorithms — no other executable form of either exists — and
+//! of the work buffer or the input), a local phase a [`BlockPerm`], a
+//! [`ProgramOp::Place`] of input bytes or a [`ProgramOp::Strip`] into a
+//! buffer of another length. The lowerings *are* the §3 and §4
+//! algorithms and their non-uniform generalizations — no other executable
+//! form of any of them exists — and
 //! [`RankMachine`] is their one interpreter, driven on threads by
 //! `bruck-collectives`, on a worker pool by the TCP fabric and over
 //! in-memory mail by [`simulate`]; `bruck-sched` reads the wire schedule
@@ -36,7 +38,11 @@
 //!   a transpose, an inter-node index over node bundles;
 //! * [`ConcatLowering`] — §4's circulant concatenation with its byte-
 //!   partitioned last round, and the ring, recursive-doubling and
-//!   gather + broadcast baselines.
+//!   gather + broadcast baselines;
+//! * [`RankProgram::lower_vindex`] — the non-uniform index family of a
+//!   [`VIndexPlan`] (direct, padded, two-phase) over a size matrix;
+//! * [`RankProgram::lower_allgatherv`] — the circulant concatenation of
+//!   ragged blocks, in their final layout.
 //!
 //! The tests sweep [`simulate`] against the transpose and concatenation
 //! oracles, so a lowering bug is caught in pure math, far from any socket.
@@ -45,13 +51,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::partition::{concat_last_round, Area, ColumnSlice, Preference};
-use crate::planner::IndexPlan;
+use crate::planner::{IndexPlan, VIndexPlan};
 use crate::radix::{ceil_log, pow};
 
 /// Bit position separating the phase namespace from the `(subphase,
 /// step)` tag of a round. Flat tags are `(x << 32) | z` — far below this
 /// for any realistic `n` — and the two hierarchical phases sit at
-/// `1 << PHASE_SHIFT` and `2 << PHASE_SHIFT`. Kept below bit 40 so
+/// `1 << PHASE_SHIFT` and `2 << PHASE_SHIFT`, a non-uniform exchange's
+/// uniform phase at the first. Kept below bit 40 so
 /// program tags survive epoch-shifted group contexts (`EPOCH_SHIFT` in
 /// `bruck-net`) without aliasing.
 pub const PHASE_SHIFT: u32 = 37;
@@ -117,6 +124,9 @@ pub enum Span {
         /// Bytes every run is moved down by.
         back: usize,
     },
+    /// Byte runs of the caller's input, for a send: a non-uniform exchange
+    /// sends each block's bytes from where the caller left them.
+    InputBytes(Arc<[(usize, usize)]>),
 }
 
 impl Span {
@@ -125,7 +135,9 @@ impl Span {
     pub fn bytes(&self, block: usize) -> usize {
         match self {
             Self::Slots(slots) | Self::Input(slots) => slots.blocks() * block,
-            Self::Bytes { runs, .. } => runs.iter().map(|&(_, len)| len).sum(),
+            Self::Bytes { runs, .. } | Self::InputBytes(runs) => {
+                runs.iter().map(|&(_, len)| len).sum()
+            }
         }
     }
 
@@ -138,11 +150,8 @@ impl Span {
                     f(at, len);
                 }
             }
-            Self::Bytes { runs, back } => {
-                for &(at, len) in runs.iter() {
-                    f(at - back, len);
-                }
-            }
+            Self::Bytes { runs, back } => runs.iter().for_each(|&(at, len)| f(at - back, len)),
+            Self::InputBytes(runs) => runs.iter().for_each(|&(at, len)| f(at, len)),
         }
     }
 
@@ -151,21 +160,23 @@ impl Span {
     /// stays inside `n` blocks.
     fn fits(&self, n: usize, block: usize, input: usize, work: usize) -> bool {
         let limit = if self.in_input() { input } else { work };
-        match self {
+        let (runs, back) = match self {
             Self::Slots(s) | Self::Input(s) => {
-                s.groups * s.unit <= n && s.groups * s.unit * block <= limit
+                return s.groups * s.unit <= n && s.groups * s.unit * block <= limit
             }
-            Self::Bytes { runs, back } => runs.iter().all(|&(at, len)| {
-                at.checked_sub(*back)
-                    .and_then(|at| at.checked_add(len))
-                    .is_some_and(|end| end <= limit)
-            }),
-        }
+            Self::Bytes { runs, back } => (runs, *back),
+            Self::InputBytes(runs) => (runs, 0),
+        };
+        runs.iter().all(|&(at, len)| {
+            at.checked_sub(back)
+                .and_then(|at| at.checked_add(len))
+                .is_some_and(|end| end <= limit)
+        })
     }
 
     /// Whether the span names the input rather than the work buffer.
     fn in_input(&self) -> bool {
-        matches!(self, Self::Input(_))
+        matches!(self, Self::Input(_) | Self::InputBytes(_))
     }
 }
 
@@ -270,12 +281,21 @@ pub enum ProgramOp {
         /// Bytes copied.
         len: usize,
     },
+    /// Copy `(from, to, len)` runs of the work buffer into a `len`-byte
+    /// buffer, which becomes the work buffer: a padded exchange's
+    /// reflection and stripping, in one pass.
+    Strip {
+        /// `(offset in the work buffer, offset in the new one, bytes)`.
+        runs: Vec<(usize, usize, usize)>,
+        /// Bytes of the new buffer.
+        len: usize,
+    },
     /// One communication round.
     Round(ProgramRound),
 }
 
 /// A complete per-rank schedule for one all-to-all: an ordered list of
-/// local ops and k-port rounds over an `n·b`-byte work buffer, run by a
+/// local ops and k-port rounds over a work buffer, run by a
 /// [`RankMachine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankProgram {
@@ -288,6 +308,9 @@ pub struct RankProgram {
     /// Bytes of the caller's input: `n·b` for an index, `b` for a
     /// concatenation.
     pub input: usize,
+    /// Bytes of the work buffer the program opens on: `n·b` for the
+    /// uniform algorithms.
+    pub work: usize,
     /// Ordered operation list.
     pub ops: Vec<ProgramOp>,
 }
@@ -367,8 +390,179 @@ impl RankProgram {
             rank,
             block,
             input: n * block,
+            work: n * block,
             ops,
         })
+    }
+
+    /// Lower one member of the non-uniform index family (Fan et al.,
+    /// arXiv:2411.02581) for one rank. `sizes` is the `n×n` row-major
+    /// matrix every rank holds after the metadata round (`sizes[i·n + j]`
+    /// bytes go from rank `i` to rank `j`), `displs[j]` the input offset
+    /// of this rank's block for `j`; the output is the dense receive
+    /// layout, one block per source in rank order.
+    ///
+    /// Let `q` be the plan's uniform block: `0` for direct, the largest
+    /// travelling entry `bmax` for padded, the quota clamped to `bmax`
+    /// for two-phase. A `q > 0` program places the first `q` bytes of
+    /// each block at its rotated slot of an `n·q` buffer (Phase 1), runs
+    /// the radix-`r` digit rounds at block `q`, and strips the slots into
+    /// the receive layout (Phase 3). Then every program places its own
+    /// block and moves the bytes above `q` direct: the distances `d` at
+    /// which some pair has any, `k` per round, tag `d`, each send one run
+    /// of the input and each receive one run of the layout.
+    ///
+    /// # Errors
+    ///
+    /// A message for `rank ≥ n`, a matrix or displacement list of the
+    /// wrong length, and a send block, receive layout or `n·q` buffer
+    /// that overflows `usize`.
+    pub fn lower_vindex(
+        plan: &VIndexPlan,
+        n: usize,
+        ports: usize,
+        rank: usize,
+        sizes: &[usize],
+        displs: &[usize],
+    ) -> Result<Self, String> {
+        if rank >= n || sizes.len() != n * n || displs.len() != n {
+            let lens = (sizes.len(), displs.len());
+            return Err(format!(
+                "lower: rank {rank}, (sizes, displs) {lens:?} for n = {n}"
+            ));
+        }
+        let k = ports.max(1);
+        let overflow = |what: &str| format!("alltoallv: {what} overflows usize");
+        let row = &sizes[rank * n..][..n];
+        let input = (0..n)
+            .try_fold(0, |end, j| Some(displs[j].checked_add(row[j])?.max(end)))
+            .ok_or_else(|| overflow("a send block"))?;
+        // Receive offsets: the column's prefix sums, its total last.
+        let mut at = vec![0usize];
+        for src in 0..n {
+            let end = at[src].checked_add(sizes[src * n + rank]);
+            at.push(end.ok_or_else(|| overflow("the receive layout"))?);
+        }
+        let bmax = (0..n * n).filter(|e| e / n != e % n).map(|e| sizes[e]);
+        let bmax = bmax.max().unwrap_or(0);
+        let (radix, q) = match *plan {
+            VIndexPlan::Direct => (2, 0),
+            VIndexPlan::Padded { radix } => (radix, bmax),
+            VIndexPlan::TwoPhase { radix, quota } => (radix, quota.min(bmax)),
+        };
+        let count = |src: usize| at[src + 1] - at[src];
+        let (mut ops, mut work) = (Vec::new(), at[n]);
+        if q > 0 {
+            let buffer = ["quota buffer", "padded buffer"][usize::from(q == bmax)];
+            work = n.checked_mul(q).ok_or_else(|| overflow(buffer))?;
+            for j in (0..n).filter(|&j| j != rank) {
+                ops.push(place(displs[j], (j + n - rank) % n * q, row[j].min(q)));
+            }
+            let phase = 1 << PHASE_SHIFT;
+            digit_rounds(&mut ops, n, rank, uniform(radix), 1, k, |g| g, phase);
+            // Slot u holds the head of the block from rank − u.
+            let head = |src: usize| ((rank + n - src) % n * q, at[src], count(src).min(q));
+            let runs = (0..n).filter(|&src| src != rank).map(head).collect();
+            ops.push(ProgramOp::Strip { runs, len: at[n] });
+        }
+        ops.push(place(displs[rank], at[rank], row[rank]));
+        for group in active_distances(n, sizes, q).chunks(k) {
+            let mut round = ProgramRound::default();
+            for &d in group {
+                let (to, from, tag) = ((rank + d) % n, (rank + n - d) % n, d as u64);
+                if row[to] > q {
+                    let span = Span::InputBytes([(displs[to] + q, row[to] - q)].into());
+                    round.sends.push(ProgramXfer {
+                        peer: to,
+                        tag,
+                        span,
+                    });
+                }
+                let tail = count(from).saturating_sub(q);
+                if tail > 0 {
+                    let runs = [(at[from] + q, tail)].into();
+                    round.recvs.push(ProgramXfer::bytes(from, tag, runs, 0));
+                }
+            }
+            ops.push(ProgramOp::Round(round));
+        }
+        let block = q;
+        Ok(Self {
+            n,
+            rank,
+            block,
+            input,
+            work,
+            ops,
+        })
+    }
+
+    /// Lower the circulant allgatherv (Jocksch et al., arXiv:2006.13112)
+    /// for one rank: rank `v` contributes `counts[v]` bytes and ends with
+    /// every block at its offset of the dense layout. The program works in
+    /// that layout throughout, so it needs no permute: it places its own
+    /// block, and each round of §4's circulant algorithm sends the blocks
+    /// of the ranks `(v − len, v]` — at most two runs of the layout. Round
+    /// `i < ⌈log_{k+1} n⌉ − 1` (tag `i`) sends the `(k+1)^i` latest blocks
+    /// to `v + j·(k+1)^i`; the last splits the `n − (k+1)^i` missing ones
+    /// column-aligned over at most `k` offsets.
+    ///
+    /// # Panics
+    ///
+    /// If `rank ≥ counts.len()` or the counts sum past `usize::MAX`.
+    #[must_use]
+    pub fn lower_allgatherv(ports: usize, rank: usize, counts: &[usize]) -> Self {
+        let (n, k) = (counts.len(), ports.max(1));
+        let mut at = vec![0usize];
+        for (v, &count) in counts.iter().enumerate() {
+            at.push(at[v] + count);
+        }
+        // The blocks of the `len` ranks up to `hi`, ascending.
+        let window = |hi: usize, len: usize| -> Arc<[(usize, usize)]> {
+            let lo = (hi + 1 + n - len) % n;
+            let run = |a: usize, b: usize| (at[a], at[b] - at[a]);
+            if lo + len <= n {
+                [run(lo, lo + len)].into()
+            } else {
+                [run(lo, n), run(0, lo + len - n)].into()
+            }
+        };
+        let xfers = |round: &mut ProgramRound, offset: usize, len: usize, tag: u64| {
+            let (to, from) = ((rank + offset) % n, (rank + n - offset % n) % n);
+            round
+                .sends
+                .push(ProgramXfer::bytes(to, tag, window(rank, len), 0));
+            round
+                .recvs
+                .push(ProgramXfer::bytes(from, tag, window(from, len), 0));
+        };
+        let mut ops = vec![place(0, at[rank], counts[rank])];
+        let d = ceil_log(k + 1, n);
+        for i in 0..d.saturating_sub(1) {
+            let (cur, mut round) = (pow(k + 1, i), ProgramRound::default());
+            (1..=k).for_each(|j| xfers(&mut round, j * cur, cur, i.into()));
+            ops.push(ProgramOp::Round(round));
+        }
+        if n > 1 {
+            let n1 = pow(k + 1, d - 1);
+            let (n2, mut round, mut start) = (n - n1, ProgramRound::default(), 0);
+            let areas = k.min(n2);
+            for a in 0..areas {
+                let len = n2 / areas + usize::from(a < n2 % areas);
+                xfers(&mut round, n1 + start, len, (d - 1).into());
+                start += len;
+            }
+            ops.push(ProgramOp::Round(round));
+        }
+        let (input, work) = (counts[rank], at[n]);
+        Self {
+            n,
+            rank,
+            block: 0,
+            input,
+            work,
+            ops,
+        }
     }
 
     /// Number of communication rounds in the program.
@@ -380,15 +574,17 @@ impl RankProgram {
             .count()
     }
 
-    /// The local passes a run makes over its `n·b` buffer: every permute,
-    /// plus the copy-in of a program that opens with neither a permute nor
-    /// a place. A driver that wants the result in a given buffer reads
-    /// where to start from this count's parity (see [`RankMachine::step`]).
+    /// The local passes a run makes from one buffer into another: every
+    /// permute and strip, plus the copy-in of a program that opens with
+    /// neither a permute nor a place. A driver that wants the result in a
+    /// given buffer reads where to start from this count's parity (see
+    /// [`RankMachine::step`]).
     #[must_use]
     pub fn passes(&self) -> usize {
-        let is_permute = |op: &ProgramOp| matches!(op, ProgramOp::Permute(_));
-        let permutes = self.ops.iter().filter(|op| is_permute(op)).count();
-        permutes + usize::from(self.copies_in())
+        let is_pass =
+            |op: &ProgramOp| matches!(op, ProgramOp::Permute(_) | ProgramOp::Strip { .. });
+        let passes = self.ops.iter().filter(|op| is_pass(op)).count();
+        passes + usize::from(self.copies_in())
     }
 
     /// Whether the machine copies the input in before the first round:
@@ -400,51 +596,58 @@ impl RankProgram {
     /// The one shape check [`RankMachine::new`] makes before it indexes
     /// its buffers with these descriptors (every field is public, so they
     /// may have been recombined): every permute covers exactly the `n`
-    /// blocks (an XOR one a power-of-two count of them), every place and
-    /// span stays inside the buffer it touches (the input for a send that
-    /// reads it, else the `n·b` work buffer), no receive reads the input,
-    /// and a program that copies its input in has an `n·b` one.
+    /// blocks of an `n·b` buffer (an XOR one a power-of-two count of
+    /// them), every place, span and strip run stays inside the buffers it
+    /// touches (the input for a send that reads it, else the work buffer
+    /// as the strips before it left its length), no receive reads the
+    /// input, and a program that copies its input in has a `work`-byte one.
     ///
     /// # Errors
     ///
     /// Names the first op that does not fit.
     pub fn check_shape(&self) -> Result<(), String> {
-        let (n, block, input) = (self.n, self.block, self.input);
-        let work = n * block;
+        let (n, block, input, rank) = (self.n, self.block, self.input, self.rank);
         let within =
             |at: usize, len: usize, limit: usize| at.checked_add(len).is_some_and(|e| e <= limit);
-        let fits = |op: &ProgramOp| match op {
-            ProgramOp::Permute(p) => {
-                let onto = match p.kind {
-                    PermKind::Transpose { rows, cols } => rows * cols == p.groups,
-                    PermKind::Xor { with } => p.groups.is_power_of_two() && with < p.groups,
-                    PermKind::Rotate { .. } | PermKind::Reflect { .. } => true,
-                };
-                onto && p.groups * p.unit == n
-            }
-            ProgramOp::Place { from, to, len } => {
-                within(*from, *len, input) && within(*to, *len, work)
-            }
-            ProgramOp::Round(r) => {
-                let send = |x: &ProgramXfer| x.span.fits(n, block, input, work);
-                let recv =
-                    |x: &ProgramXfer| !x.span.in_input() && x.span.fits(n, block, input, work);
-                r.sends.iter().all(send) && r.recvs.iter().all(recv)
-            }
-        };
-        if self.copies_in() && input != work {
+        if self.copies_in() && input != self.work {
+            let work = self.work;
             return Err(format!(
-                "rank {}: copies a {input}-byte input into an n·b = {work} buffer",
-                self.rank
+                "rank {rank}: copies a {input}-byte input into a {work}-byte (n·b) buffer"
             ));
         }
-        match self.ops.iter().position(|op| !fits(op)) {
-            Some(i) => Err(format!(
-                "rank {}: op {i} does not fit an n = {} buffer",
-                self.rank, self.n
-            )),
-            None => Ok(()),
+        let mut work = self.work;
+        for (i, op) in self.ops.iter().enumerate() {
+            let fits = match op {
+                ProgramOp::Permute(p) => {
+                    let onto = match p.kind {
+                        PermKind::Transpose { rows, cols } => rows * cols == p.groups,
+                        PermKind::Xor { with } => p.groups.is_power_of_two() && with < p.groups,
+                        PermKind::Rotate { .. } | PermKind::Reflect { .. } => true,
+                    };
+                    onto && p.groups * p.unit == n && n.checked_mul(block) == Some(work)
+                }
+                ProgramOp::Place { from, to, len } => {
+                    within(*from, *len, input) && within(*to, *len, work)
+                }
+                ProgramOp::Round(r) => {
+                    let send = |x: &ProgramXfer| x.span.fits(n, block, input, work);
+                    let recv = |x: &ProgramXfer| !x.span.in_input() && send(x);
+                    r.sends.iter().all(send) && r.recvs.iter().all(recv)
+                }
+                ProgramOp::Strip { runs, len } => {
+                    let run = |&(from, to, l): &(usize, usize, usize)| {
+                        within(from, l, work) && within(to, l, *len)
+                    };
+                    let fits = runs.iter().all(run);
+                    work = *len;
+                    fits
+                }
+            };
+            if !fits {
+                return Err(format!("rank {rank}: op {i} does not fit its buffers"));
+            }
         }
+        Ok(())
     }
 }
 
@@ -506,8 +709,24 @@ fn bruck_ops(
     }
     // Phase 1: upward rotation, tmp[u] = old[(u + m) mod n_g].
     ops.push(permute(PermKind::Rotate { by: m }, n_g, unit));
-    // Phase 2: the digit rounds, one subphase per digit position until
-    // the weights reach n_g.
+    digit_rounds(ops, n_g, m, radices, unit, k, peer, tag_base);
+    // Phase 3: inverse placement, out[j] = tmp[(m - j) mod n_g].
+    ops.push(permute(PermKind::Reflect { about: m }, n_g, unit));
+}
+
+/// Phase 2 of [`bruck_ops`]: the digit rounds, one subphase per digit
+/// position until the weights reach `n_g`, grouped `k` per round.
+#[allow(clippy::too_many_arguments)] // bruck_ops' arguments, passed on
+fn digit_rounds(
+    ops: &mut Vec<ProgramOp>,
+    n_g: usize,
+    m: usize,
+    radices: impl Iterator<Item = usize>,
+    unit: usize,
+    k: usize,
+    peer: impl Fn(usize) -> usize,
+    tag_base: u64,
+) {
     let mut stride = 1usize;
     for (x, r) in radices.enumerate() {
         if stride >= n_g {
@@ -541,8 +760,15 @@ fn bruck_ops(
         }
         stride *= r;
     }
-    // Phase 3: inverse placement, out[j] = tmp[(m - j) mod n_g].
-    ops.push(permute(PermKind::Reflect { about: m }, n_g, unit));
+}
+
+/// Distances `1..n` at which at least one pair moves `> floor` bytes,
+/// under the globally-shared matrix — every rank derives the same
+/// list, so the chunked rounds never desynchronize.
+fn active_distances(n: usize, sizes: &[usize], floor: usize) -> Vec<usize> {
+    (1..n)
+        .filter(|&d| (0..n).any(|i| sizes[i * n + (i + d) % n] > floor))
+        .collect()
 }
 
 /// The one block `s` of an `n`-block buffer: §3.2's digit test in radix
@@ -816,6 +1042,7 @@ impl ConcatLowering {
             rank,
             block: b,
             input: b,
+            work: n * b,
             ops,
         }
     }
@@ -980,7 +1207,8 @@ fn one_port(to: usize, send: SlotSet, from: usize, recv: SlotSet, tag: u64) -> P
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action<'p> {
     /// A local op copied this many bytes: a permute or the copy-in of a
-    /// program that opens with a round (`n·b`), or a place.
+    /// program that opens with a round (the whole buffer), a place or a
+    /// strip (its runs).
     Local(usize),
     /// Post this round's sends, gathered from the spans' runs of
     /// [`RankMachine::source`], before [delivering](RankMachine::deliver)
@@ -1002,9 +1230,10 @@ pub enum Action<'p> {
 /// The data stays in `input` until the first local op (the first permute
 /// reads it in place; a place copies bytes of it into the work buffer; a
 /// program that opens with a round copies it all in, since rounds scatter
-/// into the buffer they send from). A permute writes the `scratch` the
-/// driver lends to `step` and hands the old `work` back in its place, so
-/// a driver of many ranks keeps one spare `n·b` buffer, not one per rank.
+/// into the buffer they send from). A permute or strip writes the
+/// `scratch` the driver lends to `step` and hands the old `work` back in
+/// its place, so a driver of many ranks keeps one spare buffer, not one
+/// per rank.
 #[derive(Debug)]
 pub struct RankMachine<'p, B> {
     program: &'p RankProgram,
@@ -1022,8 +1251,8 @@ pub struct RankMachine<'p, B> {
 
 impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     /// A machine at the start of `program`, over `input` (the rank's
-    /// [`RankProgram::input`] bytes, only ever read) and an `n·b`-byte
-    /// `work` buffer.
+    /// [`RankProgram::input`] bytes, only ever read) and a `work` buffer
+    /// of [`RankProgram::work`] bytes.
     ///
     /// # Errors
     ///
@@ -1032,12 +1261,11 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     /// size.
     pub fn new(program: &'p RankProgram, input: &'p [u8], work: B) -> Result<Self, String> {
         program.check_shape()?;
-        let (len, rank) = (program.n * program.block, program.rank);
+        let (want, rank) = ((program.input, program.work), program.rank);
         let sizes = (input.len(), work.as_ref().len());
-        if sizes != (program.input, len) {
+        if sizes != want {
             return Err(format!(
-                "rank {rank}: (input, work) must be ({}, n·b = {len}) bytes, not {sizes:?}",
-                program.input
+                "rank {rank}: (input, work) must be {want:?} bytes (n·b for an index), not {sizes:?}"
             ));
         }
         Ok(Self {
@@ -1051,15 +1279,32 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         })
     }
 
-    /// Advance to the next thing the driver must do. `scratch` must be
-    /// `n·b` bytes: a permute (or copy-in) writes it and swaps it with
-    /// the work buffer, so the result ends in the buffer first lent as
-    /// scratch when [`RankProgram::passes`] is odd, else in `work`.
+    /// Advance to the next thing the driver must do. A permute (or
+    /// copy-in) or strip writes `scratch` and swaps it with the work
+    /// buffer, so the result ends in the buffer first lent as scratch when
+    /// [`RankProgram::passes`] is odd, else in `work`. `scratch` must have
+    /// the length the pass writes: a strip's declared one, else the work
+    /// buffer's.
     pub fn step(&mut self, scratch: &mut B) -> Action<'p> {
+        let len = self.scratch_len();
         match self.program.ops.get(self.at) {
             Some(ProgramOp::Permute(perm)) => {
                 self.at += 1;
-                self.pass(scratch, Some(perm))
+                let block = self.program.block;
+                self.pass(scratch, len, |old, new| {
+                    perm.apply(block, old, new);
+                    len
+                })
+            }
+            Some(ProgramOp::Strip { runs, .. }) => {
+                self.at += 1;
+                self.pass(scratch, len, |old, new| {
+                    let copy = |&(from, to, l): &(usize, usize, usize)| {
+                        new[to..to + l].copy_from_slice(&old[from..from + l]);
+                        l
+                    };
+                    runs.iter().map(copy).sum()
+                })
             }
             Some(&ProgramOp::Place { from, to, len }) => {
                 self.at += 1;
@@ -1067,7 +1312,12 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
                 self.fresh = false;
                 Action::Local(len)
             }
-            None | Some(ProgramOp::Round(_)) if self.fresh => self.pass(scratch, None),
+            None | Some(ProgramOp::Round(_)) if self.fresh => {
+                self.pass(scratch, len, |old, new| {
+                    new.copy_from_slice(old);
+                    len
+                })
+            }
             None => Action::Done,
             Some(ProgramOp::Round(round)) if self.left > 0 => Action::Await(round),
             Some(ProgramOp::Round(round)) => {
@@ -1080,18 +1330,29 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
         }
     }
 
-    /// One pass into `scratch` — `perm` applied, or the input copied in —
-    /// which then becomes the work buffer.
-    fn pass(&mut self, scratch: &mut B, perm: Option<&BlockPerm>) -> Action<'p> {
-        let (src, dst) = (self.buffer(), scratch.as_mut());
-        assert_eq!(dst.len(), src.len(), "scratch must be n·b bytes");
-        match perm {
-            Some(perm) => perm.apply(self.program.block, src, dst),
-            None => dst.copy_from_slice(src),
+    /// The bytes of scratch the next [`step`](Self::step) writes if it is
+    /// a pass: a strip's declared length, else the buffer's.
+    fn scratch_len(&self) -> usize {
+        match self.program.ops.get(self.at) {
+            Some(ProgramOp::Strip { len, .. }) => *len,
+            _ => self.buffer().len(),
         }
+    }
+
+    /// One pass `copy(old, new)` into the `len`-byte `scratch`, which then
+    /// becomes the work buffer; `copy` returns the bytes it moved.
+    fn pass(
+        &mut self,
+        scratch: &mut B,
+        len: usize,
+        copy: impl FnOnce(&[u8], &mut [u8]) -> usize,
+    ) -> Action<'p> {
+        let (old, new) = (self.buffer(), scratch.as_mut());
+        assert_eq!(new.len(), len, "scratch must be the pass's {len} bytes");
+        let copied = copy(old, new);
         std::mem::swap(&mut self.work, scratch);
         self.fresh = false;
-        Action::Local(self.work.as_ref().len())
+        Action::Local(copied)
     }
 
     /// Take one message of the awaited round and scatter it into the
@@ -1186,7 +1447,7 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
 /// Run a program set with perfect in-memory message delivery: each
 /// rank's [`RankMachine`], in rank order, as far as its mail allows, until
 /// none can move. `inputs[r]` is rank `r`'s input; the result is each
-/// rank's `n·b` output. `after_op(rank, op, data)` sees every op a rank
+/// rank's output. `after_op(rank, op, data)` sees every op a rank
 /// completes, with the data as that op left it.
 ///
 /// # Errors
@@ -1203,19 +1464,11 @@ pub fn simulate<'p>(
     if counts.0 != counts.1 {
         return Err(format!("simulate: (inputs, programs) = {counts:?}"));
     }
-    let len = programs.first().map_or(0, |p| p.n * p.block);
-    if let Some(p) = programs.iter().find(|p| p.n * p.block != len) {
-        return Err(format!(
-            "simulate: rank {} works on {} bytes, not {len}",
-            p.rank,
-            p.n * p.block
-        ));
-    }
     let machine =
-        |(p, input): (&'p RankProgram, &'p Vec<u8>)| RankMachine::new(p, input, vec![0; len]);
+        |(p, input): (&'p RankProgram, &'p Vec<u8>)| RankMachine::new(p, input, vec![0; p.work]);
     let machines: Result<Vec<_>, _> = programs.iter().zip(inputs).map(machine).collect();
     let mut machines = machines.map_err(|e| format!("simulate: {e}"))?;
-    let mut scratch = vec![0; len];
+    let mut scratch = Vec::new();
     // Sent and not yet delivered, keyed by (dst, src, tag).
     let mut mail: HashMap<(usize, usize, u64), Vec<u8>> = HashMap::new();
     let mut moved = true;
@@ -1223,6 +1476,7 @@ pub fn simulate<'p>(
         for (r, m) in machines.iter_mut().enumerate() {
             loop {
                 let at = m.completed();
+                scratch.resize(m.scratch_len(), 0);
                 match m.step(&mut scratch) {
                     Action::Local(_) => {}
                     Action::Send(round) => {
@@ -1453,7 +1707,7 @@ mod tests {
     fn max_message_blocks(p: &RankProgram) -> usize {
         let widest = |op: &ProgramOp| match op {
             ProgramOp::Round(r) => r.sends.iter().map(|x| x.span.bytes(1)).max(),
-            ProgramOp::Permute(_) | ProgramOp::Place { .. } => None,
+            _ => None,
         };
         p.ops.iter().filter_map(widest).max().unwrap_or(0)
     }
@@ -1516,6 +1770,7 @@ mod tests {
                     sends: xfers(&r.sends),
                     recvs: xfers(&r.recvs),
                 },
+                ProgramOp::Strip { .. } => unreachable!("no index program strips"),
             })
             .collect()
     }
@@ -1600,6 +1855,100 @@ mod tests {
         p.ops[0] = permute(PermKind::Xor { with: 5 }, 8, 1);
         p.n = 8;
         p.check_shape().unwrap();
+
+        // Rank 1 of a two-phase exchange on 3 ranks: two places, the quota
+        // phase's two rounds, a strip, the own place, a tail round.
+        let sizes = [1, 5, 2, 3, 0, 4, 6, 2, 1];
+        let plan = VIndexPlan::TwoPhase { radix: 2, quota: 2 };
+        let good = RankProgram::lower_vindex(&plan, 3, 2, 1, &sizes, &[0, 3, 3]).unwrap();
+        good.check_shape().unwrap();
+        let strip = good.ops.len() - 3;
+        let tail = good.ops.len() - 1;
+        assert!(matches!(good.ops[strip], ProgramOp::Strip { len: 7, .. }));
+        for edit in [
+            // A strip run read past the n·q buffer, one written past the
+            // declared length, a declared length too short for them.
+            &(|p: &mut RankProgram| {
+                let ProgramOp::Strip { runs, .. } = &mut p.ops[strip] else {
+                    unreachable!()
+                };
+                runs[0].0 = 5;
+            }) as &dyn Fn(&mut RankProgram),
+            &|p| {
+                let ProgramOp::Strip { runs, .. } = &mut p.ops[strip] else {
+                    unreachable!()
+                };
+                runs[1].1 = 6;
+            },
+            &|p| {
+                let ProgramOp::Strip { len, .. } = &mut p.ops[strip] else {
+                    unreachable!()
+                };
+                *len = 4;
+            },
+            // An input run past the send buffer, a tail run past the layout.
+            &|p| {
+                let ProgramOp::Round(r) = &mut p.ops[tail] else {
+                    unreachable!()
+                };
+                r.sends[0].span = Span::InputBytes(vec![(4, 4)].into());
+            },
+            &|p| {
+                let ProgramOp::Round(r) = &mut p.ops[tail] else {
+                    unreachable!()
+                };
+                r.recvs[0].span = Span::Bytes {
+                    runs: vec![(5, 3)].into(),
+                    back: 0,
+                };
+            },
+        ] {
+            let mut p = good.clone();
+            edit(&mut p);
+            let err = p.check_shape().unwrap_err();
+            assert!(err.contains("op ") && err.contains("does not fit"), "{err}");
+            assert!(RankMachine::new(&p, &[0; 7], vec![0; 6]).is_err());
+        }
+        // A declared work length the places overrun.
+        let mut p = good.clone();
+        p.work = 3;
+        assert!(p.check_shape().unwrap_err().contains("op 0"));
+    }
+
+    #[test]
+    fn active_distance_floor() {
+        // 3 ranks, only 0→1 carries data (size 4).
+        let sizes = [0, 4, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(active_distances(3, &sizes, 0), vec![1]);
+        assert_eq!(active_distances(3, &sizes, 3), vec![1]);
+        assert!(active_distances(3, &sizes, 4).is_empty());
+    }
+
+    /// A matrix whose `n·bmax` (and `n·q` below it) overflows `usize` is
+    /// refused by name, before any buffer is sized; this rank's own
+    /// blocks and column are empty, so nothing else overflows first.
+    #[test]
+    fn padded_and_quota_buffers_that_overflow_are_refused() {
+        let huge = usize::MAX / 2;
+        let sizes = [0, 0, 0, 0, 0, huge, 0, 0, 0];
+        let lower = |plan| RankProgram::lower_vindex(&plan, 3, 1, 0, &sizes, &[0; 3]);
+        let padded = lower(VIndexPlan::Padded { radix: 2 }).unwrap_err();
+        assert!(padded.contains("padded buffer overflows usize"), "{padded}");
+        let quota = lower(VIndexPlan::TwoPhase {
+            radix: 2,
+            quota: huge - 1,
+        })
+        .unwrap_err();
+        assert!(quota.contains("quota buffer overflows usize"), "{quota}");
+        // A quota at or past the maximum is the padded member.
+        let past = lower(VIndexPlan::TwoPhase {
+            radix: 3,
+            quota: huge,
+        })
+        .unwrap_err();
+        assert!(past.contains("padded buffer"), "{past}");
+        // Direct sizes no buffer by the maximum: it lowers.
+        lower(VIndexPlan::Direct).unwrap();
     }
 
     #[test]
@@ -2045,16 +2394,16 @@ mod tests {
         inputs: &'p [Vec<u8>],
         mut tamper: impl FnMut(&mut RankMachine<'p, Vec<u8>>, usize, (usize, u64, &[u8])) -> bool,
     ) -> Vec<RankMachine<'p, Vec<u8>>> {
-        let len = programs[0].n * programs[0].block;
         let mut machines: Vec<_> = programs
             .iter()
             .zip(inputs)
-            .map(|(p, input)| RankMachine::new(p, input, vec![0; len]).unwrap())
+            .map(|(p, input)| RankMachine::new(p, input, vec![0; p.work]).unwrap())
             .collect();
-        let (mut scratch, mut mail, mut moved) = (vec![0; len], HashMap::new(), true);
+        let (mut scratch, mut mail, mut moved) = (Vec::new(), HashMap::new(), true);
         while std::mem::take(&mut moved) {
             for (r, m) in machines.iter_mut().enumerate() {
                 loop {
+                    scratch.resize(m.scratch_len(), 0);
                     match m.step(&mut scratch) {
                         Action::Local(_) => {}
                         Action::Send(round) => {
@@ -2102,14 +2451,115 @@ mod tests {
         (0..lowering.n()).map(|r| lowering.program(r)).collect()
     }
 
+    /// Every rank's non-uniform exchange of `plan` over the row-major size
+    /// matrix `sizes`, each rank's send blocks dense: programs, inputs and
+    /// the expected outputs (every source's block for the rank, dense).
+    fn v_set(
+        plan: &VIndexPlan,
+        n: usize,
+        k: usize,
+        sizes: &[usize],
+    ) -> (Vec<RankProgram>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let block = |i: usize, j: usize| (0..sizes[i * n + j]).map(move |p| pattern(i, j, p, 0));
+        let program = |rank: usize| {
+            let row = &sizes[rank * n..][..n];
+            let displs: Vec<usize> = (0..n).map(|j| row[..j].iter().sum()).collect();
+            RankProgram::lower_vindex(plan, n, k, rank, sizes, &displs).unwrap()
+        };
+        (
+            (0..n).map(program).collect(),
+            (0..n)
+                .map(|i| (0..n).flat_map(|j| block(i, j)).collect())
+                .collect(),
+            (0..n)
+                .map(|j| (0..n).flat_map(|i| block(i, j)).collect())
+                .collect(),
+        )
+    }
+
+    /// Every rank's allgatherv of `counts[r]`-byte blocks: programs,
+    /// inputs and the expected output (every block, dense) on each rank.
+    fn allgatherv_set(
+        k: usize,
+        counts: &[usize],
+    ) -> (Vec<RankProgram>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let n = counts.len();
+        let input = |r: usize| {
+            (0..counts[r])
+                .map(|p| pattern(r, 0, p, 0))
+                .collect::<Vec<u8>>()
+        };
+        (
+            (0..n)
+                .map(|r| RankProgram::lower_allgatherv(k, r, counts))
+                .collect(),
+            (0..n).map(input).collect(),
+            vec![(0..n).flat_map(input).collect(); n],
+        )
+    }
+
+    /// Drive one program set, offering each genuine delivery, half the
+    /// time, a seeded mutation first: a changed peer or tag, a short or
+    /// long payload, a second copy. None may panic; each must be refused
+    /// by name with the buffer untouched, or be by chance the genuine
+    /// delivery; every rank must end on `expected`; and a done machine
+    /// must refuse whatever comes after. Returns the mutations by kind.
+    fn mutated_run(
+        next: &dyn Fn() -> usize,
+        label: &str,
+        programs: &[RankProgram],
+        inputs: &[Vec<u8>],
+        expected: &[Vec<u8>],
+    ) -> [usize; 5] {
+        let (n, mut kinds) = (programs.len(), [0usize; 5]);
+        let machines = drive(programs, inputs, |m, rank, genuine| {
+            if next().is_multiple_of(2) {
+                return false;
+            }
+            let (peer, tag, payload) = genuine;
+            let (mut p, mut t, mut bytes) = (peer, tag, payload.to_vec());
+            let kind = next() % 5;
+            match kind {
+                0 => p = next() % (n + 2),
+                1 => t ^= 1 << (next() % 40),
+                2 if !bytes.is_empty() => bytes.truncate(next() % bytes.len()),
+                2 | 3 => bytes.resize(bytes.len() + 1 + next() % 3, 0xA5),
+                _ => m.deliver(peer, tag, payload).expect("genuine delivery"),
+            }
+            kinds[kind] += 1;
+            let taken = try_deliver(m, rank, (p, t, &bytes)).is_ok();
+            assert!(kind < 4 || !taken, "{label}: a second copy was taken");
+            // Taken means it was the genuine delivery after all.
+            assert!(
+                !taken || (p, t, &bytes[..]) == genuine,
+                "{label}: took {p} {t}"
+            );
+            taken || kind == 4
+        });
+        for (rank, mut m) in machines.into_iter().enumerate() {
+            let after = (
+                next() % n,
+                next() as u64 % (3 << 32),
+                &[0u8; 2][..next() % 3],
+            );
+            assert!(
+                try_deliver(&mut m, rank, after).is_err(),
+                "{label}: taken after done"
+            );
+            let got = m.into_work();
+            assert_eq!(got, expected[rank], "{label} rank={rank}");
+        }
+        kinds
+    }
+
     /// 10 000 seeded malformed deliveries over random lowered programs
     /// (every index plan family and every concatenation, n ≤ 64, k ≤ 3,
-    /// b ≤ 3), each offered to the receiving machine just before the
-    /// genuine one: a changed peer or tag, a short or long payload, a
-    /// second copy. None panics; each is refused by name with the buffer
-    /// untouched, or is by chance the genuine delivery; every rank still
-    /// ends on the transpose or concatenation oracle; and a done machine
-    /// refuses whatever comes after.
+    /// b ≤ 3), then the same stream over the non-uniform family (direct,
+    /// padded, two-phase and allgatherv in turn, n ≤ 32, ragged blocks of
+    /// 0–4 bytes) until each member has seen 500: every mutation kind
+    /// [`mutated_run`] makes, each refused by name or the genuine
+    /// delivery, every rank still on the transpose, concatenation or
+    /// non-uniform oracle.
     #[test]
     fn mutated_deliveries_are_refused_and_never_corrupt_a_result() {
         let rng = std::cell::Cell::new(0x5eed_u64);
@@ -2158,63 +2608,49 @@ mod tests {
                 8 => ConcatLowering::recursive_doubling(1 << (1 + next() % 6), block).ok(),
                 _ => None,
             };
-            let (label, n, programs, inputs, expected): (_, _, Vec<_>, Vec<_>, Vec<_>) =
-                match &concat {
-                    None => (
-                        format!("{} n={n} k={k} b={block}", plan.label()),
-                        n,
-                        (0..n)
-                            .map(|r| RankProgram::lower(&plan, n, r, block, k).unwrap())
-                            .collect(),
-                        (0..n).map(|r| input(r, n, block)).collect(),
-                        (0..n).map(|r| expected(r, n, block)).collect(),
-                    ),
-                    Some(c) => (
-                        format!("concat {family} {pref:?} n={} k={k} b={block}", c.n()),
-                        c.n(),
-                        concat_programs(c),
-                        (0..c.n()).map(|r| concat_input(r, block)).collect(),
-                        vec![concat_expected(c.n(), block); c.n()],
-                    ),
-                };
-            let machines = drive(&programs, &inputs, |m, rank, genuine| {
-                if next() % 2 == 0 {
-                    return false;
-                }
-                let (peer, tag, payload) = genuine;
-                let (mut p, mut t, mut bytes) = (peer, tag, payload.to_vec());
-                let kind = next() % 5;
-                match kind {
-                    0 => p = next() % (n + 2),
-                    1 => t ^= 1 << (next() % 40),
-                    2 if !bytes.is_empty() => bytes.truncate(next() % bytes.len()),
-                    2 | 3 => bytes.resize(bytes.len() + 1 + next() % 3, 0xA5),
-                    _ => m.deliver(peer, tag, payload).expect("genuine delivery"),
-                }
-                (kinds[kind], mutated) = (kinds[kind] + 1, mutated + 1);
-                let taken = try_deliver(m, rank, (p, t, &bytes)).is_ok();
-                assert!(kind < 4 || !taken, "{label}: a second copy was taken");
-                // Taken means it was the genuine delivery after all.
-                assert!(
-                    !taken || (p, t, &bytes[..]) == genuine,
-                    "{label}: took {p} {t}"
-                );
-                taken || kind == 4
-            });
-            for (rank, mut m) in machines.into_iter().enumerate() {
-                let after = (
-                    next() % n,
-                    next() as u64 % (3 << 32),
-                    &[0u8; 2][..next() % 3],
-                );
-                assert!(
-                    try_deliver(&mut m, rank, after).is_err(),
-                    "{label}: taken after done"
-                );
-                let got = m.into_work();
-                assert_eq!(got, expected[rank], "{label} rank={rank}");
+            let (label, programs, inputs, expected): (_, Vec<_>, Vec<_>, Vec<_>) = match &concat {
+                None => (
+                    format!("{} n={n} k={k} b={block}", plan.label()),
+                    (0..n)
+                        .map(|r| RankProgram::lower(&plan, n, r, block, k).unwrap())
+                        .collect(),
+                    (0..n).map(|r| input(r, n, block)).collect(),
+                    (0..n).map(|r| expected(r, n, block)).collect(),
+                ),
+                Some(c) => (
+                    format!("concat {family} {pref:?} n={} k={k} b={block}", c.n()),
+                    concat_programs(c),
+                    (0..c.n()).map(|r| concat_input(r, block)).collect(),
+                    vec![concat_expected(c.n(), block); c.n()],
+                ),
+            };
+            let made = mutated_run(&next, &label, &programs, &inputs, &expected);
+            for (hits, more) in kinds.iter_mut().zip(made) {
+                (*hits, mutated) = (*hits + more, mutated + more);
             }
         }
         assert!(kinds.iter().all(|&hits| hits >= 1_000), "{kinds:?}");
+
+        let mut members = [0usize; 4];
+        for member in (0..4).cycle() {
+            if members.iter().all(|&hits| hits >= 500) {
+                break;
+            }
+            let (n, k) = (2 + next() % 31, 1 + next() % 3);
+            let sizes: Vec<usize> = (0..n * n).map(|_| next() % 5).collect();
+            let (radix, quota) = (2 + next() % 3, 1 + next() % 3);
+            let plans = [
+                VIndexPlan::Direct,
+                VIndexPlan::Padded { radix },
+                VIndexPlan::TwoPhase { radix, quota },
+            ];
+            let (label, (programs, inputs, expected)) = match plans.get(member) {
+                Some(plan) => (plan.label(), v_set(plan, n, k, &sizes)),
+                None => ("allgatherv".into(), allgatherv_set(k, &sizes[..n])),
+            };
+            let label = format!("{label} n={n} k={k}");
+            let made = mutated_run(&next, &label, &programs, &inputs, &expected);
+            members[member] += made.iter().sum::<usize>();
+        }
     }
 }

@@ -2345,7 +2345,7 @@ fn run_chunk<'a>(
         .map(|((rank, (transport, mut work)), (program, input))| {
             // Deliveries to this rank wake this thread.
             let _ = shared.fabric.owners[rank].set(std::thread::current());
-            work.resize(program.n * program.block, 0);
+            work.resize(program.work, 0);
             let machine = RankMachine::new(program, input, work)
                 .expect("lowered programs fit their checked inputs");
             RankCtx {

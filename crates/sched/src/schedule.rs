@@ -129,7 +129,7 @@ impl Schedule {
     fn add_program(&mut self, program: &RankProgram) {
         let sent = program.ops.iter().filter_map(|op| match op {
             ProgramOp::Round(round) => Some(&round.sends),
-            ProgramOp::Permute(_) | ProgramOp::Place { .. } => None,
+            ProgramOp::Permute(_) | ProgramOp::Place { .. } | ProgramOp::Strip { .. } => None,
         });
         for (i, sends) in sent.enumerate() {
             if self.rounds.len() == i {
