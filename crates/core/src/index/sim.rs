@@ -11,7 +11,7 @@
 //! algorithm, not a model of it.
 
 use bruck_model::planner::IndexPlan;
-use bruck_model::program::{simulate, ProgramOp, RankProgram};
+use bruck_model::program::{simulate, RankProgram};
 
 /// A processor-memory configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,8 +97,9 @@ pub fn snapshots(n: usize, r: usize) -> Vec<Snapshot> {
         configs[op + 1].cells[rank] = cells.collect();
     })
     .expect("lowered programs run");
-    let label = |op: usize| match &ops[op] {
-        ProgramOp::Round(round) => {
+    let round = |op: usize| programs[0].round(&ops[op]);
+    let label = |op: usize| match round(op) {
+        Some(round) => {
             let tag = round.sends[0].tag;
             let (x, z) = (tag >> 32, tag & u64::from(u32::MAX));
             format!("after subphase {x} step {z}")

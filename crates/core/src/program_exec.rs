@@ -120,7 +120,7 @@ fn interpret<C: Comm + ?Sized>(
             Action::Send(round) => {
                 spans.clear();
                 ends.clear();
-                for s in &round.sends {
+                for s in round.sends {
                     s.span
                         .for_each_run(program.block, |at, len| spans.push((at, len)));
                     ends.push(spans.len());
@@ -170,7 +170,7 @@ mod tests {
     use bruck_model::mixed_radix::MixedRadix;
     use bruck_model::partition::Preference;
     use bruck_model::planner::{Planner, VIndexPlan};
-    use bruck_model::program::{simulate, ProgramOp};
+    use bruck_model::program::simulate;
     use bruck_model::radix::ceil_log;
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
@@ -484,13 +484,9 @@ mod tests {
             let plan = IndexPlan::Radix(r);
             let charged = copy_charge(&plan, n, 1, block, per_byte);
             let program = RankProgram::lower(&plan, n, 0, block, 1).unwrap();
-            let received: usize = program
-                .ops
-                .iter()
-                .map(|op| match op {
-                    ProgramOp::Round(round) => round.recvs.iter().map(|x| x.span.bytes(1)).sum(),
-                    _ => 0,
-                })
+            let rounds = program.ops.iter().filter_map(|op| program.round(op));
+            let received: usize = rounds
+                .map(|round| round.recvs.iter().map(|x| x.span.bytes(1)).sum::<usize>())
                 .sum();
             let expected = per_byte * (2 * n * block + received * block) as f64;
             assert!(

@@ -2491,7 +2491,7 @@ impl RankCtx<'_> {
                 Action::Local(copied) => self.metrics.bytes_copied += copied as u64,
                 Action::Send(round) => {
                     let started = Instant::now();
-                    for s in &round.sends {
+                    for s in round.sends {
                         let mut payload = pool.acquire_empty(bytes(s));
                         self.machine.pack(s, &mut payload);
                         self.transport.send(Message {
@@ -2511,7 +2511,7 @@ impl RankCtx<'_> {
                 Action::Await(round) => {
                     // A receive that has landed finds nothing: its
                     // message was taken.
-                    for r in &round.recvs {
+                    for r in round.recvs {
                         let Some(msg) = self.transport.try_match(r.peer, r.tag)? else {
                             continue;
                         };

@@ -1,7 +1,7 @@
 //! The schedule data structure and its invariants.
 
 use bruck_model::planner::IndexPlan;
-use bruck_model::program::{ConcatLowering, ProgramOp, RankProgram};
+use bruck_model::program::{ConcatLowering, RankProgram};
 use bruck_net::trace::Trace;
 
 /// One rank's view of one round: `(dst, bytes)` sends and `src` receives.
@@ -75,7 +75,7 @@ impl Schedule {
     }
 
     /// The wire schedule of a lowered program set: round `i` holds every
-    /// rank's `i`-th [`ProgramOp::Round`] sends, each message sized by its
+    /// rank's `i`-th [`RankProgram::round`] sends, each message sized by its
     /// slot descriptor. Programs are what executes, so a schedule read
     /// off them cannot describe a different algorithm than the one that
     /// runs.
@@ -127,11 +127,8 @@ impl Schedule {
     /// Append one rank's sends, round by round (unsorted until
     /// [`sort_rounds`](Self::sort_rounds)).
     fn add_program(&mut self, program: &RankProgram) {
-        let sent = program.ops.iter().filter_map(|op| match op {
-            ProgramOp::Round(round) => Some(&round.sends),
-            ProgramOp::Permute(_) | ProgramOp::Place { .. } | ProgramOp::Strip { .. } => None,
-        });
-        for (i, sends) in sent.enumerate() {
+        let sent = program.ops.iter().filter_map(|op| program.round(op));
+        for (i, sends) in sent.map(|round| round.sends).enumerate() {
             if self.rounds.len() == i {
                 let transfers = Vec::with_capacity(self.n * sends.len());
                 self.rounds.push(Round { transfers });
@@ -204,10 +201,12 @@ impl Schedule {
     ///
     /// A description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        let (mut sends, mut recvs) = (vec![0usize; self.n], vec![0usize; self.n]);
         for (ri, round) in self.rounds.iter().enumerate() {
-            let mut sends = vec![0usize; self.n];
-            let mut recvs = vec![0usize; self.n];
-            let mut seen = std::collections::HashSet::new();
+            sends.fill(0);
+            recvs.fill(0);
+            // Sorted by (src, dst): a repeated pair follows its twin.
+            let mut last = None;
             for t in &round.transfers {
                 if t.src >= self.n || t.dst >= self.n {
                     return Err(format!("round {ri}: rank out of range in {t:?}"));
@@ -215,7 +214,7 @@ impl Schedule {
                 if t.src == t.dst {
                     return Err(format!("round {ri}: self-send in {t:?}"));
                 }
-                if !seen.insert((t.src, t.dst)) {
+                if last.replace((t.src, t.dst)) == Some((t.src, t.dst)) {
                     return Err(format!("round {ri}: duplicate pair {} → {}", t.src, t.dst));
                 }
                 sends[t.src] += 1;
