@@ -26,6 +26,12 @@ done
 if grep -n '\.round(\|\.round_gather(' crates/core/src/vbruck.rs crates/core/src/vops.rs; then
     echo "ci/check.sh: vbruck.rs / vops.rs run a round by hand; lower a program instead" >&2; exit 1
 fi
+# So is every reduction and scan (RankProgram::lower_{reduce,
+# reduce_scatter, allreduce, scan}): reduce.rs and scan.rs lower a program
+# and hand it to program_exec.
+if grep -n '\.round(\|\.round_gather(\|send_and_recv' crates/core/src/reduce.rs crates/core/src/scan.rs; then
+    echo "ci/check.sh: reduce.rs / scan.rs run a round by hand; lower a program instead" >&2; exit 1
+fi
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -183,8 +189,9 @@ timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations
 # rank machine every substrate drives: each malformed delivery (unknown
 # or repeated (peer, tag), wrong length, after done) is an error naming
 # rank, peer and tag with the buffer untouched, over 10 000 seeded
-# mutations of random lowered index and concatenation programs; a
-# hand-built span, place or copy-in that does not fit its buffer is
+# mutations of random lowered index and concatenation programs, then the
+# non-uniform and reduction ones; a hand-built span, place, fold or
+# copy-in that does not fit its buffer is
 # refused before any byte moves; and Figs. 1–3 read off the machine
 # running the radix programs. Planning rests on closed forms
 # too: the uniform and mixed radix costs against the enumerated block
@@ -213,14 +220,19 @@ timeout 120 cargo test -q --release --test paper_artifacts
 # an n²-byte allocation at n = 1024 — counted by a per-thread counting
 # global allocator.
 cargo test -q --test lowering_allocations
-# By name and in release, the concatenations' programs in pure math:
-# every algorithm, both last-round preferences, n ≤ 64 and
-# {127, 128, 200, 256}, k ≤ 4, b ∈ {0, 1, 2, 3, 5, 16}, simulated onto the
-# oracle, and the threaded runs of a sample equal to their simulation.
+# By name and in release, the concatenations' and reductions' programs in
+# pure math: every concatenation, both last-round preferences, n ≤ 64 and
+# {127, 128, 200, 256}, k ≤ 4, b ∈ {0, 1, 2, 3, 5, 16}; every reduction
+# and scan, every operator, n ≤ 33 and {64, 100, 128}, k ≤ 4, five vector
+# lengths, the reduce at every root — each simulated onto its oracle (a
+# local fold on integer-valued lanes, bit for bit), its schedule on the
+# closed form, and the threaded runs of a sample equal to their simulation.
 cargo test -q --release -p bruck-collectives --lib --no-run
 timeout 120 cargo test -q --release -p bruck-collectives --lib -- \
     program_exec::tests::concat_programs_simulate \
-    program_exec::tests::concat_threaded_runs
+    program_exec::tests::concat_threaded_runs \
+    program_exec::tests::reduction_programs_simulate \
+    program_exec::tests::reduction_threaded_runs
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

@@ -1,10 +1,10 @@
-//! Supporting collective primitives: broadcast, gather, and scatter along
-//! `(k+1)`-ary spanning trees.
+//! Supporting collective primitives: broadcast and gather along
+//! `(k+1)`-ary spanning trees, and a dissemination barrier.
 //!
 //! These are the building blocks the paper's CCL library context assumes
 //! (its §1 lists broadcast/scatter/gather alongside index and
-//! concatenation); the folklore concatenation baseline composes two of
-//! them. All three run in the k-port model in `⌈log_{k+1} n⌉` rounds.
+//! concatenation); the folklore concatenation baseline composes the first
+//! two. Each runs in the k-port model in `⌈log_{k+1} n⌉` rounds.
 
 use bruck_model::spanning_tree::SpanningTree;
 use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
@@ -143,95 +143,6 @@ pub fn gather<C: Comm + ?Sized>(
     Ok((rank == root).then_some(buf))
 }
 
-/// Scatter: `root` holds `n` blocks of `b` bytes (block `i` destined for
-/// rank `i`); every rank returns its own block. `data` is significant
-/// only at `root`; `block` is the per-rank block size.
-///
-/// # Errors
-///
-/// Network failures propagate; [`NetError::App`] on size mismatches.
-pub fn scatter<C: Comm + ?Sized>(
-    ep: &mut C,
-    root: usize,
-    data: &[u8],
-    block: usize,
-) -> Result<Vec<u8>, NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    if rank == root && data.len() != n * block {
-        return Err(NetError::App(
-            "scatter buffer must be n·b bytes at root".into(),
-        ));
-    }
-    if n == 1 {
-        return Ok(data.to_vec());
-    }
-    let tree = SpanningTree::build(n, ep.ports(), root);
-    // Every rank stores the bundle for its own subtree once received.
-    let mut bundle: Option<Vec<u8>> = (rank == root).then(|| data.to_vec());
-    for g in 0..tree.num_rounds() {
-        let edges = tree.edges_in_round(g);
-        let outgoing: Vec<usize> = edges
-            .iter()
-            .filter(|e| e.from == rank)
-            .map(|e| e.to)
-            .collect();
-        let incoming: Option<usize> = edges.iter().find(|e| e.to == rank).map(|e| e.from);
-        // Build per-child bundles from our own bundle.
-        let own = if rank == root {
-            (0..n).collect::<Vec<_>>()
-        } else {
-            subtree(&tree, rank)
-        };
-        let staged: Vec<(usize, Vec<u8>)> = outgoing
-            .iter()
-            .map(|&c| {
-                let blocks = subtree(&tree, c);
-                let held = bundle.as_deref().expect("must hold bundle before sending");
-                let mut payload = Vec::with_capacity(blocks.len() * block);
-                for &i in &blocks {
-                    let slot = own
-                        .iter()
-                        .position(|&x| x == i)
-                        .expect("child ⊆ own subtree");
-                    payload.extend_from_slice(&held[slot * block..(slot + 1) * block]);
-                }
-                (c, payload)
-            })
-            .collect();
-        let sends: Vec<SendSpec<'_>> = staged
-            .iter()
-            .map(|(c, payload)| SendSpec {
-                to: *c,
-                tag: u64::from(g),
-                payload,
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = incoming
-            .map(|from| RecvSpec {
-                from,
-                tag: u64::from(g),
-            })
-            .into_iter()
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        if incoming.is_some() {
-            bundle = Some(msgs.into_iter().next().expect("one recv requested").payload);
-        }
-    }
-    let own = if rank == root {
-        (0..n).collect::<Vec<_>>()
-    } else {
-        subtree(&tree, rank)
-    };
-    let held = bundle.expect("scatter reaches every rank");
-    let slot = own
-        .iter()
-        .position(|&x| x == rank)
-        .expect("own subtree contains self");
-    Ok(held[slot * block..(slot + 1) * block].to_vec())
-}
-
 /// Dissemination barrier: no rank returns until every rank has entered.
 ///
 /// This is exactly the circulant concatenation's communication pattern
@@ -326,29 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_own_block() {
-        for (n, k, root) in [(6usize, 1usize, 0usize), (9, 2, 3), (13, 3, 5)] {
-            let cfg = ClusterConfig::new(n).with_ports(k);
-            let out = Cluster::run(&cfg, |ep| {
-                let data: Vec<u8> = if ep.rank() == root {
-                    crate::verify::concat_expected(n, 3)
-                } else {
-                    Vec::new()
-                };
-                scatter(ep, root, &data, 3)
-            })
-            .unwrap();
-            for (rank, r) in out.results.iter().enumerate() {
-                assert_eq!(
-                    r,
-                    &crate::verify::concat_input(rank, 3),
-                    "n={n} rank={rank}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dissemination_barrier_round_count() {
         for (n, k, want) in [(8usize, 1usize, 3u64), (9, 2, 2), (10, 3, 2), (5, 4, 1)] {
             let cfg = ClusterConfig::new(n).with_ports(k);
@@ -375,25 +263,5 @@ mod tests {
         for (rank, &t) in out.results.iter().enumerate() {
             assert!(t >= 5e-3, "rank {rank} left the barrier at {t}");
         }
-    }
-
-    #[test]
-    fn scatter_then_gather_round_trips() {
-        let n = 8;
-        let cfg = ClusterConfig::new(n);
-        let out = Cluster::run(&cfg, |ep| {
-            let data: Vec<u8> = if ep.rank() == 0 {
-                crate::verify::concat_expected(n, 4)
-            } else {
-                Vec::new()
-            };
-            let mine = scatter(ep, 0, &data, 4)?;
-            gather(ep, 0, &mine)
-        })
-        .unwrap();
-        assert_eq!(
-            out.results[0].as_ref().unwrap(),
-            &crate::verify::concat_expected(n, 4)
-        );
     }
 }

@@ -3,112 +3,21 @@
 //!
 //! The paper situates index and concatenation inside IBM's Collective
 //! Communication Library, whose users compose them with reductions for
-//! "basic linear algebra operations" (§1.1). Two allreduce strategies are
-//! provided, bracketing the same trade-off the index radix exposes:
-//!
-//! * [`allreduce_via_concat`] — every rank contributes its vector via the
-//!   **circulant concatenation** and reduces locally. Round-optimal
-//!   (`⌈log_{k+1} n⌉`), data-heavy (`O(n·m)` received per rank): the
-//!   right choice for short vectors, exactly like small-radix index.
-//! * [`allreduce_halving_doubling`] — recursive halving reduce-scatter
-//!   followed by recursive doubling allgather (power-of-two `n`,
-//!   one-port): `2·log₂ n` rounds, `O(m)` data — the long-vector choice.
+//! "basic linear algebra operations" (§1.1). Here the composition is
+//! literal: each reduction is a lowered [`RankProgram`] run by
+//! [`run_program_into`], its received lanes combined by a
+//! [`ProgramOp::Fold`]. [`reduce_scatter`] is the circulant concatenation
+//! run backwards, in `⌈log_{k+1} n⌉` rounds and `(n−1)·⌈m/n⌉` lanes
+//! received, and [`allreduce`] is that followed by the concatenation
+//! itself (Jocksch et al., arXiv:2006.13112) — `2⌈log_{k+1} n⌉` rounds,
+//! any `n`, `k` and length.
 
-use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
+use bruck_model::program::{ProgramOp, RankProgram};
+use bruck_net::{Comm, NetError};
 
-use crate::concat::ConcatAlgorithm;
-use crate::primitives;
+use crate::program_exec::run_program_into;
 
-/// The reduction operator, applied element-wise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Element-wise sum.
-    Sum,
-    /// Element-wise minimum.
-    Min,
-    /// Element-wise maximum.
-    Max,
-}
-
-impl ReduceOp {
-    /// Apply the operator to a pair.
-    #[must_use]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            Self::Sum => a + b,
-            Self::Min => a.min(b),
-            Self::Max => a.max(b),
-        }
-    }
-
-    /// Fold `src` into `dst` element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn fold_into(self, dst: &mut [f64], src: &[f64]) {
-        assert_eq!(dst.len(), src.len(), "reduction length mismatch");
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = self.apply(*d, s);
-        }
-    }
-}
-
-pub(crate) fn encode(v: &[f64]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-/// [`encode`] into a caller-provided buffer of `v.len() * 8` bytes.
-pub(crate) fn encode_into(v: &[f64], out: &mut [u8]) {
-    debug_assert_eq!(out.len(), v.len() * 8);
-    for (chunk, x) in out.chunks_exact_mut(8).zip(v) {
-        chunk.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
-pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<f64>, NetError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(NetError::App(
-            "f64 payload not a multiple of 8 bytes".into(),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect())
-}
-
-/// [`decode`] into a caller-provided slice of `bytes.len() / 8` values.
-pub(crate) fn decode_into(bytes: &[u8], dst: &mut [f64]) -> Result<(), NetError> {
-    if bytes.len() != dst.len() * 8 {
-        return Err(NetError::App(format!(
-            "f64 payload is {} bytes, expected {}",
-            bytes.len(),
-            dst.len() * 8
-        )));
-    }
-    for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
-        *d = f64::from_le_bytes(c.try_into().expect("chunk of 8"));
-    }
-    Ok(())
-}
-
-/// Fold an encoded f64 vector into `dst` element-wise without decoding
-/// to a temporary (the operators are commutative, so the fold order does
-/// not matter).
-pub(crate) fn fold_bytes_into(op: ReduceOp, dst: &mut [f64], bytes: &[u8]) -> Result<(), NetError> {
-    if bytes.len() != dst.len() * 8 {
-        return Err(NetError::App(format!(
-            "f64 payload is {} bytes, expected {}",
-            bytes.len(),
-            dst.len() * 8
-        )));
-    }
-    for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
-        *d = op.apply(*d, f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-    }
-    Ok(())
-}
+pub use bruck_model::program::ReduceOp;
 
 /// Reduce every rank's vector to `root` along the (k+1)-ary spanning
 /// tree (partial reductions folded at every internal node). Returns
@@ -116,359 +25,78 @@ pub(crate) fn fold_bytes_into(op: ReduceOp, dst: &mut [f64], bytes: &[u8]) -> Re
 ///
 /// # Errors
 ///
-/// Network failures propagate; length mismatches surface as
-/// [`NetError::App`].
+/// Network failures propagate; a delivery the program refuses (a vector
+/// length that differs across ranks) is [`NetError::App`].
+///
+/// # Panics
+///
+/// If `root` is not a rank.
 pub fn reduce<C: Comm + ?Sized>(
     ep: &mut C,
     root: usize,
     data: &[f64],
     op: ReduceOp,
 ) -> Result<Option<Vec<f64>>, NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    if n == 1 {
-        return Ok(Some(data.to_vec()));
-    }
-    let tree = bruck_model::spanning_tree::SpanningTree::build(n, ep.ports(), root);
-    let mut acc = data.to_vec();
-    for g in (0..tree.num_rounds()).rev() {
-        let edges = tree.edges_in_round(g);
-        let parent = edges.iter().find(|e| e.to == rank).map(|e| e.from);
-        let children: Vec<usize> = edges
-            .iter()
-            .filter(|e| e.from == rank)
-            .map(|e| e.to)
-            .collect();
-        let payload = parent
-            .map(|_| {
-                let mut p = ep.acquire(acc.len() * 8);
-                encode_into(&acc, &mut p);
-                p
-            })
-            .unwrap_or_default();
-        let sends: Vec<SendSpec<'_>> = parent
-            .map(|p| SendSpec {
-                to: p,
-                tag: u64::from(g),
-                payload: &payload,
-            })
-            .into_iter()
-            .collect();
-        let recvs: Vec<RecvSpec> = children
-            .iter()
-            .map(|&c| RecvSpec {
-                from: c,
-                tag: u64::from(g),
-            })
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        for msg in &msgs {
-            fold_bytes_into(op, &mut acc, &msg.payload)
-                .map_err(|_| NetError::App("reduce length mismatch across ranks".into()))?;
-        }
-        ep.recycle(payload);
-        for msg in msgs {
-            ep.recycle(msg.payload);
-        }
-    }
+    let (n, k, rank) = (ep.size(), ep.ports(), ep.rank());
+    let program = RankProgram::lower_reduce(n, k, rank, root, data.len(), op);
+    let acc = run(ep, &program, data)?;
     Ok((rank == root).then_some(acc))
 }
 
-/// Allreduce by concatenation: gather all `n` vectors with the paper's
-/// circulant algorithm, reduce locally. Any `n`, any `k`;
-/// `⌈log_{k+1} n⌉` rounds.
+/// Allreduce: every rank ends with the element-wise reduction of every
+/// rank's vector — the reduce-scatter, then the circulant concatenation
+/// of the reduced segments.
 ///
 /// # Errors
 ///
-/// Network failures propagate.
-pub fn allreduce_via_concat<C: Comm + ?Sized>(
+/// Network failures propagate; a delivery the program refuses (a vector
+/// length that differs across ranks) is [`NetError::App`].
+pub fn allreduce<C: Comm + ?Sized>(
     ep: &mut C,
     data: &[f64],
     op: ReduceOp,
 ) -> Result<Vec<f64>, NetError> {
-    let n = ep.size();
-    let m = data.len();
-    let mut mine = ep.acquire(m * 8);
-    encode_into(data, &mut mine);
-    let mut all = ep.acquire(n * m * 8);
-    ConcatAlgorithm::Bruck(Default::default()).run_into(ep, &mine, &mut all)?;
-    ep.recycle(mine);
-    let mut acc = vec![
-        match op {
-            ReduceOp::Sum => 0.0,
-            ReduceOp::Min => f64::INFINITY,
-            ReduceOp::Max => f64::NEG_INFINITY,
-        };
-        m
-    ];
-    for i in 0..n {
-        fold_bytes_into(op, &mut acc, &all[i * m * 8..(i + 1) * m * 8])?;
-    }
-    ep.recycle(all);
-    Ok(acc)
+    let (n, k, rank) = (ep.size(), ep.ports(), ep.rank());
+    let program = RankProgram::lower_allreduce(n, k, rank, data.len(), op);
+    run(ep, &program, data)
 }
 
-/// Allreduce by recursive halving (reduce-scatter) then recursive
-/// doubling (allgather). Requires power-of-two `n` and
-/// `data.len() % n == 0`; one-port. `2·log₂ n` rounds, `≈ 2·m` data.
+/// Reduce-scatter: with `b = ⌈m/n⌉`, every rank ends with the segment
+/// `[rank·b, (rank+1)·b) ∩ [0, m)` of the element-wise reduction — for
+/// `m` divisible by `n`, its `m/n` lanes.
 ///
 /// # Errors
 ///
-/// [`NetError::App`] for unsupported shapes; network failures propagate.
-pub fn allreduce_halving_doubling<C: Comm + ?Sized>(
-    ep: &mut C,
-    data: &[f64],
-    op: ReduceOp,
-) -> Result<Vec<f64>, NetError> {
-    let n = ep.size();
-    if !n.is_power_of_two() {
-        return Err(NetError::App(format!(
-            "halving-doubling allreduce needs a power-of-two n, got {n}"
-        )));
-    }
-    if !data.len().is_multiple_of(n) {
-        return Err(NetError::App(format!(
-            "vector length {} must be divisible by n = {n}",
-            data.len()
-        )));
-    }
-    if n == 1 {
-        return Ok(data.to_vec());
-    }
-    let rank = ep.rank();
-    let w = n.trailing_zeros();
-    let mut buf = data.to_vec();
-
-    // One pooled staging pair serves every round (the first halving round
-    // moves the most: half the vector).
-    let cap = (data.len() / 2) * 8;
-    let mut outbound = ep.acquire(cap);
-    let mut inbound = ep.acquire(cap);
-
-    // Reduce-scatter by recursive halving: after step x, this rank owns
-    // the reduced segment of all ranks sharing its low x+1 bits… tracked
-    // as a shrinking [lo, hi) window over the vector.
-    let mut lo = 0usize;
-    let mut hi = data.len();
-    for x in (0..w).rev() {
-        let partner = rank ^ (1 << x);
-        let mid = lo + (hi - lo) / 2;
-        // The half we keep is the half containing our final segment:
-        // ranks with bit x = 0 keep the low half.
-        let (keep, send) = if rank & (1 << x) == 0 {
-            ((lo, mid), (mid, hi))
-        } else {
-            ((mid, hi), (lo, mid))
-        };
-        let send_bytes = (send.1 - send.0) * 8;
-        encode_into(&buf[send.0..send.1], &mut outbound[..send_bytes]);
-        let got = ep.send_and_recv_into(
-            partner,
-            &outbound[..send_bytes],
-            partner,
-            u64::from(x),
-            &mut inbound,
-        )?;
-        let (keep_lo, keep_hi) = keep;
-        fold_bytes_into(op, &mut buf[keep_lo..keep_hi], &inbound[..got])
-            .map_err(|_| NetError::App("halving segment mismatch".into()))?;
-        lo = keep_lo;
-        hi = keep_hi;
-    }
-
-    // Allgather by recursive doubling: windows merge back.
-    for x in 0..w {
-        let partner = rank ^ (1 << x);
-        let span = hi - lo;
-        encode_into(&buf[lo..hi], &mut outbound[..span * 8]);
-        let got = ep.send_and_recv_into(
-            partner,
-            &outbound[..span * 8],
-            partner,
-            u64::from(w + x),
-            &mut inbound,
-        )?;
-        // Partner's window is the sibling half of the doubled window.
-        let (new_lo, new_hi) = if rank & (1 << x) == 0 {
-            (lo, hi + span)
-        } else {
-            (lo - span, hi)
-        };
-        let partner_lo = if rank & (1 << x) == 0 { hi } else { lo - span };
-        decode_into(&inbound[..got], &mut buf[partner_lo..partner_lo + span])
-            .map_err(|_| NetError::App("doubling segment mismatch".into()))?;
-        lo = new_lo;
-        hi = new_hi;
-    }
-    ep.recycle(outbound);
-    ep.recycle(inbound);
-    debug_assert_eq!((lo, hi), (0, data.len()));
-    Ok(buf)
-}
-
-/// Reduce-scatter: every rank ends with the fully reduced segment
-/// `[rank·m/n, (rank+1)·m/n)` of the element-wise reduction. Implemented
-/// as tree reduce + scatter (any `n`, any `k`).
-///
-/// # Errors
-///
-/// [`NetError::App`] if `data.len() % n != 0`; network failures propagate.
+/// Network failures propagate; a delivery the program refuses (a vector
+/// length that differs across ranks) is [`NetError::App`].
 pub fn reduce_scatter<C: Comm + ?Sized>(
     ep: &mut C,
     data: &[f64],
     op: ReduceOp,
 ) -> Result<Vec<f64>, NetError> {
-    let n = ep.size();
-    if !data.len().is_multiple_of(n) {
-        return Err(NetError::App(format!(
-            "vector length {} must be divisible by n = {n}",
-            data.len()
-        )));
-    }
-    let seg = data.len() / n;
-    let reduced = reduce(ep, 0, data, op)?;
-    let flat = reduced.map(|v| encode(&v)).unwrap_or_default();
-    let mine = primitives::scatter(ep, 0, &flat, seg * 8)?;
-    decode(&mine)
+    let (n, k, rank) = (ep.size(), ep.ports(), ep.rank());
+    let program = RankProgram::lower_reduce_scatter(n, k, rank, data.len(), op);
+    run(ep, &program, data)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bruck_net::{Cluster, ClusterConfig};
-
-    fn input(rank: usize, m: usize) -> Vec<f64> {
-        (0..m).map(|i| (rank * m + i) as f64 * 0.25 - 3.0).collect()
+/// Run a reduction program over `data`'s lanes and return the lanes its
+/// closing strip keeps.
+pub(crate) fn run<C: Comm + ?Sized>(
+    ep: &mut C,
+    program: &RankProgram,
+    data: &[f64],
+) -> Result<Vec<f64>, NetError> {
+    let Some(&ProgramOp::Strip { len, .. }) = program.ops.last() else {
+        unreachable!("a reduction closes with a strip into its result")
+    };
+    let (mut input, mut out) = (ep.acquire(data.len() * 8), ep.acquire(len));
+    for (lane, x) in input.chunks_exact_mut(8).zip(data) {
+        lane.copy_from_slice(&x.to_le_bytes());
     }
-
-    fn expected(n: usize, m: usize, op: ReduceOp) -> Vec<f64> {
-        let mut acc = input(0, m);
-        for r in 1..n {
-            op.fold_into(&mut acc, &input(r, m));
-        }
-        acc
-    }
-
-    #[test]
-    fn reduce_to_each_root() {
-        let n = 9;
-        let m = 5;
-        for root in [0usize, 4, 8] {
-            let cfg = ClusterConfig::new(n).with_ports(2);
-            let out = Cluster::run(&cfg, |ep| {
-                let mine = input(ep.rank(), m);
-                reduce(ep, root, &mine, ReduceOp::Sum)
-            })
-            .unwrap();
-            for (rank, r) in out.results.iter().enumerate() {
-                if rank == root {
-                    let got = r.as_ref().unwrap();
-                    for (g, e) in got.iter().zip(expected(n, m, ReduceOp::Sum)) {
-                        assert!((g - e).abs() < 1e-9);
-                    }
-                } else {
-                    assert!(r.is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_via_concat_all_ops() {
-        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
-            for &(n, k) in &[(5usize, 1usize), (9, 2), (12, 3)] {
-                let m = 7;
-                let cfg = ClusterConfig::new(n).with_ports(k);
-                let out = Cluster::run(&cfg, |ep| {
-                    let mine = input(ep.rank(), m);
-                    allreduce_via_concat(ep, &mine, op)
-                })
-                .unwrap();
-                let want = expected(n, m, op);
-                for r in &out.results {
-                    for (g, e) in r.iter().zip(&want) {
-                        assert!((g - e).abs() < 1e-9, "{op:?} n={n} k={k}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn halving_doubling_matches_concat_path() {
-        for n in [2usize, 4, 8, 16] {
-            let m = 2 * n;
-            let cfg = ClusterConfig::new(n);
-            let out = Cluster::run(&cfg, |ep| {
-                let mine = input(ep.rank(), m);
-                let a = allreduce_halving_doubling(ep, &mine, ReduceOp::Sum)?;
-                let b = allreduce_via_concat(ep, &mine, ReduceOp::Sum)?;
-                Ok((a, b))
-            })
-            .unwrap();
-            for (a, b) in &out.results {
-                for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-9, "n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn halving_doubling_rejects_bad_shapes() {
-        let cfg = ClusterConfig::new(3);
-        let err = Cluster::run(&cfg, |ep| {
-            allreduce_halving_doubling(ep, &[1.0, 2.0, 3.0], ReduceOp::Sum)
-        })
-        .unwrap_err();
-        assert!(matches!(err, NetError::App(_)));
-    }
-
-    #[test]
-    fn reduce_scatter_segments() {
-        let n = 6;
-        let m = 12;
-        let cfg = ClusterConfig::new(n).with_ports(2);
-        let out = Cluster::run(&cfg, |ep| {
-            let mine = input(ep.rank(), m);
-            reduce_scatter(ep, &mine, ReduceOp::Max)
-        })
-        .unwrap();
-        let want = expected(n, m, ReduceOp::Max);
-        let seg = m / n;
-        for (rank, r) in out.results.iter().enumerate() {
-            assert_eq!(r.len(), seg);
-            for (i, g) in r.iter().enumerate() {
-                assert!((g - want[rank * seg + i]).abs() < 1e-9, "rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_round_counts_bracket_the_tradeoff() {
-        // concat path: log2(8) = 3 rounds; halving-doubling: 6 rounds.
-        let n = 8;
-        let m = 8;
-        let cfg = ClusterConfig::new(n);
-        let concat_rounds = Cluster::run(&cfg, |ep| {
-            allreduce_via_concat(ep, &input(ep.rank(), m), ReduceOp::Sum)?;
-            Ok(ep.virtual_time())
-        })
-        .unwrap()
-        .metrics
-        .global_complexity()
-        .unwrap()
-        .c1;
-        let hd_rounds = Cluster::run(&cfg, |ep| {
-            allreduce_halving_doubling(ep, &input(ep.rank(), m), ReduceOp::Sum)?;
-            Ok(())
-        })
-        .unwrap()
-        .metrics
-        .global_complexity()
-        .unwrap()
-        .c1;
-        assert_eq!(concat_rounds, 3);
-        assert_eq!(hd_rounds, 6);
-    }
+    let outcome = run_program_into(ep, program, &input, &mut out);
+    let lane = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("an 8-byte lane"));
+    let result = out.chunks_exact(8).map(lane).collect();
+    ep.recycle(input);
+    ep.recycle(out);
+    outcome.map(|()| result)
 }

@@ -1,72 +1,30 @@
 //! Prefix reductions (`MPI_Scan` / `MPI_Exscan`) over `f64` vectors.
 //!
 //! CCL-style companion operations: rank `i` ends with the reduction of
-//! ranks `0..=i` (inclusive) or `0..i` (exclusive). Implemented with the
-//! Hillis–Steele doubling recursion — `⌈log₂ n⌉` rounds, each rank
-//! exchanging at most one `m`-vector per round — which is exactly the
-//! non-circular cousin of the concatenation's doubling phase.
+//! ranks `0..=i` (inclusive) or `0..i` (exclusive). Both run one lowered
+//! program ([`RankProgram::lower_scan`]), the Hillis–Steele doubling
+//! recursion — `⌈log₂ n⌉` rounds, each rank exchanging at most one
+//! `m`-vector per round — which is exactly the non-circular cousin of the
+//! concatenation's doubling phase.
 
-use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
+use bruck_model::program::RankProgram;
+use bruck_net::{Comm, NetError};
 
-use crate::reduce::{decode, encode_into, ReduceOp};
+use crate::reduce::{run, ReduceOp};
 
 /// Inclusive prefix reduction: rank `i` returns `op(data_0, …, data_i)`.
 ///
 /// # Errors
 ///
-/// Network failures propagate; length mismatches surface as
-/// [`NetError::App`].
+/// Network failures propagate; a delivery the program refuses (a vector
+/// length that differs across ranks) is [`NetError::App`].
 pub fn scan<C: Comm + ?Sized>(
     ep: &mut C,
     data: &[f64],
     op: ReduceOp,
 ) -> Result<Vec<f64>, NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    let mut acc = data.to_vec();
-    if n == 1 {
-        return Ok(acc);
-    }
-    let rounds = bruck_model::radix::ceil_log(2, n);
-    let mut dist = 1usize;
-    let mut payload = ep.acquire(acc.len() * 8);
-    for round in 0..rounds {
-        // Send the running prefix op(data_{rank-dist+1..=rank}) — which is
-        // `acc` — to rank+dist; fold in what arrives from rank-dist.
-        encode_into(&acc, &mut payload);
-        let sends: Vec<SendSpec<'_>> = (rank + dist < n)
-            .then(|| SendSpec {
-                to: rank + dist,
-                tag: u64::from(round),
-                payload: &payload,
-            })
-            .into_iter()
-            .collect();
-        let recvs: Vec<RecvSpec> = (rank >= dist)
-            .then(|| RecvSpec {
-                from: rank - dist,
-                tag: u64::from(round),
-            })
-            .into_iter()
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        if let Some(msg) = msgs.first() {
-            let incoming = decode(&msg.payload)?;
-            if incoming.len() != acc.len() {
-                return Err(NetError::App("scan length mismatch across ranks".into()));
-            }
-            // Prefix order: the incoming covers strictly earlier ranks.
-            let mut merged = incoming;
-            op.fold_into(&mut merged, &acc);
-            acc = merged;
-        }
-        for msg in msgs {
-            ep.recycle(msg.payload);
-        }
-        dist *= 2;
-    }
-    ep.recycle(payload);
-    Ok(acc)
+    let program = RankProgram::lower_scan(ep.size(), ep.rank(), data.len(), op, false);
+    run(ep, &program, data)
 }
 
 /// Exclusive prefix reduction: rank `i` returns `op(data_0, …, data_{i-1})`,
@@ -81,169 +39,7 @@ pub fn exscan<C: Comm + ?Sized>(
     data: &[f64],
     op: ReduceOp,
 ) -> Result<Option<Vec<f64>>, NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    // Shift-by-one on top of the inclusive scan would cost an extra
-    // round; instead run the same recursion but never fold own data in.
-    let mut acc: Option<Vec<f64>> = None;
-    if n == 1 {
-        return Ok(None);
-    }
-    let rounds = bruck_model::radix::ceil_log(2, n);
-    let mut dist = 1usize;
-    let mut carry = vec![0.0f64; data.len()];
-    let mut payload = ep.acquire(data.len() * 8);
-    for round in 0..rounds {
-        // What we forward to rank+dist must cover ranks
-        // [rank-dist+1, rank] — own data plus the exclusive prefix
-        // accumulated so far, *clipped* to that window. The doubling
-        // recursion keeps exactly that window in `carry`.
-        match &acc {
-            // acc covers [rank-dist+1, rank-1]; adding own data covers
-            // the window including rank.
-            Some(prev) => {
-                carry.copy_from_slice(prev);
-                op.fold_into(&mut carry, data);
-            }
-            None => carry.copy_from_slice(data),
-        }
-        encode_into(&carry, &mut payload);
-        let sends: Vec<SendSpec<'_>> = (rank + dist < n)
-            .then(|| SendSpec {
-                to: rank + dist,
-                tag: u64::from(round),
-                payload: &payload,
-            })
-            .into_iter()
-            .collect();
-        let recvs: Vec<RecvSpec> = (rank >= dist)
-            .then(|| RecvSpec {
-                from: rank - dist,
-                tag: u64::from(round),
-            })
-            .into_iter()
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        if let Some(msg) = msgs.first() {
-            let incoming = decode(&msg.payload)?;
-            if incoming.len() != data.len() {
-                return Err(NetError::App("exscan length mismatch across ranks".into()));
-            }
-            acc = Some(match acc {
-                Some(prev) => {
-                    let mut merged = incoming;
-                    op.fold_into(&mut merged, &prev);
-                    merged
-                }
-                None => incoming,
-            });
-        }
-        for msg in msgs {
-            ep.recycle(msg.payload);
-        }
-        dist *= 2;
-    }
-    ep.recycle(payload);
-    Ok(acc)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bruck_net::{Cluster, ClusterConfig};
-
-    fn input(rank: usize, m: usize) -> Vec<f64> {
-        (0..m).map(|i| (rank * 3 + i) as f64 * 0.5 - 1.0).collect()
-    }
-
-    fn prefix(upto_inclusive: usize, m: usize, op: ReduceOp) -> Vec<f64> {
-        let mut acc = input(0, m);
-        for r in 1..=upto_inclusive {
-            op.fold_into(&mut acc, &input(r, m));
-        }
-        acc
-    }
-
-    #[test]
-    fn inclusive_scan_all_ops() {
-        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
-            for n in [1usize, 2, 5, 8, 13] {
-                let m = 4;
-                let cfg = ClusterConfig::new(n);
-                let out = Cluster::run(&cfg, |ep| {
-                    let mine = input(ep.rank(), m);
-                    scan(ep, &mine, op)
-                })
-                .unwrap();
-                for (rank, r) in out.results.iter().enumerate() {
-                    let want = prefix(rank, m, op);
-                    for (g, e) in r.iter().zip(&want) {
-                        assert!((g - e).abs() < 1e-9, "{op:?} n={n} rank={rank}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_shifts_by_one() {
-        let n = 9;
-        let m = 3;
-        let cfg = ClusterConfig::new(n);
-        let out = Cluster::run(&cfg, |ep| {
-            let mine = input(ep.rank(), m);
-            exscan(ep, &mine, ReduceOp::Sum)
-        })
-        .unwrap();
-        assert!(out.results[0].is_none());
-        for rank in 1..n {
-            let got = out.results[rank].as_ref().unwrap();
-            let want = prefix(rank - 1, m, ReduceOp::Sum);
-            for (g, e) in got.iter().zip(&want) {
-                assert!((g - e).abs() < 1e-9, "rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_round_count_is_logarithmic() {
-        let n = 16;
-        let cfg = ClusterConfig::new(n);
-        let out = Cluster::run(&cfg, |ep| {
-            let mine = input(ep.rank(), 2);
-            scan(ep, &mine, ReduceOp::Sum)
-        })
-        .unwrap();
-        assert_eq!(out.metrics.global_complexity().unwrap().c1, 4);
-    }
-
-    #[test]
-    fn scan_and_exscan_compose() {
-        // inclusive = op(exclusive, own) everywhere except rank 0.
-        let n = 7;
-        let m = 5;
-        let cfg = ClusterConfig::new(n);
-        let out = Cluster::run(&cfg, |ep| {
-            let mine = input(ep.rank(), m);
-            let inc = scan(ep, &mine, ReduceOp::Max)?;
-            let exc = exscan(ep, &mine, ReduceOp::Max)?;
-            Ok((mine, inc, exc))
-        })
-        .unwrap();
-        for (rank, (mine, inc, exc)) in out.results.iter().enumerate() {
-            match exc {
-                None => {
-                    assert_eq!(rank, 0);
-                    assert_eq!(inc, mine);
-                }
-                Some(exc) => {
-                    let mut composed = exc.clone();
-                    ReduceOp::Max.fold_into(&mut composed, mine);
-                    for (a, b) in composed.iter().zip(inc) {
-                        assert!((a - b).abs() < 1e-9, "rank={rank}");
-                    }
-                }
-            }
-        }
-    }
+    let program = RankProgram::lower_scan(ep.size(), ep.rank(), data.len(), op, true);
+    let acc = run(ep, &program, data)?;
+    Ok((ep.rank() > 0).then_some(acc))
 }

@@ -52,7 +52,8 @@ pub use cost::{CostModel, HierarchicalModel, LinearModel, LogPModel, PostalModel
 pub use mixed_radix::MixedRadix;
 pub use planner::{ConcatPlan, IndexPlan, PlanChoice, Planner, VIndexPlan};
 pub use program::{
-    BlockPerm, ConcatLowering, ProgramOp, ProgramRound, ProgramXfer, RankProgram, SlotSet, Span,
+    BlockPerm, ConcatLowering, ProgramOp, ProgramRound, ProgramXfer, RankProgram, ReduceOp,
+    SlotSet, Span,
 };
 pub use radix::{ceil_log, RadixDecomposition};
 pub use tuning::WireTuning;

@@ -11,15 +11,15 @@
 //! operations instead of inside them.
 //!
 //! [`RankProgram`] is that shape: pure data — peers, tags and closed-form
-//! *descriptors*, flat: a round is two index ranges into one transfer
-//! list, so a program is two allocations (its ops and its transfers, each
-//! sized from the lowering's closed-form round count). Nothing in it is an
-//! `n`-entry table: a transfer's bytes are a [`Span`] (a [`SlotSet`],
-//! §3.2's digit test read as contiguous *runs*, or byte runs of the work
-//! buffer or the input), a local phase a [`BlockPerm`], a
-//! [`ProgramOp::Place`] of input bytes or a [`ProgramOp::Strip`] into a
-//! buffer of another length. The lowerings *are* the §3 and §4 algorithms
-//! and their non-uniform generalizations — no other executable form of
+//! *descriptors*, flat: a round is two index ranges into one transfer list,
+//! so a program is two allocations (its ops and its transfers, each sized
+//! from the lowering's closed-form round count). Nothing in it is an
+//! `n`-entry table: a transfer's bytes are a [`Span`] (a [`SlotSet`], §3.2's
+//! digit test read as contiguous *runs*, or byte runs of the work buffer or
+//! the input), a local phase a [`BlockPerm`], a [`ProgramOp::Place`] of
+//! input bytes or a [`ProgramOp::Strip`] into a buffer of another length.
+//! The lowerings *are* the §3 and §4 algorithms, their non-uniform
+//! generalizations and the reductions on them — no other executable form of
 //! them exists — and [`RankMachine`] is their one interpreter, driven on
 //! threads by `bruck-collectives`, on a worker pool by the TCP fabric and
 //! over in-memory mail by [`simulate`]; `bruck-sched` reads the wire
@@ -42,7 +42,11 @@
 //! * [`RankProgram::lower_vindex`] — the non-uniform index family of a
 //!   [`VIndexPlan`] (direct, padded, two-phase) over a size matrix;
 //! * [`RankProgram::lower_allgatherv`] — the circulant concatenation of
-//!   ragged blocks, in their final layout.
+//!   ragged blocks, in their final layout;
+//! * [`RankProgram::lower_reduce_scatter`], [`RankProgram::lower_allreduce`],
+//!   [`RankProgram::lower_reduce`] — the circulant concatenation (then again
+//!   forwards) or a tree broadcast run backwards, received lanes
+//!   [folded](ProgramOp::Fold) in; [`RankProgram::lower_scan`] Hillis–Steele.
 //!
 //! The tests sweep [`simulate`] against the transpose and concatenation
 //! oracles, so a lowering bug is caught in pure math, far from any socket.
@@ -271,14 +275,59 @@ impl BlockPerm {
                 mv(0, by, g - by);
                 mv(g - by, 0, by);
             }
-            PermKind::Reflect { about } => (0..g).for_each(|u| mv(u, (about + g - u) % g, 1)),
-            PermKind::Transpose { rows, cols } => {
-                (0..g).for_each(|u| mv(u, (u % rows) * cols + u / rows, 1));
-            }
-            PermKind::Xor { with } => (0..g).for_each(|u| mv(u, u ^ with, 1)),
+            _ => (0..g).for_each(|u| mv(u, self.source(u), 1)),
+        }
+    }
+
+    /// The old group block that new group block `u` is copied from.
+    fn source(&self, u: usize) -> usize {
+        let g = self.groups;
+        match self.kind {
+            PermKind::Rotate { by } => (u + by) % g,
+            PermKind::Reflect { about } => (about + g - u) % g,
+            PermKind::Transpose { rows, cols } => (u % rows) * cols + u / rows,
+            PermKind::Xor { with } => u ^ with,
         }
     }
 }
+
+/// The element-wise operator of a reduction, over `f64` lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceOp {
+    /// Element-wise sum.
+    Sum,
+    /// Element-wise minimum.
+    Min,
+    /// Element-wise maximum.
+    Max,
+}
+
+impl ReduceOp {
+    /// Apply the operator to a pair.
+    #[must_use]
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            Self::Sum => a + b,
+            Self::Min => a.min(b),
+            Self::Max => a.max(b),
+        }
+    }
+
+    /// Fold `src` into `dst` element-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn fold_into(self, dst: &mut [f64], src: &[f64]) {
+        assert_eq!(dst.len(), src.len(), "reduction length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = self.apply(*d, s);
+        }
+    }
+}
+
+/// Bytes of one `f64` lane, the unit of a reduction: no run splits one.
+const LANE: usize = 8;
 
 /// One step of a rank program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,6 +351,19 @@ pub enum ProgramOp {
         /// `(offset in the work buffer, offset in the new one, bytes)`.
         runs: Vec<(usize, usize, usize)>,
         /// Bytes of the new buffer.
+        len: usize,
+    },
+    /// Fold the `f64` lanes of work bytes `[from, from + len)` into those
+    /// of `[to, to + len)`, a disjoint range: a reduction combining what
+    /// a round received into staging.
+    Fold {
+        /// The operator.
+        op: ReduceOp,
+        /// Offset of the lanes folded in.
+        from: usize,
+        /// Offset of the lanes folded into.
+        to: usize,
+        /// Bytes folded, a whole number of lanes.
         len: usize,
     },
     /// One communication round: its sends, then its receives, as ranges
@@ -622,9 +684,9 @@ impl RankProgram {
     }
 
     /// The local passes a run makes from one buffer into another: every
-    /// permute and strip, plus the copy-in of a program that opens with
-    /// neither a permute nor a place. A driver that wants the result in a
-    /// given buffer reads where to start from this count's parity (see
+    /// permute and strip, plus the copy-in of a program that opens with a
+    /// round or a fold. A driver that wants the result in a given buffer
+    /// reads where to start from this count's parity (see
     /// [`RankMachine::step`]).
     #[must_use]
     pub fn passes(&self) -> usize {
@@ -635,20 +697,23 @@ impl RankProgram {
     }
 
     /// Whether the machine copies the input in before the first round:
-    /// the program opens with neither a permute nor a place.
+    /// the program is empty or opens with a round or a fold.
     fn copies_in(&self) -> bool {
-        matches!(self.ops.first(), None | Some(ProgramOp::Round { .. }))
+        let on_work =
+            |op: &ProgramOp| matches!(op, ProgramOp::Round { .. } | ProgramOp::Fold { .. });
+        self.ops.first().is_none_or(on_work)
     }
 
     /// The one shape check [`RankMachine::new`] makes before it indexes
     /// its buffers with these descriptors (every field is public, so they
     /// may have been recombined): every permute covers exactly the `n`
     /// blocks of an `n·b` buffer (an XOR one a power-of-two count of
-    /// them), every round's ranges lie inside `xfers`, every place, span
-    /// and strip run stays inside the buffers it touches (the input for a
-    /// send that reads it, else the work buffer as the strips before it
-    /// left its length), no receive reads the input, and a program that
-    /// copies its input in has a `work`-byte one.
+    /// them), every round's ranges lie inside `xfers`, every place, span,
+    /// strip run and fold stays inside the buffers it touches (the input
+    /// for a send that reads it, else the work buffer as the strips before
+    /// it left its length), a fold moves whole lanes between disjoint
+    /// ranges, no receive reads the input, and a program that copies its
+    /// input in has a `work`-byte one.
     ///
     /// # Errors
     ///
@@ -691,6 +756,10 @@ impl RankProgram {
                     let fits = runs.iter().all(run);
                     work = *len;
                     fits
+                }
+                &ProgramOp::Fold { from, to, len, .. } => {
+                    let apart = from.max(to) - from.min(to) >= len;
+                    len % LANE == 0 && apart && within(from, len, work) && within(to, len, work)
                 }
             };
             if !fits {
@@ -1021,15 +1090,22 @@ impl ConcatLowering {
     /// round; `n = 1` or `b = 0` sends nothing.
     #[must_use]
     pub fn circulant(n: usize, block: usize, ports: usize, pref: Preference) -> Self {
+        Self::circulant_lanes(n, block, 1, ports, pref)
+    }
+
+    /// [`circulant`](Self::circulant) over `b` lanes of `width` bytes, its
+    /// last round planned a lane per byte and widened: no run splits a lane.
+    fn circulant_lanes(n: usize, b: usize, width: usize, ports: usize, pref: Preference) -> Self {
         let k = ports.max(1);
-        let last = concat_last_round(n, k, block, pref).map_or_else(Vec::new, |plan| {
-            let run = |s: &ColumnSlice| ((plan.n1 + s.col) * block + s.row_start, s.len());
+        let last = concat_last_round(n, k, b, pref).map_or_else(Vec::new, |plan| {
+            let at = |s: &ColumnSlice| (plan.n1 + s.col) * b + s.row_start;
+            let run = |s: &ColumnSlice| (at(s) * width, s.len() * width);
             let area = |a: &Area| (a.offset, a.slices.iter().map(run).collect());
             let round = |areas: &Vec<Area>| areas.iter().map(area).collect();
             plan.rounds.iter().map(round).collect()
         });
         let doubling = ceil_log(k + 1, n.max(1)).saturating_sub(1).max(1);
-        Self::new(n, block, k, ConcatShape::Circulant { doubling, last })
+        Self::new(n, b * width, k, ConcatShape::Circulant { doubling, last })
     }
 
     /// The folklore two-phase algorithm §4 opens with: gather to rank 0
@@ -1181,22 +1257,7 @@ fn gather_broadcast_ops(prog: &mut RankProgram, n: usize, v: usize, b: usize, k:
     if n <= 1 {
         return;
     }
-    let d = ceil_log(k + 1, n);
-    // (k+1)^g for the tree round g that attaches v (none for the root).
-    let attached = (v > 0).then(|| {
-        let mut p = 1;
-        while p * (k + 1) <= v {
-            p *= k + 1;
-        }
-        p
-    });
-    // The nodes v attaches in the round of weight p: v + j·p, if v is
-    // already in the tree.
-    let children = |p: usize| {
-        (1..=k)
-            .map(move |j| v + j * p)
-            .filter(move |&c| v < p && c < n)
-    };
+    let (d, attached, children) = (ceil_log(k + 1, n), attached(v, k), |p| children(v, n, k, p));
     let subtree = |t: usize, p: usize| SlotSet::new(1, t, p * (k + 1), n, 1);
     // The blocks outside t's subtree, as byte runs.
     let complement = |t: usize, p: usize| -> Arc<[(usize, usize)]> {
@@ -1222,6 +1283,26 @@ fn gather_broadcast_ops(prog: &mut RankProgram, n: usize, v: usize, b: usize, k:
             (attached == Some(p)).then(|| ProgramXfer::bytes(v % p, tag, complement(v, p), 0));
         prog.push_round(children(p).map(to), down);
     }
+}
+
+/// The weight `p = (k+1)^g` of the round attaching `v` to the `(k+1)`-ary
+/// binomial tree rooted at 0 (none for the root); its parent is `v mod p`.
+fn attached(v: usize, k: usize) -> Option<usize> {
+    (v > 0).then(|| {
+        let mut p = 1;
+        while p * (k + 1) <= v {
+            p *= k + 1;
+        }
+        p
+    })
+}
+
+/// The members `v + j·p` below `n` that `v` attaches in the tree round of
+/// weight `p`, if `v` is already in the tree.
+fn children(v: usize, n: usize, k: usize, p: usize) -> impl Iterator<Item = usize> + Clone {
+    (1..=k)
+        .map(move |j| v + j * p)
+        .filter(move |&c| v < p && c < n)
 }
 
 /// Recursive doubling's rounds: round `x` swaps the aligned `2^x`-block
@@ -1265,12 +1346,190 @@ fn one_port(
     prog.push_round([send], [ProgramXfer::slots(from, tag, recv)]);
 }
 
+/// The reductions, over `f64` lanes: a concatenation or a tree broadcast
+/// run backwards — each received span [folded](ProgramOp::Fold) in from
+/// staging at the end of the work buffer — and Hillis–Steele doubling.
+/// Each closes with a strip into its result.
+impl RankProgram {
+    /// Lower the reduce-scatter of `m` lanes for one rank: rank `v` ends
+    /// with lanes `[v·b, (v+1)·b) ∩ [0, m)` of the element-wise reduction,
+    /// `b = ⌈m/n⌉`. It is the round-preferring circulant concatenation of
+    /// `b`-lane blocks run backwards: `⌈log_{k+1} n⌉` rounds at the
+    /// concatenation's cost.
+    ///
+    /// # Panics
+    ///
+    /// If `rank ≥ n`.
+    #[must_use]
+    pub fn lower_reduce_scatter(n: usize, k: usize, rank: usize, m: usize, op: ReduceOp) -> Self {
+        lanes_circulant(n, k, rank, m).reversed(op, m * LANE, false)
+    }
+
+    /// Lower the allreduce of `m` lanes for one rank: the reduce-scatter's
+    /// rounds, then the circulant concatenation of the reduced blocks —
+    /// twice the concatenation's cost; the closing strip cuts the padding
+    /// to `n·⌈m/n⌉` lanes off.
+    ///
+    /// # Panics
+    ///
+    /// If `rank ≥ n`.
+    #[must_use]
+    pub fn lower_allreduce(n: usize, k: usize, rank: usize, m: usize, op: ReduceOp) -> Self {
+        lanes_circulant(n, k, rank, m).reversed(op, m * LANE, true)
+    }
+
+    /// Lower the reduce of `m` lanes to `root` for rank `v`: the broadcast
+    /// down the `(k+1)`-ary binomial tree of [`ConcatLowering::gather_broadcast`]
+    /// rooted at `root` run backwards — round `g` (tag `g`), leaves first,
+    /// sends the rank's partial reduction to its parent and folds each
+    /// child's in. `root` ends with the reduction, the others with nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `v` or `root` is not below `n`.
+    #[must_use]
+    pub fn lower_reduce(n: usize, k: usize, v: usize, root: usize, m: usize, op: ReduceOp) -> Self {
+        assert!(v < n && root < n, "reduce: root {root}, n = {n}");
+        // Member w of the tree rooted at 0 is rank w + root.
+        let (k, len, w) = (k.max(1), m * LANE, (v + n - root) % n);
+        let mut broadcast = Self::sized(n, v, len, len * usize::from(w == 0), len, (0, 0));
+        broadcast.ops.extend((w == 0).then(|| place(0, 0, len)));
+        let (up, whole) = (attached(w, k), Arc::<[_]>::from([(0, len)]));
+        for g in 0..ceil_log(k + 1, n) {
+            let (p, tag) = (pow(k + 1, g), u64::from(g));
+            let xfer = |u: usize| ProgramXfer::bytes((u + root) % n, tag, Arc::clone(&whole), 0);
+            let parent = (up == Some(p)).then(|| xfer(w % p));
+            broadcast.push_round(children(w, n, k, p).map(xfer), parent);
+        }
+        broadcast.reversed(op, len, false)
+    }
+
+    /// This copy pattern run backwards with `op` over an `input`-byte
+    /// vector (its output, cut at `input`); it must open with its places,
+    /// close with at most one permute and receive each byte it does not
+    /// place once, before sending it. The closing permute becomes places of
+    /// the input; the rounds run in reverse order, each receive a send of
+    /// the same span to the same peer, each send a receive into staging at
+    /// the end of the work buffer folded into the span it read; the opening
+    /// places become a closing strip. With `gather` the rounds then run
+    /// forwards again (tags in the phase `1 << PHASE_SHIFT`) and the strip
+    /// is the permute's: a concatenation reversed is a reduce-scatter, this
+    /// an allreduce.
+    fn reversed(&self, op: ReduceOp, input: usize, gather: bool) -> Self {
+        let block = self.block;
+        // (work offset, input offset, bytes) of each block, cut at the input.
+        let cut = |(at, to, len): (usize, usize, usize)| {
+            let len = len.min(input.saturating_sub(to));
+            (len > 0).then_some((at, to, len))
+        };
+        let moves: Vec<(usize, usize, usize)> = match self.ops.last() {
+            Some(ProgramOp::Permute(p)) => {
+                let len = p.unit * block;
+                let block_move = |u: usize| cut((p.source(u) * len, u * len, len));
+                (0..p.groups).filter_map(block_move).collect()
+            }
+            _ => cut((0, 0, self.work)).into_iter().collect(),
+        };
+        let (mut stage, mut folds) = (0, 0);
+        for round in self.ops.iter().filter_map(|op| self.round(op)) {
+            stage = stage.max(round.sends.iter().map(|x| x.span.bytes(block)).sum());
+            (round.sends.iter()).for_each(|x| x.span.for_each_run(block, |_, _| folds += 1));
+        }
+        let times = 1 + usize::from(gather);
+        let ops = moves.len() + self.rounds() * times + folds + 1;
+        let size = (ops, self.xfers.len() * times);
+        let mut prog = Self::sized(self.n, self.rank, block, input, self.work + stage, size);
+        prog.ops
+            .extend(moves.iter().map(|&(at, from, len)| place(from, at, len)));
+        for round in self.ops.iter().rev().filter_map(|op| self.round(op)) {
+            let mut at = self.work;
+            let staged = |x: &ProgramXfer| {
+                let len = x.span.bytes(block);
+                at += len;
+                ProgramXfer::bytes(x.peer, x.tag, [(at - len, len)].into(), 0)
+            };
+            prog.push_round(round.recvs.iter().cloned(), round.sends.iter().map(staged));
+            let mut from = self.work;
+            for x in round.sends {
+                x.span.for_each_run(block, |to, len| {
+                    prog.ops.push(ProgramOp::Fold { op, from, to, len });
+                    from += len;
+                });
+            }
+        }
+        let (runs, len) = if gather {
+            let phase = |x: &ProgramXfer| ProgramXfer {
+                tag: x.tag | 1 << PHASE_SHIFT,
+                ..x.clone()
+            };
+            for round in self.ops.iter().filter_map(|op| self.round(op)) {
+                prog.push_round(round.sends.iter().map(phase), round.recvs.iter().map(phase));
+            }
+            (moves, input)
+        } else {
+            let placed = |op: &ProgramOp| match *op {
+                ProgramOp::Place { from, to, len } => Some((to, from, len)),
+                _ => None,
+            };
+            (self.ops.iter().map_while(placed).collect(), self.input)
+        };
+        prog.ops.push(ProgramOp::Strip { runs, len });
+        prog
+    }
+
+    /// Lower the prefix reduction of `m` lanes for one rank, inclusive
+    /// (rank `v` ends with the reduction of ranks `0..=v`) or `exclusive`
+    /// (of `0..v`; rank 0 with nothing): Hillis–Steele doubling over both
+    /// accumulators, `⌈log₂ n⌉` one-port rounds. Round `i` (tag `i`) sends
+    /// the inclusive accumulator to `v + 2^i` and receives `v − 2^i`'s —
+    /// the first into the exclusive accumulator, folded into the inclusive
+    /// one, later ones into staging, folded into both.
+    #[must_use]
+    pub fn lower_scan(n: usize, rank: usize, m: usize, op: ReduceOp, exclusive: bool) -> Self {
+        let len = m * LANE;
+        let (inc, exc, stage) = (0, len, 2 * len);
+        let dists = (0..ceil_log(2, n)).map(|i| (u64::from(i), 1usize << i));
+        let froms = dists.clone().filter(|&(_, d)| rank >= d).count();
+        let tos = dists.clone().filter(|&(_, d)| rank + d < n).count();
+        let size = (dists.len() + (2 * froms).saturating_sub(1) + 2, tos + froms);
+        let mut prog = Self::sized(n, rank, len, len, 3 * len, size);
+        prog.ops.push(place(0, inc, len));
+        let fold = |from, to| ProgramOp::Fold { op, from, to, len };
+        for (tag, d) in dists {
+            let into = if tag == 0 { exc } else { stage };
+            let xfer =
+                |peer: usize, at: usize| ProgramXfer::bytes(peer, tag, [(at, len)].into(), 0);
+            let recv = (rank >= d).then(|| xfer(rank - d, into));
+            prog.push_round((rank + d < n).then(|| xfer(rank + d, inc)), recv);
+            if rank >= d {
+                prog.ops.push(fold(into, inc));
+                prog.ops.extend((tag > 0).then(|| fold(stage, exc)));
+            }
+        }
+        let own = len * usize::from(!exclusive || rank > 0);
+        let runs = vec![(if exclusive { exc } else { inc }, 0, own)];
+        prog.ops.push(ProgramOp::Strip { runs, len: own });
+        prog
+    }
+}
+
+/// Rank `rank`'s round-preferring circulant concatenation of `⌈m/n⌉`-lane
+/// blocks, its own block cut at lane `m`.
+fn lanes_circulant(n: usize, k: usize, rank: usize, m: usize) -> RankProgram {
+    let b = m.div_ceil(n.max(1)) * LANE;
+    let mut prog =
+        ConcatLowering::circulant_lanes(n, b / LANE, LANE, k, Preference::Rounds).program(rank);
+    prog.input = b.min((m * LANE).saturating_sub(rank * b));
+    prog.ops[0] = place(0, 0, prog.input);
+    prog
+}
+
 /// What a [`RankMachine`] asks of its driver next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action<'p> {
     /// A local op copied this many bytes: a permute or the copy-in of a
-    /// program that opens with a round (the whole buffer), a place or a
-    /// strip (its runs).
+    /// program that opens with a round (the whole buffer), a place, a
+    /// strip (its runs) or a fold (the lanes folded into).
     Local(usize),
     /// Post this round's sends, gathered from the spans' runs of
     /// [`RankMachine::source`], before [delivering](RankMachine::deliver)
@@ -1291,8 +1550,8 @@ pub enum Action<'p> {
 ///
 /// The data stays in `input` until the first local op (the first permute
 /// reads it in place; a place copies bytes of it into the work buffer; a
-/// program that opens with a round copies it all in, since rounds scatter
-/// into the buffer they send from). A permute or strip writes the
+/// program that opens with a round or a fold copies it all in, since those
+/// write the buffer they read). A permute or strip writes the
 /// `scratch` the driver lends to `step` and hands the old `work` back in
 /// its place, so a driver of many ranks keeps one spare buffer, not one
 /// per rank.
@@ -1374,11 +1633,22 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
                 self.fresh = false;
                 Action::Local(len)
             }
-            None | Some(ProgramOp::Round { .. }) if self.fresh => {
-                self.pass(scratch, len, |old, new| {
+            None | Some(ProgramOp::Round { .. } | ProgramOp::Fold { .. }) if self.fresh => self
+                .pass(scratch, len, |old, new| {
                     new.copy_from_slice(old);
                     len
-                })
+                }),
+            Some(&ProgramOp::Fold { op, from, to, len }) => {
+                self.at += 1;
+                let work = self.work.as_mut();
+                let lane = |work: &[u8], at: usize| {
+                    f64::from_le_bytes(work[at..at + LANE].try_into().expect("an 8-byte lane"))
+                };
+                for at in (0..len).step_by(LANE) {
+                    let folded = op.apply(lane(work, to + at), lane(work, from + at));
+                    work[to + at..to + at + LANE].copy_from_slice(&folded.to_le_bytes());
+                }
+                Action::Local(len)
             }
             None => Action::Done,
             Some(op) => {
@@ -1858,7 +2128,9 @@ mod tests {
                         recvs: xfers(r.recvs),
                     }
                 }
-                ProgramOp::Strip { .. } => unreachable!("no index program strips"),
+                ProgramOp::Strip { .. } | ProgramOp::Fold { .. } => {
+                    unreachable!("no index program strips or folds")
+                }
             })
             .collect()
     }
@@ -1993,6 +2265,39 @@ mod tests {
         let mut p = good.clone();
         p.work = 3;
         assert!(p.check_shape().unwrap_err().contains("op 0"));
+
+        // The root of a one-port reduce of two lanes on 4 ranks: a place,
+        // then per round a receive into staging and a fold of it.
+        let good = RankProgram::lower_reduce(4, 1, 0, 0, 2, ReduceOp::Sum);
+        good.check_shape().unwrap();
+        let fold = good
+            .ops
+            .iter()
+            .position(|op| matches!(op, ProgramOp::Fold { .. }));
+        let fold = fold.expect("the root folds");
+        assert_eq!(good.work, 32);
+        // A part of a lane, ranges that overlap, a range past the work.
+        for (from, to, len) in [(16, 0, 12), (8, 0, 16), (24, 0, 16), (0, 24, 16)] {
+            let mut p = good.clone();
+            p.ops[fold] = ProgramOp::Fold {
+                op: ReduceOp::Max,
+                from,
+                to,
+                len,
+            };
+            let err = p.check_shape().unwrap_err();
+            assert!(err.contains(&format!("op {fold} does not fit")), "{err}");
+            assert!(RankMachine::new(&p, &[0; 16], vec![0; 32]).is_err());
+        }
+    }
+
+    /// The fold rides in the op's existing five words.
+    #[test]
+    fn an_op_is_five_words() {
+        assert_eq!(
+            std::mem::size_of::<ProgramOp>(),
+            5 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]
@@ -2608,6 +2913,20 @@ mod tests {
                 2 | 3 => bytes.resize(bytes.len() + 1 + next() % 3, 0xA5),
                 _ => m.deliver(peer, tag, payload).expect("genuine delivery"),
             }
+            // Another pending receive of the same tag and length would take
+            // a wrong peer's message as genuine: nothing tells them apart.
+            let twin = (p, t) != (peer, tag)
+                && m.outstanding().any(|pending| pending == (p, t))
+                && m.awaited().is_some_and(|round| {
+                    let same = |x: &ProgramXfer| x.span.bytes(m.program.block) == bytes.len();
+                    round
+                        .recvs
+                        .iter()
+                        .any(|x| (x.peer, x.tag) == (p, t) && same(x))
+                });
+            if twin {
+                return false;
+            }
             kinds[kind] += 1;
             let taken = try_deliver(m, rank, (p, t, &bytes)).is_ok();
             assert!(kind < 4 || !taken, "{label}: a second copy was taken");
@@ -2734,5 +3053,73 @@ mod tests {
             let made = mutated_run(&next, &label, &programs, &inputs, &expected);
             members[member] += made.iter().sum::<usize>();
         }
+
+        // The reductions in turn until each has seen 500: receives into
+        // staging, folded in, on integer-valued lanes.
+        let mut reductions = [0usize; 5];
+        for which in (0..5).cycle() {
+            if reductions.iter().all(|&hits| hits >= 500) {
+                break;
+            }
+            let (n, k, m) = (2 + next() % 23, 1 + next() % 3, next() % 6);
+            let (op, root) = (
+                [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][next() % 3],
+                next() % n,
+            );
+            let (programs, inputs, expected) = reduction_set(which, (n, k, m), op, root);
+            let label = format!("reduction {which} {op:?} n={n} k={k} m={m} root={root}");
+            let made = mutated_run(&next, &label, &programs, &inputs, &expected);
+            reductions[which] += made.iter().sum::<usize>();
+        }
+    }
+
+    /// Every rank's program of reduction `which` — reduce to `root`,
+    /// reduce-scatter, allreduce, scan, exscan — over `m` integer-valued
+    /// lanes, every input, and the outputs by a local fold.
+    fn reduction_set(
+        which: usize,
+        (n, k, m): (usize, usize, usize),
+        op: ReduceOp,
+        root: usize,
+    ) -> (Vec<RankProgram>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let lanes = |r: usize| (0..m).map(move |i| ((r * 5 + i) % 11) as f64);
+        let folded = |ranks: Range<usize>| -> Vec<u8> {
+            let mut acc: Option<Vec<f64>> = None;
+            for r in ranks {
+                let x: Vec<f64> = lanes(r).collect();
+                acc = Some(acc.map_or(x.clone(), |mut a| {
+                    op.fold_into(&mut a, &x);
+                    a
+                }));
+            }
+            acc.unwrap_or_default()
+                .iter()
+                .flat_map(|x| x.to_le_bytes())
+                .collect()
+        };
+        let b = LANE * m.div_ceil(n);
+        let output = |rank: usize| match which {
+            0 if rank != root => Vec::new(),
+            0 | 2 => folded(0..n),
+            1 => folded(0..n)[(rank * b).min(m * LANE)..]
+                .iter()
+                .take(b)
+                .copied()
+                .collect(),
+            3 => folded(0..rank + 1),
+            _ => folded(0..rank),
+        };
+        let program = |rank: usize| match which {
+            0 => RankProgram::lower_reduce(n, k, rank, root, m, op),
+            1 => RankProgram::lower_reduce_scatter(n, k, rank, m, op),
+            2 => RankProgram::lower_allreduce(n, k, rank, m, op),
+            _ => RankProgram::lower_scan(n, rank, m, op, which == 4),
+        };
+        let input = |r: usize| lanes(r).flat_map(f64::to_le_bytes).collect();
+        (
+            (0..n).map(program).collect(),
+            (0..n).map(input).collect(),
+            (0..n).map(output).collect(),
+        )
     }
 }

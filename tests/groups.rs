@@ -149,7 +149,7 @@ fn vops_and_reductions_work_in_groups() {
         };
         let mut gc = group.bind(ep);
         let mine: Vec<f64> = vec![grank as f64; 3];
-        let sum = bruck::collectives::reduce::allreduce_via_concat(
+        let sum = bruck::collectives::reduce::allreduce(
             &mut gc,
             &mine,
             bruck::collectives::reduce::ReduceOp::Sum,

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use bruck::model::cost::LinearModel;
 use bruck::model::partition::Preference;
 use bruck::model::planner::{quota_candidates, IndexPlan, Planner, VIndexPlan};
-use bruck::model::program::{ConcatLowering, RankProgram};
+use bruck::model::program::{ConcatLowering, RankProgram, ReduceOp};
 
 struct Counting;
 
@@ -139,9 +139,9 @@ fn exactly_sized(p: &RankProgram) -> bool {
 
 /// The closed-form sizes at the small and degenerate shapes the sweep
 /// above skips — a lone rank, `n ≤ k + 1`, one-member groups — for every
-/// lowering, the gather + broadcast and non-uniform ones included (their
-/// byte-run spans allocate on their own): no list is sized past what its
-/// lowering fills.
+/// lowering, the gather + broadcast, non-uniform and reduction ones
+/// included (their byte-run spans allocate on their own): no list is sized
+/// past what its lowering fills.
 #[test]
 fn every_lowering_fills_exactly_the_lists_it_sizes() {
     for n in 1..=17usize {
@@ -188,6 +188,15 @@ fn every_lowering_fills_exactly_the_lists_it_sizes() {
                     );
                 }
                 programs.push(RankProgram::lower_allgatherv(k, rank, counts));
+                for (m, root) in [(0, 0), (n + 2, n - 1)] {
+                    programs.extend([
+                        RankProgram::lower_reduce(n, k, rank, root, m, ReduceOp::Max),
+                        RankProgram::lower_reduce_scatter(n, k, rank, m, ReduceOp::Sum),
+                        RankProgram::lower_allreduce(n, k, rank, m, ReduceOp::Min),
+                        RankProgram::lower_scan(n, rank, m, ReduceOp::Sum, false),
+                        RankProgram::lower_scan(n, rank, m, ReduceOp::Sum, true),
+                    ]);
+                }
                 for (i, p) in programs.iter().enumerate() {
                     assert!(exactly_sized(p), "n={n} k={k} rank={rank} program {i}");
                 }
