@@ -20,17 +20,18 @@ for f in index/bruck index/mixed index/hierarchical index/direct index/pairwise 
     concat/gather_bcast; do
     if [ -e "crates/core/src/$f.rs" ]; then echo "ci/check.sh: crates/core/src/$f.rs is back; lower a program instead" >&2; exit 1; fi
 done
-# So is every non-uniform payload (RankProgram::lower_vindex and
-# lower_allgatherv): vbruck.rs and vops.rs keep the metadata round,
-# validation and planning, and run no round of their own.
-if grep -n '\.round(\|\.round_gather(' crates/core/src/vbruck.rs crates/core/src/vops.rs; then
-    echo "ci/check.sh: vbruck.rs / vops.rs run a round by hand; lower a program instead" >&2; exit 1
-fi
-# So is every reduction and scan (RankProgram::lower_{reduce,
-# reduce_scatter, allreduce, scan}): reduce.rs and scan.rs lower a program
-# and hand it to program_exec.
-if grep -n '\.round(\|\.round_gather(\|send_and_recv' crates/core/src/reduce.rs crates/core/src/scan.rs; then
-    echo "ci/check.sh: reduce.rs / scan.rs run a round by hand; lower a program instead" >&2; exit 1
+# So is every other collective in crates/core — the non-uniform payloads,
+# the reductions and scans, broadcast, gather and both barriers: each
+# lowers a program and hands it to program_exec.rs, the one driver of a
+# round there. The appendix ports (the paper's pseudocode line for line)
+# and the calibration ping ladder (one send_and_recv_into in autotune.rs)
+# are the only rounds run by hand.
+hand=$(grep -rn '\.round(\|\.round_gather(\|send_and_recv\|idle_round' crates/core/src |
+    grep -v '^crates/core/src/\(program_exec\|appendix\)\.rs:' |
+    awk '!ping && /^crates\/core\/src\/autotune\.rs:.*send_and_recv_into/ { ping = 1; next } 1' || true)
+if [ -n "$hand" ]; then
+    echo "$hand" >&2
+    echo "ci/check.sh: crates/core/src runs a round by hand; lower a program instead" >&2; exit 1
 fi
 
 cargo fmt --all -- --check
@@ -214,8 +215,8 @@ timeout 120 cargo test -q --release -p bruck-model --lib -- \
 timeout 120 cargo test -q --release --test paper_artifacts
 # Allocation gate, by name: a lowered program is two heap allocations
 # (its ops and its transfers, each sized in closed form) for every index
-# plan family, the circulant concatenation and the one-port baselines at
-# n ∈ {64, 1024}, k ∈ {1, 2}; every lowering fills exactly the lists it
+# plan family, the circulant concatenation, the one-port baselines and the
+# tree primitives at n ∈ {64, 1024}, k ∈ {1, 2}; every lowering fills exactly the lists it
 # sizes at n ≤ 17, k ≤ 4; and plan_vindex picks its median quota without
 # an n²-byte allocation at n = 1024 — counted by a per-thread counting
 # global allocator.
@@ -226,13 +227,17 @@ cargo test -q --test lowering_allocations
 # and scan, every operator, n ≤ 33 and {64, 100, 128}, k ≤ 4, five vector
 # lengths, the reduce at every root — each simulated onto its oracle (a
 # local fold on integer-valued lanes, bit for bit), its schedule on the
-# closed form, and the threaded runs of a sample equal to their simulation.
+# closed form, and the threaded runs of a sample equal to their simulation;
+# the same for broadcast and gather at every root and the barrier, n ≤ 64,
+# k ≤ 4, each broadcast round's edges those of Fig. 7's spanning tree.
 cargo test -q --release -p bruck-collectives --lib --no-run
 timeout 120 cargo test -q --release -p bruck-collectives --lib -- \
     program_exec::tests::concat_programs_simulate \
     program_exec::tests::concat_threaded_runs \
     program_exec::tests::reduction_programs_simulate \
-    program_exec::tests::reduction_threaded_runs
+    program_exec::tests::reduction_threaded_runs \
+    program_exec::tests::tree_programs_simulate \
+    program_exec::tests::tree_threaded_runs
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

@@ -17,6 +17,7 @@ use bruck_model::tuning::{all_radices, best_radix, RadixChoice};
 use bruck_net::{Comm, Endpoint, Group, NetError, RecoveryPolicy};
 
 use crate::concat::ConcatAlgorithm;
+use crate::primitives::barrier_dissemination;
 use crate::program_exec::run_plan_into;
 
 /// Tuning knobs for the high-level operations.
@@ -445,34 +446,6 @@ pub struct ResilientAlltoall {
     pub attempts: usize,
 }
 
-/// Tag namespace of the per-attempt completion barrier: above every
-/// data tag a collective emits (round/dimension numbers, all well below
-/// 2³²), below the epoch bits at
-/// [`EPOCH_SHIFT`](bruck_net::comm::EPOCH_SHIFT), so barrier traffic can
-/// alias neither an attempt's data frames nor another epoch's barrier.
-pub(crate) const CONFIRM_TAG_BASE: u64 = 1 << 32;
-
-/// Dissemination barrier over the (epoch-tagged) group: `⌈log₂ m⌉`
-/// rounds of `send to (me + 2ʲ) mod m, recv from (me − 2ʲ) mod m`.
-/// Completing at any rank proves every rank entered the barrier — i.e.
-/// finished the attempt this barrier seals. Aborts with the shared
-/// failure verdict if the membership changes mid-barrier.
-pub(crate) fn confirm_completion<C: Comm + ?Sized>(gc: &mut C) -> Result<(), NetError> {
-    let m = gc.size();
-    let me = gc.rank();
-    let mut hop = 1usize;
-    let mut j = 0u64;
-    while hop < m {
-        let to = (me + hop) % m;
-        let from = (me + m - hop) % m;
-        let token = gc.send_and_recv(to, &[], from, CONFIRM_TAG_BASE + j)?;
-        gc.recycle(token);
-        hop <<= 1;
-        j += 1;
-    }
-    Ok(())
-}
-
 /// Enforce an in-run [`RecoveryPolicy`] against an attempt's survivor
 /// count. Within one cluster run the failure detector's dead set is
 /// monotone — a dead rank cannot come back until the run ends — so
@@ -510,12 +483,12 @@ pub(crate) fn check_recovery_policy(
 /// `sendbuf` still holds one block per *original* rank; blocks addressed
 /// to dead ranks are skipped. The result is survivor-dense.
 ///
-/// Every attempt ends with a **completion barrier** (a dissemination
-/// barrier in a reserved tag namespace of the attempt's epoch): a rank
-/// returns `Ok` only once every group member has provably finished the
-/// same attempt. Without it, a rank whose windowed sends were all
-/// fire-and-forget could complete and leave while a peer was still
-/// mid-collective; if that peer then triggered a retry, the departed
+/// Every attempt ends with a **completion barrier**
+/// ([`barrier_dissemination`], its tags in a phase of their own within
+/// the attempt's epoch): a rank returns `Ok` only once every group member
+/// has provably finished the same attempt. Without it, a rank whose
+/// windowed sends were all fire-and-forget could complete and leave while
+/// a peer was still mid-collective; if that peer then triggered a retry, the departed
 /// rank could never be recalled and the survivors would stall until the
 /// watchdog excommunicated it. With the barrier, a membership change
 /// aborts the barrier like any other round, the locally-finished rank
@@ -606,7 +579,7 @@ pub fn alltoall_resilient_with_policy(
         // a failure observed by *any* member sends *every* member around
         // the retry loop with the same verdict.
         let outcome = alltoall(&mut gc, &dense, block, tuning)
-            .and_then(|data| confirm_completion(&mut gc).map(|()| data));
+            .and_then(|data| barrier_dissemination(&mut gc).map(|()| data));
         match outcome {
             Ok(data) => {
                 return Ok(ResilientAlltoall {

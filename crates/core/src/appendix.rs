@@ -7,9 +7,11 @@
 //!
 //! Like the paper's code, these operate on a *process array* `A`: a list
 //! of processor ids such that `A[i] = p_i`. That is the 1994 spelling of
-//! a process group; [`bruck_net::Group`] is the modern one.
+//! a process group; [`bruck_net::Group`] is the modern one. They drive an
+//! [`Endpoint`] through its `send_and_recv`, the paper's own primitive —
+//! the one place in this crate besides `program_exec` that runs a round.
 
-use bruck_net::{Comm, NetError};
+use bruck_net::{Endpoint, NetError};
 
 /// The paper's `mod(x, y)`: remainder in `[0, y)` even for negative `x`.
 fn pmod(x: i64, y: i64) -> usize {
@@ -64,8 +66,8 @@ fn unpack(msg: &[u8], tmp: &mut [u8], blklen: usize, n: usize, r: usize, i: u32,
 ///
 /// [`NetError::App`] if `my_pid ∉ A` or sizes mismatch.
 #[allow(clippy::many_single_char_names)]
-pub fn index_appendix_a<C: Comm + ?Sized>(
-    ep: &mut C,
+pub fn index_appendix_a(
+    ep: &mut Endpoint,
     outmsg: &[u8],
     blklen: usize,
     a: &[usize],
@@ -145,8 +147,8 @@ pub fn index_appendix_a<C: Comm + ?Sized>(
 /// # Errors
 ///
 /// [`NetError::App`] if `my_pid ∉ A`.
-pub fn concat_appendix_b<C: Comm + ?Sized>(
-    ep: &mut C,
+pub fn concat_appendix_b(
+    ep: &mut Endpoint,
     outmsg: &[u8],
     a: &[usize],
 ) -> Result<Vec<u8>, NetError> {

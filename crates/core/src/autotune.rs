@@ -8,7 +8,7 @@
 //! `(Complexity, seconds)` samples into a [`Calibrator`], and the cluster
 //! agrees on a single merged [`LinearFit`] for the transport.
 //!
-//! Fits are cached per **transport kind** ([`Comm::transport_kind`]:
+//! Fits are cached per **transport kind** ([`Endpoint::transport_kind`]:
 //! `"channel"`, `"uds"`, …) in a process-global table, so a bench that
 //! spins up many clusters over the same substrate probes once.
 //! Everything after the probe is collective-consistent: rank 0 alone
@@ -30,7 +30,7 @@ use std::time::Instant;
 use bruck_model::calibrate::{Calibrator, LinearFit};
 use bruck_model::complexity::Complexity;
 use bruck_model::cost::LinearModel;
-use bruck_net::{Comm, NetError, RunMetrics};
+use bruck_net::{Endpoint, NetError, RunMetrics};
 
 use crate::primitives::{broadcast, gather};
 
@@ -136,11 +136,7 @@ fn fallback() -> LinearFit {
 /// one `(Complexity::new(1, size), seconds)` sample per timed exchange:
 /// both directions of an exchange proceed concurrently, so one round-trip
 /// ≈ one round's start-up plus `size` bytes per port.
-fn probe_pair<C: Comm + ?Sized>(
-    ep: &mut C,
-    partner: usize,
-    cal: &mut Calibrator,
-) -> Result<(), NetError> {
+fn probe_pair(ep: &mut Endpoint, partner: usize, cal: &mut Calibrator) -> Result<(), NetError> {
     let payload = vec![0u8; *PROBE_SIZES.iter().max().expect("non-empty ladder")];
     let mut scratch = vec![0u8; payload.len()];
     for (i, &size) in PROBE_SIZES.iter().enumerate() {
@@ -169,7 +165,7 @@ fn probe_pair<C: Comm + ?Sized>(
 /// # Errors
 ///
 /// Network failures propagate.
-pub fn calibrated_fit<C: Comm + ?Sized>(ep: &mut C) -> Result<LinearFit, NetError> {
+pub fn calibrated_fit(ep: &mut Endpoint) -> Result<LinearFit, NetError> {
     let kind = ep.transport_kind();
     let n = ep.size();
     let rank = ep.rank();
@@ -178,12 +174,9 @@ pub fn calibrated_fit<C: Comm + ?Sized>(ep: &mut C) -> Result<LinearFit, NetErro
     // reads the table and broadcasts its verdict, so ranks never split
     // between the cached and probing paths (which would deadlock the
     // probe rounds).
-    let verdict = if rank == 0 {
-        encode_opt(cached_fit(kind).as_ref())
-    } else {
-        Vec::new()
-    };
-    let verdict = broadcast(ep, 0, &verdict)?;
+    let cached = if rank == 0 { cached_fit(kind) } else { None };
+    let mut verdict = encode_opt(cached.as_ref());
+    broadcast(ep, 0, &mut verdict)?;
     if let Some(fit) = decode_opt(&verdict) {
         return Ok(fit);
     }
@@ -198,16 +191,13 @@ pub fn calibrated_fit<C: Comm + ?Sized>(ep: &mut C) -> Result<LinearFit, NetErro
     // Gather every rank's fit to rank 0, merge deterministically, and
     // broadcast the merged result so all ranks adopt ONE set of
     // parameters (per-rank timing noise must not diverge later plans).
-    let gathered = gather(ep, 0, &encode_opt(local.as_ref()))?;
-    let merged = if let Some(all) = gathered {
+    let merged = gather(ep, 0, &encode_opt(local.as_ref()))?.map(|all| {
         let stride = 1 + LinearFit::WIRE_BYTES;
         let fits: Vec<LinearFit> = all.chunks_exact(stride).filter_map(decode_opt).collect();
-        let fit = merge(&fits).unwrap_or_else(fallback);
-        encode_opt(Some(&fit))
-    } else {
-        Vec::new()
-    };
-    let merged = broadcast(ep, 0, &merged)?;
+        merge(&fits).unwrap_or_else(fallback)
+    });
+    let mut merged = encode_opt(merged.as_ref());
+    broadcast(ep, 0, &mut merged)?;
     let fit = decode_opt(&merged).expect("rank 0 always encodes a merged fit");
 
     if rank == 0 {
@@ -223,7 +213,7 @@ pub fn calibrated_fit<C: Comm + ?Sized>(ep: &mut C) -> Result<LinearFit, NetErro
 /// # Errors
 ///
 /// Network failures propagate.
-pub fn calibrated_model<C: Comm + ?Sized>(ep: &mut C) -> Result<LinearModel, NetError> {
+pub fn calibrated_model(ep: &mut Endpoint) -> Result<LinearModel, NetError> {
     Ok(calibrated_fit(ep)?.model)
 }
 

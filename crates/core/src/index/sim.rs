@@ -97,7 +97,7 @@ pub fn snapshots(n: usize, r: usize) -> Vec<Snapshot> {
         configs[op + 1].cells[rank] = cells.collect();
     })
     .expect("lowered programs run");
-    let round = |op: usize| programs[0].round(&ops[op]);
+    let round = |op: usize| RankProgram::round(&programs[0], &ops[op]);
     let label = |op: usize| match round(op) {
         Some(round) => {
             let tag = round.sends[0].tag;

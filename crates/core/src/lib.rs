@@ -21,13 +21,13 @@
 //!
 //! The index family of §3 — uniform radix, mixed radix, the two-level
 //! composition — its direct, pairwise-XOR and hypercube baselines, every
-//! concatenation, the [`vops`], [`reduce`] and [`scan`] have one
+//! concatenation, the [`vops`], [`reduce`], [`scan`] and the
+//! [`primitives`] (broadcast, gather, the dissemination barrier) have one
 //! executable form: a lowered [`RankProgram`](bruck_model::program::RankProgram),
 //! interpreted by [`program_exec`] on threads (index plans also on
 //! `bruck-net`'s TCP fabric), with its [`bruck_sched::Schedule`] read off
-//! the same programs. Only the [`primitives`] (broadcast, gather, the
-//! dissemination barrier) still move bytes through a hand-written SPMD
-//! routine. Integration tests assert trace, schedule and program agree, so
+//! the same programs. Only the [`appendix`] ports and the calibration
+//! ping drive rounds by hand. Integration tests assert trace, schedule and program agree, so
 //! the complexity numbers reported by the benches are the complexities of
 //! the code that actually runs.
 //!

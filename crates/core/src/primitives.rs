@@ -4,78 +4,38 @@
 //! These are the building blocks the paper's CCL library context assumes
 //! (its §1 lists broadcast/scatter/gather alongside index and
 //! concatenation); the folklore concatenation baseline composes the first
-//! two. Each runs in the k-port model in `⌈log_{k+1} n⌉` rounds.
+//! two. Each runs in the k-port model in `⌈log_{k+1} n⌉` rounds, and each
+//! is a lowered program ([`RankProgram::lower_broadcast`],
+//! [`RankProgram::lower_gather`], [`RankProgram::lower_barrier`]) that
+//! [`run_program_into`] drives.
 
-use bruck_model::spanning_tree::SpanningTree;
-use bruck_net::{Comm, NetError, RecvSpec, SendSpec};
+use bruck_model::program::RankProgram;
+use bruck_net::{Comm, NetError};
 
-/// The sorted members of the subtree rooted at `node`.
-fn subtree(tree: &SpanningTree, node: usize) -> Vec<usize> {
-    let mut children: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for e in tree.edges() {
-        children.entry(e.from).or_default().push(e.to);
-    }
-    let mut members = Vec::new();
-    let mut stack = vec![node];
-    while let Some(v) = stack.pop() {
-        members.push(v);
-        if let Some(cs) = children.get(&v) {
-            stack.extend(cs.iter().copied());
-        }
-    }
-    members.sort_unstable();
-    members
-}
+use crate::program_exec::run_program_into;
 
-/// Broadcast `data` (significant only at `root`) to every rank; every
-/// rank returns the broadcast bytes.
+/// Broadcast `buf` from `root` in place: every rank passes a buffer of
+/// the broadcast's length, and leaves with root's bytes in it.
 ///
 /// # Errors
 ///
-/// Network failures propagate.
+/// Network failures propagate; [`NetError::App`] when the ranks' lengths
+/// disagree.
 pub fn broadcast<C: Comm + ?Sized>(
     ep: &mut C,
     root: usize,
-    data: &[u8],
-) -> Result<Vec<u8>, NetError> {
-    let n = ep.size();
-    let rank = ep.rank();
-    if n == 1 {
-        return Ok(data.to_vec());
+    buf: &mut [u8],
+) -> Result<(), NetError> {
+    let (n, rank) = (ep.size(), ep.rank());
+    let program = RankProgram::lower_broadcast(n, ep.ports(), rank, root, buf.len());
+    if rank != root {
+        return run_program_into(ep, &program, &[], buf);
     }
-    let tree = SpanningTree::build(n, ep.ports(), root);
-    let mut buf: Option<Vec<u8>> = (rank == root).then(|| data.to_vec());
-    for g in 0..tree.num_rounds() {
-        let edges = tree.edges_in_round(g);
-        let outgoing: Vec<usize> = edges
-            .iter()
-            .filter(|e| e.from == rank)
-            .map(|e| e.to)
-            .collect();
-        let incoming: Option<usize> = edges.iter().find(|e| e.to == rank).map(|e| e.from);
-        let payload = buf.clone().unwrap_or_default();
-        let sends: Vec<SendSpec<'_>> = outgoing
-            .iter()
-            .map(|&to| SendSpec {
-                to,
-                tag: u64::from(g),
-                payload: &payload,
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = incoming
-            .map(|from| RecvSpec {
-                from,
-                tag: u64::from(g),
-            })
-            .into_iter()
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        if incoming.is_some() {
-            buf = Some(msgs.into_iter().next().expect("one recv requested").payload);
-        }
-    }
-    Ok(buf.expect("spanning tree reaches every rank"))
+    // The root already holds the result: its program sends from a copy.
+    let mut copy = ep.acquire(buf.len());
+    let sent = run_program_into(ep, &program, buf, &mut copy);
+    ep.recycle(copy);
+    sent
 }
 
 /// Gather every rank's `b`-byte block to `root`; `root` returns the
@@ -89,58 +49,18 @@ pub fn gather<C: Comm + ?Sized>(
     root: usize,
     myblock: &[u8],
 ) -> Result<Option<Vec<u8>>, NetError> {
-    let n = ep.size();
-    let b = myblock.len();
-    let rank = ep.rank();
-    if n == 1 {
-        return Ok(Some(myblock.to_vec()));
+    let (n, b, rank) = (ep.size(), myblock.len(), ep.rank());
+    let program = RankProgram::lower_gather(n, ep.ports(), rank, root, b);
+    if rank == root {
+        let mut out = vec![0u8; n * b];
+        run_program_into(ep, &program, myblock, &mut out)?;
+        return Ok(Some(out));
     }
-    let tree = SpanningTree::build(n, ep.ports(), root);
-    let mut buf = vec![0u8; n * b];
-    buf[rank * b..(rank + 1) * b].copy_from_slice(myblock);
-    for g in (0..tree.num_rounds()).rev() {
-        let edges = tree.edges_in_round(g);
-        let parent: Option<usize> = edges.iter().find(|e| e.to == rank).map(|e| e.from);
-        let children: Vec<usize> = edges
-            .iter()
-            .filter(|e| e.from == rank)
-            .map(|e| e.to)
-            .collect();
-        let own = subtree(&tree, rank);
-        let payload: Vec<u8> = parent
-            .map(|_| {
-                own.iter()
-                    .flat_map(|&i| buf[i * b..(i + 1) * b].iter().copied())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let sends: Vec<SendSpec<'_>> = parent
-            .map(|p| SendSpec {
-                to: p,
-                tag: u64::from(g),
-                payload: &payload,
-            })
-            .into_iter()
-            .collect();
-        let recvs: Vec<RecvSpec> = children
-            .iter()
-            .map(|&c| RecvSpec {
-                from: c,
-                tag: u64::from(g),
-            })
-            .collect();
-        let msgs = ep.round(&sends, &recvs)?;
-        for (&c, msg) in children.iter().zip(&msgs) {
-            let blocks = subtree(&tree, c);
-            if msg.payload.len() != blocks.len() * b {
-                return Err(NetError::App("gather bundle size mismatch".into()));
-            }
-            for (slot, &i) in blocks.iter().enumerate() {
-                buf[i * b..(i + 1) * b].copy_from_slice(&msg.payload[slot * b..(slot + 1) * b]);
-            }
-        }
-    }
-    Ok((rank == root).then_some(buf))
+    // A non-root rank ends with its subtree's blocks, which nobody reads.
+    let mut subtree = ep.acquire(n * b);
+    let sent = run_program_into(ep, &program, myblock, &mut subtree);
+    ep.recycle(subtree);
+    sent.map(|()| None)
 }
 
 /// Dissemination barrier: no rank returns until every rank has entered.
@@ -150,39 +70,15 @@ pub fn gather<C: Comm + ?Sized>(
 /// offsets `S_i = {j·(k+1)^i}` — so it completes in the round-optimal
 /// `⌈log_{k+1} n⌉` rounds. (Unlike [`bruck_net::Endpoint::barrier`],
 /// which synchronizes out-of-band, this one costs real rounds and counts
-/// toward `C1`.)
+/// toward `C1`.) Its tags sit in a phase of their own, below any epoch
+/// of a [`bruck_net::GroupComm`], so it never matches a data message.
 ///
 /// # Errors
 ///
 /// Network failures propagate.
 pub fn barrier_dissemination<C: Comm + ?Sized>(ep: &mut C) -> Result<(), NetError> {
-    let n = ep.size();
-    if n == 1 {
-        return Ok(());
-    }
-    let k = ep.ports();
-    let rank = ep.rank();
-    let d = bruck_model::radix::ceil_log(k + 1, n);
-    for i in 0..d {
-        let base = bruck_model::radix::pow(k + 1, i);
-        let offsets = (1..=k).map(|j| j * base).filter(|&o| o < n);
-        let sends: Vec<SendSpec<'_>> = offsets
-            .clone()
-            .map(|o| SendSpec {
-                to: (rank + o) % n,
-                tag: u64::from(i),
-                payload: &[],
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = offsets
-            .map(|o| RecvSpec {
-                from: (rank + n - o) % n,
-                tag: u64::from(i),
-            })
-            .collect();
-        ep.round(&sends, &recvs)?;
-    }
-    Ok(())
+    let program = RankProgram::lower_barrier(ep.size(), ep.ports(), ep.rank());
+    run_program_into(ep, &program, &[], &mut [])
 }
 
 #[cfg(test)]
@@ -195,12 +91,12 @@ mod tests {
         for (n, k, root) in [(1usize, 1usize, 0usize), (5, 1, 0), (9, 2, 4), (12, 3, 11)] {
             let cfg = ClusterConfig::new(n).with_ports(k);
             let out = Cluster::run(&cfg, |ep| {
-                let data: Vec<u8> = if ep.rank() == root {
+                let mut data: Vec<u8> = if ep.rank() == root {
                     vec![7, 8, 9]
                 } else {
-                    Vec::new()
+                    vec![0; 3]
                 };
-                broadcast(ep, root, &data)
+                broadcast(ep, root, &mut data).map(|()| data)
             })
             .unwrap();
             for r in &out.results {
@@ -212,7 +108,7 @@ mod tests {
     #[test]
     fn broadcast_round_optimal() {
         let cfg = ClusterConfig::new(9).with_ports(2);
-        let out = Cluster::run(&cfg, |ep| broadcast(ep, 0, &[1])).unwrap();
+        let out = Cluster::run(&cfg, |ep| broadcast(ep, 0, &mut [1])).unwrap();
         // ⌈log3 9⌉ = 2 rounds.
         assert_eq!(out.metrics.global_complexity().unwrap().c1, 2);
     }

@@ -7,7 +7,8 @@
 //! the wire there: every [`IndexAlgorithm`](crate::index::IndexAlgorithm),
 //! [`alltoall`](crate::api::alltoall)'s planner dispatch, every
 //! [`ConcatAlgorithm`](crate::concat::ConcatAlgorithm), [`vops`](crate::vops)
-//! payload, [`reduce`](crate::reduce) and [`scan`](crate::scan) ends here.
+//! payload, [`reduce`](crate::reduce), [`scan`](crate::scan) and
+//! [`primitives`](crate::primitives) call ends here.
 //! Each round the machine yields is one `round_gather`, and its local
 //! passes move the data between `out` and one pooled work buffer, so a
 //! program runs on any [`Comm`] — and the TCP fabric and `simulate` drive
@@ -83,12 +84,13 @@ pub fn run_program_into<C: Comm + ?Sized>(
     input: &[u8],
     out: &mut [u8],
 ) -> Result<(), NetError> {
-    // The machine checks that every buffer has its size.
-    let mut work = ep.acquire(if program.passes() > 0 {
-        program.work
+    // The machine checks that every buffer has its size. An empty one
+    // (the barrier's) is not worth a trip through the cluster-shared pool.
+    let mut work = if program.passes() > 0 && program.work > 0 {
+        ep.acquire(program.work)
     } else {
-        0
-    });
+        Vec::new()
+    };
     let outcome = interpret(ep, program, input, out, &mut work);
     ep.recycle(work);
     outcome
@@ -164,6 +166,7 @@ mod tests {
     use super::*;
     use crate::concat::ConcatAlgorithm;
     use crate::index::IndexAlgorithm;
+    use crate::primitives::{barrier_dissemination, broadcast, gather};
     use crate::reduce::{allreduce, reduce, reduce_scatter, ReduceOp};
     use crate::scan::{exscan, scan};
     use crate::verify;
@@ -175,6 +178,7 @@ mod tests {
     use bruck_model::planner::{ConcatPlan, Planner, VIndexPlan};
     use bruck_model::program::simulate;
     use bruck_model::radix::ceil_log;
+    use bruck_model::spanning_tree::SpanningTree;
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
     use bruck_sched::{Schedule, ScheduleStats, Transfer};
@@ -856,6 +860,117 @@ mod tests {
                 let simulated = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
                 assert_eq!(out.results, simulated, "allgatherv n={n} k={k}");
                 assert!(simulated.iter().all(|r| r == &inputs.concat()));
+            }
+        }
+    }
+
+    /// Every rank's broadcast of `data` from `root`, gather of 2-byte
+    /// blocks to `root` or barrier (`root` unused), and every input.
+    fn tree_set(
+        which: usize,
+        (n, k, root): (usize, usize, usize),
+        data: &[u8],
+    ) -> (Vec<RankProgram>, Vec<Vec<u8>>) {
+        let program = |v| match which {
+            0 => RankProgram::lower_broadcast(n, k, v, root, data.len()),
+            1 => RankProgram::lower_gather(n, k, v, root, 2),
+            _ => RankProgram::lower_barrier(n, k, v),
+        };
+        let input = |v| match which {
+            0 if v == root => data.to_vec(),
+            1 => verify::concat_input(v, 2),
+            _ => Vec::new(),
+        };
+        (0..n).map(|v| (program(v), input(v))).unzip()
+    }
+
+    /// The tree primitives' programs, run in memory, land on their oracles
+    /// at n ≤ 64, k ≤ 4: the broadcast and the gather at every root, and
+    /// the barrier. Each broadcast round's edges are those of
+    /// `SpanningTree::build(n, k, root)`'s round (Fig. 7's tree is the one
+    /// that runs), and the schedule read off every set is ⌈log_{k+1} n⌉
+    /// rounds — the broadcast's of its bytes each, the barrier's of none.
+    #[test]
+    fn tree_programs_simulate_to_the_oracle() {
+        let data = [7u8, 8, 9];
+        let mut runs = 0usize;
+        for n in 1..=64usize {
+            for k in 1..=4 {
+                let d = ceil_log(k + 1, n);
+                let schedule = |programs: &[RankProgram]| Schedule::from_programs(programs, k);
+                let (programs, inputs) = tree_set(2, (n, k, 0), &data);
+                let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("barrier");
+                assert!(outs.iter().all(Vec::is_empty), "barrier n={n} k={k}");
+                let c = ScheduleStats::of(&schedule(&programs)).complexity;
+                assert_eq!(c, Complexity::new(d.into(), 0), "barrier n={n} k={k}");
+                for root in 0..n {
+                    let label = format!("n={n} k={k} root={root}");
+                    let (programs, inputs) = tree_set(0, (n, k, root), &data);
+                    let outs = simulate(&programs, &inputs, |_, _, _| {})
+                        .unwrap_or_else(|e| panic!("broadcast {label}: {e}"));
+                    assert!(outs.iter().all(|out| out == &data), "broadcast {label}");
+                    let s = schedule(&programs);
+                    let c = ScheduleStats::of(&s).complexity;
+                    assert_eq!(c, Complexity::new(d.into(), 3 * u64::from(d)), "{label}");
+                    let tree = SpanningTree::build(n, k, root);
+                    for (g, round) in (0..).zip(&s.rounds) {
+                        let edges = round.transfers.iter().map(|t| (t.src, t.dst));
+                        let mut tree_edges: Vec<_> = tree
+                            .edges_in_round(g)
+                            .iter()
+                            .map(|e| (e.from, e.to))
+                            .collect();
+                        tree_edges.sort_unstable();
+                        assert_eq!(edges.collect::<Vec<_>>(), tree_edges, "{label} round {g}");
+                    }
+                    let (programs, inputs) = tree_set(1, (n, k, root), &data);
+                    let outs = simulate(&programs, &inputs, |_, _, _| {})
+                        .unwrap_or_else(|e| panic!("gather {label}: {e}"));
+                    assert_eq!(outs[root], verify::concat_expected(n, 2), "gather {label}");
+                    assert_eq!(schedule(&programs).num_rounds(), d as usize, "{label}");
+                    runs += 2;
+                }
+            }
+        }
+        assert!(runs > 8_000, "sweep shrank to {runs} runs");
+    }
+
+    /// On a sample, the threaded broadcast, gather and barrier equal
+    /// their simulation, rank for rank (the gather's root), in
+    /// ⌈log_{k+1} n⌉ rounds.
+    #[test]
+    fn tree_threaded_runs_equal_their_simulation() {
+        let data = [7u8, 8, 9];
+        for &(n, k) in &[(1usize, 1usize), (2, 1), (5, 2), (10, 3), (16, 1), (21, 4)] {
+            let d = u64::from(ceil_log(k + 1, n));
+            let cfg = ClusterConfig::new(n).with_ports(k);
+            let simulated = |which, root| {
+                let (programs, inputs) = tree_set(which, (n, k, root), &data);
+                simulate(&programs, &inputs, |_, _, _| {}).unwrap()
+            };
+            let out = Cluster::run(&cfg, barrier_dissemination).unwrap();
+            assert_eq!(
+                out.metrics.global_complexity().unwrap().c1,
+                d,
+                "n={n} k={k}"
+            );
+            for root in [0, n / 2, n - 1] {
+                let label = format!("n={n} k={k} root={root}");
+                let out = Cluster::run(&cfg, |ep| {
+                    let mut buf = if ep.rank() == root { data } else { [0; 3] };
+                    broadcast(ep, root, &mut buf)?;
+                    Ok(buf.to_vec())
+                })
+                .unwrap_or_else(|e| panic!("broadcast {label}: {e}"));
+                assert_eq!(out.results, simulated(0, root), "broadcast {label}");
+                assert_eq!(out.metrics.global_complexity().unwrap().c1, d, "{label}");
+                let out = Cluster::run(&cfg, |ep| {
+                    gather(ep, root, &verify::concat_input(ep.rank(), 2))
+                })
+                .unwrap_or_else(|e| panic!("gather {label}: {e}"));
+                let mut want = vec![None; n];
+                want[root] = Some(simulated(1, root).swap_remove(root));
+                assert_eq!(out.results, want, "gather {label}");
             }
         }
     }

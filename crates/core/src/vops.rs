@@ -35,6 +35,7 @@ use bruck_net::{Comm, NetError};
 
 use crate::api::Tuning;
 use crate::concat::ConcatAlgorithm;
+use crate::primitives::barrier_dissemination;
 use crate::program_exec::run_program_into;
 use crate::vbruck;
 
@@ -222,7 +223,7 @@ pub fn alltoallv_resilient_with_policy(
         let mut gc = group.bind(ep).with_epoch(epoch);
         let mut out = Vec::new();
         let outcome = alltoallv_into(&mut gc, &dense, &dense_layout, tuning, &mut out)
-            .and_then(|recv| crate::api::confirm_completion(&mut gc).map(|()| recv));
+            .and_then(|recv| barrier_dissemination(&mut gc).map(|()| recv));
         match outcome {
             Ok(recv) => {
                 return Ok(ResilientAlltoallv {

@@ -46,7 +46,10 @@
 //! * [`RankProgram::lower_reduce_scatter`], [`RankProgram::lower_allreduce`],
 //!   [`RankProgram::lower_reduce`] — the circulant concatenation (then again
 //!   forwards) or a tree broadcast run backwards, received lanes
-//!   [folded](ProgramOp::Fold) in; [`RankProgram::lower_scan`] Hillis–Steele.
+//!   [folded](ProgramOp::Fold) in; [`RankProgram::lower_scan`] Hillis–Steele;
+//! * [`RankProgram::lower_broadcast`], [`RankProgram::lower_gather`],
+//!   [`RankProgram::lower_barrier`] — the tree primitives and the
+//!   dissemination barrier.
 //!
 //! The tests sweep [`simulate`] against the transpose and concatenation
 //! oracles, so a lowering bug is caught in pure math, far from any socket.
@@ -63,7 +66,8 @@ use crate::radix::{ceil_log, digit_steps, pow};
 /// step)` tag of a round. Flat tags are `(x << 32) | z` — far below this
 /// for any realistic `n` — and the two hierarchical phases sit at
 /// `1 << PHASE_SHIFT` and `2 << PHASE_SHIFT`, a non-uniform exchange's
-/// uniform phase at the first. Kept below bit 40 so
+/// uniform phase at the first, the barrier at `3 << PHASE_SHIFT`, where no
+/// data tag reaches. Kept below bit 40 so
 /// program tags survive epoch-shifted group contexts (`EPOCH_SHIFT` in
 /// `bruck-net`) without aliasing.
 pub const PHASE_SHIFT: u32 = 37;
@@ -1202,12 +1206,7 @@ impl ConcatLowering {
                     k.min(n - 1) * doubling + areas.sum::<usize>(),
                 )
             }
-            ConcatShape::GatherBroadcast if n > 1 => {
-                let d = ceil_log(k + 1, n);
-                let weights = (0..d).map(|g| pow(k + 1, g)).filter(|&p| v < p);
-                let children = weights.map(|p| k.min((n - 1 - v) / p)).sum::<usize>();
-                (2 * d as usize, usize::from(v > 0) + children)
-            }
+            ConcatShape::GatherBroadcast => (2 * ceil_log(k + 1, n) as usize, tree_edges(n, k, v)),
             ConcatShape::RecursiveDoubling => (dims, dims),
             ConcatShape::Ring => (n - 1, n - 1),
             _ => (0, 0),
@@ -1254,11 +1253,8 @@ fn circulant_ops(
 /// The gather + broadcast rounds (see [`ConcatLowering::gather_broadcast`]).
 /// Tags: gather round `g` is `g`, broadcast round `g` is `d + g`.
 fn gather_broadcast_ops(prog: &mut RankProgram, n: usize, v: usize, b: usize, k: usize) {
-    if n <= 1 {
-        return;
-    }
+    gather_ops(prog, n, v, 0, k);
     let (d, attached, children) = (ceil_log(k + 1, n), attached(v, k), |p| children(v, n, k, p));
-    let subtree = |t: usize, p: usize| SlotSet::new(1, t, p * (k + 1), n, 1);
     // The blocks outside t's subtree, as byte runs.
     let complement = |t: usize, p: usize| -> Arc<[(usize, usize)]> {
         let (mut runs, mut lo) = (Vec::new(), 0);
@@ -1270,12 +1266,6 @@ fn gather_broadcast_ops(prog: &mut RankProgram, n: usize, v: usize, b: usize, k:
         }
         runs.into()
     };
-    for g in (0..d).rev() {
-        let (p, tag) = (pow(k + 1, g), u64::from(g));
-        let up = (attached == Some(p)).then(|| ProgramXfer::slots(v % p, tag, subtree(v, p)));
-        let from = |c| ProgramXfer::slots(c, tag, subtree(c, p));
-        prog.push_round(up, children(p).map(from));
-    }
     for g in 0..d {
         let (p, tag) = (pow(k + 1, g), u64::from(d + g));
         let to = |c| ProgramXfer::bytes(c, tag, complement(c, p), 0);
@@ -1283,6 +1273,31 @@ fn gather_broadcast_ops(prog: &mut RankProgram, n: usize, v: usize, b: usize, k:
             (attached == Some(p)).then(|| ProgramXfer::bytes(v % p, tag, complement(v, p), 0));
         prog.push_round(children(p).map(to), down);
     }
+}
+
+/// The gather rounds of member `w` of the `(k+1)`-ary binomial tree
+/// rooted at rank `root` (member `u` is rank `u + root`), leaves first:
+/// round `g` (tag `g`) sends the slots of `w`'s subtree — the members
+/// `≡ w mod (k+1)^{g+1}` — to its parent and receives each child's.
+fn gather_ops(prog: &mut RankProgram, n: usize, w: usize, root: usize, k: usize) {
+    let rank = |u: usize| (u + root) % n;
+    let subtree = |t: usize, p: usize| SlotSet::new(1, t, p * (k + 1), n, 1);
+    for g in (0..ceil_log(k + 1, n)).rev() {
+        let (p, tag) = (pow(k + 1, g), u64::from(g));
+        let up = (attached(w, k) == Some(p))
+            .then(|| ProgramXfer::slots(rank(w % p), tag, subtree(w, p)));
+        let from = |c| ProgramXfer::slots(rank(c), tag, subtree(c, p));
+        prog.push_round(up, children(w, n, k, p).map(from));
+    }
+}
+
+/// The edges member `w` has in the `(k+1)`-ary binomial tree on `n`
+/// members: one to its parent (none for the root) and one per child.
+fn tree_edges(n: usize, k: usize, w: usize) -> usize {
+    let weights = (0..ceil_log(k + 1, n))
+        .map(|g| pow(k + 1, g))
+        .filter(|&p| w < p);
+    usize::from(w > 0) + weights.map(|p| k.min((n - 1 - w) / p)).sum::<usize>()
 }
 
 /// The weight `p = (k+1)^g` of the round attaching `v` to the `(k+1)`-ary
@@ -1346,6 +1361,99 @@ fn one_port(
     prog.push_round([send], [ProgramXfer::slots(from, tag, recv)]);
 }
 
+/// The tree primitives on the `(k+1)`-ary binomial tree of
+/// [`ConcatLowering::gather_broadcast`] rooted at any rank — member `w`
+/// is rank `w + root`, attached in round `g` by the member `w mod
+/// (k+1)^g` — and the dissemination barrier: `⌈log_{k+1} n⌉` rounds each.
+impl RankProgram {
+    /// Lower the broadcast of `len` bytes from `root` for rank `v`: round
+    /// `g` (tag `g`) receives the bytes from the rank's parent, if it is
+    /// attached in that round, and forwards them to each child it attaches
+    /// — the edges of `SpanningTree::build(n, k, root)`'s round `g`. Every
+    /// rank opens by placing its input: `len` bytes at `root`, none
+    /// elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// If `v` or `root` is not below `n`.
+    #[must_use]
+    pub fn lower_broadcast(n: usize, k: usize, v: usize, root: usize, len: usize) -> Self {
+        assert!(
+            v < n && root < n,
+            "broadcast: rank {v}, root {root}, n = {n}"
+        );
+        let (k, w) = (k.max(1), (v + n - root) % n);
+        let (d, input) = (ceil_log(k + 1, n), len * usize::from(w == 0));
+        let size = (1 + d as usize, tree_edges(n, k, w));
+        let mut prog = Self::sized(n, v, len, input, len, size);
+        prog.ops.push(place(0, 0, input));
+        let up = attached(w, k);
+        for g in 0..d {
+            let (p, tag) = (pow(k + 1, g), u64::from(g));
+            let xfer = |u: usize| ProgramXfer::slots((u + root) % n, tag, single(0, 1));
+            prog.push_round(
+                children(w, n, k, p).map(xfer),
+                (up == Some(p)).then(|| xfer(w % p)),
+            );
+        }
+        prog
+    }
+
+    /// Lower the gather of every rank's `b`-byte block to `root` for rank
+    /// `v`: the gather half of [`ConcatLowering::gather_broadcast`] on the
+    /// tree rooted at `root`, member `w` keeping its subtree's blocks at
+    /// their member slots; `root` closes with a rotation that puts rank
+    /// `i`'s block at offset `i·b`. `root` ends with the `n·b`-byte
+    /// concatenation, the others with their subtree's blocks.
+    ///
+    /// # Panics
+    ///
+    /// If `v` or `root` is not below `n`.
+    #[must_use]
+    pub fn lower_gather(n: usize, k: usize, v: usize, root: usize, b: usize) -> Self {
+        assert!(v < n && root < n, "gather: rank {v}, root {root}, n = {n}");
+        let (k, w) = (k.max(1), (v + n - root) % n);
+        let rotate = w == 0 && root > 0;
+        let ops = 1 + ceil_log(k + 1, n) as usize + usize::from(rotate);
+        let mut prog = Self::sized(n, v, b, b, n * b, (ops, tree_edges(n, k, w)));
+        prog.ops.push(place(0, w * b, b));
+        gather_ops(&mut prog, n, w, root, k);
+        if rotate {
+            // Slot u holds the block of rank u + root.
+            prog.ops
+                .push(permute(PermKind::Rotate { by: n - root }, n, 1));
+        }
+        prog
+    }
+
+    /// Lower the dissemination barrier for rank `v`: round `i` (tag `i` in
+    /// the phase `3 << PHASE_SHIFT`) sends a zero-byte token to each `v +
+    /// j·(k+1)^i` below `v + n`, `j ≤ k`, and awaits one from each `v −
+    /// j·(k+1)^i` — the circulant concatenation's pattern without its
+    /// payload, so no rank leaves before every rank has entered.
+    #[must_use]
+    pub fn lower_barrier(n: usize, k: usize, v: usize) -> Self {
+        let k = k.max(1);
+        let d = ceil_log(k + 1, n);
+        let offsets = move |i: u32| {
+            (1..=k)
+                .map(move |j| j * pow(k + 1, i))
+                .filter(move |&o| o < n)
+        };
+        let tokens = (0..d).map(|i| offsets(i).count()).sum::<usize>();
+        let mut prog = Self::sized(n, v, 0, 0, 0, (d as usize, 2 * tokens));
+        // No block at all: the empty slot set.
+        let token =
+            |peer: usize, tag: u64| ProgramXfer::slots(peer, tag, SlotSet::new(1, 0, 1, 0, 1));
+        for i in 0..d {
+            let tag = 3 << PHASE_SHIFT | u64::from(i);
+            let sends = offsets(i).map(|o| token((v + o) % n, tag));
+            prog.push_round(sends, offsets(i).map(|o| token((v + n - o) % n, tag)));
+        }
+        prog
+    }
+}
+
 /// The reductions, over `f64` lanes: a concatenation or a tree broadcast
 /// run backwards — each received span [folded](ProgramOp::Fold) in from
 /// staging at the end of the work buffer — and Hillis–Steele doubling.
@@ -1378,30 +1486,19 @@ impl RankProgram {
         lanes_circulant(n, k, rank, m).reversed(op, m * LANE, true)
     }
 
-    /// Lower the reduce of `m` lanes to `root` for rank `v`: the broadcast
-    /// down the `(k+1)`-ary binomial tree of [`ConcatLowering::gather_broadcast`]
-    /// rooted at `root` run backwards — round `g` (tag `g`), leaves first,
-    /// sends the rank's partial reduction to its parent and folds each
-    /// child's in. `root` ends with the reduction, the others with nothing.
+    /// Lower the reduce of `m` lanes to `root` for rank `v`: the
+    /// [broadcast](Self::lower_broadcast) from `root` run backwards — round
+    /// `g` (tag `g`), leaves first, sends the rank's partial reduction to
+    /// its parent and folds each child's in. `root` ends with the
+    /// reduction, the others with nothing.
     ///
     /// # Panics
     ///
     /// If `v` or `root` is not below `n`.
     #[must_use]
     pub fn lower_reduce(n: usize, k: usize, v: usize, root: usize, m: usize, op: ReduceOp) -> Self {
-        assert!(v < n && root < n, "reduce: root {root}, n = {n}");
-        // Member w of the tree rooted at 0 is rank w + root.
-        let (k, len, w) = (k.max(1), m * LANE, (v + n - root) % n);
-        let mut broadcast = Self::sized(n, v, len, len * usize::from(w == 0), len, (0, 0));
-        broadcast.ops.extend((w == 0).then(|| place(0, 0, len)));
-        let (up, whole) = (attached(w, k), Arc::<[_]>::from([(0, len)]));
-        for g in 0..ceil_log(k + 1, n) {
-            let (p, tag) = (pow(k + 1, g), u64::from(g));
-            let xfer = |u: usize| ProgramXfer::bytes((u + root) % n, tag, Arc::clone(&whole), 0);
-            let parent = (up == Some(p)).then(|| xfer(w % p));
-            broadcast.push_round(children(w, n, k, p).map(xfer), parent);
-        }
-        broadcast.reversed(op, len, false)
+        let len = m * LANE;
+        Self::lower_broadcast(n, k, v, root, len).reversed(op, len, false)
     }
 
     /// This copy pattern run backwards with `op` over an `input`-byte
@@ -1471,7 +1568,8 @@ impl RankProgram {
                 ProgramOp::Place { from, to, len } => Some((to, from, len)),
                 _ => None,
             };
-            (self.ops.iter().map_while(placed).collect(), self.input)
+            let runs = self.ops.iter().map_while(placed).filter(|run| run.2 > 0);
+            (runs.collect(), self.input)
         };
         prog.ops.push(ProgramOp::Strip { runs, len });
         prog
@@ -2957,10 +3055,10 @@ mod tests {
     /// (every index plan family and every concatenation, n ≤ 64, k ≤ 3,
     /// b ≤ 3), then the same stream over the non-uniform family (direct,
     /// padded, two-phase and allgatherv in turn, n ≤ 32, ragged blocks of
-    /// 0–4 bytes) until each member has seen 500: every mutation kind
-    /// [`mutated_run`] makes, each refused by name or the genuine
-    /// delivery, every rank still on the transpose, concatenation or
-    /// non-uniform oracle.
+    /// 0–4 bytes), the reductions and the tree primitives, each until it
+    /// has seen 500: every mutation kind [`mutated_run`] makes, each
+    /// refused by name or the genuine delivery, every rank still on its
+    /// oracle.
     #[test]
     fn mutated_deliveries_are_refused_and_never_corrupt_a_result() {
         let rng = std::cell::Cell::new(0x5eed_u64);
@@ -3071,6 +3169,53 @@ mod tests {
             let made = mutated_run(&next, &label, &programs, &inputs, &expected);
             reductions[which] += made.iter().sum::<usize>();
         }
+
+        // The tree primitives in turn until each has seen 500.
+        let mut trees = [0usize; 3];
+        for which in (0..3).cycle() {
+            if trees.iter().all(|&hits| hits >= 500) {
+                break;
+            }
+            let (n, k, b) = (2 + next() % 31, 1 + next() % 3, next() % 4);
+            let root = next() % n;
+            let (programs, inputs, expected) = tree_set(which, (n, k, b), root);
+            let label = format!("tree {which} n={n} k={k} b={b} root={root}");
+            let made = mutated_run(&next, &label, &programs, &inputs, &expected);
+            trees[which] += made.iter().sum::<usize>();
+        }
+    }
+
+    /// Every rank's program of tree primitive `which` — the broadcast of
+    /// root's `b`-byte block, the gather of `b`-byte blocks to `root`, the
+    /// barrier — every input, and the outputs: the block everywhere, the
+    /// concatenation at the gather's root (its other ranks keep what an
+    /// untouched run leaves them), nothing.
+    fn tree_set(
+        which: usize,
+        (n, k, b): (usize, usize, usize),
+        root: usize,
+    ) -> (Vec<RankProgram>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let program = |v| match which {
+            0 => RankProgram::lower_broadcast(n, k, v, root, b),
+            1 => RankProgram::lower_gather(n, k, v, root, b),
+            _ => RankProgram::lower_barrier(n, k, v),
+        };
+        let input = |v| match which {
+            0 if v != root => Vec::new(),
+            0 | 1 => concat_input(v, b),
+            _ => Vec::new(),
+        };
+        let (programs, inputs): (Vec<_>, Vec<_>) = (0..n).map(|v| (program(v), input(v))).unzip();
+        let expected = match which {
+            0 => vec![concat_input(root, b); n],
+            1 => {
+                let untouched = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                assert_eq!(untouched[root], concat_expected(n, b), "gather n={n} k={k}");
+                untouched
+            }
+            _ => vec![Vec::new(); n],
+        };
+        (programs, inputs, expected)
     }
 
     /// Every rank's program of reduction `which` — reduce to `root`,

@@ -7,11 +7,15 @@
 //! it for the whole cluster, and [`GroupComm`] restricts it to an
 //! arbitrary subset with translated ranks — so any collective runs
 //! unchanged inside any group, including several disjoint groups
-//! concurrently.
+//! concurrently. Its one communication method is
+//! [`round_gather`](Comm::round_gather), the round every lowered program
+//! is driven through, so a group translates ranks in that one place; the
+//! contiguous-payload conveniences (`round`, `send_and_recv`) stay on
+//! [`Endpoint`].
 
 use std::time::Duration;
 
-use crate::endpoint::{Endpoint, GatherSendSpec, RecvSpec, SendSpec};
+use crate::endpoint::{Endpoint, GatherSendSpec, RecvSpec};
 use crate::error::NetError;
 use crate::message::{Message, Tag};
 
@@ -27,68 +31,19 @@ pub trait Comm {
     /// Ports per participant (`k`).
     fn ports(&self) -> usize;
 
-    /// One synchronous k-port round (see [`Endpoint::round`]).
-    ///
-    /// # Errors
-    ///
-    /// Port-model violations, timeouts, fault injection.
-    fn round(
-        &mut self,
-        sends: &[SendSpec<'_>],
-        recvs: &[RecvSpec],
-    ) -> Result<Vec<Message>, NetError>;
-
     /// One synchronous k-port round whose sends are gather span lists
-    /// (see [`Endpoint::round_gather`]). The default materializes each
-    /// span list into pooled scratch and delegates to
-    /// [`round`](Comm::round); pooled contexts override it with the
-    /// single-copy staging path.
+    /// (see [`Endpoint::round_gather`]): the one way a collective reaches
+    /// the wire.
     ///
     /// # Errors
     ///
-    /// See [`Comm::round`]; also [`NetError::App`] on out-of-bounds
-    /// spans.
+    /// Port-model violations, timeouts, fault injection;
+    /// [`NetError::App`] on out-of-bounds spans.
     fn round_gather(
         &mut self,
         sends: &[GatherSendSpec<'_>],
         recvs: &[RecvSpec],
-    ) -> Result<Vec<Message>, NetError> {
-        let mut payloads = Vec::with_capacity(sends.len());
-        for s in sends {
-            let mut buf = self.acquire(s.len());
-            let mut at = 0usize;
-            for &(start, len) in s.spans {
-                let Some(src) = s.src.get(start..start + len) else {
-                    for b in payloads {
-                        self.recycle(b);
-                    }
-                    self.recycle(buf);
-                    return Err(NetError::App(format!(
-                        "round_gather: span ({start}, {len}) out of bounds for a \
-                         {}-byte source buffer",
-                        s.src.len()
-                    )));
-                };
-                buf[at..at + len].copy_from_slice(src);
-                at += len;
-            }
-            payloads.push(buf);
-        }
-        let materialized: Vec<SendSpec<'_>> = sends
-            .iter()
-            .zip(&payloads)
-            .map(|(s, payload)| SendSpec {
-                to: s.to,
-                tag: s.tag,
-                payload,
-            })
-            .collect();
-        let out = self.round(&materialized, recvs);
-        for b in payloads {
-            self.recycle(b);
-        }
-        out
-    }
+    ) -> Result<Vec<Message>, NetError>;
 
     /// The physical-substrate label of the underlying transport
     /// (`"channel"`, `"uds"`, …; see
@@ -121,65 +76,6 @@ pub trait Comm {
     /// The default implementation simply drops it.
     fn recycle(&mut self, buf: Vec<u8>) {
         drop(buf);
-    }
-
-    /// The paper's `send_and_recv`: one send and one receive in one round.
-    ///
-    /// The returned buffer comes from the buffer pool (when the context
-    /// is pooled); hand it back via [`Comm::recycle`] to keep the steady
-    /// state allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::round`].
-    fn send_and_recv(
-        &mut self,
-        to: usize,
-        payload: &[u8],
-        from: usize,
-        tag: Tag,
-    ) -> Result<Vec<u8>, NetError> {
-        let msgs = self.round(&[SendSpec { to, tag, payload }], &[RecvSpec { from, tag }])?;
-        Ok(msgs.into_iter().next().expect("one recv requested").payload)
-    }
-
-    /// Borrowed-payload `send_and_recv`: received bytes land in a prefix
-    /// of `out`, the transport buffer is recycled, and the byte count is
-    /// returned. The allocating [`Comm::send_and_recv`] is the thin
-    /// wrapper; this is the hot path.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::round`]; [`NetError::App`] if `out` is too small.
-    fn send_and_recv_into(
-        &mut self,
-        to: usize,
-        payload: &[u8],
-        from: usize,
-        tag: Tag,
-        out: &mut [u8],
-    ) -> Result<usize, NetError> {
-        let msgs = self.round(&[SendSpec { to, tag, payload }], &[RecvSpec { from, tag }])?;
-        let msg = msgs.into_iter().next().expect("one recv requested");
-        let len = msg.payload.len();
-        let Some(dst) = out.get_mut(..len) else {
-            return Err(NetError::App(format!(
-                "send_and_recv_into: output buffer of {} bytes cannot hold {len}-byte message",
-                out.len()
-            )));
-        };
-        dst.copy_from_slice(&msg.payload);
-        self.recycle(msg.payload);
-        Ok(len)
-    }
-
-    /// A round with no communication, keeping round counters aligned.
-    ///
-    /// # Errors
-    ///
-    /// Fault-injection kills.
-    fn idle_round(&mut self) -> Result<(), NetError> {
-        self.round(&[], &[]).map(|_| ())
     }
 
     /// Arm this context's completion budget: every blocking wait in the
@@ -222,14 +118,6 @@ impl Comm for Endpoint {
         Endpoint::ports(self)
     }
 
-    fn round(
-        &mut self,
-        sends: &[SendSpec<'_>],
-        recvs: &[RecvSpec],
-    ) -> Result<Vec<Message>, NetError> {
-        Endpoint::round(self, sends, recvs)
-    }
-
     fn round_gather(
         &mut self,
         sends: &[GatherSendSpec<'_>],
@@ -256,17 +144,6 @@ impl Comm for Endpoint {
 
     fn recycle(&mut self, buf: Vec<u8>) {
         Endpoint::recycle(self, buf);
-    }
-
-    fn send_and_recv_into(
-        &mut self,
-        to: usize,
-        payload: &[u8],
-        from: usize,
-        tag: Tag,
-        out: &mut [u8],
-    ) -> Result<usize, NetError> {
-        Endpoint::send_and_recv_into(self, to, payload, from, tag, out)
     }
 
     fn arm_deadline(&mut self, budget: Duration) {
@@ -426,26 +303,6 @@ impl<'a> GroupComm<'a> {
 /// below `1 << EPOCH_SHIFT`, epochs occupy the bits above.
 pub const EPOCH_SHIFT: u32 = 40;
 
-impl GroupComm<'_> {
-    fn to_global(&self, group_rank: usize) -> Result<usize, NetError> {
-        self.members
-            .get(group_rank)
-            .copied()
-            .ok_or(NetError::BadPeer {
-                rank: self.my_index,
-                peer: group_rank,
-                size: self.members.len(),
-            })
-    }
-
-    fn to_group(&self, global: usize) -> usize {
-        self.members
-            .iter()
-            .position(|&m| m == global)
-            .expect("message from outside the group matched a group receive")
-    }
-}
-
 impl Comm for GroupComm<'_> {
     fn rank(&self) -> usize {
         self.my_index
@@ -459,69 +316,43 @@ impl Comm for GroupComm<'_> {
         Endpoint::ports(self.ep)
     }
 
-    fn round(
-        &mut self,
-        sends: &[SendSpec<'_>],
-        recvs: &[RecvSpec],
-    ) -> Result<Vec<Message>, NetError> {
-        let sends: Vec<SendSpec<'_>> = sends
-            .iter()
-            .map(|s| {
-                Ok(SendSpec {
-                    to: self.to_global(s.to)?,
-                    tag: s.tag + self.tag_offset,
-                    payload: s.payload,
-                })
-            })
-            .collect::<Result<_, NetError>>()?;
-        let recvs: Vec<RecvSpec> = recvs
-            .iter()
-            .map(|r| {
-                Ok(RecvSpec {
-                    from: self.to_global(r.from)?,
-                    tag: r.tag + self.tag_offset,
-                })
-            })
-            .collect::<Result<_, NetError>>()?;
-        let mut msgs = Endpoint::round(self.ep, &sends, &recvs)?;
-        for m in &mut msgs {
-            m.src = self.to_group(m.src);
-            m.dst = self.my_index;
-            m.tag -= self.tag_offset;
-        }
-        Ok(msgs)
-    }
-
+    /// Translate the group ranks to global ones and shift the tags into
+    /// this context's epoch; received messages come back in group terms.
     fn round_gather(
         &mut self,
         sends: &[GatherSendSpec<'_>],
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
+        let (members, rank, offset) = (&self.members, self.my_index, self.tag_offset);
+        let global = |peer: usize| {
+            let size = members.len();
+            members
+                .get(peer)
+                .copied()
+                .ok_or(NetError::BadPeer { rank, peer, size })
+        };
         let sends: Vec<GatherSendSpec<'_>> = sends
             .iter()
             .map(|s| {
-                Ok(GatherSendSpec {
-                    to: self.to_global(s.to)?,
-                    tag: s.tag + self.tag_offset,
-                    src: s.src,
-                    spans: s.spans,
-                })
+                let (to, tag) = (global(s.to)?, s.tag + offset);
+                Ok(GatherSendSpec { to, tag, ..*s })
             })
             .collect::<Result<_, NetError>>()?;
         let recvs: Vec<RecvSpec> = recvs
             .iter()
             .map(|r| {
                 Ok(RecvSpec {
-                    from: self.to_global(r.from)?,
-                    tag: r.tag + self.tag_offset,
+                    from: global(r.from)?,
+                    tag: r.tag + offset,
                 })
             })
             .collect::<Result<_, NetError>>()?;
         let mut msgs = Endpoint::round_gather(self.ep, &sends, &recvs)?;
         for m in &mut msgs {
-            m.src = self.to_group(m.src);
-            m.dst = self.my_index;
-            m.tag -= self.tag_offset;
+            m.src = (members.iter().position(|&g| g == m.src))
+                .expect("message from outside the group matched a group receive");
+            m.dst = rank;
+            m.tag -= offset;
         }
         Ok(msgs)
     }
@@ -568,6 +399,28 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
 
+    impl GroupComm<'_> {
+        /// One tag-0 exchange: `payload` to `to`, as one span, and what
+        /// `from` sent back.
+        fn exchange(
+            &mut self,
+            to: usize,
+            payload: &[u8],
+            from: usize,
+        ) -> Result<Vec<u8>, NetError> {
+            let spans = [(0, payload.len())];
+            let (src, tag) = (payload, 0);
+            let send = GatherSendSpec {
+                to,
+                tag,
+                src,
+                spans: &spans,
+            };
+            let msgs = self.round_gather(&[send], &[RecvSpec { from, tag }])?;
+            Ok(msgs.into_iter().next().expect("one receive").payload)
+        }
+    }
+
     #[test]
     fn group_construction() {
         let g = Group::range(2, 3);
@@ -599,7 +452,7 @@ mod tests {
             let n = gc.size();
             let right = (gc.rank() + 1) % n;
             let left = (gc.rank() + n - 1) % n;
-            let got = gc.send_and_recv(right, &[gc.rank() as u8], left, 0)?;
+            let got = gc.exchange(right, &[gc.rank() as u8], left)?;
             Ok(Some(got[0] as usize))
         })
         .unwrap();
@@ -621,7 +474,7 @@ mod tests {
             let n = gc.size();
             let right = (gc.rank() + 1) % n;
             let left = (gc.rank() + n - 1) % n;
-            let got = gc.send_and_recv(right, &[gc.rank() as u8 + 10], left, 0)?;
+            let got = gc.exchange(right, &[gc.rank() as u8 + 10], left)?;
             Ok(got[0])
         })
         .unwrap();
@@ -637,7 +490,7 @@ mod tests {
             if Endpoint::rank(ep) < 2 {
                 let mut gc = group.bind(ep);
                 // Group has 2 members; peer 2 is invalid.
-                gc.send_and_recv(2, &[0], 2, 0)?;
+                gc.exchange(2, &[0], 2)?;
             }
             Ok(())
         })

@@ -300,15 +300,8 @@ impl Endpoint {
         verdict
     }
 
-    /// Execute one synchronous communication round: inject all `sends`
-    /// (concurrently, one port each), then wait for all `recvs`. Returns
-    /// the received messages in the order of `recvs`.
-    ///
-    /// Virtual-time semantics: every send departs at
-    /// `t0 + send_cost(bytes)` and arrives `latency(bytes)` later; the
-    /// round completes at the max of all send completions and all receive
-    /// completions (`max(t0, arrival) + recv_cost`). Under the linear
-    /// model this reproduces `T = Σ rounds (β + τ·max_bytes)`.
+    /// [`round_gather`](Self::round_gather) with contiguous payloads:
+    /// each send is one span, its whole payload.
     ///
     /// # Errors
     ///
@@ -318,49 +311,31 @@ impl Endpoint {
         sends: &[SendSpec<'_>],
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
-        let completed = self.round_preflight(sends.iter().map(|s| s.to), sends.len(), recvs)?;
-
-        let t0 = self.clock;
-        let wall_send = Instant::now();
-        let mut max_send_done = t0;
-        let mut sent_sizes = Vec::with_capacity(sends.len());
-        for s in sends {
-            let bytes = s.payload.len() as u64;
-            let depart = t0 + self.cost.send_cost_between(self.rank, s.to, bytes);
-            max_send_done = max_send_done.max(depart);
-            sent_sizes.push(bytes);
-            if let Some(trace) = &self.trace {
-                trace.record(TraceEvent {
-                    src: self.rank,
-                    dst: s.to,
-                    tag: s.tag,
-                    bytes,
-                    round: completed,
-                    depart,
-                });
-            }
-            if self.faults.should_drop(self.rank, s.to, completed) {
-                continue;
-            }
-            // Stage the borrowed payload into a pooled buffer: the only
-            // copy the data plane makes on the send side, and in steady
-            // state it reuses a recycled buffer instead of allocating.
-            let mut payload = self.pool.acquire(s.payload.len());
-            payload.copy_from_slice(s.payload);
-            self.metrics.bytes_copied += bytes;
-            self.inject(s.to, s.tag, payload, depart, bytes)?;
-        }
-        self.metrics.wall_send_ns += wall_send.elapsed().as_nanos() as u64;
-
-        self.finish_round(t0, max_send_done, sent_sizes, recvs)
+        let spans: Vec<[(usize, usize); 1]> =
+            sends.iter().map(|s| [(0, s.payload.len())]).collect();
+        let sends: Vec<GatherSendSpec<'_>> = (sends.iter().zip(&spans))
+            .map(|(s, spans)| GatherSendSpec {
+                to: s.to,
+                tag: s.tag,
+                src: s.payload,
+                spans,
+            })
+            .collect();
+        self.round_gather(&sends, recvs)
     }
 
-    /// [`round`](Self::round) with gather-spec sends: each outgoing
-    /// message is a span list over caller scratch, gathered straight into
-    /// the pooled staging buffer the transport writes — the separate pack
-    /// memcpy of the pack→stage path disappears. Receive semantics,
-    /// virtual-time accounting, and error shapes are identical to
-    /// [`round`](Self::round).
+    /// Execute one synchronous communication round: inject all `sends`
+    /// (concurrently, one port each), then wait for all `recvs`. Returns
+    /// the received messages in the order of `recvs`. Each outgoing
+    /// message is a span list over caller memory, gathered straight into
+    /// the pooled staging buffer the transport writes: the one copy the
+    /// send side makes.
+    ///
+    /// Virtual-time semantics: every send departs at
+    /// `t0 + send_cost(bytes)` and arrives `latency(bytes)` later; the
+    /// round completes at the max of all send completions and all receive
+    /// completions (`max(t0, arrival) + recv_cost`). Under the linear
+    /// model this reproduces `T = Σ rounds (β + τ·max_bytes)`.
     ///
     /// # Errors
     ///
@@ -371,7 +346,7 @@ impl Endpoint {
         sends: &[GatherSendSpec<'_>],
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
-        let completed = self.round_preflight(sends.iter().map(|s| s.to), sends.len(), recvs)?;
+        let completed = self.round_preflight(sends, recvs)?;
 
         let t0 = self.clock;
         let wall_send = Instant::now();
@@ -397,8 +372,13 @@ impl Endpoint {
                 continue;
             }
             // Gather the spans directly into the pooled staging buffer:
-            // the single copy of the fast path.
-            let mut payload = self.pool.acquire(total);
+            // the single copy of the fast path. A zero-byte token (the
+            // barrier's) takes no buffer and never locks the shared pool.
+            let mut payload = if total > 0 {
+                self.pool.acquire(total)
+            } else {
+                Vec::new()
+            };
             let mut at = 0usize;
             for &(start, len) in s.spans {
                 let Some(src) = s.src.get(start..start + len) else {
@@ -414,20 +394,39 @@ impl Endpoint {
             }
             self.metrics.bytes_copied += bytes;
             self.metrics.bytes_gathered += bytes;
-            self.inject(s.to, s.tag, payload, depart, bytes)?;
+            self.transport.send(Message {
+                src: self.rank,
+                dst: s.to,
+                tag: s.tag,
+                checksum: self.checksums.then(|| payload_checksum(&payload)),
+                payload,
+                arrival: depart + self.cost.latency_between(self.rank, s.to, bytes),
+                seq: 0,
+                ack: 0,
+            })?;
         }
         self.metrics.wall_send_ns += wall_send.elapsed().as_nanos() as u64;
 
-        self.finish_round(t0, max_send_done, sent_sizes, recvs)
+        // Complete the receives, fold virtual time, record the round.
+        let wall_recv = Instant::now();
+        let msgs = self.recv_all_checked(recvs)?;
+        self.metrics.wall_recv_ns += wall_recv.elapsed().as_nanos() as u64;
+        let (cost, rank) = (&self.cost, self.rank);
+        let recv_done = msgs.iter().map(|m| {
+            t0.max(m.arrival) + cost.recv_cost_between(m.src, rank, m.payload.len() as u64)
+        });
+        self.clock = recv_done.fold(max_send_done, f64::max);
+        let send_max = self.metrics.record_round(sent_sizes, recvs.len());
+        self.round_clock.advance(self.rank, send_max);
+        Ok(msgs)
     }
 
-    /// Shared round prologue: fault-plan kill check plus port-model
-    /// validation of both peer lists. Returns the completed-round count
-    /// (the current round's index).
+    /// Round prologue: fault-plan kill check plus port-model validation
+    /// of both peer lists. Returns the completed-round count (the current
+    /// round's index).
     fn round_preflight(
         &mut self,
-        send_peers: impl Iterator<Item = usize> + Clone,
-        send_count: usize,
+        sends: &[GatherSendSpec<'_>],
         recvs: &[RecvSpec],
     ) -> Result<u64, NetError> {
         let completed = self.metrics.rounds();
@@ -450,61 +449,9 @@ impl Endpoint {
             std::thread::sleep(pause);
         }
         self.deadline.check(self.rank)?;
-        self.check_peers(send_peers, "send", send_count)?;
+        self.check_peers(sends.iter().map(|s| s.to), "send", sends.len())?;
         self.check_peers(recvs.iter().map(|r| r.from), "recv", recvs.len())?;
         Ok(completed)
-    }
-
-    /// Hand one staged payload to the transport with checksum and
-    /// virtual-time stamps.
-    fn inject(
-        &mut self,
-        to: usize,
-        tag: Tag,
-        payload: Vec<u8>,
-        depart: f64,
-        bytes: u64,
-    ) -> Result<(), NetError> {
-        let msg = Message {
-            src: self.rank,
-            dst: to,
-            tag,
-            checksum: self.checksums.then(|| payload_checksum(&payload)),
-            payload,
-            arrival: depart + self.cost.latency_between(self.rank, to, bytes),
-            seq: 0,
-            ack: 0,
-        };
-        self.transport.send(msg)
-    }
-
-    /// Shared round epilogue: complete the receives, fold virtual time,
-    /// and record the round's metrics.
-    fn finish_round(
-        &mut self,
-        t0: f64,
-        max_send_done: f64,
-        sent_sizes: Vec<u64>,
-        recvs: &[RecvSpec],
-    ) -> Result<Vec<Message>, NetError> {
-        let wall_recv = Instant::now();
-        let slots = self.recv_all_checked(recvs)?;
-        self.metrics.wall_recv_ns += wall_recv.elapsed().as_nanos() as u64;
-
-        let mut out = Vec::with_capacity(recvs.len());
-        let mut finish = max_send_done;
-        for msg in slots {
-            let completion = t0.max(msg.arrival)
-                + self
-                    .cost
-                    .recv_cost_between(msg.src, self.rank, msg.payload.len() as u64);
-            finish = finish.max(completion);
-            out.push(msg);
-        }
-        self.clock = finish;
-        let send_max = self.metrics.record_round(sent_sizes, recvs.len());
-        self.round_clock.advance(self.rank, send_max);
-        Ok(out)
     }
 
     /// Complete all of a round's receives concurrently: poll every still

@@ -74,9 +74,8 @@
 //! [`Comm`] exposes the zero-copy surface to algorithms:
 //!
 //! * [`Comm::acquire`] / [`Comm::recycle`] — pooled scratch;
-//! * [`Comm::send_and_recv_into`] — one exchange, received bytes written
-//!   into a caller-provided buffer (the allocating
-//!   [`send_and_recv`](Comm::send_and_recv) remains as a wrapper);
+//! * [`Comm::round_gather`] — one round, each send gathered from span
+//!   lists over caller memory straight into the pooled staging buffer;
 //! * every collective in `bruck-collectives` has a `run_into` /
 //!   `*_into` variant writing into caller-owned output, with the
 //!   allocating form kept as a thin wrapper.

@@ -1,9 +1,10 @@
 //! Allocation gate for planning: a lowered rank program is two heap
 //! allocations — its op list and its transfer list, each sized from the
 //! lowering's closed form — whatever its round count (every index plan
-//! family, the circulant concatenation under both preferences and the
-//! one-port baselines), and the non-uniform planner picks its median
-//! quota candidate without copying the `n×n` size matrix.
+//! family, the circulant concatenation under both preferences, the
+//! one-port baselines and the tree primitives), and the non-uniform
+//! planner picks its median quota candidate without copying the `n×n`
+//! size matrix.
 //!
 //! A counting global allocator keeps its counters per thread, so tests
 //! running in parallel do not see each other's allocations.
@@ -127,6 +128,15 @@ fn every_lowered_program_is_two_allocations() {
                     assert_two_allocations(&label, counted(|| lowering.program(rank)));
                 }
             }
+            let label = format!("tree primitives n={n} k={k}");
+            for rank in 0..n {
+                let root = n / 3;
+                let broadcast = counted(|| RankProgram::lower_broadcast(n, k, rank, root, 64));
+                assert_two_allocations(&label, broadcast);
+                let gather = counted(|| RankProgram::lower_gather(n, k, rank, root, 64));
+                assert_two_allocations(&label, gather);
+                assert_two_allocations(&label, counted(|| RankProgram::lower_barrier(n, k, rank)));
+            }
         }
     }
 }
@@ -139,8 +149,8 @@ fn exactly_sized(p: &RankProgram) -> bool {
 
 /// The closed-form sizes at the small and degenerate shapes the sweep
 /// above skips — a lone rank, `n ≤ k + 1`, one-member groups — for every
-/// lowering, the gather + broadcast, non-uniform and reduction ones
-/// included (their byte-run spans allocate on their own): no list is sized
+/// lowering, the gather + broadcast, tree-primitive, non-uniform and
+/// reduction ones included (their byte-run spans allocate on their own): no list is sized
 /// past what its lowering fills.
 #[test]
 fn every_lowering_fills_exactly_the_lists_it_sizes() {
@@ -188,8 +198,11 @@ fn every_lowering_fills_exactly_the_lists_it_sizes() {
                     );
                 }
                 programs.push(RankProgram::lower_allgatherv(k, rank, counts));
+                programs.push(RankProgram::lower_barrier(n, k, rank));
                 for (m, root) in [(0, 0), (n + 2, n - 1)] {
                     programs.extend([
+                        RankProgram::lower_broadcast(n, k, rank, root, m),
+                        RankProgram::lower_gather(n, k, rank, root, m),
                         RankProgram::lower_reduce(n, k, rank, root, m, ReduceOp::Max),
                         RankProgram::lower_reduce_scatter(n, k, rank, m, ReduceOp::Sum),
                         RankProgram::lower_allreduce(n, k, rank, m, ReduceOp::Min),
