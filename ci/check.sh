@@ -33,6 +33,18 @@ if [ -n "$hand" ]; then
     echo "$hand" >&2
     echo "ci/check.sh: crates/core/src runs a round by hand; lower a program instead" >&2; exit 1
 fi
+# Virtual time is the simulator's (`simulate` in model/program.rs): the
+# wire carries no clock, so crates/net/src names no cost model and no
+# message arrival time, and the clock-jumping barrier and the schedule
+# replayer that compared a cluster's clocks with a simulation stay gone.
+clock=$(grep -rnE 'CostModel|\.arrival\b|\barrival *:' crates/net/src || true)
+if [ -n "$clock" ]; then
+    echo "$clock" >&2
+    echo "ci/check.sh: crates/net/src keeps a virtual clock; time programs in simulate" >&2; exit 1
+fi
+for f in crates/net/src/vbarrier.rs crates/sched/src/replay.rs; do
+    if [ -e "$f" ]; then echo "ci/check.sh: $f is back; virtual time is simulate's" >&2; exit 1; fi
+done
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -238,6 +250,20 @@ timeout 120 cargo test -q --release -p bruck-collectives --lib -- \
     program_exec::tests::reduction_threaded_runs \
     program_exec::tests::tree_programs_simulate \
     program_exec::tests::tree_threaded_runs
+
+# By name and in release, virtual time as `simulate` keeps it: every cost
+# model on hand-built programs (ring, postal relay, LogP, hierarchical,
+# copy charges, a skewed pair), the radix index's makespan against its
+# closed form on seeded shapes, the figure harness against the plan, and
+# a radix, a direct and a two-level run's makespans in closed form.
+cargo test -q --release --test cost_models --test proptests --no-run
+cargo test -q --release -p bruck-bench --lib --no-run
+timeout 120 cargo test -q --release --test cost_models
+timeout 120 cargo test -q --release --test proptests -- virtual_time_matches_prediction
+timeout 120 cargo test -q --release -p bruck-bench --lib -- harness::tests
+timeout 120 cargo test -q --release -p bruck-collectives --lib -- \
+    program_exec::tests::radix_run_charges program_exec::tests::direct_run_charges \
+    program_exec::tests::two_level_beats_flat
 
 # TCP recovery gate: the connection-healing lifecycle over real
 # loopback streams — mid-collective stream kill → reconnect → replay →

@@ -1,5 +1,5 @@
 //! `bruckctl` — run any collective from the command line and print its
-//! complexity, predicted time, and virtual measurement.
+//! complexity, predicted time, and simulated virtual time.
 //!
 //! ```text
 //! bruckctl index  --n 64 --block 256 --radix 8 [--ports 2] [--model sp1|linear|free] [--transport channel|uds]
@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use bruck_bench::harness::{measure_concat, measure_index};
 use bruck_collectives::api::{alltoall, Tuning};
 use bruck_collectives::concat::ConcatAlgorithm;
 use bruck_collectives::index::IndexAlgorithm;
@@ -212,9 +213,7 @@ fn cmd_index(args: &Args) -> Result<(), String> {
         .radix
     });
     let algo = IndexAlgorithm::BruckRadix(radix);
-    let cfg = ClusterConfig::new(args.n)
-        .with_ports(args.ports)
-        .with_cost(Arc::clone(&model));
+    let cfg = ClusterConfig::new(args.n).with_ports(args.ports);
     let (n, block) = (args.n, args.block);
     let out = run_cluster(args, &cfg, move |ep| {
         let input = verify::index_input(ep.rank(), n, block);
@@ -237,7 +236,8 @@ fn cmd_index(args: &Args) -> Result<(), String> {
         model.estimate(c) * 1e3,
         model.name()
     );
-    println!("  virtual    : {:.3} ms", out.virtual_makespan() * 1e3);
+    let simulated = measure_index(algo, n, block, args.ports, model);
+    println!("  virtual    : {:.3} ms", simulated.virtual_time * 1e3);
     println!("  verified   : all ranks hold the transposed blocks ✓");
     Ok(())
 }
@@ -245,9 +245,7 @@ fn cmd_index(args: &Args) -> Result<(), String> {
 fn cmd_concat(args: &Args) -> Result<(), String> {
     let model = model_from(&args.model)?;
     let algo = ConcatAlgorithm::Bruck(Preference::Rounds);
-    let cfg = ClusterConfig::new(args.n)
-        .with_ports(args.ports)
-        .with_cost(Arc::clone(&model));
+    let cfg = ClusterConfig::new(args.n).with_ports(args.ports);
     let (n, block) = (args.n, args.block);
     let out = run_cluster(args, &cfg, move |ep| {
         let input = verify::concat_input(ep.rank(), block);
@@ -270,7 +268,8 @@ fn cmd_concat(args: &Args) -> Result<(), String> {
         model.estimate(c) * 1e3,
         model.name()
     );
-    println!("  virtual    : {:.3} ms", out.virtual_makespan() * 1e3);
+    let simulated = measure_concat(algo, n, block, args.ports, model);
+    println!("  virtual    : {:.3} ms", simulated.virtual_time * 1e3);
     println!("  verified   : all ranks hold the concatenation ✓");
     Ok(())
 }
@@ -309,10 +308,9 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let stats = ScheduleStats::of(&schedule);
     println!("{}", summarize(&schedule));
     println!(
-        "predicted time under {}: {:.4} ms (closed form), {:.4} ms (event simulation)",
+        "predicted time under {}: {:.4} ms (closed form)",
         model.name(),
-        stats.predicted_time(model.as_ref()) * 1e3,
-        bruck_sched::analyze::simulate_time(&schedule, model.as_ref()) * 1e3
+        stats.predicted_time(model.as_ref()) * 1e3
     );
     Ok(())
 }
@@ -361,11 +359,10 @@ fn print_link_report(metrics: &bruck_net::RunMetrics) {
     println!("  dups dropped : {}", link.dups_dropped);
     println!("  corrupt drop : {}", link.corrupt_dropped);
     println!(
-        "  injected     : {} losses, {} dups, {} corruptions, {} delays, {} ack losses",
+        "  injected     : {} losses, {} dups, {} corruptions, {} ack losses",
         link.injected_losses,
         link.injected_dups,
         link.injected_corruptions,
-        link.injected_delays,
         link.injected_ack_losses
     );
     println!(
@@ -506,10 +503,8 @@ fn cmd_chaos_replay(args: &Args, path: &str) -> Result<(), String> {
     } else {
         RecoveryPolicy::ShrinkOnly
     };
-    let model = model_from(&args.model)?;
     let mut cfg = ClusterConfig::new(schedule.n)
         .with_ports(args.ports)
-        .with_cost(model)
         .with_faults(schedule.plan())
         .with_reliability(Reliability::default())
         .with_timeout(std::time::Duration::from_secs(2))
@@ -555,7 +550,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         let schedule = bruck_net::ChaosSchedule::generate_socket_chaos(args.seed, args.n);
         return cmd_chaos_tcp(args, schedule, "generated socket chaos");
     }
-    let model = model_from(&args.model)?;
     let mut plan = FaultPlan::new()
         .with_seed(args.seed)
         .with_loss(args.loss)
@@ -584,7 +578,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     }
     let mut cfg = ClusterConfig::new(args.n)
         .with_ports(args.ports)
-        .with_cost(model)
         .with_faults(plan)
         .with_reliability(Reliability::default());
     if let Some(ms) = args.deadline_ms {

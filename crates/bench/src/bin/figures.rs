@@ -4,8 +4,8 @@
 //! cargo run --release -p bruck-bench --bin figures -- <subcommand>
 //! ```
 //!
-//! Absolute numbers come from the virtual-time engine calibrated with the
-//! paper's SP-1 parameters (β = 29 µs, τ = 0.12 µs/B) plus the §3.5
+//! Absolute numbers come from the simulator (`bruck_model::program::simulate`)
+//! timing the lowered programs under the paper's SP-1 parameters (β = 29 µs, τ = 0.12 µs/B) plus the §3.5
 //! congestion/system-noise factors; shapes (who wins, crossover points,
 //! optimal-radix drift) are the reproduction targets. TSVs land in
 //! `results/`.
@@ -192,9 +192,9 @@ fn bounds() {
     sink.finish();
 }
 
-/// Concatenation algorithm comparison over n (one-port, live runs).
+/// Concatenation algorithm comparison over n (one-port, simulated runs).
 fn concat_compare() {
-    println!("\n=== Concatenation algorithms, live virtual times (b = 256, k = 1) ===");
+    println!("\n=== Concatenation algorithms, simulated virtual times (b = 256, k = 1) ===");
     let mut sink = TsvSink::new("concat");
     sink.row(&["n", "bruck_ms", "gather_bcast_ms", "ring_ms", "recdbl_ms"]);
     for n in [4usize, 8, 16, 32, 64, 17, 33] {
@@ -217,7 +217,7 @@ fn concat_compare() {
 }
 
 /// §3.5 model-gap study: linear prediction vs SP-1-factor prediction vs
-/// live virtual measurement.
+/// simulated measurement.
 fn model_gap() {
     println!("\n=== §3.5: linear model vs γ-factored SP-1 model ===");
     let mut sink = TsvSink::new("model_gap");
@@ -295,7 +295,7 @@ fn calibrate() {
         let mut samples = Vec::new();
         for &bytes in &[64usize, 1024, 16384, 262_144, 1_048_576] {
             let reps = 64;
-            let cfg = ClusterConfig::new(2).with_cost(Arc::new(LinearModel::free()));
+            let cfg = ClusterConfig::new(2);
             let body = move |ep: &mut bruck_net::Endpoint| {
                 let peer = 1 - ep.rank();
                 let payload = vec![0u8; bytes];
@@ -339,7 +339,7 @@ fn calibrate() {
         let block = 4096;
         let plan = IndexAlgorithm::BruckRadix(r).plan(n, block, 1);
         let predicted = ScheduleStats::of(&plan).predicted_time(&fit.model);
-        let cfg = ClusterConfig::new(n).with_cost(Arc::new(LinearModel::free()));
+        let cfg = ClusterConfig::new(n);
         let reps = 20;
         let start = Instant::now();
         for _ in 0..reps {
@@ -401,11 +401,9 @@ fn mixed() {
 /// breaks — flat index vs the two-level composition on an SMP cluster
 /// (8 nodes × 8 cores), all under the hierarchical cost model.
 fn hierarchy() {
-    use bruck_collectives::program_exec::run_plan;
-    use bruck_collectives::verify;
+    use bruck_bench::harness::measure_plan;
     use bruck_model::cost::HierarchicalModel;
     use bruck_model::planner::IndexPlan;
-    use bruck_net::{Cluster, ClusterConfig};
 
     println!("\n=== Hierarchy extension: 8 nodes × 8 cores, fast local / SP-1 remote ===");
     let n = 64;
@@ -420,35 +418,18 @@ fn hierarchy() {
         "two_level_ms",
     ]);
     for &block in &[16usize, 256, 4096] {
-        let measure_flat = |r: usize| {
-            let cfg = ClusterConfig::new(n).with_cost(Arc::clone(&model));
-            let out = Cluster::run(&cfg, |ep| {
-                let input = verify::index_input(ep.rank(), n, block);
-                IndexAlgorithm::BruckRadix(r).run(ep, &input, block)
-            })
-            .expect("flat index failed");
-            out.virtual_makespan()
+        let measure = |plan: IndexPlan| measure_plan(&plan, n, block, 1, Arc::clone(&model));
+        let two_level = IndexPlan::Hierarchical {
+            node_size,
+            radix_local: node_size,
+            radix_remote: node_size,
         };
-        let cfg = ClusterConfig::new(n).with_cost(Arc::clone(&model));
-        let two_level = Cluster::run(&cfg, |ep| {
-            let input = verify::index_input(ep.rank(), n, block);
-            let plan = IndexPlan::Hierarchical {
-                node_size,
-                radix_local: node_size,
-                radix_remote: node_size,
-            };
-            let result = run_plan(ep, &plan, &input, block)?;
-            assert_eq!(result, verify::index_expected(ep.rank(), n, block));
-            Ok(())
-        })
-        .expect("two-level index failed")
-        .virtual_makespan();
         sink.row(&[
             &block.to_string(),
-            &ms(measure_flat(2)),
-            &ms(measure_flat(8)),
-            &ms(measure_flat(64)),
-            &ms(two_level),
+            &ms(measure(IndexPlan::Radix(2)).virtual_time),
+            &ms(measure(IndexPlan::Radix(8)).virtual_time),
+            &ms(measure(IndexPlan::Radix(64)).virtual_time),
+            &ms(measure(two_level).virtual_time),
         ]);
     }
     sink.finish();

@@ -1,4 +1,5 @@
-//! Measurement machinery behind the `figures` binary.
+//! Measurement machinery behind the `figures` binary: each point is the
+//! lowered programs run through `simulate`, checked against the oracle.
 
 use std::sync::Arc;
 
@@ -7,8 +8,9 @@ use bruck_collectives::index::IndexAlgorithm;
 use bruck_collectives::verify;
 use bruck_model::complexity::Complexity;
 use bruck_model::cost::CostModel;
-use bruck_net::{Cluster, ClusterConfig};
-use bruck_sched::ScheduleStats;
+use bruck_model::planner::IndexPlan;
+use bruck_model::program::{simulate, RankProgram};
+use bruck_sched::{Schedule, ScheduleStats};
 
 /// One measured data point.
 #[derive(Debug, Clone)]
@@ -21,20 +23,21 @@ pub struct Measurement {
     pub ports: usize,
     /// Block size in bytes.
     pub block: usize,
-    /// Complexity measured from the live run's metrics.
+    /// Complexity of the schedule read off the programs that ran.
     pub complexity: Complexity,
-    /// Virtual makespan of the live run (seconds) under the cost model.
+    /// Virtual makespan of the simulated run (seconds) under the cost
+    /// model.
     pub virtual_time: f64,
     /// Closed-form prediction from the planner's schedule (seconds).
     pub predicted_time: f64,
 }
 
-/// Run an index algorithm on a live cluster under `model` and measure it.
+/// Simulate an index algorithm's programs under `model` and measure it.
 ///
 /// # Panics
 ///
-/// Panics if the run fails or produces a wrong result — a benchmark must
-/// never time an incorrect algorithm.
+/// Panics if the algorithm has no lowering at this size or produces a
+/// wrong result — a benchmark must never time an incorrect algorithm.
 #[must_use]
 pub fn measure_index(
     algo: IndexAlgorithm,
@@ -43,41 +46,37 @@ pub fn measure_index(
     ports: usize,
     model: Arc<dyn CostModel>,
 ) -> Measurement {
-    let cfg = ClusterConfig::new(n)
-        .with_ports(ports)
-        .with_cost(Arc::clone(&model));
-    let out = Cluster::run(&cfg, |ep| {
-        let input = verify::index_input(ep.rank(), n, block);
-        let mut result = vec![0u8; n * block];
-        algo.run_into(ep, &input, block, &mut result)?;
-        Ok(result)
-    })
-    .unwrap_or_else(|e| panic!("{} failed on n={n} b={block} k={ports}: {e}", algo.name()));
-    for (rank, result) in out.results.iter().enumerate() {
-        assert_eq!(
-            result,
-            &verify::index_expected(rank, n, block),
-            "{} produced wrong data at rank {rank}",
-            algo.name()
-        );
-    }
-    let plan = algo.plan(n, block, ports);
-    Measurement {
-        algo: algo.name(),
-        n,
-        ports,
-        block,
-        complexity: out.metrics.global_complexity().expect("aligned rounds"),
-        virtual_time: out.virtual_makespan(),
-        predicted_time: ScheduleStats::of(&plan).predicted_time(model.as_ref()),
-    }
+    measure_plan(&algo.index_plan(), n, block, ports, model)
 }
 
-/// Run a concatenation algorithm on a live cluster and measure it.
+/// Simulate an index plan's programs under `model` and measure it.
 ///
 /// # Panics
 ///
-/// Panics on failure or wrong results.
+/// As [`measure_index`].
+#[must_use]
+pub fn measure_plan(
+    plan: &IndexPlan,
+    n: usize,
+    block: usize,
+    ports: usize,
+    model: Arc<dyn CostModel>,
+) -> Measurement {
+    let lower = |rank| RankProgram::lower(plan, n, rank, block, ports);
+    let programs: Result<Vec<_>, _> = (0..n).map(lower).collect();
+    let programs = programs.unwrap_or_else(|e| panic!("{}: {e}", plan.label()));
+    let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::index_input(r, n, block)).collect();
+    let expected = |rank| verify::index_expected(rank, n, block);
+    let schedule = Schedule::from_programs(&programs, ports);
+    measure(plan.label(), &programs, &inputs, expected, &schedule, model)
+}
+
+/// Simulate a concatenation algorithm's programs and measure it.
+///
+/// # Panics
+///
+/// Panics if the algorithm has no lowering at this size or produces a
+/// wrong result.
 #[must_use]
 pub fn measure_concat(
     algo: ConcatAlgorithm,
@@ -86,29 +85,42 @@ pub fn measure_concat(
     ports: usize,
     model: Arc<dyn CostModel>,
 ) -> Measurement {
-    let cfg = ClusterConfig::new(n)
-        .with_ports(ports)
-        .with_cost(Arc::clone(&model));
-    let out = Cluster::run(&cfg, |ep| {
-        let input = verify::concat_input(ep.rank(), block);
-        let mut result = vec![0u8; n * block];
-        algo.run_into(ep, &input, &mut result)?;
-        Ok(result)
-    })
-    .unwrap_or_else(|e| panic!("{} failed on n={n} b={block} k={ports}: {e}", algo.name()));
-    let expected = verify::concat_expected(n, block);
-    for (rank, result) in out.results.iter().enumerate() {
-        assert_eq!(result, &expected, "{} wrong at rank {rank}", algo.name());
+    let lowering = algo.lower(n, block, ports);
+    let lowering = lowering.unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+    let programs: Vec<RankProgram> = (0..n).map(|rank| lowering.program(rank)).collect();
+    let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::concat_input(r, block)).collect();
+    let expected = |_| verify::concat_expected(n, block);
+    let schedule = Schedule::of_concat(&lowering);
+    measure(algo.name(), &programs, &inputs, expected, &schedule, model)
+}
+
+/// Run `programs` on `inputs` through the simulator, hold every rank's
+/// output to `expected(rank)`, and time it against `schedule`'s closed
+/// form.
+fn measure(
+    algo: String,
+    programs: &[RankProgram],
+    inputs: &[Vec<u8>],
+    expected: impl Fn(usize) -> Vec<u8>,
+    schedule: &Schedule,
+    model: Arc<dyn CostModel>,
+) -> Measurement {
+    let (n, ports) = (schedule.n, schedule.ports);
+    let block = programs.first().map_or(0, |p| p.block);
+    let sim = simulate(programs, inputs, model.as_ref(), |_, _, _| {})
+        .unwrap_or_else(|e| panic!("{algo} failed on n={n} b={block} k={ports}: {e}"));
+    for (rank, result) in sim.outputs.iter().enumerate() {
+        assert_eq!(result, &expected(rank), "{algo} wrong at rank {rank}");
     }
-    let plan = algo.plan(n, block, ports);
+    let stats = ScheduleStats::of(schedule);
     Measurement {
-        algo: algo.name(),
+        algo,
         n,
         ports,
         block,
-        complexity: out.metrics.global_complexity().expect("aligned rounds"),
-        virtual_time: out.virtual_makespan(),
-        predicted_time: ScheduleStats::of(&plan).predicted_time(model.as_ref()),
+        complexity: stats.complexity,
+        virtual_time: sim.makespan(),
+        predicted_time: stats.predicted_time(model.as_ref()),
     }
 }
 
@@ -169,7 +181,7 @@ mod tests {
             1,
             Arc::new(LinearModel::sp1()),
         );
-        // Synchronous schedule: live virtual time equals the closed form.
+        // Synchronous schedule: simulated time equals the closed form.
         assert!((m.virtual_time - m.predicted_time).abs() < 1e-9, "{m:?}");
         assert_eq!(m.complexity.c1, 3);
     }

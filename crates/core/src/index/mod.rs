@@ -98,7 +98,7 @@ impl IndexAlgorithm {
     }
 
     /// The plan the algorithm lowers.
-    fn index_plan(&self) -> IndexPlan {
+    pub fn index_plan(&self) -> IndexPlan {
         match *self {
             Self::BruckRadix(r) => IndexPlan::Radix(r),
             Self::Direct => IndexPlan::Direct,

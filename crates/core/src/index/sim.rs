@@ -10,6 +10,7 @@
 //! intermediate configurations the paper draws against the executed
 //! algorithm, not a model of it.
 
+use bruck_model::cost::LinearModel;
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{simulate, RankProgram};
 
@@ -92,7 +93,8 @@ pub fn snapshots(n: usize, r: usize) -> Vec<Snapshot> {
         .collect();
     let ops = programs.first().map_or(&[][..], |p| &p.ops[..]);
     let mut configs = vec![Configuration::initial(n); ops.len() + 1];
-    simulate(&programs, &inputs, |rank, op, data| {
+    let free = LinearModel::free();
+    simulate(&programs, &inputs, &free, |rank, op, data| {
         let cells = data.chunks(2).map(|b| (b[0].into(), b[1].into()));
         configs[op + 1].cells[rank] = cells.collect();
     })

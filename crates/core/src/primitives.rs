@@ -68,10 +68,9 @@ pub fn gather<C: Comm + ?Sized>(
 /// This is exactly the circulant concatenation's communication pattern
 /// with empty payloads — round `i` exchanges zero-byte tokens at the
 /// offsets `S_i = {j·(k+1)^i}` — so it completes in the round-optimal
-/// `⌈log_{k+1} n⌉` rounds. (Unlike [`bruck_net::Endpoint::barrier`],
-/// which synchronizes out-of-band, this one costs real rounds and counts
-/// toward `C1`.) Its tags sit in a phase of their own, below any epoch
-/// of a [`bruck_net::GroupComm`], so it never matches a data message.
+/// `⌈log_{k+1} n⌉` rounds, which count toward `C1`. Its tags sit in a
+/// phase of their own, below any epoch of a [`bruck_net::GroupComm`], so
+/// it never matches a data message.
 ///
 /// # Errors
 ///
@@ -145,19 +144,21 @@ mod tests {
 
     #[test]
     fn dissemination_barrier_waits_for_slowest() {
-        // Rank 3 enters 5 ms (virtual) late; everyone must leave at or
-        // after that entry.
+        // Rank 3 enters 5 ms late on the wall clock; everyone must leave
+        // at least 5 ms after the shared start.
         let cfg = ClusterConfig::new(6);
+        let start = std::time::Instant::now();
+        let late = std::time::Duration::from_millis(5);
         let out = Cluster::run(&cfg, |ep| {
             if ep.rank() == 3 {
-                ep.advance_compute(5e-3);
+                std::thread::sleep(late);
             }
             barrier_dissemination(ep)?;
-            Ok(ep.virtual_time())
+            Ok(start.elapsed())
         })
         .unwrap();
         for (rank, &t) in out.results.iter().enumerate() {
-            assert!(t >= 5e-3, "rank {rank} left the barrier at {t}");
+            assert!(t >= late, "rank {rank} left the barrier after {t:?}");
         }
     }
 }

@@ -20,8 +20,9 @@
 //! `sendbuf` and its last writes `out` — two passes over `n·b` bytes —
 //! and a direct or pairwise exchange places one block and sends straight
 //! from `sendbuf`; a padded exchange places its blocks and makes one strip
-//! pass. Each then scatters every received byte once, charged to the
-//! virtual clock as it happens.
+//! pass. Each then scatters every received byte once. What that costs in
+//! virtual time is [`simulate`](bruck_model::program::simulate)'s to say:
+//! it steps the same machines under a cost model.
 
 use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};
@@ -113,12 +114,14 @@ fn interpret<C: Comm + ?Sized>(
         (out, work)
     };
     let mut m = RankMachine::new(program, input, start).map_err(NetError::App)?;
-    // Reused across rounds: all sends' byte spans, and where each ends.
+    // Reused across rounds: all sends' byte spans, where each ends, and
+    // the receives.
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut ends: Vec<usize> = Vec::new();
+    let mut recvs: Vec<RecvSpec> = Vec::new();
     loop {
         match m.step(&mut scratch) {
-            Action::Local(copied) => ep.charge_copy(copied as u64),
+            Action::Local(_) => {}
             Action::Send(round) => {
                 spans.clear();
                 ends.clear();
@@ -136,24 +139,17 @@ fn interpret<C: Comm + ?Sized>(
                         spans: &spans[std::mem::replace(&mut from, end)..end],
                     })
                     .collect();
-                let recvs: Vec<RecvSpec> = (round.recvs.iter())
-                    .map(|r| RecvSpec {
-                        from: r.peer,
-                        tag: r.tag,
-                    })
-                    .collect();
+                recvs.clear();
+                recvs.extend(round.recvs.iter().map(|r| RecvSpec {
+                    from: r.peer,
+                    tag: r.tag,
+                }));
                 let msgs = ep.round_gather(&sends, &recvs)?;
-                // Only the receive side is a local copy to charge: the
-                // send side's single staging gather is the transport's
-                // own, already accounted by the endpoint.
-                let mut received = 0u64;
                 for (r, msg) in round.recvs.iter().zip(msgs) {
                     m.deliver(r.peer, r.tag, &msg.payload)
                         .map_err(NetError::App)?;
-                    received += msg.payload.len() as u64;
                     ep.recycle(msg.payload);
                 }
-                ep.charge_copy(received);
             }
             Action::Await(_) => return Err(NetError::App("round_gather came back short".into())),
             Action::Done => return Ok(()),
@@ -172,7 +168,7 @@ mod tests {
     use crate::verify;
     use bruck_model::bounds::{concat_bounds, index_bounds};
     use bruck_model::complexity::Complexity;
-    use bruck_model::cost::{CostModel, HierarchicalModel, Sp1Model};
+    use bruck_model::cost::{CostModel, HierarchicalModel, LinearModel, Sp1Model};
     use bruck_model::mixed_radix::MixedRadix;
     use bruck_model::partition::Preference;
     use bruck_model::planner::{ConcatPlan, Planner, VIndexPlan};
@@ -182,7 +178,6 @@ mod tests {
     use bruck_model::tuning::index_complexity_kport;
     use bruck_net::{Cluster, ClusterConfig, RunOutput};
     use bruck_sched::{Schedule, ScheduleStats, Transfer};
-    use std::sync::Arc;
 
     fn run_on(cfg: &ClusterConfig, plan: &IndexPlan, block: usize) -> RunOutput<Vec<u8>> {
         let n = cfg.n;
@@ -193,6 +188,30 @@ mod tests {
         .unwrap_or_else(|e| panic!("{} n={n} b={block}: {e}", plan.label()))
     }
 
+    /// `programs` run in memory on `inputs`, each rank's output.
+    fn outputs(programs: &[RankProgram], inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, String> {
+        simulate(programs, inputs, &LinearModel::free(), |_, _, _| {}).map(|sim| sim.outputs)
+    }
+
+    /// The makespan of `plan`'s programs at `(n, b, k)` under `model`, on
+    /// the index oracle's inputs.
+    fn makespan(plan: &IndexPlan, n: usize, k: usize, block: usize, model: &dyn CostModel) -> f64 {
+        let programs: Vec<RankProgram> = (0..n)
+            .map(|rank| RankProgram::lower(plan, n, rank, block, k).unwrap())
+            .collect();
+        let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::index_input(r, n, block)).collect();
+        let sim = simulate(&programs, &inputs, model, |_, _, _| {}).expect("simulate");
+        for (rank, out) in sim.outputs.iter().enumerate() {
+            assert_eq!(
+                out,
+                &verify::index_expected(rank, n, block),
+                "{}",
+                plan.label()
+            );
+        }
+        sim.makespan()
+    }
+
     /// Run `plan` on a threaded cluster and hold every rank's result to
     /// the transpose oracle and to the same programs run in memory.
     fn run_cluster(plan: &IndexPlan, n: usize, block: usize, ports: usize) -> RunOutput<Vec<u8>> {
@@ -201,7 +220,7 @@ mod tests {
             .map(|rank| RankProgram::lower(plan, n, rank, block, ports).unwrap())
             .collect();
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::index_input(r, n, block)).collect();
-        let simulated = simulate(&programs, &inputs, |_, _, _| {}).expect("simulate");
+        let simulated = outputs(&programs, &inputs).expect("simulate");
         for (rank, result) in out.results.iter().enumerate() {
             let expected = verify::index_expected(rank, n, block);
             assert_eq!(
@@ -226,7 +245,7 @@ mod tests {
         let lowering = algo.lower(n, b, k).expect("lowerable");
         let programs: Vec<RankProgram> = (0..n).map(|rank| lowering.program(rank)).collect();
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| verify::concat_input(r, b)).collect();
-        simulate(&programs, &inputs, |_, _, _| {})
+        outputs(&programs, &inputs)
             .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", algo.name()))
     }
 
@@ -468,11 +487,7 @@ mod tests {
     /// Seconds of copying a run of `plan` is charged at this rate: the
     /// makespan with and without a copy-charging model.
     fn copy_charge(plan: &IndexPlan, n: usize, k: usize, block: usize, per_byte: f64) -> f64 {
-        let makespan = |model: Sp1Model| {
-            let model: Arc<dyn CostModel> = Arc::new(model);
-            let cfg = ClusterConfig::new(n).with_ports(k).with_cost(model);
-            run_on(&cfg, plan, block).virtual_makespan()
-        };
+        let makespan = |model: Sp1Model| makespan(plan, n, k, block, &model);
         makespan(Sp1Model::calibrated().with_copy_per_byte(per_byte))
             - makespan(Sp1Model::calibrated())
     }
@@ -623,10 +638,9 @@ mod tests {
         // 4 nodes × 4 cores, fast local / slow remote: the two-level
         // composition must beat the flat r=2 index in virtual time.
         let (n, node_size, block) = (16, 4, 64);
-        let model: Arc<dyn CostModel> = Arc::new(HierarchicalModel::smp_cluster(node_size));
-        let cfg = ClusterConfig::new(n).with_cost(model);
-        let flat = run_on(&cfg, &IndexPlan::Radix(2), block).virtual_makespan();
-        let hier = run_on(&cfg, &two_level(node_size, 2, 2), block).virtual_makespan();
+        let model = HierarchicalModel::smp_cluster(node_size);
+        let flat = makespan(&IndexPlan::Radix(2), n, 1, block, &model);
+        let hier = makespan(&two_level(node_size, 2, 2), n, 1, block, &model);
         assert!(
             hier < flat,
             "hierarchical {hier} s should beat flat {flat} s"
@@ -760,7 +774,7 @@ mod tests {
                     let inputs: Vec<Vec<u8>> = (0..n).map(|r| v_input(r, n, sizes)).collect();
                     for plan in v_plans(n, sizes) {
                         let programs = v_programs(&plan, n, k, sizes);
-                        let outs = simulate(&programs, &inputs, |_, _, _| {})
+                        let outs = outputs(&programs, &inputs)
                             .unwrap_or_else(|e| panic!("{} n={n} k={k}: {e}", plan.label()));
                         for (rank, out) in outs.iter().enumerate() {
                             let label = plan.label();
@@ -773,7 +787,7 @@ mod tests {
                         runs += 1;
                     }
                     let (programs, inputs) = allgatherv_programs(k, &sizes[..n]);
-                    let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("allgatherv");
+                    let outs = outputs(&programs, &inputs).expect("allgatherv");
                     assert!(
                         outs.iter().all(|out| out == &inputs.concat()),
                         "allgatherv n={n} k={k}"
@@ -843,7 +857,7 @@ mod tests {
                     // The lowering clamps the radix as the forced method does.
                     let inputs: Vec<Vec<u8>> = (0..n).map(|r| v_input(r, n, sizes)).collect();
                     let programs = v_programs(&plan, n, k, sizes);
-                    let simulated = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                    let simulated = outputs(&programs, &inputs).unwrap();
                     assert_eq!(out.results, simulated, "{} n={n} k={k}", plan.label());
                 }
                 let counts = &sizes[..n];
@@ -857,7 +871,7 @@ mod tests {
                 })
                 .unwrap();
                 let (programs, inputs) = allgatherv_programs(k, counts);
-                let simulated = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                let simulated = outputs(&programs, &inputs).unwrap();
                 assert_eq!(out.results, simulated, "allgatherv n={n} k={k}");
                 assert!(simulated.iter().all(|r| r == &inputs.concat()));
             }
@@ -899,14 +913,14 @@ mod tests {
                 let d = ceil_log(k + 1, n);
                 let schedule = |programs: &[RankProgram]| Schedule::from_programs(programs, k);
                 let (programs, inputs) = tree_set(2, (n, k, 0), &data);
-                let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("barrier");
+                let outs = outputs(&programs, &inputs).expect("barrier");
                 assert!(outs.iter().all(Vec::is_empty), "barrier n={n} k={k}");
                 let c = ScheduleStats::of(&schedule(&programs)).complexity;
                 assert_eq!(c, Complexity::new(d.into(), 0), "barrier n={n} k={k}");
                 for root in 0..n {
                     let label = format!("n={n} k={k} root={root}");
                     let (programs, inputs) = tree_set(0, (n, k, root), &data);
-                    let outs = simulate(&programs, &inputs, |_, _, _| {})
+                    let outs = outputs(&programs, &inputs)
                         .unwrap_or_else(|e| panic!("broadcast {label}: {e}"));
                     assert!(outs.iter().all(|out| out == &data), "broadcast {label}");
                     let s = schedule(&programs);
@@ -924,7 +938,7 @@ mod tests {
                         assert_eq!(edges.collect::<Vec<_>>(), tree_edges, "{label} round {g}");
                     }
                     let (programs, inputs) = tree_set(1, (n, k, root), &data);
-                    let outs = simulate(&programs, &inputs, |_, _, _| {})
+                    let outs = outputs(&programs, &inputs)
                         .unwrap_or_else(|e| panic!("gather {label}: {e}"));
                     assert_eq!(outs[root], verify::concat_expected(n, 2), "gather {label}");
                     assert_eq!(schedule(&programs).num_rounds(), d as usize, "{label}");
@@ -946,7 +960,7 @@ mod tests {
             let cfg = ClusterConfig::new(n).with_ports(k);
             let simulated = |which, root| {
                 let (programs, inputs) = tree_set(which, (n, k, root), &data);
-                simulate(&programs, &inputs, |_, _, _| {}).unwrap()
+                outputs(&programs, &inputs).unwrap()
             };
             let out = Cluster::run(&cfg, barrier_dissemination).unwrap();
             assert_eq!(
@@ -1071,7 +1085,7 @@ mod tests {
         let programs: Vec<RankProgram> =
             (0..n).map(|r| reduction.program(n, k, r, m, op)).collect();
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| to_bytes(&lanes(r, m))).collect();
-        simulate(&programs, &inputs, |_, _, _| {})
+        outputs(&programs, &inputs)
             .unwrap_or_else(|e| panic!("{reduction:?} n={n} k={k} m={m}: {e}"))
     }
 

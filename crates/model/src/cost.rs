@@ -9,8 +9,8 @@
 //! (`γ_s`) factors.
 //!
 //! All of these are expressed through the [`CostModel`] trait, consumed by
-//! the virtual-time engine in `bruck-net` and by the schedule analyzer in
-//! `bruck-sched`. Three primitives suffice:
+//! the simulator ([`crate::program::simulate`]) and by the schedule
+//! analyzer in `bruck-sched`. Three primitives suffice:
 //!
 //! * [`CostModel::send_cost`] — how long the *sender* is busy injecting the
 //!   message (the message departs when this completes);

@@ -58,6 +58,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::cost::CostModel;
 use crate::partition::{concat_last_round, Area, ColumnSlice, Preference};
 use crate::planner::{IndexPlan, VIndexPlan};
 use crate::radix::{ceil_log, digit_steps, pow};
@@ -1881,11 +1882,50 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
     }
 }
 
-/// Run a program set with perfect in-memory message delivery: each
-/// rank's [`RankMachine`], in rank order, as far as its mail allows, until
-/// none can move. `inputs[r]` is rank `r`'s input; the result is each
-/// rank's output. `after_op(rank, op, data)` sees every op a rank
-/// completes, with the data as that op left it.
+/// What [`simulate`] returns: each rank's output and the virtual time at
+/// which it finished, both indexed by rank.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Simulation {
+    /// Each rank's output: its work buffer when its program is done.
+    pub outputs: Vec<Vec<u8>>,
+    /// Each rank's finish time under the cost model (seconds).
+    pub times: Vec<f64>,
+}
+
+impl Simulation {
+    /// The virtual makespan: the latest finish time.
+    #[must_use]
+    pub fn makespan(&self) -> f64 {
+        self.times.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// One rank's virtual clock, and the round it is in.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clock {
+    /// Now: when the rank's next op starts.
+    now: f64,
+    /// When the current round's sends fired.
+    start: f64,
+    /// When the current round ends, as far as it has landed.
+    end: f64,
+    /// Bytes received so far in the current round.
+    received: u64,
+}
+
+/// Run a program set with perfect in-memory message delivery and time it
+/// under `model`: each rank's [`RankMachine`], in rank order, as far as
+/// its mail allows, until none can move. `inputs[r]` is rank `r`'s input.
+/// `after_op(rank, op, data)` sees every op a rank completes, with the
+/// data as that op left it.
+///
+/// Each rank carries a clock. A local op that copies `b` bytes adds
+/// `copy_cost(b)`. A round starts at the clock's `t0`: each send departs
+/// at `t0 + send_cost_between` and arrives `latency_between` later, each
+/// receive completes at `max(t0, arrival) + recv_cost_between`, and the
+/// round ends at the latest departure or completion, plus one
+/// `copy_cost` of the bytes it received (scattering them). Under the
+/// linear model a synchronous program set takes `C1·β + C2·τ`.
 ///
 /// # Errors
 ///
@@ -1895,8 +1935,9 @@ impl<'p, B: AsRef<[u8]> + AsMut<[u8]>> RankMachine<'p, B> {
 pub fn simulate<'p>(
     programs: &'p [RankProgram],
     inputs: &'p [Vec<u8>],
+    model: &dyn CostModel,
     mut after_op: impl FnMut(usize, usize, &[u8]),
-) -> Result<Vec<Vec<u8>>, String> {
+) -> Result<Simulation, String> {
     let counts = (inputs.len(), programs.len());
     if counts.0 != counts.1 {
         return Err(format!("simulate: (inputs, programs) = {counts:?}"));
@@ -1905,31 +1946,46 @@ pub fn simulate<'p>(
         |(p, input): (&'p RankProgram, &'p Vec<u8>)| RankMachine::new(p, input, vec![0; p.work]);
     let machines: Result<Vec<_>, _> = programs.iter().zip(inputs).map(machine).collect();
     let mut machines = machines.map_err(|e| format!("simulate: {e}"))?;
+    let mut clocks = vec![Clock::default(); machines.len()];
     let mut scratch = Vec::new();
-    // Sent and not yet delivered, keyed by (dst, src, tag).
-    let mut mail: HashMap<(usize, usize, u64), Vec<u8>> = HashMap::new();
+    // Sent and not yet delivered, keyed by (dst, src, tag), with the
+    // arrival time.
+    let mut mail: HashMap<(usize, usize, u64), (Vec<u8>, f64)> = HashMap::new();
     let mut moved = true;
     while std::mem::take(&mut moved) {
-        for (r, m) in machines.iter_mut().enumerate() {
+        for ((r, m), clock) in machines.iter_mut().enumerate().zip(&mut clocks) {
             loop {
                 let at = m.completed();
                 scratch.resize(m.scratch_len(), 0);
-                match m.step(&mut scratch) {
-                    Action::Local(_) => {}
+                let action = m.step(&mut scratch);
+                match action {
+                    Action::Local(copied) => clock.now += model.copy_cost(copied as u64),
                     Action::Send(round) => {
+                        let t0 = clock.now;
+                        (clock.start, clock.end, clock.received) = (t0, t0, 0);
                         for s in round.sends {
-                            let mut payload = Vec::new();
+                            let mut payload = Vec::with_capacity(s.span.bytes(programs[r].block));
                             m.pack(s, &mut payload);
-                            if mail.insert((s.peer, r, s.tag), payload).is_some() {
+                            let bytes = payload.len() as u64;
+                            let depart = t0 + model.send_cost_between(r, s.peer, bytes);
+                            clock.end = clock.end.max(depart);
+                            let arrival = depart + model.latency_between(r, s.peer, bytes);
+                            let key = (s.peer, r, s.tag);
+                            if mail.insert(key, (payload, arrival)).is_some() {
                                 return Err(format!("simulate: rank {r} reused tag {}", s.tag));
                             }
                         }
                     }
                     Action::Await(round) => {
                         for x in round.recvs {
-                            if let Some(payload) = mail.remove(&(r, x.peer, x.tag)) {
+                            if let Some((payload, arrival)) = mail.remove(&(r, x.peer, x.tag)) {
                                 m.deliver(x.peer, x.tag, &payload)
                                     .map_err(|e| format!("simulate: {e}"))?;
+                                let bytes = payload.len() as u64;
+                                let done = clock.start.max(arrival)
+                                    + model.recv_cost_between(x.peer, r, bytes);
+                                clock.end = clock.end.max(done);
+                                clock.received += bytes;
                                 moved = true;
                             }
                         }
@@ -1941,6 +1997,10 @@ pub fn simulate<'p>(
                 }
                 moved = true;
                 if m.completed() > at {
+                    if !matches!(action, Action::Local(_)) {
+                        // A round ended: it scatters what it received.
+                        clock.now = clock.end + model.copy_cost(clock.received);
+                    }
                     after_op(r, at, m.buffer());
                 }
             }
@@ -1955,7 +2015,10 @@ pub fn simulate<'p>(
     if !mail.is_empty() {
         return Err(format!("simulate: {} messages never received", mail.len()));
     }
-    Ok(machines.into_iter().map(RankMachine::into_work).collect())
+    Ok(Simulation {
+        outputs: machines.into_iter().map(RankMachine::into_work).collect(),
+        times: clocks.iter().map(|c| c.now).collect(),
+    })
 }
 
 /// The index-vector lowering this module used before descriptors: every
@@ -2139,6 +2202,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LinearModel;
 
     /// The largest single message of a program, in blocks.
     fn max_message_blocks(p: &RankProgram) -> usize {
@@ -2296,7 +2360,7 @@ mod tests {
         let set: Vec<RankProgram> = (0..7)
             .map(|rank| RankProgram { rank, ..p.clone() })
             .collect();
-        assert!(simulate(&set, &inputs, |_, _, _| {})
+        assert!(simulate(&set, &inputs, &LinearModel::free(), |_, _, _| {})
             .unwrap_err()
             .contains("does not fit"));
         // A transpose that is not n cells, an XOR past the group count or
@@ -2520,8 +2584,8 @@ mod tests {
             .collect();
         assert!(programs.iter().all(exactly_sized), "{}", plan.label());
         let inputs: Vec<Vec<u8>> = (0..n).map(|r| input(r, n, block)).collect();
-        let outs = simulate(&programs, &inputs, |_, _, _| {}).expect("simulate");
-        for (r, out) in outs.iter().enumerate() {
+        let outs = simulate(&programs, &inputs, &LinearModel::free(), |_, _, _| {});
+        for (r, out) in outs.expect("simulate").outputs.iter().enumerate() {
             assert_eq!(
                 out,
                 &expected(r, n, block),
@@ -3209,7 +3273,8 @@ mod tests {
         let expected = match which {
             0 => vec![concat_input(root, b); n],
             1 => {
-                let untouched = simulate(&programs, &inputs, |_, _, _| {}).unwrap();
+                let untouched = simulate(&programs, &inputs, &LinearModel::free(), |_, _, _| {});
+                let untouched = untouched.unwrap().outputs;
                 assert_eq!(untouched[root], concat_expected(n, b), "gather n={n} k={k}");
                 untouched
             }

@@ -4,8 +4,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use bruck_model::cost::{CostModel, LinearModel};
-
 use crate::deadline::Deadline;
 use crate::endpoint::Endpoint;
 use crate::error::NetError;
@@ -18,7 +16,6 @@ use crate::pool::BufferPool;
 use crate::reliable::{Reliability, ReliableTransport};
 use crate::trace::Trace;
 use crate::transport::{ChannelTransport, Delivery};
-use crate::vbarrier::VBarrier;
 
 /// Configuration for one cluster run.
 #[derive(Clone)]
@@ -27,8 +24,6 @@ pub struct ClusterConfig {
     pub n: usize,
     /// Ports per processor (`k`).
     pub ports: usize,
-    /// Virtual-time cost model.
-    pub cost: Arc<dyn CostModel>,
     /// Record a [`Trace`] of every send.
     pub trace: bool,
     /// Receive timeout (deadlock/fault detector).
@@ -75,8 +70,7 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// `n` processors, 1 port, SP-1 linear cost model, 10 s timeout,
-    /// no tracing, no faults.
+    /// `n` processors, 1 port, 10 s timeout, no tracing, no faults.
     ///
     /// # Panics
     ///
@@ -87,7 +81,6 @@ impl ClusterConfig {
         Self {
             n,
             ports: 1,
-            cost: Arc::new(LinearModel::sp1()),
             trace: false,
             timeout: Duration::from_secs(10),
             faults: Arc::new(FaultPlan::new()),
@@ -108,13 +101,6 @@ impl ClusterConfig {
     pub fn with_ports(mut self, ports: usize) -> Self {
         assert!(ports >= 1, "need at least one port");
         self.ports = ports;
-        self
-    }
-
-    /// Set the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: Arc<dyn CostModel>) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -198,7 +184,6 @@ impl core::fmt::Debug for ClusterConfig {
         f.debug_struct("ClusterConfig")
             .field("n", &self.n)
             .field("ports", &self.ports)
-            .field("cost", &self.cost.name())
             .field("trace", &self.trace)
             .field("timeout", &self.timeout)
             .finish_non_exhaustive()
@@ -212,19 +197,8 @@ pub struct RunOutput<T> {
     pub results: Vec<T>,
     /// Folded communication metrics.
     pub metrics: RunMetrics,
-    /// Per-rank virtual completion times (after a final clock sync, all
-    /// equal to the max; kept per-rank for skew analysis before sync).
-    pub virtual_times: Vec<f64>,
     /// The trace, if tracing was enabled.
     pub trace: Option<Trace>,
-}
-
-impl<T> RunOutput<T> {
-    /// The virtual makespan: the latest rank completion time.
-    #[must_use]
-    pub fn virtual_makespan(&self) -> f64 {
-        self.virtual_times.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Root-cause ordering over error kinds: lower sorts earlier. A killed
@@ -256,8 +230,6 @@ pub struct RunReport<T> {
     pub outcomes: Vec<Result<T, NetError>>,
     /// Folded communication metrics (all ranks, failed or not).
     pub metrics: RunMetrics,
-    /// Per-rank virtual completion times.
-    pub virtual_times: Vec<f64>,
     /// The trace, if tracing was enabled.
     pub trace: Option<Trace>,
     /// The failure detector's final verdict: ranks the cluster agreed
@@ -295,7 +267,6 @@ impl<T> RunReport<T> {
                 .map(|o| o.expect("no errors per root_cause"))
                 .collect(),
             metrics: self.metrics,
-            virtual_times: self.virtual_times,
             trace: self.trace,
         })
     }
@@ -547,7 +518,6 @@ impl Cluster {
         // process-wide budget has room. Deadlock-free because permits
         // are taken all-or-nothing per run, never incrementally.
         let _permits = Cluster::thread_gate().acquire(n);
-        let barrier = Arc::new(VBarrier::new(n));
         let trace = config.trace.then(Trace::new);
         // One pool for the whole cluster: a receiver recycles the very
         // buffer the sender's endpoint staged its payload into.
@@ -602,10 +572,8 @@ impl Cluster {
                     rank,
                     n,
                     config.ports,
-                    Arc::clone(&config.cost),
                     transport,
                     trace.clone(),
-                    Arc::clone(&barrier),
                     Arc::clone(&config.faults),
                     config.timeout,
                     Arc::clone(&pool),
@@ -626,7 +594,7 @@ impl Cluster {
         let done = AtomicUsize::new(0);
         let done_ref = &done;
         let linger_fallback = config.timeout;
-        let outcomes: Vec<(Result<T, NetError>, crate::metrics::RankMetrics, f64, u64)> =
+        let outcomes: Vec<(Result<T, NetError>, crate::metrics::RankMetrics, u64)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = endpoints
                     .drain(..)
@@ -693,8 +661,7 @@ impl Cluster {
                                 }
                             }
                             let seen = ep.failures_seen();
-                            let (metrics, clock) = ep.into_parts();
-                            (result, metrics, clock, seen)
+                            (result, ep.into_metrics(), seen)
                         })
                     })
                     .collect();
@@ -706,11 +673,9 @@ impl Cluster {
 
         let mut results = Vec::with_capacity(n);
         let mut per_rank = Vec::with_capacity(n);
-        let mut virtual_times = Vec::with_capacity(n);
         let final_version = detector.version();
-        for (result, metrics, clock, seen) in outcomes {
+        for (result, metrics, seen) in outcomes {
             per_rank.push(metrics);
-            virtual_times.push(clock);
             // Verdict agreement: a rank whose data dependencies never
             // crossed a dead rank can race through its rounds and return
             // `Ok` before the death is even announced (an event-driven
@@ -734,7 +699,6 @@ impl Cluster {
                 pool: pool.stats(),
                 ..RunMetrics::default()
             },
-            virtual_times,
             trace,
             failed: detector.snapshot(),
         }
@@ -939,32 +903,6 @@ mod tests {
         assert_eq!(out.results, vec![4, 0, 1, 2, 3]);
         // One round, max message 1 byte.
         assert_eq!(out.metrics.global_complexity(), Some(Complexity::new(1, 1)));
-    }
-
-    #[test]
-    fn virtual_time_linear_model_synchronous() {
-        // 3 rounds of 100-byte messages on the SP-1 linear model:
-        // T = 3·(29µs + 100·0.12µs).
-        let cfg = ClusterConfig::new(4);
-        let out = Cluster::run(&cfg, |ep| {
-            let n = ep.size();
-            let payload = vec![0u8; 100];
-            for _ in 0..3 {
-                let right = (ep.rank() + 1) % n;
-                let left = (ep.rank() + n - 1) % n;
-                ep.send_and_recv(right, &payload, left, 0)?;
-            }
-            Ok(ep.virtual_time())
-        })
-        .unwrap();
-        let expected = 3.0 * (29e-6 + 100.0 * 0.12e-6);
-        for &t in &out.results {
-            assert!((t - expected).abs() < 1e-12, "t = {t}, expected {expected}");
-        }
-        assert_eq!(
-            out.metrics.global_complexity(),
-            Some(Complexity::new(3, 300))
-        );
     }
 
     #[test]
@@ -1177,21 +1115,6 @@ mod tests {
         assert_eq!(m[0][1], 10);
         assert_eq!(m[1][2], 10);
         assert_eq!(m[2][0], 10);
-    }
-
-    #[test]
-    fn barrier_syncs_clocks() {
-        let cfg = ClusterConfig::new(3);
-        let out = Cluster::run(&cfg, |ep| {
-            // Rank r computes r milliseconds of virtual work, then syncs.
-            ep.advance_compute(ep.rank() as f64 * 1e-3);
-            ep.barrier();
-            Ok(ep.virtual_time())
-        })
-        .unwrap();
-        for &t in &out.results {
-            assert!((t - 2e-3).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -54,14 +54,6 @@ pub trait Comm {
         "generic"
     }
 
-    /// Advance the local virtual clock by `dt` seconds of computation.
-    fn advance_compute(&mut self, dt: f64);
-
-    /// Charge the virtual clock for copying `bytes` locally (pack/unpack
-    /// and buffer rotations), per the cost model's
-    /// [`bruck_model::cost::CostModel::copy_cost`].
-    fn charge_copy(&mut self, bytes: u64);
-
     /// Acquire pooled scratch of exactly `len` bytes (zeroed).
     ///
     /// The default implementation allocates fresh; pooled contexts
@@ -128,14 +120,6 @@ impl Comm for Endpoint {
 
     fn transport_kind(&self) -> &'static str {
         Endpoint::transport_kind(self)
-    }
-
-    fn advance_compute(&mut self, dt: f64) {
-        Endpoint::advance_compute(self, dt);
-    }
-
-    fn charge_copy(&mut self, bytes: u64) {
-        Endpoint::charge_copy(self, bytes);
     }
 
     fn acquire(&mut self, len: usize) -> Vec<u8> {
@@ -359,14 +343,6 @@ impl Comm for GroupComm<'_> {
 
     fn transport_kind(&self) -> &'static str {
         Endpoint::transport_kind(self.ep)
-    }
-
-    fn advance_compute(&mut self, dt: f64) {
-        Endpoint::advance_compute(self.ep, dt);
-    }
-
-    fn charge_copy(&mut self, bytes: u64) {
-        Endpoint::charge_copy(self.ep, bytes);
     }
 
     fn acquire(&mut self, len: usize) -> Vec<u8> {

@@ -4,8 +4,7 @@
 //! [`crate::Cluster::run`]. Its central primitive is [`Endpoint::round`]:
 //! one synchronous communication round in the k-port model — up to `k`
 //! sends to distinct peers and up to `k` receives from distinct peers,
-//! all counted against the paper's `C1`/`C2` measures and the virtual
-//! clock.
+//! all counted against the paper's `C1`/`C2` measures.
 //!
 //! A round's receives complete in one engine: scan every outstanding
 //! `(from, tag)` with a non-blocking `try_match`, and when a whole pass
@@ -18,8 +17,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bruck_model::cost::CostModel;
-
 use crate::deadline::Deadline;
 use crate::error::NetError;
 use crate::failure::FailureDetector;
@@ -29,7 +26,6 @@ use crate::metrics::RankMetrics;
 use crate::pool::BufferPool;
 use crate::trace::{Trace, TraceEvent};
 use crate::transport::Transport;
-use crate::vbarrier::VBarrier;
 
 /// How often a blocked receive re-checks the failure detector: short
 /// enough that a cluster-wide failure verdict interrupts waiters well
@@ -96,12 +92,9 @@ pub struct Endpoint {
     rank: usize,
     size: usize,
     ports: usize,
-    cost: Arc<dyn CostModel>,
     transport: Box<dyn Transport>,
-    clock: f64,
     metrics: RankMetrics,
     trace: Option<Trace>,
-    barrier: Arc<VBarrier>,
     faults: Arc<FaultPlan>,
     timeout: Duration,
     pool: Arc<BufferPool>,
@@ -134,10 +127,8 @@ impl Endpoint {
         rank: usize,
         size: usize,
         ports: usize,
-        cost: Arc<dyn CostModel>,
         transport: Box<dyn Transport>,
         trace: Option<Trace>,
-        barrier: Arc<VBarrier>,
         faults: Arc<FaultPlan>,
         timeout: Duration,
         pool: Arc<BufferPool>,
@@ -150,12 +141,9 @@ impl Endpoint {
             rank,
             size,
             ports,
-            cost,
             transport,
-            clock: 0.0,
             metrics: RankMetrics::default(),
             trace,
-            barrier,
             faults,
             timeout,
             pool,
@@ -234,31 +222,10 @@ impl Endpoint {
         self.ports
     }
 
-    /// Current virtual time (seconds).
-    #[must_use]
-    pub fn virtual_time(&self) -> f64 {
-        self.clock
-    }
-
     /// Rounds completed so far.
     #[must_use]
     pub fn rounds_completed(&self) -> u64 {
         self.metrics.rounds()
-    }
-
-    /// Advance the virtual clock by a local computation of `dt` seconds
-    /// (models the local data rearrangement of the index algorithm's
-    /// phases 1 and 3, if the caller wishes to charge for it).
-    pub fn advance_compute(&mut self, dt: f64) {
-        assert!(dt >= 0.0, "cannot rewind the clock");
-        self.clock += dt;
-    }
-
-    /// Charge the virtual clock for a local copy of `bytes` under the
-    /// cluster's cost model (zero under the pure linear model; the SP-1
-    /// model can be configured with a per-byte copy time, §3.5).
-    pub fn charge_copy(&mut self, bytes: u64) {
-        self.clock += self.cost.copy_cost(bytes);
     }
 
     fn check_peers(
@@ -331,12 +298,6 @@ impl Endpoint {
     /// the pooled staging buffer the transport writes: the one copy the
     /// send side makes.
     ///
-    /// Virtual-time semantics: every send departs at
-    /// `t0 + send_cost(bytes)` and arrives `latency(bytes)` later; the
-    /// round completes at the max of all send completions and all receive
-    /// completions (`max(t0, arrival) + recv_cost`). Under the linear
-    /// model this reproduces `T = Σ rounds (β + τ·max_bytes)`.
-    ///
     /// # Errors
     ///
     /// Port-model violations, timeouts, and fault-injection kills; also
@@ -348,16 +309,10 @@ impl Endpoint {
     ) -> Result<Vec<Message>, NetError> {
         let completed = self.round_preflight(sends, recvs)?;
 
-        let t0 = self.clock;
         let wall_send = Instant::now();
-        let mut max_send_done = t0;
-        let mut sent_sizes = Vec::with_capacity(sends.len());
         for s in sends {
             let total = s.len();
             let bytes = total as u64;
-            let depart = t0 + self.cost.send_cost_between(self.rank, s.to, bytes);
-            max_send_done = max_send_done.max(depart);
-            sent_sizes.push(bytes);
             if let Some(trace) = &self.trace {
                 trace.record(TraceEvent {
                     src: self.rank,
@@ -365,7 +320,6 @@ impl Endpoint {
                     tag: s.tag,
                     bytes,
                     round: completed,
-                    depart,
                 });
             }
             if self.faults.should_drop(self.rank, s.to, completed) {
@@ -400,22 +354,17 @@ impl Endpoint {
                 tag: s.tag,
                 checksum: self.checksums.then(|| payload_checksum(&payload)),
                 payload,
-                arrival: depart + self.cost.latency_between(self.rank, s.to, bytes),
                 seq: 0,
                 ack: 0,
             })?;
         }
         self.metrics.wall_send_ns += wall_send.elapsed().as_nanos() as u64;
 
-        // Complete the receives, fold virtual time, record the round.
+        // Complete the receives, record the round (dropped sends count).
         let wall_recv = Instant::now();
         let msgs = self.recv_all_checked(recvs)?;
         self.metrics.wall_recv_ns += wall_recv.elapsed().as_nanos() as u64;
-        let (cost, rank) = (&self.cost, self.rank);
-        let recv_done = msgs.iter().map(|m| {
-            t0.max(m.arrival) + cost.recv_cost_between(m.src, rank, m.payload.len() as u64)
-        });
-        self.clock = recv_done.fold(max_send_done, f64::max);
+        let sent_sizes = sends.iter().map(|s| s.len() as u64);
         let send_max = self.metrics.record_round(sent_sizes, recvs.len());
         self.round_clock.advance(self.rank, send_max);
         Ok(msgs)
@@ -650,12 +599,6 @@ impl Endpoint {
         self.round(&[], &[]).map(|_| ())
     }
 
-    /// Synchronize with every other rank; clocks jump to the global max.
-    /// Does not count as a communication round.
-    pub fn barrier(&mut self) {
-        self.clock = self.barrier.wait(self.clock);
-    }
-
     /// The failure-detector version this endpoint has witnessed (via a
     /// round abort or [`Endpoint::acknowledge_failures`]). The cluster
     /// epilogue compares it against the final version to decide whether
@@ -665,11 +608,11 @@ impl Endpoint {
         self.seen_version
     }
 
-    pub(crate) fn into_parts(mut self) -> (RankMetrics, f64) {
+    pub(crate) fn into_metrics(mut self) -> RankMetrics {
         // Fold the wire sublayers' counters (fault injection,
         // reliability) into this rank's metrics.
         self.metrics.link = self.metrics.link.merged(&self.transport.link_stats());
-        (self.metrics, self.clock)
+        self.metrics
     }
 }
 
@@ -679,7 +622,6 @@ impl core::fmt::Debug for Endpoint {
             .field("rank", &self.rank)
             .field("size", &self.size)
             .field("ports", &self.ports)
-            .field("clock", &self.clock)
             .field("rounds", &self.metrics.rounds())
             .finish_non_exhaustive()
     }

@@ -9,8 +9,8 @@
 //!   exact `(src, dst, round)` message. These model application-level
 //!   omission failures and are applied by the
 //!   [`Endpoint`](crate::Endpoint), which knows round numbers.
-//! * **Probabilistic wire faults** — seeded per-link loss, duplication,
-//!   corruption, and delay rates, applied below the round layer by
+//! * **Probabilistic wire faults** — seeded per-link loss, duplication
+//!   and corruption rates, applied below the round layer by
 //!   [`FaultyTransport`] to every physical transmission (including
 //!   reliability-layer acks and retransmissions). The RNG is a keyed
 //!   splitmix64 hash of `(seed, src, dst, transmission#)` — fully
@@ -121,17 +121,13 @@ pub struct LinkRates {
     pub duplicate: f64,
     /// Probability one payload byte is flipped in flight.
     pub corrupt: f64,
-    /// Probability the message's virtual arrival is delayed.
-    pub delay: f64,
-    /// Virtual-time penalty (seconds) added when a delay fires.
-    pub delay_secs: f64,
 }
 
 impl LinkRates {
     /// Whether every rate is zero (the link is fault-free).
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        self.loss <= 0.0 && self.duplicate <= 0.0 && self.corrupt <= 0.0 && self.delay <= 0.0
+        self.loss <= 0.0 && self.duplicate <= 0.0 && self.corrupt <= 0.0
     }
 }
 
@@ -144,8 +140,6 @@ pub struct WireVerdict {
     pub duplicate: bool,
     /// Flip one payload byte.
     pub corrupt: bool,
-    /// Add the link's virtual delay penalty.
-    pub delay: bool,
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -357,15 +351,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delay each transmission's virtual arrival by `secs` with
-    /// probability `rate`.
-    #[must_use]
-    pub fn with_delay(mut self, rate: f64, secs: f64) -> Self {
-        self.rates.delay = rate;
-        self.rates.delay_secs = secs;
-        self
-    }
-
     /// Override the rates of the single link `src → dst`.
     #[must_use]
     pub fn with_link_rates(mut self, src: usize, dst: usize, rates: LinkRates) -> Self {
@@ -574,7 +559,6 @@ impl FaultPlan {
             drop: unit_draw(key, 1) < r.loss,
             duplicate: unit_draw(key, 2) < r.duplicate,
             corrupt: unit_draw(key, 3) < r.corrupt,
-            delay: unit_draw(key, 4) < r.delay,
         }
     }
 
@@ -732,10 +716,6 @@ impl Transport for FaultyTransport {
             self.stats.injected_losses += 1;
             return Ok(());
         }
-        if verdict.delay {
-            self.stats.injected_delays += 1;
-            msg.arrival += self.plan.rates_for(msg.src, msg.dst).delay_secs;
-        }
         if verdict.corrupt && !msg.payload.is_empty() {
             self.stats.injected_corruptions += 1;
             let site = self
@@ -807,13 +787,6 @@ pub enum ChaosEvent {
     Duplication(f64),
     /// Per-link corruption rate.
     Corruption(f64),
-    /// Per-link virtual-delay rate and penalty.
-    Delay {
-        /// Probability a transmission is delayed.
-        rate: f64,
-        /// Virtual-time penalty in seconds.
-        secs: f64,
-    },
     /// Dedicated-ack loss rate.
     AckLoss(f64),
     /// Bipartition cut at the given sender round.
@@ -906,7 +879,6 @@ impl fmt::Display for ChaosEvent {
             Self::Loss(r) => write!(f, "loss {:.1}%", r * 100.0),
             Self::Duplication(r) => write!(f, "dup {:.1}%", r * 100.0),
             Self::Corruption(r) => write!(f, "corrupt {:.1}%", r * 100.0),
-            Self::Delay { rate, secs } => write!(f, "delay {:.1}% (+{secs}s)", rate * 100.0),
             Self::AckLoss(r) => write!(f, "ack-loss {:.1}%", r * 100.0),
             Self::Partition { side, round } => write!(f, "partition {side:?} @ round {round}"),
             Self::Cut { src, dst, round } => write!(f, "cut {src}→{dst} @ round {round}"),
@@ -994,11 +966,10 @@ impl ChaosSchedule {
         if rate(1.0) < 0.5 {
             events.push(ChaosEvent::Corruption(rate(0.05)));
         }
+        // The draws of the retired virtual-delay fault, kept so that every
+        // seed yields the same remaining faults.
         if rate(1.0) < 0.33 {
-            events.push(ChaosEvent::Delay {
-                rate: rate(0.1),
-                secs: 1e-5,
-            });
+            rate(0.1);
         }
         if rate(1.0) < 0.33 {
             events.push(ChaosEvent::AckLoss(rate(0.15)));
@@ -1155,7 +1126,6 @@ impl ChaosSchedule {
                 ChaosEvent::Loss(r) => p.with_loss(*r),
                 ChaosEvent::Duplication(r) => p.with_duplication(*r),
                 ChaosEvent::Corruption(r) => p.with_corruption(*r),
-                ChaosEvent::Delay { rate, secs } => p.with_delay(*rate, *secs),
                 ChaosEvent::AckLoss(r) => p.with_ack_loss(*r),
                 ChaosEvent::Partition { side, round } => p.with_partition(side.clone(), *round),
                 ChaosEvent::Cut { src, dst, round } => p.cut_link(*src, *dst, *round),

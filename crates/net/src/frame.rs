@@ -60,20 +60,18 @@ pub const FRAG_PAYLOAD: usize = 64 * 1024;
 /// a corrupt or hostile fragment index buys at most this much memory.
 pub const MAX_MESSAGE: usize = 1 << 30;
 
-// src, tag, msg id, frag idx, frag count, arrival, seq, ack,
-// checksum flag + value
-pub(crate) const HEADER: usize = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8 + 1 + 4;
+// src, tag, msg id, frag idx, frag count, seq, ack, checksum flag + value
+pub(crate) const HEADER: usize = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4;
 
 /// The fixed-size head of every fragment: the message envelope plus the
 /// fragment's place in it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FrameHeader {
     pub(crate) src: usize,
     pub(crate) tag: Tag,
     pub(crate) msg_id: u64,
     pub(crate) frag_idx: u32,
     pub(crate) frag_count: u32,
-    pub(crate) arrival: f64,
     pub(crate) seq: u64,
     pub(crate) ack: u64,
     pub(crate) checksum: Option<u32>,
@@ -92,7 +90,6 @@ impl FrameHeader {
             msg_id,
             frag_idx: 0,
             frag_count: frag_count(msg.payload.len())?,
-            arrival: msg.arrival,
             seq: msg.seq,
             ack: msg.ack,
             checksum: msg.checksum,
@@ -100,23 +97,15 @@ impl FrameHeader {
     }
 
     /// Whether `self` and `other` can head fragments of one message:
-    /// equal in everything but the index (`arrival` bit for bit, so a
-    /// NaN agrees with itself).
+    /// equal in everything but the index.
     fn same_message(&self, other: &Self) -> bool {
-        let rest = |h: &Self| {
-            let arrival = h.arrival.to_bits();
-            (
-                h.src,
-                h.tag,
-                h.msg_id,
-                h.frag_count,
-                arrival,
-                h.seq,
-                h.ack,
-                h.checksum,
-            )
-        };
-        rest(self) == rest(other)
+        Self {
+            frag_idx: 0,
+            ..*self
+        } == Self {
+            frag_idx: 0,
+            ..*other
+        }
     }
 }
 
@@ -147,7 +136,6 @@ pub(crate) fn encode_header(buf: &mut Vec<u8>, head: &FrameHeader) {
     buf.extend_from_slice(&head.msg_id.to_le_bytes());
     buf.extend_from_slice(&head.frag_idx.to_le_bytes());
     buf.extend_from_slice(&head.frag_count.to_le_bytes());
-    buf.extend_from_slice(&head.arrival.to_bits().to_le_bytes());
     buf.extend_from_slice(&head.seq.to_le_bytes());
     buf.extend_from_slice(&head.ack.to_le_bytes());
     buf.push(u8::from(head.checksum.is_some()));
@@ -175,11 +163,10 @@ pub(crate) fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, NetError> {
             msg_id: u64::from_le_bytes(get(12, 8).try_into().expect("8 bytes")),
             frag_idx: u32::from_le_bytes(get(20, 4).try_into().expect("4 bytes")),
             frag_count: u32::from_le_bytes(get(24, 4).try_into().expect("4 bytes")),
-            arrival: f64::from_bits(u64::from_le_bytes(get(28, 8).try_into().expect("8 bytes"))),
-            seq: u64::from_le_bytes(get(36, 8).try_into().expect("8 bytes")),
-            ack: u64::from_le_bytes(get(44, 8).try_into().expect("8 bytes")),
-            checksum: (buf[52] != 0)
-                .then(|| u32::from_le_bytes(get(53, 4).try_into().expect("4 bytes"))),
+            seq: u64::from_le_bytes(get(28, 8).try_into().expect("8 bytes")),
+            ack: u64::from_le_bytes(get(36, 8).try_into().expect("8 bytes")),
+            checksum: (buf[44] != 0)
+                .then(|| u32::from_le_bytes(get(45, 4).try_into().expect("4 bytes"))),
         },
         chunk: &buf[HEADER..],
     })
@@ -247,7 +234,6 @@ impl Assembler {
             dst: self.rank,
             tag: head.tag,
             payload,
-            arrival: head.arrival,
             seq: head.seq,
             ack: head.ack,
             checksum: head.checksum,
@@ -359,7 +345,6 @@ mod tests {
             msg_id,
             frag_idx,
             frag_count,
-            arrival: 0.5,
             seq: 9,
             ack: 4,
             checksum: Some(0xDEAD),
@@ -387,7 +372,6 @@ mod tests {
             dst: 0,
             tag: 7,
             payload: payload.to_vec(),
-            arrival: 0.5,
             seq: 9,
             ack: 4,
             checksum: None,
@@ -590,7 +574,6 @@ mod tests {
         };
         refused(&mut asm, other(|h| h.tag = 8), &full);
         refused(&mut asm, other(|h| h.seq = 1), &full);
-        refused(&mut asm, other(|h| h.arrival = 0.25), &full);
         refused(&mut asm, other(|h| h.checksum = None), &full);
         // ... and the message still completes from well-formed ones.
         feed(&mut asm, &encode(&head(1, 1, 2, 3), &[9])).unwrap();

@@ -7,14 +7,10 @@
 //! crate substitutes an in-process cluster: one OS thread per simulated
 //! processor, fully connected by channels.
 //!
-//! Two clocks run at once:
-//!
-//! * **wall clock** — real time; the tracked benchmark (`benchmark/`) measures it;
-//! * **virtual clock** — per-rank simulated time advanced by a pluggable
-//!   [`bruck_model::cost::CostModel`]; message timestamps propagate
-//!   causally (`arrival = departure + latency`, receivers take `max`), so
-//!   a synchronous schedule reproduces the paper's `T = C1·β + C2·τ`
-//!   exactly under the linear model.
+//! Only the wall clock runs here; the tracked benchmark (`benchmark/`)
+//! measures it. Virtual time — the paper's `T = C1·β + C2·τ` under a
+//! [cost model](bruck_model::cost) — is the simulator's:
+//! [`bruck_model::program::simulate`] times the same lowered programs.
 //!
 //! The substrate *enforces* the model: a round may not use more than `k`
 //! ports in either direction, destinations must be distinct, and
@@ -31,7 +27,7 @@
 //! * **Fault injection** ([`fault`]) — deterministic plans (kill a rank
 //!   after a round, drop one exact message) applied at the round layer,
 //!   plus seeded *probabilistic wire faults* (per-link loss,
-//!   duplication, corruption, virtual delay) applied by
+//!   duplication, corruption) applied by
 //!   [`fault::FaultyTransport`] to every physical transmission. The RNG
 //!   is a keyed splitmix64 hash — deterministic under a fixed seed, no
 //!   ambient entropy. When wire faults are on, payloads carry FNV-1a
@@ -66,10 +62,9 @@
 //! cluster-shared, size-classed [`BufferPool`] (see [`pool`]). Senders
 //! stage borrowed payloads into pooled buffers; the receiver recycles the
 //! very buffer the sender staged, so after a warmup pass the steady state
-//! performs **zero fresh heap allocations** per round — benches measure
-//! the algorithm, not the allocator. The pool's counters are folded into
-//! [`RunMetrics`] and asserted on by the allocation-regression tests
-//! (`tests/zero_alloc.rs` at the workspace root).
+//! takes **no fresh buffer** from the pool per round. The pool's counters
+//! are folded into [`RunMetrics`] and asserted on by `tests/zero_alloc.rs`
+//! at the workspace root (pool events, not heap allocations).
 //!
 //! [`Comm`] exposes the zero-copy surface to algorithms:
 //!
@@ -85,7 +80,7 @@
 //! ```
 //! use bruck_net::{Cluster, ClusterConfig};
 //!
-//! // 4 processors, 1 port, linear cost model: rotate a token.
+//! // 4 processors, 1 port: rotate a token one rank to the right.
 //! let cfg = ClusterConfig::new(4).with_ports(1);
 //! let out = Cluster::run(&cfg, |ep| {
 //!     let right = (ep.rank() + 1) % ep.size();
@@ -119,7 +114,6 @@ pub mod socket;
 pub mod tcp;
 pub mod trace;
 pub mod transport;
-pub mod vbarrier;
 
 pub use bruck_model::tuning::WireTuning;
 pub use cluster::{Cluster, ClusterConfig, ResilientOutput, RunOutput, RunReport, SurvivorView};

@@ -141,7 +141,6 @@ mod tests {
             dst: 0,
             tag,
             payload: vec![byte],
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum: None,

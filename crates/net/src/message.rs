@@ -32,9 +32,6 @@ pub struct Message {
     pub tag: Tag,
     /// Payload bytes.
     pub payload: Vec<u8>,
-    /// Virtual time at which the message becomes available to the
-    /// receiver (`departure + latency` under the cluster's cost model).
-    pub arrival: f64,
     /// Reliability-layer sequence number on the `(src, dst)` link;
     /// `0` for unsequenced traffic (no reliability layer in the stack).
     pub seq: u64,
@@ -86,7 +83,6 @@ mod tests {
             dst: 1,
             tag: 0,
             payload: vec![1, 2, 3],
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum: None,
@@ -113,7 +109,6 @@ mod tests {
             dst: 1,
             tag: 0,
             payload: vec![9, 9, 9],
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum: None,

@@ -34,8 +34,6 @@ pub struct LinkStats {
     pub injected_dups: u64,
     /// Transmissions the fault injector corrupted.
     pub injected_corruptions: u64,
-    /// Transmissions the fault injector delayed in virtual time.
-    pub injected_delays: u64,
     /// Acknowledgements conveyed by piggybacking on reverse-path data
     /// frames (window-opening information that cost zero extra frames).
     pub piggyback_acks: u64,
@@ -75,7 +73,6 @@ impl LinkStats {
             injected_losses: self.injected_losses + other.injected_losses,
             injected_dups: self.injected_dups + other.injected_dups,
             injected_corruptions: self.injected_corruptions + other.injected_corruptions,
-            injected_delays: self.injected_delays + other.injected_delays,
             piggyback_acks: self.piggyback_acks + other.piggyback_acks,
             sack_entries_sent: self.sack_entries_sent + other.sack_entries_sent,
             window_occupancy_sum: self.window_occupancy_sum + other.window_occupancy_sum,

@@ -342,7 +342,6 @@ impl ReliableTransport {
             tag: ACK_TAG,
             checksum: Some(payload_checksum(&payload)),
             payload,
-            arrival: 0.0,
             seq: self.expected[src],
             ack: 0,
         };
@@ -430,7 +429,6 @@ impl ReliableTransport {
                 tag: PROBE_ACK_TAG,
                 checksum: Some(payload_checksum(&[])),
                 payload: Vec::new(),
-                arrival: 0.0,
                 seq: 0,
                 ack: 0,
             };
@@ -573,7 +571,6 @@ impl ReliableTransport {
             tag: PROBE_TAG,
             checksum: Some(payload_checksum(&[])),
             payload: Vec::new(),
-            arrival: 0.0,
             seq: 0,
             ack: 0,
         };
@@ -920,7 +917,6 @@ mod tests {
             dst,
             tag,
             payload,
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum,
@@ -1110,7 +1106,6 @@ mod tests {
             tag: ACK_TAG,
             checksum: Some(payload_checksum(&sack_payload)),
             payload: sack_payload,
-            arrival: 0.0,
             seq: 0, // nothing delivered in order yet
             ack: 0,
         };
@@ -1143,7 +1138,6 @@ mod tests {
                 tag: ACK_TAG,
                 checksum: Some(payload_checksum(&payload)),
                 payload,
-                arrival: 0.0,
                 seq: 0,
                 ack: 0,
             };

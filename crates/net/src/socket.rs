@@ -633,24 +633,4 @@ mod tests {
         let view_ids: Vec<u64> = out.output.results.iter().map(|&(_, v)| v).collect();
         assert!(view_ids.windows(2).all(|w| w[0] == w[1]));
     }
-
-    #[test]
-    fn socket_virtual_time_matches_channels() {
-        // The cost model is transport independent: virtual times agree.
-        let cfg = ClusterConfig::new(4);
-        let body = |ep: &mut Endpoint| {
-            let n = ep.size();
-            let right = (ep.rank() + 1) % n;
-            let left = (ep.rank() + n - 1) % n;
-            for i in 0..3u64 {
-                ep.send_and_recv(right, &[0u8; 64], left, i)?;
-            }
-            Ok(ep.virtual_time())
-        };
-        let sock = SocketCluster::run(&cfg, body).unwrap();
-        let chan = Cluster::run(&cfg, body).unwrap();
-        for (a, b) in sock.results.iter().zip(&chan.results) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
 }

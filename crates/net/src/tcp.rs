@@ -2500,7 +2500,6 @@ impl RankCtx<'_> {
                             tag: s.tag,
                             checksum: shared.checksums.then(|| payload_checksum(&payload)),
                             payload,
-                            arrival: 0.0,
                             seq: 0,
                             ack: 0,
                         })?;
@@ -2572,7 +2571,6 @@ mod tests {
             dst,
             tag,
             payload,
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum: None,
@@ -2649,7 +2647,6 @@ mod tests {
                 dst: 1,
                 tag: 5,
                 payload: payload.clone(),
-                arrival: 0.25,
                 seq: 3,
                 ack: 1,
                 checksum: None,
@@ -2657,7 +2654,7 @@ mod tests {
             .unwrap();
         let m = ts[1].recv_match(0, 5, Duration::from_secs(5)).unwrap();
         assert_eq!(m.payload, payload);
-        assert_eq!((m.arrival, m.seq, m.ack), (0.25, 3, 1));
+        assert_eq!((m.seq, m.ack), (3, 1));
         drop(ts);
         assert_eq!(fabric.shutdown(), None);
     }
@@ -2827,7 +2824,6 @@ mod tests {
             let payload: Vec<u8> = (0..len).map(|_| mix64(&mut rng) as u8).collect();
             let msg = Message {
                 checksum: (id % 2 == 0).then(|| payload_checksum(&payload)),
-                arrival: id as f64 * 0.5,
                 seq: mix64(&mut rng),
                 ..msg_to(id % 5, id % 3, id as Tag, payload)
             };

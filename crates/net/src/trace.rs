@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use crate::message::Tag;
 
 /// One recorded send.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Sending rank.
     pub src: usize,
@@ -22,8 +22,6 @@ pub struct TraceEvent {
     pub bytes: u64,
     /// The sender's 0-based round index when the send happened.
     pub round: u64,
-    /// Virtual departure time at the sender.
-    pub depart: f64,
 }
 
 /// A shared, append-only trace.
@@ -89,7 +87,6 @@ mod tests {
             tag: 0,
             bytes,
             round,
-            depart: 0.0,
         }
     }
 

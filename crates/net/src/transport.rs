@@ -1,6 +1,6 @@
 //! Transport abstraction: how bytes physically move between ranks.
 //!
-//! The model layer (rounds, ports, virtual time, metrics) is transport
+//! The model layer (rounds, ports, metrics) is transport
 //! independent; an [`Endpoint`](crate::Endpoint) drives any [`Transport`].
 //! Two implementations ship:
 //!
@@ -231,7 +231,6 @@ mod tests {
             dst: 1,
             tag: 9,
             payload: vec![1, 2],
-            arrival: 0.5,
             seq: 0,
             ack: 0,
             checksum: None,
@@ -239,6 +238,5 @@ mod tests {
         .unwrap();
         let m = t.recv_match(0, 9, Duration::from_millis(50)).unwrap();
         assert_eq!(m.payload, vec![1, 2]);
-        assert_eq!(m.arrival, 0.5);
     }
 }

@@ -58,35 +58,10 @@ impl ScheduleStats {
     }
 }
 
-/// Predicted time of a schedule by *event simulation* rather than the
-/// closed form: per-rank clocks, message arrival propagation — the same
-/// semantics the live cluster applies, minus the threads. Use this to
-/// sanity-check that closed-form and event-level predictions agree on
-/// synchronous schedules, and to time *skewed* schedules correctly.
-#[must_use]
-pub fn simulate_time(schedule: &Schedule, model: &dyn CostModel) -> f64 {
-    let mut clocks = vec![0.0f64; schedule.n];
-    for round in &schedule.rounds {
-        let t0 = clocks.clone();
-        let mut next = clocks.clone();
-        for t in &round.transfers {
-            let depart = t0[t.src] + model.send_cost_between(t.src, t.dst, t.bytes);
-            let arrival = depart + model.latency_between(t.src, t.dst, t.bytes);
-            let completion =
-                t0[t.dst].max(arrival) + model.recv_cost_between(t.src, t.dst, t.bytes);
-            next[t.src] = next[t.src].max(depart);
-            next[t.dst] = next[t.dst].max(completion);
-        }
-        clocks = next;
-    }
-    clocks.into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Transfer;
-    use bruck_model::cost::LinearModel;
 
     fn ring_schedule(n: usize, rounds: usize, bytes: u64) -> Schedule {
         let mut s = Schedule::new(n, 1);
@@ -116,46 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_equals_simulation_on_synchronous_schedule() {
-        let s = ring_schedule(8, 5, 64);
-        let model = LinearModel::sp1();
-        let closed = ScheduleStats::of(&s).predicted_time(&model);
-        let sim = simulate_time(&s, &model);
-        assert!((closed - sim).abs() < 1e-12, "closed {closed} vs sim {sim}");
-    }
-
-    #[test]
-    fn simulation_handles_skew() {
-        // Rank 0 sends a huge message in round 0 while others idle; in
-        // round 1 everyone depends on rank 1 → the critical path is
-        // rank 0's big send (through rank 1), not the sum of round maxima
-        // of a synchronous schedule... here closed form over-approximates
-        // by treating round 1 as starting after the global round 0.
-        let model = LinearModel::new(0.0, 1e-6);
-        let mut s = Schedule::new(3, 1);
-        s.push_round(vec![Transfer {
-            src: 0,
-            dst: 1,
-            bytes: 1000,
-        }]);
-        s.push_round(vec![Transfer {
-            src: 2,
-            dst: 0,
-            bytes: 10,
-        }]);
-        let sim = simulate_time(&s, &model);
-        // Rank 2's round-1 send departs at its own clock (0), arrives to
-        // rank 0 at 10µs ⇒ makespan dominated by rank 1's 1000µs receive.
-        assert!((sim - 1000e-6).abs() < 1e-12, "sim = {sim}");
-        let closed = ScheduleStats::of(&s).predicted_time(&model);
-        assert!(closed > sim, "closed form should be pessimistic here");
-    }
-
-    #[test]
     fn empty_schedule() {
         let s = Schedule::new(4, 1);
         let stats = ScheduleStats::of(&s);
         assert_eq!(stats.complexity, Complexity::ZERO);
-        assert_eq!(simulate_time(&s, &LinearModel::sp1()), 0.0);
     }
 }

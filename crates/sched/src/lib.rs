@@ -16,8 +16,7 @@
 //!   ([`Schedule::validate`]);
 //! * **cross-checking** — a schedule reconstructed from a live trace
 //!   ([`Schedule::from_trace`]) must equal the planned one, proving the
-//!   executable and the analysis describe the same algorithm
-//!   ([`replay`] runs the converse direction).
+//!   executable and the analysis describe the same algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,11 +24,9 @@
 pub mod analyze;
 pub mod persist;
 pub mod render;
-pub mod replay;
 pub mod schedule;
 
 pub use analyze::ScheduleStats;
 pub use persist::{chaos_from_tsv, chaos_to_tsv, from_tsv, to_tsv};
 pub use render::{render_activity, render_rounds, summarize};
-pub use replay::replay_on_cluster;
 pub use schedule::{Round, Schedule, Transfer};

@@ -122,7 +122,6 @@ pub fn chaos_to_tsv(schedule: &ChaosSchedule) -> String {
             ChaosEvent::Loss(r) => out.push_str(&format!("loss\t{r}\n")),
             ChaosEvent::Duplication(r) => out.push_str(&format!("dup\t{r}\n")),
             ChaosEvent::Corruption(r) => out.push_str(&format!("corrupt\t{r}\n")),
-            ChaosEvent::Delay { rate, secs } => out.push_str(&format!("delay\t{rate}\t{secs}\n")),
             ChaosEvent::AckLoss(r) => out.push_str(&format!("ack-loss\t{r}\n")),
             ChaosEvent::Partition { side, round } => {
                 let side: Vec<String> = side.iter().map(ToString::to_string).collect();
@@ -199,10 +198,6 @@ pub fn chaos_from_tsv(text: &str) -> Result<ChaosSchedule, String> {
             ["loss", r] => ChaosEvent::Loss(num(lineno, "rate", r)?),
             ["dup", r] => ChaosEvent::Duplication(num(lineno, "rate", r)?),
             ["corrupt", r] => ChaosEvent::Corruption(num(lineno, "rate", r)?),
-            ["delay", rate, secs] => ChaosEvent::Delay {
-                rate: num(lineno, "rate", rate)?,
-                secs: num(lineno, "secs", secs)?,
-            },
             ["ack-loss", r] => ChaosEvent::AckLoss(num(lineno, "rate", r)?),
             ["partition", round, side] => ChaosEvent::Partition {
                 round: num(lineno, "round", round)?,
@@ -372,10 +367,6 @@ mod tests {
                 ChaosEvent::Loss(0.03),
                 ChaosEvent::Duplication(0.001),
                 ChaosEvent::Corruption(0.1234567890123),
-                ChaosEvent::Delay {
-                    rate: 0.5,
-                    secs: 1e-6,
-                },
                 ChaosEvent::AckLoss(0.25),
                 ChaosEvent::Partition {
                     side: vec![0, 2, 5],
@@ -460,6 +451,19 @@ mod tests {
         assert!(chaos_from_tsv("# bruck-chaos v1\nseed\t1\n")
             .unwrap_err()
             .contains("bad dimensions"));
+    }
+
+    #[test]
+    fn retired_delay_lines_are_unrecognized() {
+        // `delay` names no fault: a reproducer with such a line is refused
+        // by position, not replayed without it.
+        let text = "# bruck-chaos v1\nseed\t7\tn\t4\nloss\t0.01\ndelay\t0.1\t0.00001\n";
+        let err = chaos_from_tsv(text).unwrap_err();
+        assert!(err.starts_with("line "), "{err}");
+        assert!(
+            err.ends_with(": unrecognized line: delay\t0.1\t0.00001"),
+            "{err}"
+        );
     }
 
     #[test]

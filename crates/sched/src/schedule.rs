@@ -4,9 +4,6 @@ use bruck_model::planner::IndexPlan;
 use bruck_model::program::{ConcatLowering, RankProgram};
 use bruck_net::trace::Trace;
 
-/// One rank's view of one round: `(dst, bytes)` sends and `src` receives.
-pub type RankRound = (Vec<(usize, u64)>, Vec<usize>);
-
 /// One point-to-point transfer within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Transfer {
@@ -237,31 +234,6 @@ impl Schedule {
         }
         Ok(())
     }
-
-    /// The transfers a given rank must perform, round by round:
-    /// `(sends, recvs)` where sends are `(dst, bytes)` and recvs are
-    /// `src`. Used by the replayer.
-    #[must_use]
-    pub fn rank_script(&self, rank: usize) -> Vec<RankRound> {
-        self.rounds
-            .iter()
-            .map(|round| {
-                let sends = round
-                    .transfers
-                    .iter()
-                    .filter(|t| t.src == rank)
-                    .map(|t| (t.dst, t.bytes))
-                    .collect();
-                let recvs = round
-                    .transfers
-                    .iter()
-                    .filter(|t| t.dst == rank)
-                    .map(|t| t.src)
-                    .collect();
-                (sends, recvs)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -402,15 +374,6 @@ mod tests {
             },
         ]);
         assert!(s.validate().unwrap_err().contains("duplicate pair"));
-    }
-
-    #[test]
-    fn rank_script_extracts_view() {
-        let s = two_round_schedule();
-        let script = s.rank_script(0);
-        assert_eq!(script.len(), 2);
-        assert_eq!(script[0], (vec![(1, 4)], vec![2]));
-        assert_eq!(script[1], (vec![], vec![1]));
     }
 
     #[test]

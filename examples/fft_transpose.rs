@@ -17,6 +17,7 @@
 //! cargo run --release --example fft_transpose
 //! ```
 
+use bruck::model::program::{simulate, RankProgram};
 use bruck::prelude::*;
 use std::f64::consts::PI;
 
@@ -115,6 +116,16 @@ fn decode(bytes: &[u8]) -> Vec<Cpx> {
         .collect()
 }
 
+/// The simulator's makespan for `plan` on `n` ranks of `block`-byte
+/// blocks under the SP-1 linear model: the programs `alltoall` ran.
+fn virtual_time(plan: &IndexPlan, n: usize, block: usize) -> f64 {
+    let lower = |rank| RankProgram::lower(plan, n, rank, block, 1).expect("lowerable");
+    let programs: Vec<RankProgram> = (0..n).map(lower).collect();
+    let inputs = vec![vec![0; n * block]; n];
+    let sim = simulate(&programs, &inputs, &LinearModel::sp1(), |_, _, _| {});
+    sim.expect("the programs run").makespan()
+}
+
 fn main() {
     assert_eq!(R % P, 0);
     assert_eq!(C % P, 0);
@@ -182,6 +193,7 @@ fn main() {
         })
         .collect();
     let cols_per = C / P;
+    let block = rows_per * cols_per * 16;
     let mut max_err = 0f64;
     for (p, trows) in &out.results {
         for (lc, trow) in trows.iter().enumerate() {
@@ -200,6 +212,6 @@ fn main() {
     println!("max |error| vs direct O(N²) DFT: {max_err:.2e} ✓");
     println!(
         "virtual time under SP-1 model: {:.1} µs",
-        out.virtual_makespan() * 1e6
+        virtual_time(&tuning.chosen_plan(P, block, 1).plan, P, block) * 1e6
     );
 }

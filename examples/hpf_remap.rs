@@ -12,6 +12,7 @@
 //! cargo run --example hpf_remap
 //! ```
 
+use bruck::model::program::{simulate, RankProgram};
 use bruck::prelude::*;
 
 const N: usize = 8; // processors
@@ -33,23 +34,34 @@ fn decode(bytes: &[u8]) -> Vec<f32> {
         .collect()
 }
 
+/// The simulator's makespan for `plan` on `n` ranks of `block`-byte
+/// blocks under the SP-1 linear model: the programs `alltoall` ran.
+fn virtual_time(plan: &IndexPlan, n: usize, block: usize) -> f64 {
+    let lower = |rank| RankProgram::lower(plan, n, rank, block, 1).expect("lowerable");
+    let programs: Vec<RankProgram> = (0..n).map(lower).collect();
+    let inputs = vec![vec![0; n * block]; n];
+    let sim = simulate(&programs, &inputs, &LinearModel::sp1(), |_, _, _| {});
+    sim.expect("the programs run").makespan()
+}
+
 fn main() {
     let r = N * ROWS_PER;
     let cfg = ClusterConfig::new(N);
     let tuning = Tuning::builder().build();
 
+    // (block, *): processor p's rows are [p·ROWS_PER, (p+1)·ROWS_PER).
+    // Under (cyclic, *), global row g belongs to processor g mod N and
+    // is its (g / N)-th local row. Each of p's ROWS_PER rows therefore
+    // goes to a distinct destination slot; with ROWS_PER rows per
+    // processor and N destinations, the block for destination q holds
+    // p's rows with (p·ROWS_PER + i) ≡ q (mod N), padded to the fixed
+    // per-pair quota of ⌈ROWS_PER/N⌉ rows.
+    let quota = ROWS_PER.div_ceil(N);
+    let row_bytes = COLS * 4;
+    let block = quota * (row_bytes + 8); // 8-byte global-row header per slot
+
     let out = Cluster::run(&cfg, |ep| {
         let p = ep.rank();
-        // (block, *): my rows are [p·ROWS_PER, (p+1)·ROWS_PER).
-        // Under (cyclic, *), global row g belongs to processor g mod N and
-        // is its (g / N)-th local row. Each of my ROWS_PER rows therefore
-        // goes to a distinct destination slot; with ROWS_PER rows per
-        // processor and N destinations, the block for destination q holds
-        // my rows with (p·ROWS_PER + i) ≡ q (mod N), padded to the fixed
-        // per-pair quota of ⌈ROWS_PER/N⌉ rows.
-        let quota = ROWS_PER.div_ceil(N);
-        let row_bytes = COLS * 4;
-        let block = quota * (row_bytes + 8); // 8-byte global-row header per slot
         let mut sendbuf = vec![0u8; N * block];
         for i in 0..ROWS_PER {
             let g = p * ROWS_PER + i; // global row
@@ -87,7 +99,7 @@ fn main() {
                 assert_eq!(panel[local * COLS + c], element(g, c), "row {g} col {c}");
             }
         }
-        Ok(ep.virtual_time())
+        Ok(())
     })
     .expect("remap failed");
 
@@ -96,7 +108,7 @@ fn main() {
     println!("one index operation: {c}");
     println!(
         "virtual time under SP-1 model: {:.1} µs",
-        out.virtual_makespan() * 1e6
+        virtual_time(&tuning.chosen_plan(N, block, 1).plan, N, block) * 1e6
     );
     println!("every processor verified its cyclic panel element-by-element ✓");
 }

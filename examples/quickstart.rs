@@ -5,13 +5,21 @@
 //! cargo run --example quickstart
 //! ```
 
+use bruck::model::program::{simulate, RankProgram};
 use bruck::prelude::*;
+
+/// The simulator's makespan for `programs` under the paper's SP-1 linear
+/// model (β = 29 µs start-up, τ = 0.12 µs/byte): every rank's clock,
+/// stepped through the same programs the cluster ran.
+fn virtual_time(programs: &[RankProgram]) -> f64 {
+    let inputs: Vec<Vec<u8>> = programs.iter().map(|p| vec![0; p.input]).collect();
+    let sim = simulate(programs, &inputs, &LinearModel::sp1(), |_, _, _| {});
+    sim.expect("the programs run").makespan()
+}
 
 fn main() {
     // A fully connected message-passing system with 8 processors, each
-    // with one send and one receive port (the paper's k = 1 model),
-    // costed with the paper's IBM SP-1 parameters (β = 29 µs start-up,
-    // τ = 0.12 µs/byte).
+    // with one send and one receive port (the paper's k = 1 model).
     let n = 8;
     let cfg = ClusterConfig::new(n);
     let tuning = Tuning::builder().build();
@@ -20,7 +28,7 @@ fn main() {
     // Every rank prepares one 32-byte block for every destination; the
     // auto-tuner picks the radix that minimizes predicted time.
     let block = 32;
-    let out = Cluster::run(&cfg, |ep| {
+    Cluster::run(&cfg, |ep| {
         let rank = ep.rank() as u8;
         let mut sendbuf = vec![0u8; n * block];
         for dst in 0..n {
@@ -36,15 +44,18 @@ fn main() {
                 .iter()
                 .all(|&x| x == src as u8 * 16 + ep.rank() as u8));
         }
-        Ok(ep.virtual_time())
+        Ok(())
     })
     .expect("index run failed");
     let choice = tuning.chosen_radix(n, block, 1);
+    let plan = IndexPlan::Radix(choice.radix);
+    let lower = |rank| RankProgram::lower(&plan, n, rank, block, 1).expect("lowerable");
+    let programs: Vec<RankProgram> = (0..n).map(lower).collect();
     println!(
         "index     : n={n}, b={block} B  → auto radix {} ({}), virtual time {:.1} µs",
         choice.radix,
         choice.complexity,
-        out.virtual_makespan() * 1e6
+        virtual_time(&programs) * 1e6
     );
 
     // --- Concatenation (all-to-all broadcast / MPI_Allgather) -----------
@@ -65,5 +76,8 @@ fn main() {
         bruck::model::bounds::concat_bounds(n, 1, block).c1,
         bruck::model::bounds::concat_bounds(n, 1, block).c2
     );
-    println!("virtual makespan {:.1} µs", out.virtual_makespan() * 1e6);
+    let lowering = ConcatAlgorithm::Bruck(Default::default()).lower(n, block, 1);
+    let lowering = lowering.expect("lowerable");
+    let programs: Vec<RankProgram> = (0..n).map(|rank| lowering.program(rank)).collect();
+    println!("virtual makespan {:.1} µs", virtual_time(&programs) * 1e6);
 }

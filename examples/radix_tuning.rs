@@ -7,9 +7,8 @@
 //! cargo run --release --example radix_tuning [block_bytes…]
 //! ```
 
-use std::sync::Arc;
-
 use bruck::model::cost::{CostModel, Sp1Model};
+use bruck::model::program::{simulate, RankProgram};
 use bruck::model::tuning::{all_radices, best_radix, index_complexity};
 use bruck::prelude::*;
 
@@ -50,16 +49,14 @@ fn main() {
             choice.predicted_time * 1e3
         );
 
-        // Confirm on the live cluster: the tuned radix beats both extremes
-        // (or ties one of them).
+        // Confirm in the simulator, which steps the programs the cluster
+        // runs: the tuned radix beats both extremes (or ties one of them).
+        let inputs = vec![vec![0u8; N * b]; N];
         let measure = |r: usize| {
-            let cfg = ClusterConfig::new(N).with_cost(Arc::new(model));
-            Cluster::run(&cfg, |ep| {
-                let buf = vec![0u8; N * b];
-                IndexAlgorithm::BruckRadix(r).run(ep, &buf, b)
-            })
-            .expect("run failed")
-            .virtual_makespan()
+            let lower = |rank| RankProgram::lower(&IndexPlan::Radix(r), N, rank, b, 1);
+            let programs: Vec<RankProgram> = (0..N).map(|rank| lower(rank).unwrap()).collect();
+            let sim = simulate(&programs, &inputs, &model, |_, _, _| {});
+            sim.expect("the programs run").makespan()
         };
         let (t2, tn, tbest) = (measure(2), measure(N), measure(choice.radix));
         println!(

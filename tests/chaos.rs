@@ -55,8 +55,10 @@ fn chaos_plan(g: &mut Gen) -> FaultPlan {
     if g.flag() {
         plan = plan.with_corruption(g.rate(0.08));
     }
+    // The retired virtual-delay fault's draws: kept so that every seed
+    // yields the same remaining faults.
     if g.flag() {
-        plan = plan.with_delay(g.rate(0.1), 1e-5);
+        g.rate(0.1);
     }
     plan
 }

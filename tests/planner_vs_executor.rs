@@ -1,7 +1,7 @@
 //! The executed algorithms and their planners describe the same
 //! communication: the trace of a live run, rebuilt into a schedule, must
-//! equal the planner's schedule; the live metrics must match the
-//! analyzer; and the replayer must accept every plan.
+//! equal the planner's schedule, and the live metrics must match the
+//! analyzer.
 
 use bruck::collectives::concat::ConcatAlgorithm;
 use bruck::collectives::index::IndexAlgorithm;
@@ -11,7 +11,7 @@ use bruck::model::cost::LinearModel;
 use bruck::model::partition::Preference;
 use bruck::model::planner::{IndexPlan, Planner};
 use bruck::net::{Cluster, ClusterConfig};
-use bruck::sched::{replay_on_cluster, Schedule, ScheduleStats};
+use bruck::sched::{Schedule, ScheduleStats};
 
 fn check_index(algo: IndexAlgorithm, n: usize, b: usize, k: usize) {
     let cfg = ClusterConfig::new(n).with_ports(k).with_trace();
@@ -173,21 +173,13 @@ fn concat_trace_equals_plan() {
     check_concat(ConcatAlgorithm::RecursiveDoubling, 8, 2, 1);
 }
 
+/// Every plan runs on a live cluster: the programs it is read off
+/// execute under the k-port model and leave exactly its schedule.
 #[test]
 fn every_plan_replays_on_a_live_cluster() {
-    let plans = vec![
-        IndexAlgorithm::BruckRadix(3).plan(10, 8, 1),
-        IndexAlgorithm::BruckRadix(4).plan(9, 8, 3),
-        IndexAlgorithm::Direct.plan(7, 8, 2),
-        ConcatAlgorithm::Bruck(Preference::Rounds).plan(10, 3, 3),
-        ConcatAlgorithm::GatherBroadcast.plan(12, 4, 1),
-    ];
-    for plan in plans {
-        let cfg = ClusterConfig::new(plan.n).with_ports(plan.ports);
-        let out = replay_on_cluster(&plan, &cfg).expect("replay failed");
-        assert_eq!(
-            out.metrics.global_complexity().unwrap(),
-            ScheduleStats::of(&plan).complexity
-        );
-    }
+    check_index(IndexAlgorithm::BruckRadix(3), 10, 8, 1);
+    check_index(IndexAlgorithm::BruckRadix(4), 9, 8, 3);
+    check_index(IndexAlgorithm::Direct, 7, 8, 2);
+    check_concat(ConcatAlgorithm::Bruck(Preference::Rounds), 10, 3, 3);
+    check_concat(ConcatAlgorithm::GatherBroadcast, 12, 4, 1);
 }

@@ -9,6 +9,8 @@ use bruck::collectives::index::IndexAlgorithm;
 use bruck::collectives::verify;
 use bruck::model::bounds::{concat_bounds, index_bounds};
 use bruck::model::partition::{plan_last_round, Preference};
+use bruck::model::planner::IndexPlan;
+use bruck::model::program::{simulate, RankProgram};
 use bruck::model::tuning::{index_complexity, index_complexity_kport};
 use bruck::net::{Cluster, ClusterConfig};
 use bruck::sched::ScheduleStats;
@@ -202,26 +204,25 @@ fn partition_always_valid() {
     }
 }
 
-/// Virtual time of a live run equals the closed-form prediction for
-/// the synchronous Bruck index schedule (linear model).
+/// Simulated virtual time equals the closed-form prediction for the
+/// synchronous Bruck index schedule (linear model).
 #[test]
 fn virtual_time_matches_prediction() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
         let (n, r, b) = (g.pick(2, 12), g.pick(2, 12), g.pick(0, 64));
         let model = bruck::model::cost::LinearModel::sp1();
-        let cfg = ClusterConfig::new(n).with_cost(std::sync::Arc::new(model));
-        let out = Cluster::run(&cfg, |ep| {
-            let input = verify::index_input(ep.rank(), n, b);
-            IndexAlgorithm::BruckRadix(r).run(ep, &input, b)
-        })
-        .unwrap();
+        let programs: Vec<RankProgram> = (0..n)
+            .map(|rank| RankProgram::lower(&IndexPlan::Radix(r), n, rank, b, 1).unwrap())
+            .collect();
+        let inputs: Vec<Vec<u8>> = (0..n).map(|rank| verify::index_input(rank, n, b)).collect();
+        let sim = simulate(&programs, &inputs, &model, |_, _, _| {}).unwrap();
         let c = ScheduleStats::of(&IndexAlgorithm::BruckRadix(r).plan(n, b, 1)).complexity;
         let predicted = c.linear_time(model.startup, model.per_byte);
         assert!(
-            (out.virtual_makespan() - predicted).abs() < 1e-9,
+            (sim.makespan() - predicted).abs() < 1e-9,
             "virtual {} vs predicted {} (n={n} r={r} b={b})",
-            out.virtual_makespan(),
+            sim.makespan(),
             predicted
         );
     }

@@ -7,6 +7,7 @@
 use std::time::Duration;
 
 use bruck::collectives::verify;
+use bruck::model::cost::LinearModel;
 use bruck::model::planner::IndexPlan;
 use bruck::model::program::{simulate, RankProgram};
 use bruck::net::{
@@ -30,8 +31,9 @@ fn assert_oracle(results: &[Vec<u8>], plan: &IndexPlan, n: usize, block: usize, 
     let programs: Vec<RankProgram> = (0..n)
         .map(|rank| RankProgram::lower(plan, n, rank, block, 1).expect("lowerable"))
         .collect();
-    let simulated = simulate(&programs, &scale_inputs(n, block), |_, _, _| {});
-    assert_eq!(results, simulated.expect("simulate"), "{label}");
+    let free = LinearModel::free();
+    let simulated = simulate(&programs, &scale_inputs(n, block), &free, |_, _, _| {});
+    assert_eq!(results, simulated.expect("simulate").outputs, "{label}");
 }
 
 /// `with_reliability` on a clean fabric must be free: the stream is
@@ -96,13 +98,10 @@ fn bulk_blocks_complete_bit_correct_on_a_clean_fabric() {
 #[test]
 fn lossy_delayed_tcp_loopback_stays_bit_correct() {
     // The same FaultPlan the channel and UDS chaos suites use, riding
-    // on the TCP fabric: injected loss and delay must surface as
-    // retransmits, never as wrong bytes or a hang.
+    // on the TCP fabric: injected loss must surface as retransmits,
+    // never as wrong bytes or a hang.
     let (n, node_size, block) = (16, 4, 8);
-    let faults = FaultPlan::new()
-        .with_seed(0xB10C)
-        .with_loss(0.05)
-        .with_delay(0.05, 2e-4);
+    let faults = FaultPlan::new().with_seed(0xB10C).with_loss(0.05);
     let cfg = ClusterConfig::new(n)
         .with_node_size(node_size)
         .with_reliability(Reliability::default())
@@ -115,7 +114,7 @@ fn lossy_delayed_tcp_loopback_stays_bit_correct() {
     assert_oracle(&out.results, &IndexPlan::Radix(2), n, block, "lossy tcp");
     let link = out.metrics.link_totals();
     assert!(
-        link.injected_losses + link.injected_delays > 0,
+        link.injected_losses > 0,
         "fault plan injected nothing: {link:?}"
     );
     assert!(
@@ -277,7 +276,6 @@ fn quiet_fabric_parks_instead_of_sweeping() {
             dst,
             tag: 7,
             payload: vec![src as u8; len],
-            arrival: 0.0,
             seq: 0,
             ack: 0,
             checksum: None,

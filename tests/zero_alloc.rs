@@ -9,7 +9,10 @@
 //! under test: after a prewarm pass stocks the shelves (see
 //! [`BufferPool::set_prewarm`](bruck::net::BufferPool::set_prewarm)),
 //! further `run_into` iterations leave `allocated` flat while `reused`
-//! keeps climbing — deterministically, not just usually.
+//! keeps climbing — deterministically, not just usually. Ranks meet at a
+//! `std::sync::Barrier` between passes, which touches no pool counter.
+
+use std::sync::Barrier;
 
 use bruck::net::PoolStats;
 use bruck::prelude::*;
@@ -24,6 +27,7 @@ fn steady_state_stats(
     ports: usize,
 ) -> (PoolStats, PoolStats) {
     let cfg = ClusterConfig::new(n).with_ports(ports);
+    let rendezvous = &Barrier::new(n);
     let out = Cluster::run(&cfg, move |ep| {
         let rank = ep.rank() as u8;
         let sendbuf: Vec<u8> = (0..n * block).map(|i| rank ^ (i % 251) as u8).collect();
@@ -32,19 +36,19 @@ fn steady_state_stats(
         // stocked to the pass's total demand and later passes can never
         // miss, regardless of how the rank threads interleave.
         ep.pool().set_prewarm(true);
-        ep.barrier();
+        rendezvous.wait();
         for _ in 0..WARMUP {
             algo.run_into(ep, &sendbuf, block, &mut recvbuf)?;
-            ep.barrier();
+            rendezvous.wait();
         }
         ep.pool().set_prewarm(false);
         // All ranks are past warmup before anyone snapshots, so a stable
         // `allocated` counter really means nobody hit the allocator.
-        ep.barrier();
+        rendezvous.wait();
         let warm = ep.pool().stats();
         for _ in 0..STEADY {
             algo.run_into(ep, &sendbuf, block, &mut recvbuf)?;
-            ep.barrier();
+            rendezvous.wait();
         }
         // Every rank verifies the collective still computes the transpose;
         // a pool bug that hands out stale bytes would surface here.
@@ -55,7 +59,7 @@ fn steady_state_stats(
                 .collect();
             assert_eq!(blk, &expect[..], "corrupt block from rank {src}");
         }
-        ep.barrier();
+        rendezvous.wait();
         let steady = ep.pool().stats();
         Ok((warm, steady))
     })
@@ -120,6 +124,7 @@ fn alltoallv_into_steady_state_allocates_nothing() {
     ];
     for method in methods {
         let cfg = ClusterConfig::new(n).with_ports(2);
+        let rendezvous = &Barrier::new(n);
         let out = Cluster::run(&cfg, move |ep| {
             let rank = ep.rank();
             // Skewed sizes: destination 0 is hot, the rest ragged.
@@ -134,19 +139,19 @@ fn alltoallv_into_steady_state_allocates_nothing() {
             let tuning = Tuning::builder().vmethod(method).build();
             let mut got = Vec::new();
             ep.pool().set_prewarm(true);
-            ep.barrier();
+            rendezvous.wait();
             for _ in 0..WARMUP {
                 alltoallv_into(ep, &flat, &layout, &tuning, &mut got)?;
-                ep.barrier();
+                rendezvous.wait();
             }
             ep.pool().set_prewarm(false);
-            ep.barrier();
+            rendezvous.wait();
             let warm = ep.pool().stats();
             for _ in 0..STEADY {
                 alltoallv_into(ep, &flat, &layout, &tuning, &mut got)?;
-                ep.barrier();
+                rendezvous.wait();
             }
-            ep.barrier();
+            rendezvous.wait();
             let steady = ep.pool().stats();
             Ok((warm, steady))
         })
