@@ -10,6 +10,16 @@ cd "$(dirname "$0")/.."
 # per-PR BENCH_*.json artifacts are retired and must not come back.
 if ls BENCH_*.json >/dev/null 2>&1; then echo "ci/check.sh: per-PR BENCH_*.json at the repo root" >&2; exit 1; fi
 
+# One tuned call per collective: planner dispatch and the budget are
+# `Tuning` fields, so the per-option entry points, the duplicate radix
+# query and the autotune exports nothing called stay gone.
+retired=$(grep -rnwE 'all(toall|gather)_auto(_into)?|alltoall_deadline(_into)?|alltoallv_auto|chosen_radix|auto_radix|refresh_from_metrics|calibrated_model' \
+    crates src examples tests README.md DESIGN.md || true)
+if [ -n "$retired" ]; then
+    echo "$retired" >&2
+    echo "ci/check.sh: a retired entry point is back; set a Tuning field instead" >&2; exit 1
+fi
+
 # Every index algorithm (the Bruck family, the direct, pairwise-XOR and
 # hypercube baselines) and every concatenation has one executable form —
 # a lowered RankProgram run by one RankMachine (model/program.rs), which
@@ -158,7 +168,7 @@ fi
 
 # No Zipf smoke and no scale sweep here: `sh benchmark/check.sh` (the
 # last line) runs the same paths oracle-checked on every lap —
-# `uds_skew_v` is alltoallv_auto on a seeded Zipf matrix at the old
+# `uds_skew_v` is alltoallv_auto_into on a seeded Zipf matrix at the old
 # smoke's shape (n=8, k=2), `tcp_scale` the flat plan on the TCP fabric
 # at n=512 — and tests/hierarchical.rs holds the two-level n=128 cell.
 

@@ -3,9 +3,12 @@
 //!
 //! The paper's §3.3: "r can be fine-tuned according to the parameters of
 //! the underlying machines to balance between the start-up time and the
-//! data transfer time". [`alltoall`] does exactly that: given a cost
-//! model, it evaluates the closed-form complexity of every candidate
-//! radix and runs the predicted-time minimizer.
+//! data transfer time". That tuning is an input, not another function:
+//! each collective is one `*_into` call taking a [`Tuning`], plus an
+//! allocating wrapper. Under the tuning's cost model [`alltoall`]
+//! evaluates the closed-form complexity of every candidate radix (or,
+//! with [`Tuning::planner`], the whole plan family) and runs the
+//! predicted-time minimizer.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,7 +16,7 @@ use std::time::Duration;
 use bruck_model::cost::{CostModel, LinearModel};
 use bruck_model::partition::Preference;
 use bruck_model::planner::{ConcatPlan, IndexPlan, PlanChoice, Planner};
-use bruck_model::tuning::{all_radices, best_radix, RadixChoice};
+use bruck_model::tuning::{all_radices, best_radix};
 use bruck_net::{Comm, Endpoint, Group, NetError, RecoveryPolicy};
 
 use crate::concat::ConcatAlgorithm;
@@ -43,14 +46,21 @@ pub struct Tuning {
     pub radix: Option<usize>,
     /// Preference inside the concatenation exception range.
     pub concat_preference: Preference,
-    /// Dispatch through the full [`Planner`] family (uniform radices,
-    /// direct, mixed radix) instead of the uniform-radix
-    /// search only. Ignored when [`radix`](Self::radix) is forced.
+    /// Dispatch through the full [`Planner`] family: for alltoall every
+    /// uniform radix, the direct exchange and mixed radix instead of the
+    /// uniform-radix search only (ignored when [`radix`](Self::radix) is
+    /// forced); for allgather both circulant preferences and the ring
+    /// instead of [`concat_preference`](Self::concat_preference).
     pub planner: bool,
     /// Force a non-uniform family member for
     /// [`alltoallv_into`](crate::vops::alltoallv_into) instead of the
     /// planner's skew-driven arg-min.
     pub vmethod: Option<crate::vbruck::VMethod>,
+    /// Wall-clock completion budget: the call either completes within it
+    /// or fails with [`NetError::DeadlineExceeded`] — see
+    /// [`alltoall_into`]. Read by alltoall only, like
+    /// [`radix`](Self::radix).
+    pub budget: Option<Duration>,
 }
 
 /// Incremental constructor for [`Tuning`], starting from the defaults.
@@ -77,13 +87,6 @@ impl TuningBuilder {
         self
     }
 
-    /// Return to auto-tuned radix selection (the default).
-    #[must_use]
-    pub fn auto_radix(mut self) -> Self {
-        self.inner.radix = None;
-        self
-    }
-
     /// Set the preference inside the concatenation exception range.
     #[must_use]
     pub fn concat_preference(mut self, pref: Preference) -> Self {
@@ -91,7 +94,7 @@ impl TuningBuilder {
         self
     }
 
-    /// Enable (or disable) full planner dispatch — see [`Tuning::auto`].
+    /// Enable (or disable) full planner dispatch — see [`Tuning::planner`].
     #[must_use]
     pub fn planner(mut self, enabled: bool) -> Self {
         self.inner.planner = enabled;
@@ -103,6 +106,13 @@ impl TuningBuilder {
     #[must_use]
     pub fn vmethod(mut self, method: crate::vbruck::VMethod) -> Self {
         self.inner.vmethod = Some(method);
+        self
+    }
+
+    /// Bound alltoall's wall-clock time — see [`Tuning::budget`].
+    #[must_use]
+    pub fn budget(mut self, budget: Duration) -> Self {
+        self.inner.budget = Some(budget);
         self
     }
 
@@ -122,6 +132,7 @@ impl Default for Tuning {
             concat_preference: Preference::Rounds,
             planner: false,
             vmethod: None,
+            budget: None,
         }
     }
 }
@@ -134,6 +145,7 @@ impl core::fmt::Debug for Tuning {
             .field("concat_preference", &self.concat_preference)
             .field("planner", &self.planner)
             .field("vmethod", &self.vmethod)
+            .field("budget", &self.budget)
             .finish()
     }
 }
@@ -148,17 +160,15 @@ impl Tuning {
     }
 
     /// A tuning that dispatches through the full [`Planner`] family under
-    /// the given cost model: every uniform radix `r ∈ [2, n]`, the direct
-    /// exchange, and mixed-radix vectors. Pair with a model fitted by
+    /// the given cost model, for alltoall and allgather alike (see
+    /// [`planner`](Self::planner)). Pair with a model fitted by
     /// [`autotune`](crate::autotune) against the live transport.
     #[must_use]
     pub fn auto(model: Arc<dyn CostModel>) -> Self {
         Self {
             model,
-            radix: None,
-            concat_preference: Preference::Rounds,
             planner: true,
-            vmethod: None,
+            ..Self::default()
         }
     }
 
@@ -190,25 +200,23 @@ impl Tuning {
         }
     }
 
-    /// The radix [`alltoall`] will use for `n` ranks, `b`-byte blocks, and
-    /// `k` ports under this tuning.
+    /// The concatenation plan [`allgather`] will execute for `n` ranks,
+    /// `b`-byte blocks, and `k` ports under this tuning: the planner's
+    /// arg-min when [`planner`](Self::planner) is set, otherwise the
+    /// circulant algorithm under
+    /// [`concat_preference`](Self::concat_preference).
     #[must_use]
-    pub fn chosen_radix(&self, n: usize, block: usize, ports: usize) -> RadixChoice {
-        match self.radix {
-            Some(r) => {
-                let complexity = bruck_model::tuning::index_complexity_kport(
-                    n.max(2),
-                    r.clamp(2, n.max(2)),
-                    block,
-                    ports,
-                );
-                RadixChoice {
-                    radix: r.clamp(2, n.max(2)),
-                    complexity,
-                    predicted_time: self.model.estimate(complexity),
-                }
-            }
-            None => best_radix(n, block, ports, self.model.as_ref(), all_radices(n)),
+    pub fn chosen_concat(&self, n: usize, block: usize, ports: usize) -> PlanChoice<ConcatPlan> {
+        let planner = Planner::new(self.model.as_ref());
+        if self.planner {
+            return planner.plan_concat(n, ports, block);
+        }
+        let plan = ConcatPlan::Bruck(self.concat_preference);
+        let complexity = planner.concat_complexity(&plan, n, ports, block);
+        PlanChoice {
+            plan,
+            complexity,
+            predicted_time: self.model.estimate(complexity),
         }
     }
 }
@@ -253,10 +261,25 @@ pub fn alltoall<C: Comm + ?Sized>(
     Ok(out)
 }
 
-/// [`alltoall`] into a caller-provided `n·b`-byte output buffer.
+/// [`alltoall`] into a caller-provided `n·b`-byte output buffer, running
+/// the plan [`Tuning::chosen_plan`] reports.
 ///
-/// The zero-copy entry point: all scratch comes from the cluster's
-/// buffer pool, so steady-state calls perform no heap allocations.
+/// The zero-copy entry point: every scratch buffer comes from the
+/// cluster's buffer pool, so steady-state calls take no fresh buffer
+/// (`tests/zero_alloc.rs` counts pool events). Planning, lowering and
+/// round bookkeeping still make a few small heap allocations per call.
+///
+/// With a [`Tuning::budget`] the call either completes bit-correct within
+/// it or fails with the structured [`NetError::DeadlineExceeded`] — it
+/// can never hang. The budget is armed on the context's
+/// [`Deadline`](bruck_net::Deadline) (shared with the reliability
+/// sublayer, so even an ARQ-level blocking wait aborts within one poll
+/// slice) and disarmed on the way out, success or failure. Before
+/// arming, the plan's round count divides the budget into per-round
+/// sub-budgets; when the context's adaptive RTO ([`Comm::rto_hint`],
+/// warmed by calibration traffic) shows a single round could not even
+/// complete one lost-frame recovery inside its sub-budget, the call
+/// fails fast instead of burning the wire on a budget it cannot meet.
 ///
 /// # Example
 ///
@@ -280,7 +303,8 @@ pub fn alltoall<C: Comm + ?Sized>(
 ///
 /// # Errors
 ///
-/// See [`run_plan_into`].
+/// [`NetError::DeadlineExceeded`] on an infeasible or blown budget;
+/// otherwise see [`run_plan_into`].
 pub fn alltoall_into<C: Comm + ?Sized>(
     ep: &mut C,
     sendbuf: &[u8],
@@ -289,137 +313,15 @@ pub fn alltoall_into<C: Comm + ?Sized>(
     out: &mut [u8],
 ) -> Result<(), NetError> {
     let choice = tuning.chosen_plan(ep.size(), block, ep.ports());
-    run_plan_into(ep, &choice.plan, sendbuf, block, out)
-}
-
-/// All-to-all with full planner dispatch: evaluates the fitted cost model
-/// over the whole algorithm family (every uniform radix, direct, mixed
-/// radix), runs the arg-min, and returns the result
-/// alongside the [`PlanChoice`] so callers (e.g. the bench harness) can
-/// report *which* schedule won and at what predicted cost.
-///
-/// # Errors
-///
-/// See [`alltoall_into`].
-pub fn alltoall_auto<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    block: usize,
-    model: &dyn CostModel,
-) -> Result<(Vec<u8>, PlanChoice<IndexPlan>), NetError> {
-    let mut out = vec![0u8; sendbuf.len()];
-    let choice = alltoall_auto_into(ep, sendbuf, block, model, &mut out)?;
-    Ok((out, choice))
-}
-
-/// [`alltoall_auto`] into a caller-provided `n·b`-byte output buffer;
-/// returns the executed [`PlanChoice`].
-///
-/// # Errors
-///
-/// See [`alltoall_into`].
-pub fn alltoall_auto_into<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    block: usize,
-    model: &dyn CostModel,
-    out: &mut [u8],
-) -> Result<PlanChoice<IndexPlan>, NetError> {
-    let choice = Planner::new(model).plan_index(ep.size(), ep.ports(), block);
-    run_plan_into(ep, &choice.plan, sendbuf, block, out)?;
-    Ok(choice)
-}
-
-/// All-to-all broadcast with planner dispatch: picks between the
-/// circulant algorithm (either [`Preference`]) and the ring under the
-/// fitted cost model, runs the arg-min, and returns the result alongside
-/// the winning [`PlanChoice`].
-///
-/// # Errors
-///
-/// See [`allgather_into`].
-pub fn allgather_auto<C: Comm + ?Sized>(
-    ep: &mut C,
-    myblock: &[u8],
-    model: &dyn CostModel,
-) -> Result<(Vec<u8>, PlanChoice<ConcatPlan>), NetError> {
-    let mut out = vec![0u8; ep.size() * myblock.len()];
-    let choice = allgather_auto_into(ep, myblock, model, &mut out)?;
-    Ok((out, choice))
-}
-
-/// [`allgather_auto`] into a caller-provided `n·b`-byte output buffer;
-/// returns the executed [`PlanChoice`].
-///
-/// # Errors
-///
-/// See [`allgather_into`].
-pub fn allgather_auto_into<C: Comm + ?Sized>(
-    ep: &mut C,
-    myblock: &[u8],
-    model: &dyn CostModel,
-    out: &mut [u8],
-) -> Result<PlanChoice<ConcatPlan>, NetError> {
-    let choice = Planner::new(model).plan_concat(ep.size(), ep.ports(), myblock.len());
-    match &choice.plan {
-        ConcatPlan::Bruck(pref) => ConcatAlgorithm::Bruck(*pref).run_into(ep, myblock, out)?,
-        ConcatPlan::Ring => ConcatAlgorithm::Ring.run_into(ep, myblock, out)?,
-    }
-    Ok(choice)
-}
-
-/// [`alltoall`] under a wall-clock completion budget: the call either
-/// completes bit-correct within `budget` or fails with the structured
-/// [`NetError::DeadlineExceeded`] — it can never hang. The budget is
-/// armed on the context's [`Deadline`](bruck_net::Deadline) (shared with
-/// the reliability sublayer, so even an ARQ-level blocking wait aborts
-/// within one poll slice) and disarmed on the way out, success or
-/// failure.
-///
-/// Before arming, the chosen plan's round count divides the budget into
-/// per-round sub-budgets; when the context's adaptive RTO
-/// ([`Comm::rto_hint`], warmed by calibration traffic) shows a single
-/// round could not even complete one lost-frame recovery inside its
-/// sub-budget, the call fails fast instead of burning the wire on a
-/// budget it cannot meet.
-///
-/// # Errors
-///
-/// [`NetError::DeadlineExceeded`] on an infeasible or blown budget;
-/// otherwise see [`alltoall`].
-pub fn alltoall_deadline<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    block: usize,
-    tuning: &Tuning,
-    budget: Duration,
-) -> Result<Vec<u8>, NetError> {
-    let mut out = vec![0u8; sendbuf.len()];
-    alltoall_deadline_into(ep, sendbuf, block, tuning, budget, &mut out)?;
-    Ok(out)
-}
-
-/// [`alltoall_deadline`] into a caller-provided `n·b`-byte output buffer.
-///
-/// # Errors
-///
-/// See [`alltoall_deadline`].
-pub fn alltoall_deadline_into<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    block: usize,
-    tuning: &Tuning,
-    budget: Duration,
-    out: &mut [u8],
-) -> Result<(), NetError> {
-    let choice = tuning.chosen_plan(ep.size(), block, ep.ports());
-    let rounds = choice.complexity.c1.max(1);
+    let Some(budget) = tuning.budget else {
+        return run_plan_into(ep, &choice.plan, sendbuf, block, out);
+    };
     if let Some(rto) = ep.rto_hint() {
         // Feasibility: a round that loses a frame needs ~one RTO to
         // retransmit and be acked; a per-round sub-budget below that is
         // a guaranteed miss, so fail fast with the same structured
         // verdict the blown budget would produce.
-        let per_round = budget.div_f64(rounds as f64);
+        let per_round = budget.div_f64(choice.complexity.c1.max(1) as f64);
         if per_round < rto {
             return Err(NetError::DeadlineExceeded {
                 rank: ep.rank(),
@@ -606,7 +508,8 @@ pub fn alltoall_resilient_with_policy(
     Err(last_failure.expect("loop body ran at least once"))
 }
 
-/// All-to-all broadcast via the circulant algorithm.
+/// All-to-all broadcast: every rank contributes `myblock` and receives
+/// all `n` blocks in rank order — see [`allgather_into`].
 ///
 /// # Example
 ///
@@ -641,10 +544,13 @@ pub fn allgather<C: Comm + ?Sized>(
     Ok(out)
 }
 
-/// [`allgather`] into a caller-provided `n·b`-byte output buffer.
+/// [`allgather`] into a caller-provided `n·b`-byte output buffer, running
+/// the plan [`Tuning::chosen_concat`] reports.
 ///
-/// The zero-copy entry point: all scratch comes from the cluster's
-/// buffer pool, so steady-state calls perform no heap allocations.
+/// The zero-copy entry point: every scratch buffer comes from the
+/// cluster's buffer pool, so steady-state calls take no fresh buffer
+/// (`tests/zero_alloc.rs` counts pool events). Planning, lowering and
+/// round bookkeeping still make a few small heap allocations per call.
 ///
 /// # Errors
 ///
@@ -655,12 +561,18 @@ pub fn allgather_into<C: Comm + ?Sized>(
     tuning: &Tuning,
     out: &mut [u8],
 ) -> Result<(), NetError> {
-    ConcatAlgorithm::Bruck(tuning.concat_preference).run_into(ep, myblock, out)
+    let choice = tuning.chosen_concat(ep.size(), myblock.len(), ep.ports());
+    let algorithm = match choice.plan {
+        ConcatPlan::Bruck(pref) => ConcatAlgorithm::Bruck(pref),
+        ConcatPlan::Ring => ConcatAlgorithm::Ring,
+    };
+    algorithm.run_into(ep, myblock, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bruck_model::complexity::Complexity;
     use bruck_net::{Cluster, ClusterConfig};
 
     #[test]
@@ -680,26 +592,40 @@ mod tests {
         }
     }
 
+    /// The radix of a uniform-radix plan.
+    fn radix_of(choice: PlanChoice<IndexPlan>) -> usize {
+        match choice.plan {
+            IndexPlan::Radix(r) => r,
+            other => panic!("not a uniform radix: {other:?}"),
+        }
+    }
+
     #[test]
     fn radix_override_is_respected() {
         let tuning = Tuning::builder().radix(4).build();
-        assert_eq!(tuning.chosen_radix(16, 100, 1).radix, 4);
+        assert_eq!(radix_of(tuning.chosen_plan(16, 100, 1)), 4);
         // Clamped into [2, n].
         let tuning = Tuning::builder().radix(100).build();
-        assert_eq!(tuning.chosen_radix(16, 100, 1).radix, 16);
+        assert_eq!(radix_of(tuning.chosen_plan(16, 100, 1)), 16);
     }
 
     #[test]
     fn builder_covers_every_knob() {
+        let method = crate::vbruck::VMethod::Direct;
         let tuning = Tuning::builder()
             .model(Arc::new(LinearModel::new(1e-3, 1e-8)))
             .radix(3)
             .concat_preference(Preference::Bytes)
+            .planner(true)
+            .vmethod(method)
+            .budget(Duration::from_secs(2))
             .build();
+        assert_eq!(tuning.model.estimate(Complexity::new(1, 0)), 1e-3);
         assert_eq!(tuning.radix, Some(3));
         assert_eq!(tuning.concat_preference, Preference::Bytes);
-        let auto = Tuning::builder().radix(7).auto_radix().build();
-        assert_eq!(auto.radix, None);
+        assert!(tuning.planner);
+        assert_eq!(tuning.vmethod, Some(method));
+        assert_eq!(tuning.budget, Some(Duration::from_secs(2)));
     }
 
     #[test]
@@ -731,8 +657,8 @@ mod tests {
     #[test]
     fn auto_radix_adapts_to_block_size() {
         let tuning = Tuning::default();
-        let small = tuning.chosen_radix(64, 1, 1).radix;
-        let large = tuning.chosen_radix(64, 16384, 1).radix;
+        let small = radix_of(tuning.chosen_plan(64, 1, 1));
+        let large = radix_of(tuning.chosen_plan(64, 16384, 1));
         assert!(
             small < large,
             "small-block radix {small} should be below large-block {large}"
@@ -770,12 +696,15 @@ mod tests {
         let n = 8;
         let block = 4096;
         let model = LinearModel::sp1();
+        let tuning = Tuning::auto(Arc::new(model));
         let cfg = ClusterConfig::new(n).with_ports(2);
         let out = Cluster::run(&cfg, |ep| {
             let input = crate::verify::index_input(ep.rank(), n, block);
-            let (data, choice) = alltoall_auto(ep, &input, block, &model)?;
+            let data = alltoall(ep, &input, block, &tuning)?;
+            let choice = tuning.chosen_plan(n, block, ep.ports());
             let mine = crate::verify::concat_input(ep.rank(), block);
-            let (all, cchoice) = allgather_auto(ep, &mine, &model)?;
+            let all = allgather(ep, &mine, &tuning)?;
+            let cchoice = tuning.chosen_concat(n, block, ep.ports());
             Ok((data, choice, all, cchoice))
         })
         .unwrap();
@@ -786,6 +715,38 @@ mod tests {
             assert_eq!(all, &crate::verify::concat_expected(n, block));
             assert!(cchoice.predicted_time.is_finite());
         }
+    }
+
+    /// What `allgather_into` runs: the circulant with the round-preferring
+    /// last round at the benchmark's and the CI smokes' shapes under
+    /// planner dispatch, and a plan the non-planner path never runs where
+    /// the planner picks one — run bit-exact, at the complexity it claims.
+    #[test]
+    fn allgather_dispatch_is_pinned() {
+        let planner = Tuning::builder().planner(true).build();
+        for (n, block) in [(8, 65_536), (4, 16_384)] {
+            let choice = planner.chosen_concat(n, block, 2);
+            assert_eq!(
+                choice.plan,
+                ConcatPlan::Bruck(Preference::Rounds),
+                "n={n} b={block}"
+            );
+        }
+        let (n, block, k) = (15, 4096, 3);
+        let tuning = Tuning::auto(Arc::new(LinearModel::sp1()));
+        let choice = tuning.chosen_concat(n, block, k);
+        assert_eq!(choice.plan, ConcatPlan::Bruck(Preference::Bytes));
+        assert_eq!(choice.complexity, Complexity::new(3, 19_115));
+        let fixed = Tuning::default().chosen_concat(n, block, k);
+        assert_eq!(fixed.plan, ConcatPlan::Bruck(Preference::Rounds));
+        let out = Cluster::run(&ClusterConfig::new(n).with_ports(k), |ep| {
+            allgather(ep, &crate::verify::concat_input(ep.rank(), block), &tuning)
+        })
+        .unwrap();
+        for result in &out.results {
+            assert_eq!(result, &crate::verify::concat_expected(n, block));
+        }
+        assert_eq!(out.metrics.global_complexity(), Some(choice.complexity));
     }
 
     #[test]

@@ -17,11 +17,6 @@
 //! fit is broadcast — every rank leaves [`calibrated_fit`] holding
 //! bit-identical parameters, so later planner decisions agree without
 //! further communication.
-//!
-//! [`refresh_from_metrics`] closes the loop after real collectives run:
-//! it folds a measured `(global complexity, wall seconds)` pair back into
-//! the cached [`Calibrator`] and refits, so the model tracks the live
-//! machine instead of the ping microbenchmark alone.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -30,7 +25,7 @@ use std::time::Instant;
 use bruck_model::calibrate::{Calibrator, LinearFit};
 use bruck_model::complexity::Complexity;
 use bruck_model::cost::LinearModel;
-use bruck_net::{Endpoint, NetError, RunMetrics};
+use bruck_net::{Endpoint, NetError};
 
 use crate::primitives::{broadcast, gather};
 
@@ -41,20 +36,15 @@ const PROBE_TAG: u64 = 0xA0_0000_0000;
 /// Ping-ladder message sizes (bytes). Geometric spacing separates the
 /// start-up-dominated and bandwidth-dominated regimes so the two-variable
 /// fit is well conditioned.
-pub const PROBE_SIZES: [usize; 5] = [64, 512, 4096, 32768, 65536];
+const PROBE_SIZES: [usize; 5] = [64, 512, 4096, 32768, 65536];
 
 /// Timed repetitions per ladder rung (one extra untimed warmup precedes
 /// each rung).
 const PROBE_REPS: usize = 3;
 
-struct CacheEntry {
-    cal: Calibrator,
-    fit: LinearFit,
-}
+static CACHE: Mutex<Option<HashMap<String, LinearFit>>> = Mutex::new(None);
 
-static CACHE: Mutex<Option<HashMap<String, CacheEntry>>> = Mutex::new(None);
-
-fn with_cache<R>(f: impl FnOnce(&mut HashMap<String, CacheEntry>) -> R) -> R {
+fn with_cache<R>(f: impl FnOnce(&mut HashMap<String, LinearFit>) -> R) -> R {
     let mut guard = CACHE.lock().expect("calibration cache poisoned");
     f(guard.get_or_insert_with(HashMap::new))
 }
@@ -65,29 +55,8 @@ pub fn clear_cache() {
 }
 
 /// The cached fit for a transport kind, if any rank has probed it.
-#[must_use]
-pub fn cached_fit(kind: &str) -> Option<LinearFit> {
-    with_cache(|c| c.get(kind).map(|e| e.fit))
-}
-
-/// Fold a measured run — its global [`Complexity`] and wall-clock
-/// duration — into the cached calibrator for `kind` and refit. Returns
-/// the updated fit, or `None` when there is no cache entry for `kind`,
-/// the metrics carry no global complexity, or the refreshed samples no
-/// longer support a fit.
-pub fn refresh_from_metrics(
-    kind: &str,
-    metrics: &RunMetrics,
-    wall_seconds: f64,
-) -> Option<LinearFit> {
-    let c = metrics.global_complexity()?;
-    with_cache(|cache| {
-        let entry = cache.get_mut(kind)?;
-        entry.cal.record_run(c, wall_seconds);
-        let fit = entry.cal.try_fit()?;
-        entry.fit = fit;
-        Some(fit)
-    })
+fn cached_fit(kind: &str) -> Option<LinearFit> {
+    with_cache(|c| c.get(kind).copied())
 }
 
 /// Encode an optional fit as a 1-byte validity flag plus the wire fit.
@@ -201,20 +170,9 @@ pub fn calibrated_fit(ep: &mut Endpoint) -> Result<LinearFit, NetError> {
     let fit = decode_opt(&merged).expect("rank 0 always encodes a merged fit");
 
     if rank == 0 {
-        with_cache(|c| {
-            c.insert(kind.to_string(), CacheEntry { cal, fit });
-        });
+        with_cache(|c| c.insert(kind.to_string(), fit));
     }
     Ok(fit)
-}
-
-/// [`calibrated_fit`], reduced to the [`LinearModel`] the planner wants.
-///
-/// # Errors
-///
-/// Network failures propagate.
-pub fn calibrated_model(ep: &mut Endpoint) -> Result<LinearModel, NetError> {
-    Ok(calibrated_fit(ep)?.model)
 }
 
 #[cfg(test)]
@@ -273,29 +231,5 @@ mod tests {
             .results[0];
         assert_eq!(solo.samples, 0);
         assert!(solo.model.startup > 0.0);
-    }
-
-    #[test]
-    fn refresh_folds_run_samples_into_cache() {
-        let _guard = exclusive();
-        clear_cache();
-        let cfg = ClusterConfig::new(2);
-        Cluster::run(&cfg, calibrated_fit).unwrap();
-        let before = cached_fit("channel").unwrap();
-        let out = Cluster::run(&cfg, |ep| {
-            let buf = vec![7u8; 2 * 64];
-            crate::index::IndexAlgorithm::BruckRadix(2)
-                .run(ep, &buf, 64)
-                .map(|_| ())
-        })
-        .unwrap();
-        let refreshed = refresh_from_metrics("channel", &out.metrics, 1e-4).unwrap();
-        // The cached calibrator holds rank 0's ladder samples (the merged
-        // fit's count sums every rank's, so compare against the ladder).
-        assert_eq!(refreshed.samples, PROBE_SIZES.len() * PROBE_REPS + 1);
-        assert!(before.samples >= PROBE_SIZES.len() * PROBE_REPS);
-        assert_eq!(cached_fit("channel").unwrap().samples, refreshed.samples);
-        // Unknown transports have nothing to refresh.
-        assert!(refresh_from_metrics("nonsuch", &out.metrics, 1e-4).is_none());
     }
 }

@@ -44,8 +44,10 @@ impl ConcatAlgorithm {
     }
 
     /// Execute the algorithm into a caller-provided `n·b`-byte output
-    /// buffer. All scratch comes from the cluster's buffer pool, so
-    /// steady-state rounds perform no heap allocations.
+    /// buffer. Every scratch buffer comes from the cluster's buffer pool,
+    /// so steady-state calls take no fresh buffer (`tests/zero_alloc.rs`
+    /// counts pool events); lowering and round bookkeeping still make a
+    /// few small heap allocations per call.
     ///
     /// # Errors
     ///

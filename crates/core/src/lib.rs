@@ -55,17 +55,16 @@ pub mod vops;
 /// Convenient glob import for applications.
 pub mod prelude {
     pub use crate::api::{
-        allgather, allgather_auto, allgather_into, alltoall, alltoall_auto, alltoall_into,
-        alltoall_resilient, alltoall_resilient_with_policy, ResilientAlltoall, Tuning,
-        TuningBuilder,
+        allgather, allgather_into, alltoall, alltoall_into, alltoall_resilient,
+        alltoall_resilient_with_policy, ResilientAlltoall, Tuning, TuningBuilder,
     };
-    pub use crate::autotune::{calibrated_fit, calibrated_model};
+    pub use crate::autotune::calibrated_fit;
     pub use crate::concat::ConcatAlgorithm;
     pub use crate::index::IndexAlgorithm;
     pub use crate::reduce::{allreduce, reduce, ReduceOp};
     pub use crate::vbruck::{VLayout, VMethod};
     pub use crate::vops::{
-        allgatherv_into, alltoallv_auto, alltoallv_auto_into, alltoallv_into, alltoallv_resilient,
+        allgatherv_into, alltoallv_auto_into, alltoallv_into, alltoallv_resilient,
         alltoallv_resilient_with_policy, ResilientAlltoallv,
     };
     pub use bruck_model::complexity::Complexity;

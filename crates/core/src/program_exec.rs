@@ -28,24 +28,6 @@ use bruck_model::planner::IndexPlan;
 use bruck_model::program::{Action, RankMachine, RankProgram};
 use bruck_net::{Comm, GatherSendSpec, NetError, RecvSpec};
 
-/// Lower `plan` for this rank and execute it into a fresh buffer.
-///
-/// Thin allocating wrapper over [`run_plan_into`].
-///
-/// # Errors
-///
-/// See [`run_plan_into`].
-pub fn run_plan<C: Comm + ?Sized>(
-    ep: &mut C,
-    plan: &IndexPlan,
-    sendbuf: &[u8],
-    block: usize,
-) -> Result<Vec<u8>, NetError> {
-    let mut out = vec![0u8; sendbuf.len()];
-    run_plan_into(ep, plan, sendbuf, block, &mut out)?;
-    Ok(out)
-}
-
 /// Lower `plan` for this rank and [run](run_program_into) it.
 ///
 /// # Errors
@@ -183,7 +165,8 @@ mod tests {
         let n = cfg.n;
         Cluster::run(cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, block);
-            run_plan(ep, plan, &input, block)
+            let mut out = vec![0u8; input.len()];
+            run_plan_into(ep, plan, &input, block, &mut out).map(|()| out)
         })
         .unwrap_or_else(|e| panic!("{} n={n} b={block}: {e}", plan.label()))
     }
@@ -275,7 +258,8 @@ mod tests {
 
     fn app_error(n: usize, plan: IndexPlan, sendbuf_len: usize) -> String {
         let err = Cluster::run(&ClusterConfig::new(n), |ep| {
-            run_plan(ep, &plan, &vec![0u8; sendbuf_len], 2)
+            let mut out = vec![0u8; sendbuf_len];
+            run_plan_into(ep, &plan, &vec![0u8; sendbuf_len], 2, &mut out)
         })
         .unwrap_err();
         match err {

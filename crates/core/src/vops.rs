@@ -50,7 +50,7 @@ pub use crate::vbruck::{VLayout, VMethod};
 /// order; the returned [`VLayout`] addresses it. The payload algorithm
 /// is `tuning.vmethod` when forced, otherwise the planner's arg-min of
 /// {direct, padded Bruck, two-phase Bruck} under `tuning.model` — see
-/// [`alltoallv_auto`] to also learn which member ran.
+/// [`alltoallv_auto_into`] to also learn which member ran.
 ///
 /// # Errors
 ///
@@ -91,22 +91,6 @@ pub fn alltoallv_auto_into<C: Comm + ?Sized>(
     out: &mut Vec<u8>,
 ) -> Result<(VLayout, PlanChoice<VIndexPlan>), NetError> {
     dispatch(ep, sendbuf, layout, model, None, out)
-}
-
-/// Allocating form of [`alltoallv_auto_into`].
-///
-/// # Errors
-///
-/// See [`alltoallv_into`].
-pub fn alltoallv_auto<C: Comm + ?Sized>(
-    ep: &mut C,
-    sendbuf: &[u8],
-    layout: &VLayout,
-    model: &dyn CostModel,
-) -> Result<(Vec<u8>, VLayout, PlanChoice<VIndexPlan>), NetError> {
-    let mut out = Vec::new();
-    let (recv, choice) = alltoallv_auto_into(ep, sendbuf, layout, model, &mut out)?;
-    Ok((out, recv, choice))
 }
 
 /// Outcome of [`alltoallv_resilient`]: survivor-dense data, the layout
@@ -466,7 +450,9 @@ mod tests {
         let out = Cluster::run(&cfg, |ep| {
             let (flat, layout) = flat_input(ep.rank(), n);
             let model = LinearModel::sp1();
-            alltoallv_auto(ep, &flat, &layout, &model)
+            let mut got = Vec::new();
+            let (recv, choice) = alltoallv_auto_into(ep, &flat, &layout, &model, &mut got)?;
+            Ok((got, recv, choice))
         })
         .unwrap();
         let first_plan = &out.results[0].2.plan;

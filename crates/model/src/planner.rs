@@ -403,7 +403,7 @@ impl<'m> Planner<'m> {
         // radix, then two-phase quota-major), but the matrix is read once
         // and each radix profiled once: a candidate then costs O(n) (a
         // direct tail, one per quota) or O(1) (a uniform phase). The
-        // sweep runs on every `alltoallv_auto` call — between the
+        // sweep runs on every `alltoallv_into` call — between the
         // metadata and payload rounds — so its CPU cost is part of the
         // measured collective.
         let profile = SizeProfile::scan(n, sizes, true);

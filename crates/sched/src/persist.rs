@@ -44,9 +44,8 @@ pub fn to_tsv(schedule: &Schedule) -> String {
 ///
 /// A description of the first malformed line.
 pub fn from_tsv(text: &str) -> Result<Schedule, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
+    let mut lines = (1..)
+        .zip(text.lines())
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty input")?;
     if !header.starts_with("# bruck-schedule v1") {
@@ -173,9 +172,8 @@ pub fn chaos_from_tsv(text: &str) -> Result<ChaosSchedule, String> {
         s.parse()
             .map_err(|e| format!("line {lineno}: bad {what}: {e}"))
     }
-    let mut lines = text
-        .lines()
-        .enumerate()
+    let mut lines = (1..)
+        .zip(text.lines())
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty input")?;
     if !header.starts_with("# bruck-chaos v1") {
@@ -300,6 +298,16 @@ mod tests {
         text.push_str("1\t2\n"); // two fields: invalid
         let err = from_tsv(&text).unwrap_err();
         assert!(err.contains("unrecognized"), "{err}");
+    }
+
+    #[test]
+    fn malformed_lines_are_numbered_from_one() {
+        let text = "# bruck-schedule v1\nn\t2\tports\t1\nround\t0\n1\t2\n";
+        let err = from_tsv(text).unwrap_err();
+        assert!(err.starts_with("line 4: unrecognized"), "{err}");
+        let text = "# bruck-chaos v1\nseed\t7\tn\t4\nloss\t0.01\nkill\tseven\t1\n";
+        let err = chaos_from_tsv(text).unwrap_err();
+        assert!(err.starts_with("line 4: bad rank"), "{err}");
     }
 
     #[test]

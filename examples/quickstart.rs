@@ -35,7 +35,7 @@ fn main() {
             sendbuf[dst * block..(dst + 1) * block].fill(rank * 16 + dst as u8);
         }
         // The `_into` variant writes into a caller-owned buffer — reuse it
-        // across iterations and the steady state allocates nothing.
+        // across iterations and no call needs a fresh output buffer.
         let mut result = vec![0u8; n * block];
         alltoall_into(ep, &sendbuf, block, &tuning, &mut result)?;
         // Block j of the result came from rank j and was addressed to us.
@@ -47,13 +47,12 @@ fn main() {
         Ok(())
     })
     .expect("index run failed");
-    let choice = tuning.chosen_radix(n, block, 1);
-    let plan = IndexPlan::Radix(choice.radix);
-    let lower = |rank| RankProgram::lower(&plan, n, rank, block, 1).expect("lowerable");
+    let choice = tuning.chosen_plan(n, block, 1);
+    let lower = |rank| RankProgram::lower(&choice.plan, n, rank, block, 1).expect("lowerable");
     let programs: Vec<RankProgram> = (0..n).map(lower).collect();
     println!(
-        "index     : n={n}, b={block} B  → auto radix {} ({}), virtual time {:.1} µs",
-        choice.radix,
+        "index     : n={n}, b={block} B  → auto plan {} ({}), virtual time {:.1} µs",
+        choice.plan.label(),
         choice.complexity,
         virtual_time(&programs) * 1e6
     );

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use bruck::collectives::api::{alltoall_auto, Tuning};
+use bruck::collectives::api::{alltoall, Tuning};
 use bruck::collectives::autotune::{calibrated_fit, clear_cache};
 use bruck::collectives::verify;
 use bruck::model::calibrate::Calibrator;
@@ -131,7 +131,9 @@ fn autotune_smoke_planner_dispatch_is_correct() {
                 let out = Cluster::run(&cfg, |ep| {
                     let fit = calibrated_fit(ep)?;
                     let input = verify::index_input(ep.rank(), n, block);
-                    let (got, choice) = alltoall_auto(ep, &input, block, &fit.model)?;
+                    let tuning = Tuning::auto(Arc::new(fit.model));
+                    let got = alltoall(ep, &input, block, &tuning)?;
+                    let choice = tuning.chosen_plan(n, block, ep.ports());
                     Ok((got, choice.plan.label()))
                 })
                 .unwrap();

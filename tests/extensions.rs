@@ -8,7 +8,7 @@
 use bruck::collectives::api::Tuning;
 use bruck::collectives::appendix::{concat_appendix_b, index_appendix_a};
 use bruck::collectives::index::IndexAlgorithm;
-use bruck::collectives::program_exec::run_plan;
+use bruck::collectives::program_exec::run_plan_into;
 use bruck::collectives::reduce::{allreduce, reduce_scatter, ReduceOp};
 use bruck::collectives::scan::{exscan, scan};
 use bruck::collectives::verify;
@@ -221,7 +221,9 @@ fn mixed_radix_random_vectors() {
         let cfg = ClusterConfig::new(n);
         let out = Cluster::run(&cfg, |ep| {
             let input = verify::index_input(ep.rank(), n, b);
-            run_plan(ep, &IndexPlan::Mixed(radices.to_vec()), &input, b)
+            let mut out = vec![0u8; input.len()];
+            run_plan_into(ep, &IndexPlan::Mixed(radices.to_vec()), &input, b, &mut out)
+                .map(|()| out)
         })
         .unwrap();
         for (rank, result) in out.results.iter().enumerate() {
@@ -255,7 +257,8 @@ fn hierarchical_random_shapes() {
                 radix_local: rl,
                 radix_remote: rr,
             };
-            run_plan(ep, &plan, &input, b)
+            let mut out = vec![0u8; input.len()];
+            run_plan_into(ep, &plan, &input, b, &mut out).map(|()| out)
         })
         .unwrap();
         for (rank, result) in out.results.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! at n = 16, the paper's machine size n = 64 and one n = 128 cell, plus
 //! the non-divisible `node_size` error paths.
 
-use bruck::collectives::program_exec::run_plan;
+use bruck::collectives::program_exec::run_plan_into;
 use bruck::collectives::verify;
 use bruck::model::planner::IndexPlan;
 use bruck::net::{Cluster, ClusterConfig, NetError, Reliability, TcpScaleCluster};
@@ -88,7 +88,8 @@ fn threaded_hierarchical_executor_bit_correct_n64() {
             radix_local: 2,
             radix_remote: 4,
         };
-        run_plan(ep, &plan, &input, block)
+        let mut out = vec![0u8; input.len()];
+        run_plan_into(ep, &plan, &input, block, &mut out).map(|()| out)
     })
     .unwrap();
     assert_oracle(&out.results, n, block, "hierarchical::run n=64");
@@ -105,7 +106,8 @@ fn executor_rejects_non_dividing_node_size() {
             radix_local: 2,
             radix_remote: 2,
         };
-        run_plan(ep, &plan, &input, 2)
+        let mut out = vec![0u8; input.len()];
+        run_plan_into(ep, &plan, &input, 2, &mut out).map(|()| out)
     })
     .unwrap_err();
     match err {

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use bruck::collectives::api::{alltoall, alltoall_deadline, alltoall_resilient, Tuning};
+use bruck::collectives::api::{alltoall, alltoall_resilient, Tuning};
 use bruck::collectives::verify;
 use bruck::net::{ChaosSchedule, Cluster, ClusterConfig, Comm, FaultPlan, NetError, Reliability};
 
@@ -375,8 +375,8 @@ fn alltoall_deadline_is_structured_and_disarms() {
     let report = Cluster::try_run(&cfg, |ep| {
         let input = verify::index_input(ep.rank(), n, block);
         // Infeasible: whole-call budget far below one RTO per round.
-        let err =
-            alltoall_deadline(ep, &input, block, &Tuning::default(), Duration::ZERO).unwrap_err();
+        let tuning = Tuning::builder().budget(Duration::ZERO).build();
+        let err = alltoall(ep, &input, block, &tuning).unwrap_err();
         assert!(matches!(err, NetError::DeadlineExceeded { .. }), "{err:?}");
         assert_eq!(
             ep.deadline_remaining(),
@@ -384,13 +384,8 @@ fn alltoall_deadline_is_structured_and_disarms() {
             "a failed call must leave the deadline disarmed"
         );
         // Feasible: completes bit-correct and disarms on the way out.
-        let data = alltoall_deadline(
-            ep,
-            &input,
-            block,
-            &Tuning::default(),
-            Duration::from_secs(5),
-        )?;
+        let tuning = Tuning::builder().budget(Duration::from_secs(5)).build();
+        let data = alltoall(ep, &input, block, &tuning)?;
         assert_eq!(ep.deadline_remaining(), None);
         Ok(data)
     });

@@ -5,7 +5,7 @@
 
 use bruck::collectives::concat::ConcatAlgorithm;
 use bruck::collectives::index::IndexAlgorithm;
-use bruck::collectives::program_exec::run_plan;
+use bruck::collectives::program_exec::run_plan_into;
 use bruck::collectives::verify;
 use bruck::model::cost::LinearModel;
 use bruck::model::partition::Preference;
@@ -46,7 +46,8 @@ fn check_plan(plan: IndexPlan, n: usize, b: usize, k: usize) {
     let cfg = ClusterConfig::new(n).with_ports(k).with_trace();
     let out = Cluster::run(&cfg, |ep| {
         let input = verify::index_input(ep.rank(), n, b);
-        run_plan(ep, &plan, &input, b)
+        let mut out = vec![0u8; input.len()];
+        run_plan_into(ep, &plan, &input, b, &mut out).map(|()| out)
     })
     .unwrap_or_else(|e| panic!("{} n={n} b={b} k={k}: {e}", plan.label()));
     for (rank, result) in out.results.iter().enumerate() {
