@@ -199,6 +199,17 @@ timeout 120 cargo test -q --release -p bruck-net --lib -- tcp::tests::tx_log \
     tcp::tests::full_outbox tcp::tests::blocked_sender
 timeout 120 cargo test -q --release --test tcp -- quiet_fabric arena_allocations \
     scale_run_moves
+# By name and in release, what the Unix-socket data plane rests on now
+# that it frames and lands payloads in place and the pool hands scratch
+# out unzeroed: every collective to its oracle with the pool stocked with
+# 0xA5-filled buffers, on channels and sockets; no heap allocation of
+# >= 4 KiB in a steady 64 KiB socket lap; and the edge payload lengths
+# round-tripped bit-exact, every borrowed header slot restored, a refused
+# datagram counted with its buffer kept.
+cargo test -q --release --test poisoned_pool --test socket_heap --no-run
+timeout 120 cargo test -q --release --test poisoned_pool
+timeout 120 cargo test -q --release --test socket_heap
+timeout 120 cargo test -q --release -p bruck-net --lib -- socket::tests::framing_
 
 # By name, what lowering and last-round planning rest on now that
 # neither keeps a table: every descriptor expanded against the

@@ -542,6 +542,7 @@ impl Cluster {
                 // injection — wire. Faults hit every physical
                 // transmission, including acks and retransmissions.
                 let mut transport = transport;
+                transport.use_pool(&pool);
                 if wire_layer {
                     transport = Box::new(FaultyTransport::new(
                         transport,

@@ -54,7 +54,7 @@ pub trait Comm {
         "generic"
     }
 
-    /// Acquire pooled scratch of exactly `len` bytes (zeroed).
+    /// Acquire pooled scratch of exactly `len` bytes (not zeroed: write first).
     ///
     /// The default implementation allocates fresh; pooled contexts
     /// ([`Endpoint`], [`GroupComm`]) serve from the cluster pool so

@@ -21,6 +21,7 @@ use crate::deadline::Deadline;
 use crate::error::NetError;
 use crate::failure::FailureDetector;
 use crate::fault::{FaultPlan, RoundClock};
+use crate::frame::HEADER;
 use crate::message::{payload_checksum, Message, Tag};
 use crate::metrics::RankMetrics;
 use crate::pool::BufferPool;
@@ -185,7 +186,7 @@ impl Endpoint {
         &self.pool
     }
 
-    /// Acquire pooled scratch of exactly `len` bytes (zeroed).
+    /// Acquire pooled scratch of exactly `len` bytes (not zeroed: write first).
     #[must_use]
     pub fn acquire(&self, len: usize) -> Vec<u8> {
         self.pool.acquire(len)
@@ -326,14 +327,14 @@ impl Endpoint {
                 continue;
             }
             // Gather the spans directly into the pooled staging buffer:
-            // the single copy of the fast path. A zero-byte token (the
+            // the single copy of the fast path, with room behind it for a
+            // datagram transport to frame in place. A zero-byte token (the
             // barrier's) takes no buffer and never locks the shared pool.
             let mut payload = if total > 0 {
-                self.pool.acquire(total)
+                self.pool.acquire_empty(total + HEADER)
             } else {
                 Vec::new()
             };
-            let mut at = 0usize;
             for &(start, len) in s.spans {
                 let Some(src) = s.src.get(start..start + len) else {
                     self.pool.recycle(payload);
@@ -343,8 +344,7 @@ impl Endpoint {
                         s.src.len()
                     )));
                 };
-                payload[at..at + len].copy_from_slice(src);
-                at += len;
+                payload.extend_from_slice(src);
             }
             self.metrics.bytes_copied += bytes;
             self.metrics.bytes_gathered += bytes;

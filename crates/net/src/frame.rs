@@ -8,18 +8,18 @@
 //! reassemble with the same `Assembler`, so a message is bit-identical
 //! whichever wire carried it.
 //!
-//! **Who copies what, once.** A sender appends `HEADER` bytes
-//! (`encode_header`) and the fragment's slice of the payload to the
-//! buffer it hands the kernel (a datagram staging buffer, a stream
-//! outbox). A receiver decodes the header in place (`decode_frame`
-//! borrows the bytes it is given) and `Assembler::accept` copies the
-//! fragment's bytes straight to offset `frag_idx · FRAG_PAYLOAD` of the
-//! message's one payload buffer. That `memcpy` is the only time the
-//! framing layer touches a payload byte on either side; a
-//! single-fragment message is the one copy out of the receive buffer it
-//! always needed. Every payload buffer's capacity is a [`BufferPool`]
-//! size class, so whoever recycles it shelves it where the next acquire
-//! of that length looks.
+//! **Who copies what, once.** A frame is the fragment's bytes with the
+//! `HEADER` behind them. A datagram goes to the kernel straight from the
+//! payload (`send_framed`: the last header in reserved spare capacity, an
+//! earlier one on loan over the next fragment's first bytes), and a
+//! single fragment of at least `IN_PLACE` bytes is parked as the very
+//! buffer it was read into (`Assembler::accept_datagram`); any other
+//! fragment is copied to offset `frag_idx · FRAG_PAYLOAD` of its message's
+//! payload, and a stream sender copies it into its outbox. User-space
+//! copies per payload byte, gather and deliver included: channels 2, Unix
+//! datagrams 2 (3 below `IN_PLACE` or over one fragment), TCP 4. Payload
+//! capacities are [`BufferPool`] size classes, so a recycled buffer is
+//! shelved where the next acquire of its length looks.
 //!
 //! **What a fragment must look like.** The wire is not trusted. A frame
 //! is folded in only if
@@ -62,6 +62,11 @@ pub const MAX_MESSAGE: usize = 1 << 30;
 
 // src, tag, msg id, frag idx, frag count, seq, ack, checksum flag + value
 pub(crate) const HEADER: usize = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4;
+
+/// Smallest single fragment whose receive buffer becomes the payload; a
+/// smaller one is copied out, so that it does not hold a fragment-sized
+/// buffer.
+pub(crate) const IN_PLACE: usize = 4096;
 
 /// The fixed-size head of every fragment: the message envelope plus the
 /// fragment's place in it.
@@ -127,19 +132,70 @@ pub(crate) fn fragment(payload: &[u8], idx: u32) -> &[u8] {
     &payload[at..payload.len().min(at + FRAG_PAYLOAD)]
 }
 
-/// Append `head`'s [`HEADER`] wire bytes to `buf`; the fragment's bytes
-/// follow. Appending lets a sender frame straight into whatever it hands
-/// the kernel: a reused datagram buffer, a shared stream outbox.
+/// `head`'s [`HEADER`] wire bytes.
+fn header_bytes(head: &FrameHeader) -> [u8; HEADER] {
+    let mut out = [0u8; HEADER];
+    let mut at = 0;
+    for field in [
+        &(head.src as u32).to_le_bytes()[..],
+        &head.tag.to_le_bytes(),
+        &head.msg_id.to_le_bytes(),
+        &head.frag_idx.to_le_bytes(),
+        &head.frag_count.to_le_bytes(),
+        &head.seq.to_le_bytes(),
+        &head.ack.to_le_bytes(),
+        &[u8::from(head.checksum.is_some())],
+        &head.checksum.unwrap_or(0).to_le_bytes(),
+    ] {
+        out[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    out
+}
+
+/// Append `head`'s [`HEADER`] wire bytes to `buf`, behind the fragment's
+/// bytes: a stream sender frames straight into its outbox.
 pub(crate) fn encode_header(buf: &mut Vec<u8>, head: &FrameHeader) {
-    buf.extend_from_slice(&(head.src as u32).to_le_bytes());
-    buf.extend_from_slice(&head.tag.to_le_bytes());
-    buf.extend_from_slice(&head.msg_id.to_le_bytes());
-    buf.extend_from_slice(&head.frag_idx.to_le_bytes());
-    buf.extend_from_slice(&head.frag_count.to_le_bytes());
-    buf.extend_from_slice(&head.seq.to_le_bytes());
-    buf.extend_from_slice(&head.ack.to_le_bytes());
-    buf.push(u8::from(head.checksum.is_some()));
-    buf.extend_from_slice(&head.checksum.unwrap_or(0).to_le_bytes());
+    buf.extend_from_slice(&header_bytes(head));
+}
+
+/// Hand each fragment of `payload` to `send` as one frame, framed where
+/// it lies (see the module docs): the last header goes into the spare
+/// capacity behind the payload, which grows only if there is less than
+/// [`HEADER`] of it, and an earlier one borrows the bytes behind its
+/// fragment until `send` returns. `payload` comes back as it went in; the
+/// first error ends the message.
+pub(crate) fn send_framed<E>(
+    payload: &mut Vec<u8>,
+    mut head: FrameHeader,
+    mut send: impl FnMut(u32, &[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let len = payload.len();
+    if len == 0 {
+        return send(0, &header_bytes(&head));
+    }
+    let mut sent = Ok(());
+    for idx in 0..head.frag_count {
+        head.frag_idx = idx;
+        let at = idx as usize * FRAG_PAYLOAD;
+        let end = len.min(at + FRAG_PAYLOAD);
+        let slot = end..end + HEADER;
+        // The next fragment's bytes under the slot, put back after.
+        let lent = len.min(slot.end) - end;
+        let mut kept = [0u8; HEADER];
+        kept[..lent].copy_from_slice(&payload[end..end + lent]);
+        if payload.len() < slot.end {
+            payload.resize(slot.end, 0);
+        }
+        payload[slot.clone()].copy_from_slice(&header_bytes(&head));
+        sent = send(idx, &payload[at..slot.end]);
+        payload[end..end + lent].copy_from_slice(&kept[..lent]);
+        if sent.is_err() {
+            break;
+        }
+    }
+    payload.truncate(len);
+    sent
 }
 
 /// One fragment as it lies in a receive buffer.
@@ -148,14 +204,16 @@ pub(crate) struct Frame<'a> {
     pub(crate) chunk: &'a [u8],
 }
 
+/// Split a frame into its fragment's bytes and the header behind them.
 pub(crate) fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, NetError> {
-    if buf.len() < HEADER {
+    let Some(split) = buf.len().checked_sub(HEADER) else {
         return Err(NetError::App(format!(
             "runt datagram of {} bytes",
             buf.len()
         )));
-    }
-    let get = |at: usize, len: usize| &buf[at..at + len];
+    };
+    let (chunk, head) = buf.split_at(split);
+    let get = |at: usize, len: usize| &head[at..at + len];
     Ok(Frame {
         head: FrameHeader {
             src: u32::from_le_bytes(get(0, 4).try_into().expect("4 bytes")) as usize,
@@ -165,10 +223,10 @@ pub(crate) fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, NetError> {
             frag_count: u32::from_le_bytes(get(24, 4).try_into().expect("4 bytes")),
             seq: u64::from_le_bytes(get(28, 8).try_into().expect("8 bytes")),
             ack: u64::from_le_bytes(get(36, 8).try_into().expect("8 bytes")),
-            checksum: (buf[44] != 0)
+            checksum: (head[44] != 0)
                 .then(|| u32::from_le_bytes(get(45, 4).try_into().expect("4 bytes"))),
         },
-        chunk: &buf[HEADER..],
+        chunk,
     })
 }
 
@@ -179,6 +237,31 @@ fn buffer(pool: Option<&BufferPool>, len: usize) -> Vec<u8> {
         _ if len == 0 => Vec::new(),
         Some(pool) => pool.acquire_empty(len),
         None => Vec::with_capacity(class_for(len)),
+    }
+}
+
+/// The fragment rules (see the module docs) a frame's header and length
+/// must keep before anything is folded in.
+fn check(head: &FrameHeader, len: usize) -> Result<(), &'static str> {
+    let (count, idx) = (head.frag_count as usize, head.frag_idx as usize);
+    if count == 0 {
+        return Err("fragment count 0");
+    }
+    if count > MAX_MESSAGE / FRAG_PAYLOAD {
+        return Err("message longer than MAX_MESSAGE");
+    }
+    if idx >= count {
+        return Err("fragment index past the fragment count");
+    }
+    let sized = match len {
+        len if idx + 1 < count => len == FRAG_PAYLOAD,
+        0 => count == 1,
+        len => len <= FRAG_PAYLOAD,
+    };
+    if sized {
+        Ok(())
+    } else {
+        Err("fragment length does not fit its index")
     }
 }
 
@@ -248,25 +331,8 @@ impl Assembler {
     /// Nothing is allocated or changed for a refused frame.
     pub(crate) fn accept(&mut self, frame: Frame<'_>) -> Result<(), &'static str> {
         let Frame { head, chunk } = frame;
-        let count = head.frag_count as usize;
-        if count == 0 {
-            return Err("fragment count 0");
-        }
-        if count > MAX_MESSAGE / FRAG_PAYLOAD {
-            return Err("message longer than MAX_MESSAGE");
-        }
-        let idx = head.frag_idx as usize;
-        if idx >= count {
-            return Err("fragment index past the fragment count");
-        }
-        let sized = match chunk.len() {
-            len if idx + 1 < count => len == FRAG_PAYLOAD,
-            0 => count == 1,
-            len => len <= FRAG_PAYLOAD,
-        };
-        if !sized {
-            return Err("fragment length does not fit its index");
-        }
+        check(&head, chunk.len())?;
+        let (count, idx) = (head.frag_count as usize, head.frag_idx as usize);
         let pool = self.pool.as_deref();
         if count == 1 {
             let mut payload = buffer(pool, chunk.len());
@@ -325,6 +391,32 @@ impl Assembler {
         Ok(())
     }
 
+    /// Fold in the datagram in `buf[..len]`. A single fragment of at
+    /// least [`IN_PLACE`] bytes is parked as `buf` itself, truncated to
+    /// the fragment, and `buf` is left empty for the caller to refill;
+    /// any other frame is [`accept`](Self::accept)ed and `buf` stays as
+    /// it was, refused or not.
+    ///
+    /// # Errors
+    ///
+    /// A runt datagram, or the fragment rule the frame breaks.
+    pub(crate) fn accept_datagram(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+    ) -> Result<(), &'static str> {
+        let frame = decode_frame(&buf[..len]).map_err(|_| "runt datagram")?;
+        let (head, chunk) = (frame.head, frame.chunk.len());
+        if head.frag_count != 1 || chunk < IN_PLACE {
+            return self.accept(frame);
+        }
+        check(&head, chunk)?;
+        let mut payload = std::mem::take(buf);
+        payload.truncate(chunk);
+        self.park(&head, payload);
+        Ok(())
+    }
+
     /// Discard everything buffered (complete and partial). Returns how
     /// many messages were thrown away.
     pub(crate) fn clear(&mut self) -> usize {
@@ -352,9 +444,8 @@ mod tests {
     }
 
     fn encode(head: &FrameHeader, chunk: &[u8]) -> Vec<u8> {
-        let mut f = Vec::new();
+        let mut f = chunk.to_vec();
         encode_header(&mut f, head);
-        f.extend_from_slice(chunk);
         f
     }
 
@@ -494,7 +585,8 @@ mod tests {
         let wire_a = frames_of(&a, 4);
         let mut wire_b = frames_of(&b, 4);
         for f in &mut wire_b {
-            f[..4].copy_from_slice(&2u32.to_le_bytes()); // same msg id, src 2
+            let src = f.len() - HEADER;
+            f[src..src + 4].copy_from_slice(&2u32.to_le_bytes()); // same msg id, src 2
         }
         let mut asm = Assembler::new(0);
         for f in [&wire_a[0], &wire_b[1], &wire_a[1], &wire_b[0]] {
@@ -615,7 +707,7 @@ mod tests {
                 1 => {} // verbatim: a replay or a duplicate
                 _ => {
                     for _ in 0..1 + next() % 3 {
-                        let at = next() as usize % HEADER;
+                        let at = wire.len() - HEADER + next() as usize % HEADER;
                         wire[at] = match next() % 4 {
                             0 => 0,
                             1 => 0xFF,

@@ -58,21 +58,28 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Acquire a zeroed buffer of exactly `len` bytes, reusing a shelved
-    /// buffer of the right size class when one is available.
+    /// Acquire a buffer of exactly `len` bytes, reusing a shelved one of its
+    /// size class when there is one. Not zeroed: a shelved buffer keeps its
+    /// last user's bytes, and only bytes past its old length are zeroed.
     #[must_use]
     pub fn acquire(&self, len: usize) -> Vec<u8> {
-        let mut buf = self.acquire_empty(len);
+        let mut buf = self.take(len);
         buf.resize(len, 0);
         buf
     }
 
     /// Acquire an *empty* buffer with room for `cap` bytes (its capacity
-    /// is `cap`'s size class), for a caller that is about to write every
-    /// byte itself — packing a message, landing a frame — and would only
-    /// overwrite [`acquire`](Self::acquire)'s zeros.
+    /// is `cap`'s size class), for a caller that appends every byte
+    /// itself — packing a message, landing a frame.
     #[must_use]
     pub fn acquire_empty(&self, cap: usize) -> Vec<u8> {
+        let mut buf = self.take(cap);
+        buf.clear();
+        buf
+    }
+
+    /// A buffer of `cap`'s size class: shelved as last left, or fresh.
+    fn take(&self, cap: usize) -> Vec<u8> {
         let class = class_for(cap);
         let shelved = if self.prewarm.load(Ordering::Relaxed) {
             None
@@ -84,9 +91,8 @@ impl BufferPool {
                 .and_then(Vec::pop)
         };
         match shelved {
-            Some(mut buf) => {
+            Some(buf) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
                 buf
             }
             None => {
@@ -177,13 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn reused_buffers_are_zeroed() {
+    fn reused_buffers_keep_their_bytes_and_zero_only_new_ones() {
         let pool = BufferPool::new();
-        let mut a = pool.acquire(64);
+        let fresh = pool.acquire(64);
+        assert!(fresh.iter().all(|&x| x == 0));
+        pool.recycle(fresh);
+        let mut a = pool.acquire(40);
         a.iter_mut().for_each(|b| *b = 0xFF);
         pool.recycle(a);
         let b = pool.acquire(64);
-        assert!(b.iter().all(|&x| x == 0));
+        assert!(b[..40].iter().all(|&x| x == 0xFF));
+        assert!(b[40..].iter().all(|&x| x == 0));
+        assert_eq!(pool.stats().allocated, 1);
     }
 
     #[test]

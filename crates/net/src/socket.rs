@@ -1,11 +1,11 @@
 //! Real-I/O transport: Unix datagram sockets (Unix only).
 //!
 //! Each rank binds one `SOCK_DGRAM` Unix socket in a per-run temporary
-//! directory; messages travel as framed datagrams (header + payload),
-//! fragmented at [`FRAG_PAYLOAD`] bytes so arbitrarily large blocks fit
-//! under the kernel's datagram ceiling. Sends run nonblocking and
-//! interleave with draining the own socket, so two ranks exchanging
-//! large messages never deadlock on full kernel buffers.
+//! directory; a message travels as one datagram per [`FRAG_PAYLOAD`]
+//! bytes, framed and landed in place in the cluster's pooled buffers
+//! ([`crate::frame`]: two user-space copies per byte, three below 4 KiB or
+//! over one fragment). Sends run nonblocking and drain the own socket, so
+//! two ranks exchanging large messages never deadlock on full buffers.
 //!
 //! The wire is [`Delivery::Reliable`]: the kernel neither loses, reorders
 //! nor damages a datagram, and a send into a full queue waits for room
@@ -17,14 +17,16 @@
 
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cluster::{Cluster, ClusterConfig, RunOutput};
 use crate::endpoint::Endpoint;
 use crate::error::NetError;
-use crate::frame::{decode_frame, encode_header, fragment, Assembler, FrameHeader, HEADER};
+use crate::frame::{send_framed, Assembler, FrameHeader, HEADER};
 use crate::message::{Message, Tag};
 use crate::metrics::LinkStats;
+use crate::pool::BufferPool;
 use crate::reliable::repairs_loss;
 use crate::transport::{Delivery, Transport};
 
@@ -50,11 +52,14 @@ pub struct UdsTransport {
     /// drop so a crashed-and-restarted rank never inherits a stale file.
     own_path: PathBuf,
     peer_paths: Vec<PathBuf>,
+    /// Where receive buffers come from and sent payloads go: the
+    /// cluster's, once [`Transport::use_pool`] hands it over.
+    pool: Arc<BufferPool>,
     asm: Assembler,
     next_msg_id: u64,
+    /// The next datagram lands here; empty after its buffer was parked
+    /// as a payload, until the next receive draws one from the pool.
     recv_buf: Vec<u8>,
-    /// Reusable outbound frame buffer: one allocation serves every send.
-    send_buf: Vec<u8>,
     /// Datagrams dropped because they did not decode or broke a fragment
     /// rule (see [`crate::frame`]).
     malformed: u64,
@@ -110,6 +115,7 @@ impl UdsTransport {
         let sock = Self::bind_with_retry(&path, rank)?;
         sock.set_nonblocking(true)
             .map_err(|e| NetError::App(format!("set_nonblocking: {e}")))?;
+        let pool = Arc::new(BufferPool::new());
         Ok(Self {
             rank,
             sock,
@@ -117,10 +123,10 @@ impl UdsTransport {
             peer_paths: (0..n)
                 .map(|r| Self::sock_path_inc(dir, r, incarnation))
                 .collect(),
-            asm: Assembler::new(rank),
+            asm: Assembler::with_pool(rank, Arc::clone(&pool)),
+            pool,
             next_msg_id: 0,
-            recv_buf: vec![0u8; HEADER + FRAG_PAYLOAD],
-            send_buf: Vec::with_capacity(HEADER + FRAG_PAYLOAD),
+            recv_buf: Vec::new(),
             malformed: 0,
         })
     }
@@ -177,16 +183,19 @@ impl UdsTransport {
         }
     }
 
-    /// Fold the datagram in `recv_buf[..len]` into the parked/partial
-    /// stores. One that does not decode or breaks a fragment rule is
-    /// dropped and counted: on a datagram wire that is a loss, which
-    /// whoever needs the message heals or reports.
-    fn ingest(&mut self, len: usize) {
-        let folded =
-            decode_frame(&self.recv_buf[..len]).is_ok_and(|frame| self.asm.accept(frame).is_ok());
-        if !folded {
+    /// Read one datagram and fold it into the parked/partial stores. One
+    /// that does not decode or breaks a fragment rule is dropped and
+    /// counted, its buffer kept for the next: on a datagram wire that is
+    /// a loss, which whoever needs the message heals or reports.
+    fn recv_frame(&mut self) -> std::io::Result<()> {
+        if self.recv_buf.is_empty() {
+            self.recv_buf = self.pool.acquire(HEADER + FRAG_PAYLOAD);
+        }
+        let len = self.sock.recv(&mut self.recv_buf)?;
+        if self.asm.accept_datagram(&mut self.recv_buf, len).is_err() {
             self.malformed += 1;
         }
+        Ok(())
     }
 
     /// Pull every datagram currently queued on the socket into the
@@ -194,11 +203,8 @@ impl UdsTransport {
     fn drain(&mut self) -> Result<usize, NetError> {
         let mut consumed = 0;
         loop {
-            match self.sock.recv(&mut self.recv_buf) {
-                Ok(len) => {
-                    consumed += 1;
-                    self.ingest(len);
-                }
+            match self.recv_frame() {
+                Ok(()) => consumed += 1,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(consumed),
                 Err(e) => return Err(NetError::App(format!("recv: {e}"))),
             }
@@ -220,11 +226,8 @@ impl UdsTransport {
         self.sock
             .set_nonblocking(false)
             .map_err(|e| NetError::App(format!("set_nonblocking: {e}")))?;
-        let got = match self.sock.recv(&mut self.recv_buf) {
-            Ok(len) => {
-                self.ingest(len);
-                1
-            }
+        let got = match self.recv_frame() {
+            Ok(()) => 1,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -246,6 +249,45 @@ impl UdsTransport {
         // Grab whatever else arrived while we were parked.
         Ok(got + self.drain()?)
     }
+
+    /// Hand one frame for rank `dst` to the kernel. `may_shed`: the frame
+    /// opens a message an ARQ above resends, so a queue still full after
+    /// a park may drop it.
+    fn send_frame(&mut self, frame: &[u8], dst: usize, may_shed: bool) -> Result<(), NetError> {
+        let mut parked = false;
+        loop {
+            match self.sock.send_to(frame, &self.peer_paths[dst]) {
+                Ok(_) => return Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    // The peer's queue is full: make progress on our own
+                    // queue so the system drains, and otherwise park
+                    // briefly on the socket (a blocking read, not a
+                    // sleep) until something moves. A queue still full
+                    // after a park (a stalled peer) sheds a whole frame
+                    // the ARQ above resends: a rank parked here answers
+                    // no probe and gets evicted.
+                    if parked && may_shed {
+                        return Ok(());
+                    }
+                    if self.drain()? == 0 {
+                        parked = true;
+                        self.block_for_frames(Duration::from_micros(500))?;
+                    }
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
+                    ) =>
+                {
+                    // Peer already exited: same fire-and-forget semantics
+                    // as the channel transport.
+                    return Ok(());
+                }
+                Err(e) => return Err(NetError::App(format!("send_to rank {dst}: {e}"))),
+            }
+        }
+    }
 }
 
 impl Drop for UdsTransport {
@@ -259,51 +301,15 @@ impl Drop for UdsTransport {
 
 impl Transport for UdsTransport {
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
-        let mut head = FrameHeader::first(&msg, self.next_msg_id)?;
+        let head = FrameHeader::first(&msg, self.next_msg_id)?;
         self.next_msg_id += 1;
-        for idx in 0..head.frag_count {
-            head.frag_idx = idx;
-            let mut frame = std::mem::take(&mut self.send_buf);
-            frame.clear();
-            encode_header(&mut frame, &head);
-            frame.extend_from_slice(fragment(&msg.payload, idx));
-            let mut parked = false;
-            let sent = loop {
-                match self.sock.send_to(&frame, &self.peer_paths[msg.dst]) {
-                    Ok(_) => break Ok(()),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // The peer's queue is full: make progress on our
-                        // own queue so the system drains, and otherwise
-                        // park briefly on the socket (a blocking read,
-                        // not a sleep) until something moves. A queue
-                        // still full after a park (a stalled peer) sheds
-                        // a whole frame the ARQ above resends: a rank
-                        // parked here answers no probe and gets evicted.
-                        if parked && idx == 0 && repairs_loss(&msg) {
-                            break Ok(());
-                        }
-                        if self.drain()? == 0 {
-                            parked = true;
-                            self.block_for_frames(Duration::from_micros(500))?;
-                        }
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
-                        ) =>
-                    {
-                        // Peer already exited: same fire-and-forget
-                        // semantics as the channel transport.
-                        break Ok(());
-                    }
-                    Err(e) => break Err(NetError::App(format!("send_to rank {}: {e}", msg.dst))),
-                }
-            };
-            self.send_buf = frame;
-            sent?;
-        }
-        Ok(())
+        let sheddable = repairs_loss(&msg);
+        let (dst, mut payload) = (msg.dst, msg.payload);
+        let sent = send_framed(&mut payload, head, |idx, frame| {
+            self.send_frame(frame, dst, sheddable && idx == 0)
+        });
+        self.pool.recycle(payload);
+        sent
     }
 
     fn recv_match(
@@ -368,6 +374,12 @@ impl Transport for UdsTransport {
 
     fn delivery(&self) -> Delivery {
         Delivery::Reliable
+    }
+
+    fn use_pool(&mut self, pool: &Arc<BufferPool>) {
+        // Handed over before the run: nothing is parked yet.
+        self.asm = Assembler::with_pool(self.rank, Arc::clone(pool));
+        self.pool = Arc::clone(pool);
     }
 
     fn purge(&mut self) -> usize {
@@ -516,6 +528,167 @@ mod tests {
                 .collect();
             assert_eq!(got, &expected, "rank {rank}");
         }
+    }
+
+    /// The payload lengths where framing in place changes shape: empty,
+    /// shorter than a header, around a fragment, a last fragment shorter
+    /// than the header the one before it borrows, several fragments.
+    const EDGE_LENGTHS: [usize; 8] = [
+        0,
+        1,
+        HEADER - 1,
+        FRAG_PAYLOAD - 1,
+        FRAG_PAYLOAD,
+        FRAG_PAYLOAD + 1,
+        FRAG_PAYLOAD + HEADER - 1,
+        3 * FRAG_PAYLOAD,
+    ];
+
+    fn edge_body(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(13) ^ (i >> 9) as u8 ^ salt)
+            .collect()
+    }
+
+    #[test]
+    fn framing_round_trips_edge_lengths_bit_exact() {
+        // Through the cluster (payloads with header room behind them)...
+        let cfg = ClusterConfig::new(2).with_timeout(Duration::from_secs(20));
+        let out = SocketCluster::run(&cfg, |ep| {
+            let peer = 1 - ep.rank();
+            for (tag, len) in EDGE_LENGTHS.into_iter().enumerate() {
+                let got =
+                    ep.send_and_recv(peer, &edge_body(len, ep.rank() as u8), peer, tag as u64)?;
+                assert!(got == edge_body(len, peer as u8), "length {len}");
+            }
+            Ok(())
+        });
+        out.unwrap();
+        // ... and bare, with payloads that have no room to spare.
+        let dir = SocketCluster::socket_dir().unwrap();
+        let mut a = UdsTransport::bind(&dir, 0, 2).unwrap();
+        let mut b = UdsTransport::bind(&dir, 1, 2).unwrap();
+        for (tag, len) in EDGE_LENGTHS.into_iter().enumerate() {
+            let mut payload = edge_body(len, 7);
+            payload.shrink_to_fit();
+            a.send(Message {
+                src: 0,
+                dst: 1,
+                tag: tag as u64,
+                payload,
+                seq: 0,
+                ack: 0,
+                checksum: None,
+            })
+            .unwrap();
+            let m = b.recv_match(0, tag as u64, Duration::from_secs(5)).unwrap();
+            assert!(m.payload == edge_body(len, 7), "bare, length {len}");
+        }
+        assert_eq!(b.malformed, 0);
+        drop((a, b));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn framing_in_place_restores_every_borrowed_header_slot() {
+        for len in EDGE_LENGTHS {
+            for room in [HEADER, 0] {
+                let original = edge_body(len, 3);
+                let mut payload = Vec::with_capacity(len + room);
+                payload.extend_from_slice(&original);
+                let capacity = payload.capacity();
+                let msg = Message {
+                    src: 1,
+                    dst: 0,
+                    tag: 4,
+                    payload: original.clone(),
+                    seq: 2,
+                    ack: 1,
+                    checksum: None,
+                };
+                let head = FrameHeader::first(&msg, 9).unwrap();
+                let mut frames = Vec::new();
+                send_framed(&mut payload, head, |idx, frame| {
+                    frames.push((idx, frame.to_vec()));
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+                assert!(
+                    payload == original,
+                    "length {len}, room {room}: payload changed"
+                );
+                if room == HEADER {
+                    assert_eq!(payload.capacity(), capacity, "length {len}: grew");
+                }
+                // Each frame is the fragment with its header behind it,
+                // and they reassemble to the payload.
+                let mut asm = Assembler::new(0);
+                for (idx, frame) in &frames {
+                    let decoded = crate::frame::decode_frame(frame).unwrap();
+                    assert_eq!(decoded.head.frag_idx, *idx);
+                    assert_eq!(decoded.chunk, crate::frame::fragment(&original, *idx));
+                    asm.accept(decoded).unwrap();
+                }
+                let m = asm.parked.pop_any().expect("a whole message");
+                assert!(
+                    m.payload == original,
+                    "length {len}: reassembled bytes differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn framing_refused_datagram_is_counted_and_keeps_its_buffer() {
+        use crate::frame::encode_header;
+        let dir = SocketCluster::socket_dir().unwrap();
+        let mut t = UdsTransport::bind(&dir, 0, 2).unwrap();
+        let pool = Arc::new(BufferPool::new());
+        t.use_pool(&pool);
+        let raw = UnixDatagram::unbound().unwrap();
+        let frame = |len: usize, frag_idx: u32| {
+            let msg = Message {
+                src: 1,
+                dst: 0,
+                tag: 6,
+                payload: edge_body(len, 5),
+                seq: 0,
+                ack: 0,
+                checksum: None,
+            };
+            let head = FrameHeader {
+                frag_idx,
+                ..FrameHeader::first(&msg, u64::from(frag_idx)).unwrap()
+            };
+            let mut wire = msg.payload;
+            encode_header(&mut wire, &head);
+            wire
+        };
+        let path = t.own_path.clone();
+        let send = |wire: &[u8]| raw.send_to(wire, &path).unwrap();
+        // A single fragment big enough to land in place, but indexed past
+        // its count: refused, counted, and its buffer takes the next one.
+        send(&frame(8192, 1));
+        assert_eq!(t.drain().unwrap(), 1);
+        assert_eq!((t.malformed, t.asm.parked.len()), (1, 0));
+        let buffer = t.recv_buf.as_ptr();
+        assert_eq!(pool.stats().allocated, 1);
+        // The next one does land in place: the payload is that buffer.
+        send(&frame(8192, 0));
+        assert_eq!(t.drain().unwrap(), 1);
+        let m = t.asm.parked.pop_any().expect("parked");
+        assert_eq!(m.payload.as_ptr(), buffer);
+        assert!(m.payload == edge_body(8192, 5));
+        // A small one is copied out; the receive buffer stays.
+        pool.recycle(m.payload);
+        send(&frame(100, 0));
+        t.drain().unwrap();
+        let small = t.asm.parked.pop_any().expect("parked");
+        assert!(small.payload == edge_body(100, 5));
+        assert_ne!(small.payload.as_ptr(), t.recv_buf.as_ptr());
+        assert_eq!(t.link_stats().corrupt_dropped, 1);
+        drop(t);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   with nothing in flight is skipped, syscalls and all.
 //! * **Byte path.** A payload byte is moved by `memcpy`, once per hop:
 //!   packed from a rank's `work` into a pooled payload; framed — prefix,
-//!   header, bytes — straight into the pair's outbox arena (the payload
+//!   bytes, header — straight into the pair's outbox arena (the payload
 //!   goes back to the pool there); written from the arena to the kernel;
 //!   read into the sweeper's 64 KiB chunk, where every record that
 //!   arrived whole is parsed in place; copied from the chunk to its
@@ -1655,7 +1655,7 @@ impl Drop for TcpFabric {
 }
 
 /// Append `msg` to a stream outbox as one record per fragment — prefix,
-/// frame header (`head` with the fragment's index), the fragment's bytes
+/// the fragment's bytes, frame header (`head` with the fragment's index)
 /// — each written once, where a sweep will hand it to the kernel.
 fn stage(outbox: &mut Vec<u8>, msg: &Message, mut head: FrameHeader) {
     for idx in 0..head.frag_count {
@@ -1663,8 +1663,8 @@ fn stage(outbox: &mut Vec<u8>, msg: &Message, mut head: FrameHeader) {
         let chunk = fragment(&msg.payload, idx);
         outbox.extend_from_slice(&((HEADER + chunk.len()) as u32).to_le_bytes());
         outbox.extend_from_slice(&(msg.dst as u32).to_le_bytes());
-        encode_header(outbox, &head);
         outbox.extend_from_slice(chunk);
+        encode_header(outbox, &head);
     }
 }
 
@@ -2931,8 +2931,8 @@ mod tests {
         let (start, next) = (offsets[1], offsets[2]);
         let cases = [
             ("inside the 8-byte prefix", start + 3),
-            ("between prefix and header", start + STREAM_PREFIX),
-            ("inside the header", start + STREAM_PREFIX + 20),
+            ("between fragment and header", next - HEADER),
+            ("inside the header", next - HEADER + 20),
             ("one byte before the record's end", next - 1),
             ("on the record boundary", next),
         ];
@@ -3007,8 +3007,9 @@ mod tests {
         // Fragment index and count lie at bytes 20 and 24 of the header.
         let with_place = |idx: u32, count: u32| {
             let mut rec = staged(&msg, head);
-            rec[STREAM_PREFIX + 20..][..4].copy_from_slice(&idx.to_le_bytes());
-            rec[STREAM_PREFIX + 24..][..4].copy_from_slice(&count.to_le_bytes());
+            let at = rec.len() - HEADER;
+            rec[at + 20..][..4].copy_from_slice(&idx.to_le_bytes());
+            rec[at + 24..][..4].copy_from_slice(&count.to_le_bytes());
             rec
         };
         fatal(&with_place(0, 0), "fragment count 0");

@@ -10,12 +10,14 @@
 //!   only): real kernel I/O that neither loses nor reorders a message, so
 //!   [`Delivery::Reliable`].
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
 use crate::mailbox::{MailSender, Mailbox};
 use crate::message::{Message, Tag};
 use crate::metrics::LinkStats;
+use crate::pool::BufferPool;
 
 /// What a [`Transport`] promises about the messages it accepts — the
 /// property the cluster runners read to decide whether the
@@ -135,6 +137,14 @@ pub trait Transport: Send {
     fn flush(&mut self, deadline: std::time::Instant) -> Result<(), NetError> {
         let _ = deadline;
         Ok(())
+    }
+
+    /// Draw receive buffers from, and return sent payloads to, the
+    /// cluster's `pool` — the one its endpoints recycle into. The cluster
+    /// hands it over before stacking any sublayer; a no-op for transports
+    /// that keep no buffers of their own.
+    fn use_pool(&mut self, pool: &Arc<BufferPool>) {
+        let _ = pool;
     }
 
     /// Discard every queued and parked message (stale traffic from an

@@ -189,3 +189,58 @@ fn run_metrics_report_pool_activity() {
         "cannot recycle more buffers than were acquired: {p:?}"
     );
 }
+
+/// The flat-`allocated` check over Unix sockets, where the transport
+/// draws its receive buffers from the cluster's pool and returns every
+/// payload it sent: once warm, alltoall and allgather laps at a small
+/// block and at the tracked benchmark's 64 KiB one (one fragment, the
+/// allgather's last round several) allocate no fresh buffer.
+#[cfg(unix)]
+#[test]
+fn socket_cluster_steady_state_allocates_nothing() {
+    use bruck::collectives::api::{allgather_into, alltoall_into, Tuning};
+    use bruck::net::SocketCluster;
+
+    let (n, ports) = (8, 2);
+    for block in [64usize, 64 * 1024] {
+        let cfg = ClusterConfig::new(n).with_ports(ports);
+        let rendezvous = &Barrier::new(n);
+        let out = SocketCluster::run(&cfg, move |ep| {
+            let rank = ep.rank() as u8;
+            let sendbuf: Vec<u8> = (0..n * block).map(|i| rank ^ (i % 251) as u8).collect();
+            let mut recvbuf = vec![0u8; n * block];
+            let tuning = Tuning::default();
+            let mut lap = |ep: &mut Endpoint| -> Result<(), NetError> {
+                alltoall_into(ep, &sendbuf, block, &tuning, &mut recvbuf)?;
+                allgather_into(ep, &sendbuf[..block], &tuning, &mut recvbuf)
+            };
+            ep.pool().set_prewarm(true);
+            rendezvous.wait();
+            for _ in 0..WARMUP {
+                lap(ep)?;
+                rendezvous.wait();
+            }
+            ep.pool().set_prewarm(false);
+            rendezvous.wait();
+            let warm = ep.pool().stats();
+            for _ in 0..STEADY {
+                lap(ep)?;
+                rendezvous.wait();
+            }
+            rendezvous.wait();
+            let steady = ep.pool().stats();
+            Ok((warm, steady))
+        })
+        .expect("run failed");
+        let (warm, steady) = out.results[0];
+        assert_eq!(
+            steady.allocated,
+            warm.allocated,
+            "block {block}: steady-state socket laps hit the allocator \
+             ({} fresh buffers after warmup)",
+            steady.allocated - warm.allocated
+        );
+        assert!(steady.reused > warm.reused, "block {block}");
+        assert!(steady.recycled > warm.recycled, "block {block}");
+    }
+}
